@@ -255,3 +255,68 @@ def test_functional_equation_invariant(sigma, t):
     )
     rhs = chi * zeta(w)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-280)
+
+
+# (zeta(s), zeta'(s)) and log Gamma(s) from mpmath at 40 digits.  On the
+# negative real axis the branch is log|Gamma(x)| + i*pi*[Gamma(x) < 0], the
+# convention of the double path (mpmath.loggamma differs by 2*pi*i*k there).
+ZETA_AND_DERIV_40 = {
+    complex(0.5, 20.0): (
+        ("0.4299138604378433721577396706245034568405",
+         "-1.064291443080589112727395193068938474842"),
+        ("0.7145067908437759923766753826002555503841",
+         "1.005240883947013155472724076606905180816"),
+    ),
+    complex(2.0, 3.0): (
+        ("0.7980219851462757206222945007248126860252",
+         "-0.1137443080529385002159133658573150755701"),
+        ("0.1401295901174864802463059119556927829317",
+         "0.02151467827919665819586930508700018722344"),
+    ),
+    complex(-1.5, 2.0): (
+        ("0.1242472655777747470137438352506272815937",
+         "-0.01570774952827320278618164790733233123186"),
+        ("0.08086809750560514377523406462715862134055",
+         "-0.09034837581146520558005057018494136277842"),
+    ),
+    complex(0.5, 100.5): (
+        ("1.737774021206534791472076585882518382129",
+         "-1.463757770305698720521397126931771691254"),
+        ("-1.228811475026726297788527866872873780234",
+         "3.429847828155724921498811379987189145668"),
+    ),
+}
+
+LOG_GAMMA_40 = {
+    complex(0.25, 50.0): ("-78.59888043270184250397968959737864388583",
+                          "145.2086595242572283326544966814016264509"),
+    complex(3.7, -2.0): ("0.8420606199850079309205447776357918039675",
+                         "-2.449380168642731874717570147802661451216"),
+    10.0: ("12.80182748008146961120771787456670616428", "0"),
+    -0.5: ("1.265512123484645396488945797134705923899",
+           "3.141592653589793238462643383279502884197"),
+    -1.5: ("0.8600470153764810145109326816703567873272", "0"),
+    -2.5: ("-0.05624371649767405067259453009765428412294",
+           "3.141592653589793238462643383279502884197"),
+}
+
+
+def _close_40(got, want) -> bool:
+    import mpmath as mp
+
+    with mp.workdps(45):
+        ref = mp.mpc(*want)
+        return abs(mp.mpc(got) - ref) <= mp.mpf("1e-30") * abs(ref)
+
+
+@pytest.mark.parametrize("s", list(ZETA_AND_DERIV_40))
+def test_zeta_and_deriv_extended_oracles(s):
+    z, dz = zeta_and_deriv(s, EXTENDED)
+    want_z, want_dz = ZETA_AND_DERIV_40[s]
+    assert _close_40(z, want_z)
+    assert _close_40(dz, want_dz)
+
+
+@pytest.mark.parametrize("s", list(LOG_GAMMA_40))
+def test_log_gamma_extended_oracles(s):
+    assert _close_40(log_gamma(s, EXTENDED), LOG_GAMMA_40[s])

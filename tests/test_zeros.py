@@ -4,13 +4,14 @@ Ordinate/derivative oracles are mpmath zetazero values at 30 digits, frozen
 as doubles.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mrl.errors import MissingZeros, NotAscending, ParseError
-from mrl.kernel import zeta
+from mrl.kernel import EXTENDED, zeta
 from mrl.zeros import (
     SUSPECT_DERIV_FLOOR,
     ZeroRecord,
@@ -171,3 +172,36 @@ def test_table_constructor_requires_ascending():
 def test_load_builtin_is_cached_and_consistent(raw_table):
     again = load_builtin()
     assert np.array_equal(again.gammas, raw_table.gammas)
+
+
+# sha256 of the ZTBL0001 bytes of refine_table(load_builtin()): pins every
+# bit of the double-precision ordinates and zeta' values.
+REFINED_BUILTIN_SHA256 = (
+    "b14a1bfc03381631db7e28365ce7d257611af4487f084b1d1b064bb1f36a025b"
+)
+
+
+def test_refined_builtin_bytes_are_pinned(tmp_path, table):
+    p = tmp_path / "t.ztbl"
+    table.save(p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == REFINED_BUILTIN_SHA256
+
+
+# refine_zero(seed, EXTENDED) from the packaged ordinates #29..#31.
+EXTENDED_ORDINATES = {
+    98.831194218194: 98.83119421819369,
+    101.317851005731: 101.31785100573138,
+    103.725538040478: 103.72553804047834,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXTENDED_ORDINATES))
+def test_refine_zero_extended_ordinates(seed):
+    rec = refine_zero(seed, EXTENDED)
+    assert rec.gamma == EXTENDED_ORDINATES[seed]
+    assert rec.refined_bits == 128
+
+
+@pytest.mark.parametrize("t", [15.0, 20.0, 30.5, 100.2, 500.7])
+def test_hardy_z_extended_sign(t):
+    assert (hardy_z(t, EXTENDED) > 0) == (hardy_z(t) > 0)
