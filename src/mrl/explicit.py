@@ -34,16 +34,16 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, MultipleZeroFlag, OutOfRange, QuadratureDiverged
+from .errors import DomainError, OutOfRange, QuadratureDiverged
 from .kernel import (
     _EULER_GAMMA,
-    _digamma_double,
+    _digamma,
     bernoulli,
     gamma_ratio,
     trivial_zero_data,
 )
 from .moebius import CheckpointCache, RieszQuery, riesz_mean_direct
-from .zeros import SUSPECT_DERIV_FLOOR, ZeroRecord, ZeroTable
+from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
     "RESIDUE_MAX_L",
@@ -113,36 +113,22 @@ class PerronReport:
 # ---------------------------------------------------------------------------
 
 
-def _zero_term(record: ZeroRecord, x: float, tau: float) -> float:
-    """Contribution of one zero (paired with its conjugate):
-    2 Re[x^rho Gamma(rho) / (Gamma(1+tau+rho) zeta'(rho))].
-
-    Refuses records whose |zeta'| sits below the suspect floor: either the
-    zero is (numerically) multiple, where this first-order residue formula
-    is wrong, or the record was never refined.
-    """
-    zp = record.zeta_prime
-    if record.suspect or abs(zp) < SUSPECT_DERIV_FLOOR:
-        raise MultipleZeroFlag(
-            f"zero at gamma = {record.gamma}: |zeta'| = {abs(zp):.3e} is below "
-            f"{SUSPECT_DERIV_FLOOR:g}; multiple zero suspected or record unrefined"
-        )
-    rho = complex(0.5, record.gamma)
-    x_rho = math.sqrt(x) * cmath.exp(1j * (record.gamma * math.log(x)))
-    return 2.0 * (x_rho * gamma_ratio(rho, tau) / zp).real
-
-
 def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
-    """Zero-side sum over 0 < gamma < T (strict), ascending gamma, with
+    """Zero-side sum of 2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))]
+    (each zero paired with its conjugate) over 0 < gamma < T (strict), with
     compensated accumulation.  An empty table (or T below the first zero)
-    gives 0.0; records with |zeta'| under the suspect floor raise
-    MultipleZeroFlag."""
+    gives 0.0; unusable records raise as described in zeros._zero_sum."""
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    terms = [_zero_term(rec, x, tau) for rec in table if rec.gamma < T]
-    return math.fsum(terms)
+    sqrt_x, ln_x = math.sqrt(x), math.log(x)
+
+    def term(rho: complex, zp: complex) -> float:
+        x_rho = sqrt_x * cmath.exp(1j * (rho.imag * ln_x))
+        return 2.0 * (x_rho * gamma_ratio(rho, tau) / zp).real
+
+    return _zero_sum(table, T, term, inclusive=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +215,10 @@ def residue_term(l: int, x: float, tau: float) -> float:
         w = 1.0 + tau - 2 * n
         rg = _inv_gamma(w, tau)
         if w > 0.0:
-            psi_w = _digamma_double(w)
+            psi_w = _digamma(complex(w)).real
         else:
             # psi(1 + tau - 2n) = psi(2n - tau) - pi cot(pi tau)
-            psi_w = _digamma_double(2 * n - tau) - math.pi / math.tan(math.pi * tau)
+            psi_w = _digamma(complex(2 * n - tau)).real - math.pi / math.tan(math.pi * tau)
     bracket = ln_x + psi_2n1 - 0.5 * tz.log_ratio - psi_w
     return base * rg * bracket
 

@@ -8,19 +8,20 @@ series), the kernel ratio Gamma(s)/Gamma(1+tau+s) evaluated safely in log
 space, exact rational Bernoulli numbers, and closed-form data at the trivial
 zeros s = -2n.
 
-Two numeric backends share the same algorithm code: hardware doubles
-(complex/cmath, with a numpy fast path for long sums) and an arbitrary
-precision software backend selected through :class:`Precision`.
+These algorithms run on hardware doubles (complex/cmath, with a numpy fast
+path for long sums).  A :class:`Precision` wider than 53 bits is served by
+mpmath directly (``mpmath.zeta``, ``mpmath.loggamma``) at that width plus
+guard bits; the public functions then return mpmath numbers.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -71,15 +72,22 @@ TRIVIAL_ZERO_MAX_N = 120
 
 _GUARD_BITS = 10
 _EULER_GAMMA = 0.5772156649015329
+_LN2 = math.log(2.0)
+_LN2PI = math.log(2.0 * math.pi)
+
+# Series stop once a term falls below 2^-(53 + 6) of the running scale.
+_TOL = 2.0 ** -59
+
+# Stirling/digamma arguments are shifted right until |z| clears this.
+_SHIFT_RADIUS = 10.0
 
 
 @dataclass(frozen=True)
 class Precision:
     """Working-precision selector.
 
-    significand_bits = 53 runs on hardware doubles; any larger value switches
-    to the software wide-float backend with that significand width.  Values
-    up to 256 bits are supported by the series cutoffs.
+    significand_bits = 53 runs on hardware doubles; any larger value
+    evaluates through mpmath with that significand width.
     """
 
     significand_bits: int = 53
@@ -141,92 +149,47 @@ def bernoulli(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=1)
-def _stirling_coeffs() -> tuple[Fraction, ...]:
+def _stirling_coeffs() -> tuple[float, ...]:
     """B_{2k} / ((2k)(2k-1)), the Stirling-series coefficients."""
     table = _bernoulli_table()
     return tuple(
-        table[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, len(table) // 2 + 1)
+        float(table[2 * k] / (2 * k * (2 * k - 1)))
+        for k in range(1, len(table) // 2 + 1)
     )
 
 
 @lru_cache(maxsize=1)
-def _em_coeffs() -> tuple[Fraction, ...]:
+def _em_coeffs() -> tuple[float, ...]:
     """B_{2k} / (2k)!, the Euler-Maclaurin tail coefficients."""
     table = _bernoulli_table()
     return tuple(
-        table[2 * k] / math.factorial(2 * k) for k in range(1, len(table) // 2 + 1)
+        float(table[2 * k] / math.factorial(2 * k))
+        for k in range(1, len(table) // 2 + 1)
     )
 
 
 @lru_cache(maxsize=1)
-def _digamma_coeffs() -> tuple[Fraction, ...]:
-    """B_{2k} / (2k), the digamma asymptotic coefficients."""
+def _digamma_coeffs() -> tuple[float, ...]:
+    """-B_{2k} / (2k), the digamma asymptotic coefficients."""
     table = _bernoulli_table()
-    return tuple(table[2 * k] / (2 * k) for k in range(1, len(table) // 2 + 1))
+    return tuple(float(-table[2 * k] / (2 * k)) for k in range(1, len(table) // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
-# Backend dispatch
+# Shared guards
 # ---------------------------------------------------------------------------
 
 
-def _double_ops() -> SimpleNamespace:
-    return SimpleNamespace(
-        bits=53,
-        is_double=True,
-        exp=cmath.exp,
-        log=cmath.log,
-        sin=cmath.sin,
-        cos=cmath.cos,
-        pi=math.pi,
-        ln2=math.log(2.0),
-        ln2pi=math.log(2.0 * math.pi),
-        euler=_EULER_GAMMA,
-        from_fraction=lambda fr: fr.numerator / fr.denominator,
-    )
-
-
-def _mp_ops(bits: int) -> SimpleNamespace:
-    # Must be constructed inside an mp.workprec block so the constants are
-    # realized at the requested precision.
-    return SimpleNamespace(
-        bits=bits,
-        is_double=False,
-        exp=mp.exp,
-        log=mp.log,
-        sin=mp.sin,
-        cos=mp.cos,
-        pi=+mp.pi,
-        ln2=mp.log(2),
-        ln2pi=mp.log(2 * mp.pi),
-        euler=+mp.euler,
-        from_fraction=lambda fr: mp.mpf(fr.numerator) / fr.denominator,
-    )
-
-
-def _dispatch(fn, s, precision: Precision, *args):
-    """Run an ops-parameterized algorithm on the backend chosen by precision."""
+def _workprec(precision: Precision):
+    """mpmath working precision for an extended evaluation; a no-op on doubles."""
     if precision.is_double:
-        return fn(complex(s), _double_ops(), *args)
-    bits = int(precision.significand_bits)
-    with mp.workprec(bits + _GUARD_BITS):
-        return fn(mp.mpc(s), _mp_ops(bits), *args)
-
-
-def _value_is_finite(v) -> bool:
-    if isinstance(v, complex):
-        return cmath.isfinite(v)
-    if isinstance(v, (float, int)):
-        return math.isfinite(v)
-    return bool(mp.isfinite(v))
+        return contextlib.nullcontext()
+    return mp.workprec(int(precision.significand_bits) + _GUARD_BITS)
 
 
 def _require_finite(value, what: str):
-    if isinstance(value, tuple):
-        for v in value:
-            _require_finite(v, what)
-        return value
-    if not _value_is_finite(value):
+    parts = value if isinstance(value, tuple) else (value,)
+    if not all(cmath.isfinite(v) for v in parts):
         raise PrecisionLoss(f"{what} overflowed or lost all significance")
     return value
 
@@ -240,11 +203,7 @@ def _is_nonpositive_integer(z: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _shift_radius(bits: int) -> float:
-    return max(10.0, 0.12 * bits + 2.0)
-
-
-def _log_gamma_ops(z, ops):
+def _log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z), valid off the nonpositive integers.
 
     Strategy: conjugate into the closed upper half-plane; on the real axis use
@@ -256,98 +215,69 @@ def _log_gamma_ops(z, ops):
     principal Log, which keeps the result on the principal branch.
     """
     if z.imag < 0:
-        return _log_gamma_ops(z.conjugate(), ops).conjugate()
+        return _log_gamma(z.conjugate()).conjugate()
     if z.imag == 0:
         x = z.real
-        if _is_nonpositive_integer(complex(float(x), 0.0)):
+        if _is_nonpositive_integer(z):
             raise PoleAtNonpositiveInteger(f"log_gamma pole at {x}")
         if x > 0:
-            if ops.is_double:
-                return complex(math.lgamma(x))
-            # fall through: the shift+Stirling path below stays real-valued
-        else:
-            # Gamma(x) = pi / (sin(pi x) Gamma(1-x)); the value is negative
-            # exactly when sin(pi x) < 0, contributing i*pi to the principal log.
-            s = ops.sin(ops.pi * x)
-            rest = _log_gamma_ops(1 - z, ops)
-            re_part = ops.log(ops.pi) - ops.log(abs(s)) - rest.real
-            im_part = ops.pi if s.real < 0 else 0 * ops.pi
-            return re_part + 1j * im_part
+            return complex(math.lgamma(x))
+        # Gamma(x) = pi / (sin(pi x) Gamma(1-x)); the value is negative
+        # exactly when sin(pi x) < 0, contributing i*pi to the principal log.
+        s = cmath.sin(math.pi * x)
+        rest = _log_gamma(1 - z)
+        re_part = cmath.log(math.pi) - cmath.log(abs(s)) - rest.real
+        im_part = math.pi if s.real < 0 else 0.0
+        return re_part + 1j * im_part
     zs = z
     acc = 0
-    radius = _shift_radius(ops.bits)
-    while abs(zs) < radius or zs.real < 0:
-        acc = acc + ops.log(zs)
+    while abs(zs) < _SHIFT_RADIUS or zs.real < 0:
+        acc = acc + cmath.log(zs)
         zs = zs + 1
-    result = (zs - 0.5) * ops.log(zs) - zs + ops.ln2pi / 2
-    inv2 = 1 / (zs * zs)
-    v = 1 / zs
-    tol = 2.0 ** (-(ops.bits + 6))
-    prev = math.inf
-    converged = False
-    for coeff in _stirling_coeffs():
-        term = ops.from_fraction(coeff) * v
-        result = result + term
-        mag = abs(term)
-        if mag < tol * (1 + abs(result)):
-            converged = True
-            break
-        if mag > prev:
-            raise PrecisionLoss("Stirling series diverged before reaching tolerance")
-        prev = mag
-        v = v * inv2
-    if not converged:
-        raise PrecisionLoss("Stirling series exhausted its coefficient budget")
-    return result - acc
+    head = (zs - 0.5) * cmath.log(zs) - zs + _LN2PI / 2
+    return _asymptotic(head, _stirling_coeffs(), 1 / zs, 1 / (zs * zs), "Stirling") - acc
 
 
-def _digamma_ops(z, ops):
+def _digamma(z: complex) -> complex:
     """psi(z) by rightward shifting plus the asymptotic series."""
     if z.imag < 0:
-        return _digamma_ops(z.conjugate(), ops).conjugate()
+        return _digamma(z.conjugate()).conjugate()
     if z.imag == 0:
         x = z.real
-        if _is_nonpositive_integer(complex(float(x), 0.0)):
+        if _is_nonpositive_integer(z):
             raise PoleAtNonpositiveInteger(f"digamma pole at {x}")
         if x < 0:
             # psi(x) = psi(1-x) - pi*cot(pi*x)
-            cot = ops.cos(ops.pi * x) / ops.sin(ops.pi * x)
-            return _digamma_ops(1 - z, ops) - ops.pi * cot
+            cot = cmath.cos(math.pi * x) / cmath.sin(math.pi * x)
+            return _digamma(1 - z) - math.pi * cot
     zs = z
     acc = 0
-    radius = _shift_radius(ops.bits)
-    while abs(zs) < radius or zs.real < 0:
+    while abs(zs) < _SHIFT_RADIUS or zs.real < 0:
         acc = acc + 1 / zs
         zs = zs + 1
     inv = 1 / zs
     inv2 = inv * inv
-    result = ops.log(zs) - inv / 2
-    v = inv2
-    tol = 2.0 ** (-(ops.bits + 6))
+    return _asymptotic(cmath.log(zs) - inv / 2, _digamma_coeffs(), inv2, inv2, "digamma") - acc
+
+
+def _asymptotic(result: complex, coeffs, v: complex, ratio: complex, what: str):
+    """result + sum_k coeffs[k] * v * ratio^k, stopped once a term falls below
+    the double round-off floor of the running value."""
     prev = math.inf
-    converged = False
-    for coeff in _digamma_coeffs():
-        term = ops.from_fraction(coeff) * v
-        result = result - term
+    for coeff in coeffs:
+        term = coeff * v
+        result = result + term
         mag = abs(term)
-        if mag < tol * (1 + abs(result)):
-            converged = True
-            break
+        if mag < _TOL * (1 + abs(result)):
+            return result
         if mag > prev:
-            raise PrecisionLoss("digamma series diverged before reaching tolerance")
+            raise PrecisionLoss(f"{what} series diverged before reaching tolerance")
         prev = mag
-        v = v * inv2
-    if not converged:
-        raise PrecisionLoss("digamma series exhausted its coefficient budget")
-    return result - acc
+        v = v * ratio
+    raise PrecisionLoss(f"{what} series exhausted its coefficient budget")
 
 
-def _digamma_double(x) -> float:
-    """Internal real-argument digamma on hardware doubles."""
-    return _digamma_ops(complex(x), _double_ops()).real
-
-
-def _log_sin(z, ops):
+def _log_sin(z: complex) -> complex:
     """A logarithm of sin(z), stable for large |Im z|.
 
     The branch is only guaranteed up to 2*pi*i*k; callers exponentiate the
@@ -355,11 +285,11 @@ def _log_sin(z, ops):
     """
     if z.imag > 1:
         # sin z = (i/2) e^{-iz} (1 - e^{2iz}) and |e^{2iz}| = e^{-2 Im z} < 1
-        w = ops.exp(2j * z)
-        return -1j * z - ops.ln2 + 1j * (ops.pi / 2) + ops.log(1 - w)
+        w = cmath.exp(2j * z)
+        return -1j * z - _LN2 + 1j * (math.pi / 2) + cmath.log(1 - w)
     if z.imag < -1:
-        return _log_sin(z.conjugate(), ops).conjugate()
-    return ops.log(ops.sin(z))
+        return _log_sin(z.conjugate()).conjugate()
+    return cmath.log(cmath.sin(z))
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +297,24 @@ def _log_sin(z, ops):
 # ---------------------------------------------------------------------------
 
 
-def _zeta_em(s, ops, want_deriv: bool):
+def _zeta_em(s: complex, want_deriv: bool):
     """zeta(s) (and optionally zeta'(s)) by Euler-Maclaurin summation.
 
     Valid for Re s >= -1/2: the truncated formula analytically continues
-    there.  Cutoff N ~ max(10, |Im s|) with a floor that grows with the
-    requested precision; Bernoulli corrections are added until they fall
-    below the round-off floor of the working precision.
+    there.  Cutoff N ~ max(10, |Im s|) with a floor set by the double
+    round-off; Bernoulli corrections are added until they fall below it.
     """
     t = abs(s.imag)
     # The Bernoulli corrections bottom out near exp(-(2 pi N - |s|)), so N
-    # must clear ((bits + 6) ln 2 + |t|) / (2 pi); the ceil(t) + 1 floor keeps
+    # must clear ((53 + 6) ln 2 + |t|) / (2 pi); the ceil(t) + 1 floor keeps
     # the main sum dominant at large heights where it is the cheaper regime.
     n_cut = max(
         10,
         int(math.ceil(t)) + 1,
-        int(math.ceil((0.6931472 * (ops.bits + 6) + t) / (2.0 * math.pi))) + 4,
+        int(math.ceil((0.6931472 * (53 + 6) + t) / (2.0 * math.pi))) + 4,
     )
     dmain = 0
-    if ops.is_double and n_cut > 32:
+    if n_cut > 32:
         ns = np.arange(1, n_cut, dtype=np.float64)
         logs = np.log(ns)
         powers = np.exp(logs * (-s))
@@ -398,13 +327,13 @@ def _zeta_em(s, ops, want_deriv: bool):
     else:
         main = 0
         for n in range(1, n_cut):
-            ln_n = ops.log(n)
-            p = ops.exp(ln_n * (-s))
+            ln_n = cmath.log(n)
+            p = cmath.exp(ln_n * (-s))
             main = main + p
             if want_deriv:
                 dmain = dmain - p * ln_n
-    ln_cut = ops.log(n_cut)
-    pow_1ms = ops.exp(ln_cut * (1 - s))  # N^(1-s)
+    ln_cut = cmath.log(n_cut)
+    pow_1ms = cmath.exp(ln_cut * (1 - s))  # N^(1-s)
     pow_ms = pow_1ms / n_cut  # N^(-s)
     tail0 = pow_1ms / (s - 1)
     tail1 = pow_ms / 2
@@ -414,17 +343,15 @@ def _zeta_em(s, ops, want_deriv: bool):
         dtotal = dmain - tail0 * ln_cut - tail0 / (s - 1) - tail1 * ln_cut
 
     scale = 1 + abs(main) + abs(tail0)
-    tol = 2.0 ** (-(ops.bits + 6)) * scale
+    tol = _TOL * scale
     n_sq = n_cut * n_cut
     nfac = pow_1ms / n_sq  # N^(1 - s - 2k), starting at k = 1
     poch = s  # s(s+1)...(s+2k-2), starting at k = 1
     dpoch = 1  # its derivative in s
     prev = math.inf
-    converged = False
     k = 0
-    for coeff in _em_coeffs():
+    for c in _em_coeffs():
         k += 1
-        c = ops.from_fraction(coeff)
         term = c * poch * nfac
         total = total + term
         if want_deriv:
@@ -436,8 +363,7 @@ def _zeta_em(s, ops, want_deriv: bool):
         if want_deriv:
             mag = mag + abs(c * (dpoch - poch * ln_cut) * nfac)
         if mag < tol:
-            converged = True
-            break
+            return (total, dtotal) if want_deriv else total
         if mag > prev:
             raise PrecisionLoss(
                 "Euler-Maclaurin corrections diverged before reaching tolerance"
@@ -448,14 +374,10 @@ def _zeta_em(s, ops, want_deriv: bool):
         dpoch = dpoch * a1 * a2 + poch * (a1 + a2)
         poch = poch * a1 * a2
         nfac = nfac / n_sq
-    if not converged:
-        raise PrecisionLoss(
-            "Euler-Maclaurin corrections exhausted their coefficient budget"
-        )
-    return (total, dtotal) if want_deriv else total
+    raise PrecisionLoss("Euler-Maclaurin corrections exhausted their coefficient budget")
 
 
-def _zeta_fe(s, ops, want_deriv: bool):
+def _zeta_fe(s: complex, want_deriv: bool):
     """zeta on Re s < -1/2 through the functional equation.
 
     The prefactor chi(s) = 2 (2 pi)^(s-1) Gamma(1-s) sin(pi s / 2) is
@@ -465,17 +387,17 @@ def _zeta_fe(s, ops, want_deriv: bool):
     """
     w = 1 - s
     if want_deriv:
-        zw, dzw = _zeta_em(w, ops, True)
+        zw, dzw = _zeta_em(w, True)
     else:
-        zw = _zeta_em(w, ops, False)
+        zw = _zeta_em(w, False)
         dzw = 0
-    neg_even = _is_nonpositive_integer(complex(s)) and int(round(s.real)) % 2 == 0
-    log_pref = ops.ln2 + (s - 1) * ops.ln2pi + _log_gamma_ops(w, ops)
+    neg_even = _is_nonpositive_integer(s) and int(round(s.real)) % 2 == 0
+    log_pref = _LN2 + (s - 1) * _LN2PI + _log_gamma(w)
     if not want_deriv:
         if neg_even:
-            return 0 * zw  # exact zero in the active backend type
-        return ops.exp(log_pref + _log_sin(ops.pi * s / 2, ops)) * zw
-    pref = ops.exp(log_pref)
+            return 0 * zw  # exact zero
+        return cmath.exp(log_pref + _log_sin(math.pi * s / 2)) * zw
+    pref = cmath.exp(log_pref)
     if neg_even:
         # sin(pi s / 2) vanishes identically; keep the exact zero instead of
         # the rounded sin() value so the trivial zeros come out exact.
@@ -483,23 +405,19 @@ def _zeta_fe(s, ops, want_deriv: bool):
         sin_v = 0 * pref
         cos_v = (-1) ** (n_half % 2) + 0 * pref
     else:
-        sin_v = ops.sin(ops.pi * s / 2)
-        cos_v = ops.cos(ops.pi * s / 2)
-    psi_w = _digamma_ops(w, ops)
+        sin_v = cmath.sin(math.pi * s / 2)
+        cos_v = cmath.cos(math.pi * s / 2)
+    psi_w = _digamma(w)
     value = pref * sin_v * zw
     deriv = pref * (
-        (ops.ln2pi - psi_w) * sin_v * zw + (ops.pi / 2) * cos_v * zw - sin_v * dzw
+        (_LN2PI - psi_w) * sin_v * zw + (math.pi / 2) * cos_v * zw - sin_v * dzw
     )
     return value, deriv
 
 
-def _zeta_entry(s, ops, want_deriv: bool):
-    if s.real >= -0.5:
-        return _zeta_em(s, ops, want_deriv)
-    return _zeta_fe(s, ops, want_deriv)
-
-
-def _validate_zeta_arg(sc: complex, want_deriv: bool) -> None:
+def _zeta(s, precision: Precision, want_deriv: bool):
+    """zeta(s), or (zeta(s), zeta'(s)) when want_deriv, after the range guards."""
+    sc = complex(s)
     if sc == 1:
         raise PoleAtOne("zeta has its pole at s = 1")
     if abs(sc.imag) > IM_MAX:
@@ -509,29 +427,27 @@ def _validate_zeta_arg(sc: complex, want_deriv: bool) -> None:
             "zeta derivative on Re s < -1/2 is limited to |Im s| <= "
             f"{_FE_DERIV_IM_MAX}"
         )
+    if precision.is_double:
+        value = _zeta_em(sc, want_deriv) if sc.real >= -0.5 else _zeta_fe(sc, want_deriv)
+        return _require_finite(value, "zeta")
+    with _workprec(precision):
+        z = mp.mpc(s)
+        return (mp.zeta(z), mp.zeta(z, derivative=1)) if want_deriv else mp.zeta(z)
 
 
 def zeta(s, precision: Precision = DOUBLE):
     """Riemann zeta(s).  Raises PoleAtOne at s = 1."""
-    sc = complex(s)
-    _validate_zeta_arg(sc, want_deriv=False)
-    return _require_finite(_dispatch(_zeta_entry, s, precision, False), "zeta")
+    return _zeta(s, precision, want_deriv=False)
 
 
 def zeta_deriv(s, precision: Precision = DOUBLE):
     """First derivative zeta'(s)."""
-    sc = complex(s)
-    _validate_zeta_arg(sc, want_deriv=True)
-    return _require_finite(_dispatch(_zeta_entry, s, precision, True), "zeta_deriv")[1]
+    return _zeta(s, precision, want_deriv=True)[1]
 
 
 def zeta_and_deriv(s, precision: Precision = DOUBLE):
     """(zeta(s), zeta'(s)) sharing one Euler-Maclaurin pass."""
-    sc = complex(s)
-    _validate_zeta_arg(sc, want_deriv=True)
-    return _require_finite(
-        _dispatch(_zeta_entry, s, precision, True), "zeta_and_deriv"
-    )
+    return _zeta(s, precision, want_deriv=True)
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +456,24 @@ def zeta_and_deriv(s, precision: Precision = DOUBLE):
 
 
 def log_gamma(s, precision: Precision = DOUBLE):
-    """Principal-branch log Gamma(s); raises PoleAtNonpositiveInteger."""
+    """Principal-branch log Gamma(s); raises PoleAtNonpositiveInteger.
+
+    On the negative real axis the value is log|Gamma(x)| + i*pi*[Gamma(x) < 0]
+    at every precision.
+    """
     sc = complex(s)
     if _is_nonpositive_integer(sc):
         raise PoleAtNonpositiveInteger(f"log_gamma pole at {sc.real}")
-    return _require_finite(_dispatch(_log_gamma_ops, s, precision), "log_gamma")
+    if precision.is_double:
+        return _require_finite(_log_gamma(sc), "log_gamma")
+    with _workprec(precision):
+        z = mp.mpc(s)
+        lg = mp.loggamma(z)
+        if z.imag == 0 and z.real < 0:
+            # mpmath's branch differs by 2*pi*i*k here; Gamma(x) < 0 exactly
+            # when floor(x) is odd.
+            lg = mp.mpc(lg.real, mp.pi if mp.floor(z.real) % 2 else 0)
+        return lg
 
 
 def gamma_ratio(s, tau: float, precision: Precision = DOUBLE):
@@ -559,11 +488,13 @@ def gamma_ratio(s, tau: float, precision: Precision = DOUBLE):
     wc = complex(1 + tau) + sc
     if _is_nonpositive_integer(wc):
         raise PoleAtNonpositiveInteger(f"Gamma pole at 1 + tau + s = {wc.real}")
-
-    def _ratio(z, ops):
-        return ops.exp(_log_gamma_ops(z, ops) - _log_gamma_ops(z + (1 + tau), ops))
-
-    return _require_finite(_dispatch(_ratio, s, precision), "gamma_ratio")
+    if precision.is_double:
+        return _require_finite(
+            cmath.exp(_log_gamma(sc) - _log_gamma(sc + (1 + tau))), "gamma_ratio"
+        )
+    with _workprec(precision):
+        z = mp.mpc(s)
+        return mp.exp(mp.loggamma(z) - mp.loggamma(z + (1 + tau)))
 
 
 def trivial_zero_data(n: int) -> TrivialZeroData:

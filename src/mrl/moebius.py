@@ -18,8 +18,11 @@ tau <= 10.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -196,10 +199,8 @@ class CheckpointCache:
         return best
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_CHECKPOINT_MAGIC)
-            for cp in self.checkpoints():
-                fh.write(_CHECKPOINT_RECORD.pack(cp.x, cp.M, cp.I2))
+        records = (_CHECKPOINT_RECORD.pack(cp.x, cp.M, cp.I2) for cp in self.checkpoints())
+        _write_atomic(path, itertools.chain([_CHECKPOINT_MAGIC], records))
 
     @classmethod
     def load(cls, path, stride: int = CHECKPOINT_STRIDE) -> "CheckpointCache":
@@ -221,6 +222,20 @@ class CheckpointCache:
             cache.record(int(x), int(m), float(i2))
             prev = x
         return cache
+
+
+def _write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temporary file beside path, then rename it
+    over path: a concurrent reader sees the old file or the new one, never a
+    torn one, and a failed write leaves the old file as it was."""
+    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 _default_cache = CheckpointCache()

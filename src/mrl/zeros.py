@@ -1,10 +1,11 @@
 """Tables of nontrivial zeta zeros: finding, refining, verifying, persisting.
 
-A zero record holds the ordinate gamma of a zero rho = 1/2 + i*gamma on the
-critical line, the derivative zeta'(rho) needed by explicit-formula sums, the
-significand width at which the ordinate was last Newton-polished, and a
-suspect flag set when |zeta'(rho)| is so small that a multiple zero (or an
-unconverged record) must be assumed.
+A zero table holds, for each zero rho = 1/2 + i*gamma on the critical line,
+the ordinate gamma, the derivative zeta'(rho) needed by explicit-formula
+sums, the significand width at which the ordinate was last Newton-polished,
+and a suspect flag set when |zeta'(rho)| is so small that a multiple zero (or
+an unrefined record) must be assumed.  The table stores these as columns;
+every sum over zeros in the package goes through ``_zero_sum`` here.
 
 Zeros are located by sign changes of the real function
 
@@ -24,21 +25,33 @@ records in strictly ascending gamma.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
-from mpmath import mp
 
 from .errors import (
+    DomainError,
     MissingZeros,
+    MultipleZeroFlag,
     NoConvergence,
     NotAscending,
     OutOfRange,
     ParseError,
 )
-from .kernel import DOUBLE, IM_MAX, Precision, log_gamma, zeta, zeta_and_deriv
+from .kernel import (
+    DOUBLE,
+    IM_MAX,
+    Precision,
+    _workprec,
+    log_gamma,
+    zeta,
+    zeta_and_deriv,
+)
+from .moebius import _write_atomic
 
 __all__ = [
     "GRID_STEP",
@@ -74,14 +87,19 @@ SUSPECT_DERIV_FLOOR = 1e-8
 
 _TABLE_MAGIC = b"ZTBL0001"
 _TABLE_COUNT = struct.Struct("<Q")
-_TABLE_RECORD = struct.Struct("<dddq")
+_TABLE_RECORD = np.dtype(
+    [("gamma", "<f8"), ("zeta_prime", "<c16"), ("refined_bits", "<i8")]
+)
 
 _BUILTIN_NAME = "zeros_t1100.txt"
 
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """One zero rho = 1/2 + i*gamma with zeta'(rho) and refinement metadata."""
+    """One zero rho = 1/2 + i*gamma with zeta'(rho) and refinement metadata.
+
+    A ZeroTable also marks suspect every record with |zeta'| below
+    SUSPECT_DERIV_FLOOR; the records it hands back carry that verdict."""
 
     gamma: float
     zeta_prime: complex = 0j
@@ -102,64 +120,77 @@ class VerifyReport:
 
 
 class ZeroTable:
-    """Immutable list of ZeroRecord in strictly ascending positive gamma."""
+    """Immutable table of zeros in strictly ascending positive gamma.
+
+    The columns are read-only arrays: ``gammas`` (float64), ``zeta_primes``
+    (complex128), ``refined_bits`` (int64) and the ``suspect`` mask (bool).
+    Indexing and iteration yield ZeroRecord values.
+    """
 
     def __init__(self, records) -> None:
         recs = list(records)
-        prev = 0.0
-        for r in recs:
-            if not (r.gamma > prev):
-                raise NotAscending(
-                    f"zero ordinates must be strictly ascending and positive; "
-                    f"got {r.gamma} after {prev}"
-                )
-            prev = r.gamma
-        self._records: tuple[ZeroRecord, ...] = tuple(recs)
-        self._gammas = np.array([r.gamma for r in recs], dtype=np.float64)
+        gammas = np.array([r.gamma for r in recs], dtype=np.float64)
+        zeta_primes = np.array([r.zeta_prime for r in recs], dtype=np.complex128)
+        prev = np.concatenate(([0.0], gammas[:-1]))
+        out_of_order = ~(gammas > prev)
+        if out_of_order.any():
+            i = int(np.argmax(out_of_order))
+            raise NotAscending(
+                f"zero ordinates must be strictly ascending and positive; "
+                f"got {gammas[i]} after {prev[i]}"
+            )
+        self.gammas = gammas
+        self.zeta_primes = zeta_primes
+        self.refined_bits = np.array([r.refined_bits for r in recs], dtype=np.int64)
+        # The one place suspect status is decided: flagged by the producer,
+        # or a derivative too small for a simple zero (or never computed).
+        flagged = np.array([r.suspect for r in recs], dtype=bool)
+        self.suspect = flagged | (np.abs(zeta_primes) < SUSPECT_DERIV_FLOOR)
+        for column in (self.gammas, self.zeta_primes, self.refined_bits, self.suspect):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.gammas)
 
     def __iter__(self):
-        return iter(self._records)
+        return map(
+            ZeroRecord,
+            self.gammas.tolist(),
+            self.zeta_primes.tolist(),
+            self.refined_bits.tolist(),
+            self.suspect.tolist(),
+        )
 
-    def __getitem__(self, i: int) -> ZeroRecord:
-        return self._records[i]
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return self._gammas
+    def __getitem__(self, i):
+        return tuple(self)[i]
 
     @property
     def max_gamma(self) -> float:
-        return float(self._gammas[-1]) if len(self._records) else 0.0
+        return float(self.gammas[-1]) if len(self) else 0.0
 
     def count_up_to(self, T: float) -> int:
         """Number of records with gamma <= T."""
-        return int(np.searchsorted(self._gammas, T, side="right"))
+        return int(np.searchsorted(self.gammas, T, side="right"))
 
     def up_to(self, T: float) -> "ZeroTable":
         """Sub-table of the records with gamma <= T."""
-        return ZeroTable(self._records[: self.count_up_to(T)])
+        return ZeroTable(self[: self.count_up_to(T)])
 
     def require_height(self, T: float) -> None:
         """Raise MissingZeros unless the table covers ordinates up to T."""
-        if not self._records or self.max_gamma < T:
+        if not len(self) or self.max_gamma < T:
             raise MissingZeros(
                 f"zero table reaches gamma = {self.max_gamma:.3f}, "
                 f"but height T = {T} was requested"
             )
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_TABLE_MAGIC)
-            fh.write(_TABLE_COUNT.pack(len(self._records)))
-            for r in self._records:
-                fh.write(
-                    _TABLE_RECORD.pack(
-                        r.gamma, r.zeta_prime.real, r.zeta_prime.imag, r.refined_bits
-                    )
-                )
+        """Write the ZTBL0001 file, atomically replacing any previous one."""
+        rows = np.empty(len(self), dtype=_TABLE_RECORD)
+        rows["gamma"] = self.gammas
+        rows["zeta_prime"] = self.zeta_primes
+        rows["refined_bits"] = self.refined_bits
+        _write_atomic(path, [_TABLE_MAGIC, _TABLE_COUNT.pack(len(self)), rows.tobytes()])
 
     @classmethod
     def load(cls, path) -> "ZeroTable":
@@ -172,25 +203,77 @@ class ZeroTable:
             raise ParseError(f"{path}: missing record count")
         (count,) = _TABLE_COUNT.unpack_from(blob, off)
         off += _TABLE_COUNT.size
-        if len(blob) != off + count * _TABLE_RECORD.size:
+        if len(blob) != off + count * _TABLE_RECORD.itemsize:
             raise ParseError(
                 f"{path}: expected {count} records, file length mismatch"
             )
-        records = []
-        for i in range(count):
-            gamma, re, im, bits = _TABLE_RECORD.unpack_from(
-                blob, off + i * _TABLE_RECORD.size
+        rows = np.frombuffer(blob, dtype=_TABLE_RECORD, count=count, offset=off)
+        columns = (rows[name].tolist() for name in _TABLE_RECORD.names)
+        return cls(map(ZeroRecord, *columns))
+
+
+def _zero_sum(
+    table: ZeroTable,
+    T: float,
+    term,
+    *,
+    inclusive: bool = True,
+    cutoffs=(),
+    suspect: str = "raise",
+):
+    """Compensated sum of term(rho, zeta'(rho)) over the zeros of table in
+    ascending gamma, with partial sums at the ascending cutoffs.
+
+    Every sum over zeros in the package runs through here, so these rules
+    hold for all of them:
+
+    * Cutoff: the zeros with 0 < gamma <= T are summed (a_constant_report,
+      inv_zeta_identity, integral_M_explicit, im_constants, j_lambda);
+      inclusive=False stops strictly below T (zero_sum_term, swmh_report).
+    * Unrefined: a record with no zeta' value (zeta' = 0 and
+      refined_bits = 0) raises DomainError -- refine the table first.
+    * Suspect: a record in the table's suspect mask raises MultipleZeroFlag
+      when suspect is "raise"; with "inf" it contributes +inf, the
+      convention for moment and oscillation bounds, which a multiple zero
+      sends to infinity; with "keep" its term is summed as usual.
+
+    The whole range is checked before any term is evaluated, and the first
+    offending record in ascending gamma decides the error.  Real and
+    imaginary parts of complex terms are summed separately with math.fsum.
+    Returns (total, [(cutoff, partial sum over gamma <= cutoff), ...]).
+    """
+    gammas = table.gammas
+    n = int(np.searchsorted(gammas, T, side="right" if inclusive else "left"))
+    zps = table.zeta_primes[:n]
+    unrefined = (zps == 0) & (table.refined_bits[:n] == 0)
+    bad = unrefined | table.suspect[:n] if suspect == "raise" else unrefined
+    if bad.any():
+        i = int(np.argmax(bad))
+        if unrefined[i]:
+            raise DomainError(
+                f"zero at gamma = {gammas[i]} carries no zeta' value; "
+                "refine the table first (refine_table)"
             )
-            zp = complex(re, im)
-            records.append(
-                ZeroRecord(
-                    gamma=gamma,
-                    zeta_prime=zp,
-                    refined_bits=int(bits),
-                    suspect=abs(zp) < SUSPECT_DERIV_FLOOR,
-                )
+        raise MultipleZeroFlag(
+            f"zero at gamma = {gammas[i]} is suspect (|zeta'| = {abs(zps[i]):.3e}, "
+            f"floor {SUSPECT_DERIV_FLOOR:g}); multiple zero suspected"
+        )
+    gs = gammas[:n].tolist()
+    infinite = table.suspect[:n].tolist() if suspect == "inf" else [False] * n
+    terms = [
+        math.inf if inf else term(complex(0.5, g), zp)
+        for g, zp, inf in zip(gs, zps.tolist(), infinite)
+    ]
+    is_complex = any(isinstance(v, complex) for v in terms)
+
+    def fsum(k: int):
+        if is_complex:
+            return complex(
+                math.fsum(v.real for v in terms[:k]), math.fsum(v.imag for v in terms[:k])
             )
-        return cls(records)
+        return math.fsum(terms[:k])
+
+    return fsum(n), [(c, fsum(bisect.bisect_right(gs, c))) for c in cutoffs]
 
 
 # ---------------------------------------------------------------------------
@@ -199,39 +282,24 @@ class ZeroTable:
 
 
 def riemann_siegel_theta(t: float, precision: Precision = DOUBLE) -> float:
-    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi."""
-    if precision.is_double:
-        lg = log_gamma(complex(0.25, 0.5 * t), precision)
-        return float(lg.imag - 0.5 * t * math.log(math.pi))
-    bits = int(precision.significand_bits)
-    with mp.workprec(bits + 10):
-        lg = log_gamma(mp.mpc(mp.mpf(1) / 4, mp.mpf(t) / 2), precision)
-        return lg.imag - mp.mpf(t) / 2 * mp.log(mp.pi)
+    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi; mpmath.siegeltheta
+    serves precisions above 53 bits."""
+    if not precision.is_double:
+        with _workprec(precision):
+            return mp.siegeltheta(t)
+    lg = log_gamma(complex(0.25, 0.5 * t), precision)
+    return float(lg.imag - 0.5 * t * math.log(math.pi))
 
 
 def hardy_z(t: float, precision: Precision = DOUBLE) -> float:
     """Z(t) = exp(i theta(t)) zeta(1/2 + i t); real, and zero exactly at the
-    critical-line zeros."""
-    if precision.is_double:
-        z, _ = _zeta_on_line(float(t), precision, want_deriv=False)
-        theta = riemann_siegel_theta(t)
-        return float((complex(math.cos(theta), math.sin(theta)) * z).real)
-    bits = int(precision.significand_bits)
-    with mp.workprec(bits + 10):
-        z, _ = _zeta_on_line(t, precision, want_deriv=False)
-        theta = riemann_siegel_theta(t, precision)
-        return (mp.exp(mp.mpc(0, theta)) * z).real
-
-
-def _zeta_on_line(t, precision: Precision, want_deriv: bool):
-    """(zeta, zeta') at s = 1/2 + i t in the backend type of precision."""
-    if precision.is_double:
-        s = complex(0.5, t)
-    else:
-        s = mp.mpc(mp.mpf(1) / 2, t)
-    if want_deriv:
-        return zeta_and_deriv(s, precision)
-    return zeta(s, precision), None
+    critical-line zeros.  mpmath.siegelz serves precisions above 53 bits."""
+    if not precision.is_double:
+        with _workprec(precision):
+            return mp.siegelz(t)
+    z = zeta(complex(0.5, float(t)))
+    theta = riemann_siegel_theta(t)
+    return float((complex(math.cos(theta), math.sin(theta)) * z).real)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +333,7 @@ def builtin_zeros_path():
 
 def load_builtin() -> ZeroTable:
     """The packaged table of zero ordinates below 1100, unrefined."""
-    path = builtin_zeros_path()
-    records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        records.append(ZeroRecord(gamma=float(body)))
-    return ZeroTable(records)
+    return import_zeros(builtin_zeros_path())
 
 
 def _newton_tol(precision: Precision) -> float:
@@ -281,21 +342,21 @@ def _newton_tol(precision: Precision) -> float:
     return 2.0 ** (13 - int(precision.significand_bits))
 
 
-def _newton_polish(t0, precision: Precision):
+def _newton_polish(t0: float, precision: Precision):
     """Newton-polish an ordinate seed; returns (t, zeta_prime_at_zero).
 
     Stops when |zeta| clears the precision's tolerance, or -- since the
     evaluated |zeta| has a noise floor of roughly |t| log|t| ulps from the
     phases in the main sum -- when the Newton step falls below a few ulps of
     t, at which point the ordinate itself is converged to working precision.
+    Above 53 bits the caller holds the mpmath working precision, and t turns
+    into an mpmath number with the first step.
     """
     tol = _newton_tol(precision)
-    step_floor = 2.0 ** (2 - int(precision.significand_bits)) * max(
-        1.0, abs(float(t0))
-    )
+    step_floor = 2.0 ** (2 - int(precision.significand_bits)) * max(1.0, abs(t0))
     t = t0
     for _ in range(_NEWTON_MAX_ITER):
-        z, dz = _zeta_on_line(t, precision, want_deriv=True)
+        z, dz = zeta_and_deriv(0.5 + 1j * t, precision)
         if abs(z) < tol:
             return t, dz
         step = (z / (1j * dz)).real
@@ -303,7 +364,7 @@ def _newton_polish(t0, precision: Precision):
         if abs(step) < step_floor:
             return t, dz
     raise NoConvergence(
-        f"Newton refinement from seed {float(t0):.6f} did not reach "
+        f"Newton refinement from seed {t0:.6f} did not reach "
         f"|zeta| < {tol:g} in {_NEWTON_MAX_ITER} iterations"
     )
 
@@ -314,28 +375,19 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
     The seed must lie within about GRID_STEP of the true ordinate (the Newton
     basin); seeds farther away may converge to a neighboring zero.
     """
-    if precision.is_double:
+    with _workprec(precision):
         t, dz = _newton_polish(float(gamma_seed), precision)
-        gamma = float(t)
-        zp = complex(dz)
-    else:
-        bits = int(precision.significand_bits)
-        with mp.workprec(bits + 10):
-            t, dz = _newton_polish(mp.mpf(gamma_seed), precision)
-            gamma = float(t)
-            zp = complex(dz)
-    return ZeroRecord(
-        gamma=gamma,
-        zeta_prime=zp,
-        refined_bits=int(precision.significand_bits),
-        suspect=abs(zp) < SUSPECT_DERIV_FLOOR,
-    )
+        return ZeroRecord(
+            gamma=float(t),
+            zeta_prime=complex(dz),
+            refined_bits=int(precision.significand_bits),
+        )
 
 
 def refine_table(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:
     """Refine every record; NotAscending from the constructor catches any
     seed that escaped to a neighboring zero's basin."""
-    return ZeroTable(refine_zero(r.gamma, precision) for r in table)
+    return ZeroTable(refine_zero(g, precision) for g in table.gammas.tolist())
 
 
 def zeta_prime_at_zeros(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:
@@ -344,14 +396,11 @@ def zeta_prime_at_zeros(table: ZeroTable, precision: Precision = DOUBLE) -> Zero
     Useful for externally sourced high-accuracy ordinates; refined_bits is
     left as stored since the ordinates themselves are untouched.
     """
-    out = []
-    for r in table:
-        _, dz = _zeta_on_line(float(r.gamma), precision, want_deriv=True)
-        zp = complex(dz)
-        out.append(
-            replace(r, zeta_prime=zp, suspect=abs(zp) < SUSPECT_DERIV_FLOOR)
-        )
-    return ZeroTable(out)
+    return ZeroTable(
+        ZeroRecord(r.gamma, complex(zeta_and_deriv(complex(0.5, r.gamma), precision)[1]),
+                   r.refined_bits)
+        for r in table
+    )
 
 
 def find_zeros(

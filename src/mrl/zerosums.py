@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    MultipleZeroFlag,
     NotAscending,
     OutOfRange,
     PoleAtKappaOne,
@@ -53,7 +52,7 @@ from .moebius import (
     mertens,
     weak_mertens_integral,
 )
-from .zeros import SUSPECT_DERIV_FLOOR, ZeroTable
+from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
     "DEFAULT_T",
@@ -150,23 +149,6 @@ def _trivial_coeff(l: int) -> float:
     return sign * mag / _zeta_real(2 * l + 1)
 
 
-def _checked_deriv(rec) -> complex:
-    """zeta'(rho) for a record, insisting the table has been refined and the
-    zero looks simple."""
-    zp = rec.zeta_prime
-    if zp == 0 and rec.refined_bits == 0:
-        raise DomainError(
-            f"zero at gamma = {rec.gamma} carries no zeta' value; "
-            "refine the table first (refine_table)"
-        )
-    if rec.suspect or abs(zp) < SUSPECT_DERIV_FLOOR:
-        raise MultipleZeroFlag(
-            f"zero at gamma = {rec.gamma}: |zeta'| = {abs(zp):.3e} is below "
-            f"{SUSPECT_DERIV_FLOOR:g}; multiple zero suspected"
-        )
-    return zp
-
-
 def _cutoff_list(T: float, trace_cutoffs: Sequence[float] | None) -> tuple[float, ...]:
     """Ascending trace cutoffs strictly below T, with T appended."""
     base = _TRACE_CUTOFFS if trace_cutoffs is None else tuple(trace_cutoffs)
@@ -174,64 +156,10 @@ def _cutoff_list(T: float, trace_cutoffs: Sequence[float] | None) -> tuple[float
     return tuple(below) + (float(T),)
 
 
-def _paired_traced_sum(
-    table: ZeroTable,
-    T: float,
-    f: Callable[[complex, complex], complex],
-    cutoffs: Sequence[float],
-) -> tuple[complex, list[tuple[float, complex]]]:
-    """Compensated sum of f(rho, zeta'(rho)) + f(conj(rho), conj(zeta'(rho)))
-    over 0 < gamma <= T, with partial values recorded at each cutoff."""
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    trace: list[tuple[float, complex]] = []
-    ci = 0
-    for rec in table:
-        g = rec.gamma
-        if g > T:
-            break
-        while ci < len(cutoffs) and g > cutoffs[ci]:
-            trace.append(
-                (cutoffs[ci], complex(math.fsum(re_parts), math.fsum(im_parts)))
-            )
-            ci += 1
-        zp = _checked_deriv(rec)
-        rho = complex(0.5, g)
-        term = f(rho, zp) + f(rho.conjugate(), zp.conjugate())
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    total = complex(math.fsum(re_parts), math.fsum(im_parts))
-    while ci < len(cutoffs):
-        trace.append((cutoffs[ci], total))
-        ci += 1
-    return total, trace
-
-
-def _abs_traced_sum(
-    table: ZeroTable,
-    T: float,
-    term_of: Callable[[object], float],
-    cutoffs: Sequence[float],
-    inclusive: bool = True,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Compensated sum of a nonnegative per-record term over positive
-    ordinates up to T, traced at cutoffs."""
-    parts: list[float] = []
-    trace: list[tuple[float, float]] = []
-    ci = 0
-    for rec in table:
-        g = rec.gamma
-        if (g > T) if inclusive else (g >= T):
-            break
-        while ci < len(cutoffs) and g > cutoffs[ci]:
-            trace.append((cutoffs[ci], math.fsum(parts)))
-            ci += 1
-        parts.append(term_of(rec))
-    total = math.fsum(parts)
-    while ci < len(cutoffs):
-        trace.append((cutoffs[ci], total))
-        ci += 1
-    return total, trace
+def _paired(f: Callable[[complex, complex], complex]):
+    """The zero-sum term f(rho, zeta'(rho)) + f(conj(rho), conj(zeta'(rho)))
+    of a conjugate pair."""
+    return lambda rho, zp: f(rho, zp) + f(rho.conjugate(), zp.conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +191,17 @@ def j_lambda(
     cutoffs = _cutoff_list(T, trace_cutoffs)
 
     if lam == 0.0:
-        term_of = lambda rec: 1.0
+        # counting needs no zeta' values
+        value = float(table.count_up_to(T))
+        trace = [(c, float(table.count_up_to(c))) for c in cutoffs]
     else:
-        def term_of(rec) -> float:
-            zp = rec.zeta_prime
-            if zp == 0 and rec.refined_bits == 0:
-                raise DomainError(
-                    f"zero at gamma = {rec.gamma} carries no zeta' value; "
-                    "refine the table first (refine_table)"
-                )
-            if lam < 0 and (rec.suspect or abs(zp) < SUSPECT_DERIV_FLOOR):
-                return math.inf
-            return abs(zp) ** (2.0 * lam)
-
-    value, trace = _abs_traced_sum(table, T, term_of, cutoffs, inclusive=True)
+        value, trace = _zero_sum(
+            table,
+            T,
+            lambda rho, zp: abs(zp) ** (2.0 * lam),
+            cutoffs=cutoffs,
+            suspect="inf" if lam < 0 else "keep",
+        )
     count = table.count_up_to(T)
     params: dict = {"lambda": lam, "T": T, "count": count}
     if T > 1.0:
@@ -341,7 +266,7 @@ def a_constant_report(
     def f(rho: complex, zp: complex) -> complex:
         return 1.0 / (zp * rho * (rho + 1.0) * (rho - kappa + 1.0))
 
-    zsum, ztrace = _paired_traced_sum(table, T, f, cutoffs)
+    zsum, ztrace = _zero_sum(table, T, _paired(f), cutoffs=cutoffs)
     value_c = main + triv - kappa * zsum
     imag_rel = abs(zsum.imag) / max(abs(zsum), 1e-300)
     trace = tuple((c, main + triv - kappa * p.real) for c, p in ztrace)
@@ -434,7 +359,7 @@ def inv_zeta_identity(
     def f(rho: complex, zp: complex) -> complex:
         return 1.0 / (zp * rho * (rho + 1.0) * (rho - sc))
 
-    zsum, ztrace = _paired_traced_sum(table, T, f, cutoffs)
+    zsum, ztrace = _zero_sum(table, T, _paired(f), cutoffs=cutoffs)
     pref = sc * (sc + 1.0)
     rhs = 10.0 * sc - 2.0 + pref * triv - pref * zsum
     residual = abs(rhs - target)
@@ -546,12 +471,9 @@ def swmh_report(
         raise DomainError(f"x must be >= 10, got {x}")
     cutoffs = _cutoff_list(T, None)
 
-    def term_of(rec) -> float:
-        zp = _checked_deriv(rec)
-        rho = complex(0.5, rec.gamma)
-        return 1.0 / abs(rho * zp) ** 2
-
-    half, trace = _abs_traced_sum(table, T, term_of, cutoffs, inclusive=False)
+    half, trace = _zero_sum(
+        table, T, lambda rho, zp: 1.0 / abs(rho * zp) ** 2, inclusive=False, cutoffs=cutoffs
+    )
     full = 2.0 * half
     wm = weak_mertens_integral(x, cache)
     ratio = wm / (math.log(x) * full)
@@ -602,35 +524,13 @@ def im_constants(
     cutoffs = _cutoff_list(T, tail_cutoffs)
     const = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
 
-    def im_term(rec) -> float:
-        zp = rec.zeta_prime
-        if zp == 0 and rec.refined_bits == 0:
-            raise DomainError(
-                f"zero at gamma = {rec.gamma} carries no zeta' value; "
-                "refine the table first (refine_table)"
-            )
-        rho = complex(0.5, rec.gamma)
-        if rec.suspect or abs(zp) < SUSPECT_DERIV_FLOOR:
-            return math.inf
-        return 1.0 / abs(rho * (rho - kappa + 1.0) * zp)
-
-    half_sum, _ = _abs_traced_sum(table, T, im_term, cutoffs)
-
-    def wm_term(rec) -> float:
-        zp = rec.zeta_prime
-        if zp == 0 and rec.refined_bits == 0:
-            raise DomainError(
-                f"zero at gamma = {rec.gamma} carries no zeta' value; "
-                "refine the table first (refine_table)"
-            )
-        rho = complex(0.5, rec.gamma)
-        if rec.suspect or abs(zp) < SUSPECT_DERIV_FLOOR:
-            # same convention as the bound itself: a multiple zero sends
-            # every one of these sums to +inf
-            return math.inf
-        return 1.0 / abs(rho * zp) ** 2
-
-    wm_sum, wm_trace = _abs_traced_sum(table, T, wm_term, cutoffs)
+    # a multiple zero sends every one of these sums to +inf
+    half_sum, _ = _zero_sum(
+        table, T, lambda rho, zp: 1.0 / abs(rho * (rho - kappa + 1.0) * zp), suspect="inf"
+    )
+    wm_sum, wm_trace = _zero_sum(
+        table, T, lambda rho, zp: 1.0 / abs(rho * zp) ** 2, cutoffs=cutoffs, suspect="inf"
+    )
     tails = (
         {c: wm_sum - partial for c, partial in wm_trace if c < T}
         if math.isfinite(wm_sum)
@@ -685,15 +585,13 @@ def integral_M_explicit(
         raise DomainError(f"x must be >= 1, got {x}")
     ln_x = math.log(x)
 
-    parts: list[float] = []
-    for rec in table:
-        if rec.gamma > T:
-            break
-        zp = _checked_deriv(rec)
-        rho = complex(0.5, rec.gamma)
-        z = cmath.exp(1j * (rec.gamma * ln_x)) / (zp * rho * (rho + 1.0 - kappa))
-        parts.append(2.0 * z.real)
-    zero_term = x ** (1.5 - kappa) * math.fsum(parts)
+    zsum, _ = _zero_sum(
+        table,
+        T,
+        lambda rho, zp: 2.0
+        * (cmath.exp(1j * (rho.imag * ln_x)) / (zp * rho * (rho + 1.0 - kappa))).real,
+    )
+    zero_term = x ** (1.5 - kappa) * zsum
 
     constant_term = a_constant(kappa, table, T, L) if kappa > 1.0 else 0.0
     explicit = zero_term + constant_term
@@ -909,14 +807,7 @@ def hko_prediction(
     lambda = -1 (up to the truncated Euler product).  T must exceed 2 pi so
     the log factor is positive.
     """
-    lam = float(lam)
-    T = float(T)
-    arith = a_lambda(lam, prime_cutoff, g_terms)
-    if T <= _TWO_PI:
-        raise OutOfRange(f"T must exceed 2*pi, got {T}")
-    g_factor = math.exp(2.0 * log_barnes_g(lam + 2.0) - log_barnes_g(2.0 * lam + 3.0))
-    u = T / _TWO_PI
-    return g_factor * arith * u * math.log(u) ** ((lam + 1.0) ** 2)
+    return hko_report(lam, T, None, prime_cutoff, g_terms).value
 
 
 def hko_report(
@@ -928,20 +819,25 @@ def hko_report(
 ) -> ZeroSumReport:
     """Report form of hko_prediction; when a refined table is supplied the
     measured moment J_lambda(T) and its ratio to the prediction are included."""
-    value = hko_prediction(lam, T, prime_cutoff, g_terms)
+    lam = float(lam)
+    T = float(T)
+    arith = a_lambda(lam, prime_cutoff, g_terms)
+    if T <= _TWO_PI:
+        raise OutOfRange(f"T must exceed 2*pi, got {T}")
+    g_factor = math.exp(2.0 * log_barnes_g(lam + 2.0) - log_barnes_g(2.0 * lam + 3.0))
+    u = T / _TWO_PI
+    value = g_factor * arith * u * math.log(u) ** ((lam + 1.0) ** 2)
     params: dict = {
-        "lambda": float(lam),
-        "T": float(T),
+        "lambda": lam,
+        "T": T,
         "prime_cutoff": int(prime_cutoff),
         "g_terms": int(g_terms),
-        "a_lambda": a_lambda(lam, prime_cutoff, g_terms),
-        "barnes_factor": math.exp(
-            2.0 * log_barnes_g(float(lam) + 2.0) - log_barnes_g(2.0 * float(lam) + 3.0)
-        ),
+        "a_lambda": arith,
+        "barnes_factor": g_factor,
     }
     residual = None
     if table is not None:
-        measured = j_lambda(table, lam, min(float(T), table.max_gamma)).value
+        measured = j_lambda(table, lam, min(T, table.max_gamma)).value
         params["j_lambda"] = measured
         params["ratio_measured_to_predicted"] = measured / value
         residual = abs(measured - value)

@@ -6,6 +6,7 @@ worked by hand in the assertions.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ def test_checkpoint_roundtrip(tmp_path, cache):
         (c.x, c.M, c.I2) for c in loaded.checkpoints()
     ] == [(c.x, c.M, c.I2) for c in cache.checkpoints()]
     assert mertens(1_999_999, loaded) == mertens(1_999_999, cache)
+
+
+def test_checkpoint_save_failing_partway_keeps_previous_file(tmp_path):
+    path = tmp_path / "m.chk"
+    good = CheckpointCache()
+    good.record(1_000_000, 212, 1.5)
+    good.record(2_000_000, -14, 2.5)
+    good.save(path)
+    before = path.read_bytes()
+    bad = CheckpointCache()
+    bad.record(1_000_000, 212, 1.5)
+    bad.record(2**64, 0, 0.0)  # x overflows u64: packing fails after the first record
+    with pytest.raises(struct.error):
+        bad.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.chk"]
 
 
 def test_checkpoint_corrupt_file(tmp_path):

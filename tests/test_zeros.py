@@ -149,6 +149,21 @@ def test_table_binary_roundtrip(tmp_path, table):
         assert a.suspect == b.suspect
 
 
+def test_table_save_failing_partway_keeps_previous_file(tmp_path, table, monkeypatch):
+    path = tmp_path / "t.ztbl"
+    table.save(path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)  # the new bytes are written, the rename fails
+    with pytest.raises(OSError):
+        table.up_to(100.0).save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.ztbl"]
+
+
 def test_table_binary_rejects_corruption(tmp_path, table):
     p = tmp_path / "t.ztbl"
     table.save(p)
