@@ -23,7 +23,7 @@ import math
 import os
 import struct
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -78,13 +78,11 @@ class MoebiusSegment:
 
 @dataclass
 class MertensCheckpoint:
-    """State frozen at x: M(x), the integral of (M/u)^2 over [1, x], and a
-    memo of previously computed weighted integrals at this x."""
+    """State frozen at x: M(x) and the integral of (M/u)^2 over [1, x]."""
 
     x: int
     M: int
     I2: float
-    ikappa_cache: dict[float, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -246,63 +244,84 @@ def default_cache() -> CheckpointCache:
     return _default_cache
 
 
-def _drive(
-    x_floor: int,
-    cache: CheckpointCache,
-    per_block=None,
-    block_size: int = _BLOCK,
-) -> tuple[int, float]:
-    """Stream mu blocks up to and including x_floor; return (M(x_floor),
-    integral of (M/u)^2 over [1, x_floor]).
+# The state before n = 1, where streams that accumulate from the origin start.
+_ORIGIN = MertensCheckpoint(x=0, M=0, I2=0.0)
 
-    per_block(n0, mu, m_vals) is invoked for every block of consecutive
-    integers n in [n0, n0 + len) with m_vals[i] = M(n0 + i); passing a
-    consumer forces streaming from n = 1 (consumers accumulate from the
-    origin).  Without one, streaming resumes from the best checkpoint or
-    frontier at or below x_floor.  Stride checkpoints are recorded either
-    way, so any long stream accelerates later Mertens queries.
+
+def _stream(x_floor: int, cache: CheckpointCache, anchor: MertensCheckpoint = _ORIGIN):
+    """Stream mu for n in (anchor.x, x_floor], resuming from the state frozen
+    in anchor.
+
+    Yields (n0, mu, m_vals, i2) for every block of consecutive integers n in
+    [n0, n0 + len(mu)), with m_vals[i] = M(n0 + i) and i2 the integral of
+    (M/u)^2 over [1, n0 + len(mu) - 1].  Blocks hold _BLOCK integers counted
+    from anchor.x + 1, so a consumer that cuts them at its own floor(x) sums
+    over the same blocks as a stream that ends there.  Stride checkpoints are
+    recorded on the way and the frontier once the stream is exhausted, so any
+    long stream accelerates later Mertens queries.
     """
     if x_floor < 1:
         raise OutOfRange(f"x must be >= 1, got {x_floor}")
     if x_floor > SIEVE_MAX:
         raise OutOfRange(f"x = {x_floor} exceeds supported maximum {SIEVE_MAX}")
-    from_start = per_block is not None
-    anchor = MertensCheckpoint(x=0, M=0, I2=0.0) if from_start else cache.anchor(x_floor)
     if anchor.x == x_floor:
-        return anchor.M, anchor.I2
+        return
     m_prev = anchor.M
     i2_lo = anchor.I2  # integral of (M/u)^2 over [1, last processed integer]
     n_next = anchor.x + 1
-    stride = cache.stride
     while n_next <= x_floor:
-        n1 = min(n_next + block_size, x_floor + 1)
+        n1 = min(n_next + _BLOCK, x_floor + 1)
         mu = _segment_mu(n_next, n1)
         m_vals = np.cumsum(mu, dtype=np.int64)
         if m_prev:
             m_vals += m_prev
-        if per_block is not None:
-            per_block(n_next, mu, m_vals)
-        # intervals [k, k+1) for k = n_next-1 .. n1-2, M constant on each
-        ks = np.arange(n_next - 1, n1 - 1, dtype=np.float64)
-        m_on_interval = np.empty(n1 - n_next, dtype=np.float64)
-        m_on_interval[0] = m_prev
-        m_on_interval[1:] = m_vals[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            incr = m_on_interval * m_on_interval * (1.0 / ks - 1.0 / (ks + 1.0))
-        if n_next == 1:
-            incr[0] = 0.0  # no [0, 1) interval
-        cp = ((n_next + stride - 1) // stride) * stride
-        if cp <= n1 - 1:
-            prefix = np.cumsum(incr)
-            while cp <= n1 - 1:
-                j = cp - n_next
-                cache.record(cp, int(m_vals[j]), i2_lo + float(prefix[j]))
-                cp += stride
-        i2_lo += float(incr.sum())
+        i2_lo = _advance_i2(cache, n_next, m_prev, m_vals, i2_lo)
         m_prev = int(m_vals[-1])
+        yield n_next, mu, m_vals, i2_lo
         n_next = n1
     cache.note_frontier(x_floor, m_prev, i2_lo)
-    return m_prev, i2_lo
+
+
+def _advance_i2(
+    cache: CheckpointCache, n0: int, m_prev: int, m_vals: np.ndarray, i2_lo: float
+) -> float:
+    """Integral of (M/u)^2 over [1, n0 + len(m_vals) - 1], given its value
+    i2_lo over [1, n0 - 1], M(n0 - 1) = m_prev and m_vals[i] = M(n0 + i);
+    records the stride checkpoints that fall in the block.  Its arrays die on
+    return, so they do not outlive the block in a suspended stream."""
+    n1 = n0 + len(m_vals)
+    # M(k)^2 (1/k - 1/(k+1)) on the intervals [k, k+1), k = n0-1 .. n1-2,
+    # where M is constant; in place, so a block holds two float arrays
+    ks = np.arange(n0 - 1, n1 - 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        incr = 1.0 / ks
+        ks += 1.0
+        incr -= np.divide(1.0, ks, out=ks)
+        m_sq = ks
+        m_sq[0] = m_prev
+        m_sq[1:] = m_vals[:-1]
+        incr *= np.multiply(m_sq, m_sq, out=m_sq)
+    if n0 == 1:
+        incr[0] = 0.0  # no [0, 1) interval
+    stride = cache.stride
+    cp = ((n0 + stride - 1) // stride) * stride
+    if cp <= n1 - 1:
+        prefix = np.cumsum(incr)
+        while cp <= n1 - 1:
+            j = cp - n0
+            cache.record(cp, int(m_vals[j]), i2_lo + float(prefix[j]))
+            cp += stride
+    return i2_lo + float(incr.sum())
+
+
+def _state_at(x_floor: int, cache: CheckpointCache) -> tuple[int, float]:
+    """(M(x_floor), integral of (M/u)^2 over [1, x_floor]), streamed from the
+    best checkpoint or frontier at or below x_floor."""
+    anchor = cache.anchor(x_floor)
+    m, i2 = anchor.M, anchor.I2
+    for _, _, m_vals, i2 in _stream(x_floor, cache, anchor):
+        m = int(m_vals[-1])
+    return m, i2
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +348,7 @@ def mertens(x: int, cache: CheckpointCache | None = None) -> int:
     if x < 1 or x > SIEVE_MAX:
         raise OutOfRange(f"need 1 <= x <= {SIEVE_MAX}, got {x}")
     cache = cache or _default_cache
-    m, _ = _drive(x, cache)
+    m, _ = _state_at(x, cache)
     return m
 
 
@@ -343,29 +362,41 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
     the plain summatory function M.  Summation is compensated (fsum per block,
     fsum across blocks).
     """
-    x, tau = float(query.x), float(query.tau)
-    if tau < 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    cache = cache or _default_cache
-    x_floor = int(math.floor(x))
-    if tau == 0.0:
-        return float(mertens(x_floor, cache))
-    log_norm = math.lgamma(1.0 + tau)
-    parts: list[float] = []
+    (value,) = _riesz_means([(float(query.x), float(query.tau))], cache or _default_cache)
+    return value
 
-    def consume(n0: int, mu: np.ndarray, m_vals: np.ndarray) -> None:
-        ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            w = np.exp(tau * np.log1p(-ns / x) - log_norm)
-        nz = mu != 0
-        if nz.any():
-            terms = mu[nz].astype(np.float64) * w[nz]
-            parts.append(math.fsum(terms.tolist()))
 
-    _drive(x_floor, cache, per_block=consume)
-    return math.fsum(parts)
+def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> list[float]:
+    """M_tau(x) for each (x, tau) in points, from one stream from n = 1 up to
+    the largest floor(x).
+
+    Each block is cut at each point's floor(x), so a point sums over the same
+    blocks, with the same per-block fsum, as a stream of its own would.  Points
+    with tau = 0 read M(floor(x)) from the checkpoints instead.
+    """
+    for x, tau in points:
+        if tau < 0:
+            raise DomainError(f"tau must be >= 0, got {tau}")
+        if x < 1:
+            raise DomainError(f"x must be >= 1, got {x}")
+    weighted = [(x, tau, math.lgamma(1.0 + tau), []) for x, tau in points if tau != 0.0]
+    if weighted:
+        for n0, mu, _, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache):
+            for x, tau, log_norm, parts in weighted:
+                if n0 > x:
+                    continue
+                mu_x = mu[: math.floor(x) + 1 - n0]
+                ns = np.arange(n0, n0 + len(mu_x), dtype=np.float64)
+                with np.errstate(divide="ignore"):
+                    w = np.exp(tau * np.log1p(-ns / x) - log_norm)
+                nz = mu_x != 0
+                if nz.any():
+                    terms = mu_x[nz].astype(np.float64) * w[nz]
+                    parts.append(math.fsum(terms.tolist()))
+    sums = iter([math.fsum(parts) for *_, parts in weighted])
+    return [
+        float(mertens(math.floor(x), cache)) if tau == 0.0 else next(sums) for x, tau in points
+    ]
 
 
 def _power_antideriv(u: np.ndarray, kappa: float) -> np.ndarray:
@@ -392,18 +423,13 @@ def integral_M(
     memo = cache.ikappa_memo
     if key in memo:
         return memo[key]
-    x_floor = int(math.floor(x))
     parts: list[float] = []
-
-    def consume(n0: int, mu: np.ndarray, m_vals: np.ndarray) -> None:
-        hi_full = n0 + len(mu)
-        ns = np.arange(n0, hi_full, dtype=np.float64)
+    for n0, mu, m_vals, _ in _stream(int(math.floor(x)), cache):
+        ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
         uppers = np.minimum(ns + 1.0, x)
         deltas = _power_antideriv(uppers, kappa) - _power_antideriv(ns, kappa)
         contrib = m_vals.astype(np.float64) * deltas
         parts.append(math.fsum(contrib.tolist()))
-
-    _drive(x_floor, cache, per_block=consume)
     value = math.fsum(parts)
     memo[key] = value
     return value
@@ -416,7 +442,7 @@ def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> flo
         raise DomainError(f"x must be >= 1, got {x}")
     cache = cache or _default_cache
     x_floor = int(math.floor(x))
-    m_floor, i2 = _drive(x_floor, cache)
+    m_floor, i2 = _state_at(x_floor, cache)
     if x > x_floor:
         i2 += float(m_floor) * m_floor * (1.0 / x_floor - 1.0 / x)
     return i2
@@ -454,12 +480,7 @@ def riesz_recurrence_check(
             f"x = {x} exceeds quadrature guard {_RECURRENCE_QUAD_MAX_X} for tau >= 2"
         )
     x_floor = int(math.floor(x))
-    mu_all = np.empty(x_floor, dtype=np.int8)
-
-    def collect(n0: int, mu: np.ndarray, m_vals: np.ndarray) -> None:
-        mu_all[n0 - 1 : n0 - 1 + len(mu)] = mu
-
-    _drive(x_floor, cache, per_block=collect)
+    mu_all = _segment_mu(1, x_floor + 1)
     nodes, weights = _GL5_NODES
     log_norm = math.lgamma(float(tau))  # Gamma(tau) normalizes M_{tau-1}
     ns = np.arange(1, x_floor + 1, dtype=np.float64)
@@ -480,16 +501,14 @@ def riesz_recurrence_check(
     return abs(lhs - rhs)
 
 
-def density_S(
-    X: float, grid: int = _BLOCK, cache: CheckpointCache | None = None
-) -> float:
+def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     """Logarithmic density estimate of S = {t : |M(t)| <= sqrt(t)}:
 
         (1 / log X) * integral over [2, X] of [|M(t)| <= sqrt(t)] dt/t
 
     with membership resolved exactly on each unit interval (M is constant
     there and sqrt is monotone, so the only crossing is at t = M(n)^2,
-    compared in integer arithmetic).  grid sets the streaming chunk size.
+    compared in integer arithmetic).
 
     The normalizer is log X, matching the density definition's denominator;
     since the integration window starts at 2, values are bounded by
@@ -498,17 +517,13 @@ def density_S(
     X = float(X)
     if X < 4:
         raise DomainError(f"X must be >= 4, got {X}")
-    if grid < 1:
-        raise DomainError(f"grid must be positive, got {grid}")
     cache = cache or _default_cache
-    x_floor = int(math.floor(X))
     parts: list[float] = []
-
-    def consume(n0: int, mu: np.ndarray, m_vals: np.ndarray) -> None:
+    for n0, mu, m_vals, _ in _stream(int(math.floor(X)), cache):
         hi_full = n0 + len(mu)
         lo_n = max(n0, 2)
         if lo_n >= hi_full:
-            return
+            continue
         off = lo_n - n0
         ns = np.arange(lo_n, hi_full, dtype=np.int64)
         ms = m_vals[off:]
@@ -521,8 +536,6 @@ def density_S(
         if good.any():
             ratio = np.log(uppers[good] / starts[good])
             parts.append(math.fsum(ratio.tolist()))
-
-    _drive(x_floor, cache, per_block=consume)
     return math.fsum(parts) / math.log(X)
 
 
@@ -560,23 +573,27 @@ def tau_regime_scan(
     Emits one row per x with the normalized columns M_tau/sqrt(x) and
     M_tau * tau^(3/2) / sqrt(x), plus the growth-factor helper column
     (tau/e)^(-tau-1).  Rows where the schedule is undefined carry
-    status="undefined" instead of raising.
+    status="undefined" instead of raising.  One mu stream up to the largest x
+    serves every row.
     """
     cache = cache or _default_cache
     rows: list[dict] = []
+    defined: list[dict] = []
+    points: list[tuple[float, float]] = []
     for x in x_list:
         x = float(x)
         row: dict = {"x": x, "schedule": schedule.kind, "c": schedule.c}
+        rows.append(row)
         try:
-            tau = tau_for(schedule, x)
+            points.append((x, tau_for(schedule, x)))
         except ScheduleUndefined:
             row.update(
                 {"status": "undefined", "tau": None, "m_tau": None,
                  "m_over_sqrt": None, "m_tau32_over_sqrt": None, "growth_factor": None}
             )
-            rows.append(row)
             continue
-        m_tau = riesz_mean_direct(RieszQuery(x=x, tau=tau), cache)
+        defined.append(row)
+    for row, (x, tau), m_tau in zip(defined, points, _riesz_means(points, cache)):
         sqrt_x = math.sqrt(x)
         if tau > 0:
             growth = math.exp(-(tau + 1.0) * (math.log(tau) - 1.0))
@@ -592,5 +609,4 @@ def tau_regime_scan(
                 "growth_factor": growth,
             }
         )
-        rows.append(row)
     return rows

@@ -44,12 +44,11 @@ from .errors import (
 from .kernel import _EULER_GAMMA, zeta
 from .moebius import (
     CheckpointCache,
-    _drive,
     _power_antideriv,
     _primes_upto,
+    _stream,
     default_cache,
     integral_M,
-    mertens,
     weak_mertens_integral,
 )
 from .zeros import ZeroTable, _zero_sum
@@ -642,50 +641,28 @@ def divim_sign_changes(
     kappa = float(kappa)
     cache = cache or default_cache()
     c = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
-    x_floor = int(math.floor(x_max))
 
     crossings: list[float] = []
-    state = {"i_lo": 0.0, "f_prev": 0.0 - c}
-
-    def locate(n: float, m: float, i_start: float) -> float:
-        # Solve i_start + m*(P(x) - P(n)) = c for x in (n, n+1], P = antiderivative.
-        v = float(_power_antideriv(np.array([n]), kappa)[0]) + (c - i_start) / m
-        if kappa == 1.0:
-            return math.exp(v)
-        return float(((1.0 - kappa) * v) ** (1.0 / (1.0 - kappa)))
-
-    def consume(n0: int, mu: np.ndarray, m_vals: np.ndarray) -> None:
-        hi_full = n0 + len(mu)
-        ns = np.arange(n0, hi_full, dtype=np.float64)
-        uppers = np.minimum(ns + 1.0, float(x_max))
-        deltas = _power_antideriv(uppers, kappa) - _power_antideriv(ns, kappa)
-        m_f = m_vals.astype(np.float64)
-        i_ends = state["i_lo"] + np.cumsum(m_f * deltas)
+    i_lo, f_prev = 0.0, 0.0 - c
+    for n0, mu, m_vals, _ in _stream(int(math.floor(x_max)), cache):
+        ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
+        deltas = _power_antideriv(np.minimum(ns + 1.0, x_max), kappa)
+        deltas -= _power_antideriv(ns, kappa)
+        i_ends = i_lo + np.cumsum(m_vals * deltas)
         f_ends = i_ends - c
         f_starts = np.empty_like(f_ends)
-        f_starts[0] = state["f_prev"]
+        f_starts[0] = f_prev
         f_starts[1:] = f_ends[:-1]
-        flip = np.nonzero((f_starts < 0.0) != (f_ends < 0.0))[0]
-        for j in flip:
-            crossings.append(locate(float(ns[j]), float(m_f[j]), float(f_starts[j] + c)))
-        state["i_lo"] = float(i_ends[-1])
-        state["f_prev"] = float(f_ends[-1])
-
-    if x_floor >= 2:
-        _drive(x_floor, cache, per_block=consume)
-    else:
-        state["i_lo"] = 0.0
-        state["f_prev"] = -c
-    if x_max > x_floor:
-        # trailing partial interval [x_floor, x_max)
-        m = float(mertens(x_floor, cache))
-        delta = (
-            _power_antideriv(np.array([x_max]), kappa)[0]
-            - _power_antideriv(np.array([float(x_floor)]), kappa)[0]
-        )
-        f_end = state["i_lo"] + m * delta - c
-        if (state["f_prev"] < 0.0) != (f_end < 0.0):
-            crossings.append(locate(float(x_floor), m, state["i_lo"]))
+        for j in np.nonzero((f_starts < 0.0) != (f_ends < 0.0))[0]:
+            # Solve I(n) + m*(P(x) - P(n)) = c for x in (n, n+1], P = antiderivative,
+            # I(n) = f_starts[j] + c.
+            p_n = float(_power_antideriv(ns[j : j + 1], kappa)[0])
+            v = p_n + (c - float(f_starts[j] + c)) / float(m_vals[j])
+            if kappa == 1.0:
+                crossings.append(math.exp(v))
+            else:
+                crossings.append(float(((1.0 - kappa) * v) ** (1.0 / (1.0 - kappa))))
+        i_lo, f_prev = float(i_ends[-1]), float(f_ends[-1])
     return crossings
 
 

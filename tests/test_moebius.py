@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrl import moebius
 from mrl.errors import DomainError, OutOfRange, ParseError, ScheduleUndefined
 from mrl.moebius import (
     CheckpointCache,
@@ -28,6 +29,7 @@ from mrl.moebius import (
     tau_regime_scan,
     weak_mertens_integral,
 )
+from mrl.zerosums import divim_sign_changes
 
 # Classical spot values of the summatory Moebius function.
 MERTENS_TABLE = {
@@ -225,10 +227,49 @@ def test_density_basics(shared_cache):
         density_S(3.0, cache=shared_cache)
 
 
-def test_density_block_size_invariance(shared_cache):
-    a = density_S(30_000.0, grid=2**14, cache=shared_cache)
-    b = density_S(30_000.0, grid=2**18, cache=shared_cache)
-    assert a == pytest.approx(b, rel=1e-12)
+@pytest.fixture()
+def sieved_lengths(monkeypatch):
+    """Lengths of the mu segments sieved while the test runs."""
+    lengths: list[int] = []
+    segment_mu = moebius._segment_mu
+
+    def counting(lo: int, hi: int) -> np.ndarray:
+        lengths.append(hi - lo)
+        return segment_mu(lo, hi)
+
+    monkeypatch.setattr(moebius, "_segment_mu", counting)
+    return lengths
+
+
+def _streamed_quantities() -> list:
+    """Every consumer of the mu stream, each on its own small-stride cache,
+    with the checkpoints that cache recorded."""
+    runs = [
+        lambda c: riesz_mean_direct(RieszQuery(x=30_000.5, tau=1.5), c),
+        lambda c: integral_M(30_000.5, 0.5, c),
+        lambda c: density_S(30_000.5, cache=c),
+        lambda c: weak_mertens_integral(30_000.5, c),
+        lambda c: divim_sign_changes(70_000.5, cache=c),
+    ]
+    out = []
+    for run in runs:
+        cache = CheckpointCache(stride=1000)
+        out.append((run(cache), [(cp.x, cp.M, cp.I2) for cp in cache.checkpoints()]))
+    return out
+
+
+def test_stream_block_size_invariance(monkeypatch, sieved_lengths):
+    default = _streamed_quantities()
+    assert max(sieved_lengths) > 2**10
+    monkeypatch.setattr(moebius, "_BLOCK", 2**10)
+    sieved_lengths.clear()
+    small = _streamed_quantities()
+    assert max(sieved_lengths) == 2**10  # the stream reads _BLOCK when called
+    for (value, cps), (value_small, cps_small) in zip(default, small):
+        assert value_small == pytest.approx(value, rel=1e-12)
+        assert [cp[:2] for cp in cps_small] == [cp[:2] for cp in cps]
+        assert [cp[2] for cp in cps_small] == pytest.approx([cp[2] for cp in cps], rel=1e-12)
+    assert len(default[-1][0]) == 2  # D crosses zero at 64099.4 and 66737.9
 
 
 def test_tau_for_schedules():
@@ -259,6 +300,32 @@ def test_tau_regime_scan_rows(shared_cache):
     rows = tau_regime_scan([100.0], TauSchedule("iterated-log"), shared_cache)
     assert rows[0]["status"] == "undefined"
     assert rows[0]["m_tau"] is None
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [TauSchedule("constant", 1.5), TauSchedule("inv-log", 2.0), TauSchedule("constant", 0.0)],
+    ids=["constant", "inv-log", "c=0"],
+)
+def test_tau_regime_scan_matches_riesz_per_point(schedule):
+    # unsorted; x = 1 is undefined for inv-log; the last x lies past the first block
+    xs = [150_000.0, 1.0, 57.5, 3000.0, 2500.25, 1_048_577.5]
+    rows = tau_regime_scan(xs, schedule, CheckpointCache(stride=997))
+    assert [r["x"] for r in rows] == xs
+    for r in rows:
+        if r["status"] == "undefined":
+            assert schedule.kind == "inv-log" and r["x"] == 1.0 and r["m_tau"] is None
+            continue
+        assert r["tau"] == tau_for(schedule, r["x"])
+        fresh = riesz_mean_direct(RieszQuery(x=r["x"], tau=r["tau"]), CheckpointCache())
+        assert r["m_tau"] == fresh
+    assert sum(r["status"] == "undefined" for r in rows) == (schedule.kind == "inv-log")
+
+
+def test_tau_regime_scan_sieves_max_x_once(sieved_lengths):
+    xs = [float(x) for x in np.geomspace(10.0, 2e5, 9)]
+    tau_regime_scan(xs, TauSchedule("constant", 1.0), CheckpointCache())
+    assert sum(sieved_lengths) == math.floor(max(xs)) == 200_000
 
 
 @given(st.floats(min_value=2.0, max_value=5000.0))

@@ -377,6 +377,13 @@ def test_divim_crossing_really_crosses(shared_cache):
     assert d(float(n)) * d(float(n + 1)) < 0.0
 
 
+def test_divim_non_integer_end_counts_last_interval_once(cache):
+    # D first crosses zero at 64099.418, inside [floor(x_max), x_max) only
+    # for the second x_max; that interval must be integrated once.
+    assert divim_sign_changes(64099.4, cache=cache) == []
+    assert divim_sign_changes(64099.5, cache=cache) == [64099.41812094184]
+
+
 def test_divim_reproducible(shared_cache):
     a = divim_sign_changes(1e5, cache=shared_cache)
     b = divim_sign_changes(1e5, cache=shared_cache)
