@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, OutOfRange, QuadratureDiverged
 from .kernel import (
@@ -42,7 +42,7 @@ from .kernel import (
     gamma_ratio,
     trivial_zero_data,
 )
-from .moebius import CheckpointCache, RieszQuery, riesz_mean_direct
+from .moebius import CheckpointCache, RieszQuery, _riesz_means, default_cache, riesz_mean_direct
 from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
@@ -303,11 +303,14 @@ def compare_direct_explicit(
 
     Row keys x, tau, T, L, direct, explicit, abs_diff, error_estimate are the
     canonical tabular columns; within_estimate and the occasional note field
-    are extra context for structured output only.
+    are extra context for structured output only.  One mu stream up to the
+    largest x serves every row's direct value.
     """
+    evs = [explicit_M_tau(float(x), tau, table, T, L) for x in x_list]
+    directs = _riesz_means([(ev.x, ev.tau) for ev in evs], cache or default_cache())
     rows: list[dict] = []
-    for x in x_list:
-        ev = explicit_M_tau(float(x), tau, table, T, L, with_direct=True, cache=cache)
+    for ev, direct in zip(evs, directs):
+        ev = replace(ev, direct_value=direct)
         row = {
             "x": ev.x,
             "tau": ev.tau,

@@ -104,7 +104,7 @@ class TauSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Sieving primitives
+# Sieving and summation primitives
 # ---------------------------------------------------------------------------
 
 
@@ -128,26 +128,76 @@ def _primes_for(n_max: int) -> np.ndarray:
     return _primes_upto(rounded)
 
 
+# The period of mu's pattern over the primes 2, 3, 5, 7: 4 * 9 * 25 * 49.
+_WHEEL = 44100
+
+
+@lru_cache(maxsize=1)
+def _wheel() -> np.ndarray:
+    """At residue r in [0, _WHEEL): (-1)^k times the product of the k primes
+    among 2, 3, 5, 7 that divide r, or 0 where one of their squares does."""
+    wheel = np.ones(_WHEEL, dtype=np.int32)
+    for p in (2, 3, 5, 7):
+        wheel[::p] *= -p
+        wheel[:: p * p] = 0
+    return wheel
+
+
 def _segment_mu(lo: int, hi: int) -> np.ndarray:
-    """Exact mu(n) for n in [lo, hi) via one multiply-and-divide sweep per
-    prime p <= sqrt(hi-1), a square pass, and a large-prime fixup."""
-    n = hi - lo
-    mu = np.ones(n, dtype=np.int8)
-    rem = np.arange(lo, hi, dtype=np.int64)
+    """Exact mu(n) for n in [lo, hi) from a signed product sieve.
+
+    prod[i] holds (-1)^k times the product of the k primes p <= sqrt(hi-1)
+    (and 2, 3, 5, 7, tiled from the wheel) that divide n = lo + i, or 0 once
+    one of their squares divides n.  So mu(n) = sign(prod[i]), flipped where
+    |prod[i]| != n: a squarefree n whose product falls short of n has exactly
+    one prime factor above the root.
+    """
+    # |prod| divides n, so int32 holds it (and n) while hi - 1 < 2^31
+    dtype = np.int32 if hi - 1 < 1 << 31 else np.int64
+    prod = np.resize(np.roll(_wheel().astype(dtype, copy=False), -(lo % _WHEEL)), hi - lo)
+    primes = _primes_for(hi - 1)
     root = math.isqrt(hi - 1)
-    for p in _primes_for(hi - 1):
-        p = int(p)
-        if p > root:
-            break
-        start = ((lo + p - 1) // p) * p - lo
-        mu[start::p] *= -1
-        rem[start::p] //= p
-        p2 = p * p
-        start2 = ((lo + p2 - 1) // p2) * p2 - lo
-        mu[start2::p2] = 0
-    # entries with a single prime factor > sqrt(hi-1) still carry it in rem
-    mu[rem > 1] *= -1
+    # primes[:4] are the wheel's 2, 3, 5, 7
+    for p in primes[4 : np.searchsorted(primes, root, side="right")].tolist():
+        prod[-lo % p :: p] *= -p
+        prod[-lo % (p * p) :: p * p] = 0
+    mu = np.sign(prod).astype(np.int8)
+    big = np.abs(prod, out=prod) != np.arange(lo, hi, dtype=dtype)
+    # an arithmetic flip: a masked negate costs several times more per block
+    mu *= 1 - 2 * big.view(np.int8)
     return mu
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """Correctly rounded sum of the float64 array a: the same float as
+    math.fsum(a.tolist()), without a Python float per term.
+
+    Each term is mant * 2^e with 1/2 <= |mant| < 1, and mant * 2^27 splits
+    exactly into an integer of at most 27 bits and a fraction that is a
+    multiple of 2^-26.  Summed per exponent, neither half needs more than 53
+    bits while len(a) <= 2^26, so the bucket sums are exact; their exact
+    total, a Python int, is rounded once by int true division.
+    """
+    assert len(a) <= 1 << 26
+    # nan, inf, and terms so large that a partial sum might overflow keep
+    # fsum's own rules (below 2^970 no sum of 2^26 terms comes near 2^1024)
+    if not len(a) or not np.maximum(a.max(), -a.min()) < 2.0**970:
+        return math.fsum(a.tolist())
+    mant, e = np.frexp(a)
+    emin = int(e.min())
+    bucket = np.subtract(e, emin, dtype=np.intp)
+    mant *= 2.0**27
+    whole = np.floor(mant)
+    mant -= whole
+    wholes = np.bincount(bucket, weights=whole)
+    fracs = np.bincount(bucket, weights=mant)
+    total = 0
+    for i in np.flatnonzero((wholes != 0) | (fracs != 0)).tolist():
+        total += ((int(wholes[i]) << 26) + int(fracs[i] * 2.0**26)) << i
+    if not total:
+        return math.fsum(a.tolist())  # the sign of an exact zero
+    shift = emin - 53  # sum(a) = total * 2^shift
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +409,8 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
 
     Boundary convention at integer x: the n = x factor is (1 - 1)^tau = 0 for
     tau > 0, but for tau = 0 the factor is taken as 1, so M_0 coincides with
-    the plain summatory function M.  Summation is compensated (fsum per block,
-    fsum across blocks).
+    the plain summatory function M.  Summation is correctly rounded per block
+    (_exact_sum), then fsum across blocks.
     """
     (value,) = _riesz_means([(float(query.x), float(query.tau))], cache or _default_cache)
     return value
@@ -371,7 +421,7 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
     the largest floor(x).
 
     Each block is cut at each point's floor(x), so a point sums over the same
-    blocks, with the same per-block fsum, as a stream of its own would.  Points
+    blocks, each sum correctly rounded, as a stream of its own would.  Points
     with tau = 0 read M(floor(x)) from the checkpoints instead.
     """
     for x, tau in points:
@@ -392,7 +442,7 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
                 nz = mu_x != 0
                 if nz.any():
                     terms = mu_x[nz].astype(np.float64) * w[nz]
-                    parts.append(math.fsum(terms.tolist()))
+                    parts.append(_exact_sum(terms))
     sums = iter([math.fsum(parts) for *_, parts in weighted])
     return [
         float(mertens(math.floor(x), cache)) if tau == 0.0 else next(sums) for x, tau in points
@@ -429,7 +479,7 @@ def integral_M(
         uppers = np.minimum(ns + 1.0, x)
         deltas = _power_antideriv(uppers, kappa) - _power_antideriv(ns, kappa)
         contrib = m_vals.astype(np.float64) * deltas
-        parts.append(math.fsum(contrib.tolist()))
+        parts.append(_exact_sum(contrib))
     value = math.fsum(parts)
     memo[key] = value
     return value
@@ -535,7 +585,7 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
         good = starts < uppers
         if good.any():
             ratio = np.log(uppers[good] / starts[good])
-            parts.append(math.fsum(ratio.tolist()))
+            parts.append(_exact_sum(ratio))
     return math.fsum(parts) / math.log(X)
 
 

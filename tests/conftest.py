@@ -1,4 +1,5 @@
-"""Shared fixtures: the refined packaged zero table and fresh sieve caches.
+"""Shared fixtures: the refined packaged zero table, fresh sieve caches, and
+a counter of the integers the mu sieve is asked for.
 
 The table fixture is session-scoped (refinement costs ~0.15 s and the table
 is immutable); caches are function-scoped so checkpoint state never leaks
@@ -6,8 +7,10 @@ between tests, with a session-scoped variant for read-only heavyweight
 consumers.
 """
 
+import numpy as np
 import pytest
 
+from mrl import moebius
 from mrl.moebius import CheckpointCache
 from mrl.zeros import load_builtin, refine_table
 
@@ -35,3 +38,17 @@ def shared_cache():
     """One cache shared by tests that only read M values (checkpoints are
     append-only, so sharing is safe and avoids re-sieving)."""
     return CheckpointCache()
+
+
+@pytest.fixture()
+def sieved_lengths(monkeypatch):
+    """Lengths of the mu segments sieved while the test runs."""
+    lengths: list[int] = []
+    segment_mu = moebius._segment_mu
+
+    def counting(lo: int, hi: int) -> np.ndarray:
+        lengths.append(hi - lo)
+        return segment_mu(lo, hi)
+
+    monkeypatch.setattr(moebius, "_segment_mu", counting)
+    return lengths

@@ -8,6 +8,7 @@ closed-form branch logic under test.
 """
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from mrl.explicit import (
     s0_residue,
     zero_sum_term,
 )
+from mrl.moebius import CheckpointCache
 from mrl.zeros import ZeroRecord, ZeroTable
 
 # Contour-integral oracle: (l, x, tau) -> residue at s = -l.
@@ -159,6 +161,23 @@ def test_explicit_matches_direct_at_several_points(table, cache):
     for row in rows:
         assert row["abs_diff"] <= 5e-5, row["x"]
         assert row["within_estimate"]
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5])
+def test_compare_direct_explicit_streams_once(table, sieved_lengths, tau):
+    xs = [1e4, 5e4, 1e5, 2e5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Bartz mode at tau = 0
+        rows = compare_direct_explicit(xs, tau, table, 100.0, 10, CheckpointCache())
+        # max x, not the 360000 of one stream per row; tau = 0 reads M(x)
+        # from checkpoints, resumed from the base state M(1) = 1
+        assert sum(sieved_lengths) == (199_999 if tau == 0.0 else 200_000)
+        for x, row in zip(xs, rows):
+            ev = explicit_M_tau(x, tau, table, 100.0, 10, with_direct=True, cache=CheckpointCache())
+            assert (row["x"], row["direct"], row["explicit"], row["abs_diff"]) == (
+                ev.x, ev.direct_value, ev.explicit_value, ev.residual
+            )
+            assert ("note" in row) == (tau == 0.0)
 
 
 def test_explicit_height_ladder_shrinks_overall(table, cache):

@@ -73,6 +73,72 @@ def test_mu_against_trial_division(shared_cache):
         assert seg.mu[n - 1] == mu_trial_division(n), f"mu({n})"
 
 
+def mu_divide_per_prime(lo: int, hi: int) -> np.ndarray:
+    """Reference kernel without the wheel or the signed product: one
+    multiply-and-divide sweep per prime p <= sqrt(hi-1), a square pass, and a
+    large-prime fixup."""
+    mu = np.ones(hi - lo, dtype=np.int8)
+    rem = np.arange(lo, hi, dtype=np.int64)
+    root = math.isqrt(hi - 1)
+    for p in moebius._primes_for(hi - 1):
+        p = int(p)
+        if p > root:
+            break
+        start = ((lo + p - 1) // p) * p - lo
+        mu[start::p] *= -1
+        rem[start::p] //= p
+        p2 = p * p
+        start2 = ((lo + p2 - 1) // p2) * p2 - lo
+        mu[start2::p2] = 0
+    mu[rem > 1] *= -1
+    return mu
+
+
+# Segments for the sieve kernel: the shortest ones, whole blocks, the top of
+# the sieve range, and lengths that are no multiple of the wheel's period.
+PERIOD = moebius._WHEEL
+KERNEL_SEGMENTS = [
+    (1, 2),
+    (1, 3),
+    (1, 1 + (1 << 20)),
+    (8_000_001, 8_000_001 + (1 << 20)),
+    (10**9 - (1 << 20), 10**9 + 1),
+    (7 * PERIOD - 1234, 9 * PERIOD + 4321),
+    (PERIOD - 3, PERIOD + 5),
+]
+
+
+@pytest.mark.parametrize("lo, hi", KERNEL_SEGMENTS)
+def test_segment_mu_matches_divide_per_prime_kernel(lo, hi):
+    assert np.array_equal(moebius._segment_mu(lo, hi), mu_divide_per_prime(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", KERNEL_SEGMENTS)
+def test_segment_mu_trial_division_samples(lo, hi):
+    mu = moebius._segment_mu(lo, hi)
+    assert mu.dtype == np.int8 and len(mu) == hi - lo
+    picks = {0, hi - lo - 1} | set(np.random.default_rng(lo).integers(0, hi - lo, 40).tolist())
+    # both sides of every period boundary inside the segment
+    for k in range(-lo % PERIOD, hi - lo, PERIOD):
+        picks |= {i for i in (k - 1, k, k + 1) if 0 <= i < hi - lo}
+    for i in sorted(picks):
+        assert mu[i] == mu_trial_division(lo + i), f"mu({lo + i})"
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2**31 - 64, 2**31 + 192),
+        # 18 * 2^32 + 1 is prime; in wrapped int32 it reads as 1, its signed
+        # product, so it would pass for a squarefree n without a large prime
+        (18 * 2**32 - 7, 18 * 2**32 + 9),
+    ],
+)
+def test_segment_mu_above_int32(lo, hi):
+    mu = moebius._segment_mu(lo, hi)
+    assert mu.tolist() == [mu_trial_division(n) for n in range(lo, hi)]
+
+
 def test_segment_stitching(shared_cache):
     whole = sieve_segment(1, 5000, shared_cache)
     part = sieve_segment(1234, 5000, shared_cache)
@@ -227,18 +293,51 @@ def test_density_basics(shared_cache):
         density_S(3.0, cache=shared_cache)
 
 
-@pytest.fixture()
-def sieved_lengths(monkeypatch):
-    """Lengths of the mu segments sieved while the test runs."""
-    lengths: list[int] = []
-    segment_mu = moebius._segment_mu
+def _same_float(got: float, want: float) -> bool:
+    return got.hex() == want.hex() and math.copysign(1.0, got) == math.copysign(1.0, want)
 
-    def counting(lo: int, hi: int) -> np.ndarray:
-        lengths.append(hi - lo)
-        return segment_mu(lo, hi)
 
-    monkeypatch.setattr(moebius, "_segment_mu", counting)
-    return lengths
+_TERMS = st.one_of(
+    st.floats(min_value=-(2.0**700), max_value=2.0**700),  # zeros and subnormals too
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 700)),
+)
+
+
+@given(st.lists(_TERMS, max_size=300), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_fsum(terms, cancel):
+    if cancel:  # the exact total is zero
+        terms = terms + [-t for t in reversed(terms)]
+    a = np.array(terms, dtype=np.float64)
+    assert _same_float(moebius._exact_sum(a), math.fsum(terms))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[], [0.0], [-0.0], [-0.0, -0.0], [5e-324] * 3, [1.0, -1.0], [2.0**700, 1.0, -(2.0**700)],
+     # one exponent bucket whose integer halves sum to exactly 1
+     [2.0**26 + 1.5, -(2.0**26), 1.0],
+     [math.inf, 1.0], [math.nan, 1.0], [1.5e308, 1.5e308, -1.5e308], [-math.inf, math.inf]],
+)
+def test_exact_sum_edge_cases(terms):
+    a = np.array(terms, dtype=np.float64)
+    try:
+        want = math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            moebius._exact_sum(a)
+        return
+    got = moebius._exact_sum(a)
+    assert _same_float(got, want) or (math.isnan(got) and math.isnan(want))
+
+
+def test_exact_sum_full_block():
+    rng = np.random.default_rng(20)
+    n = 1 << 20
+    wide = rng.standard_normal(n) * np.exp2(rng.integers(-700, 700, n))
+    narrow = rng.standard_normal(n)
+    for a in (wide, narrow, np.concatenate([narrow[: n // 2], -narrow[: n // 2]])):
+        assert _same_float(moebius._exact_sum(a), math.fsum(a.tolist()))
 
 
 def _streamed_quantities() -> list:
