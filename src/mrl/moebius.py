@@ -58,8 +58,8 @@ CHECKPOINT_STRIDE = 10**6
 
 _BLOCK = 1 << 20
 
-_CHECKPOINT_MAGIC = b"MRTC0001"
-_CHECKPOINT_RECORD = struct.Struct("<Qqd")
+_CHECKPOINT_MAGIC = b"MRTC0002"
+_CHECKPOINT_RECORD = struct.Struct("<Qq")
 
 # Cost guards for the quadrature branch of riesz_recurrence_check.
 _RECURRENCE_QUAD_MAX_X = 3000.0
@@ -78,11 +78,10 @@ class MoebiusSegment:
 
 @dataclass
 class MertensCheckpoint:
-    """State frozen at x: M(x) and the integral of (M/u)^2 over [1, x]."""
+    """M(x), frozen at x."""
 
     x: int
     M: int
-    I2: float
 
 
 @dataclass(frozen=True)
@@ -208,10 +207,11 @@ def _exact_sum(a: np.ndarray) -> float:
 class CheckpointCache:
     """Mertens checkpoints at a fixed stride plus a movable frontier.
 
-    The cache is purely an accelerator: every public operation produces
-    identical values with or without it.  Persistence format: the magic
-    header MRTC0001 followed by little-endian (x: u64, M: i64, I2: f64)
-    records in ascending x.
+    The cache is purely an accelerator: M is an integer, so every public
+    operation produces identical values with or without it.  Persistence
+    format: the magic header MRTC0002 followed by little-endian (x: u64,
+    M: i64) records in ascending x.  A file in the older MRTC0001 format,
+    which also stored the integral of (M/u)^2, fails to load with ParseError.
     """
 
     def __init__(self, stride: int = CHECKPOINT_STRIDE) -> None:
@@ -221,24 +221,23 @@ class CheckpointCache:
         self._xs: list[int] = []
         self._by_x: dict[int, MertensCheckpoint] = {}
         self._frontier: MertensCheckpoint | None = None
-        self.ikappa_memo: dict[tuple[float, float], float] = {}
 
-    def record(self, x: int, m: int, i2: float) -> None:
+    def record(self, x: int, m: int) -> None:
         if x in self._by_x:
             return
         bisect.insort(self._xs, x)
-        self._by_x[x] = MertensCheckpoint(x=x, M=m, I2=i2)
+        self._by_x[x] = MertensCheckpoint(x=x, M=m)
 
-    def note_frontier(self, x: int, m: int, i2: float) -> None:
+    def note_frontier(self, x: int, m: int) -> None:
         if self._frontier is None or x > self._frontier.x:
-            self._frontier = MertensCheckpoint(x=x, M=m, I2=i2)
+            self._frontier = MertensCheckpoint(x=x, M=m)
 
     def checkpoints(self) -> list[MertensCheckpoint]:
         return [self._by_x[x] for x in self._xs]
 
     def anchor(self, x: int) -> MertensCheckpoint:
         """Best stored state with anchor.x <= x (base state M(1)=1 when none)."""
-        best = MertensCheckpoint(x=1, M=1, I2=0.0)
+        best = MertensCheckpoint(x=1, M=1)
         idx = bisect.bisect_right(self._xs, x) - 1
         if idx >= 0 and self._xs[idx] > best.x:
             best = self._by_x[self._xs[idx]]
@@ -247,7 +246,7 @@ class CheckpointCache:
         return best
 
     def save(self, path) -> None:
-        records = (_CHECKPOINT_RECORD.pack(cp.x, cp.M, cp.I2) for cp in self.checkpoints())
+        records = (_CHECKPOINT_RECORD.pack(cp.x, cp.M) for cp in self.checkpoints())
         _write_atomic(path, itertools.chain([_CHECKPOINT_MAGIC], records))
 
     @classmethod
@@ -262,12 +261,12 @@ class CheckpointCache:
         cache = cls(stride=stride)
         prev = 0
         for off in range(0, len(body), _CHECKPOINT_RECORD.size):
-            x, m, i2 = _CHECKPOINT_RECORD.unpack_from(body, off)
+            x, m = _CHECKPOINT_RECORD.unpack_from(body, off)
             if x <= prev:
                 raise ParseError(f"{path}: checkpoint x values not ascending")
-            if abs(m) > x or i2 < 0:
-                raise ParseError(f"{path}: implausible checkpoint ({x}, {m}, {i2})")
-            cache.record(int(x), int(m), float(i2))
+            if abs(m) > x:
+                raise ParseError(f"{path}: implausible checkpoint ({x}, {m})")
+            cache.record(int(x), int(m))
             prev = x
         return cache
 
@@ -295,20 +294,18 @@ def default_cache() -> CheckpointCache:
 
 
 # The state before n = 1, where streams that accumulate from the origin start.
-_ORIGIN = MertensCheckpoint(x=0, M=0, I2=0.0)
+_ORIGIN = MertensCheckpoint(x=0, M=0)
 
 
 def _stream(x_floor: int, cache: CheckpointCache, anchor: MertensCheckpoint = _ORIGIN):
-    """Stream mu for n in (anchor.x, x_floor], resuming from the state frozen
-    in anchor.
+    """Stream mu for n in (anchor.x, x_floor], resuming from M(anchor.x).
 
-    Yields (n0, mu, m_vals, i2) for every block of consecutive integers n in
-    [n0, n0 + len(mu)), with m_vals[i] = M(n0 + i) and i2 the integral of
-    (M/u)^2 over [1, n0 + len(mu) - 1].  Blocks hold _BLOCK integers counted
-    from anchor.x + 1, so a consumer that cuts them at its own floor(x) sums
-    over the same blocks as a stream that ends there.  Stride checkpoints are
-    recorded on the way and the frontier once the stream is exhausted, so any
-    long stream accelerates later Mertens queries.
+    Yields (n0, mu, m_vals) for every block of consecutive integers n in
+    [n0, n0 + len(mu)), with m_vals[i] = M(n0 + i).  Blocks hold _BLOCK
+    integers counted from anchor.x + 1, so a consumer that cuts them at its
+    own floor(x) sums over the same blocks as a stream that ends there.
+    Stride checkpoints are recorded on the way and the frontier once the
+    stream is exhausted, so any long stream accelerates later Mertens queries.
     """
     if x_floor < 1:
         raise OutOfRange(f"x must be >= 1, got {x_floor}")
@@ -317,61 +314,20 @@ def _stream(x_floor: int, cache: CheckpointCache, anchor: MertensCheckpoint = _O
     if anchor.x == x_floor:
         return
     m_prev = anchor.M
-    i2_lo = anchor.I2  # integral of (M/u)^2 over [1, last processed integer]
     n_next = anchor.x + 1
+    stride = cache.stride
     while n_next <= x_floor:
         n1 = min(n_next + _BLOCK, x_floor + 1)
         mu = _segment_mu(n_next, n1)
         m_vals = np.cumsum(mu, dtype=np.int64)
         if m_prev:
             m_vals += m_prev
-        i2_lo = _advance_i2(cache, n_next, m_prev, m_vals, i2_lo)
         m_prev = int(m_vals[-1])
-        yield n_next, mu, m_vals, i2_lo
+        for cp in range((n_next + stride - 1) // stride * stride, n1, stride):
+            cache.record(cp, int(m_vals[cp - n_next]))
+        yield n_next, mu, m_vals
         n_next = n1
-    cache.note_frontier(x_floor, m_prev, i2_lo)
-
-
-def _advance_i2(
-    cache: CheckpointCache, n0: int, m_prev: int, m_vals: np.ndarray, i2_lo: float
-) -> float:
-    """Integral of (M/u)^2 over [1, n0 + len(m_vals) - 1], given its value
-    i2_lo over [1, n0 - 1], M(n0 - 1) = m_prev and m_vals[i] = M(n0 + i);
-    records the stride checkpoints that fall in the block.  Its arrays die on
-    return, so they do not outlive the block in a suspended stream."""
-    n1 = n0 + len(m_vals)
-    # M(k)^2 (1/k - 1/(k+1)) on the intervals [k, k+1), k = n0-1 .. n1-2,
-    # where M is constant; in place, so a block holds two float arrays
-    ks = np.arange(n0 - 1, n1 - 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        incr = 1.0 / ks
-        ks += 1.0
-        incr -= np.divide(1.0, ks, out=ks)
-        m_sq = ks
-        m_sq[0] = m_prev
-        m_sq[1:] = m_vals[:-1]
-        incr *= np.multiply(m_sq, m_sq, out=m_sq)
-    if n0 == 1:
-        incr[0] = 0.0  # no [0, 1) interval
-    stride = cache.stride
-    cp = ((n0 + stride - 1) // stride) * stride
-    if cp <= n1 - 1:
-        prefix = np.cumsum(incr)
-        while cp <= n1 - 1:
-            j = cp - n0
-            cache.record(cp, int(m_vals[j]), i2_lo + float(prefix[j]))
-            cp += stride
-    return i2_lo + float(incr.sum())
-
-
-def _state_at(x_floor: int, cache: CheckpointCache) -> tuple[int, float]:
-    """(M(x_floor), integral of (M/u)^2 over [1, x_floor]), streamed from the
-    best checkpoint or frontier at or below x_floor."""
-    anchor = cache.anchor(x_floor)
-    m, i2 = anchor.M, anchor.I2
-    for _, _, m_vals, i2 in _stream(x_floor, cache, anchor):
-        m = int(m_vals[-1])
-    return m, i2
+    cache.note_frontier(x_floor, m_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +354,10 @@ def mertens(x: int, cache: CheckpointCache | None = None) -> int:
     if x < 1 or x > SIEVE_MAX:
         raise OutOfRange(f"need 1 <= x <= {SIEVE_MAX}, got {x}")
     cache = cache or _default_cache
-    m, _ = _state_at(x, cache)
+    anchor = cache.anchor(x)
+    m = anchor.M
+    for _, _, m_vals in _stream(x, cache, anchor):
+        m = int(m_vals[-1])
     return m
 
 
@@ -431,7 +390,7 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
             raise DomainError(f"x must be >= 1, got {x}")
     weighted = [(x, tau, math.lgamma(1.0 + tau), []) for x, tau in points if tau != 0.0]
     if weighted:
-        for n0, mu, _, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache):
+        for n0, mu, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache):
             for x, tau, log_norm, parts in weighted:
                 if n0 > x:
                     continue
@@ -468,34 +427,39 @@ def integral_M(
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     kappa = float(kappa)
-    cache = cache or _default_cache
-    key = (kappa, x)
-    memo = cache.ikappa_memo
-    if key in memo:
-        return memo[key]
     parts: list[float] = []
-    for n0, mu, m_vals, _ in _stream(int(math.floor(x)), cache):
+    for n0, mu, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
         ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
         uppers = np.minimum(ns + 1.0, x)
         deltas = _power_antideriv(uppers, kappa) - _power_antideriv(ns, kappa)
         contrib = m_vals.astype(np.float64) * deltas
         parts.append(_exact_sum(contrib))
-    value = math.fsum(parts)
-    memo[key] = value
-    return value
+    return math.fsum(parts)
 
 
 def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> float:
-    """Piecewise-exact integral of (M(u)/u)^2 over [1, x] (antiderivative -1/u)."""
+    """Piecewise-exact integral of (M(u)/u)^2 over [1, x].
+
+    With the antiderivative -1/u, the interval [n, min(n+1, x)) contributes
+    M(n)^2 (1/n - 1/min(n+1, x)); summed like integral_M, the value does not
+    depend on the cache or on earlier calls.
+    """
     x = float(x)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    cache = cache or _default_cache
-    x_floor = int(math.floor(x))
-    m_floor, i2 = _state_at(x_floor, cache)
-    if x > x_floor:
-        i2 += float(m_floor) * m_floor * (1.0 / x_floor - 1.0 / x)
-    return i2
+    parts: list[float] = []
+    for n0, _, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
+        # in place, so a block holds two float arrays
+        incr = np.arange(n0, n0 + len(m_vals), dtype=np.float64)
+        uppers = incr + 1.0
+        np.minimum(uppers, x, out=uppers)
+        np.divide(1.0, incr, out=incr)
+        incr -= np.divide(1.0, uppers, out=uppers)
+        m_sq = uppers
+        m_sq[:] = m_vals
+        incr *= np.multiply(m_sq, m_sq, out=m_sq)
+        parts.append(_exact_sum(incr))
+    return math.fsum(parts)
 
 
 _GL5_NODES = np.polynomial.legendre.leggauss(5)
@@ -569,7 +533,7 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
         raise DomainError(f"X must be >= 4, got {X}")
     cache = cache or _default_cache
     parts: list[float] = []
-    for n0, mu, m_vals, _ in _stream(int(math.floor(X)), cache):
+    for n0, mu, m_vals in _stream(int(math.floor(X)), cache):
         hi_full = n0 + len(mu)
         lo_n = max(n0, 2)
         if lo_n >= hi_full:

@@ -644,7 +644,7 @@ def divim_sign_changes(
 
     crossings: list[float] = []
     i_lo, f_prev = 0.0, 0.0 - c
-    for n0, mu, m_vals, _ in _stream(int(math.floor(x_max)), cache):
+    for n0, mu, m_vals in _stream(int(math.floor(x_max)), cache):
         ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
         deltas = _power_antideriv(np.minimum(ns + 1.0, x_max), kappa)
         deltas -= _power_antideriv(ns, kappa)

@@ -8,6 +8,7 @@ surface as SystemExit(2), mapped errors as return codes.
 import io
 import json
 import math
+import struct
 
 import pytest
 
@@ -253,6 +254,18 @@ def test_mertens_checkpoints_persist(tmp_path):
     assert chk.exists()
     rc, out2 = run_cli("--cache-dir", str(tmp_path), "mertens", "2000000")
     assert out2 == out1
+
+
+def test_mertens_checkpoints_old_format_rewritten(tmp_path):
+    # an MRTC0001 file (x, M, I2 records), its M deliberately wrong
+    chk = tmp_path / "mertens-v1.chk"
+    chk.write_bytes(b"MRTC0001" + struct.pack("<Qqd", 1_000_000, 0, 1.5))
+    rc, out = run_cli("--cache-dir", str(tmp_path), "mertens", "2000000")
+    assert rc == 0
+    assert out.strip() == "-247"
+    blob = chk.read_bytes()
+    assert blob[:8] == b"MRTC0002"
+    assert struct.unpack_from("<Qq", blob, 8) == (1_000_000, 212)
 
 
 def test_runconfig_validation():

@@ -7,6 +7,7 @@ worked by hand in the assertions.
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,22 +171,21 @@ def test_checkpoint_roundtrip(tmp_path, cache):
     path = tmp_path / "m.chk"
     cache.save(path)
     loaded = CheckpointCache.load(path)
-    assert [
-        (c.x, c.M, c.I2) for c in loaded.checkpoints()
-    ] == [(c.x, c.M, c.I2) for c in cache.checkpoints()]
+    assert loaded.checkpoints() == cache.checkpoints()
+    assert path.read_bytes()[:8] == b"MRTC0002"
     assert mertens(1_999_999, loaded) == mertens(1_999_999, cache)
 
 
 def test_checkpoint_save_failing_partway_keeps_previous_file(tmp_path):
     path = tmp_path / "m.chk"
     good = CheckpointCache()
-    good.record(1_000_000, 212, 1.5)
-    good.record(2_000_000, -14, 2.5)
+    good.record(1_000_000, 212)
+    good.record(2_000_000, -14)
     good.save(path)
     before = path.read_bytes()
     bad = CheckpointCache()
-    bad.record(1_000_000, 212, 1.5)
-    bad.record(2**64, 0, 0.0)  # x overflows u64: packing fails after the first record
+    bad.record(1_000_000, 212)
+    bad.record(2**64, 0)  # x overflows u64: packing fails after the first record
     with pytest.raises(struct.error):
         bad.save(path)
     assert path.read_bytes() == before
@@ -195,6 +195,10 @@ def test_checkpoint_save_failing_partway_keeps_previous_file(tmp_path):
 def test_checkpoint_corrupt_file(tmp_path):
     bad = tmp_path / "bad.chk"
     bad.write_bytes(b"NOTAMAGIC" + b"\x00" * 32)
+    with pytest.raises(ParseError):
+        CheckpointCache.load(bad)
+    # the older format, whose records also carried the integral of (M/u)^2
+    bad.write_bytes(b"MRTC0001" + struct.pack("<Qqd", 1_000_000, 212, 1.5))
     with pytest.raises(ParseError):
         CheckpointCache.load(bad)
 
@@ -286,6 +290,28 @@ def test_weak_mertens_nondecreasing(shared_cache):
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_weak_mertens_independent_of_call_history():
+    x = 3_500_000.5  # four blocks
+    want = weak_mertens_integral(x, CheckpointCache()).hex()
+    cache = CheckpointCache()
+    riesz_mean_direct(RieszQuery(3.2e6, 1.0), cache)  # leaves checkpoints and a frontier below x
+    assert weak_mertens_integral(x, cache).hex() == want
+    mertens(3_000_000, cache)
+    assert weak_mertens_integral(x, cache).hex() == want
+
+
+def test_weak_mertens_matches_fraction_oracle(cache):
+    # one block, so the value is the correctly rounded sum of the float increments
+    x = 30_000.5
+    m = np.cumsum(sieve_segment(1, 30_001, cache).mu).tolist()
+    exact = sum(
+        (Fraction((1.0 / n - 1.0 / min(n + 1.0, x)) * float(m[n - 1] ** 2))
+         for n in range(1, 30_001)),
+        Fraction(0),
+    )
+    assert weak_mertens_integral(x, cache).hex() == float(exact).hex()
+
+
 def test_density_basics(shared_cache):
     d = density_S(1e4, cache=shared_cache)
     assert 0.0 < d <= 1.0
@@ -353,7 +379,7 @@ def _streamed_quantities() -> list:
     out = []
     for run in runs:
         cache = CheckpointCache(stride=1000)
-        out.append((run(cache), [(cp.x, cp.M, cp.I2) for cp in cache.checkpoints()]))
+        out.append((run(cache), cache.checkpoints()))
     return out
 
 
@@ -366,8 +392,7 @@ def test_stream_block_size_invariance(monkeypatch, sieved_lengths):
     assert max(sieved_lengths) == 2**10  # the stream reads _BLOCK when called
     for (value, cps), (value_small, cps_small) in zip(default, small):
         assert value_small == pytest.approx(value, rel=1e-12)
-        assert [cp[:2] for cp in cps_small] == [cp[:2] for cp in cps]
-        assert [cp[2] for cp in cps_small] == pytest.approx([cp[2] for cp in cps], rel=1e-12)
+        assert cps_small == cps
     assert len(default[-1][0]) == 2  # D crosses zero at 64099.4 and 66737.9
 
 
