@@ -326,12 +326,13 @@ def _cmd_integral(args, cfg: RunConfig, out) -> int:
 
 def _cmd_explicit(args, cfg: RunConfig, out) -> int:
     table = _load_table(cfg)
-    cache, path = _load_mertens_cache(cfg)
     T, L = cfg.default_T, cfg.default_L
     if args.compare:
+        cache, path = _load_mertens_cache(cfg)
         rows = compare_direct_explicit([float(args.x)], args.tau, table, T, L, cache)
+        _save_mertens_cache(cache, path)
     else:
-        ev = explicit_M_tau(float(args.x), args.tau, table, T, L, cache=cache)
+        ev = explicit_M_tau(float(args.x), args.tau, table, T, L)
         rows = [
             {
                 "x": ev.x,
@@ -344,7 +345,6 @@ def _cmd_explicit(args, cfg: RunConfig, out) -> int:
                 "error_estimate": ev.error_estimate,
             }
         ]
-    _save_mertens_cache(cache, path)
     _emit_rows(rows, _EXPLICIT_COLUMNS, cfg, out)
     return 0
 

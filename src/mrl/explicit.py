@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, OutOfRange, QuadratureDiverged
 from .kernel import (
@@ -42,7 +42,7 @@ from .kernel import (
     gamma_ratio,
     trivial_zero_data,
 )
-from .moebius import CheckpointCache, RieszQuery, _riesz_means, default_cache, riesz_mean_direct
+from .moebius import CheckpointCache, _riesz_means, default_cache
 from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
@@ -79,17 +79,10 @@ class ExplicitEvaluation:
     residue_sum: float  # poles s = -1 .. -L only
     s0_residue: float
     error_estimate: float
-    direct_value: float | None = None
 
     @property
     def explicit_value(self) -> float:
         return self.zero_sum + self.s0_residue + self.residue_sum
-
-    @property
-    def residual(self) -> float | None:
-        if self.direct_value is None:
-            return None
-        return abs(self.direct_value - self.explicit_value)
 
 
 @dataclass(frozen=True)
@@ -260,11 +253,10 @@ def explicit_M_tau(
     table: ZeroTable,
     T: float,
     L: int,
-    with_direct: bool = False,
-    cache: CheckpointCache | None = None,
 ) -> ExplicitEvaluation:
     """Evaluate the spectral side of M_tau(x) with zero sum to height T and
-    residue series to index L; optionally also the direct integer-side value.
+    residue series to index L.  compare_direct_explicit adds the direct
+    integer-side value.
     """
     if x < 1.0:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -275,9 +267,6 @@ def explicit_M_tau(
         warnings.warn("Bartz mode: convergence not guaranteed", stacklevel=2)
     zs = zero_sum_term(x, tau, table, T)
     res_terms = [residue_term(l, x, tau) for l in range(1, int(L) + 1)]
-    direct = (
-        riesz_mean_direct(RieszQuery(x=x, tau=tau), cache) if with_direct else None
-    )
     return ExplicitEvaluation(
         x=float(x),
         tau=tau,
@@ -287,7 +276,6 @@ def explicit_M_tau(
         residue_sum=math.fsum(res_terms),
         s0_residue=s0_residue(tau),
         error_estimate=error_estimate(x, tau, T),
-        direct_value=direct,
     )
 
 
@@ -310,17 +298,17 @@ def compare_direct_explicit(
     directs = _riesz_means([(ev.x, ev.tau) for ev in evs], cache or default_cache())
     rows: list[dict] = []
     for ev, direct in zip(evs, directs):
-        ev = replace(ev, direct_value=direct)
+        abs_diff = abs(direct - ev.explicit_value)
         row = {
             "x": ev.x,
             "tau": ev.tau,
             "T": ev.T,
             "L": ev.L,
-            "direct": ev.direct_value,
+            "direct": direct,
             "explicit": ev.explicit_value,
-            "abs_diff": ev.residual,
+            "abs_diff": abs_diff,
             "error_estimate": ev.error_estimate,
-            "within_estimate": bool(ev.residual <= ev.error_estimate),
+            "within_estimate": bool(abs_diff <= ev.error_estimate),
         }
         if ev.tau == 0.0 and ev.x.is_integer():
             row["note"] = (

@@ -67,7 +67,6 @@ __all__ = [
     "load_builtin",
     "refine_zero",
     "refine_table",
-    "zeta_prime_at_zeros",
     "find_zeros",
     "verify_count",
     "count_main_term",
@@ -227,8 +226,9 @@ def _zero_sum(
     Every sum over zeros in the package runs through here, so these rules
     hold for all of them:
 
-    * Cutoff: the zeros with 0 < gamma <= T are summed (a_constant_report,
-      inv_zeta_identity, integral_M_explicit, im_constants, j_lambda);
+    * Cutoff: the zeros with 0 < gamma <= T are summed (the reciprocal-zeta
+      identity behind inv_zeta_identity, a_constant_report and
+      zeta_eq_real_report; integral_M_explicit, im_constants, j_lambda);
       inclusive=False stops strictly below T (zero_sum_term, swmh_report).
     * Unrefined: a record with no zeta' value (zeta' = 0 and
       refined_bits = 0) raises DomainError -- refine the table first.
@@ -388,19 +388,6 @@ def refine_table(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:
     """Refine every record; NotAscending from the constructor catches any
     seed that escaped to a neighboring zero's basin."""
     return ZeroTable(refine_zero(g, precision) for g in table.gammas.tolist())
-
-
-def zeta_prime_at_zeros(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:
-    """Fill zeta'(1/2 + i gamma) at the stored ordinates without moving them.
-
-    Useful for externally sourced high-accuracy ordinates; refined_bits is
-    left as stored since the ordinates themselves are untouched.
-    """
-    return ZeroTable(
-        ZeroRecord(r.gamma, complex(zeta_and_deriv(complex(0.5, r.gamma), precision)[1]),
-                   r.refined_bits)
-        for r in table
-    )
 
 
 def find_zeros(

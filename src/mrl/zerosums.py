@@ -5,8 +5,8 @@ and produces desk-scale numerics for quantities that are classically written
 as infinite sums over zeros:
 
 * ``j_lambda``          -- the derivative-moment sum J_lambda(T).
-* ``a_constant``        -- the averaged-Mertens constant A(kappa).
 * ``inv_zeta_identity`` -- the zero-sum representation of 1/zeta(s).
+* ``a_constant``        -- the averaged-Mertens constant A(kappa).
 * ``zeta_eq_real``      -- the real-axis identity 1/zeta(kappa) = kappa*A(kappa+1).
 * ``swmh_ratio``        -- integral of (M(u)/u)^2 against its log x * zero-sum law.
 * ``im_constants``      -- limsup/liminf constants for the normalized Mertens integral.
@@ -17,6 +17,10 @@ as infinite sums over zeros:
 Sum conventions are a classic source of factor-2 and sign bugs, so each
 operation documents whether its zero sum runs over positive ordinates only or
 over conjugate pairs, and complex pairing is always explicit in the code.
+``inv_zeta_identity``, ``a_constant`` and ``zeta_eq_real`` are one identity,
+1/zeta(s) = s A(s+1), so one private core (``_reciprocal_zeta``) computes
+its right side: ``inv_zeta_identity`` reads it at s, ``a_constant`` at
+s = kappa - 1 divided by kappa - 1, and ``zeta_eq_real`` at s = kappa.
 Truncations default to the 649 zeros below height 1000 and 40 trivial-zero
 terms; partial sums at intermediate cutoffs are traced in the returned
 reports so convergence is visible to callers and tests.
@@ -28,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -148,11 +152,9 @@ def _trivial_coeff(l: int) -> float:
     return sign * mag / _zeta_real(2 * l + 1)
 
 
-def _cutoff_list(T: float, trace_cutoffs: Sequence[float] | None) -> tuple[float, ...]:
-    """Ascending trace cutoffs strictly below T, with T appended."""
-    base = _TRACE_CUTOFFS if trace_cutoffs is None else tuple(trace_cutoffs)
-    below = sorted({float(c) for c in base if 0.0 < float(c) < T})
-    return tuple(below) + (float(T),)
+def _cutoff_list(T: float) -> tuple[float, ...]:
+    """The trace cutoffs strictly below T, with T appended."""
+    return tuple(c for c in _TRACE_CUTOFFS if c < T) + (float(T),)
 
 
 def _paired(f: Callable[[complex, complex], complex]):
@@ -170,7 +172,6 @@ def j_lambda(
     table: ZeroTable,
     lam: float,
     T: float = DEFAULT_T,
-    trace_cutoffs: Sequence[float] | None = None,
 ) -> ZeroSumReport:
     """Moment sum J_lambda(T) = sum over 0 < gamma <= T of |zeta'(rho)|^(2 lambda).
 
@@ -187,7 +188,7 @@ def j_lambda(
     T = float(T)
     if lam <= -1.5:
         raise DomainError(f"lambda must exceed -3/2, got {lam}")
-    cutoffs = _cutoff_list(T, trace_cutoffs)
+    cutoffs = _cutoff_list(T)
 
     if lam == 0.0:
         # counting needs no zeta' values
@@ -218,83 +219,7 @@ def j_lambda(
 
 
 # ---------------------------------------------------------------------------
-# The averaged-Mertens constant A(kappa)
-# ---------------------------------------------------------------------------
-
-
-def _require_a_regular(kappa: float) -> None:
-    if kappa == 1.0:
-        raise PoleAtKappaOne("A(kappa) has a pole at kappa = 1")
-    if kappa < 1.0 and kappa.is_integer() and (1 - int(kappa)) % 2 == 0:
-        raise SingularPoint(
-            f"A(kappa) is singular at kappa = {kappa}: a trivial-zero term "
-            "denominator 2l + kappa - 1 vanishes"
-        )
-
-
-def a_constant_report(
-    kappa: float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    L: int = DEFAULT_L,
-    trace_cutoffs: Sequence[float] | None = None,
-) -> ZeroSumReport:
-    """A(kappa) = (10 kappa - 12)/(kappa - 1)
-    + kappa * sum_l coeff_l / (2l + kappa - 1)        (trivial zeros, l <= L)
-    - kappa * sum_rho 1/(zeta'(rho) rho (rho+1) (rho - kappa + 1)),
-
-    the zero sum running over conjugate pairs (paired explicitly, so the
-    result is real up to rounding) truncated at |gamma| <= T.  The report
-    traces partial A values at intermediate cutoffs and records the first
-    omitted trivial term as ``trivial_tail``.
-    """
-    kappa = float(kappa)
-    T = float(T)
-    L = int(L)
-    if L < 1:
-        raise DomainError(f"L must be >= 1, got {L}")
-    _require_a_regular(kappa)
-    cutoffs = _cutoff_list(T, trace_cutoffs)
-
-    main = (10.0 * kappa - 12.0) / (kappa - 1.0)
-    triv = kappa * math.fsum(
-        _trivial_coeff(l) / (2.0 * l + kappa - 1.0) for l in range(1, L + 1)
-    )
-    tail = abs(kappa * _trivial_coeff(L + 1) / (2.0 * (L + 1) + kappa - 1.0))
-
-    def f(rho: complex, zp: complex) -> complex:
-        return 1.0 / (zp * rho * (rho + 1.0) * (rho - kappa + 1.0))
-
-    zsum, ztrace = _zero_sum(table, T, _paired(f), cutoffs=cutoffs)
-    value_c = main + triv - kappa * zsum
-    imag_rel = abs(zsum.imag) / max(abs(zsum), 1e-300)
-    trace = tuple((c, main + triv - kappa * p.real) for c, p in ztrace)
-    return ZeroSumReport(
-        kind="A_kappa",
-        parameters={
-            "kappa": kappa,
-            "T": T,
-            "L": L,
-            "trivial_tail": tail,
-            "imag_rel": imag_rel,
-        },
-        value=value_c.real,
-        partial_trace=trace,
-    )
-
-
-def a_constant(
-    kappa: float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    L: int = DEFAULT_L,
-) -> float:
-    """The constant A(kappa); see a_constant_report for the formula."""
-    return a_constant_report(kappa, table, T, L).value
-
-
-# ---------------------------------------------------------------------------
-# 1/zeta identities
+# 1/zeta(s) = s A(s+1): one identity, read at s and at s = kappa - 1
 # ---------------------------------------------------------------------------
 
 
@@ -317,38 +242,21 @@ def _require_identity_regular(sc: complex, table: ZeroTable) -> None:
                     )
 
 
-def inv_zeta_identity(
-    s: complex | float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    L: int = DEFAULT_L,
-    trace_cutoffs: Sequence[float] | None = None,
-) -> ZeroSumReport:
-    """Zero-sum representation of the reciprocal zeta function:
+def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):
+    """Right side of the zero-sum identity for the reciprocal zeta function,
 
     1/zeta(s) = 10s - 2 + s(s+1) sum_l coeff_l / (2l + s)
                         - s(s+1) sum_rho 1/(zeta'(rho) rho (rho+1) (rho - s)),
 
-    evaluated with the trivial-zero series truncated at L and the zero sum
-    (conjugate pairs, explicitly paired) truncated at |gamma| <= T.  The
-    residual compares against a direct evaluation of 1/zeta(s); at the pole
-    s = 1 the target is the limit value 0.  Raises SingularPoint at zeros of
-    zeta (where the left side is undefined).
+    with the trivial-zero series truncated at l <= L and the zero sum
+    (conjugate pairs, explicitly paired) at |gamma| <= T.  Returns the
+    complex value, its partial values at the trace cutoffs, and the zero sum.
+    Raises DomainError for L < 1 and SingularPoint at zeros of zeta.
     """
-    sc = complex(s)
-    real_input = sc.imag == 0.0
-    T = float(T)
-    L = int(L)
+    T, L = float(T), int(L)
     if L < 1:
         raise DomainError(f"L must be >= 1, got {L}")
     _require_identity_regular(sc, table)
-    cutoffs = _cutoff_list(T, trace_cutoffs)
-
-    try:
-        target = 1.0 / complex(zeta(sc))
-    except PoleAtOne:
-        target = 0.0 + 0.0j
-
     triv = math.fsum(
         (_trivial_coeff(l) / (2.0 * l + sc)).real for l in range(1, L + 1)
     ) + 1j * math.fsum(
@@ -358,32 +266,99 @@ def inv_zeta_identity(
     def f(rho: complex, zp: complex) -> complex:
         return 1.0 / (zp * rho * (rho + 1.0) * (rho - sc))
 
-    zsum, ztrace = _zero_sum(table, T, _paired(f), cutoffs=cutoffs)
+    zsum, ztrace = _zero_sum(table, T, _paired(f), cutoffs=_cutoff_list(T))
     pref = sc * (sc + 1.0)
-    rhs = 10.0 * sc - 2.0 + pref * triv - pref * zsum
-    residual = abs(rhs - target)
-    imag_rel = abs(rhs.imag) / max(abs(rhs), 1e-300)
+    head = 10.0 * sc - 2.0 + pref * triv
+    return head - pref * zsum, tuple((c, head - pref * p) for c, p in ztrace), zsum
+
+
+def inv_zeta_identity(
+    s: complex | float,
+    table: ZeroTable,
+    T: float = DEFAULT_T,
+    L: int = DEFAULT_L,
+) -> ZeroSumReport:
+    """Zero-sum representation of the reciprocal zeta function 1/zeta(s)
+    (formula and truncations in _reciprocal_zeta).  A real s gives real
+    values.  The residual compares against a direct evaluation of 1/zeta(s);
+    at the pole s = 1 the target is the limit value 0.  Raises SingularPoint
+    at zeros of zeta (where the left side is undefined).
+    """
+    sc = complex(s)
+    real_input = sc.imag == 0.0
+    rhs, ztrace, _ = _reciprocal_zeta(sc, table, T, L)
+    try:
+        target = 1.0 / complex(zeta(sc))
+    except PoleAtOne:
+        target = 0.0 + 0.0j
 
     def coerce(v: complex):
         return v.real if real_input else v
 
-    trace = tuple(
-        (c, coerce(10.0 * sc - 2.0 + pref * triv - pref * p)) for c, p in ztrace
-    )
-    params: dict = {
-        "s": coerce(sc),
-        "T": T,
-        "L": L,
-        "target": coerce(target),
-        "imag_rel": imag_rel,
-    }
     return ZeroSumReport(
         kind="inv_zeta",
-        parameters=params,
+        parameters={
+            "s": coerce(sc),
+            "T": float(T),
+            "L": int(L),
+            "target": coerce(target),
+            "imag_rel": abs(rhs.imag) / max(abs(rhs), 1e-300),
+        },
         value=coerce(rhs),
-        partial_trace=trace,
-        residual=residual,
+        partial_trace=tuple((c, coerce(p)) for c, p in ztrace),
+        residual=abs(rhs - target),
     )
+
+
+def a_constant_report(
+    kappa: float,
+    table: ZeroTable,
+    T: float = DEFAULT_T,
+    L: int = DEFAULT_L,
+) -> ZeroSumReport:
+    """The constant A(kappa) = 1/((kappa - 1) zeta(kappa - 1)), read from the
+    reciprocal-zeta identity at s = kappa - 1 (see _reciprocal_zeta) and
+    divided by kappa - 1:
+
+    A(kappa) = (10 kappa - 12)/(kappa - 1)
+               + kappa * sum_l coeff_l / (2l + kappa - 1)        (l <= L)
+               - kappa * sum_rho 1/(zeta'(rho) rho (rho+1) (rho - kappa + 1)).
+
+    It has a pole at kappa = 1 (PoleAtKappaOne) and is singular where
+    kappa - 1 is a trivial zero, kappa = -1, -3, ... (SingularPoint).  The
+    report traces partial A values at intermediate cutoffs and records the
+    first omitted trivial term as ``trivial_tail``.
+    """
+    kappa = float(kappa)
+    L = int(L)
+    s = kappa - 1.0
+    value, ztrace, zsum = _reciprocal_zeta(complex(s), table, T, L)
+    if s == 0.0:  # checked after the core so that an invalid L is reported first
+        raise PoleAtKappaOne("A(kappa) has a pole at kappa = 1")
+    return ZeroSumReport(
+        kind="A_kappa",
+        parameters={
+            "kappa": kappa,
+            "T": float(T),
+            "L": L,
+            "trivial_tail": abs(
+                kappa * _trivial_coeff(L + 1) / (2.0 * (L + 1) + kappa - 1.0)
+            ),
+            "imag_rel": abs(zsum.imag) / max(abs(zsum), 1e-300),
+        },
+        value=value.real / s,
+        partial_trace=tuple((c, p.real / s) for c, p in ztrace),
+    )
+
+
+def a_constant(
+    kappa: float,
+    table: ZeroTable,
+    T: float = DEFAULT_T,
+    L: int = DEFAULT_L,
+) -> float:
+    """The constant A(kappa); see a_constant_report for the formula."""
+    return a_constant_report(kappa, table, T, L).value
 
 
 def zeta_eq_real(
@@ -403,10 +378,13 @@ def zeta_eq_real_report(
     table: ZeroTable,
     T: float = DEFAULT_T,
     L: int = DEFAULT_L,
-    trace_cutoffs: Sequence[float] | None = None,
 ) -> ZeroSumReport:
-    """Report form of zeta_eq_real: value kappa*A(kappa+1), target 1/zeta(kappa),
-    partial trace of the identity's right side at the zero-sum cutoffs."""
+    """Report form of zeta_eq_real: the right side of the reciprocal-zeta
+    identity at s = kappa, which is kappa*A(kappa+1) term by term, against
+    the target 1/zeta(kappa), with its partial trace at the zero-sum cutoffs.
+    Value, trace and residual are those of inv_zeta_identity(kappa); the
+    kind is A_kappa and imag_rel is that of the zero sum, as in
+    a_constant_report(kappa + 1)."""
     kappa = float(kappa)
     if kappa <= 0.5:
         raise DomainError(f"kappa must exceed 1/2, got {kappa}")
@@ -414,9 +392,7 @@ def zeta_eq_real_report(
         target = 1.0 / _zeta_real(kappa)
     except PoleAtOne:
         target = 0.0
-    a_rep = a_constant_report(kappa + 1.0, table, T, L, trace_cutoffs)
-    value = kappa * a_rep.value
-    trace = tuple((c, kappa * p) for c, p in a_rep.partial_trace)
+    value, ztrace, zsum = _reciprocal_zeta(complex(kappa), table, T, L)
     return ZeroSumReport(
         kind="A_kappa",
         parameters={
@@ -425,11 +401,11 @@ def zeta_eq_real_report(
             "T": float(T),
             "L": int(L),
             "target": target,
-            "imag_rel": a_rep.parameters["imag_rel"],
+            "imag_rel": abs(zsum.imag) / max(abs(zsum), 1e-300),
         },
-        value=value,
-        partial_trace=trace,
-        residual=abs(target - value),
+        value=value.real,
+        partial_trace=tuple((c, p.real) for c, p in ztrace),
+        residual=abs(value - target),
     )
 
 
@@ -468,7 +444,7 @@ def swmh_report(
     T = float(T)
     if x < 10.0:
         raise DomainError(f"x must be >= 10, got {x}")
-    cutoffs = _cutoff_list(T, None)
+    cutoffs = _cutoff_list(T)
 
     half, trace = _zero_sum(
         table, T, lambda rho, zp: 1.0 / abs(rho * zp) ** 2, inclusive=False, cutoffs=cutoffs
@@ -501,7 +477,6 @@ def im_constants(
     kappa: float,
     table: ZeroTable,
     T: float = DEFAULT_T,
-    tail_cutoffs: Sequence[float] = _TRACE_CUTOFFS,
 ) -> ZeroSumReport:
     """Constants in the oscillation bounds for x^(kappa-3/2) int_1^x M(u)u^-kappa du
     (kappa <= 3/2):
@@ -520,7 +495,7 @@ def im_constants(
     T = float(T)
     if kappa > 1.5:
         raise DomainError(f"kappa must be <= 3/2, got {kappa}")
-    cutoffs = _cutoff_list(T, tail_cutoffs)
+    cutoffs = _cutoff_list(T)
     const = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
 
     # a multiple zero sends every one of these sums to +inf

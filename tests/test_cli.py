@@ -256,6 +256,20 @@ def test_mertens_checkpoints_persist(tmp_path):
     assert out2 == out1
 
 
+def test_explicit_without_compare_leaves_checkpoints_untouched(tmp_path):
+    rc, _ = run_cli("--cache-dir", str(tmp_path), "mertens", "2000000")
+    assert rc == 0
+    chk = tmp_path / "mertens-v1.chk"
+    before = chk.stat()
+    blob = chk.read_bytes()
+    rc, _ = run_cli("--zeros", "builtin", "--cache-dir", str(tmp_path),
+                    "explicit", "10.5", "--tau", "2")
+    assert rc == 0
+    after = chk.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert chk.read_bytes() == blob
+
+
 def test_mertens_checkpoints_old_format_rewritten(tmp_path):
     # an MRTC0001 file (x, M, I2 records), its M deliberately wrong
     chk = tmp_path / "mertens-v1.chk"

@@ -33,7 +33,7 @@ from mrl.explicit import (
     s0_residue,
     zero_sum_term,
 )
-from mrl.moebius import CheckpointCache
+from mrl.moebius import CheckpointCache, RieszQuery, riesz_mean_direct
 from mrl.zeros import ZeroRecord, ZeroTable
 
 # Contour-integral oracle: (l, x, tau) -> residue at s = -l.
@@ -145,13 +145,14 @@ def test_zero_sum_tau_continuity(table):
 
 
 def test_explicit_assembly_regression(table, cache):
-    ev = explicit_M_tau(100.5, 1.0, table, 1000.0, 40, with_direct=True,
-                        cache=cache)
+    ev = explicit_M_tau(100.5, 1.0, table, 1000.0, 40)
     assert ev.explicit_value == pytest.approx(
         ev.zero_sum + ev.residue_sum + ev.s0_residue, rel=1e-15
     )
-    assert ev.residual == pytest.approx(3.9658630460293054e-05, rel=1e-6)
-    assert ev.residual <= ev.error_estimate
+    (row,) = compare_direct_explicit([100.5], 1.0, table, 1000.0, 40, cache)
+    assert row["explicit"] == ev.explicit_value
+    assert row["abs_diff"] == pytest.approx(3.9658630460293054e-05, rel=1e-6)
+    assert row["abs_diff"] <= row["error_estimate"]
 
 
 def test_explicit_matches_direct_at_several_points(table, cache):
@@ -173,9 +174,10 @@ def test_compare_direct_explicit_streams_once(table, sieved_lengths, tau):
         # from checkpoints, resumed from the base state M(1) = 1
         assert sum(sieved_lengths) == (199_999 if tau == 0.0 else 200_000)
         for x, row in zip(xs, rows):
-            ev = explicit_M_tau(x, tau, table, 100.0, 10, with_direct=True, cache=CheckpointCache())
+            ev = explicit_M_tau(x, tau, table, 100.0, 10)
+            direct = riesz_mean_direct(RieszQuery(x, tau), CheckpointCache())
             assert (row["x"], row["direct"], row["explicit"], row["abs_diff"]) == (
-                ev.x, ev.direct_value, ev.explicit_value, ev.residual
+                ev.x, direct, ev.explicit_value, abs(direct - ev.explicit_value)
             )
             assert ("note" in row) == (tau == 0.0)
 
@@ -186,9 +188,7 @@ def test_explicit_height_ladder_shrinks_overall(table, cache):
     gs = table.gammas
     cuts = [math.nextafter(gs[k - 1], math.inf) for k in (100, 200, 400, 649)]
     for x in (50.5, 100.5):
-        direct = explicit_M_tau(
-            x, 1.0, table, cuts[0], 40, with_direct=True, cache=cache
-        ).direct_value
+        direct = riesz_mean_direct(RieszQuery(x, 1.0), cache)
         res = [
             abs(direct - explicit_M_tau(x, 1.0, table, T, 40).explicit_value)
             for T in cuts

@@ -205,6 +205,19 @@ def test_inv_zeta_consistent_with_a_constant(table):
     assert abs(
         inv_zeta_identity(3.0, table).value - 3.0 * a_constant(4.0, table)
     ) <= 1e-12
+    # ... computed once: zeta_eq_real_report reads the identity at s = kappa
+    # and A(kappa + 1) divides it at s = (kappa + 1) - 1 by that s, which is
+    # not kappa in binary when kappa = 0.6.
+    for kappa in (0.6, 1.5, 2.5, 3.0):
+        iz = inv_zeta_identity(kappa, table)
+        zr = zeta_eq_real_report(kappa, table)
+        assert zr.value.hex() == iz.value.hex(), kappa
+        assert [(c, v.hex()) for c, v in zr.partial_trace] == [
+            (c, v.hex()) for c, v in iz.partial_trace
+        ], kappa
+        assert zr.residual.hex() == iz.residual.hex(), kappa
+        s = (kappa + 1.0) - 1.0
+        assert a_constant(kappa + 1.0, table) == inv_zeta_identity(s, table).value / s
 
 
 def test_zeta_eq_real(table):
