@@ -90,7 +90,6 @@ class RieszQuery:
 
     x: float
     tau: float = 0.0
-    kappa: float = 0.0
 
 
 @dataclass(frozen=True)

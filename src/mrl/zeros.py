@@ -12,9 +12,9 @@ Zeros are located by sign changes of the real function
     Z(t) = exp(i theta(t)) zeta(1/2 + i t),
     theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi
 
-on a uniform grid, bracketed by bisection, then polished by the complex
-Newton step t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.  The Newton basin
-is about +/- one grid step around each ordinate; seeds farther out may
+on a uniform grid, then polished from the regula-falsi point of each bracket
+by the Newton step t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.  The Newton
+basin is about +/- one grid step around each ordinate; seeds farther out may
 converge to a neighbor (refuse via NoConvergence when the polished value
 leaves the bracket).
 
@@ -348,13 +348,16 @@ def _newton_polish(t0: float, precision: Precision):
     Stops when |zeta| clears the precision's tolerance, or -- since the
     evaluated |zeta| has a noise floor of roughly |t| log|t| ulps from the
     phases in the main sum -- when the Newton step falls below a few ulps of
-    t, at which point the ordinate itself is converged to working precision.
+    t, at which point the ordinate itself is converged to working precision,
+    or when |zeta| is inside that floor and the step stopped shrinking (the
+    steps chase noise; the last one is taken and zeta' evaluated once more).
     Above 53 bits the caller holds the mpmath working precision, and t turns
     into an mpmath number with the first step.
     """
     tol = _newton_tol(precision)
     step_floor = 2.0 ** (2 - int(precision.significand_bits)) * max(1.0, abs(t0))
-    t = t0
+    noise = 0.5 * step_floor * math.log(max(math.e, abs(t0)))
+    t, last_step = t0, math.inf
     for _ in range(_NEWTON_MAX_ITER):
         z, dz = zeta_and_deriv(0.5 + 1j * t, precision)
         if abs(z) < tol:
@@ -363,6 +366,9 @@ def _newton_polish(t0: float, precision: Precision):
         t = t - step
         if abs(step) < step_floor:
             return t, dz
+        if abs(z) < noise and abs(step) >= last_step:
+            return t, zeta_and_deriv(0.5 + 1j * t, precision)[1]
+        last_step = abs(step)
     raise NoConvergence(
         f"Newton refinement from seed {t0:.6f} did not reach "
         f"|zeta| < {tol:g} in {_NEWTON_MAX_ITER} iterations"
@@ -397,7 +403,8 @@ def find_zeros(
     grid_step: float = GRID_STEP,
 ) -> ZeroTable:
     """All critical-line zeros with t_min < gamma <= t_max, by sign changes
-    of Z(t) on a grid of the given step followed by bisection and Newton.
+    of Z(t) on a grid of the given step; Newton starts from the regula-falsi
+    point of each bracket, or from an exact grid zero.
 
     The step must be below the local zero spacing (0.05 is safe far beyond
     t = 1100); a missed pair would surface in verify_count.
@@ -417,18 +424,7 @@ def find_zeros(
         if za == 0.0 and a > 0:
             seed = a
         elif za * zb < 0.0:
-            lo, zlo, hi = a, za, b
-            for _ in range(20):  # bisect to ~1e-7: deep inside the basin
-                mid = 0.5 * (lo + hi)
-                zmid = hardy_z(mid, precision)
-                if zmid == 0.0:
-                    lo = hi = mid
-                    break
-                if (zmid > 0) == (zlo > 0):
-                    lo, zlo = mid, zmid
-                else:
-                    hi = mid
-            seed = 0.5 * (lo + hi)
+            seed = a - za * (b - a) / (zb - za)  # regula falsi: inside the basin
         else:
             continue
         rec = refine_zero(seed, precision)

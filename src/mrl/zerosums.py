@@ -332,7 +332,10 @@ def a_constant_report(
     kappa = float(kappa)
     L = int(L)
     s = kappa - 1.0
-    value, ztrace, zsum = _reciprocal_zeta(complex(s), table, T, L)
+    try:
+        value, ztrace, zsum = _reciprocal_zeta(complex(s), table, T, L)
+    except SingularPoint as exc:
+        raise SingularPoint(f"A(kappa) is singular at kappa = {kappa}: {exc}") from exc
     if s == 0.0:  # checked after the core so that an invalid L is reported first
         raise PoleAtKappaOne("A(kappa) has a pole at kappa = 1")
     return ZeroSumReport(

@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+from mrl import zerosums as zs
 from mrl.cli import (
     RunConfig,
     build_parser,
@@ -20,6 +21,7 @@ from mrl.cli import (
     report_to_json_dict,
 )
 from mrl.errors import MrlError
+from mrl.moebius import CheckpointCache
 from mrl.zerosums import inv_zeta_identity
 
 
@@ -118,6 +120,29 @@ def test_identity_exit_codes():
     assert rc == 2  # pole at kappa = 1
     rc, _ = run_cli("identity", "jsum", "--lambda", "0")
     assert rc == 3  # needs zeros
+
+
+def test_a_const_singular_error_names_kappa(capsys):
+    rc, _ = run_cli("--zeros", "builtin", "identity", "a-const", "--kappa", "-1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A(kappa) is singular at kappa = -1.0: ")
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (("zeta-real",), lambda t: zs.zeta_eq_real_report(2.0, t, 1000.0, 40)),
+        (("swmh", "--x", "1e4"),
+         lambda t: zs.swmh_report(1e4, t, 1000.0, CheckpointCache())),
+        (("im-const", "--kappa", "1.25"), lambda t: zs.im_constants(1.25, t, 1000.0)),
+    ],
+    ids=["zeta-real", "swmh", "im-const"],
+)
+def test_identity_value_matches_library(table, argv, library):
+    rc, out = run_cli("--zeros", "builtin", "identity", *argv)
+    assert rc == 0
+    assert report_from_json_dict(json.loads(out)).value == library(table).value
 
 
 def test_domain_errors_exit_2():

@@ -10,13 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from mrl.errors import MissingZeros, NotAscending, ParseError
+from mrl.errors import MissingZeros, NoConvergence, NotAscending, ParseError
 from mrl.kernel import EXTENDED, zeta
 from mrl.zeros import (
     SUSPECT_DERIV_FLOOR,
     ZeroRecord,
     ZeroTable,
     count_main_term,
+    find_zeros,
     hardy_z,
     import_zeros,
     load_builtin,
@@ -79,6 +80,44 @@ def test_refine_zero_single():
     rec = refine_zero(14.1347)
     assert rec.gamma == pytest.approx(KNOWN_GAMMAS[1], abs=1e-12)
     assert abs(rec.zeta_prime - KNOWN_ZETA_PRIMES[1]) < 1e-10
+
+
+def test_find_zeros_reproduces_packaged_ordinates_below_100(raw_table):
+    found = find_zeros(0.0, 100.0)
+    want = raw_table.gammas[: raw_table.count_up_to(100.0)]
+    assert len(found) == len(want) == 29
+    assert np.max(np.abs(found.gammas - want)) <= 1e-11
+
+
+# Zero counts frozen from mpmath.nzeros(b) - mpmath.nzeros(a).  Above t = 5e3
+# the evaluated |zeta| at a zero can stay above NEWTON_TOL; the polish of one
+# zero in the last window ends on the noise-floor stop.
+@pytest.mark.parametrize(
+    "a, b, count",
+    [
+        (13063.0, 13070.7, 9),
+        (9565.22, 9568.36, 4),
+        (9592.444753142643, 9595.572214469972, 4),
+        (9701.935254053516, 9705.027420638267, 4),
+    ],
+)
+def test_find_zeros_high_windows(a, b, count):
+    found = find_zeros(a, b)
+    assert len(found) == count
+    assert all(a < g <= b for g in found.gammas)
+
+
+def test_refine_zero_off_basin_returns_a_zero_or_raises(raw_table):
+    # Midpoints between neighbouring zeros lie outside the Newton basin: the
+    # polish may reach either neighbour or refuse, but never stop elsewhere.
+    gs = raw_table.gammas[: raw_table.count_up_to(1000.0)]
+    for a, b in zip(gs[:-1:10].tolist(), gs[1::10].tolist()):
+        try:
+            rec = refine_zero(0.5 * (a + b))
+        except NoConvergence:
+            continue
+        assert abs(zeta(complex(0.5, rec.gamma))) <= 1e-9, f"seed {0.5 * (a + b)}"
+        assert np.min(np.abs(raw_table.gammas - rec.gamma)) <= 1e-9, f"seed {0.5 * (a + b)}"
 
 
 def test_counts(table):

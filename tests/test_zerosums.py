@@ -141,7 +141,7 @@ def test_a_constant_singularities(table):
     with pytest.raises(PoleAtKappaOne):
         a_constant(1.0, table)
     for k in (-1.0, -3.0):
-        with pytest.raises(SingularPoint):
+        with pytest.raises(SingularPoint, match=rf"singular at kappa = {k}: s = "):
             a_constant(k, table)
 
 
