@@ -497,6 +497,7 @@ def gamma_ratio(s, tau: float, precision: Precision = DOUBLE):
         return mp.exp(mp.loggamma(z) - mp.loggamma(z + (1 + tau)))
 
 
+@lru_cache(maxsize=TRIVIAL_ZERO_MAX_N, typed=True)
 def trivial_zero_data(n: int) -> TrivialZeroData:
     """Closed-form zeta'(-2n) and zeta''(-2n)/zeta'(-2n) at the trivial zero
     s = -2n.

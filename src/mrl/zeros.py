@@ -12,11 +12,12 @@ Zeros are located by sign changes of the real function
     Z(t) = exp(i theta(t)) zeta(1/2 + i t),
     theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi
 
-on a uniform grid, then polished from the regula-falsi point of each bracket
-by the Newton step t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.  The Newton
-basin is about +/- one grid step around each ordinate; seeds farther out may
-converge to a neighbor (refuse via NoConvergence when the polished value
-leaves the bracket).
+on a uniform grid, then polished in doubles from the regula-falsi point of
+each bracket by the Newton step t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.
+The Newton basin is about +/- one grid step around each ordinate; seeds
+farther out may converge to a neighbor (refuse via NoConvergence when the
+polished value leaves the bracket).  Extended precision adds one mpmath
+Newton step to the double result (refine_zero).
 
 Binary persistence: magic ZTBL0001, then a u64 record count, then
 little-endian (gamma: f64, Re zeta': f64, Im zeta': f64, refined_bits: i64)
@@ -336,42 +337,33 @@ def load_builtin() -> ZeroTable:
     return import_zeros(builtin_zeros_path())
 
 
-def _newton_tol(precision: Precision) -> float:
-    if precision.is_double:
-        return NEWTON_TOL
-    return 2.0 ** (13 - int(precision.significand_bits))
+def _newton_polish(t0: float):
+    """Newton-polish an ordinate seed in doubles; returns (t, zeta_prime_at_zero).
 
-
-def _newton_polish(t0: float, precision: Precision):
-    """Newton-polish an ordinate seed; returns (t, zeta_prime_at_zero).
-
-    Stops when |zeta| clears the precision's tolerance, or -- since the
-    evaluated |zeta| has a noise floor of roughly |t| log|t| ulps from the
-    phases in the main sum -- when the Newton step falls below a few ulps of
-    t, at which point the ordinate itself is converged to working precision,
-    or when |zeta| is inside that floor and the step stopped shrinking (the
-    steps chase noise; the last one is taken and zeta' evaluated once more).
-    Above 53 bits the caller holds the mpmath working precision, and t turns
-    into an mpmath number with the first step.
+    Stops when |zeta| clears NEWTON_TOL, or -- since the evaluated |zeta| has
+    a noise floor of roughly |t| log|t| ulps from the phases in the main sum
+    -- when the Newton step falls below a few ulps of t, at which point the
+    ordinate itself is converged, or when |zeta| is inside that floor and the
+    step stopped shrinking (the steps chase noise; the last one is taken and
+    zeta' evaluated once more).
     """
-    tol = _newton_tol(precision)
-    step_floor = 2.0 ** (2 - int(precision.significand_bits)) * max(1.0, abs(t0))
+    step_floor = 2.0 ** -51 * max(1.0, abs(t0))
     noise = 0.5 * step_floor * math.log(max(math.e, abs(t0)))
     t, last_step = t0, math.inf
     for _ in range(_NEWTON_MAX_ITER):
-        z, dz = zeta_and_deriv(0.5 + 1j * t, precision)
-        if abs(z) < tol:
+        z, dz = zeta_and_deriv(0.5 + 1j * t)
+        if abs(z) < NEWTON_TOL:
             return t, dz
         step = (z / (1j * dz)).real
         t = t - step
         if abs(step) < step_floor:
             return t, dz
         if abs(z) < noise and abs(step) >= last_step:
-            return t, zeta_and_deriv(0.5 + 1j * t, precision)[1]
+            return t, zeta_and_deriv(0.5 + 1j * t)[1]
         last_step = abs(step)
     raise NoConvergence(
         f"Newton refinement from seed {t0:.6f} did not reach "
-        f"|zeta| < {tol:g} in {_NEWTON_MAX_ITER} iterations"
+        f"|zeta| < {NEWTON_TOL:g} in {_NEWTON_MAX_ITER} iterations"
     )
 
 
@@ -379,15 +371,24 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
     """Polish one ordinate seed to a ZeroRecord with zeta'(rho).
 
     The seed must lie within about GRID_STEP of the true ordinate (the Newton
-    basin); seeds farther away may converge to a neighboring zero.
+    basin); seeds farther away may converge to a neighboring zero.  Above 53
+    bits one Newton step at the working precision squares the double result's
+    error (about 1e-13); one more evaluation gives zeta', and its next step
+    |zeta/zeta'| must be below 2^-64 max(1, |t|), so that float(t) is
+    correctly rounded, or NoConvergence is raised.
     """
-    with _workprec(precision):
-        t, dz = _newton_polish(float(gamma_seed), precision)
-        return ZeroRecord(
-            gamma=float(t),
-            zeta_prime=complex(dz),
-            refined_bits=int(precision.significand_bits),
-        )
+    t, dz = _newton_polish(float(gamma_seed))
+    if not precision.is_double:
+        with _workprec(precision):
+            z, dz = zeta_and_deriv(mp.mpc(0.5, t), precision)
+            t = t - (z / (1j * dz)).real
+            z, dz = zeta_and_deriv(mp.mpc(0.5, t), precision)
+            if not abs(z / dz) < mp.ldexp(max(1.0, abs(t)), -64):
+                raise NoConvergence(
+                    f"extended Newton step from seed {gamma_seed:.6f} leaves "
+                    f"|zeta/zeta'| = {float(abs(z / dz)):.3e}"
+                )
+    return ZeroRecord(float(t), complex(dz), int(precision.significand_bits))
 
 
 def refine_table(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:
@@ -396,18 +397,16 @@ def refine_table(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:
     return ZeroTable(refine_zero(g, precision) for g in table.gammas.tolist())
 
 
-def find_zeros(
-    t_min: float,
-    t_max: float,
-    precision: Precision = DOUBLE,
-    grid_step: float = GRID_STEP,
-) -> ZeroTable:
+def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> ZeroTable:
     """All critical-line zeros with t_min < gamma <= t_max, by sign changes
-    of Z(t) on a grid of the given step; Newton starts from the regula-falsi
-    point of each bracket, or from an exact grid zero.
+    of Z(t) on a grid of the given step; the double Newton polish starts from
+    the regula-falsi point of each bracket, or from an exact grid zero.
+    Extended records: refine_table(find_zeros(a, b), EXTENDED).
 
     The step must be below the local zero spacing (0.05 is safe far beyond
-    t = 1100); a missed pair would surface in verify_count.
+    t = 1100).  Two zeros inside one step leave no sign change and go unseen;
+    verify_count cannot tell, as a missed pair moves the count by 2 against a
+    slack of 2 log T (13.8 at T = 1000).  Turing's method would certify it.
     """
     t_min, t_max = float(t_min), float(t_max)
     if not (0.0 <= t_min < t_max):
@@ -418,7 +417,7 @@ def find_zeros(
         raise OutOfRange(f"grid_step must be in (0, 0.5], got {grid_step}")
     n_pts = int(math.ceil((t_max - t_min) / grid_step)) + 1
     ts = [min(t_min + i * grid_step, t_max) for i in range(n_pts)]
-    zs = [hardy_z(t, precision) for t in ts]
+    zs = [hardy_z(t) for t in ts]
     records = []
     for (a, za), (b, zb) in zip(zip(ts, zs), zip(ts[1:], zs[1:])):
         if za == 0.0 and a > 0:
@@ -427,7 +426,7 @@ def find_zeros(
             seed = a - za * (b - a) / (zb - za)  # regula falsi: inside the basin
         else:
             continue
-        rec = refine_zero(seed, precision)
+        rec = refine_zero(seed)
         if not (a - grid_step <= rec.gamma <= b + grid_step):
             raise NoConvergence(
                 f"refined ordinate {rec.gamma:.6f} escaped bracket [{a:.6f}, {b:.6f}]"

@@ -139,6 +139,10 @@ def test_trivial_zero_data_guards():
         trivial_zero_data(0)
     with pytest.raises(OutOfRange):
         trivial_zero_data(-1)
+    # The cache keys on type too, so a bool never reads the cached n = 1.
+    assert trivial_zero_data(1) is trivial_zero_data(1)
+    with pytest.raises(OutOfRange):
+        trivial_zero_data(True)
 
 
 def test_extended_precision_beats_double():

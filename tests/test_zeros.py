@@ -7,9 +7,11 @@ as doubles.
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from mrl import zeros
 from mrl.errors import MissingZeros, NoConvergence, NotAscending, ParseError
 from mrl.kernel import EXTENDED, zeta
 from mrl.zeros import (
@@ -254,6 +256,28 @@ def test_refine_zero_extended_ordinates(seed):
     rec = refine_zero(seed, EXTENDED)
     assert rec.gamma == EXTENDED_ORDINATES[seed]
     assert rec.refined_bits == 128
+
+
+@pytest.mark.parametrize("n", [1, 30, 606])
+def test_refine_zero_extended_matches_zetazero(raw_table, n):
+    # The packaged line of zero 606 is 1.13e-12 off; the extended record
+    # must still be the correctly rounded double of mpmath's ordinate.
+    rec = refine_zero(raw_table.gammas[n - 1], EXTENDED)
+    with mp.workdps(40):
+        rho = mp.zetazero(n)
+        want_dz = mp.zeta(rho, derivative=1)
+        assert rec.gamma == float(rho.imag)
+        assert abs(rec.zeta_prime - want_dz) <= 2.0**-52 * abs(want_dz)
+
+
+def test_refine_zero_extended_refuses_a_far_double_result(monkeypatch):
+    # From 1e-6 off, one Newton step leaves about 1e-12, far above 2^-64 |t|.
+    polish = zeros._newton_polish
+    monkeypatch.setattr(
+        zeros, "_newton_polish", lambda t0: (polish(t0)[0] + 1e-6, 0j)
+    )
+    with pytest.raises(NoConvergence):
+        refine_zero(KNOWN_GAMMAS[1], EXTENDED)
 
 
 @pytest.mark.parametrize("t", [15.0, 20.0, 30.5, 100.2, 500.7])

@@ -416,13 +416,13 @@ def test_barnes_g_small_integers():
 
 
 def test_barnes_g_against_mpmath():
-    mp.mp.dps = 30
-    for z in (0.5, 1.5, 2.5, 3.7, 6.2, 9.9):
-        want = float(mp.barnesg(z))
-        assert barnes_g(z) == pytest.approx(want, rel=2e-14), z
-        assert log_barnes_g(z) == pytest.approx(
-            float(mp.log(mp.barnesg(z))), rel=1e-13, abs=1e-14
-        )
+    with mp.workdps(30):
+        for z in (0.5, 1.5, 2.5, 3.7, 6.2, 9.9):
+            want = float(mp.barnesg(z))
+            assert barnes_g(z) == pytest.approx(want, rel=2e-14), z
+            assert log_barnes_g(z) == pytest.approx(
+                float(mp.log(mp.barnesg(z))), rel=1e-13, abs=1e-14
+            )
 
 
 def test_a_lambda_values():
