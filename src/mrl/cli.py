@@ -33,6 +33,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
@@ -300,7 +301,7 @@ def _emit_report(report: ZeroSumReport, out) -> None:
 
 def _cmd_mertens(args, cfg: RunConfig, out) -> int:
     cache, path = _load_mertens_cache(cfg)
-    value = mertens(int(float(args.x)), cache)
+    value = mertens(math.floor(Fraction(args.x)), cache)
     _save_mertens_cache(cache, path)
     _emit_scalar(value, cfg, out, command="mertens", x=float(args.x))
     return 0

@@ -1,9 +1,16 @@
 """Exact integer-side computations around the Moebius function.
 
-Segmented numpy sieving of mu(n), the summatory function M(x) with
-checkpointed streaming, Riesz-weighted means, piecewise-exact integrals of
-M(u) against power weights, the logarithmic density of {t : |M(t)| <= sqrt(t)},
-and tau-schedule scans.
+Segmented numpy sieving of mu(n), the summatory function M(x), Riesz-weighted
+means, piecewise-exact integrals of M(u) against power weights, the
+logarithmic density of {t : |M(t)| <= sqrt(t)}, and tau-schedule scans.
+
+Two routes serve them.  Quantities whose weight is affine in n need only the
+exact sums S_0(x) = M(x) and S_1(x) = sum_{n<=x} mu(n) n, which
+_mu_power_sums finds in time about x^(2/3) from a sieved table and the
+Deleglise-Rivat identity: M(x), the Riesz means at tau = 0 and tau = 1
+(M_1 = S_0 - S_1/x) and the integral of M(u) over [1, x] (x S_0 - S_1).
+Everything else needs M pointwise and streams mu in blocks from n = 1
+(_stream), recording (x, M(x)) checkpoints on the way.
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued: integrands are
@@ -24,6 +31,7 @@ import os
 import struct
 import uuid
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -50,7 +58,8 @@ __all__ = [
     "tau_for",
 ]
 
-# Hard ceiling for sieve arguments (cost guard; the algorithms are linear).
+# Hard ceiling for x: a cost guard for the streams, which are linear, and the
+# bound under which _mu_power_sums cannot overflow int64.
 SIEVE_MAX = 10**9
 
 # Default spacing between persisted Mertens checkpoints.
@@ -198,13 +207,95 @@ def _exact_sum(a: np.ndarray) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
+def _check_sieve_range(x_floor: int) -> None:
+    if x_floor < 1:
+        raise OutOfRange(f"x must be >= 1, got {x_floor}")
+    if x_floor > SIEVE_MAX:
+        raise OutOfRange(f"x = {x_floor} exceeds supported maximum {SIEVE_MAX}")
+
+
+# ---------------------------------------------------------------------------
+# Sublinear power sums S_j(v) = sum of mu(n) n^j over n <= v, j = 0, 1
+# ---------------------------------------------------------------------------
+
+
+def _power_sum_limit(x: int) -> int:
+    """Top L of the sieved table that serves _mu_power_sums(x):
+    min(x, max(x^(2/3), 64 sqrt x))."""
+    return min(x, max(int(x ** (2.0 / 3.0)), 64 * math.isqrt(x)))
+
+
+def _power_sum_table(x_floor: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_0(v) and S_1(v) for 0 <= v <= _power_sum_limit(x_floor), as int64
+    arrays indexed by v, from one sieve of [1, L]."""
+    _check_sieve_range(x_floor)
+    limit = _power_sum_limit(x_floor)
+    mu = _segment_mu(1, limit + 1)
+    s0 = np.zeros(limit + 1, dtype=np.int64)
+    s1 = np.zeros(limit + 1, dtype=np.int64)
+    np.cumsum(mu, dtype=np.int64, out=s0[1:])
+    np.cumsum(mu * np.arange(1, limit + 1, dtype=np.int64), out=s1[1:])
+    return s0, s1
+
+
+def _mu_power_sums(
+    x_floor: int, table: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[int, int]:
+    """Exact (S_0(x), S_1(x)) for integer 1 <= x <= SIEVE_MAX, in time about
+    x^(2/3), without streaming mu from n = 1.
+
+    n^j is completely multiplicative, so sum_{d <= v} d^j S_j(floor(v/d)) = 1
+    (Deleglise-Rivat).  With r = isqrt(v), the terms d <= r are read one by
+    one; the terms d > r fall into groups with one quotient q <= v//(r+1) <= r
+    each, weighted by W(v//q) - W(v//(q+1)), W(N) = N for j = 0 and
+    N(N+1)/2 for j = 1.  Values up to L come from table (see
+    _power_sum_table; any table with L >= _power_sum_limit(x) will do).  Every
+    larger value needed is S_j(x//k) with k <= K = x//(L+1) < sqrt(x), and is
+    computed in ascending order of x//k, each from its own array of d and of
+    q; since x//k//d = x//(kd), it reads the larger values it needs from the
+    ones already found.
+
+    No int64 can overflow for x <= 10^9 = SIEVE_MAX.  Tables and results obey
+    |S_j(v)| <= v(v+1)/2 <= 5.0e17.  Each term d S_1(v//d) is at most
+    v^2/(2d) + v/2 in absolute value, and the d <= r terms and the grouped
+    d > r terms are summed apart, in int64, then joined as Python ints; each
+    of the two sums, in any order, stays below (v^2/2)(1 + ln(v/r)) <=
+    5.7e18 < 2^63 at v = 10^9.  W(N) is formed from N(N+1) <= 1.0e18.  The
+    j = 0 sums are bounded by v(1 + ln v).
+    """
+    s0, s1 = _power_sum_table(x_floor) if table is None else table
+    limit = len(s0) - 1
+    if x_floor <= limit:
+        return int(s0[x_floor]), int(s1[x_floor])
+    n_big = x_floor // (limit + 1)  # x//k > limit exactly for k <= n_big
+    big0 = np.zeros(n_big + 1, dtype=np.int64)
+    big1 = np.zeros(n_big + 1, dtype=np.int64)
+    for k in range(n_big, 0, -1):
+        v = x_floor // k
+        r = math.isqrt(v)
+        d = np.arange(2, r + 1, dtype=np.int64)
+        n_read = max(0, min(r, n_big // k) - 1)  # d with k d <= n_big
+        kd, q = k * d[:n_read], v // d[n_read:]
+        low0 = int(big0[kd].sum()) + int(s0[q].sum())
+        low1 = int(d[:n_read] @ big1[kd]) + int(d[n_read:] @ s1[q])
+        bounds = v // np.arange(1, v // (r + 1) + 2, dtype=np.int64)  # ends in r
+        tri = bounds * (bounds + 1) // 2
+        groups = len(bounds) - 1
+        high0 = int(s0[1 : groups + 1] @ (bounds[:-1] - bounds[1:]))
+        high1 = int(s1[1 : groups + 1] @ (tri[:-1] - tri[1:]))
+        big0[k] = 1 - low0 - high0
+        big1[k] = 1 - low1 - high1
+    return int(big0[1]), int(big1[1])
+
+
 # ---------------------------------------------------------------------------
 # Checkpointed streaming
 # ---------------------------------------------------------------------------
 
 
 class CheckpointCache:
-    """Mertens checkpoints at a fixed stride plus a movable frontier.
+    """Known values (x, M(x)): those mertens computed, those a stream passed
+    at a fixed stride, and the movable frontier where a stream ended.
 
     The cache is purely an accelerator: M is an integer, so every public
     operation produces identical values with or without it.  Persistence
@@ -292,30 +383,20 @@ def default_cache() -> CheckpointCache:
     return _default_cache
 
 
-# The state before n = 1, where streams that accumulate from the origin start.
-_ORIGIN = MertensCheckpoint(x=0, M=0)
-
-
-def _stream(x_floor: int, cache: CheckpointCache, anchor: MertensCheckpoint = _ORIGIN):
-    """Stream mu for n in (anchor.x, x_floor], resuming from M(anchor.x).
+def _stream(x_floor: int, cache: CheckpointCache):
+    """Stream mu for n in [1, x_floor].
 
     Yields (n0, mu, m_vals) for every block of consecutive integers n in
     [n0, n0 + len(mu)), with m_vals[i] = M(n0 + i).  Blocks hold _BLOCK
-    integers counted from anchor.x + 1, so a consumer that cuts them at its
-    own floor(x) sums over the same blocks as a stream that ends there.
-    Stride checkpoints are recorded on the way and the frontier once the
-    stream is exhausted, so any long stream accelerates later Mertens queries.
+    integers counted from n = 1, so a consumer that cuts them at its own
+    floor(x) sums over the same blocks as a stream that ends there.  Stride
+    checkpoints are recorded on the way and the frontier once the stream is
+    exhausted; mertens serves those x from the cache.
     """
-    if x_floor < 1:
-        raise OutOfRange(f"x must be >= 1, got {x_floor}")
-    if x_floor > SIEVE_MAX:
-        raise OutOfRange(f"x = {x_floor} exceeds supported maximum {SIEVE_MAX}")
-    if anchor.x == x_floor:
-        return
-    m_prev = anchor.M
-    n_next = anchor.x + 1
+    _check_sieve_range(x_floor)
+    m_prev = 0
     stride = cache.stride
-    while n_next <= x_floor:
+    for n_next in range(1, x_floor + 1, _BLOCK):
         n1 = min(n_next + _BLOCK, x_floor + 1)
         mu = _segment_mu(n_next, n1)
         m_vals = np.cumsum(mu, dtype=np.int64)
@@ -325,7 +406,6 @@ def _stream(x_floor: int, cache: CheckpointCache, anchor: MertensCheckpoint = _O
         for cp in range((n_next + stride - 1) // stride * stride, n1, stride):
             cache.record(cp, int(m_vals[cp - n_next]))
         yield n_next, mu, m_vals
-        n_next = n1
     cache.note_frontier(x_floor, m_prev)
 
 
@@ -337,8 +417,7 @@ def _stream(x_floor: int, cache: CheckpointCache, anchor: MertensCheckpoint = _O
 def sieve_segment(lo: int, hi: int, cache: CheckpointCache | None = None) -> MoebiusSegment:
     """Exact mu(n) for n in [lo, hi) plus M(lo-1) (0 when lo = 1).
 
-    Linear in (hi - lo) after the prime table, except that computing M(lo-1)
-    for lo > 1 streams from the nearest checkpoint.
+    Linear in (hi - lo) after the prime table; M(lo-1) comes from mertens.
     """
     if not (1 <= lo < hi <= SIEVE_MAX):
         raise OutOfRange(f"need 1 <= lo < hi <= {SIEVE_MAX}, got [{lo}, {hi})")
@@ -348,15 +427,21 @@ def sieve_segment(lo: int, hi: int, cache: CheckpointCache | None = None) -> Moe
 
 
 def mertens(x: int, cache: CheckpointCache | None = None) -> int:
-    """Exact M(x) = sum of mu(n) for n <= x, via checkpointed streaming."""
+    """Exact M(x) = sum of mu(n) for n <= x.
+
+    A value the cache holds for x itself is returned as stored; otherwise
+    M(x) = S_0(x) comes from _mu_power_sums, in time about x^(2/3), and
+    (x, M(x)) is recorded in the cache, so a CLI --cache-dir keeps it.
+    """
     x = int(x)
     if x < 1 or x > SIEVE_MAX:
         raise OutOfRange(f"need 1 <= x <= {SIEVE_MAX}, got {x}")
     cache = cache or _default_cache
     anchor = cache.anchor(x)
-    m = anchor.M
-    for _, _, m_vals in _stream(x, cache, anchor):
-        m = int(m_vals[-1])
+    if anchor.x == x:
+        return anchor.M
+    m, _ = _mu_power_sums(x)
+    cache.record(x, m)
     return m
 
 
@@ -367,27 +452,39 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
 
     Boundary convention at integer x: the n = x factor is (1 - 1)^tau = 0 for
     tau > 0, but for tau = 0 the factor is taken as 1, so M_0 coincides with
-    the plain summatory function M.  Summation is correctly rounded per block
-    (_exact_sum), then fsum across blocks.
+    the plain summatory function M.  At tau = 0 and tau = 1 the weight is
+    affine in n, so M_0 = S_0 and M_1 = S_0 - S_1/x come exactly from
+    _mu_power_sums and are correctly rounded.  Other tau stream mu from n = 1:
+    summation is correctly rounded per block (_exact_sum), then fsum across
+    blocks.
     """
     (value,) = _riesz_means([(float(query.x), float(query.tau))], cache or _default_cache)
     return value
 
 
 def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> list[float]:
-    """M_tau(x) for each (x, tau) in points, from one stream from n = 1 up to
-    the largest floor(x).
+    """M_tau(x) for each (x, tau) in points.
 
-    Each block is cut at each point's floor(x), so a point sums over the same
-    blocks, each sum correctly rounded, as a stream of its own would.  Points
-    with tau = 0 read M(floor(x)) from the checkpoints instead.
+    Points with tau = 0 or 1 take S_0 and S_1 from _mu_power_sums, all from
+    one table sized for the largest such x.  The others share one stream
+    from n = 1 up to their largest floor(x); each block is cut at each
+    point's floor(x), so a point sums over the same blocks, each sum
+    correctly rounded, as a stream of its own would.
     """
     for x, tau in points:
         if tau < 0:
             raise DomainError(f"tau must be >= 0, got {tau}")
         if x < 1:
             raise DomainError(f"x must be >= 1, got {x}")
-    weighted = [(x, tau, math.lgamma(1.0 + tau), []) for x, tau in points if tau != 0.0]
+    affine = [x for x, tau in points if tau in (0.0, 1.0)]
+    table = _power_sum_table(math.floor(max(affine))) if affine else None
+
+    def affine_mean(x: float, tau: float) -> float:
+        s0, s1 = _mu_power_sums(math.floor(x), table)
+        return float(s0) if tau == 0.0 else float(s0 - s1 / Fraction(x))
+
+    weighted = [(x, tau, math.lgamma(1.0 + tau), []) for x, tau in points
+                if tau not in (0.0, 1.0)]
     if weighted:
         for n0, mu, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache):
             for x, tau, log_norm, parts in weighted:
@@ -402,9 +499,7 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
                     terms = mu_x[nz].astype(np.float64) * w[nz]
                     parts.append(_exact_sum(terms))
     sums = iter([math.fsum(parts) for *_, parts in weighted])
-    return [
-        float(mertens(math.floor(x), cache)) if tau == 0.0 else next(sums) for x, tau in points
-    ]
+    return [affine_mean(x, tau) if tau in (0.0, 1.0) else next(sums) for x, tau in points]
 
 
 def _power_antideriv(u: np.ndarray, kappa: float) -> np.ndarray:
@@ -419,13 +514,19 @@ def integral_M(
 ) -> float:
     """Piecewise-exact integral of M(u) u^(-kappa) over [1, x].
 
-    M is constant on [n, n+1), so the integral is a sum of closed-form
-    antiderivative differences; the kappa = 1 branch uses the logarithm.
+    At kappa = 0 the integral is sum_{n <= x} mu(n) (x - n) = x S_0 - S_1,
+    taken exactly from _mu_power_sums and correctly rounded.  Other kappa
+    stream mu from n = 1: M is constant on [n, n+1), so the integral is a
+    sum of closed-form antiderivative differences (the logarithm at
+    kappa = 1), correctly rounded per block, then fsum across blocks.
     """
     x = float(x)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     kappa = float(kappa)
+    if kappa == 0.0:
+        s0, s1 = _mu_power_sums(math.floor(x))
+        return float(Fraction(x) * s0 - s1)
     parts: list[float] = []
     for n0, mu, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
         ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
@@ -471,7 +572,10 @@ def riesz_recurrence_check(
 
         integral_1^x u^(tau-1) M_{tau-1}(u) du = x^tau M_tau(x).
 
-    tau = 1 is evaluated piecewise-exactly on both sides.  For tau in [2, 10]
+    At tau = 1 both sides come from the same two sums S_0 and S_1 (x S_0 - S_1
+    against x M_1(x) = x S_0 - S_1, each correctly rounded), so the residual
+    shows rounding only; the independent check of that route is the sieve
+    differential test of _mu_power_sums.  For tau in [2, 10]
     the left side integrand u^(tau-1) M_{tau-1}(u) is a piecewise polynomial
     of degree tau - 1, so per-unit-interval 5-point Gauss-Legendre quadrature
     is still exact; cost grows quadratically, hence the x guard.
@@ -586,8 +690,9 @@ def tau_regime_scan(
     Emits one row per x with the normalized columns M_tau/sqrt(x) and
     M_tau * tau^(3/2) / sqrt(x), plus the growth-factor helper column
     (tau/e)^(-tau-1).  Rows where the schedule is undefined carry
-    status="undefined" instead of raising.  One mu stream up to the largest x
-    serves every row.
+    status="undefined" instead of raising.  The rows share one power-sum
+    table (tau = 0 or 1) or one mu stream up to the largest x (see
+    _riesz_means).
     """
     cache = cache or _default_cache
     rows: list[dict] = []

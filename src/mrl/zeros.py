@@ -373,14 +373,18 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
     The seed must lie within about GRID_STEP of the true ordinate (the Newton
     basin); seeds farther away may converge to a neighboring zero.  Above 53
     bits one Newton step at the working precision squares the double result's
-    error (about 1e-13); one more evaluation gives zeta', and its next step
-    |zeta/zeta'| must be below 2^-64 max(1, |t|), so that float(t) is
-    correctly rounded, or NoConvergence is raised.
+    error (about 1e-13).  That step evaluates zeta alone and divides by the
+    double polish's zeta': the step is about 1e-13, so a zeta' good to double
+    moves t by about 1e-29 only.  One more evaluation gives zeta', and its
+    next step |zeta/zeta'| must be below 2^-64 max(1, |t|), so that float(t)
+    is correctly rounded, or NoConvergence is raised.
     """
     t, dz = _newton_polish(float(gamma_seed))
     if not precision.is_double:
+        if dz == 0:
+            raise NoConvergence(f"double polish from seed {gamma_seed:.6f} leaves zeta' = 0")
         with _workprec(precision):
-            z, dz = zeta_and_deriv(mp.mpc(0.5, t), precision)
+            z = zeta(mp.mpc(0.5, t), precision)
             t = t - (z / (1j * dz)).real
             z, dz = zeta_and_deriv(mp.mpc(0.5, t), precision)
             if not abs(z / dz) < mp.ldexp(max(1.0, abs(t)), -64):

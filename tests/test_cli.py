@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+from mrl import moebius
 from mrl import zerosums as zs
 from mrl.cli import (
     RunConfig,
@@ -302,9 +303,32 @@ def test_mertens_checkpoints_old_format_rewritten(tmp_path):
     rc, out = run_cli("--cache-dir", str(tmp_path), "mertens", "2000000")
     assert rc == 0
     assert out.strip() == "-247"
-    blob = chk.read_bytes()
-    assert blob[:8] == b"MRTC0002"
-    assert struct.unpack_from("<Qq", blob, 8) == (1_000_000, 212)
+    # the old file's records are dropped; the new one holds the value computed
+    assert chk.read_bytes() == b"MRTC0002" + struct.pack("<Qq", 2_000_000, -247)
+
+
+def test_mertens_cache_file_serves_repeated_lookups(tmp_path, monkeypatch):
+    rc, out = run_cli("--cache-dir", str(tmp_path), "mertens", "1234567")
+    assert rc == 0
+    (record,) = CheckpointCache.load(tmp_path / "mertens-v1.chk").checkpoints()
+    assert (record.x, record.M) == (1_234_567, int(out))
+
+    def recompute(*args):
+        raise AssertionError("M(x) recomputed")
+
+    monkeypatch.setattr(moebius, "_mu_power_sums", recompute)
+    rc, again = run_cli("--cache-dir", str(tmp_path), "mertens", "1234567")
+    assert (rc, again) == (0, out)
+
+
+def test_mertens_floors_the_argument_exactly():
+    # float("10.9999999999999999999") rounds up to 11.0, and M(11) = -2
+    rc, out = run_cli("mertens", "10.9999999999999999999")
+    assert (rc, out.strip()) == (0, "-1")
+    rc, out = run_cli("mertens", "1e3")
+    assert (rc, out.strip()) == (0, "2")
+    for bad in ("nan", "inf", "0x10"):
+        assert run_cli("mertens", bad)[0] == 2
 
 
 def test_runconfig_validation():

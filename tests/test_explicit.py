@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrl import moebius
 from mrl.errors import (
     DomainError,
     MultipleZeroFlag,
@@ -170,9 +171,12 @@ def test_compare_direct_explicit_streams_once(table, sieved_lengths, tau):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # Bartz mode at tau = 0
         rows = compare_direct_explicit(xs, tau, table, 100.0, 10, CheckpointCache())
-        # max x, not the 360000 of one stream per row; tau = 0 reads M(x)
-        # from checkpoints, resumed from the base state M(1) = 1
-        assert sum(sieved_lengths) == (199_999 if tau == 0.0 else 200_000)
+        # max x, not the 360000 of one stream per row; tau = 0 reads S_0
+        # from one power-sum table sized for max x
+        if tau == 0.0:
+            assert sieved_lengths == [moebius._power_sum_limit(200_000)]
+        else:
+            assert sum(sieved_lengths) == 200_000
         for x, row in zip(xs, rows):
             ev = explicit_M_tau(x, tau, table, 100.0, 10)
             direct = riesz_mean_direct(RieszQuery(x, tau), CheckpointCache())

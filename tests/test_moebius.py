@@ -167,7 +167,8 @@ def test_mertens_fresh_vs_checkpointed(cache, shared_cache):
 
 
 def test_checkpoint_roundtrip(tmp_path, cache):
-    mertens(2_000_001, cache)  # crosses two checkpoint strides
+    integral_M(2_000_001.0, 0.5, cache)  # a stream across two checkpoint strides
+    assert len(cache.checkpoints()) == 2
     path = tmp_path / "m.chk"
     cache.save(path)
     loaded = CheckpointCache.load(path)
@@ -201,6 +202,90 @@ def test_checkpoint_corrupt_file(tmp_path):
     bad.write_bytes(b"MRTC0001" + struct.pack("<Qqd", 1_000_000, 212, 1.5))
     with pytest.raises(ParseError):
         CheckpointCache.load(bad)
+
+
+# ---------------------------------------------------------------------------
+# The sublinear power sums S_0 and S_1 against the sieve
+# ---------------------------------------------------------------------------
+
+PUBLISHED_M_POWERS_OF_10 = [1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222]  # OEIS A084237
+
+
+@pytest.fixture(scope="module")
+def prefix_sums():
+    """S_0(v) and S_1(v) for v <= 3e6 as Python ints, from one from-1 sieve."""
+    mu = sieve_segment(1, 3_000_001, CheckpointCache()).mu.astype(np.int64)
+    s0 = [0, *np.cumsum(mu).tolist()]
+    s1 = [0, *np.cumsum(mu * np.arange(1, 3_000_001)).tolist()]
+    return s0, s1
+
+
+def _seeded_xs() -> list[int]:
+    rng = np.random.default_rng(10)
+    strides = [k * moebius.CHECKPOINT_STRIDE for k in (1, 2, 3)]
+    return [2**20 - 1, 2**20, 2**20 + 1, *strides, *rng.integers(1, 3_000_001, 30).tolist()]
+
+
+def test_power_sums_match_sieve_below_3000(prefix_sums):
+    s0, s1 = prefix_sums
+    for x in range(1, 3001):
+        assert moebius._mu_power_sums(x) == (s0[x], s1[x]), x
+
+
+def test_power_sums_match_sieve_to_3e6(prefix_sums):
+    s0, s1 = prefix_sums
+    shared = moebius._power_sum_table(3_000_000)
+    for x in _seeded_xs():
+        assert moebius._power_sum_limit(x) < x  # the recursion, not the table
+        assert moebius._mu_power_sums(x) == (s0[x], s1[x]), x
+        assert moebius._mu_power_sums(x, shared) == (s0[x], s1[x]), x
+
+
+def test_mertens_published_powers_of_ten():
+    for k, want in enumerate(PUBLISHED_M_POWERS_OF_10):
+        assert mertens(10**k, CheckpointCache()) == want, f"M(10^{k})"
+
+
+def _affine_points() -> list[float]:
+    ints = [1.0, 2.0, 4096.0, 4097.0, 123_457.0, 2.0**20 + 1, 3e6]
+    fracs = [1.5, 57.25, 12_345.678, 1_048_577.5, 2_999_999.5]
+    near = [math.nextafter(v, d) for v in (1e4, 1e6, 2.0**21) for d in (0.0, math.inf)]
+    return ints + fracs + near
+
+
+def test_affine_means_match_fraction_oracle(prefix_sums):
+    # M_1(x) = sum mu(n) (1 - n/x) and the integral of M over [1, x], which
+    # is sum mu(n) (x - n), exactly from the sieve's sums, rounded once
+    s0, s1 = prefix_sums
+    xs = _affine_points()
+    scan = tau_regime_scan(xs, TauSchedule("constant", 1.0), CheckpointCache())
+    for x, row in zip(xs, scan):
+        n = math.floor(x)
+        m1 = float(s0[n] - Fraction(s1[n]) / Fraction(x))
+        integral = float(Fraction(x) * s0[n] - s1[n])
+        assert riesz_mean_direct(RieszQuery(x, 1.0), CheckpointCache()).hex() == m1.hex(), x
+        assert row["m_tau"].hex() == m1.hex(), x
+        assert integral_M(x, 0.0, CheckpointCache()).hex() == integral.hex(), x
+        assert riesz_mean_direct(RieszQuery(x, 0.0), CheckpointCache()) == float(s0[n])
+
+
+def test_mertens_records_and_reuses_its_value(tmp_path, monkeypatch):
+    cache = CheckpointCache()
+    m = mertens(1_234_567, cache)
+    assert cache.checkpoints() == [moebius.MertensCheckpoint(1_234_567, m)]
+    path = tmp_path / "m.chk"
+    cache.save(path)
+    loaded = CheckpointCache.load(path)
+    assert loaded.checkpoints() == cache.checkpoints()
+
+    def recompute(*args):
+        raise AssertionError("M(x) recomputed")
+
+    monkeypatch.setattr(moebius, "_mu_power_sums", recompute)
+    assert mertens(1_234_567, cache) == m
+    assert mertens(1_234_567, loaded) == m
+    with pytest.raises(AssertionError, match="recomputed"):
+        mertens(1_234_568, loaded)
 
 
 def test_riesz_tau_zero_recovers_mertens(shared_cache):
@@ -294,7 +379,7 @@ def test_weak_mertens_independent_of_call_history():
     x = 3_500_000.5  # four blocks
     want = weak_mertens_integral(x, CheckpointCache()).hex()
     cache = CheckpointCache()
-    riesz_mean_direct(RieszQuery(3.2e6, 1.0), cache)  # leaves checkpoints and a frontier below x
+    riesz_mean_direct(RieszQuery(3.2e6, 1.5), cache)  # leaves checkpoints and a frontier below x
     assert weak_mertens_integral(x, cache).hex() == want
     mertens(3_000_000, cache)
     assert weak_mertens_integral(x, cache).hex() == want
@@ -448,8 +533,16 @@ def test_tau_regime_scan_matches_riesz_per_point(schedule):
 
 def test_tau_regime_scan_sieves_max_x_once(sieved_lengths):
     xs = [float(x) for x in np.geomspace(10.0, 2e5, 9)]
-    tau_regime_scan(xs, TauSchedule("constant", 1.0), CheckpointCache())
+    tau_regime_scan(xs, TauSchedule("constant", 1.5), CheckpointCache())
     assert sum(sieved_lengths) == math.floor(max(xs)) == 200_000
+
+
+def test_tau_regime_scan_at_tau_one_sieves_one_table(sieved_lengths):
+    # tau = 1 reads S_0 and S_1: one table sized for the largest x serves every row
+    xs = [float(x) for x in np.geomspace(10.0, 2e5, 9)]
+    tau_regime_scan(xs, TauSchedule("constant", 1.0), CheckpointCache())
+    assert sieved_lengths == [moebius._power_sum_limit(200_000)]
+    assert sieved_lengths[0] < 200_000
 
 
 @given(st.floats(min_value=2.0, max_value=5000.0))

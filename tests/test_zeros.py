@@ -280,6 +280,16 @@ def test_refine_zero_extended_refuses_a_far_double_result(monkeypatch):
         refine_zero(KNOWN_GAMMAS[1], EXTENDED)
 
 
+def test_refine_zero_extended_refuses_a_far_start_with_its_zeta_prime(monkeypatch):
+    # as above, but with the polish's own zeta', so the step is taken
+    polish = zeros._newton_polish
+    monkeypatch.setattr(
+        zeros, "_newton_polish", lambda t0: (polish(t0)[0] + 1e-6, polish(t0)[1])
+    )
+    with pytest.raises(NoConvergence, match="extended Newton step"):
+        refine_zero(KNOWN_GAMMAS[1], EXTENDED)
+
+
 @pytest.mark.parametrize("t", [15.0, 20.0, 30.5, 100.2, 500.7])
 def test_hardy_z_extended_sign(t):
     assert (hardy_z(t, EXTENDED) > 0) == (hardy_z(t) > 0)
