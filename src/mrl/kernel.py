@@ -8,10 +8,12 @@ series), the kernel ratio Gamma(s)/Gamma(1+tau+s) evaluated safely in log
 space, exact rational Bernoulli numbers, and closed-form data at the trivial
 zeros s = -2n.
 
-These algorithms run on hardware doubles (complex/cmath, with a numpy fast
-path for long sums).  A :class:`Precision` wider than 53 bits is served by
-mpmath directly (``mpmath.zeta``, ``mpmath.loggamma``) at that width plus
-guard bits; the public functions then return mpmath numbers.
+These algorithms run on hardware doubles (complex/cmath, with numpy for the
+long Euler-Maclaurin main sums, which exact per-exponent summation rounds
+correctly: _exact_parts, which the integer side shares).  A
+:class:`Precision` wider than 53 bits is served by mpmath directly
+(``mpmath.zeta``, ``mpmath.loggamma``) at that width plus guard bits; the
+public functions then return mpmath numbers.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ _TOL = 2.0 ** -59
 
 # Stirling/digamma arguments are shifted right until |z| clears this.
 _SHIFT_RADIUS = 10.0
+
+# Shortest array _exact_parts splits into exponent buckets; below it the
+# Python floats themselves are the faster parts (see CHANGES.md).
+_EXACT_PARTS_MIN = 640
+
+# Most terms one exponent-bucket pass of _exact_parts keeps exact.
+_EXACT_SLICE = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -173,6 +182,58 @@ def _digamma_coeffs() -> tuple[float, ...]:
     """-B_{2k} / (2k), the digamma asymptotic coefficients."""
     table = _bernoulli_table()
     return tuple(float(-table[2 * k] / (2 * k)) for k in range(1, len(table) // 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# Exact summation
+# ---------------------------------------------------------------------------
+
+
+def _exact_parts(a: np.ndarray) -> list[float]:
+    """A short list of floats whose exact sum is the exact sum of the float64
+    array a, so math.fsum of it is the correctly rounded sum of a (after
+    Demmel and Hida's exponent buckets).
+
+    Each term is mant * 2^e with 1/2 <= |mant| < 1, and mant * 2^27 splits
+    exactly into an integer of at most 27 bits and a fraction that is a
+    multiple of 2^-26.  Summed per exponent over at most 2^26 terms, neither
+    half needs more than 53 bits, so the bucket sums are exact; scaled back by
+    2^(e-27) they stay exact while -1021 <= e <= 970 (the smallest unit is
+    2^(e-53) >= 2^-1074, the largest part below 2^997).  Longer arrays are
+    taken in slices of 2^26 terms.  Short arrays, and slices with a subnormal
+    term, nan, inf or a term of 2^970 or more (these keep fsum's own rules),
+    are returned as Python floats.
+    """
+    if len(a) < _EXACT_PARTS_MIN:
+        return a.tolist()
+    parts: list[float] = []
+    for lo in range(0, len(a), _EXACT_SLICE):
+        s = a[lo : lo + _EXACT_SLICE]
+        if not np.maximum(s.max(), -s.min()) < 2.0**970:
+            parts += s.tolist()
+            continue
+        mant, e = np.frexp(s)
+        emin = int(e.min())
+        if emin < -1021:
+            parts += s.tolist()
+            continue
+        e -= emin
+        mant *= 2.0**27
+        whole = np.floor(mant)
+        mant -= whole
+        wholes = np.bincount(e, weights=whole)
+        scale = np.arange(emin - 27, emin - 27 + len(wholes))
+        parts += np.ldexp(wholes, scale).tolist()
+        parts += np.ldexp(np.bincount(e, weights=mant), scale).tolist()
+    return parts
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """Correctly rounded sum of the float64 array a: the same float as
+    math.fsum(a.tolist()), from _EXACT_PARTS_MIN terms on without a Python
+    float per term."""
+    total = math.fsum(_exact_parts(a))
+    return total if total else math.fsum(a.tolist())  # the sign of an exact zero
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +364,8 @@ def _zeta_em(s: complex, want_deriv: bool):
     Valid for Re s >= -1/2: the truncated formula analytically continues
     there.  Cutoff N ~ max(10, |Im s|) with a floor set by the double
     round-off; Bernoulli corrections are added until they fall below it.
+    Past 32 terms the main sums are numpy arrays, each correctly rounded
+    (_exact_sum, the same float as math.fsum).
     """
     t = abs(s.imag)
     # The Bernoulli corrections bottom out near exp(-(2 pi N - |s|)), so N
@@ -318,12 +381,10 @@ def _zeta_em(s: complex, want_deriv: bool):
         ns = np.arange(1, n_cut, dtype=np.float64)
         logs = np.log(ns)
         powers = np.exp(logs * (-s))
-        main = complex(math.fsum(powers.real.tolist()), math.fsum(powers.imag.tolist()))
+        main = complex(_exact_sum(powers.real), _exact_sum(powers.imag))
         if want_deriv:
             dpowers = powers * (-logs)
-            dmain = complex(
-                math.fsum(dpowers.real.tolist()), math.fsum(dpowers.imag.tolist())
-            )
+            dmain = complex(_exact_sum(dpowers.real), _exact_sum(dpowers.imag))
     else:
         main = 0
         for n in range(1, n_cut):

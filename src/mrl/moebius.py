@@ -9,17 +9,20 @@ exact sums S_0(x) = M(x) and S_1(x) = sum_{n<=x} mu(n) n, which
 _mu_power_sums finds in time about x^(2/3) from a sieved table and the
 Deleglise-Rivat identity: M(x), the Riesz means at tau = 0 and tau = 1
 (M_1 = S_0 - S_1/x) and the integral of M(u) over [1, x] (x S_0 - S_1).
-Everything else needs M pointwise and streams mu in blocks from n = 1
-(_stream), recording (x, M(x)) checkpoints on the way.
+Everything else needs M pointwise and streams mu from n = 1 (_stream), sieved
+in blocks and consumed in cache-sized chunks, recording (x, M(x))
+checkpoints on the way.
 
 Everything here is integer-exact where the mathematics is (mu, M) and
-rounding-exact where only the final weighting is real-valued: integrands are
-constant (or polynomial) on unit intervals, so integrals are evaluated in
-closed form per interval, never by approximate quadrature -- with one
-documented exception, the Riesz recurrence check for tau >= 2, which uses
-5-point Gauss-Legendre nodes per unit interval; the integrand there is a
-piecewise polynomial of degree tau - 1, so the rule is still exact for
-tau <= 10.
+rounding-exact where only the final weighting is real-valued.  A streamed sum
+is correctly rounded once per rounding block of _BLOCK = 2^20 integers
+counted from n = 1, whatever the chunk size, and the block sums are added
+with fsum (_BlockSums).  Integrands are constant (or polynomial) on unit
+intervals, so integrals are evaluated in closed form per interval, never by
+approximate quadrature -- with one documented exception, the Riesz
+recurrence check for tau >= 2, which uses 5-point Gauss-Legendre nodes per
+unit interval; the integrand there is a piecewise polynomial of degree
+tau - 1, so the rule is still exact for tau <= 10.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRange, ParseError, ScheduleUndefined
+from .kernel import _exact_parts, _exact_sum  # noqa: F401  (_exact_sum is re-exported)
 
 __all__ = [
     "SIEVE_MAX",
@@ -65,7 +69,13 @@ SIEVE_MAX = 10**9
 # Default spacing between persisted Mertens checkpoints.
 CHECKPOINT_STRIDE = 10**6
 
+# The stream sieves blocks of _BLOCK integers counted from n = 1 (one prime
+# loop per block), and its sums are rounded once per block.  Consumers take
+# a block in chunks of min(_CHUNK, _BLOCK) integers, so their float
+# temporaries stay in a core's L2 cache (CHANGES.md has the table).  Both
+# are powers of two, so a block is a run of whole chunks.
 _BLOCK = 1 << 20
+_CHUNK = 1 << 14
 
 _CHECKPOINT_MAGIC = b"MRTC0002"
 _CHECKPOINT_RECORD = struct.Struct("<Qq")
@@ -173,38 +183,6 @@ def _segment_mu(lo: int, hi: int) -> np.ndarray:
     # an arithmetic flip: a masked negate costs several times more per block
     mu *= 1 - 2 * big.view(np.int8)
     return mu
-
-
-def _exact_sum(a: np.ndarray) -> float:
-    """Correctly rounded sum of the float64 array a: the same float as
-    math.fsum(a.tolist()), without a Python float per term.
-
-    Each term is mant * 2^e with 1/2 <= |mant| < 1, and mant * 2^27 splits
-    exactly into an integer of at most 27 bits and a fraction that is a
-    multiple of 2^-26.  Summed per exponent, neither half needs more than 53
-    bits while len(a) <= 2^26, so the bucket sums are exact; their exact
-    total, a Python int, is rounded once by int true division.
-    """
-    assert len(a) <= 1 << 26
-    # nan, inf, and terms so large that a partial sum might overflow keep
-    # fsum's own rules (below 2^970 no sum of 2^26 terms comes near 2^1024)
-    if not len(a) or not np.maximum(a.max(), -a.min()) < 2.0**970:
-        return math.fsum(a.tolist())
-    mant, e = np.frexp(a)
-    emin = int(e.min())
-    bucket = np.subtract(e, emin, dtype=np.intp)
-    mant *= 2.0**27
-    whole = np.floor(mant)
-    mant -= whole
-    wholes = np.bincount(bucket, weights=whole)
-    fracs = np.bincount(bucket, weights=mant)
-    total = 0
-    for i in np.flatnonzero((wholes != 0) | (fracs != 0)).tolist():
-        total += ((int(wholes[i]) << 26) + int(fracs[i] * 2.0**26)) << i
-    if not total:
-        return math.fsum(a.tolist())  # the sign of an exact zero
-    shift = emin - 53  # sum(a) = total * 2^shift
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def _check_sieve_range(x_floor: int) -> None:
@@ -386,16 +364,20 @@ def default_cache() -> CheckpointCache:
 def _stream(x_floor: int, cache: CheckpointCache):
     """Stream mu for n in [1, x_floor].
 
-    Yields (n0, mu, m_vals) for every block of consecutive integers n in
-    [n0, n0 + len(mu)), with m_vals[i] = M(n0 + i).  Blocks hold _BLOCK
-    integers counted from n = 1, so a consumer that cuts them at its own
-    floor(x) sums over the same blocks as a stream that ends there.  Stride
-    checkpoints are recorded on the way and the frontier once the stream is
-    exhausted; mertens serves those x from the cache.
+    Yields (n0, mu, m_vals) for every chunk of consecutive integers n in
+    [n0, n0 + len(mu)), with m_vals[i] = M(n0 + i).  mu is sieved in
+    rounding blocks of _BLOCK integers counted from n = 1 and handed out in
+    chunks (views) of min(_CHUNK, _BLOCK) integers, so each block is a run of
+    whole chunks (_opens_block tells where one starts), and a consumer that
+    cuts the chunks at its own floor(x) sums over the same blocks as a stream
+    that ends there.  Stride checkpoints are recorded on the way and the
+    frontier once the stream is exhausted; mertens serves those x from the
+    cache.
     """
     _check_sieve_range(x_floor)
     m_prev = 0
     stride = cache.stride
+    chunk = min(_CHUNK, _BLOCK)
     for n_next in range(1, x_floor + 1, _BLOCK):
         n1 = min(n_next + _BLOCK, x_floor + 1)
         mu = _segment_mu(n_next, n1)
@@ -405,8 +387,39 @@ def _stream(x_floor: int, cache: CheckpointCache):
         m_prev = int(m_vals[-1])
         for cp in range((n_next + stride - 1) // stride * stride, n1, stride):
             cache.record(cp, int(m_vals[cp - n_next]))
-        yield n_next, mu, m_vals
+        for a in range(0, n1 - n_next, chunk):
+            yield n_next + a, mu[a : a + chunk], m_vals[a : a + chunk]
     cache.note_frontier(x_floor, m_prev)
+
+
+def _opens_block(n0: int) -> bool:
+    """Whether the chunk of _stream that starts at n0 starts a rounding block."""
+    return (n0 - 1) % _BLOCK == 0
+
+
+class _BlockSums:
+    """A sum of terms taken from _stream's chunks, correctly rounded once per
+    rounding block and then added across blocks with fsum.
+
+    The chunks of a block hand in the exact parts of their terms
+    (_exact_parts), so the value does not depend on the chunk size, and the
+    blocks count from n = 1, so it does not depend on the cache or on earlier
+    calls either.
+    """
+
+    def __init__(self) -> None:
+        self._parts: list[float] = []
+        self._blocks: list[float] = []
+
+    def add(self, n0: int, terms: np.ndarray) -> None:
+        """Add the terms of the chunk that starts at n0."""
+        if _opens_block(n0) and self._parts:
+            self._blocks.append(math.fsum(self._parts))
+            self._parts = []
+        self._parts += _exact_parts(terms)
+
+    def total(self) -> float:
+        return math.fsum(self._blocks + [math.fsum(self._parts)])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +468,8 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
     the plain summatory function M.  At tau = 0 and tau = 1 the weight is
     affine in n, so M_0 = S_0 and M_1 = S_0 - S_1/x come exactly from
     _mu_power_sums and are correctly rounded.  Other tau stream mu from n = 1:
-    summation is correctly rounded per block (_exact_sum), then fsum across
-    blocks.
+    summation is correctly rounded per block, then fsum across blocks
+    (_BlockSums).
     """
     (value,) = _riesz_means([(float(query.x), float(query.tau))], cache or _default_cache)
     return value
@@ -467,9 +480,9 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
 
     Points with tau = 0 or 1 take S_0 and S_1 from _mu_power_sums, all from
     one table sized for the largest such x.  The others share one stream
-    from n = 1 up to their largest floor(x); each block is cut at each
-    point's floor(x), so a point sums over the same blocks, each sum
-    correctly rounded, as a stream of its own would.
+    from n = 1 up to their largest floor(x); each chunk is cut at each
+    point's floor(x), so a point sums over the same rounding blocks, each
+    sum correctly rounded, as a stream of its own would.
     """
     for x, tau in points:
         if tau < 0:
@@ -483,11 +496,11 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
         s0, s1 = _mu_power_sums(math.floor(x), table)
         return float(s0) if tau == 0.0 else float(s0 - s1 / Fraction(x))
 
-    weighted = [(x, tau, math.lgamma(1.0 + tau), []) for x, tau in points
+    weighted = [(x, tau, math.lgamma(1.0 + tau), _BlockSums()) for x, tau in points
                 if tau not in (0.0, 1.0)]
     if weighted:
         for n0, mu, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache):
-            for x, tau, log_norm, parts in weighted:
+            for x, tau, log_norm, sums in weighted:
                 if n0 > x:
                     continue
                 mu_x = mu[: math.floor(x) + 1 - n0]
@@ -495,11 +508,9 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
                 with np.errstate(divide="ignore"):
                     w = np.exp(tau * np.log1p(-ns / x) - log_norm)
                 nz = mu_x != 0
-                if nz.any():
-                    terms = mu_x[nz].astype(np.float64) * w[nz]
-                    parts.append(_exact_sum(terms))
-    sums = iter([math.fsum(parts) for *_, parts in weighted])
-    return [affine_mean(x, tau) if tau in (0.0, 1.0) else next(sums) for x, tau in points]
+                sums.add(n0, mu_x[nz].astype(np.float64) * w[nz])
+    totals = iter([sums.total() for *_, sums in weighted])
+    return [affine_mean(x, tau) if tau in (0.0, 1.0) else next(totals) for x, tau in points]
 
 
 def _power_antideriv(u: np.ndarray, kappa: float) -> np.ndarray:
@@ -527,14 +538,13 @@ def integral_M(
     if kappa == 0.0:
         s0, s1 = _mu_power_sums(math.floor(x))
         return float(Fraction(x) * s0 - s1)
-    parts: list[float] = []
+    sums = _BlockSums()
     for n0, mu, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
         ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
         uppers = np.minimum(ns + 1.0, x)
         deltas = _power_antideriv(uppers, kappa) - _power_antideriv(ns, kappa)
-        contrib = m_vals.astype(np.float64) * deltas
-        parts.append(_exact_sum(contrib))
-    return math.fsum(parts)
+        sums.add(n0, m_vals.astype(np.float64) * deltas)
+    return sums.total()
 
 
 def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> float:
@@ -547,9 +557,9 @@ def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> flo
     x = float(x)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    parts: list[float] = []
+    sums = _BlockSums()
     for n0, _, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
-        # in place, so a block holds two float arrays
+        # in place, so a chunk holds two float arrays
         incr = np.arange(n0, n0 + len(m_vals), dtype=np.float64)
         uppers = incr + 1.0
         np.minimum(uppers, x, out=uppers)
@@ -558,8 +568,8 @@ def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> flo
         m_sq = uppers
         m_sq[:] = m_vals
         incr *= np.multiply(m_sq, m_sq, out=m_sq)
-        parts.append(_exact_sum(incr))
-    return math.fsum(parts)
+        sums.add(n0, incr)
+    return sums.total()
 
 
 _GL5_NODES = np.polynomial.legendre.leggauss(5)
@@ -635,7 +645,7 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     if X < 4:
         raise DomainError(f"X must be >= 4, got {X}")
     cache = cache or _default_cache
-    parts: list[float] = []
+    sums = _BlockSums()
     for n0, mu, m_vals in _stream(int(math.floor(X)), cache):
         hi_full = n0 + len(mu)
         lo_n = max(n0, 2)
@@ -650,10 +660,8 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
         # holds on [max(lower, M^2), upper) when M^2 < upper; else empty
         starts = np.maximum(lowers, m_sq.astype(np.float64))
         good = starts < uppers
-        if good.any():
-            ratio = np.log(uppers[good] / starts[good])
-            parts.append(_exact_sum(ratio))
-    return math.fsum(parts) / math.log(X)
+        sums.add(n0, np.log(uppers[good] / starts[good]))
+    return sums.total() / math.log(X)
 
 
 def tau_for(schedule: TauSchedule, x: float) -> float:

@@ -48,6 +48,7 @@ from .errors import (
 from .kernel import _EULER_GAMMA, zeta
 from .moebius import (
     CheckpointCache,
+    _opens_block,
     _power_antideriv,
     _primes_upto,
     _stream,
@@ -621,12 +622,21 @@ def divim_sign_changes(
     c = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
 
     crossings: list[float] = []
-    i_lo, f_prev = 0.0, 0.0 - c
+    # I at the end of an interval is I at the left edge of its rounding block
+    # plus the sequential partial sum of the block's pieces, carried across
+    # the block's chunks, so the values do not depend on the chunk size.
+    i_lo, i_end, run, f_prev = 0.0, 0.0, 0.0, 0.0 - c
     for n0, mu, m_vals in _stream(int(math.floor(x_max)), cache):
         ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
         deltas = _power_antideriv(np.minimum(ns + 1.0, x_max), kappa)
         deltas -= _power_antideriv(ns, kappa)
-        i_ends = i_lo + np.cumsum(m_vals * deltas)
+        pieces = m_vals * deltas
+        if _opens_block(n0):
+            i_lo = i_end
+        else:
+            pieces[0] += run
+        runs = np.cumsum(pieces)
+        i_ends = i_lo + runs
         f_ends = i_ends - c
         f_starts = np.empty_like(f_ends)
         f_starts[0] = f_prev
@@ -640,7 +650,7 @@ def divim_sign_changes(
                 crossings.append(math.exp(v))
             else:
                 crossings.append(float(((1.0 - kappa) * v) ** (1.0 / (1.0 - kappa))))
-        i_lo, f_prev = float(i_ends[-1]), float(f_ends[-1])
+        run, i_end, f_prev = float(runs[-1]), float(i_ends[-1]), float(f_ends[-1])
     return crossings
 
 

@@ -10,10 +10,12 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrl import kernel
 from mrl.errors import (
     DomainError,
     OutOfRange,
@@ -324,3 +326,55 @@ def test_zeta_and_deriv_extended_oracles(s):
 @pytest.mark.parametrize("s", list(LOG_GAMMA_40))
 def test_log_gamma_extended_oracles(s):
     assert _close_40(log_gamma(s, EXTENDED), LOG_GAMMA_40[s])
+
+
+# Normal terms, which _exact_parts sums by exponent buckets, and any finite
+# float: zeros of either sign and subnormals, which send a slice to the
+# Python floats.
+_NORMAL_TERMS = st.builds(
+    math.ldexp,
+    st.floats(0.5, 1.0, exclude_max=True) | st.floats(-1.0, -0.5, exclude_min=True),
+    st.integers(-1021, 969),
+)
+_ANY_TERMS = st.floats(-(2.0**700), 2.0**700) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@given(
+    st.lists(_NORMAL_TERMS, max_size=200) | st.lists(_NORMAL_TERMS | _ANY_TERMS, max_size=200),
+    st.booleans(),
+    st.sampled_from([0, 1, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_parts_sum_exactly(terms, cancel, min_len):
+    if cancel:  # the exact total is zero
+        terms = terms + [-t for t in reversed(terms)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_EXACT_PARTS_MIN", min_len)
+        parts = kernel._exact_parts(np.array(terms, dtype=np.float64))
+    assert sum(map(Fraction, parts)) == sum(map(Fraction, terms))
+
+
+def test_exact_parts_any_length(monkeypatch):
+    # slices of 7 terms stand in for slices of 2^26
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(5000) * np.exp2(rng.integers(-60, 60, 5000))
+    a[3000] = 5e-324  # the slice [2996, 3003) keeps its floats
+    monkeypatch.setattr(kernel, "_EXACT_PARTS_MIN", 0)
+    monkeypatch.setattr(kernel, "_EXACT_SLICE", 7)
+    parts = kernel._exact_parts(a)
+    assert sum(map(Fraction, parts)) == sum(map(Fraction, a.tolist()))
+    assert 5e-324 in parts and a[3002] in parts and a[2995] not in parts
+    assert kernel._exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+
+@pytest.mark.parametrize("t", [200.0, 999.0, 1001.0, 5e3, 1e4, 4.9e4])
+def test_zeta_main_sum_matches_fsum(monkeypatch, t):
+    points = [complex(sigma, t) for sigma in (-0.4, 0.5, 1.5)]
+
+    def hexes() -> list[str]:
+        values = [zeta(s) for s in points] + [w for s in points for w in zeta_and_deriv(s)]
+        return [v.hex() for w in values for v in (w.real, w.imag)]
+
+    exact = hexes()
+    monkeypatch.setattr(kernel, "_exact_sum", lambda a: math.fsum(a.tolist()))
+    assert hexes() == exact

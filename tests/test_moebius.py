@@ -481,6 +481,53 @@ def test_stream_block_size_invariance(monkeypatch, sieved_lengths):
     assert len(default[-1][0]) == 2  # D crosses zero at 64099.4 and 66737.9
 
 
+def _chunked_quantities(x: float) -> list:
+    """Every consumer of the mu stream, as float.hex, each on its own
+    small-stride cache, with the checkpoints that cache recorded."""
+    runs = [
+        lambda c: [riesz_mean_direct(RieszQuery(x=x, tau=1.5), c)],
+        lambda c: [row["m_tau"] for row in tau_regime_scan(
+            [x / 3, x, x / 2], TauSchedule("inv-log", 9.0), c)],
+        lambda c: [integral_M(x, 1.0, c)],
+        lambda c: [integral_M(x, 1.5, c)],
+        lambda c: [density_S(x, cache=c)],
+        lambda c: [weak_mertens_integral(x, c)],
+        lambda c: divim_sign_changes(x, cache=c),
+    ]
+    out = []
+    for run in runs:
+        cache = CheckpointCache(stride=1000)
+        out.append(([v.hex() for v in run(cache)], cache.checkpoints()))
+    return out
+
+
+def _chunk_lengths(x: float) -> set[int]:
+    return {len(mu) for _, mu, _ in moebius._stream(int(x), CheckpointCache())}
+
+
+@pytest.mark.parametrize("block, x", [(2**20, 1_050_000.5), (2**14, 70_000.5)])
+def test_stream_chunk_size_leaves_values_bit_identical(monkeypatch, block, x):
+    # x lies past the first rounding block, so sums and divim's running
+    # integral carry across a block edge as well as across chunk edges
+    monkeypatch.setattr(moebius, "_BLOCK", block)
+    default = _chunked_quantities(x)
+    assert max(_chunk_lengths(x)) == min(moebius._CHUNK, block) > 2**10
+    monkeypatch.setattr(moebius, "_CHUNK", 2**10)
+    assert max(_chunk_lengths(x)) == 2**10
+    assert _chunked_quantities(x) == default
+    assert len(default[-1][0]) >= 2  # D crosses zero at 64099.4 and 66737.9
+
+
+def test_streamed_sum_is_rounded_once_per_block(monkeypatch):
+    monkeypatch.setattr(moebius, "_BLOCK", 2**14)
+    x = 70_000.5
+    ns = np.arange(1, 70_001, dtype=np.float64)
+    m = np.cumsum(moebius._segment_mu(1, 70_001), dtype=np.int64).astype(np.float64)
+    terms = m * (np.minimum(ns + 1.0, x) ** -0.5 / -0.5 - ns**-0.5 / -0.5)
+    blocks = [math.fsum(terms[a : a + 2**14].tolist()) for a in range(0, len(terms), 2**14)]
+    assert integral_M(x, 1.5, CheckpointCache()).hex() == math.fsum(blocks).hex()
+
+
 def test_tau_for_schedules():
     assert tau_for(TauSchedule("constant", 1.7), 5.0) == 1.7
     assert tau_for(TauSchedule("inv-log", 2.0), math.e) == pytest.approx(2.0)
