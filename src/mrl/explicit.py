@@ -38,11 +38,12 @@ from .errors import DomainError, OutOfRange, QuadratureDiverged
 from .kernel import (
     _EULER_GAMMA,
     _digamma,
+    _harmonic,
     bernoulli,
     gamma_ratio,
     trivial_zero_data,
 )
-from .moebius import CheckpointCache, _riesz_means, default_cache
+from .moebius import CheckpointCache, _check_finite, _riesz_means, default_cache
 from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
@@ -111,9 +112,9 @@ def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
     (each zero paired with its conjugate) over 0 < gamma < T (strict), with
     compensated accumulation.  An empty table (or T below the first zero)
     gives 0.0; unusable records raise as described in zeros._zero_sum."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     sqrt_x, ln_x = math.sqrt(x), math.log(x)
 
@@ -132,13 +133,9 @@ def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
 def s0_residue(tau: float) -> float:
     """Residue at s = 0: with zeta(0) = -1/2 and Res Gamma = 1, equals
     -2/Gamma(1+tau)."""
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     return -2.0 / math.gamma(1.0 + tau)
-
-
-def _harmonic(m: int) -> float:
-    return math.fsum(1.0 / j for j in range(1, m + 1))
 
 
 def _inv_zeta_at_neg_odd(n: int) -> float:
@@ -167,10 +164,10 @@ def residue_term(l: int, x: float, tau: float) -> float:
         raise DomainError(f"l must be an integer >= 1, got {l!r}")
     if l > RESIDUE_MAX_L:
         raise OutOfRange(f"l = {l} exceeds supported maximum {RESIDUE_MAX_L}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     tau = float(tau)
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     tau_int = tau.is_integer()
     ln_x = math.log(x)
@@ -221,7 +218,7 @@ def residue_series(x: float, tau: float, L: int) -> float:
     (L = 0 keeps just the s = 0 term)."""
     if not isinstance(L, int) or isinstance(L, bool) or L < 0:
         raise DomainError(f"L must be an integer >= 0, got {L!r}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     terms = [residue_term(l, x, tau) for l in range(1, L + 1)]
     return s0_residue(tau) + math.fsum(terms)
@@ -235,11 +232,11 @@ def residue_series(x: float, tau: float, L: int) -> float:
 def error_estimate(x: float, tau: float, T: float) -> float:
     """Truncation estimate x^2/(tau T^tau) + x^2 T^(0.01-1-tau)/log x for the
     height-T zero-sum cutoff; infinite at tau = 0 (conditional convergence)."""
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    if x < 1.0:
+    if not x >= 1.0:
         raise DomainError(f"x must be >= 1, got {x}")
-    if T <= 1.0:
+    if not T > 1.0:
         raise DomainError(f"T must exceed 1, got {T}")
     if tau == 0.0 or x == 1.0:
         return math.inf
@@ -258,11 +255,13 @@ def explicit_M_tau(
     residue series to index L.  compare_direct_explicit adds the direct
     integer-side value.
     """
-    if x < 1.0:
+    if not x >= 1.0:
         raise DomainError(f"x must be >= 1, got {x}")
+    _check_finite(x, "x")
     tau = float(tau)
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
+    _check_finite(tau, "tau")
     if tau == 0.0:
         warnings.warn("Bartz mode: convergence not guaranteed", stacklevel=2)
     zs = zero_sum_term(x, tau, table, T)
@@ -343,15 +342,15 @@ def perron_kernel_report(
     """
     y = float(y)
     tau = float(tau)
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError(f"y must be positive, got {y}")
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    if sigma0 <= 0.0:
+    if not sigma0 > 0.0:
         raise DomainError(f"sigma0 must be positive, got {sigma0}")
-    if T < 10.0:
+    if not T >= 10.0:
         raise DomainError(f"T must be >= 10, got {T}")
-    if quad_step <= 0:
+    if not quad_step > 0:
         raise DomainError("quad_step must be positive")
     ln_y = math.log(y)
     if quad_step * abs(ln_y) >= 0.1:

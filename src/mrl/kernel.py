@@ -1,4 +1,4 @@
-"""Complex special functions at configurable working precision.
+"""Complex special functions in double precision.
 
 Provides the analytic building blocks used everywhere else in the package:
 the Riemann zeta function and its derivative (Euler-Maclaurin summation on
@@ -8,24 +8,21 @@ series), the kernel ratio Gamma(s)/Gamma(1+tau+s) evaluated safely in log
 space, exact rational Bernoulli numbers, and closed-form data at the trivial
 zeros s = -2n.
 
-These algorithms run on hardware doubles (complex/cmath, with numpy for the
-long Euler-Maclaurin main sums, which exact per-exponent summation rounds
-correctly: _exact_parts, which the integer side shares).  A
-:class:`Precision` wider than 53 bits is served by mpmath directly
-(``mpmath.zeta``, ``mpmath.loggamma``) at that width plus guard bits; the
-public functions then return mpmath numbers.
+These algorithms run on hardware doubles only (complex/cmath, with numpy for
+the long Euler-Maclaurin main sums, which exact per-exponent summation rounds
+correctly: _exact_parts, which the integer side shares).  :class:`Precision`
+selects the final Newton step of zeros.refine_zero, which calls mpmath
+directly when it is wider than 53 bits.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -72,7 +69,6 @@ _FE_DERIV_IM_MAX = 400.0
 # double exponent range.
 TRIVIAL_ZERO_MAX_N = 120
 
-_GUARD_BITS = 10
 _EULER_GAMMA = 0.5772156649015329
 _LN2 = math.log(2.0)
 _LN2PI = math.log(2.0 * math.pi)
@@ -93,10 +89,10 @@ _EXACT_SLICE = 1 << 26
 
 @dataclass(frozen=True)
 class Precision:
-    """Working-precision selector.
+    """Working-precision selector for a zero's final Newton step.
 
-    significand_bits = 53 runs on hardware doubles; any larger value
-    evaluates through mpmath with that significand width.
+    significand_bits = 53 keeps the double polish; any larger value adds one
+    mpmath Newton step at that significand width (zeros.refine_zero).
     """
 
     significand_bits: int = 53
@@ -241,13 +237,6 @@ def _exact_sum(a: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _workprec(precision: Precision):
-    """mpmath working precision for an extended evaluation; a no-op on doubles."""
-    if precision.is_double:
-        return contextlib.nullcontext()
-    return mp.workprec(int(precision.significand_bits) + _GUARD_BITS)
-
-
 def _require_finite(value, what: str):
     parts = value if isinstance(value, tuple) else (value,)
     if not all(cmath.isfinite(v) for v in parts):
@@ -319,6 +308,11 @@ def _digamma(z: complex) -> complex:
     inv = 1 / zs
     inv2 = inv * inv
     return _asymptotic(cmath.log(zs) - inv / 2, _digamma_coeffs(), inv2, inv2, "digamma") - acc
+
+
+def _harmonic(m: int) -> float:
+    """H_m = sum of 1/j for j <= m, correctly rounded; psi(m + 1) = H_m - euler_gamma."""
+    return math.fsum(1.0 / j for j in range(1, m + 1))
 
 
 def _asymptotic(result: complex, coeffs, v: complex, ratio: complex, what: str):
@@ -476,7 +470,7 @@ def _zeta_fe(s: complex, want_deriv: bool):
     return value, deriv
 
 
-def _zeta(s, precision: Precision, want_deriv: bool):
+def _zeta(s, want_deriv: bool):
     """zeta(s), or (zeta(s), zeta'(s)) when want_deriv, after the range guards."""
     sc = complex(s)
     if sc == 1:
@@ -488,27 +482,23 @@ def _zeta(s, precision: Precision, want_deriv: bool):
             "zeta derivative on Re s < -1/2 is limited to |Im s| <= "
             f"{_FE_DERIV_IM_MAX}"
         )
-    if precision.is_double:
-        value = _zeta_em(sc, want_deriv) if sc.real >= -0.5 else _zeta_fe(sc, want_deriv)
-        return _require_finite(value, "zeta")
-    with _workprec(precision):
-        z = mp.mpc(s)
-        return (mp.zeta(z), mp.zeta(z, derivative=1)) if want_deriv else mp.zeta(z)
+    value = _zeta_em(sc, want_deriv) if sc.real >= -0.5 else _zeta_fe(sc, want_deriv)
+    return _require_finite(value, "zeta")
 
 
-def zeta(s, precision: Precision = DOUBLE):
+def zeta(s):
     """Riemann zeta(s).  Raises PoleAtOne at s = 1."""
-    return _zeta(s, precision, want_deriv=False)
+    return _zeta(s, want_deriv=False)
 
 
-def zeta_deriv(s, precision: Precision = DOUBLE):
+def zeta_deriv(s):
     """First derivative zeta'(s)."""
-    return _zeta(s, precision, want_deriv=True)[1]
+    return _zeta(s, want_deriv=True)[1]
 
 
-def zeta_and_deriv(s, precision: Precision = DOUBLE):
+def zeta_and_deriv(s):
     """(zeta(s), zeta'(s)) sharing one Euler-Maclaurin pass."""
-    return _zeta(s, precision, want_deriv=True)
+    return _zeta(s, want_deriv=True)
 
 
 # ---------------------------------------------------------------------------
@@ -516,32 +506,22 @@ def zeta_and_deriv(s, precision: Precision = DOUBLE):
 # ---------------------------------------------------------------------------
 
 
-def log_gamma(s, precision: Precision = DOUBLE):
+def log_gamma(s):
     """Principal-branch log Gamma(s); raises PoleAtNonpositiveInteger.
 
-    On the negative real axis the value is log|Gamma(x)| + i*pi*[Gamma(x) < 0]
-    at every precision.
+    On the negative real axis the value is log|Gamma(x)| + i*pi*[Gamma(x) < 0].
     """
     sc = complex(s)
     if _is_nonpositive_integer(sc):
         raise PoleAtNonpositiveInteger(f"log_gamma pole at {sc.real}")
-    if precision.is_double:
-        return _require_finite(_log_gamma(sc), "log_gamma")
-    with _workprec(precision):
-        z = mp.mpc(s)
-        lg = mp.loggamma(z)
-        if z.imag == 0 and z.real < 0:
-            # mpmath's branch differs by 2*pi*i*k here; Gamma(x) < 0 exactly
-            # when floor(x) is odd.
-            lg = mp.mpc(lg.real, mp.pi if mp.floor(z.real) % 2 else 0)
-        return lg
+    return _require_finite(_log_gamma(sc), "log_gamma")
 
 
-def gamma_ratio(s, tau: float, precision: Precision = DOUBLE):
+def gamma_ratio(s, tau: float):
     """Gamma(s) / Gamma(1 + tau + s), tau >= 0, computed as exp of a log
     difference so large |s| cannot overflow intermediate Gamma values."""
     tau = float(tau)
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     sc = complex(s)
     if _is_nonpositive_integer(sc):
@@ -549,13 +529,9 @@ def gamma_ratio(s, tau: float, precision: Precision = DOUBLE):
     wc = complex(1 + tau) + sc
     if _is_nonpositive_integer(wc):
         raise PoleAtNonpositiveInteger(f"Gamma pole at 1 + tau + s = {wc.real}")
-    if precision.is_double:
-        return _require_finite(
-            cmath.exp(_log_gamma(sc) - _log_gamma(sc + (1 + tau))), "gamma_ratio"
-        )
-    with _workprec(precision):
-        z = mp.mpc(s)
-        return mp.exp(mp.loggamma(z) - mp.loggamma(z + (1 + tau)))
+    return _require_finite(
+        cmath.exp(_log_gamma(sc) - _log_gamma(sc + (1 + tau))), "gamma_ratio"
+    )
 
 
 @lru_cache(maxsize=TRIVIAL_ZERO_MAX_N, typed=True)
@@ -585,8 +561,7 @@ def trivial_zero_data(n: int) -> TrivialZeroData:
     )
     if n % 2 == 1:
         zp = -zp
-    harmonic = math.fsum(1.0 / j for j in range(1, two_n + 1))
     log_ratio = 2.0 * (
-        math.log(2 * math.pi) - (harmonic - _EULER_GAMMA) - z_der.real / z_val.real
+        math.log(2 * math.pi) - (_harmonic(two_n) - _EULER_GAMMA) - z_der.real / z_val.real
     )
     return TrivialZeroData(n=n, zeta_prime=zp, log_ratio=log_ratio)

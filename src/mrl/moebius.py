@@ -192,6 +192,21 @@ def _check_sieve_range(x_floor: int) -> None:
         raise OutOfRange(f"x = {x_floor} exceeds supported maximum {SIEVE_MAX}")
 
 
+def _check_x(x: float, least: float = 1.0, name: str = "x") -> None:
+    """Refuse a real bound below least, or NaN (DomainError), and one whose
+    floor passes SIEVE_MAX (OutOfRange), before anything floors it: floor(inf)
+    overflows."""
+    if not x >= least:
+        raise DomainError(f"{name} must be >= {least:g}, got {x}")
+    if not x < SIEVE_MAX + 1:
+        raise OutOfRange(f"{name} = {x} exceeds supported maximum {SIEVE_MAX}")
+
+
+def _check_finite(value: float, name: str) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Sublinear power sums S_j(v) = sum of mu(n) n^j over n <= v, j = 0, 1
 # ---------------------------------------------------------------------------
@@ -485,10 +500,10 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
     sum correctly rounded, as a stream of its own would.
     """
     for x, tau in points:
-        if tau < 0:
+        if not tau >= 0:
             raise DomainError(f"tau must be >= 0, got {tau}")
-        if x < 1:
-            raise DomainError(f"x must be >= 1, got {x}")
+        _check_finite(tau, "tau")
+        _check_x(x)
     affine = [x for x, tau in points if tau in (0.0, 1.0)]
     table = _power_sum_table(math.floor(max(affine))) if affine else None
 
@@ -532,9 +547,9 @@ def integral_M(
     kappa = 1), correctly rounded per block, then fsum across blocks.
     """
     x = float(x)
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
+    _check_x(x)
     kappa = float(kappa)
+    _check_finite(kappa, "kappa")
     if kappa == 0.0:
         s0, s1 = _mu_power_sums(math.floor(x))
         return float(Fraction(x) * s0 - s1)
@@ -555,8 +570,7 @@ def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> flo
     depend on the cache or on earlier calls.
     """
     x = float(x)
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
+    _check_x(x)
     sums = _BlockSums()
     for n0, _, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
         # in place, so a chunk holds two float arrays
@@ -591,8 +605,7 @@ def riesz_recurrence_check(
     is still exact; cost grows quadratically, hence the x guard.
     """
     x = float(x)
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
+    _check_x(x)
     if not isinstance(tau, int) or isinstance(tau, bool) or tau < 1:
         raise DomainError(f"tau must be an integer >= 1, got {tau!r}")
     if tau > _RECURRENCE_MAX_TAU:
@@ -642,8 +655,7 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     1 - log 2 / log X < 1.
     """
     X = float(X)
-    if X < 4:
-        raise DomainError(f"X must be >= 4, got {X}")
+    _check_x(X, 4.0, "X")
     cache = cache or _default_cache
     sums = _BlockSums()
     for n0, mu, m_vals in _stream(int(math.floor(X)), cache):
@@ -688,6 +700,16 @@ def tau_for(schedule: TauSchedule, x: float) -> float:
     raise DomainError(f"unknown schedule kind {schedule.kind!r}")
 
 
+def _growth_factor(tau: float) -> float:
+    """(tau/e)^(-tau-1); inf at tau = 0 and wherever it overflows a double."""
+    if tau > 0:
+        try:
+            return math.exp(-(tau + 1.0) * (math.log(tau) - 1.0))
+        except OverflowError:
+            pass
+    return math.inf
+
+
 def tau_regime_scan(
     x_list: list[float],
     schedule: TauSchedule,
@@ -721,10 +743,6 @@ def tau_regime_scan(
         defined.append(row)
     for row, (x, tau), m_tau in zip(defined, points, _riesz_means(points, cache)):
         sqrt_x = math.sqrt(x)
-        if tau > 0:
-            growth = math.exp(-(tau + 1.0) * (math.log(tau) - 1.0))
-        else:
-            growth = math.inf
         row.update(
             {
                 "status": "ok",
@@ -732,7 +750,7 @@ def tau_regime_scan(
                 "m_tau": m_tau,
                 "m_over_sqrt": m_tau / sqrt_x,
                 "m_tau32_over_sqrt": m_tau * tau**1.5 / sqrt_x,
-                "growth_factor": growth,
+                "growth_factor": _growth_factor(tau),
             }
         )
     return rows

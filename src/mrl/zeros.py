@@ -43,15 +43,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .kernel import (
-    DOUBLE,
-    IM_MAX,
-    Precision,
-    _workprec,
-    log_gamma,
-    zeta,
-    zeta_and_deriv,
-)
+from .kernel import DOUBLE, IM_MAX, Precision, log_gamma, zeta, zeta_and_deriv
 from .moebius import _write_atomic
 
 __all__ = [
@@ -80,6 +72,9 @@ GRID_STEP = 0.05
 NEWTON_TOL = 1e-12
 
 _NEWTON_MAX_ITER = 50
+
+# Bits beyond the requested significand width for the extended Newton step.
+_GUARD_BITS = 10
 
 # |zeta'(rho)| below this marks the record suspect (possible multiple zero or
 # unrefined placeholder); explicit-formula consumers refuse such records.
@@ -282,22 +277,15 @@ def _zero_sum(
 # ---------------------------------------------------------------------------
 
 
-def riemann_siegel_theta(t: float, precision: Precision = DOUBLE) -> float:
-    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi; mpmath.siegeltheta
-    serves precisions above 53 bits."""
-    if not precision.is_double:
-        with _workprec(precision):
-            return mp.siegeltheta(t)
-    lg = log_gamma(complex(0.25, 0.5 * t), precision)
+def riemann_siegel_theta(t: float) -> float:
+    """theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi."""
+    lg = log_gamma(complex(0.25, 0.5 * t))
     return float(lg.imag - 0.5 * t * math.log(math.pi))
 
 
-def hardy_z(t: float, precision: Precision = DOUBLE) -> float:
+def hardy_z(t: float) -> float:
     """Z(t) = exp(i theta(t)) zeta(1/2 + i t); real, and zero exactly at the
-    critical-line zeros.  mpmath.siegelz serves precisions above 53 bits."""
-    if not precision.is_double:
-        with _workprec(precision):
-            return mp.siegelz(t)
+    critical-line zeros."""
     z = zeta(complex(0.5, float(t)))
     theta = riemann_siegel_theta(t)
     return float((complex(math.cos(theta), math.sin(theta)) * z).real)
@@ -372,21 +360,22 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
 
     The seed must lie within about GRID_STEP of the true ordinate (the Newton
     basin); seeds farther away may converge to a neighboring zero.  Above 53
-    bits one Newton step at the working precision squares the double result's
-    error (about 1e-13).  That step evaluates zeta alone and divides by the
-    double polish's zeta': the step is about 1e-13, so a zeta' good to double
-    moves t by about 1e-29 only.  One more evaluation gives zeta', and its
-    next step |zeta/zeta'| must be below 2^-64 max(1, |t|), so that float(t)
-    is correctly rounded, or NoConvergence is raised.
+    bits one Newton step with mpmath's zeta, at that width plus _GUARD_BITS,
+    squares the double result's error (about 1e-13).  That step evaluates
+    zeta alone and divides by the double polish's zeta': the step is about
+    1e-13, so a zeta' good to double moves t by about 1e-29 only.  One more
+    evaluation gives zeta', and its next step |zeta/zeta'| must be below
+    2^-64 max(1, |t|), so that float(t) is correctly rounded, or
+    NoConvergence is raised.
     """
     t, dz = _newton_polish(float(gamma_seed))
     if not precision.is_double:
         if dz == 0:
             raise NoConvergence(f"double polish from seed {gamma_seed:.6f} leaves zeta' = 0")
-        with _workprec(precision):
-            z = zeta(mp.mpc(0.5, t), precision)
-            t = t - (z / (1j * dz)).real
-            z, dz = zeta_and_deriv(mp.mpc(0.5, t), precision)
+        with mp.workprec(int(precision.significand_bits) + _GUARD_BITS):
+            t = t - (mp.zeta(mp.mpc(0.5, t)) / (1j * dz)).real
+            s = mp.mpc(0.5, t)
+            z, dz = mp.zeta(s), mp.zeta(s, derivative=1)
             if not abs(z / dz) < mp.ldexp(max(1.0, abs(t)), -64):
                 raise NoConvergence(
                     f"extended Newton step from seed {gamma_seed:.6f} leaves "
@@ -460,7 +449,7 @@ def verify_count(table: ZeroTable, T: float, c_bound: float = 2.0) -> VerifyRepo
     table does not extend to T, since the count would be meaningless.
     """
     T = float(T)
-    if T <= 2.0 * math.pi:
+    if not T > 2.0 * math.pi:
         raise OutOfRange(f"T must exceed 2*pi for the main term, got {T}")
     table.require_height(T)
     observed = table.count_up_to(T)

@@ -48,6 +48,8 @@ from .errors import (
 from .kernel import _EULER_GAMMA, zeta
 from .moebius import (
     CheckpointCache,
+    _check_finite,
+    _check_x,
     _opens_block,
     _power_antideriv,
     _primes_upto,
@@ -187,7 +189,7 @@ def j_lambda(
     """
     lam = float(lam)
     T = float(T)
-    if lam <= -1.5:
+    if not lam > -1.5:
         raise DomainError(f"lambda must exceed -3/2, got {lam}")
     cutoffs = _cutoff_list(T)
 
@@ -252,11 +254,14 @@ def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):
     with the trivial-zero series truncated at l <= L and the zero sum
     (conjugate pairs, explicitly paired) at |gamma| <= T.  Returns the
     complex value, its partial values at the trace cutoffs, and the zero sum.
-    Raises DomainError for L < 1 and SingularPoint at zeros of zeta.
+    Raises DomainError for L < 1 or a non-finite s, and SingularPoint at
+    zeros of zeta.
     """
     T, L = float(T), int(L)
     if L < 1:
         raise DomainError(f"L must be >= 1, got {L}")
+    if not cmath.isfinite(sc):
+        raise DomainError(f"s must be finite, got {sc}")
     _require_identity_regular(sc, table)
     triv = math.fsum(
         (_trivial_coeff(l) / (2.0 * l + sc)).real for l in range(1, L + 1)
@@ -390,7 +395,7 @@ def zeta_eq_real_report(
     kind is A_kappa and imag_rel is that of the zero sum, as in
     a_constant_report(kappa + 1)."""
     kappa = float(kappa)
-    if kappa <= 0.5:
+    if not kappa > 0.5:
         raise DomainError(f"kappa must exceed 1/2, got {kappa}")
     try:
         target = 1.0 / _zeta_real(kappa)
@@ -446,8 +451,7 @@ def swmh_report(
     partial denominator sums at intermediate cutoffs."""
     x = float(x)
     T = float(T)
-    if x < 10.0:
-        raise DomainError(f"x must be >= 10, got {x}")
+    _check_x(x, 10.0)
     cutoffs = _cutoff_list(T)
 
     half, trace = _zero_sum(
@@ -497,7 +501,7 @@ def im_constants(
     """
     kappa = float(kappa)
     T = float(T)
-    if kappa > 1.5:
+    if not kappa <= 1.5:
         raise DomainError(f"kappa must be <= 3/2, got {kappa}")
     cutoffs = _cutoff_list(T)
     const = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
@@ -559,7 +563,7 @@ def integral_M_explicit(
     """
     x = float(x)
     kappa = float(kappa)
-    if x < 1.0:
+    if not x >= 1.0:
         raise DomainError(f"x must be >= 1, got {x}")
     ln_x = math.log(x)
 
@@ -615,9 +619,9 @@ def divim_sign_changes(
     verification.
     """
     x_max = float(x_max)
-    if x_max < 1.0:
-        raise DomainError(f"x_max must be >= 1, got {x_max}")
+    _check_x(x_max, name="x_max")
     kappa = float(kappa)
+    _check_finite(kappa, "kappa")
     cache = cache or default_cache()
     c = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
 
@@ -676,7 +680,7 @@ def log_barnes_g(z: float) -> float:
                  + sum_{k>=3} (-1)^(k-1) zeta(k-1) w^k / k.
     """
     z = float(z)
-    if z <= 0.0:
+    if not z > 0.0:
         raise DomainError(f"log_barnes_g requires z > 0, got {z}")
     acc = 0.0
     t = z - 1.0
@@ -727,7 +731,7 @@ def a_lambda(
     pinned only at those points), below raise DomainError.
     """
     lam = float(lam)
-    if lam <= -1.5:
+    if not lam > -1.5:
         raise DomainError(f"lambda must exceed -3/2, got {lam}")
     if not (lam == -1.0 or lam == -0.5 or lam >= 0.0):
         raise UnsupportedLambda(
@@ -787,7 +791,7 @@ def hko_report(
     lam = float(lam)
     T = float(T)
     arith = a_lambda(lam, prime_cutoff, g_terms)
-    if T <= _TWO_PI:
+    if not T > _TWO_PI:
         raise OutOfRange(f"T must exceed 2*pi, got {T}")
     g_factor = math.exp(2.0 * log_barnes_g(lam + 2.0) - log_barnes_g(2.0 * lam + 3.0))
     u = T / _TWO_PI

@@ -350,3 +350,30 @@ def test_parser_lists_all_subcommands():
     assert set(actions) == {
         "mertens", "riesz", "integral", "explicit", "identity", "scan"
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("riesz", "inf", "--tau", "1.5"),
+        ("integral", "inf", "--kappa", "0.5"),
+        ("scan", "density", "--X", "inf"),
+        ("--zeros", "builtin", "identity", "swmh", "--x", "inf"),
+        ("riesz", "1e3", "--tau", "nan"),
+        ("integral", "1e3", "--kappa", "nan"),
+        ("--zeros", "builtin", "explicit", "nan"),
+        ("--zeros", "builtin", "explicit", "inf"),
+        ("--zeros", "builtin", "explicit", "1e3", "--tau", "nan"),
+        ("--zeros", "builtin", "identity", "im-const", "--kappa", "nan"),
+    ],
+)
+def test_non_finite_arguments_exit_2(argv):
+    assert run_cli(*argv) == (2, "")
+
+
+def test_tau_regime_tiny_constant_exits_0():
+    # the growth factor (tau/e)^(-tau-1) overflows at tau = 5e-324 and reads inf
+    rc, out = run_cli("scan", "tau-regime", "--c", "5e-324", "--x-stop", "1e3")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rc == 0 and len(rows) == 9
+    assert all(row[3] == "ok" and row[-1] == "inf" for row in rows)

@@ -274,3 +274,42 @@ def test_residue_series_absolute_bound(tau):
     # stays within a small fixed envelope of the s = 0 term.
     v = residue_series(2.0, tau, 40)
     assert abs(v - s0_residue(tau)) < 10.0
+
+
+# NaN fails every argument guard of the spectral side, and the assembly
+# takes finite x and tau only.
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pytest.param(lambda t: explicit_M_tau(NAN, 1.0, t, 500.0, 10), id="explicit-x"),
+        pytest.param(lambda t: explicit_M_tau(1e3, NAN, t, 500.0, 10), id="explicit-tau"),
+        pytest.param(lambda t: explicit_M_tau(math.inf, 1.0, t, 500.0, 10), id="explicit-x-inf"),
+        pytest.param(lambda t: explicit_M_tau(1e3, math.inf, t, 500.0, 10),
+                     id="explicit-tau-inf"),
+        pytest.param(lambda t: zero_sum_term(NAN, 1.0, t, 500.0), id="zero-sum-x"),
+        pytest.param(lambda t: zero_sum_term(1e3, NAN, t, 500.0), id="zero-sum-tau"),
+        pytest.param(lambda t: residue_term(2, NAN, 1.5), id="residue-x"),
+        pytest.param(lambda t: residue_term(2, 1e3, NAN), id="residue-tau"),
+        pytest.param(lambda t: residue_series(NAN, 1.5, 4), id="series-x"),
+        pytest.param(lambda t: s0_residue(NAN), id="s0-tau"),
+        pytest.param(lambda t: error_estimate(NAN, 1.0, 500.0), id="estimate-x"),
+        pytest.param(lambda t: error_estimate(1e3, NAN, 500.0), id="estimate-tau"),
+        pytest.param(lambda t: error_estimate(1e3, 1.0, NAN), id="estimate-T"),
+        pytest.param(lambda t: perron_kernel_report(NAN, 1.0), id="perron-y"),
+        pytest.param(lambda t: perron_kernel_report(3.0, NAN), id="perron-tau"),
+        pytest.param(lambda t: compare_direct_explicit([1e3], NAN, t, 500.0, 10),
+                     id="compare-tau"),
+    ],
+)
+def test_non_finite_arguments_raise_domain_error(table, fn):
+    with pytest.raises(DomainError):
+        fn(table)
+
+def test_gamma_ratio_refuses_nan_tau():
+    from mrl.kernel import gamma_ratio
+
+    with pytest.raises(DomainError):
+        gamma_ratio(complex(0.5, 14.0), NAN)

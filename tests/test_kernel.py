@@ -147,15 +147,23 @@ def test_trivial_zero_data_guards():
         trivial_zero_data(True)
 
 
+# The first zero's ordinate, mpmath.zetazero(1) at 40 digits.
+GAMMA_1_40 = "14.13472514173469379045725198356247027078"
+
+
 def test_extended_precision_beats_double():
+    # EXTENDED adds one mpmath Newton step to the double polish: the ordinate
+    # comes out correctly rounded, and the double polish is no closer.
     import mpmath as mp
 
-    s = complex(0.5, 14.0)
-    want = ZETA_COMPLEX[s]
-    v = zeta(s, EXTENDED)
-    assert isinstance(v, mp.mpc)
-    # agrees with the double-path value well inside double accuracy
-    assert abs(complex(v) - want) <= 1e-14 * abs(want)
+    from mrl.zeros import refine_zero
+
+    extended = refine_zero(14.13, EXTENDED).gamma
+    double = refine_zero(14.13).gamma
+    with mp.workdps(45):
+        want = mp.mpf(GAMMA_1_40)
+        assert extended == float(want)
+        assert abs(extended - want) <= abs(double - want)
 
 
 def test_pole_and_range_guards():
@@ -263,9 +271,10 @@ def test_functional_equation_invariant(sigma, t):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-280)
 
 
-# (zeta(s), zeta'(s)) and log Gamma(s) from mpmath at 40 digits.  On the
-# negative real axis the branch is log|Gamma(x)| + i*pi*[Gamma(x) < 0], the
-# convention of the double path (mpmath.loggamma differs by 2*pi*i*k there).
+# (zeta(s), zeta'(s)) and log Gamma(s) from mpmath at 40 digits, the oracle
+# for the double kernel.  On the negative real axis the branch is
+# log|Gamma(x)| + i*pi*[Gamma(x) < 0], the convention of the double path
+# (mpmath.loggamma differs by 2*pi*i*k there).
 ZETA_AND_DERIV_40 = {
     complex(0.5, 20.0): (
         ("0.4299138604378433721577396706245034568405",
@@ -307,25 +316,27 @@ LOG_GAMMA_40 = {
 }
 
 
-def _close_40(got, want) -> bool:
+def _rel_err_40(got: complex, want) -> float:
     import mpmath as mp
 
     with mp.workdps(45):
         ref = mp.mpc(*want)
-        return abs(mp.mpc(got) - ref) <= mp.mpf("1e-30") * abs(ref)
+        return float(abs(mp.mpc(got) - ref) / abs(ref))
 
 
 @pytest.mark.parametrize("s", list(ZETA_AND_DERIV_40))
 def test_zeta_and_deriv_extended_oracles(s):
-    z, dz = zeta_and_deriv(s, EXTENDED)
+    # worst case 5.1e-14, zeta' at 1/2 + 100.5i
+    z, dz = zeta_and_deriv(s)
     want_z, want_dz = ZETA_AND_DERIV_40[s]
-    assert _close_40(z, want_z)
-    assert _close_40(dz, want_dz)
+    assert _rel_err_40(z, want_z) <= 1e-13
+    assert _rel_err_40(dz, want_dz) <= 1e-13
 
 
 @pytest.mark.parametrize("s", list(LOG_GAMMA_40))
 def test_log_gamma_extended_oracles(s):
-    assert _close_40(log_gamma(s, EXTENDED), LOG_GAMMA_40[s])
+    # worst case 5.5e-16, at -1.5
+    assert _rel_err_40(log_gamma(s), LOG_GAMMA_40[s]) <= 1e-15
 
 
 # Normal terms, which _exact_parts sums by exponent buckets, and any finite

@@ -615,3 +615,68 @@ def test_mertens_difference_is_mu_sum(shared_cache, a, b):
     assert mertens(hi, shared_cache) - mertens(lo, shared_cache) == int(
         seg.mu.sum()
     )
+
+
+# Real bounds are checked before anything floors them: NaN fails every lower
+# guard, and x past SIEVE_MAX (inf included, where floor overflows) is out
+# of range; tau and kappa must be finite.
+NAN, INF = math.nan, math.inf
+
+
+def _riesz(x, tau):
+    return riesz_mean_direct(RieszQuery(x=x, tau=tau))
+
+
+def _scan(x, c):
+    return tau_regime_scan([1e2, x], TauSchedule("constant", c))
+
+
+@pytest.mark.parametrize(
+    "fn, args, error",
+    [
+        pytest.param(_riesz, (INF, 1.5), OutOfRange, id="riesz-inf"),
+        pytest.param(_riesz, (INF, 1.0), OutOfRange, id="riesz-inf-affine"),
+        pytest.param(_riesz, (2e9, 0.0), OutOfRange, id="riesz-2e9"),
+        pytest.param(_riesz, (NAN, 1.5), DomainError, id="riesz-nan"),
+        pytest.param(_riesz, (1e3, NAN), DomainError, id="riesz-tau-nan"),
+        pytest.param(_riesz, (1e3, INF), DomainError, id="riesz-tau-inf"),
+        pytest.param(integral_M, (INF, 0.5), OutOfRange, id="integral-inf"),
+        pytest.param(integral_M, (INF, 0.0), OutOfRange, id="integral-inf-affine"),
+        pytest.param(integral_M, (NAN, 0.5), DomainError, id="integral-nan"),
+        pytest.param(integral_M, (1e3, NAN), DomainError, id="integral-kappa-nan"),
+        pytest.param(integral_M, (1e3, -INF), DomainError, id="integral-kappa-inf"),
+        pytest.param(weak_mertens_integral, (INF,), OutOfRange, id="weak-inf"),
+        pytest.param(weak_mertens_integral, (NAN,), DomainError, id="weak-nan"),
+        pytest.param(density_S, (INF,), OutOfRange, id="density-inf"),
+        pytest.param(density_S, (NAN,), DomainError, id="density-nan"),
+        pytest.param(riesz_recurrence_check, (INF, 1), OutOfRange, id="recurrence-inf"),
+        pytest.param(riesz_recurrence_check, (NAN, 2), DomainError, id="recurrence-nan"),
+        pytest.param(divim_sign_changes, (INF,), OutOfRange, id="divim-inf"),
+        pytest.param(divim_sign_changes, (NAN,), DomainError, id="divim-nan"),
+        pytest.param(divim_sign_changes, (1e3, NAN), DomainError, id="divim-kappa-nan"),
+        pytest.param(_scan, (1e3, NAN), DomainError, id="scan-c-nan"),
+        pytest.param(_scan, (INF, 1.5), OutOfRange, id="scan-x-inf"),
+    ],
+)
+def test_non_finite_bounds_are_refused(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
+
+def test_sieve_max_guard_is_on_the_floor():
+    # floor(SIEVE_MAX + 0.5) = SIEVE_MAX is served; SIEVE_MAX + 1 is not
+    assert riesz_mean_direct(RieszQuery(x=moebius.SIEVE_MAX + 0.5)) == -222.0
+    with pytest.raises(OutOfRange):
+        riesz_mean_direct(RieszQuery(x=moebius.SIEVE_MAX + 1.0))
+
+
+def test_tau_regime_growth_factor_overflow_is_inf():
+    # (tau/e)^(-tau-1) leaves the double range below tau of about 1e-308;
+    # it reads inf there, as at tau = 0, and the rest of the row is computed
+    tiny = tau_regime_scan([1e2, 1e3], TauSchedule("constant", 5e-324), CheckpointCache())
+    assert [row["growth_factor"] for row in tiny] == [math.inf, math.inf]
+    assert all(row["status"] == "ok" and math.isfinite(row["m_tau"]) for row in tiny)
+    (small,) = tau_regime_scan([1e2], TauSchedule("constant", 1e-300), CheckpointCache())
+    assert small["growth_factor"] == pytest.approx(
+        math.exp(-(1e-300 + 1.0) * (math.log(1e-300) - 1.0)), rel=1e-15
+    )
+    assert math.isfinite(small["growth_factor"])

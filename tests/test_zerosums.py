@@ -464,3 +464,31 @@ def test_hko_report_with_measurement(table):
     # without a table the measured ratio is absent
     bare = hko_report(-1.0, 1000.0)
     assert "j_lambda" not in bare.parameters
+
+
+# NaN fails every argument guard of the zero-sum reports.
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pytest.param(lambda t: j_lambda(t, NAN), id="j-lambda"),
+        pytest.param(lambda t: a_lambda(NAN), id="a-lambda"),
+        pytest.param(lambda t: zeta_eq_real_report(NAN, t), id="zeta-real"),
+        pytest.param(lambda t: im_constants(NAN, t), id="im-const"),
+        pytest.param(lambda t: a_constant_report(NAN, t), id="a-const"),
+        pytest.param(lambda t: inv_zeta_identity(complex(NAN, 0.0), t), id="inv-zeta"),
+        pytest.param(lambda t: integral_M_explicit(NAN, 1.5, t), id="integral-explicit"),
+        pytest.param(lambda t: swmh_report(NAN, t), id="swmh"),
+        pytest.param(lambda t: log_barnes_g(NAN), id="barnes-g"),
+    ],
+)
+def test_nan_arguments_raise_domain_error(table, fn):
+    with pytest.raises(DomainError):
+        fn(table)
+
+
+def test_hko_report_refuses_nan_height():
+    with pytest.raises(OutOfRange):
+        hko_report(1.0, NAN)
