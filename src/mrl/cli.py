@@ -37,6 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
+    DomainError,
     MissingZeros,
     MrlError,
     ParseError,
@@ -396,6 +397,9 @@ def _cmd_scan(args, cfg: RunConfig, out) -> int:
         ]
         columns = ("index", "x", "kappa")
     elif kind == "tau-regime":
+        for name, value in (("x-start", args.x_start), ("x-stop", args.x_stop)):
+            if not math.isfinite(value):
+                raise DomainError(f"--{name} must be finite, got {value}")
         if args.points < 1 or args.x_stop < args.x_start or args.x_start <= 0:
             raise MrlError(
                 f"empty or invalid range: start={args.x_start} "

@@ -237,6 +237,14 @@ def _exact_sum(a: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _finite_arg(s, name: str = "s") -> complex:
+    """complex(s), refusing a nan or infinite part with DomainError."""
+    sc = complex(s)
+    if not cmath.isfinite(sc):
+        raise DomainError(f"{name} must be finite, got {sc}")
+    return sc
+
+
 def _require_finite(value, what: str):
     parts = value if isinstance(value, tuple) else (value,)
     if not all(cmath.isfinite(v) for v in parts):
@@ -472,7 +480,7 @@ def _zeta_fe(s: complex, want_deriv: bool):
 
 def _zeta(s, want_deriv: bool):
     """zeta(s), or (zeta(s), zeta'(s)) when want_deriv, after the range guards."""
-    sc = complex(s)
+    sc = _finite_arg(s)
     if sc == 1:
         raise PoleAtOne("zeta has its pole at s = 1")
     if abs(sc.imag) > IM_MAX:
@@ -511,7 +519,7 @@ def log_gamma(s):
 
     On the negative real axis the value is log|Gamma(x)| + i*pi*[Gamma(x) < 0].
     """
-    sc = complex(s)
+    sc = _finite_arg(s)
     if _is_nonpositive_integer(sc):
         raise PoleAtNonpositiveInteger(f"log_gamma pole at {sc.real}")
     return _require_finite(_log_gamma(sc), "log_gamma")
@@ -521,9 +529,9 @@ def gamma_ratio(s, tau: float):
     """Gamma(s) / Gamma(1 + tau + s), tau >= 0, computed as exp of a log
     difference so large |s| cannot overflow intermediate Gamma values."""
     tau = float(tau)
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    sc = complex(s)
+    if not 0 <= tau < math.inf:
+        raise DomainError(f"tau must be finite and >= 0, got {tau}")
+    sc = _finite_arg(s)
     if _is_nonpositive_integer(sc):
         raise PoleAtNonpositiveInteger(f"Gamma pole at s = {sc.real}")
     wc = complex(1 + tau) + sc

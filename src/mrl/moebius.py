@@ -17,7 +17,8 @@ Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
 is correctly rounded once per rounding block of _BLOCK = 2^20 integers
 counted from n = 1, whatever the chunk size, and the block sums are added
-with fsum (_BlockSums).  Integrands are constant (or polynomial) on unit
+with fsum (_BlockSums); the density instead subtracts its few short
+intervals from a closed form (density_S).  Integrands are constant (or polynomial) on unit
 intervals, so integrals are evaluated in closed form per interval, never by
 approximate quadrature -- with one documented exception, the Riesz
 recurrence check for tau >= 2, which uses 5-point Gauss-Legendre nodes per
@@ -396,7 +397,7 @@ def _stream(x_floor: int, cache: CheckpointCache):
     for n_next in range(1, x_floor + 1, _BLOCK):
         n1 = min(n_next + _BLOCK, x_floor + 1)
         mu = _segment_mu(n_next, n1)
-        m_vals = np.cumsum(mu, dtype=np.int64)
+        m_vals = np.cumsum(mu, dtype=np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
         if m_prev:
             m_vals += m_prev
         m_prev = int(m_vals[-1])
@@ -461,6 +462,8 @@ def mertens(x: int, cache: CheckpointCache | None = None) -> int:
     M(x) = S_0(x) comes from _mu_power_sums, in time about x^(2/3), and
     (x, M(x)) is recorded in the cache, so a CLI --cache-dir keeps it.
     """
+    if not -math.inf < x < SIEVE_MAX + 1:
+        _check_x(x)  # before int(): DomainError for nan and -inf, else OutOfRange
     x = int(x)
     if x < 1 or x > SIEVE_MAX:
         raise OutOfRange(f"need 1 <= x <= {SIEVE_MAX}, got {x}")
@@ -647,8 +650,14 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
         (1 / log X) * integral over [2, X] of [|M(t)| <= sqrt(t)] dt/t
 
     with membership resolved exactly on each unit interval (M is constant
-    there and sqrt is monotone, so the only crossing is at t = M(n)^2,
-    compared in integer arithmetic).
+    there and sqrt is monotone, so the only crossing is at t = M(n)^2).
+
+    The integral is taken by its complement: the unit intervals
+    [n, min(n+1, X)) for n >= 2 fill [2, X] and contribute log(X/2) in all,
+    and an interval loses [n, min(n+1, X, M(n)^2)) exactly when M(n)^2 > n,
+    which is decided in int64 arithmetic.  No such n exists up to 10^7, so
+    the value is log(X/2)/log X there, within about half an ulp at the X
+    tested, and no logarithm is taken per integer.
 
     The normalizer is log X, matching the density definition's denominator;
     since the integration window starts at 2, values are bounded by
@@ -657,23 +666,14 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     X = float(X)
     _check_x(X, 4.0, "X")
     cache = cache or _default_cache
-    sums = _BlockSums()
-    for n0, mu, m_vals in _stream(int(math.floor(X)), cache):
-        hi_full = n0 + len(mu)
-        lo_n = max(n0, 2)
-        if lo_n >= hi_full:
-            continue
-        off = lo_n - n0
-        ns = np.arange(lo_n, hi_full, dtype=np.int64)
-        ms = m_vals[off:]
-        m_sq = ms * ms  # integer arithmetic: exact membership boundary at t = M^2
-        uppers = np.minimum((ns + 1).astype(np.float64), X)
-        lowers = ns.astype(np.float64)
-        # holds on [max(lower, M^2), upper) when M^2 < upper; else empty
-        starts = np.maximum(lowers, m_sq.astype(np.float64))
-        good = starts < uppers
-        sums.add(n0, np.log(uppers[good] / starts[good]))
-    return sums.total() / math.log(X)
+    lost = []
+    for n0, _, m_vals in _stream(int(math.floor(X)), cache):
+        ms = m_vals.astype(np.int64)
+        # n = 1 never qualifies: M(1)^2 = 1
+        for j in np.flatnonzero(ms * ms > np.arange(n0, n0 + len(ms))).tolist():
+            n, m_sq = n0 + j, int(ms[j]) ** 2
+            lost.append(-math.log(min(n + 1.0, X, float(m_sq)) / n))
+    return math.fsum([math.log(X / 2.0)] + lost) / math.log(X)
 
 
 def tau_for(schedule: TauSchedule, x: float) -> float:

@@ -14,6 +14,11 @@ Zeros are located by sign changes of the real function
 
 on a uniform grid, then polished in doubles from the regula-falsi point of
 each bracket by the Newton step t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.
+From t = 200 on, the grid signs come from the Riemann-Siegel formula with its
+C0 term (_riemann_siegel_z), whose error Gabcke's bound 0.127 t^(-3/4) makes
+certain; hardy_z (Euler-Maclaurin zeta) serves the points below t = 200, the
+points whose Riemann-Siegel value is inside the bound, and both ends of each
+bracket, so the regula-falsi seeds are hardy_z values.
 The Newton basin is about +/- one grid step around each ordinate; seeds
 farther out may converge to a neighbor (refuse via NoConvergence when the
 polished value leaves the bracket).  Extended precision adds one mpmath
@@ -72,6 +77,14 @@ GRID_STEP = 0.05
 NEWTON_TOL = 1e-12
 
 _NEWTON_MAX_ITER = 50
+
+# Gabcke (1979): from t = 200 on, the Riemann-Siegel formula with its C0
+# term is within 0.127 t^(-3/4) of Z(t).
+_RS_MIN_T = 200.0
+_RS_C0_ERROR = 0.127
+# Grid points per Riemann-Siegel evaluation: its (points x N) arrays stay
+# below a megabyte each up to t = IM_MAX (N = 89).
+_RS_CHUNK = 1024
 
 # Bits beyond the requested significand width for the extended Newton step.
 _GUARD_BITS = 10
@@ -291,6 +304,42 @@ def hardy_z(t: float) -> float:
     return float((complex(math.cos(theta), math.sin(theta)) * z).real)
 
 
+def _riemann_siegel_z(ts: np.ndarray):
+    """Z(t) at each height by the Riemann-Siegel formula with its first
+    correction term, and a bound on the distance to the true Z(t):
+
+        Z(t) ~ 2 sum_{n <= N} n^(-1/2) cos(theta(t) - t log n)
+               + (-1)^(N-1) (2 pi/t)^(1/4) C0(p),
+        N = floor(sqrt(t/2pi)),  p = sqrt(t/2pi) - N,
+        C0(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p.
+
+    For t >= 200 Gabcke (1979) bounds the formula's error by 0.127 t^(-3/4);
+    the bound returned is twice that plus 2^-40 t log t sqrt(N), which
+    covers the rounding of the phases (a few ulps of t log t each, times the
+    amplitude sum 4 sqrt(N)) and of C0 where |cos 2pi p| >= 2^-10.  The value
+    is nan below t = 200 and where |cos 2pi p| < 2^-10, so a sign decided by
+    |value| > bound is certain.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    z = np.full(ts.shape, np.nan)
+    bound = np.zeros(ts.shape)
+    high = ts >= _RS_MIN_T
+    t = ts[high]
+    root = np.sqrt(t / (2.0 * math.pi))
+    n_cut = np.floor(root)
+    p = root - n_cut
+    theta = np.array([riemann_siegel_theta(v) for v in t.tolist()])
+    ns = np.arange(1.0, n_cut.max(initial=1.0) + 1.0)
+    terms = np.cos(theta[:, None] - t[:, None] * np.log(ns)) / np.sqrt(ns)
+    main = 2.0 * np.sum(terms, axis=1, where=ns <= n_cut[:, None])
+    num, den = np.cos(2.0 * math.pi * (p * p - p - 0.0625)), np.cos(2.0 * math.pi * p)
+    c0 = np.divide(num, den, out=np.full(t.shape, np.nan), where=np.abs(den) >= 2.0**-10)
+    sign = 1.0 - 2.0 * ((n_cut - 1.0) % 2.0)  # (-1)^(N-1)
+    z[high] = main + sign * (2.0 * math.pi / t) ** 0.25 * c0
+    bound[high] = 2.0 * _RS_C0_ERROR * t**-0.75 + 2.0**-40 * t * np.log(t) * np.sqrt(n_cut)
+    return z, bound
+
+
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -396,6 +445,13 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
     the regula-falsi point of each bracket, or from an exact grid zero.
     Extended records: refine_table(find_zeros(a, b), EXTENDED).
 
+    A grid sign is the Riemann-Siegel value's where Gabcke's bound makes it
+    certain (t >= 200), else hardy_z's.  The seed of a bracket takes hardy_z
+    at both ends, and only hardy_z can read an exact grid zero, so the result
+    is the same, float for float, as a scan with hardy_z at every point.
+    Above t = 200 that takes two Euler-Maclaurin evaluations per bracket
+    and one per uncertain grid point.
+
     The step must be below the local zero spacing (0.05 is safe far beyond
     t = 1100).  Two zeros inside one step leave no sign change and go unseen;
     verify_count cannot tell, as a missed pair moves the count by 2 against a
@@ -410,12 +466,17 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
         raise OutOfRange(f"grid_step must be in (0, 0.5], got {grid_step}")
     n_pts = int(math.ceil((t_max - t_min) / grid_step)) + 1
     ts = [min(t_min + i * grid_step, t_max) for i in range(n_pts)]
-    zs = [hardy_z(t) for t in ts]
+    zs = []
+    for i in range(0, n_pts, _RS_CHUNK):
+        part = ts[i : i + _RS_CHUNK]
+        rs, bound = _riemann_siegel_z(np.array(part))
+        zs += [z if abs(z) > e else hardy_z(t) for t, z, e in zip(part, rs.tolist(), bound.tolist())]
     records = []
     for (a, za), (b, zb) in zip(zip(ts, zs), zip(ts[1:], zs[1:])):
-        if za == 0.0 and a > 0:
+        if za == 0.0 and a > 0:  # only hardy_z can give an exact zero
             seed = a
         elif za * zb < 0.0:
+            za, zb = hardy_z(a), hardy_z(b)
             seed = a - za * (b - a) / (zb - za)  # regula falsi: inside the basin
         else:
             continue

@@ -371,6 +371,16 @@ def test_non_finite_arguments_exit_2(argv):
     assert run_cli(*argv) == (2, "")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--x-stop", "inf"), ("--x-stop", "nan"), ("--x-start", "nan"), ("--x-start", "-inf")],
+)
+def test_tau_regime_non_finite_range_exit_2(capsys, flag, value):
+    # the range is refused before the log grid turns inf * 0 into a nan x
+    assert run_cli("scan", "tau-regime", f"{flag}={value}") == (2, "")
+    assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+
+
 def test_tau_regime_tiny_constant_exits_0():
     # the growth factor (tau/e)^(-tau-1) overflows at tau = 5e-324 and reads inf
     rc, out = run_cli("scan", "tau-regime", "--c", "5e-324", "--x-stop", "1e3")

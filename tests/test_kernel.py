@@ -187,6 +187,32 @@ def test_pole_and_range_guards():
         gamma_ratio(2.0, -0.5)
 
 
+NAN, INF = math.nan, math.inf
+
+
+# A non-finite argument is refused before any series runs; it used to exhaust
+# a coefficient budget (PrecisionLoss) or fail in int(ceil(nan)) (ValueError).
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(zeta, (complex(NAN, 0.0),), id="zeta-nan-re"),
+        pytest.param(zeta, (complex(0.5, NAN),), id="zeta-nan-im"),
+        pytest.param(zeta, (complex(0.5, INF),), id="zeta-inf-im"),
+        pytest.param(zeta, (complex(-INF, 1.0),), id="zeta-inf-re"),
+        pytest.param(zeta_deriv, (complex(NAN, 14.0),), id="zeta-deriv-nan"),
+        pytest.param(zeta_and_deriv, (complex(0.5, -INF),), id="zeta-and-deriv-inf"),
+        pytest.param(log_gamma, (complex(NAN, 1.0),), id="log-gamma-nan"),
+        pytest.param(log_gamma, (complex(INF, 0.0),), id="log-gamma-inf"),
+        pytest.param(gamma_ratio, (complex(0.5, 14.0), INF), id="gamma-ratio-tau-inf"),
+        pytest.param(gamma_ratio, (complex(0.5, 14.0), NAN), id="gamma-ratio-tau-nan"),
+        pytest.param(gamma_ratio, (complex(NAN, 14.0), 1.0), id="gamma-ratio-s-nan"),
+    ],
+)
+def test_non_finite_arguments_are_domain_errors(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
 def test_bernoulli_values():
     # Only even positive indices are exposed (odd ones vanish past B1).
     assert bernoulli(2) == Fraction(1, 6)

@@ -9,6 +9,7 @@ import math
 import struct
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,6 +405,22 @@ def test_density_basics(shared_cache):
         density_S(3.0, cache=shared_cache)
 
 
+@pytest.mark.parametrize("X", [1e3, 30_000.5, 2.0**20, 3e6])
+def test_density_within_an_ulp_of_mpmath(X):
+    # Oracle at 40 digits: [n, min(n+1, X)) is good whole for n >= 2 unless
+    # M(n)^2 > n, when only [M(n)^2, min(n+1, X)) is, or none of it; the
+    # whole intervals telescope to log(X/2).
+    m = np.cumsum(sieve_segment(1, int(X) + 1, CheckpointCache()).mu, dtype=np.int64)
+    ns = np.arange(1, len(m) + 1)
+    short = [int(n) for n in ns[(m * m > ns) & (ns >= 2)]]
+    with mp.workdps(40):
+        top = mp.mpf(X)
+        lost = mp.fsum(mp.log(min(n + 1, top, int(m[n - 1]) ** 2) / mp.mpf(n)) for n in short)
+        want = (mp.log(top / 2) - lost) / mp.log(top)
+        got = density_S(X, CheckpointCache())
+        assert abs(got - want) <= math.ulp(got), f"density_S({X}) = {got!r}, oracle {want}"
+
+
 def _same_float(got: float, want: float) -> bool:
     return got.hex() == want.hex() and math.copysign(1.0, got) == math.copysign(1.0, want)
 
@@ -661,6 +678,16 @@ def _scan(x, c):
 def test_non_finite_bounds_are_refused(fn, args, error):
     with pytest.raises(error):
         fn(*args)
+
+@pytest.mark.parametrize(
+    "x, error",
+    [(INF, OutOfRange), (NAN, DomainError), (-INF, DomainError)],
+)
+def test_mertens_non_finite_is_refused(x, error):
+    # refused before int(x), which raises OverflowError or ValueError
+    with pytest.raises(error):
+        mertens(x)
+
 
 def test_sieve_max_guard_is_on_the_floor():
     # floor(SIEVE_MAX + 0.5) = SIEVE_MAX is served; SIEVE_MAX + 1 is not

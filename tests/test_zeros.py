@@ -109,6 +109,87 @@ def test_find_zeros_high_windows(a, b, count):
     assert all(a < g <= b for g in found.gammas)
 
 
+def _forced_euler_maclaurin_scan(monkeypatch):
+    """Make find_zeros scan with hardy_z at every grid point, as it did before
+    the Riemann-Siegel signs."""
+    monkeypatch.setattr(
+        zeros, "_riemann_siegel_z", lambda ts: (np.full(len(ts), np.nan), np.zeros(len(ts)))
+    )
+
+
+def _hex(table):
+    return [g.hex() for g in table.gammas.tolist()], [
+        (z.real.hex(), z.imag.hex()) for z in table.zeta_primes.tolist()
+    ]
+
+
+def test_riemann_siegel_z_within_gabcke_bound():
+    # Gabcke: |Z - Z_RS| <= 0.127 t^(-3/4) for t >= 200, with C0 alone; the
+    # returned bound is twice that plus rounding, and no value below t = 200.
+    rng = np.random.default_rng(14)
+    ts = np.concatenate([rng.uniform(200.0, 5e4, 24), [200.0, 1e3, 1e4, 4.99e4]])
+    rs, bound = zeros._riemann_siegel_z(ts)
+    gabcke = 0.127 * ts**-0.75
+    assert np.all(np.isfinite(rs)) and np.all(bound >= 2.0 * gabcke)
+    for t, z, e in zip(ts.tolist(), rs.tolist(), gabcke.tolist()):
+        assert abs(z - hardy_z(t)) <= e, f"t = {t}"
+    for t, z, e in list(zip(ts.tolist(), rs.tolist(), gabcke.tolist()))[:4]:
+        assert abs(z - float(mp.siegelz(t))) <= e, f"t = {t}"
+    low, _ = zeros._riemann_siegel_z(np.array([14.0, 199.99]))
+    assert np.all(np.isnan(low))
+
+
+# 24 windows, 4 of them across t = 200, where the scan starts to use
+# Riemann-Siegel signs; the rest seeded between 200 and 3e4.
+_SCAN_WINDOWS = [(190.0, 210.0), (199.9, 200.1), (150.0, 201.0), (199.99, 236.53)] + [
+    (t, t + 1.5) for t in np.random.default_rng(1400).uniform(200.0, 3e4, 20).tolist()
+]
+
+
+def test_find_zeros_equals_an_euler_maclaurin_scan(monkeypatch):
+    # The seeds come from hardy_z at both bracket ends, so every ordinate and
+    # zeta' is the same float as a scan that calls hardy_z everywhere.
+    fast = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
+    _forced_euler_maclaurin_scan(monkeypatch)
+    slow = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
+    assert sum(len(t) for t in slow) >= 30
+    for (a, b), f, s in zip(_SCAN_WINDOWS, fast, slow):
+        assert _hex(f) == _hex(s), f"[{a}, {b}]"
+
+
+def _hardy_z_args(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return hardy_z(t)
+
+    monkeypatch.setattr(zeros, "hardy_z", counted)
+    return calls
+
+
+def test_find_zeros_falls_back_on_a_zero_and_where_cos_2pi_p_vanishes(table, monkeypatch):
+    # A grid point on a zero has |Z| inside the bound; at t = 2pi (N + 1/4)^2
+    # cos 2pi p = 0 and C0 is not evaluated.  Both call hardy_z there.
+    on_zero = table.gammas[100].item()
+    quarter = 2.0 * math.pi * 20.25**2
+    rs, bound = zeros._riemann_siegel_z(np.array([on_zero, quarter]))
+    assert abs(rs[0]) <= bound[0] and math.isnan(rs[1])
+    windows = [(on_zero, on_zero + 1.0), (quarter, quarter + 1.0)]
+    calls = _hardy_z_args(monkeypatch)
+    fast = [find_zeros(a, b) for a, b in windows]
+    assert on_zero in calls and quarter in calls
+    _forced_euler_maclaurin_scan(monkeypatch)
+    for (a, b), f in zip(windows, fast):
+        assert _hex(f) == _hex(find_zeros(a, b)), f"[{a}, {b}]"
+
+
+def test_find_zeros_calls_hardy_z_twice_per_bracket(monkeypatch):
+    calls = _hardy_z_args(monkeypatch)
+    found = find_zeros(9565.22, 9568.36)
+    assert len(found) == 4 and len(calls) == 8
+
+
 def test_refine_zero_off_basin_returns_a_zero_or_raises(raw_table):
     # Midpoints between neighbouring zeros lie outside the Newton basin: the
     # polish may reach either neighbour or refuse, but never stop elsewhere.
