@@ -8,7 +8,8 @@ kernel
     gamma-factor ratios, Bernoulli numbers, trivial-zero data.
 moebius
     Segmented Moebius sieve, sublinear M(x) and S_1(x), Riesz-weighted
-    means, exact integrals of M, density and tau-schedule scans.
+    means, exact integrals of M and their sign-change scan, density and
+    tau-schedule scans.
 zeros
     Critical-line zero location (Hardy Z), refined zero tables with
     derivative values, import/export, and count verification.
@@ -18,7 +19,7 @@ explicit
 zerosums
     Identity reports built from sums over zeros: reciprocal-zeta values,
     analytic continuation constants, discrete moments, weak Mertens ratio,
-    oscillation constants, sign-change scans, and moment predictions.
+    oscillation constants, and moment predictions.
 cli
     ``mrl`` command-line interface over the above.
 """
@@ -60,6 +61,7 @@ from .moebius import (
     TauSchedule,
     default_cache,
     density_S,
+    divim_sign_changes,
     integral_M,
     mertens,
     riesz_mean_direct,
@@ -100,7 +102,6 @@ from .zerosums import (
     a_constant_report,
     a_lambda,
     barnes_g,
-    divim_sign_changes,
     hko_prediction,
     hko_report,
     im_constants,
@@ -132,7 +133,7 @@ __all__ = [
     "CheckpointCache", "MertensCheckpoint", "RieszQuery", "TauSchedule",
     "default_cache", "sieve_segment", "mertens", "riesz_mean_direct",
     "integral_M", "weak_mertens_integral", "riesz_recurrence_check",
-    "density_S", "tau_regime_scan", "tau_for",
+    "divim_sign_changes", "density_S", "tau_regime_scan", "tau_for",
     # zeros
     "ZeroRecord", "ZeroTable", "hardy_z", "import_zeros",
     "builtin_zeros_path", "load_builtin", "refine_zero", "refine_table",
@@ -145,7 +146,7 @@ __all__ = [
     "ZeroSumReport", "j_lambda", "a_constant", "a_constant_report",
     "inv_zeta_identity", "zeta_eq_real", "zeta_eq_real_report", "swmh_ratio",
     "swmh_report", "im_constants", "integral_M_explicit",
-    "divim_sign_changes", "log_barnes_g", "barnes_g", "a_lambda",
+    "log_barnes_g", "barnes_g", "a_lambda",
     "hko_prediction", "hko_report",
     # cli
     "RunConfig", "cli_main",

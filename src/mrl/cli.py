@@ -50,6 +50,7 @@ from .moebius import (
     RieszQuery,
     TauSchedule,
     density_S,
+    divim_sign_changes,
     integral_M,
     mertens,
     riesz_mean_direct,
@@ -390,7 +391,7 @@ def _cmd_scan(args, cfg: RunConfig, out) -> int:
         rows = [{"X": float(args.X), "density": value}]
         columns = ("X", "density")
     elif kind == "divIM-sign":
-        xs = zs.divim_sign_changes(args.X, kappa=args.kappa, cache=cache)
+        xs = divim_sign_changes(args.X, kappa=args.kappa, cache=cache)
         rows = [
             {"index": i + 1, "x": x, "kappa": args.kappa}
             for i, x in enumerate(xs)

@@ -1,8 +1,8 @@
 """Exact integer-side computations around the Moebius function.
 
 Segmented numpy sieving of mu(n), the summatory function M(x), Riesz-weighted
-means, piecewise-exact integrals of M(u) against power weights, the
-logarithmic density of {t : |M(t)| <= sqrt(t)}, and tau-schedule scans.
+means, piecewise-exact integrals of M(u) against power weights and their sign
+changes, the logarithmic density of {t : |M(t)| <= sqrt(t)}, and tau scans.
 
 Two routes serve them.  Quantities whose weight is affine in n need only the
 exact sums S_0(x) = M(x) and S_1(x) = sum_{n<=x} mu(n) n, which
@@ -11,7 +11,9 @@ Deleglise-Rivat identity: M(x), the Riesz means at tau = 0 and tau = 1
 (M_1 = S_0 - S_1/x) and the integral of M(u) over [1, x] (x S_0 - S_1).
 Everything else needs M pointwise and streams mu from n = 1 (_stream), sieved
 in blocks and consumed in cache-sized chunks, recording (x, M(x))
-checkpoints on the way.
+checkpoints on the way.  The integrals of M(u) u^(-kappa) and of
+(M(u)/u)^2 and the sign-change scan read one stream of closed-form
+unit-interval pieces (_integral_pieces).
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
@@ -41,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRange, ParseError, ScheduleUndefined
-from .kernel import _exact_parts, _exact_sum  # noqa: F401  (_exact_sum is re-exported)
+from .kernel import _exact_parts, _exact_sum, zeta  # noqa: F401  (_exact_sum is re-exported)
 
 __all__ = [
     "SIEVE_MAX",
@@ -57,6 +59,7 @@ __all__ = [
     "riesz_mean_direct",
     "integral_M",
     "weak_mertens_integral",
+    "divim_sign_changes",
     "riesz_recurrence_check",
     "density_S",
     "tau_regime_scan",
@@ -386,25 +389,26 @@ def _stream(x_floor: int, cache: CheckpointCache):
     chunks (views) of min(_CHUNK, _BLOCK) integers, so each block is a run of
     whole chunks (_opens_block tells where one starts), and a consumer that
     cuts the chunks at its own floor(x) sums over the same blocks as a stream
-    that ends there.  Stride checkpoints are recorded on the way and the
-    frontier once the stream is exhausted; mertens serves those x from the
-    cache.
+    that ends there.  m_vals is summed per chunk.  Stride checkpoints are
+    recorded on the way and the frontier once the stream is exhausted;
+    mertens serves those x from the cache.
     """
     _check_sieve_range(x_floor)
     m_prev = 0
     stride = cache.stride
     chunk = min(_CHUNK, _BLOCK)
     for n_next in range(1, x_floor + 1, _BLOCK):
-        n1 = min(n_next + _BLOCK, x_floor + 1)
-        mu = _segment_mu(n_next, n1)
-        m_vals = np.cumsum(mu, dtype=np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
-        if m_prev:
-            m_vals += m_prev
-        m_prev = int(m_vals[-1])
-        for cp in range((n_next + stride - 1) // stride * stride, n1, stride):
-            cache.record(cp, int(m_vals[cp - n_next]))
-        for a in range(0, n1 - n_next, chunk):
-            yield n_next + a, mu[a : a + chunk], m_vals[a : a + chunk]
+        mu_block = _segment_mu(n_next, min(n_next + _BLOCK, x_floor + 1))
+        for n0 in range(n_next, n_next + len(mu_block), chunk):
+            mu = mu_block[n0 - n_next : n0 - n_next + chunk]
+            # a block-long M array, freed at every block, can hand its pages
+            # back to the system, to be faulted in again at the next block
+            m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
+            m_vals[0] += m_prev
+            m_prev = int(np.cumsum(m_vals, out=m_vals)[-1])
+            for cp in range(-(-n0 // stride) * stride, n0 + len(mu), stride):
+                cache.record(cp, int(m_vals[cp - n0]))
+            yield n0, mu, m_vals
     cache.note_frontier(x_floor, m_prev)
 
 
@@ -531,11 +535,27 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
     return [affine_mean(x, tau) if tau in (0.0, 1.0) else next(totals) for x, tau in points]
 
 
-def _power_antideriv(u: np.ndarray, kappa: float) -> np.ndarray:
-    """Antiderivative of u^(-kappa): log u when kappa = 1, else u^(1-kappa)/(1-kappa)."""
-    if kappa == 1.0:
-        return np.log(u)
-    return u ** (1.0 - kappa) / (1.0 - kappa)
+def _integral_pieces(x: float, kappa: float, cache: CheckpointCache, power: int = 1):
+    """The integral of M(u)^power u^(-kappa) over [1, x], piece by piece.
+
+    M is constant on [n, n+1), so with P(u) = log u at kappa = 1, else
+    u^(1-kappa)/(1-kappa), [n, min(n+1, x)) holds M(n)^power (P(min(n+1, x))
+    - P(n)).  Yields (n0, m_vals, ends, pieces) per chunk of _stream: ends[i]
+    = P(min(n0 + i, x)) for i <= len(m_vals), so P is taken once per interval
+    end, and pieces[i] is the piece of n = n0 + i; all are new arrays.
+    """
+    for n0, _, m_vals in _stream(math.floor(x), cache):
+        ends = np.arange(n0, n0 + len(m_vals) + 1, dtype=np.float64)
+        ends[-1] = min(ends[-1], x)  # the chunk's other ends are <= floor(x)
+        # in place, so a chunk allocates only ends, pieces and M^2
+        if kappa == 1.0:
+            np.log(ends, out=ends)
+        else:
+            ends **= 1.0 - kappa
+            ends /= 1.0 - kappa
+        pieces = ends[1:] - ends[:-1]
+        pieces *= m_vals if power == 1 else np.square(m_vals, dtype=np.float64)
+        yield n0, m_vals, ends, pieces
 
 
 def integral_M(
@@ -545,9 +565,9 @@ def integral_M(
 
     At kappa = 0 the integral is sum_{n <= x} mu(n) (x - n) = x S_0 - S_1,
     taken exactly from _mu_power_sums and correctly rounded.  Other kappa
-    stream mu from n = 1: M is constant on [n, n+1), so the integral is a
-    sum of closed-form antiderivative differences (the logarithm at
-    kappa = 1), correctly rounded per block, then fsum across blocks.
+    stream mu from n = 1 and sum the closed-form pieces of _integral_pieces
+    (the logarithm at kappa = 1), correctly rounded per block, then fsum
+    across blocks.
     """
     x = float(x)
     _check_x(x)
@@ -557,36 +577,69 @@ def integral_M(
         s0, s1 = _mu_power_sums(math.floor(x))
         return float(Fraction(x) * s0 - s1)
     sums = _BlockSums()
-    for n0, mu, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
-        ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
-        uppers = np.minimum(ns + 1.0, x)
-        deltas = _power_antideriv(uppers, kappa) - _power_antideriv(ns, kappa)
-        sums.add(n0, m_vals.astype(np.float64) * deltas)
+    for n0, _, _, pieces in _integral_pieces(x, kappa, cache or _default_cache):
+        sums.add(n0, pieces)
     return sums.total()
 
 
 def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> float:
     """Piecewise-exact integral of (M(u)/u)^2 over [1, x].
 
-    With the antiderivative -1/u, the interval [n, min(n+1, x)) contributes
-    M(n)^2 (1/n - 1/min(n+1, x)); summed like integral_M, the value does not
-    depend on the cache or on earlier calls.
+    The interval [n, min(n+1, x)) contributes M(n)^2 (1/n - 1/min(n+1, x)),
+    the pieces of _integral_pieces at kappa = 2 and power 2; summed like
+    integral_M, the value does not depend on the cache or on earlier calls.
     """
     x = float(x)
     _check_x(x)
     sums = _BlockSums()
-    for n0, _, m_vals in _stream(int(math.floor(x)), cache or _default_cache):
-        # in place, so a chunk holds two float arrays
-        incr = np.arange(n0, n0 + len(m_vals), dtype=np.float64)
-        uppers = incr + 1.0
-        np.minimum(uppers, x, out=uppers)
-        np.divide(1.0, incr, out=incr)
-        incr -= np.divide(1.0, uppers, out=uppers)
-        m_sq = uppers
-        m_sq[:] = m_vals
-        incr *= np.multiply(m_sq, m_sq, out=m_sq)
-        sums.add(n0, incr)
+    for n0, _, _, pieces in _integral_pieces(x, 2.0, cache or _default_cache, power=2):
+        sums.add(n0, pieces)
     return sums.total()
+
+
+def divim_sign_changes(
+    x_max: float,
+    kappa: float = 1.5,
+    cache: CheckpointCache | None = None,
+) -> list[float]:
+    """Crossing points of D(x) = int_1^x M(u) u^-kappa du - c in [1, x_max],
+    where c = 2/zeta(1/2) at kappa = 3/2 and 0 otherwise.
+
+    D is continuous and piecewise monotone (M is constant between integers),
+    so every crossing lies inside an interval whose endpoint values straddle
+    zero and is located there in closed form.  A non-empty list is evidence
+    of the two-sided oscillation of the normalized integral; the theory makes
+    that claim only asymptotically, so this scan is reported as evidence, not
+    verification.
+    """
+    x_max = float(x_max)
+    _check_x(x_max, name="x_max")
+    kappa = float(kappa)
+    _check_finite(kappa, "kappa")
+    c = 2.0 / zeta(0.5).real if kappa == 1.5 else 0.0
+
+    crossings: list[float] = []
+    # I at the end of an interval is I at the left edge of its rounding block
+    # plus the sequential partial sum of the block's pieces, carried across
+    # the block's chunks, so the values do not depend on the chunk size.
+    i_lo, i_end, run, f_prev = 0.0, 0.0, 0.0, 0.0 - c
+    for n0, m_vals, ends, pieces in _integral_pieces(x_max, kappa, cache or _default_cache):
+        if _opens_block(n0):
+            i_lo = i_end
+        else:
+            pieces[0] += run
+        runs = np.cumsum(pieces)
+        i_ends = i_lo + runs
+        f_ends = i_ends - c
+        f_starts = np.concatenate(([f_prev], f_ends[:-1]))
+        for j in np.flatnonzero((f_starts < 0.0) != (f_ends < 0.0)).tolist():
+            # Solve I(n) + m (P(x) - P(n)) = c for x in (n, n+1], with
+            # P(n) = ends[j] and I(n) = f_starts[j] + c.
+            v = float(ends[j]) + (c - float(f_starts[j] + c)) / float(m_vals[j])
+            crossings.append(math.exp(v) if kappa == 1.0
+                             else float(((1.0 - kappa) * v) ** (1.0 / (1.0 - kappa))))
+        run, i_end, f_prev = float(runs[-1]), float(i_ends[-1]), float(f_ends[-1])
+    return crossings
 
 
 _GL5_NODES = np.polynomial.legendre.leggauss(5)

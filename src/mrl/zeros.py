@@ -449,8 +449,8 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
     certain (t >= 200), else hardy_z's.  The seed of a bracket takes hardy_z
     at both ends, and only hardy_z can read an exact grid zero, so the result
     is the same, float for float, as a scan with hardy_z at every point.
-    Above t = 200 that takes two Euler-Maclaurin evaluations per bracket
-    and one per uncertain grid point.
+    Above t = 200 that takes one Euler-Maclaurin evaluation per uncertain
+    grid point and per bracket end, each point evaluated at most once.
 
     The step must be below the local zero spacing (0.05 is safe far beyond
     t = 1100).  Two zeros inside one step leave no sign change and go unseen;
@@ -466,17 +466,22 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
         raise OutOfRange(f"grid_step must be in (0, 0.5], got {grid_step}")
     n_pts = int(math.ceil((t_max - t_min) / grid_step)) + 1
     ts = [min(t_min + i * grid_step, t_max) for i in range(n_pts)]
+    exact: dict[float, float] = {}  # hardy_z at each grid point, taken once
+
+    def exact_z(t: float) -> float:
+        return exact[t] if t in exact else exact.setdefault(t, hardy_z(t))
+
     zs = []
     for i in range(0, n_pts, _RS_CHUNK):
         part = ts[i : i + _RS_CHUNK]
         rs, bound = _riemann_siegel_z(np.array(part))
-        zs += [z if abs(z) > e else hardy_z(t) for t, z, e in zip(part, rs.tolist(), bound.tolist())]
+        zs += [z if abs(z) > e else exact_z(t) for t, z, e in zip(part, rs.tolist(), bound.tolist())]
     records = []
     for (a, za), (b, zb) in zip(zip(ts, zs), zip(ts[1:], zs[1:])):
         if za == 0.0 and a > 0:  # only hardy_z can give an exact zero
             seed = a
         elif za * zb < 0.0:
-            za, zb = hardy_z(a), hardy_z(b)
+            za, zb = exact_z(a), exact_z(b)
             seed = a - za * (b - a) / (zb - za)  # regula falsi: inside the basin
         else:
             continue

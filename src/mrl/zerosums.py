@@ -12,7 +12,8 @@ as infinite sums over zeros:
 * ``im_constants``      -- limsup/liminf constants for the normalized Mertens integral.
 * ``integral_M_explicit`` -- zero-sum reconstruction of int_1^x M(u) u^-kappa du.
 * ``hko_prediction``    -- random-matrix moment prediction (Barnes G, Euler product).
-* ``divim_sign_changes`` -- oscillation evidence for the normalized integral.
+* ``divim_sign_changes`` -- oscillation evidence for the normalized integral,
+  re-exported from ``mrl.moebius``, which scans it on the integral's own pieces.
 
 Sum conventions are a classic source of factor-2 and sign bugs, so each
 operation documents whether its zero sum runs over positive ordinates only or
@@ -46,15 +47,11 @@ from .errors import (
     UnsupportedLambda,
 )
 from .kernel import _EULER_GAMMA, zeta
-from .moebius import (
+from .moebius import (  # divim_sign_changes is re-exported
     CheckpointCache,
-    _check_finite,
     _check_x,
-    _opens_block,
-    _power_antideriv,
     _primes_upto,
-    _stream,
-    default_cache,
+    divim_sign_changes,
     integral_M,
     weak_mertens_integral,
 )
@@ -596,66 +593,6 @@ def integral_M_explicit(
         ),
         "normalized_direct": abs(direct) / x ** (1.5 - kappa),
     }
-
-
-# ---------------------------------------------------------------------------
-# Sign-change scan for the normalized integral (oscillation evidence)
-# ---------------------------------------------------------------------------
-
-
-def divim_sign_changes(
-    x_max: float,
-    kappa: float = 1.5,
-    cache: CheckpointCache | None = None,
-) -> list[float]:
-    """Crossing points of D(x) = int_1^x M(u) u^-kappa du - c in [1, x_max],
-    where c = 2/zeta(1/2) at kappa = 3/2 and 0 otherwise.
-
-    D is continuous and piecewise monotone (M is constant between integers),
-    so every crossing lies inside an interval whose endpoint values straddle
-    zero and is located there in closed form.  A non-empty list is evidence
-    of the two-sided oscillation of the normalized integral; the theory makes
-    that claim only asymptotically, so this scan is reported as evidence, not
-    verification.
-    """
-    x_max = float(x_max)
-    _check_x(x_max, name="x_max")
-    kappa = float(kappa)
-    _check_finite(kappa, "kappa")
-    cache = cache or default_cache()
-    c = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
-
-    crossings: list[float] = []
-    # I at the end of an interval is I at the left edge of its rounding block
-    # plus the sequential partial sum of the block's pieces, carried across
-    # the block's chunks, so the values do not depend on the chunk size.
-    i_lo, i_end, run, f_prev = 0.0, 0.0, 0.0, 0.0 - c
-    for n0, mu, m_vals in _stream(int(math.floor(x_max)), cache):
-        ns = np.arange(n0, n0 + len(mu), dtype=np.float64)
-        deltas = _power_antideriv(np.minimum(ns + 1.0, x_max), kappa)
-        deltas -= _power_antideriv(ns, kappa)
-        pieces = m_vals * deltas
-        if _opens_block(n0):
-            i_lo = i_end
-        else:
-            pieces[0] += run
-        runs = np.cumsum(pieces)
-        i_ends = i_lo + runs
-        f_ends = i_ends - c
-        f_starts = np.empty_like(f_ends)
-        f_starts[0] = f_prev
-        f_starts[1:] = f_ends[:-1]
-        for j in np.nonzero((f_starts < 0.0) != (f_ends < 0.0))[0]:
-            # Solve I(n) + m*(P(x) - P(n)) = c for x in (n, n+1], P = antiderivative,
-            # I(n) = f_starts[j] + c.
-            p_n = float(_power_antideriv(ns[j : j + 1], kappa)[0])
-            v = p_n + (c - float(f_starts[j] + c)) / float(m_vals[j])
-            if kappa == 1.0:
-                crossings.append(math.exp(v))
-            else:
-                crossings.append(float(((1.0 - kappa) * v) ** (1.0 / (1.0 - kappa))))
-        run, i_end, f_prev = float(runs[-1]), float(i_ends[-1]), float(f_ends[-1])
-    return crossings
 
 
 # ---------------------------------------------------------------------------

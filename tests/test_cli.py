@@ -199,6 +199,13 @@ def test_scan_divim_sign():
     )
 
 
+def test_scan_divim_sign_at_kappa_one():
+    # the single crossing below 10 is sqrt(30), found in closed form
+    rc, out = run_cli("scan", "divIM-sign", "--X", "10", "--kappa", "1")
+    assert rc == 0
+    assert out == "index,x,kappa\n1,5.477225575051661,1.0\n"
+
+
 def test_scan_tau_regime_csv():
     rc, out = run_cli(
         "scan", "tau-regime", "--x-start", "100", "--x-stop", "10000",

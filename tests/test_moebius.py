@@ -353,6 +353,20 @@ def test_integral_closed_forms(shared_cache):
         integral_M(0.5, 1.0, shared_cache)
 
 
+@pytest.mark.parametrize("kappa", [-0.5, 1.0 / 3.0, 1.2, 0.5, 1.5, 2.0])
+def test_integral_matches_high_precision_pieces(kappa, shared_cache):
+    # Unit-interval antiderivative differences against 40 digits, for kappa
+    # below 0, between 0 and 1 and above 1.
+    x = 10.5
+    with mp.workdps(40):
+        e = 1 - mp.mpf(kappa)
+        ends = [mp.mpf(min(u, x)) ** e / e for u in range(1, 12)]
+        want = mp.fsum(
+            mertens(n, shared_cache) * (ends[n] - ends[n - 1]) for n in range(1, 11)
+        )
+    assert integral_M(x, kappa, shared_cache) == pytest.approx(float(want), rel=1e-14)
+
+
 def test_integral_matches_riemann_sum(shared_cache):
     # Midpoint Riemann sum over unit intervals is exact for kappa = 0.
     x, kappa = 500.0, 0.0

@@ -190,6 +190,17 @@ def test_find_zeros_calls_hardy_z_twice_per_bracket(monkeypatch):
     assert len(found) == 4 and len(calls) == 8
 
 
+def test_find_zeros_takes_hardy_z_once_per_point(monkeypatch):
+    # Near t = 9927.8 cos 2pi p is small, so four grid points fall back to
+    # hardy_z, and the one bracket lies between two of them: its ends reuse
+    # the fallback values.
+    calls = _hardy_z_args(monkeypatch)
+    fast = find_zeros(9927.5, 9928.2)
+    assert len(fast) == 1 and len(calls) == 4 and len(set(calls)) == 4
+    _forced_euler_maclaurin_scan(monkeypatch)
+    assert _hex(fast) == _hex(find_zeros(9927.5, 9928.2))
+
+
 def test_refine_zero_off_basin_returns_a_zero_or_raises(raw_table):
     # Midpoints between neighbouring zeros lie outside the Newton basin: the
     # polish may reach either neighbour or refuse, but never stop elsewhere.

@@ -397,6 +397,17 @@ def test_divim_non_integer_end_counts_last_interval_once(cache):
     assert divim_sign_changes(64099.5, cache=cache) == [64099.41812094184]
 
 
+def test_divim_crossing_closed_forms(cache):
+    # M = 1, 0, -1, -1, -2 on [1, 6): at kappa = 1, I(x) = log(6/5) - 2 log(x/5)
+    # on [5, 6), zero at sqrt(30); at kappa = 1/2, I(x) = 2(sqrt 2 + sqrt 3 - 3)
+    # - 2(sqrt x - 2) on [4, 5), zero at (sqrt 3 + sqrt 2 - 1)^2.
+    assert divim_sign_changes(10, kappa=1.0, cache=cache) == [math.sqrt(30)]
+    (x,) = divim_sign_changes(10, kappa=0.5, cache=cache)
+    with mp.workdps(40):
+        exact = (mp.sqrt(3) + mp.sqrt(2) - 1) ** 2
+        assert abs(mp.mpf(x) - exact) <= 2 * math.ulp(x)
+
+
 def test_divim_reproducible(shared_cache):
     a = divim_sign_changes(1e5, cache=shared_cache)
     b = divim_sign_changes(1e5, cache=shared_cache)
