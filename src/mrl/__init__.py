@@ -7,9 +7,10 @@ kernel
     Euler-Maclaurin zeta and derivative on the real axis and critical strip,
     gamma-factor ratios, Bernoulli numbers, trivial-zero data.
 moebius
-    Segmented Moebius sieve, sublinear M(x) and S_1(x), Riesz-weighted
-    means, exact integrals of M and their sign-change scan, density and
-    tau-schedule scans.
+    Segmented Moebius sieve, sublinear power sums S_0(x) = M(x), ...,
+    S_3(x), Riesz-weighted means (exact at integer tau <= 3), exact
+    integrals of M and their sign-change scan, density and tau-schedule
+    scans.
 zeros
     Critical-line zero location (Hardy Z), refined zero tables with
     derivative values, import/export, and count verification.

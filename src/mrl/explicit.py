@@ -291,8 +291,8 @@ def compare_direct_explicit(
     Row keys x, tau, T, L, direct, explicit, abs_diff, error_estimate are the
     canonical tabular columns; within_estimate and the occasional note field
     are extra context for structured output only.  The direct values come
-    from moebius._riesz_means: one power-sum table at tau = 0 or 1, else one
-    mu stream up to the largest x.
+    from moebius._riesz_means: one power-sum table at integer tau <= 3, else
+    one mu stream up to the largest x.
     """
     evs = [explicit_M_tau(float(x), tau, table, T, L) for x in x_list]
     directs = _riesz_means([(ev.x, ev.tau) for ev in evs], cache or default_cache())

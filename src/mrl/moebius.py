@@ -4,14 +4,16 @@ Segmented numpy sieving of mu(n), the summatory function M(x), Riesz-weighted
 means, piecewise-exact integrals of M(u) against power weights and their sign
 changes, the logarithmic density of {t : |M(t)| <= sqrt(t)}, and tau scans.
 
-Two routes serve them.  Quantities whose weight is affine in n need only the
-exact sums S_0(x) = M(x) and S_1(x) = sum_{n<=x} mu(n) n, which
-_mu_power_sums finds in time about x^(2/3) from a sieved table and the
-Deleglise-Rivat identity: M(x), the Riesz means at tau = 0 and tau = 1
-(M_1 = S_0 - S_1/x) and the integral of M(u) over [1, x] (x S_0 - S_1).
+Two routes serve them.  Quantities whose weight is a polynomial of degree
+<= 3 in n need only the exact sums S_j(x) = sum_{n<=x} mu(n) n^j, j <= 3,
+which _mu_power_sums finds in time about x^(2/3) from a sieved table and the
+Deleglise-Rivat identity, as residues joined by the CRT: M(x) = S_0, the
+Riesz means at tau = 0, 1, 2, 3 (M_1 = S_0 - S_1/x, and so on) and the
+integrals of M(u) u^(-kappa) over [1, x] at kappa = 0, -1, -2
+((x^a S_0 - S_a)/a, a = 1 - kappa).
 Everything else needs M pointwise and streams mu from n = 1 (_stream), sieved
 in blocks and consumed in cache-sized chunks, recording (x, M(x))
-checkpoints on the way.  The integrals of M(u) u^(-kappa) and of
+checkpoints on the way.  The other integrals of M(u) u^(-kappa), that of
 (M(u)/u)^2 and the sign-change scan read one stream of closed-form
 unit-interval pieces (_integral_pieces).
 
@@ -37,7 +39,6 @@ import os
 import struct
 import uuid
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 # Hard ceiling for x: a cost guard for the streams, which are linear, and the
-# bound under which _mu_power_sums cannot overflow int64.
+# bound from which _RESIDUES takes how many moduli each exact S_j needs.
 SIEVE_MAX = 10**9
 
 # Default spacing between persisted Mertens checkpoints.
@@ -212,77 +213,203 @@ def _check_finite(value: float, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sublinear power sums S_j(v) = sum of mu(n) n^j over n <= v, j = 0, 1
+# Sublinear power sums S_j(v) = sum of mu(n) n^j over n <= v, j <= 3
 # ---------------------------------------------------------------------------
+
+# The power sums are found as residues.  numpy's uint64 arithmetic wraps, so
+# it works mod 2^64 by itself; the two primes below 2^31 keep every product
+# of two residues below 2^62 in int64.  S_j takes the shortest run of moduli
+# whose product exceeds 2 W_j(SIEVE_MAX) >= 2 |S_j(x)| (_RESIDUES), and the
+# CRT (_crt) recovers it from them.
+_MODULI = (1 << 64, 2**31 - 1, 2**31 - 19)
+_WRAP = _MODULI[0]
+_MAX_DEGREE = 3
+# The Riesz exponents tau, and the 1 - kappa of the integrals, whose weight
+# is a polynomial in n that the power sums serve exactly.
+_EXACT_DEGREES = range(_MAX_DEGREE + 1)
+
+
+def _faulhaber(n: int, j: int) -> int:
+    """W_j(n) = sum of d^j over 1 <= d <= n, for j <= 3 (Faulhaber)."""
+    t = n * (n + 1) // 2
+    return (n, t, t * (2 * n + 1) // 3, t * t)[j]
+
+
+_RESIDUES = tuple(
+    next(c for c in range(1, len(_MODULI) + 1)
+         if math.prod(_MODULI[:c]) > 2 * _faulhaber(SIEVE_MAX, j))
+    for j in range(_MAX_DEGREE + 1)
+)
+
+
+def _residue_rows(degree: int) -> list[tuple[int, int]]:
+    """(p, j) for each residue mod p of each S_j, j <= degree, in ascending
+    order of j, so the rows of a smaller degree come first."""
+    return [(p, j) for j in range(degree + 1) for p in _MODULI[: _RESIDUES[j]]]
+
+
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """An integer array mod p, in [0, p); uint64 arithmetic has already
+    wrapped at 2^64.  (floor_divide by a constant is several times faster
+    than remainder.)"""
+    return a if p == _WRAP else a - a // p * p
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """The array a of integers below 2^63 mod p: as uint64, which wraps, at
+    p = 2^64, else as int64."""
+    if p == _WRAP:
+        return a.astype(np.uint64, copy=False)
+    return _reduce(a, p).astype(np.int64, copy=False)
+
+
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> int:
+    """The dot product of two residue arrays, mod p up to a multiple of p.
+    Mod a prime each product, below 2^62 in magnitude, is reduced first."""
+    return int(a @ b) if p == _WRAP else int(_reduce(a * b, p).sum())
+
+
+def _faulhaber_factors(n: np.ndarray, degree: int) -> list[tuple[np.ndarray, ...]]:
+    """For each j <= degree, factors whose product is W_j(n), for an integer
+    array n <= SIEVE_MAX.
+
+    Nothing divides mod p, so the factors 2 and 3 of Faulhaber's forms are
+    divided out here, exactly: n (n + 1) < 2^63 gives t = n (n + 1)/2, and 3
+    divides t or else 2n + 1.
+    """
+    factors: list[tuple[np.ndarray, ...]] = [(n,)]
+    if degree >= 1:
+        t = n * (n + 1) >> 1
+        factors.append((t,))
+    if degree >= 2:
+        third, s = t % 3 == 0, 2 * n + 1
+        factors.append((np.where(third, t // 3, t), np.where(third, s, s // 3)))
+    if degree >= 3:
+        factors.append((t, t))
+    return factors
+
+
+def _product(factors: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+    """The product of integer arrays below 2^63, mod p."""
+    w = _residues(factors[0], p)
+    for f in factors[1:]:
+        w = _reduce(w * _residues(f, p), p)
+    return w
+
+
+def _crt(residues: list[int]) -> int:
+    """The integer s with |s| < M/2 and s = residues[i] mod _MODULI[i], where
+    M is the product of the first len(residues) moduli."""
+    s, m = 0, 1
+    for r, p in zip(residues, _MODULI):
+        s += m * ((r - s) * pow(m, -1, p) % p)
+        m *= p
+    return s - m if 2 * s >= m else s
 
 
 def _power_sum_limit(x: int) -> int:
     """Top L of the sieved table that serves _mu_power_sums(x):
-    min(x, max(x^(2/3), 64 sqrt x))."""
+    min(x, max(x^(2/3), 64 sqrt x)), below 2^21 for x <= SIEVE_MAX."""
     return min(x, max(int(x ** (2.0 / 3.0)), 64 * math.isqrt(x)))
 
 
-def _power_sum_table(x_floor: int) -> tuple[np.ndarray, np.ndarray]:
-    """S_0(v) and S_1(v) for 0 <= v <= _power_sum_limit(x_floor), as int64
-    arrays indexed by v, from one sieve of [1, L]."""
+def _mu_times_power(mu: np.ndarray, j: int) -> np.ndarray:
+    """mu(n) n^j for n = 1..len(mu), exactly in int64 (n < 2^21, so
+    n^3 < 2^63), in one array: a second fresh one costs its page faults.
+    int64, since numpy casts int8 to uint64 several times slower."""
+    term = np.arange(1, len(mu) + 1, dtype=np.int64)
+    if j > 1:
+        term **= j
+    term *= mu
+    return term
+
+
+def _power_sum_table(x_floor: int, degree: int) -> list[np.ndarray]:
+    """S_j(v) mod p for 0 <= v <= _power_sum_limit(x_floor), one array per
+    (p, j) of _residue_rows(degree), from one sieve of [1, L]."""
     _check_sieve_range(x_floor)
     limit = _power_sum_limit(x_floor)
     mu = _segment_mu(1, limit + 1)
-    s0 = np.zeros(limit + 1, dtype=np.int64)
-    s1 = np.zeros(limit + 1, dtype=np.int64)
-    np.cumsum(mu, dtype=np.int64, out=s0[1:])
-    np.cumsum(mu * np.arange(1, limit + 1, dtype=np.int64), out=s1[1:])
-    return s0, s1
+    tables = []
+    for p, j in _residue_rows(degree):
+        table = np.zeros(limit + 1, dtype=np.int64)
+        if j == 0:  # mod 2^64 only; |S_0(v)| <= L
+            np.cumsum(mu, dtype=np.int64, out=table[1:])
+        elif p == _WRAP:
+            np.cumsum(_mu_times_power(mu, j).view(np.uint64), out=table.view(np.uint64)[1:])
+        else:
+            # the L terms, reduced below 2^31, cannot overflow the sum
+            np.cumsum(_reduce(_mu_times_power(mu, j), p), out=table[1:])
+        tables.append(table.view(np.uint64) if p == _WRAP else _reduce(table, p))
+    return tables
 
 
 def _mu_power_sums(
-    x_floor: int, table: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[int, int]:
-    """Exact (S_0(x), S_1(x)) for integer 1 <= x <= SIEVE_MAX, in time about
-    x^(2/3), without streaming mu from n = 1.
+    x_floor: int, degree: int, tables: list[np.ndarray] | None = None
+) -> tuple[int, ...]:
+    """Exact (S_0(x), ..., S_degree(x)) for integer 1 <= x <= SIEVE_MAX and
+    degree <= 3, in time about x^(2/3), without streaming mu from n = 1.
 
     n^j is completely multiplicative, so sum_{d <= v} d^j S_j(floor(v/d)) = 1
     (Deleglise-Rivat).  With r = isqrt(v), the terms d <= r are read one by
     one; the terms d > r fall into groups with one quotient q <= v//(r+1) <= r
-    each, weighted by W(v//q) - W(v//(q+1)), W(N) = N for j = 0 and
-    N(N+1)/2 for j = 1.  Values up to L come from table (see
-    _power_sum_table; any table with L >= _power_sum_limit(x) will do).  Every
-    larger value needed is S_j(x//k) with k <= K = x//(L+1) < sqrt(x), and is
-    computed in ascending order of x//k, each from its own array of d and of
-    q; since x//k//d = x//(kd), it reads the larger values it needs from the
-    ones already found.
+    each, weighted by W_j(v//q) - W_j(v//(q+1)), W_j(N) = sum_{d <= N} d^j
+    (_faulhaber_factors).  Values up to L come from tables (see
+    _power_sum_table; any tables with L >= _power_sum_limit(x) and a degree
+    >= degree will do).  Every larger value needed is S_j(x//k) with
+    k <= K = x//(L+1) < sqrt(x), and is computed in ascending order of x//k,
+    each from its own array of d and of q; since x//k//d = x//(kd), it reads
+    the larger values it needs from the ones already found.
 
-    No int64 can overflow for x <= 10^9 = SIEVE_MAX.  Tables and results obey
-    |S_j(v)| <= v(v+1)/2 <= 5.0e17.  Each term d S_1(v//d) is at most
-    v^2/(2d) + v/2 in absolute value, and the d <= r terms and the grouped
-    d > r terms are summed apart, in int64, then joined as Python ints; each
-    of the two sums, in any order, stays below (v^2/2)(1 + ln(v/r)) <=
-    5.7e18 < 2^63 at v = 10^9.  W(N) is formed from N(N+1) <= 1.0e18.  The
-    j = 0 sums are bounded by v(1 + ln v).
+    Every sum is taken mod each modulus of _residue_rows(degree), so an
+    intermediate value may wrap; only the final S_j is bounded, by
+    |S_j(x)| <= W_j(x), and the moduli it was found for multiply to more
+    than 2 W_j(SIEVE_MAX) (_RESIDUES): 2^64 alone for j <= 1, with
+    2^31 - 1 for j = 2 and with 2^31 - 19 as well for j = 3.  _crt takes
+    the residues back to S_j.
     """
-    s0, s1 = _power_sum_table(x_floor) if table is None else table
-    limit = len(s0) - 1
-    if x_floor <= limit:
-        return int(s0[x_floor]), int(s1[x_floor])
+    rows = _residue_rows(degree)
+    if tables is None:
+        tables = _power_sum_table(x_floor, degree)
+    tables = tables[: len(rows)]  # a table for a larger degree starts with these
+    if x_floor < len(tables[0]):
+        found = [int(table[x_floor]) for table in tables]
+    else:
+        found = _identity_sums(x_floor, rows, tables)
+    residues: list[list[int]] = [[] for _ in range(degree + 1)]
+    for (_, j), value in zip(rows, found):
+        residues[j].append(value)
+    return tuple(_crt(r) for r in residues)
+
+
+def _identity_sums(
+    x_floor: int, rows: list[tuple[int, int]], tables: list[np.ndarray]
+) -> list[int]:
+    """The residues of S_j(x) for x past the tables, row by row, from the
+    identity as _mu_power_sums sets it out."""
+    limit = len(tables[0]) - 1
     n_big = x_floor // (limit + 1)  # x//k > limit exactly for k <= n_big
-    big0 = np.zeros(n_big + 1, dtype=np.int64)
-    big1 = np.zeros(n_big + 1, dtype=np.int64)
+    bigs = [np.zeros(n_big + 1, dtype=table.dtype) for table in tables]
+    d_all = np.arange(2, math.isqrt(x_floor) + 1, dtype=np.int64)
+    d_powers = [_residues(d_all**j, p) for p, j in rows]
     for k in range(n_big, 0, -1):
         v = x_floor // k
         r = math.isqrt(v)
-        d = np.arange(2, r + 1, dtype=np.int64)
         n_read = max(0, min(r, n_big // k) - 1)  # d with k d <= n_big
-        kd, q = k * d[:n_read], v // d[n_read:]
-        low0 = int(big0[kd].sum()) + int(s0[q].sum())
-        low1 = int(d[:n_read] @ big1[kd]) + int(d[n_read:] @ s1[q])
-        bounds = v // np.arange(1, v // (r + 1) + 2, dtype=np.int64)  # ends in r
-        tri = bounds * (bounds + 1) // 2
+        kd, q = k * d_all[:n_read], v // d_all[n_read : r - 1]
+        # ends in r; unsigned, as the residues mod 2^64 take them
+        bounds = v // np.arange(1, v // (r + 1) + 2, dtype=np.uint64)
         groups = len(bounds) - 1
-        high0 = int(s0[1 : groups + 1] @ (bounds[:-1] - bounds[1:]))
-        high1 = int(s1[1 : groups + 1] @ (tri[:-1] - tri[1:]))
-        big0[k] = 1 - low0 - high0
-        big1[k] = 1 - low1 - high1
-    return int(big0[1]), int(big1[1])
+        factors = _faulhaber_factors(bounds, rows[-1][1])
+        for (p, j), table, big, d_pow in zip(rows, tables, bigs, d_powers):
+            # the terms d = 2..r, the first n_read from big, then the groups
+            w = _product(factors[j], p)
+            terms = (_dot(d_pow[n_read : r - 1], table.take(q), p)
+                     + _dot(w[:-1] - w[1:], table[1 : groups + 1], p))
+            if n_read:  # none for k > n_big/2
+                terms += _dot(d_pow[:n_read], big.take(kd), p)
+            big[k] = (1 - terms) % p
+    return [int(big[1]) for big in bigs]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +602,7 @@ def mertens(x: int, cache: CheckpointCache | None = None) -> int:
     anchor = cache.anchor(x)
     if anchor.x == x:
         return anchor.M
-    m, _ = _mu_power_sums(x)
+    (m,) = _mu_power_sums(x, 0)
     cache.record(x, m)
     return m
 
@@ -487,11 +614,11 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
 
     Boundary convention at integer x: the n = x factor is (1 - 1)^tau = 0 for
     tau > 0, but for tau = 0 the factor is taken as 1, so M_0 coincides with
-    the plain summatory function M.  At tau = 0 and tau = 1 the weight is
-    affine in n, so M_0 = S_0 and M_1 = S_0 - S_1/x come exactly from
-    _mu_power_sums and are correctly rounded.  Other tau stream mu from n = 1:
-    summation is correctly rounded per block, then fsum across blocks
-    (_BlockSums).
+    the plain summatory function M.  At integer tau = k <= 3 the weight is a
+    polynomial in n, so k! M_k(x) = sum_i C(k, i) (-1/x)^i S_i(x) comes
+    exactly from the power sums of _mu_power_sums and is correctly rounded.
+    Other tau stream mu from n = 1: summation is correctly rounded per block,
+    then fsum across blocks (_BlockSums).
     """
     (value,) = _riesz_means([(float(query.x), float(query.tau))], cache or _default_cache)
     return value
@@ -500,26 +627,32 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
 def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> list[float]:
     """M_tau(x) for each (x, tau) in points.
 
-    Points with tau = 0 or 1 take S_0 and S_1 from _mu_power_sums, all from
-    one table sized for the largest such x.  The others share one stream
-    from n = 1 up to their largest floor(x); each chunk is cut at each
-    point's floor(x), so a point sums over the same rounding blocks, each
-    sum correctly rounded, as a stream of its own would.
+    Points with integer tau = k <= 3 take S_0, ..., S_k from
+    _mu_power_sums, all from one table sized for the largest such x and the
+    largest such k, and are exact until one final rounding.  The others
+    share one stream from n = 1 up to their largest floor(x); each chunk is
+    cut at each point's floor(x), so a point sums over the same rounding
+    blocks, each sum correctly rounded, as a stream of its own would.
     """
     for x, tau in points:
         if not tau >= 0:
             raise DomainError(f"tau must be >= 0, got {tau}")
         _check_finite(tau, "tau")
         _check_x(x)
-    affine = [x for x, tau in points if tau in (0.0, 1.0)]
-    table = _power_sum_table(math.floor(max(affine))) if affine else None
+    exact = [(x, int(tau)) for x, tau in points if tau in _EXACT_DEGREES]
+    tables = _power_sum_table(math.floor(max(x for x, _ in exact)),
+                              max(k for _, k in exact)) if exact else None
 
-    def affine_mean(x: float, tau: float) -> float:
-        s0, s1 = _mu_power_sums(math.floor(x), table)
-        return float(s0) if tau == 0.0 else float(s0 - s1 / Fraction(x))
+    def exact_mean(x: float, k: int) -> float:
+        # k! M_k(x) = sum_i C(k, i) (-1/x)^i S_i(x), over the denominator
+        # k! a^k for x = a/b; int / int is correctly rounded
+        s = _mu_power_sums(math.floor(x), k, tables)
+        a, b = x.as_integer_ratio()
+        return (sum(math.comb(k, i) * (-b) ** i * a ** (k - i) * s[i] for i in range(k + 1))
+                / (math.factorial(k) * a**k))
 
     weighted = [(x, tau, math.lgamma(1.0 + tau), _BlockSums()) for x, tau in points
-                if tau not in (0.0, 1.0)]
+                if tau not in _EXACT_DEGREES]
     if weighted:
         for n0, mu, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache):
             for x, tau, log_norm, sums in weighted:
@@ -532,7 +665,8 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
                 nz = mu_x != 0
                 sums.add(n0, mu_x[nz].astype(np.float64) * w[nz])
     totals = iter([sums.total() for *_, sums in weighted])
-    return [affine_mean(x, tau) if tau in (0.0, 1.0) else next(totals) for x, tau in points]
+    return [exact_mean(x, int(tau)) if tau in _EXACT_DEGREES else next(totals)
+            for x, tau in points]
 
 
 def _integral_pieces(x: float, kappa: float, cache: CheckpointCache, power: int = 1):
@@ -563,8 +697,9 @@ def integral_M(
 ) -> float:
     """Piecewise-exact integral of M(u) u^(-kappa) over [1, x].
 
-    At kappa = 0 the integral is sum_{n <= x} mu(n) (x - n) = x S_0 - S_1,
-    taken exactly from _mu_power_sums and correctly rounded.  Other kappa
+    At kappa = 0, -1 and -2, a = 1 - kappa is a degree of _mu_power_sums and
+    the integral is sum_{n <= x} mu(n) (x^a - n^a)/a = (x^a S_0 - S_a)/a,
+    taken exactly from the power sums and correctly rounded.  Other kappa
     stream mu from n = 1 and sum the closed-form pieces of _integral_pieces
     (the logarithm at kappa = 1), correctly rounded per block, then fsum
     across blocks.
@@ -573,9 +708,11 @@ def integral_M(
     _check_x(x)
     kappa = float(kappa)
     _check_finite(kappa, "kappa")
-    if kappa == 0.0:
-        s0, s1 = _mu_power_sums(math.floor(x))
-        return float(Fraction(x) * s0 - s1)
+    if 1.0 - kappa in _EXACT_DEGREES[1:]:
+        a = int(1.0 - kappa)
+        s = _mu_power_sums(math.floor(x), a)
+        n, d = x.as_integer_ratio()  # int / int is correctly rounded
+        return (n**a * s[0] - d**a * s[a]) / (a * d**a)
     sums = _BlockSums()
     for n0, _, _, pieces in _integral_pieces(x, kappa, cache or _default_cache):
         sums.add(n0, pieces)
@@ -658,7 +795,9 @@ def riesz_recurrence_check(
     differential test of _mu_power_sums.  For tau in [2, 10]
     the left side integrand u^(tau-1) M_{tau-1}(u) is a piecewise polynomial
     of degree tau - 1, so per-unit-interval 5-point Gauss-Legendre quadrature
-    is still exact; cost grows quadratically, hence the x guard.
+    is still exact; cost grows quadratically, hence the x guard.  The right
+    side is exact power sums at tau = 2 and 3 and a stream above, so there
+    the quadrature checks the power-sum route independently.
     """
     x = float(x)
     _check_x(x)
@@ -774,7 +913,7 @@ def tau_regime_scan(
     M_tau * tau^(3/2) / sqrt(x), plus the growth-factor helper column
     (tau/e)^(-tau-1).  Rows where the schedule is undefined carry
     status="undefined" instead of raising.  The rows share one power-sum
-    table (tau = 0 or 1) or one mu stream up to the largest x (see
+    table (integer tau <= 3) or one mu stream up to the largest x (see
     _riesz_means).
     """
     cache = cache or _default_cache

@@ -206,7 +206,7 @@ def test_checkpoint_corrupt_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The sublinear power sums S_0 and S_1 against the sieve
+# The sublinear power sums S_0, ..., S_3 against the sieve
 # ---------------------------------------------------------------------------
 
 PUBLISHED_M_POWERS_OF_10 = [1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222]  # OEIS A084237
@@ -214,11 +214,11 @@ PUBLISHED_M_POWERS_OF_10 = [1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222]  # OEI
 
 @pytest.fixture(scope="module")
 def prefix_sums():
-    """S_0(v) and S_1(v) for v <= 3e6 as Python ints, from one from-1 sieve."""
-    mu = sieve_segment(1, 3_000_001, CheckpointCache()).mu.astype(np.int64)
-    s0 = [0, *np.cumsum(mu).tolist()]
-    s1 = [0, *np.cumsum(mu * np.arange(1, 3_000_001)).tolist()]
-    return s0, s1
+    """S_j(v) = sum of mu(n) n^j over n <= v, for j <= 3 and v <= 3e6, as
+    Python ints, from one from-1 sieve (|S_3(3e6)| passes 2^63)."""
+    mu = sieve_segment(1, 3_000_001, CheckpointCache()).mu.astype(object)
+    n = np.arange(1, 3_000_001).astype(object)
+    return [[0, *np.cumsum(mu * n**j).tolist()] for j in range(4)]
 
 
 def _seeded_xs() -> list[int]:
@@ -228,18 +228,71 @@ def _seeded_xs() -> list[int]:
 
 
 def test_power_sums_match_sieve_below_3000(prefix_sums):
-    s0, s1 = prefix_sums
     for x in range(1, 3001):
-        assert moebius._mu_power_sums(x) == (s0[x], s1[x]), x
+        for degree in range(4):
+            want = tuple(s[x] for s in prefix_sums[: degree + 1])
+            assert moebius._mu_power_sums(x, degree) == want, (x, degree)
 
 
 def test_power_sums_match_sieve_to_3e6(prefix_sums):
-    s0, s1 = prefix_sums
-    shared = moebius._power_sum_table(3_000_000)
+    shared = moebius._power_sum_table(3_000_000, 3)
+    assert max(abs(s) for s in prefix_sums[3]) > 2**63  # the CRT of three moduli runs
     for x in _seeded_xs():
+        want = tuple(s[x] for s in prefix_sums)
         assert moebius._power_sum_limit(x) < x  # the recursion, not the table
-        assert moebius._mu_power_sums(x) == (s0[x], s1[x]), x
-        assert moebius._mu_power_sums(x, shared) == (s0[x], s1[x]), x
+        assert moebius._mu_power_sums(x, 3) == want, x
+        assert moebius._mu_power_sums(x, 3, shared) == want, x
+        # a table for a larger degree serves a smaller one
+        assert moebius._mu_power_sums(x, 1, shared) == want[:2], x
+
+
+def test_power_sum_table_terms_are_exact_at_its_top():
+    # past n = 2^(53/3) a term mu(n) n^3 leaves the doubles, so a table whose
+    # top is that far up shows any product taken in float64
+    x = 2 * 10**7
+    tables = moebius._power_sum_table(x, 3)
+    top = len(tables[0]) - 1
+    assert top**3 > 2**53
+    lo = top - 2000
+    mu = moebius._segment_mu(lo, top + 1).tolist()
+    for (p, j), table in zip(moebius._residue_rows(3), tables):
+        steps = [(int(table[v]) - int(table[v - 1])) % p for v in range(lo, top + 1)]
+        assert steps == [m * v**j % p for m, v in zip(mu, range(lo, top + 1))], (p, j)
+
+
+def test_residue_count_follows_from_the_bound():
+    # |S_j(x)| <= W_j(x) = sum of d^j over d <= x; the moduli of S_j must
+    # multiply to more than 2 W_j(SIEVE_MAX), and one fewer would not do
+    for j in range(4):
+        for n in range(50):
+            assert moebius._faulhaber(n, j) == sum(d**j for d in range(1, n + 1))
+        need = 2 * moebius._faulhaber(moebius.SIEVE_MAX, j)
+        count = moebius._RESIDUES[j]
+        assert math.prod(moebius._MODULI[:count]) > need >= math.prod(moebius._MODULI[: count - 1])
+    assert moebius._RESIDUES == (1, 1, 2, 3)
+    assert moebius._MODULI[1:] == (2**31 - 1, 2**31 - 19)
+    for p in moebius._MODULI[1:]:
+        assert all(p % d for d in range(2, math.isqrt(p) + 1)), p  # prime
+
+
+@given(st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_crt_recovers_signed_values_up_to_the_bound(j, data):
+    bound = moebius._faulhaber(moebius.SIEVE_MAX, j)
+    s = data.draw(st.one_of(st.sampled_from([-bound, bound, 0, -1]),
+                            st.integers(-bound, bound)))
+    residues = [s % p for p in moebius._MODULI[: moebius._RESIDUES[j]]]
+    assert moebius._crt(residues) == s
+
+
+@given(st.integers(0, moebius.SIEVE_MAX))
+@settings(max_examples=200, deadline=None)
+def test_faulhaber_factors_match_faulhaber(n):
+    # the factors 2 and 3 are divided out exactly before the products wrap
+    factors = moebius._faulhaber_factors(np.array([n, max(n - 1, 0)], dtype=np.uint64), 3)
+    for p, j in moebius._residue_rows(3):
+        row = moebius._product(factors[j], p).tolist()
+        assert row == [moebius._faulhaber(n, j) % p, moebius._faulhaber(max(n - 1, 0), j) % p]
 
 
 def test_mertens_published_powers_of_ten():
@@ -257,7 +310,7 @@ def _affine_points() -> list[float]:
 def test_affine_means_match_fraction_oracle(prefix_sums):
     # M_1(x) = sum mu(n) (1 - n/x) and the integral of M over [1, x], which
     # is sum mu(n) (x - n), exactly from the sieve's sums, rounded once
-    s0, s1 = prefix_sums
+    s0, s1, s2, s3 = prefix_sums
     xs = _affine_points()
     scan = tau_regime_scan(xs, TauSchedule("constant", 1.0), CheckpointCache())
     for x, row in zip(xs, scan):
@@ -268,6 +321,25 @@ def test_affine_means_match_fraction_oracle(prefix_sums):
         assert row["m_tau"].hex() == m1.hex(), x
         assert integral_M(x, 0.0, CheckpointCache()).hex() == integral.hex(), x
         assert riesz_mean_direct(RieszQuery(x, 0.0), CheckpointCache()) == float(s0[n])
+    # the weights (1 - n/x)^2/2, (1 - n/x)^3/6, (x^2 - n^2)/2 and (x^3 - n^3)/3
+    # are polynomials in n as well: S_2 and S_3 serve tau = 2, 3 and kappa = -1, -2
+    scans = {tau: tau_regime_scan(xs, TauSchedule("constant", tau), CheckpointCache())
+             for tau in (2.0, 3.0)}
+    for i, x in enumerate(xs):
+        n, u = math.floor(x), 1 / Fraction(x)
+        means = {
+            2.0: float((s0[n] - 2 * s1[n] * u + s2[n] * u**2) / 2),
+            3.0: float((s0[n] - 3 * s1[n] * u + 3 * s2[n] * u**2 - s3[n] * u**3) / 6),
+        }
+        for tau, mean in means.items():
+            assert riesz_mean_direct(RieszQuery(x, tau), CheckpointCache()).hex() == mean.hex(), x
+            assert scans[tau][i]["m_tau"].hex() == mean.hex(), x
+        integrals = {
+            -1.0: float((Fraction(x) ** 2 * s0[n] - s2[n]) / 2),
+            -2.0: float((Fraction(x) ** 3 * s0[n] - s3[n]) / 3),
+        }
+        for kappa, integral in integrals.items():
+            assert integral_M(x, kappa, CheckpointCache()).hex() == integral.hex(), (x, kappa)
 
 
 def test_mertens_records_and_reuses_its_value(tmp_path, monkeypatch):
@@ -615,10 +687,12 @@ def test_tau_regime_scan_sieves_max_x_once(sieved_lengths):
     assert sum(sieved_lengths) == math.floor(max(xs)) == 200_000
 
 
-def test_tau_regime_scan_at_tau_one_sieves_one_table(sieved_lengths):
-    # tau = 1 reads S_0 and S_1: one table sized for the largest x serves every row
+@pytest.mark.parametrize("tau", [1.0, 2.0, 3.0])
+def test_tau_regime_scan_at_integer_tau_sieves_one_table(sieved_lengths, tau):
+    # integer tau <= 3 reads S_0, ..., S_tau: one table sized for the largest
+    # x serves every row, and nothing streams
     xs = [float(x) for x in np.geomspace(10.0, 2e5, 9)]
-    tau_regime_scan(xs, TauSchedule("constant", 1.0), CheckpointCache())
+    tau_regime_scan(xs, TauSchedule("constant", tau), CheckpointCache())
     assert sieved_lengths == [moebius._power_sum_limit(200_000)]
     assert sieved_lengths[0] < 200_000
 
