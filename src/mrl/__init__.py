@@ -53,14 +53,12 @@ from .kernel import (
     trivial_zero_data,
     zeta,
     zeta_and_deriv,
-    zeta_deriv,
 )
 from .moebius import (
     CheckpointCache,
     MertensCheckpoint,
     RieszQuery,
     TauSchedule,
-    default_cache,
     density_S,
     divim_sign_changes,
     integral_M,
@@ -99,23 +97,19 @@ from .explicit import (
 )
 from .zerosums import (
     ZeroSumReport,
-    a_constant,
     a_constant_report,
     a_lambda,
     barnes_g,
-    hko_prediction,
     hko_report,
     im_constants,
     integral_M_explicit,
     inv_zeta_identity,
     j_lambda,
     log_barnes_g,
-    swmh_ratio,
     swmh_report,
-    zeta_eq_real,
     zeta_eq_real_report,
 )
-from .cli import RunConfig, main as cli_main
+from .cli import RunConfig
 
 __version__ = "0.1.0"
 
@@ -128,11 +122,11 @@ __all__ = [
     "ScheduleUndefined", "SingularPoint", "PoleAtKappaOne",
     "UnsupportedLambda", "MissingZeros",
     # kernel
-    "Precision", "DOUBLE", "EXTENDED", "bernoulli", "zeta", "zeta_deriv",
-    "zeta_and_deriv", "log_gamma", "gamma_ratio", "trivial_zero_data",
+    "Precision", "DOUBLE", "EXTENDED", "bernoulli", "zeta", "zeta_and_deriv",
+    "log_gamma", "gamma_ratio", "trivial_zero_data",
     # moebius
     "CheckpointCache", "MertensCheckpoint", "RieszQuery", "TauSchedule",
-    "default_cache", "sieve_segment", "mertens", "riesz_mean_direct",
+    "sieve_segment", "mertens", "riesz_mean_direct",
     "integral_M", "weak_mertens_integral", "riesz_recurrence_check",
     "divim_sign_changes", "density_S", "tau_regime_scan", "tau_for",
     # zeros
@@ -144,11 +138,10 @@ __all__ = [
     "residue_term", "residue_series", "error_estimate", "explicit_M_tau",
     "perron_kernel_report", "perron_kernel_check", "compare_direct_explicit",
     # zerosums
-    "ZeroSumReport", "j_lambda", "a_constant", "a_constant_report",
-    "inv_zeta_identity", "zeta_eq_real", "zeta_eq_real_report", "swmh_ratio",
-    "swmh_report", "im_constants", "integral_M_explicit",
-    "log_barnes_g", "barnes_g", "a_lambda",
-    "hko_prediction", "hko_report",
+    "ZeroSumReport", "j_lambda", "a_constant_report", "inv_zeta_identity",
+    "zeta_eq_real_report", "swmh_report", "im_constants",
+    "integral_M_explicit", "log_barnes_g", "barnes_g", "a_lambda",
+    "hko_report",
     # cli
-    "RunConfig", "cli_main",
+    "RunConfig",
 ]

@@ -193,26 +193,6 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
     return table
 
 
-def _checkpoint_path(cache_root: Path | None) -> Path | None:
-    return cache_root / f"mertens-{_CACHE_VERSION}.chk" if cache_root else None
-
-
-def _load_mertens_cache(cfg: RunConfig) -> tuple[CheckpointCache, Path | None]:
-    root = _cache_dir_path(cfg)
-    path = _checkpoint_path(root)
-    if path is not None and path.exists():
-        try:
-            return CheckpointCache.load(path), path
-        except ParseError:
-            pass
-    return CheckpointCache(), path
-
-
-def _save_mertens_cache(cache: CheckpointCache, path: Path | None) -> None:
-    if path is not None and cache.checkpoints():
-        cache.save(path)
-
-
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -302,25 +282,33 @@ def _emit_report(report: ZeroSumReport, out) -> None:
 
 
 def _cmd_mertens(args, cfg: RunConfig, out) -> int:
-    cache, path = _load_mertens_cache(cfg)
+    """M(x); with --cache-dir, the values computed before are read from, and
+    a new one is added to, the checkpoint file mertens-v1.chk, which no other
+    command opens.  A file that fails to load is replaced."""
+    root = _cache_dir_path(cfg)
+    path = root / f"mertens-{_CACHE_VERSION}.chk" if root else None
+    cache = CheckpointCache()
+    if path is not None and path.exists():
+        try:
+            cache = CheckpointCache.load(path)
+        except ParseError:
+            pass
+    known = len(cache.checkpoints())
     value = mertens(math.floor(Fraction(args.x)), cache)
-    _save_mertens_cache(cache, path)
+    if path is not None and len(cache.checkpoints()) > known:
+        cache.save(path)
     _emit_scalar(value, cfg, out, command="mertens", x=float(args.x))
     return 0
 
 
 def _cmd_riesz(args, cfg: RunConfig, out) -> int:
-    cache, path = _load_mertens_cache(cfg)
-    value = riesz_mean_direct(RieszQuery(x=float(args.x), tau=args.tau), cache)
-    _save_mertens_cache(cache, path)
+    value = riesz_mean_direct(RieszQuery(x=float(args.x), tau=args.tau))
     _emit_scalar(value, cfg, out, command="riesz", x=float(args.x), tau=args.tau)
     return 0
 
 
 def _cmd_integral(args, cfg: RunConfig, out) -> int:
-    cache, path = _load_mertens_cache(cfg)
-    value = integral_M(float(args.x), args.kappa, cache)
-    _save_mertens_cache(cache, path)
+    value = integral_M(float(args.x), args.kappa)
     _emit_scalar(
         value, cfg, out, command="integral", x=float(args.x), kappa=args.kappa
     )
@@ -331,9 +319,7 @@ def _cmd_explicit(args, cfg: RunConfig, out) -> int:
     table = _load_table(cfg)
     T, L = cfg.default_T, cfg.default_L
     if args.compare:
-        cache, path = _load_mertens_cache(cfg)
-        rows = compare_direct_explicit([float(args.x)], args.tau, table, T, L, cache)
-        _save_mertens_cache(cache, path)
+        rows = compare_direct_explicit([float(args.x)], args.tau, table, T, L)
     else:
         ev = explicit_M_tau(float(args.x), args.tau, table, T, L)
         rows = [
@@ -365,9 +351,7 @@ def _cmd_identity(args, cfg: RunConfig, out) -> int:
     elif kind == "zeta-real":
         report = zs.zeta_eq_real_report(args.kappa, _load_table(cfg), T, L)
     elif kind == "swmh":
-        cache, path = _load_mertens_cache(cfg)
-        report = zs.swmh_report(args.x, _load_table(cfg), T, cache)
-        _save_mertens_cache(cache, path)
+        report = zs.swmh_report(args.x, _load_table(cfg), T)
     elif kind == "im-const":
         report = zs.im_constants(args.kappa, _load_table(cfg), T)
     elif kind == "jsum":
@@ -385,13 +369,12 @@ def _cmd_identity(args, cfg: RunConfig, out) -> int:
 
 def _cmd_scan(args, cfg: RunConfig, out) -> int:
     kind = args.kind
-    cache, path = _load_mertens_cache(cfg)
     if kind == "density":
-        value = density_S(args.X, cache=cache)
+        value = density_S(args.X)
         rows = [{"X": float(args.X), "density": value}]
         columns = ("X", "density")
     elif kind == "divIM-sign":
-        xs = divim_sign_changes(args.X, kappa=args.kappa, cache=cache)
+        xs = divim_sign_changes(args.X, kappa=args.kappa)
         rows = [
             {"index": i + 1, "x": x, "kappa": args.kappa}
             for i, x in enumerate(xs)
@@ -415,7 +398,7 @@ def _cmd_scan(args, cfg: RunConfig, out) -> int:
                 for i in range(args.points)
             ]
         schedule = TauSchedule(kind=args.schedule, c=args.c)
-        rows = tau_regime_scan(grid, schedule, cache)
+        rows = tau_regime_scan(grid, schedule)
         columns = (
             "x",
             "schedule",
@@ -429,7 +412,6 @@ def _cmd_scan(args, cfg: RunConfig, out) -> int:
         )
     else:  # pragma: no cover - argparse restricts choices
         raise MrlError(f"unknown scan kind {kind!r}")
-    _save_mertens_cache(cache, path)
     _emit_rows(rows, columns, cfg, out)
     return 0
 
@@ -448,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--zeros", help="ordinate file, or 'builtin' for the packaged table")
-    parser.add_argument("--cache-dir", help="directory for refined-zero and checkpoint caches")
+    parser.add_argument("--cache-dir",
+                        help="directory for refined zero tables and the M(x) of 'mrl mertens'")
     parser.add_argument("--precision", choices=("double", "extended"))
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--T", type=float, help="zero-sum truncation height")

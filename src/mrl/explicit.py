@@ -43,7 +43,7 @@ from .kernel import (
     gamma_ratio,
     trivial_zero_data,
 )
-from .moebius import CheckpointCache, _check_finite, _riesz_means, default_cache
+from .moebius import CheckpointCache, _check_finite, _riesz_means
 from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
@@ -107,22 +107,28 @@ class PerronReport:
 # ---------------------------------------------------------------------------
 
 
-def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
-    """Zero-side sum of 2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))]
-    (each zero paired with its conjugate) over 0 < gamma < T (strict), with
-    compensated accumulation.  An empty table (or T below the first zero)
-    gives 0.0; unusable records raise as described in zeros._zero_sum."""
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
+def _zero_term(x: float, tau: float):
+    """The term 2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))] of one
+    zero paired with its conjugate, as a function of (rho, zeta'(rho)) for
+    zeros._zero_sum; x > 0 and tau >= 0 are the caller's to check."""
     sqrt_x, ln_x = math.sqrt(x), math.log(x)
 
     def term(rho: complex, zp: complex) -> float:
         x_rho = sqrt_x * cmath.exp(1j * (rho.imag * ln_x))
         return 2.0 * (x_rho * gamma_ratio(rho, tau) / zp).real
 
-    return _zero_sum(table, T, term, inclusive=False)[0]
+    return term
+
+
+def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
+    """Zero-side sum of the terms of _zero_term over 0 < gamma < T (strict),
+    with compensated accumulation.  An empty table (or T below the first
+    zero) gives 0.0; unusable records raise as described in zeros._zero_sum."""
+    if not x > 0.0:
+        raise DomainError(f"x must be positive, got {x}")
+    if not tau >= 0:
+        raise DomainError(f"tau must be >= 0, got {tau}")
+    return _zero_sum(table, T, _zero_term(x, tau), inclusive=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +149,7 @@ def _inv_zeta_at_neg_odd(n: int) -> float:
     return float(-2 * n / bernoulli(2 * n))
 
 
-def _inv_gamma(w: float, tau: float) -> float:
+def _inv_gamma(w: float) -> float:
     """1/Gamma(w) where w = tau + (integer shift); for w <= 0 the reflection
     sin(pi w) Gamma(1-w) / pi keeps the Gamma argument positive.  sin(pi w)
     equals +/- sin(pi tau) exactly since the shift is an integer."""
@@ -179,7 +185,7 @@ def residue_term(l: int, x: float, tau: float) -> float:
         rg = (
             1.0 / math.factorial(int(tau) + 1 - 2 * n)
             if tau_int
-            else _inv_gamma(tau + 2.0 - 2 * n, tau)
+            else _inv_gamma(tau + 2.0 - 2 * n)
         )
         x_pow = math.exp((1 - 2 * n) * ln_x)
         return -x_pow * inv_zeta * rg / math.factorial(2 * n - 1)
@@ -203,7 +209,7 @@ def residue_term(l: int, x: float, tau: float) -> float:
         psi_w = _harmonic(k - 2 * n) - _EULER_GAMMA
     else:
         w = 1.0 + tau - 2 * n
-        rg = _inv_gamma(w, tau)
+        rg = _inv_gamma(w)
         if w > 0.0:
             psi_w = _digamma(complex(w)).real
         else:
@@ -295,7 +301,7 @@ def compare_direct_explicit(
     one mu stream up to the largest x.
     """
     evs = [explicit_M_tau(float(x), tau, table, T, L) for x in x_list]
-    directs = _riesz_means([(ev.x, ev.tau) for ev in evs], cache or default_cache())
+    directs = _riesz_means([(ev.x, ev.tau) for ev in evs], cache)
     rows: list[dict] = []
     for ev, direct in zip(evs, directs):
         abs_diff = abs(direct - ev.explicit_value)

@@ -40,7 +40,6 @@ __all__ = [
     "TrivialZeroData",
     "bernoulli",
     "zeta",
-    "zeta_deriv",
     "zeta_and_deriv",
     "log_gamma",
     "gamma_ratio",
@@ -53,7 +52,7 @@ __all__ = [
 # asymptotic correction terms available to the internal series.
 BERNOULLI_MAX_INDEX = 130
 
-# Supported |Im s| for zeta/zeta_deriv.  The Euler-Maclaurin cutoff grows
+# Supported |Im s| for zeta/zeta_and_deriv.  The Euler-Maclaurin cutoff grows
 # linearly with |Im s|, so this is a cost guard, not an accuracy cliff;
 # double-precision accuracy is maintained well past the zeros near t = 1100
 # that the rest of the package consumes.
@@ -444,26 +443,22 @@ def _zeta_fe(s: complex, want_deriv: bool):
     """zeta on Re s < -1/2 through the functional equation.
 
     The prefactor chi(s) = 2 (2 pi)^(s-1) Gamma(1-s) sin(pi s / 2) is
-    assembled in log space so the value path cannot overflow; the derivative
-    path additionally needs sin/cos directly and is therefore restricted to
-    moderate |Im s| by the caller.
+    assembled in log space so the value cannot overflow, and the value is
+    that one float whether or not the derivative is asked for.  The
+    derivative additionally needs sin/cos directly and is therefore
+    restricted to moderate |Im s| by the caller.
     """
     w = 1 - s
-    if want_deriv:
-        zw, dzw = _zeta_em(w, True)
-    else:
-        zw = _zeta_em(w, False)
-        dzw = 0
+    zw, dzw = _zeta_em(w, True) if want_deriv else (_zeta_em(w, False), 0)
+    # sin(pi s / 2) vanishes identically at the trivial zeros; keep the exact
+    # zero instead of the rounded sin() value so they come out exact.
     neg_even = _is_nonpositive_integer(s) and int(round(s.real)) % 2 == 0
     log_pref = _LN2 + (s - 1) * _LN2PI + _log_gamma(w)
+    value = 0 * zw if neg_even else cmath.exp(log_pref + _log_sin(math.pi * s / 2)) * zw
     if not want_deriv:
-        if neg_even:
-            return 0 * zw  # exact zero
-        return cmath.exp(log_pref + _log_sin(math.pi * s / 2)) * zw
+        return value
     pref = cmath.exp(log_pref)
     if neg_even:
-        # sin(pi s / 2) vanishes identically; keep the exact zero instead of
-        # the rounded sin() value so the trivial zeros come out exact.
         n_half = int(round(s.real)) // (-2)
         sin_v = 0 * pref
         cos_v = (-1) ** (n_half % 2) + 0 * pref
@@ -471,7 +466,6 @@ def _zeta_fe(s: complex, want_deriv: bool):
         sin_v = cmath.sin(math.pi * s / 2)
         cos_v = cmath.cos(math.pi * s / 2)
     psi_w = _digamma(w)
-    value = pref * sin_v * zw
     deriv = pref * (
         (_LN2PI - psi_w) * sin_v * zw + (math.pi / 2) * cos_v * zw - sin_v * dzw
     )
@@ -497,11 +491,6 @@ def _zeta(s, want_deriv: bool):
 def zeta(s):
     """Riemann zeta(s).  Raises PoleAtOne at s = 1."""
     return _zeta(s, want_deriv=False)
-
-
-def zeta_deriv(s):
-    """First derivative zeta'(s)."""
-    return _zeta(s, want_deriv=True)[1]
 
 
 def zeta_and_deriv(s):

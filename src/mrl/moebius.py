@@ -12,10 +12,11 @@ Riesz means at tau = 0, 1, 2, 3 (M_1 = S_0 - S_1/x, and so on) and the
 integrals of M(u) u^(-kappa) over [1, x] at kappa = 0, -1, -2
 ((x^a S_0 - S_a)/a, a = 1 - kappa).
 Everything else needs M pointwise and streams mu from n = 1 (_stream), sieved
-in blocks and consumed in cache-sized chunks, recording (x, M(x))
-checkpoints on the way.  The other integrals of M(u) u^(-kappa), that of
-(M(u)/u)^2 and the sign-change scan read one stream of closed-form
-unit-interval pieces (_integral_pieces).
+in blocks and consumed in cache-sized chunks.  A caller that passes a
+CheckpointCache has the stream record (x, M(x)) at the cache's stride; no M
+value is kept between calls otherwise.  The other integrals of
+M(u) u^(-kappa), that of (M(u)/u)^2 and the sign-change scan read one
+stream of closed-form unit-interval pieces (_integral_pieces).
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
@@ -44,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRange, ParseError, ScheduleUndefined
-from .kernel import _exact_parts, _exact_sum, zeta  # noqa: F401  (_exact_sum is re-exported)
+from .kernel import _exact_parts, zeta
 
 __all__ = [
     "SIEVE_MAX",
@@ -54,7 +55,6 @@ __all__ = [
     "CheckpointCache",
     "RieszQuery",
     "TauSchedule",
-    "default_cache",
     "sieve_segment",
     "mertens",
     "riesz_mean_direct",
@@ -418,8 +418,8 @@ def _identity_sums(
 
 
 class CheckpointCache:
-    """Known values (x, M(x)): those mertens computed, those a stream passed
-    at a fixed stride, and the movable frontier where a stream ended.
+    """Known values (x, M(x)): those mertens computed and those a stream
+    passed at a fixed stride, in a cache the caller passes and keeps.
 
     The cache is purely an accelerator: M is an integer, so every public
     operation produces identical values with or without it.  Persistence
@@ -434,17 +434,12 @@ class CheckpointCache:
         self.stride = int(stride)
         self._xs: list[int] = []
         self._by_x: dict[int, MertensCheckpoint] = {}
-        self._frontier: MertensCheckpoint | None = None
 
     def record(self, x: int, m: int) -> None:
         if x in self._by_x:
             return
         bisect.insort(self._xs, x)
         self._by_x[x] = MertensCheckpoint(x=x, M=m)
-
-    def note_frontier(self, x: int, m: int) -> None:
-        if self._frontier is None or x > self._frontier.x:
-            self._frontier = MertensCheckpoint(x=x, M=m)
 
     def checkpoints(self) -> list[MertensCheckpoint]:
         return [self._by_x[x] for x in self._xs]
@@ -455,8 +450,6 @@ class CheckpointCache:
         idx = bisect.bisect_right(self._xs, x) - 1
         if idx >= 0 and self._xs[idx] > best.x:
             best = self._by_x[self._xs[idx]]
-        if self._frontier is not None and best.x < self._frontier.x <= x:
-            best = self._frontier
         return best
 
     def save(self, path) -> None:
@@ -499,15 +492,7 @@ def _write_atomic(path, chunks) -> None:
             os.unlink(tmp)
 
 
-_default_cache = CheckpointCache()
-
-
-def default_cache() -> CheckpointCache:
-    """The process-wide checkpoint cache used when none is passed."""
-    return _default_cache
-
-
-def _stream(x_floor: int, cache: CheckpointCache):
+def _stream(x_floor: int, cache: CheckpointCache | None):
     """Stream mu for n in [1, x_floor].
 
     Yields (n0, mu, m_vals) for every chunk of consecutive integers n in
@@ -516,13 +501,12 @@ def _stream(x_floor: int, cache: CheckpointCache):
     chunks (views) of min(_CHUNK, _BLOCK) integers, so each block is a run of
     whole chunks (_opens_block tells where one starts), and a consumer that
     cuts the chunks at its own floor(x) sums over the same blocks as a stream
-    that ends there.  m_vals is summed per chunk.  Stride checkpoints are
-    recorded on the way and the frontier once the stream is exhausted;
-    mertens serves those x from the cache.
+    that ends there.  m_vals is summed per chunk.  With a cache, the values
+    at multiples of its stride are recorded on the way, and mertens serves
+    those x from it; without one, nothing is recorded.
     """
     _check_sieve_range(x_floor)
     m_prev = 0
-    stride = cache.stride
     chunk = min(_CHUNK, _BLOCK)
     for n_next in range(1, x_floor + 1, _BLOCK):
         mu_block = _segment_mu(n_next, min(n_next + _BLOCK, x_floor + 1))
@@ -533,10 +517,11 @@ def _stream(x_floor: int, cache: CheckpointCache):
             m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
             m_vals[0] += m_prev
             m_prev = int(np.cumsum(m_vals, out=m_vals)[-1])
-            for cp in range(-(-n0 // stride) * stride, n0 + len(mu), stride):
-                cache.record(cp, int(m_vals[cp - n0]))
+            if cache is not None:
+                stride = cache.stride
+                for cp in range(-(-n0 // stride) * stride, n0 + len(mu), stride):
+                    cache.record(cp, int(m_vals[cp - n0]))
             yield n0, mu, m_vals
-    cache.note_frontier(x_floor, m_prev)
 
 
 def _opens_block(n0: int) -> bool:
@@ -581,7 +566,6 @@ def sieve_segment(lo: int, hi: int, cache: CheckpointCache | None = None) -> Moe
     """
     if not (1 <= lo < hi <= SIEVE_MAX):
         raise OutOfRange(f"need 1 <= lo < hi <= {SIEVE_MAX}, got [{lo}, {hi})")
-    cache = cache or _default_cache
     m_lo = mertens(lo - 1, cache) if lo > 1 else 0
     return MoebiusSegment(lo=lo, hi=hi, mu=_segment_mu(lo, hi), mertens_at_lo_minus_1=m_lo)
 
@@ -589,16 +573,18 @@ def sieve_segment(lo: int, hi: int, cache: CheckpointCache | None = None) -> Moe
 def mertens(x: int, cache: CheckpointCache | None = None) -> int:
     """Exact M(x) = sum of mu(n) for n <= x.
 
-    A value the cache holds for x itself is returned as stored; otherwise
-    M(x) = S_0(x) comes from _mu_power_sums, in time about x^(2/3), and
-    (x, M(x)) is recorded in the cache, so a CLI --cache-dir keeps it.
+    M(x) = S_0(x) comes from _mu_power_sums, in time about x^(2/3).  With
+    a cache, a value it holds for x itself is returned as stored, and a
+    computed one is recorded in it (the CLI keeps its cache in --cache-dir);
+    without one, M(x) is computed every time.
     """
     if not -math.inf < x < SIEVE_MAX + 1:
         _check_x(x)  # before int(): DomainError for nan and -inf, else OutOfRange
     x = int(x)
     if x < 1 or x > SIEVE_MAX:
         raise OutOfRange(f"need 1 <= x <= {SIEVE_MAX}, got {x}")
-    cache = cache or _default_cache
+    if cache is None:
+        return _mu_power_sums(x, 0)[0]
     anchor = cache.anchor(x)
     if anchor.x == x:
         return anchor.M
@@ -620,11 +606,13 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
     Other tau stream mu from n = 1: summation is correctly rounded per block,
     then fsum across blocks (_BlockSums).
     """
-    (value,) = _riesz_means([(float(query.x), float(query.tau))], cache or _default_cache)
+    (value,) = _riesz_means([(float(query.x), float(query.tau))], cache)
     return value
 
 
-def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> list[float]:
+def _riesz_means(
+    points: list[tuple[float, float]], cache: CheckpointCache | None
+) -> list[float]:
     """M_tau(x) for each (x, tau) in points.
 
     Points with integer tau = k <= 3 take S_0, ..., S_k from
@@ -669,7 +657,7 @@ def _riesz_means(points: list[tuple[float, float]], cache: CheckpointCache) -> l
             for x, tau in points]
 
 
-def _integral_pieces(x: float, kappa: float, cache: CheckpointCache, power: int = 1):
+def _integral_pieces(x: float, kappa: float, cache: CheckpointCache | None, power: int = 1):
     """The integral of M(u)^power u^(-kappa) over [1, x], piece by piece.
 
     M is constant on [n, n+1), so with P(u) = log u at kappa = 1, else
@@ -714,7 +702,7 @@ def integral_M(
         n, d = x.as_integer_ratio()  # int / int is correctly rounded
         return (n**a * s[0] - d**a * s[a]) / (a * d**a)
     sums = _BlockSums()
-    for n0, _, _, pieces in _integral_pieces(x, kappa, cache or _default_cache):
+    for n0, _, _, pieces in _integral_pieces(x, kappa, cache):
         sums.add(n0, pieces)
     return sums.total()
 
@@ -729,7 +717,7 @@ def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> flo
     x = float(x)
     _check_x(x)
     sums = _BlockSums()
-    for n0, _, _, pieces in _integral_pieces(x, 2.0, cache or _default_cache, power=2):
+    for n0, _, _, pieces in _integral_pieces(x, 2.0, cache, power=2):
         sums.add(n0, pieces)
     return sums.total()
 
@@ -760,7 +748,7 @@ def divim_sign_changes(
     # plus the sequential partial sum of the block's pieces, carried across
     # the block's chunks, so the values do not depend on the chunk size.
     i_lo, i_end, run, f_prev = 0.0, 0.0, 0.0, 0.0 - c
-    for n0, m_vals, ends, pieces in _integral_pieces(x_max, kappa, cache or _default_cache):
+    for n0, m_vals, ends, pieces in _integral_pieces(x_max, kappa, cache):
         if _opens_block(n0):
             i_lo = i_end
         else:
@@ -805,7 +793,6 @@ def riesz_recurrence_check(
         raise DomainError(f"tau must be an integer >= 1, got {tau!r}")
     if tau > _RECURRENCE_MAX_TAU:
         raise OutOfRange(f"tau = {tau} exceeds supported maximum {_RECURRENCE_MAX_TAU}")
-    cache = cache or _default_cache
     rhs = x**tau * riesz_mean_direct(RieszQuery(x=x, tau=float(tau)), cache)
     if tau == 1:
         lhs = integral_M(x, 0.0, cache)
@@ -857,7 +844,6 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     """
     X = float(X)
     _check_x(X, 4.0, "X")
-    cache = cache or _default_cache
     lost = []
     for n0, _, m_vals in _stream(int(math.floor(X)), cache):
         ms = m_vals.astype(np.int64)
@@ -916,7 +902,6 @@ def tau_regime_scan(
     table (integer tau <= 3) or one mu stream up to the largest x (see
     _riesz_means).
     """
-    cache = cache or _default_cache
     rows: list[dict] = []
     defined: list[dict] = []
     points: list[tuple[float, float]] = []

@@ -4,24 +4,26 @@ Everything here consumes a refined zero table (ordinates plus zeta' values)
 and produces desk-scale numerics for quantities that are classically written
 as infinite sums over zeros:
 
-* ``j_lambda``          -- the derivative-moment sum J_lambda(T).
-* ``inv_zeta_identity`` -- the zero-sum representation of 1/zeta(s).
-* ``a_constant``        -- the averaged-Mertens constant A(kappa).
-* ``zeta_eq_real``      -- the real-axis identity 1/zeta(kappa) = kappa*A(kappa+1).
-* ``swmh_ratio``        -- integral of (M(u)/u)^2 against its log x * zero-sum law.
-* ``im_constants``      -- limsup/liminf constants for the normalized Mertens integral.
+* ``j_lambda``            -- the derivative-moment sum J_lambda(T).
+* ``inv_zeta_identity``   -- the zero-sum representation of 1/zeta(s).
+* ``a_constant_report``   -- the averaged-Mertens constant A(kappa).
+* ``zeta_eq_real_report`` -- the real-axis identity 1/zeta(kappa) = kappa*A(kappa+1).
+* ``swmh_report``         -- integral of (M(u)/u)^2 against its log x * zero-sum law.
+* ``im_constants``        -- limsup/liminf constants for the normalized Mertens integral.
 * ``integral_M_explicit`` -- zero-sum reconstruction of int_1^x M(u) u^-kappa du.
-* ``hko_prediction``    -- random-matrix moment prediction (Barnes G, Euler product).
-* ``divim_sign_changes`` -- oscillation evidence for the normalized integral,
-  re-exported from ``mrl.moebius``, which scans it on the integral's own pieces.
+* ``hko_report``          -- random-matrix moment prediction (Barnes G, Euler product).
+
+Each quantity has one function; its value is the report's ``value`` (or,
+for the real-axis identity, its ``residual``).
 
 Sum conventions are a classic source of factor-2 and sign bugs, so each
 operation documents whether its zero sum runs over positive ordinates only or
 over conjugate pairs, and complex pairing is always explicit in the code.
-``inv_zeta_identity``, ``a_constant`` and ``zeta_eq_real`` are one identity,
-1/zeta(s) = s A(s+1), so one private core (``_reciprocal_zeta``) computes
-its right side: ``inv_zeta_identity`` reads it at s, ``a_constant`` at
-s = kappa - 1 divided by kappa - 1, and ``zeta_eq_real`` at s = kappa.
+``inv_zeta_identity``, ``a_constant_report`` and ``zeta_eq_real_report`` are
+one identity, 1/zeta(s) = s A(s+1), so one private core (``_reciprocal_zeta``)
+computes its right side: ``inv_zeta_identity`` reads it at s,
+``a_constant_report`` at s = kappa - 1 divided by kappa - 1, and
+``zeta_eq_real_report`` at s = kappa.
 Truncations default to the 649 zeros below height 1000 and 40 trivial-zero
 terms; partial sums at intermediate cutoffs are traced in the returned
 reports so convergence is visible to callers and tests.
@@ -47,11 +49,10 @@ from .errors import (
     UnsupportedLambda,
 )
 from .kernel import _EULER_GAMMA, zeta
-from .moebius import (  # divim_sign_changes is re-exported
+from .moebius import (
     CheckpointCache,
     _check_x,
     _primes_upto,
-    divim_sign_changes,
     integral_M,
     weak_mertens_integral,
 )
@@ -65,20 +66,15 @@ __all__ = [
     "REPORT_KINDS",
     "ZeroSumReport",
     "j_lambda",
-    "a_constant",
     "a_constant_report",
     "inv_zeta_identity",
-    "zeta_eq_real",
     "zeta_eq_real_report",
-    "swmh_ratio",
     "swmh_report",
     "im_constants",
     "integral_M_explicit",
-    "divim_sign_changes",
     "log_barnes_g",
     "barnes_g",
     "a_lambda",
-    "hko_prediction",
     "hko_report",
 ]
 
@@ -357,40 +353,20 @@ def a_constant_report(
     )
 
 
-def a_constant(
-    kappa: float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    L: int = DEFAULT_L,
-) -> float:
-    """The constant A(kappa); see a_constant_report for the formula."""
-    return a_constant_report(kappa, table, T, L).value
-
-
-def zeta_eq_real(
-    kappa: float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    L: int = DEFAULT_L,
-) -> float:
-    """Residual |1/zeta(kappa) - kappa * A(kappa + 1)| of the real-axis
-    reciprocal identity, for kappa > 1/2 (limit value 0 at the pole
-    kappa = 1)."""
-    return zeta_eq_real_report(kappa, table, T, L).residual
-
-
 def zeta_eq_real_report(
     kappa: float,
     table: ZeroTable,
     T: float = DEFAULT_T,
     L: int = DEFAULT_L,
 ) -> ZeroSumReport:
-    """Report form of zeta_eq_real: the right side of the reciprocal-zeta
-    identity at s = kappa, which is kappa*A(kappa+1) term by term, against
-    the target 1/zeta(kappa), with its partial trace at the zero-sum cutoffs.
-    Value, trace and residual are those of inv_zeta_identity(kappa); the
-    kind is A_kappa and imag_rel is that of the zero sum, as in
-    a_constant_report(kappa + 1)."""
+    """The real-axis reciprocal identity 1/zeta(kappa) = kappa*A(kappa+1), for
+    kappa > 1/2: the right side of the reciprocal-zeta identity at s = kappa,
+    which is kappa*A(kappa+1) term by term, against the target 1/zeta(kappa)
+    (limit value 0 at the pole kappa = 1), with its partial trace at the
+    zero-sum cutoffs.  The residual |1/zeta(kappa) - kappa*A(kappa+1)| is the
+    identity's check.  Value, trace and residual are those of
+    inv_zeta_identity(kappa); the kind is A_kappa and imag_rel is that of the
+    zero sum, as in a_constant_report(kappa + 1)."""
     kappa = float(kappa)
     if not kappa > 0.5:
         raise DomainError(f"kappa must exceed 1/2, got {kappa}")
@@ -420,32 +396,22 @@ def zeta_eq_real_report(
 # ---------------------------------------------------------------------------
 
 
-def swmh_ratio(
-    x: float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    cache: CheckpointCache | None = None,
-) -> float:
-    """Ratio of int_1^x (M(u)/u)^2 du to its predicted law
-    log x * sum over zeros of 1/|rho zeta'(rho)|^2.
-
-    The denominator's sum runs over **all** zeros (conjugates counted, i.e.
-    twice the positive-ordinate sum) truncated at 0 < gamma < T; the
-    positive-only convention is available from swmh_report.  An empty table
-    makes the denominator zero and raises ZeroDivisionError (the contract:
-    there is no law to compare against).
-    """
-    return swmh_report(x, table, T, cache).value
-
-
 def swmh_report(
     x: float,
     table: ZeroTable,
     T: float = DEFAULT_T,
     cache: CheckpointCache | None = None,
 ) -> ZeroSumReport:
-    """Report form of swmh_ratio, carrying both sum conventions and the
-    partial denominator sums at intermediate cutoffs."""
+    """Ratio of int_1^x (M(u)/u)^2 du to its predicted law
+    log x * sum over zeros of 1/|rho zeta'(rho)|^2.
+
+    The value's denominator sums over **all** zeros (conjugates counted, i.e.
+    twice the positive-ordinate sum) truncated at 0 < gamma < T; the
+    parameters carry the positive-only convention too, and the trace holds
+    the partial positive-ordinate sums at intermediate cutoffs.  An empty
+    table makes the denominator zero and raises ZeroDivisionError (the
+    contract: there is no law to compare against).
+    """
     x = float(x)
     T = float(T)
     _check_x(x, 10.0)
@@ -572,7 +538,7 @@ def integral_M_explicit(
     )
     zero_term = x ** (1.5 - kappa) * zsum
 
-    constant_term = a_constant(kappa, table, T, L) if kappa > 1.0 else 0.0
+    constant_term = a_constant_report(kappa, table, T, L).value if kappa > 1.0 else 0.0
     explicit = zero_term + constant_term
     direct = integral_M(x, kappa, cache)
     residual = abs(direct - explicit)
@@ -698,24 +664,6 @@ def a_lambda(
     return math.exp(math.fsum(logs))
 
 
-def hko_prediction(
-    lam: float,
-    T: float,
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    g_terms: int = DEFAULT_G_TERMS,
-) -> float:
-    """Random-matrix prediction for the derivative moments:
-
-        (G^2(lambda+2) / G(2 lambda + 3)) * a_lambda
-            * (T / 2 pi) * (log(T / 2 pi))^((lambda+1)^2).
-
-    Reduces to (T/2pi) log(T/2pi) at lambda = 0 and to (3/pi^3) T at
-    lambda = -1 (up to the truncated Euler product).  T must exceed 2 pi so
-    the log factor is positive.
-    """
-    return hko_report(lam, T, None, prime_cutoff, g_terms).value
-
-
 def hko_report(
     lam: float,
     T: float,
@@ -723,8 +671,18 @@ def hko_report(
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
     g_terms: int = DEFAULT_G_TERMS,
 ) -> ZeroSumReport:
-    """Report form of hko_prediction; when a refined table is supplied the
-    measured moment J_lambda(T) and its ratio to the prediction are included."""
+    """Random-matrix prediction for the derivative moments:
+
+        (G^2(lambda+2) / G(2 lambda + 3)) * a_lambda
+            * (T / 2 pi) * (log(T / 2 pi))^((lambda+1)^2).
+
+    Reduces to (T/2pi) log(T/2pi) at lambda = 0 and to (3/pi^3) T at
+    lambda = -1 (up to the truncated Euler product).  T must exceed 2 pi so
+    the log factor is positive (OutOfRange).  The prediction is the report's
+    value; when a refined table is supplied, the measured moment
+    J_lambda(min(T, table height)) and its ratio to the prediction are
+    included, and the residual is their absolute difference.
+    """
     lam = float(lam)
     T = float(T)
     arith = a_lambda(lam, prime_cutoff, g_terms)

@@ -21,10 +21,12 @@ residual at 100.  See the repository README for the measurements.
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from mrl.explicit import (
+    _zero_term,
     explicit_M_tau,
     perron_kernel_check,
     perron_kernel_report,
@@ -33,19 +35,19 @@ from mrl.explicit import (
 from mrl.moebius import (
     CheckpointCache,
     RieszQuery,
+    divim_sign_changes,
     mertens,
     riesz_mean_direct,
     riesz_recurrence_check,
     sieve_segment,
     weak_mertens_integral,
 )
-from mrl.zeros import verify_count
+from mrl.zeros import _zero_sum, verify_count
 from mrl.zerosums import (
-    divim_sign_changes,
     inv_zeta_identity,
     j_lambda,
-    swmh_ratio,
-    zeta_eq_real,
+    swmh_report,
+    zeta_eq_real_report,
 )
 
 def mu_trial_division(n: int) -> int:
@@ -121,16 +123,20 @@ def test_03_spectral_residual_height_ladder(table):
     cache = CheckpointCache()
     failures = []
     lines = []
+    counts = range(rungs[0], len(gs) + 1)
     for x in (10.5, 50.5, 100.5):
         direct = riesz_mean_direct(RieszQuery(x=x, tau=1.0), cache)
+        # The explicit value with the first n zeros is that of the full table
+        # with its zero sum replaced by the partial sum up to gamma_n, which
+        # one pass over the zeros yields for every n.
+        ev = explicit_M_tau(x, 1.0, table, math.nextafter(gs[-1], math.inf), 40)
+        _, partials = _zero_sum(
+            table, ev.T, _zero_term(x, 1.0), inclusive=False,
+            cutoffs=[float(gs[n - 1]) for n in counts],
+        )
         res = {
-            n: abs(
-                direct
-                - explicit_M_tau(
-                    x, 1.0, table, math.nextafter(gs[n - 1], math.inf), 40
-                ).explicit_value
-            )
-            for n in range(rungs[0], len(gs) + 1)
+            n: abs(direct - replace(ev, zero_sum=partial).explicit_value)
+            for n, (_, partial) in zip(counts, partials)
         }
         env = [max(res[n] for n in range(lo, hi)) for lo, hi in bands]
         env_ratios = [b / a for a, b in zip(env, env[1:])]
@@ -242,7 +248,7 @@ def test_09_weak_mertens_boundedness(table):
     vals = [weak_mertens_integral(x, cache) / math.log(x) for x in xs]
     bound = 0.5  # single constant, ~2.3x above the measured maximum
     ok = all(v <= bound for v in vals)
-    ratios = [swmh_ratio(x, table, 1000.0, cache) for x in (1e4, 1e5, 1e6)]
+    ratios = [swmh_report(x, table, 1000.0, cache).value for x in (1e4, 1e5, 1e6)]
     _report(
         "9 weak-Mertens shape",
         ok,
@@ -254,8 +260,8 @@ def test_09_weak_mertens_boundedness(table):
 
 
 def test_10_reciprocal_zeta_real_axis(table):
-    full = zeta_eq_real(2.0, table, 1000.0, 40)
-    hundred = zeta_eq_real(2.0, table, 236.6, 40)
+    full = zeta_eq_real_report(2.0, table, 1000.0, 40).residual
+    hundred = zeta_eq_real_report(2.0, table, 236.6, 40).residual
     ok = full < hundred and full < 1e-2
     _report(
         "10 real-axis identity",

@@ -289,18 +289,40 @@ def test_mertens_checkpoints_persist(tmp_path):
     assert out2 == out1
 
 
-def test_explicit_without_compare_leaves_checkpoints_untouched(tmp_path):
+def _assert_checkpoints_untouched(tmp_path, argv):
     rc, _ = run_cli("--cache-dir", str(tmp_path), "mertens", "2000000")
     assert rc == 0
     chk = tmp_path / "mertens-v1.chk"
     before = chk.stat()
     blob = chk.read_bytes()
-    rc, _ = run_cli("--zeros", "builtin", "--cache-dir", str(tmp_path),
-                    "explicit", "10.5", "--tau", "2")
+    rc, _ = run_cli("--zeros", "builtin", "--cache-dir", str(tmp_path), *argv)
     assert rc == 0
     after = chk.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert chk.read_bytes() == blob
+
+
+def test_explicit_without_compare_leaves_checkpoints_untouched(tmp_path):
+    _assert_checkpoints_untouched(tmp_path, ["explicit", "10.5", "--tau", "2"])
+
+
+# Only `mrl mertens` opens the checkpoint file.  These commands, some of
+# them streaming mu past the 10^6 stride, leave it as it was.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["riesz", "2500000.5", "--tau", "0.5"], id="riesz"),
+        pytest.param(["integral", "2500000.5", "--kappa", "0.5"], id="integral"),
+        pytest.param(["explicit", "10.5", "--tau", "2", "--compare"], id="explicit-compare"),
+        pytest.param(["identity", "swmh", "--x", "1e4"], id="identity-swmh"),
+        pytest.param(["scan", "density", "--X", "2500000"], id="scan-density"),
+        pytest.param(["scan", "divIM-sign", "--X", "1e4"], id="scan-divim"),
+        pytest.param(["scan", "tau-regime", "--x-start", "100", "--x-stop", "2.5e6",
+                      "--points", "3", "--c", "0.5"], id="scan-tau-regime"),
+    ],
+)
+def test_only_mertens_opens_the_checkpoint_file(tmp_path, argv):
+    _assert_checkpoints_untouched(tmp_path, argv)
 
 
 def test_mertens_checkpoints_old_format_rewritten(tmp_path):
@@ -324,8 +346,12 @@ def test_mertens_cache_file_serves_repeated_lookups(tmp_path, monkeypatch):
         raise AssertionError("M(x) recomputed")
 
     monkeypatch.setattr(moebius, "_mu_power_sums", recompute)
+    chk = tmp_path / "mertens-v1.chk"
+    before = chk.stat()
     rc, again = run_cli("--cache-dir", str(tmp_path), "mertens", "1234567")
     assert (rc, again) == (0, out)
+    after = chk.stat()  # a hit leaves the file as it was
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def test_mertens_floors_the_argument_exactly():

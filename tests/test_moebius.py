@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrl import moebius
+from mrl import kernel, moebius
 from mrl.errors import DomainError, OutOfRange, ParseError, ScheduleUndefined
 from mrl.moebius import (
     CheckpointCache,
     RieszQuery,
     TauSchedule,
     density_S,
+    divim_sign_changes,
     integral_M,
     mertens,
     riesz_mean_direct,
@@ -31,7 +32,6 @@ from mrl.moebius import (
     tau_regime_scan,
     weak_mertens_integral,
 )
-from mrl.zerosums import divim_sign_changes
 
 # Classical spot values of the summatory Moebius function.
 MERTENS_TABLE = {
@@ -351,6 +351,14 @@ def test_mertens_records_and_reuses_its_value(tmp_path, monkeypatch):
     loaded = CheckpointCache.load(path)
     assert loaded.checkpoints() == cache.checkpoints()
 
+    # without a cache nothing is kept between calls
+    calls = []
+    power_sums = moebius._mu_power_sums
+    monkeypatch.setattr(moebius, "_mu_power_sums",
+                        lambda *args: calls.append(args) or power_sums(*args))
+    assert mertens(1_234_567) == mertens(1_234_567) == m
+    assert len(calls) == 2
+
     def recompute(*args):
         raise AssertionError("M(x) recomputed")
 
@@ -466,7 +474,7 @@ def test_weak_mertens_independent_of_call_history():
     x = 3_500_000.5  # four blocks
     want = weak_mertens_integral(x, CheckpointCache()).hex()
     cache = CheckpointCache()
-    riesz_mean_direct(RieszQuery(3.2e6, 1.5), cache)  # leaves checkpoints and a frontier below x
+    riesz_mean_direct(RieszQuery(3.2e6, 1.5), cache)  # leaves checkpoints below x
     assert weak_mertens_integral(x, cache).hex() == want
     mertens(3_000_000, cache)
     assert weak_mertens_integral(x, cache).hex() == want
@@ -523,7 +531,7 @@ def test_exact_sum_is_fsum(terms, cancel):
     if cancel:  # the exact total is zero
         terms = terms + [-t for t in reversed(terms)]
     a = np.array(terms, dtype=np.float64)
-    assert _same_float(moebius._exact_sum(a), math.fsum(terms))
+    assert _same_float(kernel._exact_sum(a), math.fsum(terms))
 
 
 @pytest.mark.parametrize(
@@ -539,9 +547,9 @@ def test_exact_sum_edge_cases(terms):
         want = math.fsum(terms)
     except (OverflowError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            moebius._exact_sum(a)
+            kernel._exact_sum(a)
         return
-    got = moebius._exact_sum(a)
+    got = kernel._exact_sum(a)
     assert _same_float(got, want) or (math.isnan(got) and math.isnan(want))
 
 
@@ -551,7 +559,7 @@ def test_exact_sum_full_block():
     wide = rng.standard_normal(n) * np.exp2(rng.integers(-700, 700, n))
     narrow = rng.standard_normal(n)
     for a in (wide, narrow, np.concatenate([narrow[: n // 2], -narrow[: n // 2]])):
-        assert _same_float(moebius._exact_sum(a), math.fsum(a.tolist()))
+        assert _same_float(kernel._exact_sum(a), math.fsum(a.tolist()))
 
 
 def _streamed_quantities() -> list:

@@ -24,25 +24,20 @@ from mrl.errors import (
     UnsupportedLambda,
 )
 from mrl.kernel import zeta
-from mrl.moebius import integral_M, weak_mertens_integral
+from mrl.moebius import divim_sign_changes, integral_M, weak_mertens_integral
 from mrl.zeros import ZeroRecord, ZeroTable
 from mrl.zerosums import (
     ZeroSumReport,
-    a_constant,
     a_constant_report,
     a_lambda,
     barnes_g,
-    divim_sign_changes,
-    hko_prediction,
     hko_report,
     im_constants,
     integral_M_explicit,
     inv_zeta_identity,
     j_lambda,
     log_barnes_g,
-    swmh_ratio,
     swmh_report,
-    zeta_eq_real,
     zeta_eq_real_report,
 )
 
@@ -127,28 +122,31 @@ def test_j_lambda_guards(table, suspect_table):
 
 def test_a_constant_continuation_oracles(table):
     # Closed-form values of the continuation at integer / half-integer kappa.
-    assert a_constant(1.5, table) == pytest.approx(INV_ZETA_HALF, abs=1e-8)
-    assert abs(a_constant(2.0, table)) <= 1e-8
-    assert a_constant(3.0, table) == pytest.approx(3.0 / math.pi**2, abs=1e-8)
-    assert a_constant(4.0, table) == pytest.approx(
+    assert a_constant_report(1.5, table).value == pytest.approx(
+        INV_ZETA_HALF, abs=1e-8
+    )
+    assert abs(a_constant_report(2.0, table).value) <= 1e-8
+    assert a_constant_report(3.0, table).value == pytest.approx(
+        3.0 / math.pi**2, abs=1e-8
+    )
+    assert a_constant_report(4.0, table).value == pytest.approx(
         1.0 / (3.0 * ZETA3), abs=1e-8
     )
     # kappa = -2: equals -1/(3 zeta(-3)) = -40 exactly
-    assert a_constant(-2.0, table) == pytest.approx(-40.0, abs=1e-7)
+    assert a_constant_report(-2.0, table).value == pytest.approx(-40.0, abs=1e-7)
 
 
 def test_a_constant_singularities(table):
     with pytest.raises(PoleAtKappaOne):
-        a_constant(1.0, table)
+        a_constant_report(1.0, table)
     for k in (-1.0, -3.0):
         with pytest.raises(SingularPoint, match=rf"singular at kappa = {k}: s = "):
-            a_constant(k, table)
+            a_constant_report(k, table)
 
 
 def test_a_constant_report_fields(table):
     rep = a_constant_report(4.0, table)
     assert rep.kind == "A_kappa"
-    assert rep.value == a_constant(4.0, table)
     assert rep.parameters["trivial_tail"] < 1e-20
     assert rep.parameters["imag_rel"] < 1e-12
     cuts = [c for c, _ in rep.partial_trace]
@@ -203,7 +201,8 @@ def test_inv_zeta_singular_points(table):
 def test_inv_zeta_consistent_with_a_constant(table):
     # The two routes are the same sum shifted by one unit in s.
     assert abs(
-        inv_zeta_identity(3.0, table).value - 3.0 * a_constant(4.0, table)
+        inv_zeta_identity(3.0, table).value
+        - 3.0 * a_constant_report(4.0, table).value
     ) <= 1e-12
     # ... computed once: zeta_eq_real_report reads the identity at s = kappa
     # and A(kappa + 1) divides it at s = (kappa + 1) - 1 by that s, which is
@@ -217,19 +216,19 @@ def test_inv_zeta_consistent_with_a_constant(table):
         ], kappa
         assert zr.residual.hex() == iz.residual.hex(), kappa
         s = (kappa + 1.0) - 1.0
-        assert a_constant(kappa + 1.0, table) == inv_zeta_identity(s, table).value / s
+        a = a_constant_report(kappa + 1.0, table).value
+        assert a == inv_zeta_identity(s, table).value / s
 
 
 def test_zeta_eq_real(table):
-    resid = zeta_eq_real(2.0, table, 1000.0, 40)
+    resid = zeta_eq_real_report(2.0, table, 1000.0, 40).residual
     assert resid <= 1e-2  # criterion-level ceiling
     assert resid <= 1e-8  # actual quality
-    assert zeta_eq_real(2.0, table, 236.6, 40) > resid
+    assert zeta_eq_real_report(2.0, table, 236.6, 40).residual > resid
     rep = zeta_eq_real_report(0.6, table)
     assert rep.value == pytest.approx(1.0 / zeta(0.6).real, abs=1e-8)
-    assert rep.residual == zeta_eq_real(0.6, table)
     with pytest.raises(DomainError):
-        zeta_eq_real(0.5, table)
+        zeta_eq_real_report(0.5, table)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def test_zeta_eq_real(table):
 
 
 def test_swmh_ratio_regression(table, shared_cache):
-    assert swmh_ratio(1e5, table, 1000.0, shared_cache) == pytest.approx(
+    assert swmh_report(1e5, table, 1000.0, shared_cache).value == pytest.approx(
         4.8129552605434585, rel=1e-12
     )
 
@@ -268,17 +267,17 @@ def test_swmh_increments_match_the_law(table, shared_cache):
 
 
 def test_swmh_ratio_drifts_toward_one(table, shared_cache):
-    r4 = swmh_ratio(1e4, table, 1000.0, shared_cache)
-    r5 = swmh_ratio(1e5, table, 1000.0, shared_cache)
-    r6 = swmh_ratio(1e6, table, 1000.0, shared_cache)
+    r4 = swmh_report(1e4, table, 1000.0, shared_cache).value
+    r5 = swmh_report(1e5, table, 1000.0, shared_cache).value
+    r6 = swmh_report(1e6, table, 1000.0, shared_cache).value
     assert r4 > r5 > r6 > 1.0
 
 
 def test_swmh_empty_table_divides_by_zero(shared_cache):
     with pytest.raises(ZeroDivisionError):
-        swmh_ratio(1e4, ZeroTable([]), 1000.0, shared_cache)
+        swmh_report(1e4, ZeroTable([]), 1000.0, shared_cache)
     with pytest.raises(DomainError):
-        swmh_ratio(5.0, ZeroTable([]), 1000.0, shared_cache)
+        swmh_report(5.0, ZeroTable([]), 1000.0, shared_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +455,15 @@ def test_hko_reductions():
     T = 1000.0
     u = T / (2.0 * math.pi)
     # lambda = 0: the Barnes and arithmetic factors are exactly 1.
-    assert hko_prediction(0.0, T) == pytest.approx(u * math.log(u), rel=1e-14)
+    assert hko_report(0.0, T).value == pytest.approx(u * math.log(u), rel=1e-14)
     # lambda = -1: reduces to 3T/pi^3
-    assert hko_prediction(-1.0, T) == pytest.approx(
+    assert hko_report(-1.0, T).value == pytest.approx(
         3.0 * T / math.pi**3, rel=2e-5
     )
     with pytest.raises(OutOfRange):
-        hko_prediction(0.0, 6.0)
+        hko_report(0.0, 6.0)
     with pytest.raises(UnsupportedLambda):
-        hko_prediction(-1.2, T)
+        hko_report(-1.2, T)
 
 
 def test_hko_report_with_measurement(table):
