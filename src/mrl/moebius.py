@@ -1,8 +1,9 @@
 """Exact integer-side computations around the Moebius function.
 
-Segmented numpy sieving of mu(n), the summatory function M(x), Riesz-weighted
-means, piecewise-exact integrals of M(u) against power weights and their sign
-changes, the logarithmic density of {t : |M(t)| <= sqrt(t)}, and tau scans.
+Segmented numpy sieving of mu(n) (a log-sum sieve in bytes, _segment_mu),
+the summatory function M(x), Riesz-weighted means, piecewise-exact integrals
+of M(u) against power weights and their sign changes, the logarithmic
+density of {t : |M(t)| <= sqrt(t)}, and tau scans.
 
 Two routes serve them.  Quantities whose weight is a polynomial of degree
 <= 3 in n need only the exact sums S_j(x) = sum_{n<=x} mu(n) n^j, j <= 3,
@@ -143,50 +144,115 @@ def _primes_upto(limit: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64)
 
 
+def _table_limit(n_max: int) -> int:
+    """Top of the prime table that serves values up to n_max: a power of two
+    >= max(64, sqrt(n_max)), so tables are cached in coarse steps."""
+    return 1 << (max(64, math.isqrt(max(n_max, 1))) - 1).bit_length()
+
+
 def _primes_for(n_max: int) -> np.ndarray:
-    """Prime table for sieving values up to n_max, cached in coarse steps."""
-    need = max(64, math.isqrt(max(n_max, 1)))
-    rounded = 1 << (need - 1).bit_length()
-    return _primes_upto(rounded)
+    """Prime table for sieving values up to n_max (the tests' reference
+    sieve takes its primes from here)."""
+    return _primes_upto(_table_limit(n_max))
 
 
-# The period of mu's pattern over the primes 2, 3, 5, 7: 4 * 9 * 25 * 49.
+@lru_cache(maxsize=8)
+def _prime_costs(limit: int) -> np.ndarray:
+    """The sieve cost c_p = 2 floor(2 log2 p) + 1 of each prime of
+    _primes_upto(limit), as uint8: floor(2 log2 p) = floor(log2 p^2) is
+    the bit length of p^2 less one, exactly."""
+    return np.array([2 * (p * p).bit_length() - 1 for p in _primes_upto(limit).tolist()],
+                    dtype=np.uint8)
+
+
+def _omega_bound(n_max: int) -> int:
+    """A bound w >= 1 on omega(n), the number of distinct prime factors, for
+    every n <= n_max: the product of the first omega(n) primes is <= n."""
+    w, primorial = 0, 1
+    for p in _primes_upto(64).tolist():
+        primorial *= p
+        if primorial > n_max:
+            break
+        w += 1
+    return max(w, 1)
+
+
+def _root_floor(w: int) -> int:
+    """The least R with R^2 >= 2^(w+1), so 4 log2 R >= 2w + 2."""
+    return math.isqrt((1 << (w + 1)) - 1) + 1
+
+
+# The costs of 2, 3, 5, 7 repeat with period 210; the wheel tiles them in a
+# multiple of it, 4 * 9 * 25 * 49, so a 2^20 block takes 24 copies.
 _WHEEL = 44100
+
+# _segment_mu takes n < _SEGMENT_MAX: there the costs of n's primes sum to
+# at most 4 log2 n + omega(n) <= 160 + 11 < 2^8, and the prime table stops
+# at 2^20.
+_SEGMENT_MAX = 1 << 40
 
 
 @lru_cache(maxsize=1)
 def _wheel() -> np.ndarray:
-    """At residue r in [0, _WHEEL): (-1)^k times the product of the k primes
-    among 2, 3, 5, 7 that divide r, or 0 where one of their squares does."""
-    wheel = np.ones(_WHEEL, dtype=np.int32)
+    """At residue r in [0, _WHEEL): the sum of c_p over the primes p among
+    2, 3, 5, 7 that divide r."""
+    costs = np.zeros(_WHEEL, dtype=np.uint8)
     for p in (2, 3, 5, 7):
-        wheel[::p] *= -p
-        wheel[:: p * p] = 0
-    return wheel
+        costs[::p] += 2 * (p * p).bit_length() - 1
+    return costs
 
 
 def _segment_mu(lo: int, hi: int) -> np.ndarray:
-    """Exact mu(n) for n in [lo, hi) from a signed product sieve.
+    """Exact mu(n) for n in [lo, hi) from a log-sum sieve in one uint8 array.
 
-    prod[i] holds (-1)^k times the product of the k primes p <= sqrt(hi-1)
-    (and 2, 3, 5, 7, tiled from the wheel) that divide n = lo + i, or 0 once
-    one of their squares divides n.  So mu(n) = sign(prod[i]), flipped where
-    |prod[i]| != n: a squarefree n whose product falls short of n has exactly
-    one prime factor above the root.
+    Every prime p <= R = max(isqrt(hi - 1), R_w), and 2, 3, 5, 7 tiled from
+    the wheel, adds its odd cost c_p = 2 floor(2 log2 p) + 1 at its
+    multiples, so s[i] sums c_p over the sieved primes that divide n = lo + i
+    and its low bit is the parity of their number.  Then the multiples of
+    each p^2 are zeroed.  A squarefree n < (R + 1)^2 has at most one prime
+    factor above R, and s tells whether it has one.  Let 2^k <= n < 2^(k+1),
+    let w >= 1 bound omega(n) on [lo, hi) (_omega_bound), and note that
+    4 log2 p - 1 < c_p <= 4 log2 p + 1:
+
+    - with none, s > 4 log2 n - omega(n) >= 4k - w, so s >= T_k = 4k - w + 1
+      (n = 1, which has no prime factor, sums to 0 = T_0);
+    - with one, q > R, n = m q and omega(m) <= w - 1, so s <= 4 log2 m +
+      w - 1 < 4(k + 1) - 4 log2 R + w - 1 <= T_k, since 4 log2 R_w >= 2w + 2
+      (_root_floor).
+
+    T_k is clamped at 0, which only the first case reaches.  So mu(n) is
+    (-1)^s on a squarefree n, flipped where s < T_k.  With n < _SEGMENT_MAX,
+    s and T_k fit in a byte.
     """
-    # |prod| divides n, so int32 holds it (and n) while hi - 1 < 2^31
-    dtype = np.int32 if hi - 1 < 1 << 31 else np.int64
-    prod = np.resize(np.roll(_wheel().astype(dtype, copy=False), -(lo % _WHEEL)), hi - lo)
-    primes = _primes_for(hi - 1)
-    root = math.isqrt(hi - 1)
+    n_max = hi - 1
+    if n_max >= _SEGMENT_MAX:
+        raise OutOfRange(f"need hi - 1 < 2^40, got hi = {hi}")
+    w = _omega_bound(n_max)
+    root = max(math.isqrt(n_max), _root_floor(w))
+    limit = _table_limit(root * root)
+    primes, costs = _primes_upto(limit), _prime_costs(limit)
+    stop = int(np.searchsorted(primes, root, side="right"))
     # primes[:4] are the wheel's 2, 3, 5, 7
-    for p in primes[4 : np.searchsorted(primes, root, side="right")].tolist():
-        prod[-lo % p :: p] *= -p
-        prod[-lo % (p * p) :: p * p] = 0
-    mu = np.sign(prod).astype(np.int8)
-    big = np.abs(prod, out=prod) != np.arange(lo, hi, dtype=dtype)
-    # an arithmetic flip: a masked negate costs several times more per block
-    mu *= 1 - 2 * big.view(np.int8)
+    primes, costs = primes[4:stop], costs[4:stop]
+    s = np.resize(np.roll(_wheel(), -(lo % _WHEEL)), hi - lo)
+    for p, c in zip(primes.tolist(), costs.tolist()):
+        s[-lo % p :: p] += c
+    big = np.empty(hi - lo, dtype=bool)
+    for k in range(int(lo).bit_length() - 1, int(n_max).bit_length()):
+        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
+        np.less(s[a:b], max(0, 4 * k - w + 1), out=big[a:b])
+    s &= 1
+    s ^= big.view(np.uint8)
+    mu = s.view(np.int8)
+    mu *= -2
+    mu += 1
+    # a square above hi - lo has at most one multiple here: one assignment
+    squares = np.concatenate(([4, 9, 25, 49], primes * primes))
+    few = int(np.searchsorted(squares, hi - lo, side="right"))
+    for q in squares[:few].tolist():
+        mu[-lo % q :: q] = 0
+    starts = -lo % squares[few:]
+    mu[starts[starts < hi - lo]] = 0
     return mu
 
 
@@ -313,34 +379,47 @@ def _power_sum_limit(x: int) -> int:
     return min(x, max(int(x ** (2.0 / 3.0)), 64 * math.isqrt(x)))
 
 
-def _mu_times_power(mu: np.ndarray, j: int) -> np.ndarray:
-    """mu(n) n^j for n = 1..len(mu), exactly in int64 (n < 2^21, so
-    n^3 < 2^63), in one array: a second fresh one costs its page faults.
-    int64, since numpy casts int8 to uint64 several times slower."""
-    term = np.arange(1, len(mu) + 1, dtype=np.int64)
+def _mu_times_power(mu: np.ndarray, j: int, out: np.ndarray) -> None:
+    """Write mu(n) n^j for n = 1..len(mu) into the int64 array out, exactly
+    (n < 2^21, so n^3 < 2^63).  n is written as the outer sum of two short
+    ranges, so nothing as long as mu is allocated."""
+    width = 1 << 10
+    whole = len(out) - len(out) % width
+    np.add.outer(np.arange(0, whole, width), np.arange(1, width + 1),
+                 out=out[:whole].reshape(-1, width))
+    out[whole:] = np.arange(whole + 1, len(out) + 1)
     if j > 1:
-        term **= j
-    term *= mu
-    return term
+        np.power(out, j, out=out)
+    out *= mu
 
 
 def _power_sum_table(x_floor: int, degree: int) -> list[np.ndarray]:
     """S_j(v) mod p for 0 <= v <= _power_sum_limit(x_floor), one array per
-    (p, j) of _residue_rows(degree), from one sieve of [1, L]."""
+    (p, j) of _residue_rows(degree), from one sieve of [1, L].  Each row is
+    built in place (terms, reduction mod p, running sum), so a table
+    allocates its rows and the sieve and nothing else as long."""
     _check_sieve_range(x_floor)
     limit = _power_sum_limit(x_floor)
     mu = _segment_mu(1, limit + 1)
     tables = []
     for p, j in _residue_rows(degree):
-        table = np.zeros(limit + 1, dtype=np.int64)
+        table = np.empty(limit + 1, dtype=np.int64)
+        table[0] = 0
+        terms = table[1:]
         if j == 0:  # mod 2^64 only; |S_0(v)| <= L
-            np.cumsum(mu, dtype=np.int64, out=table[1:])
-        elif p == _WRAP:
-            np.cumsum(_mu_times_power(mu, j).view(np.uint64), out=table.view(np.uint64)[1:])
+            np.copyto(terms, mu)
         else:
-            # the L terms, reduced below 2^31, cannot overflow the sum
-            np.cumsum(_reduce(_mu_times_power(mu, j), p), out=table[1:])
-        tables.append(table.view(np.uint64) if p == _WRAP else _reduce(table, p))
+            _mu_times_power(mu, j, terms)
+        if p == _WRAP:
+            np.cumsum(terms.view(np.uint64), out=terms.view(np.uint64))
+            tables.append(table.view(np.uint64))
+        else:
+            # the L terms sum to at most W_j(L) in magnitude; past 2^63
+            # they are reduced below 2^31 first, so the sum cannot overflow
+            if _faulhaber(limit, j) >= 1 << 63:
+                np.remainder(terms, p, out=terms)
+            np.cumsum(terms, out=terms)
+            tables.append(np.remainder(table, p, out=table))
     return tables
 
 
@@ -834,7 +913,9 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     The integral is taken by its complement: the unit intervals
     [n, min(n+1, X)) for n >= 2 fill [2, X] and contribute log(X/2) in all,
     and an interval loses [n, min(n+1, X, M(n)^2)) exactly when M(n)^2 > n,
-    which is decided in int64 arithmetic.  No such n exists up to 10^7, so
+    which is decided in int64 arithmetic; a chunk of the stream whose
+    largest M^2 is at most its first n holds no such n and is skipped
+    whole.  No such n exists up to 10^7, so
     the value is log(X/2)/log X there, within about half an ulp at the X
     tested, and no logarithm is taken per integer.
 
@@ -846,6 +927,9 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     _check_x(X, 4.0, "X")
     lost = []
     for n0, _, m_vals in _stream(int(math.floor(X)), cache):
+        m_abs = max(int(m_vals.max()), -int(m_vals.min()))
+        if m_abs * m_abs <= n0:  # no n >= n0 of the chunk can qualify
+            continue
         ms = m_vals.astype(np.int64)
         # n = 1 never qualifies: M(1)^2 = 1
         for j in np.flatnonzero(ms * ms > np.arange(n0, n0 + len(ms))).tolist():

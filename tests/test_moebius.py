@@ -7,6 +7,7 @@ worked by hand in the assertions.
 
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -141,6 +142,77 @@ def test_segment_mu_above_int32(lo, hi):
     assert mu.tolist() == [mu_trial_division(n) for n in range(lo, hi)]
 
 
+# The log-sum kernel against the oracle: whole blocks, every short segment
+# from 1, and the crossings of each 2^k, where the threshold T_k steps.
+@pytest.mark.parametrize("lo", range(1, 1 << 22, 1 << 20))
+def test_segment_mu_matches_oracle_on_blocks_to_2_22(lo):
+    hi = lo + (1 << 20)
+    assert np.array_equal(moebius._segment_mu(lo, hi), mu_divide_per_prime(lo, hi))
+
+
+def test_segment_mu_matches_oracle_on_every_short_segment_from_1():
+    for hi in range(2, 3001):
+        assert np.array_equal(moebius._segment_mu(1, hi), mu_divide_per_prime(1, hi)), hi
+
+
+@pytest.mark.parametrize("k", range(2, 35))
+def test_segment_mu_matches_oracle_across_powers_of_two(k):
+    lo, hi = max(1, (1 << k) - 700), (1 << k) + 700
+    assert np.array_equal(moebius._segment_mu(lo, hi), mu_divide_per_prime(lo, hi))
+
+
+def _primorials(count: int) -> list[int]:
+    primes = moebius._primes_upto(64).tolist()[:count]
+    return [math.prod(primes[:k]) for k in range(1, count + 1)]
+
+
+def _next_prime(n: int) -> int:
+    n += 1
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+# omega-extremal n: the primorials 2, 6, ..., 2 * 3 * ... * 31 (the sum of
+# their costs is the least for their size), among them 223092870 = 2 * 3 *
+# ... * 23; and each primorial P <= 510510 times the least prime q above
+# it, which has the most prime factors a number with one factor above the
+# root can have.  In the segment [P q - 64, P q], q > isqrt(P q) = root.
+EXTREMAL_SEGMENTS = [(max(1, p - 64), p + 65) for p in _primorials(11)] + [
+    (max(1, p * q - 64), p * q + 1) for p, q in ((p, _next_prime(p)) for p in _primorials(7))
+]
+
+
+@pytest.mark.parametrize("lo, hi", EXTREMAL_SEGMENTS)
+def test_segment_mu_at_omega_extremal_n(lo, hi):
+    assert np.array_equal(moebius._segment_mu(lo, hi), mu_divide_per_prime(lo, hi))
+
+
+def test_sieve_bounds_hold_up_to_the_largest_n():
+    # the costs sit in (4 log2 p - 1, 4 log2 p + 1], exactly in integers
+    top = moebius._SEGMENT_MAX - 1
+    limit = moebius._table_limit(top)
+    assert limit == 1 << 20
+    for p, c in zip(moebius._primes_upto(limit).tolist(), moebius._prime_costs(limit).tolist()):
+        assert c % 2 == 1 and 2 ** (c - 1) <= p**4 < 2 ** (c + 1), p
+    # omega_bound is the number of primes in the largest primorial <= n
+    for k, p in enumerate(_primorials(12), start=1):
+        assert moebius._omega_bound(p) == k and moebius._omega_bound(p - 1) == max(k - 1, 1)
+    w_top = moebius._omega_bound(top)
+    assert w_top == 11
+    # the gap: 4 log2 R_w >= 2w + 2 with R_w least, for every w below the top
+    for w in range(1, w_top + 1):
+        r = moebius._root_floor(w)
+        assert r**2 >= 2 ** (w + 1) > (r - 1) ** 2, w
+        assert r <= 64  # the prime table always reaches 64
+    # the headroom: s <= 4 log2 n + omega(n) < 4 * 40 + 11 < 2^8, and the
+    # thresholds max(0, 4k - w + 1) of every binade fit in a byte too
+    assert top.bit_length() == 40 and 4 * 40 + w_top < 256
+    assert all(0 <= max(0, 4 * k - w_top + 1) < 256 for k in range(40))
+    with pytest.raises(OutOfRange):
+        moebius._segment_mu(top - 5, top + 2)
+
+
 def test_segment_stitching(shared_cache):
     whole = sieve_segment(1, 5000, shared_cache)
     part = sieve_segment(1234, 5000, shared_cache)
@@ -260,6 +332,36 @@ def test_power_sum_table_terms_are_exact_at_its_top():
         assert steps == [m * v**j % p for m, v in zip(mu, range(lo, top + 1))], (p, j)
 
 
+def test_power_sum_rows_hold_sums_past_2_63():
+    # at x = 2^28 the table runs to 2^20, where |S_3(v)| passes 2^63, so the
+    # rows mod a prime must reduce their terms before summing them
+    tables = moebius._power_sum_table(1 << 28, 3)
+    top = len(tables[0]) - 1
+    mu = moebius._segment_mu(1, top + 1)
+    n = np.flatnonzero(mu) + 1
+    s3 = np.cumsum(mu[n - 1].astype(object) * n.astype(object) ** 3)
+    far = int(np.argmax([abs(v) for v in s3]))
+    assert top == 1 << 20 and abs(s3[far]) > 2**63
+    for (p, j), table in zip(moebius._residue_rows(3), tables):
+        if j == 3:
+            assert [int(table[n[i]]) for i in (far, -1)] == [s3[i] % p for i in (far, -1)], p
+
+
+def test_power_sum_table_allocates_only_its_rows_and_the_sieve():
+    # the terms, their reduction mod p and the running sums are formed in
+    # the rows; a temporary as long as a row would show in the peak
+    x = 2 * 10**7
+    moebius._power_sum_table(x, 3)  # the prime tables are cached after this
+    tracemalloc.start()
+    try:
+        tables = moebius._power_sum_table(x, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = tables[0].nbytes
+    assert len(tables) == 7 and peak - 7 * row < row // 2
+
+
 def test_residue_count_follows_from_the_bound():
     # |S_j(x)| <= W_j(x) = sum of d^j over d <= x; the moduli of S_j must
     # multiply to more than 2 W_j(SIEVE_MAX), and one fewer would not do
@@ -298,6 +400,13 @@ def test_faulhaber_factors_match_faulhaber(n):
 def test_mertens_published_powers_of_ten():
     for k, want in enumerate(PUBLISHED_M_POWERS_OF_10):
         assert mertens(10**k, CheckpointCache()) == want, f"M(10^{k})"
+
+
+def test_streamed_mertens_at_1e8_is_published():
+    for n0, _, m_vals in moebius._stream(10**8, None):
+        pass
+    assert n0 + len(m_vals) - 1 == 10**8
+    assert int(m_vals[-1]) == PUBLISHED_M_POWERS_OF_10[8] == 1928
 
 
 def _affine_points() -> list[float]:
@@ -513,6 +622,33 @@ def test_density_within_an_ulp_of_mpmath(X):
         want = (mp.log(top / 2) - lost) / mp.log(top)
         got = density_S(X, CheckpointCache())
         assert abs(got - want) <= math.ulp(got), f"density_S({X}) = {got!r}, oracle {want}"
+
+
+def test_density_counts_every_short_interval(monkeypatch):
+    # No n up to 10^7 has M(n)^2 > n, so a made-up M (m[n - 1] = M(n))
+    # makes some: the chunks where max M^2 <= n0 are skipped, the others
+    # checked n by n
+    chunk = 1 << 10
+    m = np.zeros(8 * chunk, dtype=np.int32)
+    m[chunk] = -40  # 1600 > 1025, the first n of its chunk, but < 2048, its last
+    m[3 * chunk + 5] = 4000  # n = 3078 alone in its chunk
+    m[5 * chunk : 5 * chunk + 3] = [-80, 100, 72]  # 6400 > 5121, 10000, 5184 > 5123
+    m[7 * chunk - 1] = 85  # 7225 > 7168, the last n of its chunk
+    X = len(m) + 0.5
+
+    def stream(x_floor, cache):
+        for n0 in range(1, x_floor + 1, chunk):
+            yield n0, None, m[n0 - 1 : n0 - 1 + chunk]
+
+    monkeypatch.setattr(moebius, "_stream", stream)
+    short = [n for n in range(2, len(m) + 1) if int(m[n - 1]) ** 2 > n]
+    assert short == [chunk + 1, 3 * chunk + 6, 5 * chunk + 1, 5 * chunk + 2, 5 * chunk + 3, 7 * chunk]
+    with mp.workdps(40):
+        top = mp.mpf(X)
+        lost = mp.fsum(mp.log(min(n + 1, top, int(m[n - 1]) ** 2) / mp.mpf(n)) for n in short)
+        want = (mp.log(top / 2) - lost) / mp.log(top)
+        got = density_S(X)
+        assert abs(got - want) <= math.ulp(got)
 
 
 def _same_float(got: float, want: float) -> bool:
