@@ -43,7 +43,7 @@ from .kernel import (
     gamma_ratio,
     trivial_zero_data,
 )
-from .moebius import CheckpointCache, _check_finite, _riesz_means
+from .moebius import _check_finite, _riesz_means
 from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
@@ -285,12 +285,7 @@ def explicit_M_tau(
 
 
 def compare_direct_explicit(
-    x_list,
-    tau: float,
-    table: ZeroTable,
-    T: float,
-    L: int,
-    cache: CheckpointCache | None = None,
+    x_list, tau: float, table: ZeroTable, T: float, L: int
 ) -> list[dict]:
     """Row-per-x comparison of the integer side and the spectral side.
 
@@ -301,7 +296,7 @@ def compare_direct_explicit(
     one mu stream up to the largest x.
     """
     evs = [explicit_M_tau(float(x), tau, table, T, L) for x in x_list]
-    directs = _riesz_means([(ev.x, ev.tau) for ev in evs], cache)
+    directs = _riesz_means([(ev.x, ev.tau) for ev in evs])
     rows: list[dict] = []
     for ev, direct in zip(evs, directs):
         abs_diff = abs(direct - ev.explicit_value)

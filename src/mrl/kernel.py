@@ -455,6 +455,8 @@ def _zeta_fe(s: complex, want_deriv: bool):
     neg_even = _is_nonpositive_integer(s) and int(round(s.real)) % 2 == 0
     log_pref = _LN2 + (s - 1) * _LN2PI + _log_gamma(w)
     value = 0 * zw if neg_even else cmath.exp(log_pref + _log_sin(math.pi * s / 2)) * zw
+    if s.imag == 0:  # real s: drop the residue of exp(i pi) with pi rounded
+        value = complex(value.real)
     if not want_deriv:
         return value
     pref = cmath.exp(log_pref)

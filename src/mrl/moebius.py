@@ -13,9 +13,10 @@ Riesz means at tau = 0, 1, 2, 3 (M_1 = S_0 - S_1/x, and so on) and the
 integrals of M(u) u^(-kappa) over [1, x] at kappa = 0, -1, -2
 ((x^a S_0 - S_a)/a, a = 1 - kappa).
 Everything else needs M pointwise and streams mu from n = 1 (_stream), sieved
-in blocks and consumed in cache-sized chunks.  A caller that passes a
-CheckpointCache has the stream record (x, M(x)) at the cache's stride; no M
-value is kept between calls otherwise.  The other integrals of
+in blocks and consumed in cache-sized chunks.  sieve_segment, mertens,
+riesz_mean_direct, integral_M, density_S and tau_regime_scan take an optional
+CheckpointCache, in which the stream records (x, M(x)) at the cache's stride;
+no M value is kept between calls otherwise.  The other integrals of
 M(u) u^(-kappa), that of (M(u)/u)^2 and the sign-change scan read one
 stream of closed-form unit-interval pieces (_integral_pieces).
 
@@ -690,7 +691,7 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
 
 
 def _riesz_means(
-    points: list[tuple[float, float]], cache: CheckpointCache | None
+    points: list[tuple[float, float]], cache: CheckpointCache | None = None
 ) -> list[float]:
     """M_tau(x) for each (x, tau) in points.
 
@@ -736,7 +737,9 @@ def _riesz_means(
             for x, tau in points]
 
 
-def _integral_pieces(x: float, kappa: float, cache: CheckpointCache | None, power: int = 1):
+def _integral_pieces(
+    x: float, kappa: float, cache: CheckpointCache | None = None, power: int = 1
+):
     """The integral of M(u)^power u^(-kappa) over [1, x], piece by piece.
 
     M is constant on [n, n+1), so with P(u) = log u at kappa = 1, else
@@ -786,26 +789,22 @@ def integral_M(
     return sums.total()
 
 
-def weak_mertens_integral(x: float, cache: CheckpointCache | None = None) -> float:
+def weak_mertens_integral(x: float) -> float:
     """Piecewise-exact integral of (M(u)/u)^2 over [1, x].
 
     The interval [n, min(n+1, x)) contributes M(n)^2 (1/n - 1/min(n+1, x)),
     the pieces of _integral_pieces at kappa = 2 and power 2; summed like
-    integral_M, the value does not depend on the cache or on earlier calls.
+    integral_M, the value does not depend on earlier calls.
     """
     x = float(x)
     _check_x(x)
     sums = _BlockSums()
-    for n0, _, _, pieces in _integral_pieces(x, 2.0, cache, power=2):
+    for n0, _, _, pieces in _integral_pieces(x, 2.0, power=2):
         sums.add(n0, pieces)
     return sums.total()
 
 
-def divim_sign_changes(
-    x_max: float,
-    kappa: float = 1.5,
-    cache: CheckpointCache | None = None,
-) -> list[float]:
+def divim_sign_changes(x_max: float, kappa: float = 1.5) -> list[float]:
     """Crossing points of D(x) = int_1^x M(u) u^-kappa du - c in [1, x_max],
     where c = 2/zeta(1/2) at kappa = 3/2 and 0 otherwise.
 
@@ -827,7 +826,7 @@ def divim_sign_changes(
     # plus the sequential partial sum of the block's pieces, carried across
     # the block's chunks, so the values do not depend on the chunk size.
     i_lo, i_end, run, f_prev = 0.0, 0.0, 0.0, 0.0 - c
-    for n0, m_vals, ends, pieces in _integral_pieces(x_max, kappa, cache):
+    for n0, m_vals, ends, pieces in _integral_pieces(x_max, kappa):
         if _opens_block(n0):
             i_lo = i_end
         else:
@@ -849,9 +848,7 @@ def divim_sign_changes(
 _GL5_NODES = np.polynomial.legendre.leggauss(5)
 
 
-def riesz_recurrence_check(
-    x: float, tau: int, cache: CheckpointCache | None = None
-) -> float:
+def riesz_recurrence_check(x: float, tau: int) -> float:
     """Residual |LHS - RHS| of the recurrence
 
         integral_1^x u^(tau-1) M_{tau-1}(u) du = x^tau M_tau(x).
@@ -872,9 +869,9 @@ def riesz_recurrence_check(
         raise DomainError(f"tau must be an integer >= 1, got {tau!r}")
     if tau > _RECURRENCE_MAX_TAU:
         raise OutOfRange(f"tau = {tau} exceeds supported maximum {_RECURRENCE_MAX_TAU}")
-    rhs = x**tau * riesz_mean_direct(RieszQuery(x=x, tau=float(tau)), cache)
+    rhs = x**tau * riesz_mean_direct(RieszQuery(x=x, tau=float(tau)))
     if tau == 1:
-        lhs = integral_M(x, 0.0, cache)
+        lhs = integral_M(x, 0.0)
         return abs(lhs - rhs)
     if x > _RECURRENCE_QUAD_MAX_X:
         raise OutOfRange(

@@ -49,13 +49,7 @@ from .errors import (
     UnsupportedLambda,
 )
 from .kernel import _EULER_GAMMA, zeta
-from .moebius import (
-    CheckpointCache,
-    _check_x,
-    _primes_upto,
-    integral_M,
-    weak_mertens_integral,
-)
+from .moebius import _check_x, _primes_upto, integral_M, weak_mertens_integral
 from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
@@ -396,12 +390,7 @@ def zeta_eq_real_report(
 # ---------------------------------------------------------------------------
 
 
-def swmh_report(
-    x: float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    cache: CheckpointCache | None = None,
-) -> ZeroSumReport:
+def swmh_report(x: float, table: ZeroTable, T: float = DEFAULT_T) -> ZeroSumReport:
     """Ratio of int_1^x (M(u)/u)^2 du to its predicted law
     log x * sum over zeros of 1/|rho zeta'(rho)|^2.
 
@@ -421,7 +410,7 @@ def swmh_report(
         table, T, lambda rho, zp: 1.0 / abs(rho * zp) ** 2, inclusive=False, cutoffs=cutoffs
     )
     full = 2.0 * half
-    wm = weak_mertens_integral(x, cache)
+    wm = weak_mertens_integral(x)
     ratio = wm / (math.log(x) * full)
     return ZeroSumReport(
         kind="swmh_ratio",
@@ -505,12 +494,7 @@ def im_constants(
 
 
 def integral_M_explicit(
-    x: float,
-    kappa: float,
-    table: ZeroTable,
-    T: float = DEFAULT_T,
-    L: int = DEFAULT_L,
-    cache: CheckpointCache | None = None,
+    x: float, kappa: float, table: ZeroTable, T: float = DEFAULT_T, L: int = DEFAULT_L
 ) -> dict:
     """Compare int_1^x M(u) u^-kappa du against its zero-sum main term
 
@@ -540,7 +524,7 @@ def integral_M_explicit(
 
     constant_term = a_constant_report(kappa, table, T, L).value if kappa > 1.0 else 0.0
     explicit = zero_term + constant_term
-    direct = integral_M(x, kappa, cache)
+    direct = integral_M(x, kappa)
     residual = abs(direct - explicit)
     remainder_scale = ln_x if kappa == 1.0 else x ** (1.0 - kappa)
     return {

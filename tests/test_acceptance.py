@@ -231,7 +231,7 @@ def test_08_riesz_recurrence_random_x():
         x = rng.uniform(2.0, 1e5)
         m1 = abs(riesz_mean_direct(RieszQuery(x=x, tau=1.0), cache))
         bound = 1e-9 * x * (1.0 + m1)
-        resid = riesz_recurrence_check(x, 1, cache)
+        resid = riesz_recurrence_check(x, 1)
         worst = max(worst, resid / bound)
         assert resid <= bound, x
     _report(
@@ -243,12 +243,11 @@ def test_08_riesz_recurrence_random_x():
 
 
 def test_09_weak_mertens_boundedness(table):
-    cache = CheckpointCache()
     xs = (1e3, 1e4, 1e5, 1e6)
-    vals = [weak_mertens_integral(x, cache) / math.log(x) for x in xs]
+    vals = [weak_mertens_integral(x) / math.log(x) for x in xs]
     bound = 0.5  # single constant, ~2.3x above the measured maximum
     ok = all(v <= bound for v in vals)
-    ratios = [swmh_report(x, table, 1000.0, cache).value for x in (1e4, 1e5, 1e6)]
+    ratios = [swmh_report(x, table, 1000.0).value for x in (1e4, 1e5, 1e6)]
     _report(
         "9 weak-Mertens shape",
         ok,
@@ -277,7 +276,7 @@ def test_11_integral_sign_changes():
     # consistent with (but does not verify) the proven oscillation result,
     # which is asymptotic and carries no effective first-crossing bound.
     t0 = time.monotonic()
-    xs = divim_sign_changes(1e7, cache=CheckpointCache())
+    xs = divim_sign_changes(1e7)
     elapsed = time.monotonic() - t0
     ok = len(xs) >= 1
     _report(

@@ -5,6 +5,7 @@ Everything drives main(argv, out=...) in-process; argparse-level rejections
 surface as SystemExit(2), mapped errors as return codes.
 """
 
+import inspect
 import io
 import json
 import math
@@ -12,7 +13,8 @@ import struct
 
 import pytest
 
-from mrl import moebius
+import mrl
+from mrl import explicit, moebius
 from mrl import zerosums as zs
 from mrl.cli import (
     RunConfig,
@@ -30,6 +32,17 @@ def run_cli(*argv: str) -> tuple[int, str]:
     buf = io.StringIO()
     rc = main(list(argv), out=buf)
     return rc, buf.getvalue()
+
+
+def test_the_modules_are_the_api():
+    assert [n for n in dir(mrl) if not n.startswith("_")] == [
+        "cli", "errors", "explicit", "kernel", "moebius", "zeros", "zerosums"
+    ]
+    # only the functions the benchmark passes a CheckpointCache to keep the parameter
+    for fn in (moebius.weak_mertens_integral, moebius.divim_sign_changes,
+               moebius.riesz_recurrence_check, explicit.compare_direct_explicit,
+               zs.swmh_report, zs.integral_M_explicit):
+        assert "cache" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_mertens_scalar():
@@ -134,8 +147,7 @@ def test_a_const_singular_error_names_kappa(capsys):
     "argv, library",
     [
         (("zeta-real",), lambda t: zs.zeta_eq_real_report(2.0, t, 1000.0, 40)),
-        (("swmh", "--x", "1e4"),
-         lambda t: zs.swmh_report(1e4, t, 1000.0, CheckpointCache())),
+        (("swmh", "--x", "1e4"), lambda t: zs.swmh_report(1e4, t, 1000.0)),
         (("im-const", "--kappa", "1.25"), lambda t: zs.im_constants(1.25, t, 1000.0)),
     ],
     ids=["zeta-real", "swmh", "im-const"],

@@ -145,21 +145,19 @@ def test_zero_sum_tau_continuity(table):
     assert abs(a - b) < 1e-7
 
 
-def test_explicit_assembly_regression(table, cache):
+def test_explicit_assembly_regression(table):
     ev = explicit_M_tau(100.5, 1.0, table, 1000.0, 40)
     assert ev.explicit_value == pytest.approx(
         ev.zero_sum + ev.residue_sum + ev.s0_residue, rel=1e-15
     )
-    (row,) = compare_direct_explicit([100.5], 1.0, table, 1000.0, 40, cache)
+    (row,) = compare_direct_explicit([100.5], 1.0, table, 1000.0, 40)
     assert row["explicit"] == ev.explicit_value
     assert row["abs_diff"] == pytest.approx(3.9658630460293054e-05, rel=1e-6)
     assert row["abs_diff"] <= row["error_estimate"]
 
 
-def test_explicit_matches_direct_at_several_points(table, cache):
-    rows = compare_direct_explicit(
-        [10.5, 50.5, 200.5], 1.5, table, 1000.0, 40, cache
-    )
+def test_explicit_matches_direct_at_several_points(table):
+    rows = compare_direct_explicit([10.5, 50.5, 200.5], 1.5, table, 1000.0, 40)
     for row in rows:
         assert row["abs_diff"] <= 5e-5, row["x"]
         assert row["within_estimate"]
@@ -170,7 +168,7 @@ def test_compare_direct_explicit_streams_once(table, sieved_lengths, tau):
     xs = [1e4, 5e4, 1e5, 2e5]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # Bartz mode at tau = 0
-        rows = compare_direct_explicit(xs, tau, table, 100.0, 10, CheckpointCache())
+        rows = compare_direct_explicit(xs, tau, table, 100.0, 10)
         # max x, not the 360000 of one stream per row; tau = 0 reads S_0
         # from one power-sum table sized for max x
         if tau == 0.0:

@@ -91,6 +91,9 @@ def test_zeta_real_oracles():
         got = zeta(s)
         assert got.imag == pytest.approx(0.0, abs=1e-15)
         assert got.real == pytest.approx(want, rel=5e-14, abs=1e-16)
+    # left of -1/2 (the functional equation) the value is exactly real too
+    for s in (-0.75, -9.5, -4.0, -40.0):
+        assert zeta(s).imag == 0.0, s
 
 
 def test_zeta_deriv_real_oracles():

@@ -510,9 +510,9 @@ def test_riesz_continuous_at_integers_for_positive_tau(shared_cache):
         assert abs(hi - lo) < 1e-12
 
 
-def test_riesz_recurrence_exact_at_tau_one(shared_cache):
+def test_riesz_recurrence_exact_at_tau_one():
     for x in (10.5, 300.0, 2000.25):
-        resid = riesz_recurrence_check(x, 1, shared_cache)
+        resid = riesz_recurrence_check(x, 1)
         assert resid <= 1e-11 * x
 
 
@@ -525,7 +525,7 @@ def test_riesz_recurrence_quadrature_tau_2_to_10(shared_cache):
             m = abs(
                 riesz_mean_direct(RieszQuery(x=x, tau=float(tau)), shared_cache)
             )
-            resid = riesz_recurrence_check(x, tau, shared_cache)
+            resid = riesz_recurrence_check(x, tau)
             assert resid <= 1e-13 * x**tau * (1.0 + m), f"tau={tau}, x={x}"
 
 
@@ -565,28 +565,28 @@ def test_integral_matches_riemann_sum(shared_cache):
     assert integral_M(x, kappa, shared_cache) == pytest.approx(want, rel=1e-13)
 
 
-def test_weak_mertens_closed_forms(shared_cache):
-    assert weak_mertens_integral(2.0, shared_cache) == pytest.approx(0.5, rel=1e-15)
-    assert weak_mertens_integral(3.0, shared_cache) == pytest.approx(0.5, rel=1e-15)
-    assert weak_mertens_integral(4.0, shared_cache) == pytest.approx(
+def test_weak_mertens_closed_forms():
+    assert weak_mertens_integral(2.0) == pytest.approx(0.5, rel=1e-15)
+    assert weak_mertens_integral(3.0) == pytest.approx(0.5, rel=1e-15)
+    assert weak_mertens_integral(4.0) == pytest.approx(
         0.5 + (1.0 / 3.0 - 1.0 / 4.0), rel=1e-14
     )
 
 
-def test_weak_mertens_nondecreasing(shared_cache):
+def test_weak_mertens_nondecreasing():
     xs = [10.0, 100.0, 1e3, 1e4, 1e5]
-    vals = [weak_mertens_integral(x, shared_cache) for x in xs]
+    vals = [weak_mertens_integral(x) for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_weak_mertens_independent_of_call_history():
     x = 3_500_000.5  # four blocks
-    want = weak_mertens_integral(x, CheckpointCache()).hex()
+    want = weak_mertens_integral(x).hex()
     cache = CheckpointCache()
     riesz_mean_direct(RieszQuery(3.2e6, 1.5), cache)  # leaves checkpoints below x
-    assert weak_mertens_integral(x, cache).hex() == want
+    assert weak_mertens_integral(x).hex() == want
     mertens(3_000_000, cache)
-    assert weak_mertens_integral(x, cache).hex() == want
+    assert weak_mertens_integral(x).hex() == want
 
 
 def test_weak_mertens_matches_fraction_oracle(cache):
@@ -598,7 +598,7 @@ def test_weak_mertens_matches_fraction_oracle(cache):
          for n in range(1, 30_001)),
         Fraction(0),
     )
-    assert weak_mertens_integral(x, cache).hex() == float(exact).hex()
+    assert weak_mertens_integral(x).hex() == float(exact).hex()
 
 
 def test_density_basics(shared_cache):
@@ -705,8 +705,8 @@ def _streamed_quantities() -> list:
         lambda c: riesz_mean_direct(RieszQuery(x=30_000.5, tau=1.5), c),
         lambda c: integral_M(30_000.5, 0.5, c),
         lambda c: density_S(30_000.5, cache=c),
-        lambda c: weak_mertens_integral(30_000.5, c),
-        lambda c: divim_sign_changes(70_000.5, cache=c),
+        lambda c: weak_mertens_integral(30_000.5),
+        lambda c: divim_sign_changes(70_000.5),
     ]
     out = []
     for run in runs:
@@ -738,8 +738,8 @@ def _chunked_quantities(x: float) -> list:
         lambda c: [integral_M(x, 1.0, c)],
         lambda c: [integral_M(x, 1.5, c)],
         lambda c: [density_S(x, cache=c)],
-        lambda c: [weak_mertens_integral(x, c)],
-        lambda c: divim_sign_changes(x, cache=c),
+        lambda c: [weak_mertens_integral(x)],
+        lambda c: divim_sign_changes(x),
     ]
     out = []
     for run in runs:

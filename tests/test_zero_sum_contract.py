@@ -13,7 +13,6 @@ import pytest
 
 from mrl.errors import DomainError, MultipleZeroFlag
 from mrl.explicit import explicit_M_tau, zero_sum_term
-from mrl.moebius import CheckpointCache
 from mrl.zeros import ZeroRecord, ZeroTable
 from mrl.zerosums import (
     a_constant_report,
@@ -45,7 +44,7 @@ CONSUMERS = {
     "a_constant_report": lambda t: a_constant_report(2.0, t, 100.0),
     "inv_zeta_identity": lambda t: inv_zeta_identity(2.0, t, 100.0),
     "zeta_eq_real_report": lambda t: zeta_eq_real_report(2.0, t, 100.0),
-    "swmh_report": lambda t: swmh_report(1e3, t, 100.0, CheckpointCache()),
+    "swmh_report": lambda t: swmh_report(1e3, t, 100.0),
     "integral_M_explicit": lambda t: integral_M_explicit(100.0, 0.5, t, 100.0),
     "j_lambda(-1)": lambda t: j_lambda(t, -1.0, 100.0),
     "j_lambda(0)": lambda t: j_lambda(t, 0.0, 100.0),

@@ -236,14 +236,14 @@ def test_zeta_eq_real(table):
 # ---------------------------------------------------------------------------
 
 
-def test_swmh_ratio_regression(table, shared_cache):
-    assert swmh_report(1e5, table, 1000.0, shared_cache).value == pytest.approx(
+def test_swmh_ratio_regression(table):
+    assert swmh_report(1e5, table, 1000.0).value == pytest.approx(
         4.8129552605434585, rel=1e-12
     )
 
 
-def test_swmh_report_conventions(table, shared_cache):
-    rep = swmh_report(1e4, table, 1000.0, shared_cache)
+def test_swmh_report_conventions(table):
+    rep = swmh_report(1e4, table, 1000.0)
     p = rep.parameters
     assert p["zero_sum_all"] == pytest.approx(
         2.0 * p["zero_sum_positive_only"], rel=1e-15
@@ -253,31 +253,31 @@ def test_swmh_report_conventions(table, shared_cache):
     )
 
 
-def test_swmh_increments_match_the_law(table, shared_cache):
+def test_swmh_increments_match_the_law(table):
     # The additive constant in the integral cancels in increments, so
     # [wm(1e6) - wm(1e4)] / [log 1e6 - log 1e4] ~ sum over all zeros of
     # 1/|rho zeta'(rho)|^2 holds tightly already at desk scale.
-    rep = swmh_report(1e4, table, 1000.0, shared_cache)
+    rep = swmh_report(1e4, table, 1000.0)
     law = rep.parameters["zero_sum_all"]
     inc = (
-        weak_mertens_integral(1e6, shared_cache)
-        - weak_mertens_integral(1e4, shared_cache)
+        weak_mertens_integral(1e6)
+        - weak_mertens_integral(1e4)
     ) / (math.log(1e6) - math.log(1e4))
     assert inc == pytest.approx(law, rel=0.05)
 
 
-def test_swmh_ratio_drifts_toward_one(table, shared_cache):
-    r4 = swmh_report(1e4, table, 1000.0, shared_cache).value
-    r5 = swmh_report(1e5, table, 1000.0, shared_cache).value
-    r6 = swmh_report(1e6, table, 1000.0, shared_cache).value
+def test_swmh_ratio_drifts_toward_one(table):
+    r4 = swmh_report(1e4, table, 1000.0).value
+    r5 = swmh_report(1e5, table, 1000.0).value
+    r6 = swmh_report(1e6, table, 1000.0).value
     assert r4 > r5 > r6 > 1.0
 
 
-def test_swmh_empty_table_divides_by_zero(shared_cache):
+def test_swmh_empty_table_divides_by_zero():
     with pytest.raises(ZeroDivisionError):
-        swmh_report(1e4, ZeroTable([]), 1000.0, shared_cache)
+        swmh_report(1e4, ZeroTable([]), 1000.0)
     with pytest.raises(DomainError):
-        swmh_report(5.0, ZeroTable([]), 1000.0, shared_cache)
+        swmh_report(5.0, ZeroTable([]), 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +322,12 @@ def test_im_constants_multiple_zero_convention(suspect_table):
 # ---------------------------------------------------------------------------
 
 
-def test_integral_reconstruction_remainder_term(table, shared_cache):
+def test_integral_reconstruction_remainder_term(table):
     # For kappa > 1 the gap between the two routes is the deterministic
     # non-oscillating remainder 2 x^(1-kappa)/(kappa-1); subtracting it
     # leaves only zero-sum truncation noise.
     for x, k in ((100.5, 1.5), (1000.5, 1.5), (100.5, 1.25), (10000.5, 1.25)):
-        d = integral_M_explicit(x, k, table, cache=shared_cache)
+        d = integral_M_explicit(x, k, table)
         pred = 2.0 * x ** (1.0 - k) / (k - 1.0)
         assert abs(d["direct"] - d["explicit"] - pred) <= 1e-3, (x, k)
         assert d["residual_over_remainder"] == pytest.approx(
@@ -336,15 +336,15 @@ def test_integral_reconstruction_remainder_term(table, shared_cache):
         assert d["remainder_scale"] == x ** (1.0 - k)
 
 
-def test_integral_reconstruction_log_scale_at_kappa_one(table, shared_cache):
-    d = integral_M_explicit(1000.5, 1.0, table, cache=shared_cache)
+def test_integral_reconstruction_log_scale_at_kappa_one(table):
+    d = integral_M_explicit(1000.5, 1.0, table)
     assert d["remainder_scale"] == pytest.approx(math.log(1000.5))
     assert 0.5 < d["residual_over_remainder"] < 3.0
     assert d["constant_term"] == 0.0  # A(kappa) subtracted only for kappa > 1
 
 
 def test_integral_reconstruction_keys(table, shared_cache):
-    d = integral_M_explicit(100.5, 1.5, table, cache=shared_cache)
+    d = integral_M_explicit(100.5, 1.5, table)
     assert set(d) == {
         "x", "kappa", "T", "L", "direct", "zero_term", "constant_term",
         "explicit", "residual", "remainder_scale", "residual_over_remainder",
@@ -371,8 +371,8 @@ EXPECTED_CROSSINGS_2E5 = [
 ]
 
 
-def test_divim_crossings_to_2e5(shared_cache):
-    xs = divim_sign_changes(2e5, cache=shared_cache)
+def test_divim_crossings_to_2e5():
+    xs = divim_sign_changes(2e5)
     assert xs == pytest.approx(EXPECTED_CROSSINGS_2E5, rel=1e-12)
     assert all(isinstance(x, float) for x in xs)
 
@@ -389,27 +389,27 @@ def test_divim_crossing_really_crosses(shared_cache):
     assert d(float(n)) * d(float(n + 1)) < 0.0
 
 
-def test_divim_non_integer_end_counts_last_interval_once(cache):
+def test_divim_non_integer_end_counts_last_interval_once():
     # D first crosses zero at 64099.418, inside [floor(x_max), x_max) only
     # for the second x_max; that interval must be integrated once.
-    assert divim_sign_changes(64099.4, cache=cache) == []
-    assert divim_sign_changes(64099.5, cache=cache) == [64099.41812094184]
+    assert divim_sign_changes(64099.4) == []
+    assert divim_sign_changes(64099.5) == [64099.41812094184]
 
 
-def test_divim_crossing_closed_forms(cache):
+def test_divim_crossing_closed_forms():
     # M = 1, 0, -1, -1, -2 on [1, 6): at kappa = 1, I(x) = log(6/5) - 2 log(x/5)
     # on [5, 6), zero at sqrt(30); at kappa = 1/2, I(x) = 2(sqrt 2 + sqrt 3 - 3)
     # - 2(sqrt x - 2) on [4, 5), zero at (sqrt 3 + sqrt 2 - 1)^2.
-    assert divim_sign_changes(10, kappa=1.0, cache=cache) == [math.sqrt(30)]
-    (x,) = divim_sign_changes(10, kappa=0.5, cache=cache)
+    assert divim_sign_changes(10, kappa=1.0) == [math.sqrt(30)]
+    (x,) = divim_sign_changes(10, kappa=0.5)
     with mp.workdps(40):
         exact = (mp.sqrt(3) + mp.sqrt(2) - 1) ** 2
         assert abs(mp.mpf(x) - exact) <= 2 * math.ulp(x)
 
 
-def test_divim_reproducible(shared_cache):
-    a = divim_sign_changes(1e5, cache=shared_cache)
-    b = divim_sign_changes(1e5, cache=shared_cache)
+def test_divim_reproducible():
+    a = divim_sign_changes(1e5)
+    b = divim_sign_changes(1e5)
     assert a == b
 
 
