@@ -34,6 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import (
@@ -421,7 +422,10 @@ def _cmd_scan(args, cfg: RunConfig, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser, built once per process; every ``main`` call parses
+    with it.  Environment fallbacks are resolved per call (_resolve_config)."""
     parser = argparse.ArgumentParser(
         prog="mrl",
         description=(

@@ -131,15 +131,18 @@ class TrivialZeroData:
 
 @lru_cache(maxsize=1)
 def _bernoulli_table() -> tuple[Fraction, ...]:
-    """Exact B_0..B_max via the defining recurrence sum_j C(m+1,j) B_j = 0."""
-    table = [Fraction(1)]
-    for m in range(1, BERNOULLI_MAX_INDEX + 1):
-        acc = Fraction(0)
-        binom = 1  # C(m+1, j), updated incrementally over j
-        for j in range(m):
-            acc += binom * table[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        table.append(-acc / (m + 1))
+    """Exact B_0..B_max from the integer tangent numbers T_1..T_n of Brent and
+    Harvey (2013): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), B_1 = -1/2."""
+    n = BERNOULLI_MAX_INDEX // 2
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (BERNOULLI_MAX_INDEX - 1)
+    for k in range(1, n + 1):
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
     return tuple(table)
 
 

@@ -845,7 +845,10 @@ def divim_sign_changes(x_max: float, kappa: float = 1.5) -> list[float]:
     return crossings
 
 
-_GL5_NODES = np.polynomial.legendre.leggauss(5)
+@lru_cache(maxsize=1)
+def _gl5_nodes():
+    """5-point Gauss-Legendre nodes and weights, built on first use."""
+    return np.polynomial.legendre.leggauss(5)
 
 
 def riesz_recurrence_check(x: float, tau: int) -> float:
@@ -879,7 +882,7 @@ def riesz_recurrence_check(x: float, tau: int) -> float:
         )
     x_floor = int(math.floor(x))
     mu_all = _segment_mu(1, x_floor + 1)
-    nodes, weights = _GL5_NODES
+    nodes, weights = _gl5_nodes()
     log_norm = math.lgamma(float(tau))  # Gamma(tau) normalizes M_{tau-1}
     ns = np.arange(1, x_floor + 1, dtype=np.float64)
     mu_f = mu_all.astype(np.float64)

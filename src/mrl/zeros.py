@@ -34,9 +34,8 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -137,8 +136,12 @@ class ZeroTable:
 
     def __init__(self, records) -> None:
         recs = list(records)
-        gammas = np.array([r.gamma for r in recs], dtype=np.float64)
-        zeta_primes = np.array([r.zeta_prime for r in recs], dtype=np.complex128)
+        self._set_columns(*([getattr(r, f.name) for r in recs] for f in fields(ZeroRecord)))
+
+    def _set_columns(self, gammas, zeta_primes, refined_bits, flagged) -> "ZeroTable":
+        """The one constructor of the columns, fed by __init__, load and up_to:
+        ascending check, suspect mask, read-only flags.  Returns self."""
+        gammas = np.ascontiguousarray(gammas, dtype=np.float64)
         prev = np.concatenate(([0.0], gammas[:-1]))
         out_of_order = ~(gammas > prev)
         if out_of_order.any():
@@ -148,29 +151,31 @@ class ZeroTable:
                 f"got {gammas[i]} after {prev[i]}"
             )
         self.gammas = gammas
-        self.zeta_primes = zeta_primes
-        self.refined_bits = np.array([r.refined_bits for r in recs], dtype=np.int64)
+        self.zeta_primes = zeta_primes = np.ascontiguousarray(zeta_primes, dtype=np.complex128)
+        self.refined_bits = np.ascontiguousarray(refined_bits, dtype=np.int64)
         # The one place suspect status is decided: flagged by the producer,
         # or a derivative too small for a simple zero (or never computed).
-        flagged = np.array([r.suspect for r in recs], dtype=bool)
-        self.suspect = flagged | (np.abs(zeta_primes) < SUSPECT_DERIV_FLOOR)
-        for column in (self.gammas, self.zeta_primes, self.refined_bits, self.suspect):
+        self.suspect = np.asarray(flagged, bool) | (np.abs(zeta_primes) < SUSPECT_DERIV_FLOOR)
+        for column in self._columns:
             column.flags.writeable = False
+        return self
+
+    @property
+    def _columns(self):
+        """The columns in ZeroRecord field order."""
+        return (self.gammas, self.zeta_primes, self.refined_bits, self.suspect)
 
     def __len__(self) -> int:
         return len(self.gammas)
 
     def __iter__(self):
-        return map(
-            ZeroRecord,
-            self.gammas.tolist(),
-            self.zeta_primes.tolist(),
-            self.refined_bits.tolist(),
-            self.suspect.tolist(),
-        )
+        return iter(self[:])
 
     def __getitem__(self, i):
-        return tuple(self)[i]
+        """One ZeroRecord for an int index, a tuple of them for a slice."""
+        if isinstance(i, slice):
+            return tuple(map(ZeroRecord, *(column[i].tolist() for column in self._columns)))
+        return ZeroRecord(*(column[i].item() for column in self._columns))
 
     @property
     def max_gamma(self) -> float:
@@ -182,7 +187,8 @@ class ZeroTable:
 
     def up_to(self, T: float) -> "ZeroTable":
         """Sub-table of the records with gamma <= T."""
-        return ZeroTable(self[: self.count_up_to(T)])
+        n = self.count_up_to(T)
+        return ZeroTable.__new__(ZeroTable)._set_columns(*(column[:n] for column in self._columns))
 
     def require_height(self, T: float) -> None:
         """Raise MissingZeros unless the table covers ordinates up to T."""
@@ -216,8 +222,7 @@ class ZeroTable:
                 f"{path}: expected {count} records, file length mismatch"
             )
         rows = np.frombuffer(blob, dtype=_TABLE_RECORD, count=count, offset=off)
-        columns = (rows[name].tolist() for name in _TABLE_RECORD.names)
-        return cls(map(ZeroRecord, *columns))
+        return cls.__new__(cls)._set_columns(*(rows[name] for name in _TABLE_RECORD.names), False)
 
 
 def _zero_sum(
@@ -419,6 +424,8 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
     """
     t, dz = _newton_polish(float(gamma_seed))
     if not precision.is_double:
+        import mpmath as mp  # the package's one use of mpmath, loaded on demand
+
         if dz == 0:
             raise NoConvergence(f"double polish from seed {gamma_seed:.6f} leaves zeta' = 0")
         with mp.workprec(int(precision.significand_bits) + _GUARD_BITS):

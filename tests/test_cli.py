@@ -9,12 +9,15 @@ import inspect
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
 import mrl
-from mrl import explicit, moebius
+from mrl import cli, explicit, moebius
 from mrl import zerosums as zs
 from mrl.cli import (
     RunConfig,
@@ -43,6 +46,16 @@ def test_the_modules_are_the_api():
                moebius.riesz_recurrence_check, explicit.compare_direct_explicit,
                zs.swmh_report, zs.integral_M_explicit):
         assert "cache" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_import_mrl_leaves_mpmath_and_numpy_polynomial_unloaded():
+    src = os.path.dirname(os.path.dirname(mrl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, mrl; print(sorted({'mpmath', 'numpy.polynomial'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_mertens_scalar():
@@ -385,6 +398,38 @@ def test_runconfig_validation():
         RunConfig(default_T=-5.0)
     with pytest.raises(MrlError):
         RunConfig(default_L=0)
+
+
+def test_shared_parser_leaks_no_state_between_calls(tmp_path, monkeypatch, raw_table):
+    # options, then their defaults, with and without a cache dir: each stdout
+    # must match the one from a parser built afresh for that call alone
+    zeros = tmp_path / "z.txt"
+    zeros.write_text("\n".join(map(repr, raw_table.gammas[:40].tolist())))
+    commands = [
+        ("integral", "1e3", "--kappa", "1.5"),
+        ("integral", "1e3"),
+        ("--T", "100", "identity", "jsum", "--lambda", "0.5"),
+        ("--T", "100", "identity", "jsum"),
+        ("--T", "100", "identity", "a-const", "--kappa", "3"),
+        ("--T", "100", "identity", "a-const"),
+        ("--T", "100", "explicit", "1e3", "--tau", "1.5", "--compare"),
+        ("--T", "100", "explicit", "1e3"),
+        ("mertens", "1e5"),
+    ]
+    argvs = [
+        ["--zeros", str(zeros), "--format", fmt, *extra, *command]
+        for extra in ([], ["--cache-dir", str(tmp_path / "cache")])
+        for fmt in ("csv", "json")
+        for command in commands
+    ]
+    argvs += argvs[::-1]
+    assert build_parser() is build_parser()
+    shared = [run_cli(*argv) for argv in argvs]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = [run_cli(*argv) for argv in argvs]
+    assert all(rc == 0 for rc, _ in shared)
+    assert shared == fresh
 
 
 def test_parser_lists_all_subcommands():

@@ -229,6 +229,30 @@ def test_bernoulli_values():
             bernoulli(bad)
 
 
+def _bernoulli_by_recurrence(k_max: int) -> list[Fraction]:
+    """Oracle: B_0..B_k_max from sum_j C(m+1, j) B_j = 0, in exact Fractions."""
+    table = [Fraction(1)]
+    for m in range(1, k_max + 1):
+        acc = Fraction(0)
+        binom = 1  # C(m+1, j), updated incrementally over j
+        for j in range(m):
+            acc += binom * table[j]
+            binom = binom * (m + 1 - j) // (j + 1)
+        table.append(-acc / (m + 1))
+    return table
+
+
+def test_bernoulli_table_equals_the_recurrence_at_every_index():
+    # the table comes from tangent numbers; the defining recurrence checks it
+    want = _bernoulli_by_recurrence(kernel.BERNOULLI_MAX_INDEX)
+    got = kernel._bernoulli_table()
+    assert len(got) == len(want) == kernel.BERNOULLI_MAX_INDEX + 1
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert type(a) is Fraction and a == b, k
+    for k in range(2, kernel.BERNOULLI_MAX_INDEX + 1, 2):
+        assert bernoulli(k) == want[k], k
+
+
 def test_gamma_ratio_integer_cases():
     # Gamma(3)/Gamma(6) = 2/120
     assert gamma_ratio(3.0, 2.0) == pytest.approx(complex(1.0 / 60.0), rel=1e-14)

@@ -6,6 +6,7 @@ as doubles.
 
 import hashlib
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -310,6 +311,45 @@ def test_table_binary_rejects_corruption(tmp_path, table):
     truncated.write_bytes(p.read_bytes()[:-7])
     with pytest.raises(ParseError):
         ZeroTable.load(truncated)
+
+
+def test_table_load_rejects_descending_ordinates(tmp_path):
+    p = tmp_path / "desc.ztbl"
+    rows = [(21.0, 0.8, -0.1, 53), (14.0, 0.7, 0.3, 53)]
+    p.write_bytes(b"ZTBL0001" + struct.pack("<Q", len(rows))
+                  + b"".join(struct.pack("<dddq", *row) for row in rows))
+    with pytest.raises(NotAscending):
+        ZeroTable.load(p)
+
+
+def test_loaded_columns_are_read_only_bit_identical_and_floored(tmp_path, table):
+    tiny = complex(0.5 * SUSPECT_DERIV_FLOOR, 0.0)
+    mixed = ZeroTable([*table[:3], ZeroRecord(gamma=40.0, zeta_prime=tiny, refined_bits=53)])
+    p = tmp_path / "t.ztbl"
+    mixed.save(p)
+    loaded = ZeroTable.load(p)
+    for name in ("gammas", "zeta_primes", "refined_bits", "suspect"):
+        column, saved = getattr(loaded, name), getattr(mixed, name)
+        assert not column.flags.writeable, name
+        assert column.dtype == saved.dtype and column.tobytes() == saved.tobytes(), name
+    assert loaded.suspect.tolist() == [False, False, False, True]
+    with pytest.raises(ValueError):
+        loaded.gammas[0] = 1.0
+
+
+def test_table_indexing_reads_the_columns(table):
+    assert table[0] == next(iter(table))
+    assert table[-1] == tuple(table)[-1]
+    assert table[::100] == tuple(table)[::100]
+    rec = table[3]
+    assert [type(v) for v in (rec.gamma, rec.zeta_prime, rec.refined_bits, rec.suspect)] == [
+        float, complex, int, bool
+    ]
+    with pytest.raises(IndexError):
+        table[len(table)]
+    low = table.up_to(100.0)
+    assert isinstance(low, ZeroTable) and tuple(low) == table[: table.count_up_to(100.0)]
+    assert not low.gammas.flags.writeable
 
 
 def test_table_constructor_requires_ascending():
