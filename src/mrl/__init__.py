@@ -16,7 +16,7 @@ zeros
     derivative values, import/export, and count verification.
 explicit
     Spectral-side evaluation of the Riesz mean: truncated zero sum, residue
-    series, truncation error estimate, Perron kernel quadrature check.
+    series, truncation error estimate.
 zerosums
     Identity reports built from sums over zeros: reciprocal-zeta values,
     analytic continuation constants, discrete moments, weak Mertens ratio,

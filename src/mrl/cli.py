@@ -145,12 +145,6 @@ def _cache_dir_path(cfg: RunConfig) -> Path | None:
         return None
     p = Path(cfg.cache_dir)
     p.mkdir(parents=True, exist_ok=True)
-    probe = p / ".write-probe"
-    try:
-        probe.write_bytes(b"")
-        probe.unlink()
-    except OSError as exc:
-        raise MrlError(f"cache dir {p} is not writable: {exc}") from exc
     return p
 
 

@@ -48,10 +48,6 @@ class MultipleZeroFlag(MrlError):
     """|zeta'| at a refined zero is suspiciously small (possible multiple zero)."""
 
 
-class QuadratureDiverged(MrlError):
-    """A numerical quadrature failed its internal resolution guard."""
-
-
 class ScheduleUndefined(MrlError):
     """A tau schedule is undefined at the requested x."""
 

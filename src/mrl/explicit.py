@@ -34,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, OutOfRange, QuadratureDiverged
+from .errors import DomainError, OutOfRange
 from .kernel import (
     _EULER_GAMMA,
     _digamma,
@@ -49,17 +49,13 @@ from .zeros import ZeroTable, _zero_sum
 __all__ = [
     "RESIDUE_MAX_L",
     "ExplicitEvaluation",
-    "PerronReport",
     "zero_sum_term",
     "s0_residue",
     "residue_term",
     "residue_series",
     "error_estimate",
     "explicit_M_tau",
-    "perron_kernel_report",
-    "perron_kernel_check",
     "compare_direct_explicit",
-    "PERRON_FITTED_CONSTANT",
 ]
 
 # Residue index ceiling: keeps every factorial/Gamma intermediate inside
@@ -84,22 +80,6 @@ class ExplicitEvaluation:
     @property
     def explicit_value(self) -> float:
         return self.zero_sum + self.s0_residue + self.residue_sum
-
-
-@dataclass(frozen=True)
-class PerronReport:
-    """Numerical check of the truncated kernel integral against its limit."""
-
-    y: float
-    tau: float
-    sigma0: float
-    T: float
-    quad_step: float
-    quadrature: float
-    target: float
-    abs_error: float
-    bound: float
-    constant: float  # abs_error / bound
 
 
 # ---------------------------------------------------------------------------
@@ -318,108 +298,3 @@ def compare_direct_explicit(
             )
         rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Kernel quadrature check
-# ---------------------------------------------------------------------------
-
-
-def perron_kernel_report(
-    y: float,
-    tau: float,
-    sigma0: float = 2.0,
-    T: float = 200.0,
-    quad_step: float = 0.04,
-) -> PerronReport:
-    """Simpson quadrature of (1/pi) Re int_0^T y^(sigma0+it)
-    Gamma(sigma0+it)/Gamma(1+tau+sigma0+it) dt against its T -> infinity
-    limit (1-1/y)^tau / Gamma(1+tau) for y > 1, zero for y <= 1.
-
-    The quadrature resolves oscillation of frequency log y, so quad_step must
-    satisfy quad_step * |log y| < 0.1 (QuadratureDiverged otherwise).  The
-    reported bound is the classical truncation envelope y^sigma0 / T^(1+tau),
-    sharpened by 1/|log y| when y is safely away from 1.
-    """
-    y = float(y)
-    tau = float(tau)
-    if not y > 0.0:
-        raise DomainError(f"y must be positive, got {y}")
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    if not sigma0 > 0.0:
-        raise DomainError(f"sigma0 must be positive, got {sigma0}")
-    if not T >= 10.0:
-        raise DomainError(f"T must be >= 10, got {T}")
-    if not quad_step > 0:
-        raise DomainError("quad_step must be positive")
-    ln_y = math.log(y)
-    if quad_step * abs(ln_y) >= 0.1:
-        raise QuadratureDiverged(
-            f"quad_step * |log y| = {quad_step * abs(ln_y):.3f} >= 0.1; "
-            "oscillation would be under-resolved"
-        )
-    n = int(math.ceil(T / quad_step))
-    if n % 2 == 1:
-        n += 1
-    h = T / n
-    y_s0 = y**sigma0
-
-    def f(t: float) -> float:
-        s = complex(sigma0, t)
-        return (y_s0 * cmath.exp(1j * (t * ln_y)) * gamma_ratio(s, tau)).real
-
-    acc = f(0.0) + f(T)
-    acc += 4.0 * math.fsum(f((2 * j - 1) * h) for j in range(1, n // 2 + 1))
-    acc += 2.0 * math.fsum(f(2 * j * h) for j in range(1, n // 2))
-    quad = (h / 3.0) * acc / math.pi
-
-    target = (1.0 - 1.0 / y) ** tau / math.gamma(1.0 + tau) if y > 1.0 else 0.0
-    err = abs(quad - target)
-    if y == 1.0:
-        bound = y_s0 / T**tau if tau > 0 else math.inf
-    elif 0.5 < y < 2.0:
-        # near y = 1 the 1/|log y| sharpening can lose to the log-free form
-        bound = y_s0 * min(T**-tau, T ** (-1.0 - tau) / abs(ln_y))
-    else:
-        bound = y_s0 / T ** (1.0 + tau)
-    return PerronReport(
-        y=y,
-        tau=tau,
-        sigma0=sigma0,
-        T=T,
-        quad_step=quad_step,
-        quadrature=quad,
-        target=target,
-        abs_error=err,
-        bound=bound,
-        constant=err / bound,
-    )
-
-
-# Residual ceiling for perron_kernel_check, as a multiple of the case bound.
-# The truncation envelopes drop absolute constants, so a fitted constant is
-# required; 10 is the fitted value that clears the supported (y, tau) grid
-# with a comfortable margin while still catching a wrong kernel or target.
-PERRON_FITTED_CONSTANT = 10.0
-
-
-def perron_kernel_check(
-    y: float,
-    tau: float,
-    sigma0: float = 2.0,
-    T: float = 200.0,
-    quad_step: float = 0.04,
-) -> float:
-    """Return |quadrature - limit| for the truncated kernel integral, after
-    asserting it stays within PERRON_FITTED_CONSTANT times the case-wise
-    truncation bound (QuadratureDiverged otherwise).  See
-    perron_kernel_report for the underlying quantities."""
-    report = perron_kernel_report(y, tau, sigma0=sigma0, T=T, quad_step=quad_step)
-    if not report.abs_error <= PERRON_FITTED_CONSTANT * report.bound:
-        raise QuadratureDiverged(
-            f"kernel quadrature residual {report.abs_error:.3e} exceeds "
-            f"{PERRON_FITTED_CONSTANT:g} x case bound {report.bound:.3e} "
-            f"(y={y}, tau={tau}, sigma0={sigma0}, T={T}, quad_step={quad_step})"
-        )
-    return report.abs_error

@@ -27,10 +27,7 @@ counted from n = 1, whatever the chunk size, and the block sums are added
 with fsum (_BlockSums); the density instead subtracts its few short
 intervals from a closed form (density_S).  Integrands are constant (or polynomial) on unit
 intervals, so integrals are evaluated in closed form per interval, never by
-approximate quadrature -- with one documented exception, the Riesz
-recurrence check for tau >= 2, which uses 5-point Gauss-Legendre nodes per
-unit interval; the integrand there is a piecewise polynomial of degree
-tau - 1, so the rule is still exact for tau <= 10.
+approximate quadrature.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ __all__ = [
     "integral_M",
     "weak_mertens_integral",
     "divim_sign_changes",
-    "riesz_recurrence_check",
     "density_S",
     "tau_regime_scan",
     "tau_for",
@@ -86,10 +82,6 @@ _CHUNK = 1 << 14
 
 _CHECKPOINT_MAGIC = b"MRTC0002"
 _CHECKPOINT_RECORD = struct.Struct("<Qq")
-
-# Cost guards for the quadrature branch of riesz_recurrence_check.
-_RECURRENCE_QUAD_MAX_X = 3000.0
-_RECURRENCE_MAX_TAU = 10
 
 
 @dataclass(frozen=True)
@@ -149,12 +141,6 @@ def _table_limit(n_max: int) -> int:
     """Top of the prime table that serves values up to n_max: a power of two
     >= max(64, sqrt(n_max)), so tables are cached in coarse steps."""
     return 1 << (max(64, math.isqrt(max(n_max, 1))) - 1).bit_length()
-
-
-def _primes_for(n_max: int) -> np.ndarray:
-    """Prime table for sieving values up to n_max (the tests' reference
-    sieve takes its primes from here)."""
-    return _primes_upto(_table_limit(n_max))
 
 
 @lru_cache(maxsize=8)
@@ -255,13 +241,6 @@ def _segment_mu(lo: int, hi: int) -> np.ndarray:
     starts = -lo % squares[few:]
     mu[starts[starts < hi - lo]] = 0
     return mu
-
-
-def _check_sieve_range(x_floor: int) -> None:
-    if x_floor < 1:
-        raise OutOfRange(f"x must be >= 1, got {x_floor}")
-    if x_floor > SIEVE_MAX:
-        raise OutOfRange(f"x = {x_floor} exceeds supported maximum {SIEVE_MAX}")
 
 
 def _check_x(x: float, least: float = 1.0, name: str = "x") -> None:
@@ -399,7 +378,6 @@ def _power_sum_table(x_floor: int, degree: int) -> list[np.ndarray]:
     (p, j) of _residue_rows(degree), from one sieve of [1, L].  Each row is
     built in place (terms, reduction mod p, running sum), so a table
     allocates its rows and the sieve and nothing else as long."""
-    _check_sieve_range(x_floor)
     limit = _power_sum_limit(x_floor)
     mu = _segment_mu(1, limit + 1)
     tables = []
@@ -585,7 +563,6 @@ def _stream(x_floor: int, cache: CheckpointCache | None):
     at multiples of its stride are recorded on the way, and mertens serves
     those x from it; without one, nothing is recorded.
     """
-    _check_sieve_range(x_floor)
     m_prev = 0
     chunk = min(_CHUNK, _BLOCK)
     for n_next in range(1, x_floor + 1, _BLOCK):
@@ -661,7 +638,7 @@ def mertens(x: int, cache: CheckpointCache | None = None) -> int:
     if not -math.inf < x < SIEVE_MAX + 1:
         _check_x(x)  # before int(): DomainError for nan and -inf, else OutOfRange
     x = int(x)
-    if x < 1 or x > SIEVE_MAX:
+    if x < 1:
         raise OutOfRange(f"need 1 <= x <= {SIEVE_MAX}, got {x}")
     if cache is None:
         return _mu_power_sums(x, 0)[0]
@@ -843,63 +820,6 @@ def divim_sign_changes(x_max: float, kappa: float = 1.5) -> list[float]:
                              else float(((1.0 - kappa) * v) ** (1.0 / (1.0 - kappa))))
         run, i_end, f_prev = float(runs[-1]), float(i_ends[-1]), float(f_ends[-1])
     return crossings
-
-
-@lru_cache(maxsize=1)
-def _gl5_nodes():
-    """5-point Gauss-Legendre nodes and weights, built on first use."""
-    return np.polynomial.legendre.leggauss(5)
-
-
-def riesz_recurrence_check(x: float, tau: int) -> float:
-    """Residual |LHS - RHS| of the recurrence
-
-        integral_1^x u^(tau-1) M_{tau-1}(u) du = x^tau M_tau(x).
-
-    At tau = 1 both sides come from the same two sums S_0 and S_1 (x S_0 - S_1
-    against x M_1(x) = x S_0 - S_1, each correctly rounded), so the residual
-    shows rounding only; the independent check of that route is the sieve
-    differential test of _mu_power_sums.  For tau in [2, 10]
-    the left side integrand u^(tau-1) M_{tau-1}(u) is a piecewise polynomial
-    of degree tau - 1, so per-unit-interval 5-point Gauss-Legendre quadrature
-    is still exact; cost grows quadratically, hence the x guard.  The right
-    side is exact power sums at tau = 2 and 3 and a stream above, so there
-    the quadrature checks the power-sum route independently.
-    """
-    x = float(x)
-    _check_x(x)
-    if not isinstance(tau, int) or isinstance(tau, bool) or tau < 1:
-        raise DomainError(f"tau must be an integer >= 1, got {tau!r}")
-    if tau > _RECURRENCE_MAX_TAU:
-        raise OutOfRange(f"tau = {tau} exceeds supported maximum {_RECURRENCE_MAX_TAU}")
-    rhs = x**tau * riesz_mean_direct(RieszQuery(x=x, tau=float(tau)))
-    if tau == 1:
-        lhs = integral_M(x, 0.0)
-        return abs(lhs - rhs)
-    if x > _RECURRENCE_QUAD_MAX_X:
-        raise OutOfRange(
-            f"x = {x} exceeds quadrature guard {_RECURRENCE_QUAD_MAX_X} for tau >= 2"
-        )
-    x_floor = int(math.floor(x))
-    mu_all = _segment_mu(1, x_floor + 1)
-    nodes, weights = _gl5_nodes()
-    log_norm = math.lgamma(float(tau))  # Gamma(tau) normalizes M_{tau-1}
-    ns = np.arange(1, x_floor + 1, dtype=np.float64)
-    mu_f = mu_all.astype(np.float64)
-    pieces: list[float] = []
-    a = 1.0
-    while a < x:
-        b = min(a + 1.0, x)
-        u = (a + b) / 2.0 + (b - a) / 2.0 * nodes
-        m_count = min(int(a), x_floor)
-        # M_{tau-1}(u) * u^(tau-1) = (1/Gamma(tau)) * sum_{n<=u} mu(n) (u-n)^(tau-1)
-        diffs = u[:, None] - ns[None, :m_count]
-        vals = (diffs ** (tau - 1)) @ mu_f[:m_count]
-        integrand = vals * math.exp(-log_norm)
-        pieces.append((b - a) / 2.0 * float(np.dot(weights, integrand)))
-        a = b
-    lhs = math.fsum(pieces)
-    return abs(lhs - rhs)
 
 
 def density_S(X: float, cache: CheckpointCache | None = None) -> float:

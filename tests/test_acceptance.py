@@ -28,8 +28,6 @@ import pytest
 from mrl.explicit import (
     _zero_term,
     explicit_M_tau,
-    perron_kernel_check,
-    perron_kernel_report,
     residue_series,
 )
 from mrl.moebius import (
@@ -38,7 +36,6 @@ from mrl.moebius import (
     divim_sign_changes,
     mertens,
     riesz_mean_direct,
-    riesz_recurrence_check,
     sieve_segment,
     weak_mertens_integral,
 )
@@ -49,6 +46,7 @@ from mrl.zerosums import (
     swmh_report,
     zeta_eq_real_report,
 )
+from oracles import perron_kernel_check, perron_kernel_report, riesz_recurrence_check
 
 def mu_trial_division(n: int) -> int:
     """Independent oracle: factor by trial division, 0 on a squared factor."""

@@ -29,6 +29,7 @@ from mrl.cli import (
 from mrl.errors import MrlError
 from mrl.moebius import CheckpointCache
 from mrl.zerosums import inv_zeta_identity
+import oracles
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -43,9 +44,23 @@ def test_the_modules_are_the_api():
     ]
     # only the functions the benchmark passes a CheckpointCache to keep the parameter
     for fn in (moebius.weak_mertens_integral, moebius.divim_sign_changes,
-               moebius.riesz_recurrence_check, explicit.compare_direct_explicit,
+               oracles.riesz_recurrence_check, explicit.compare_direct_explicit,
                zs.swmh_report, zs.integral_M_explicit):
         assert "cache" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("module", [m for m in vars(mrl).values()
+                                    if inspect.ismodule(m) and hasattr(m, "__all__")],
+                         ids=lambda m: m.__name__)
+def test_all_names_exactly_the_public_functions_and_classes(module):
+    # both ways: nothing public goes unlisted, and no listed name is stale
+    defined = {n for n, obj in vars(module).items()
+               if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__}
+    assert all(hasattr(module, n) for n in module.__all__)
+    listed = {n for n in module.__all__
+              if inspect.isfunction(getattr(module, n)) or inspect.isclass(getattr(module, n))}
+    assert listed == defined
 
 
 def test_import_mrl_leaves_mpmath_and_numpy_polynomial_unloaded():
@@ -348,6 +363,29 @@ def test_explicit_without_compare_leaves_checkpoints_untouched(tmp_path):
 )
 def test_only_mertens_opens_the_checkpoint_file(tmp_path, argv):
     _assert_checkpoints_untouched(tmp_path, argv)
+
+
+# A warm request only reads the cache directory.  Its mtime is set back
+# first, so a write shows however coarse the filesystem's clock is.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["mertens", "2000000"], id="mertens"),
+        pytest.param(["--zeros", "builtin", "identity", "jsum", "--lambda", "0"],
+                     id="zero-table"),
+    ],
+)
+def test_warm_request_leaves_the_cache_dir_unwritten(tmp_path, argv):
+    args = ("--cache-dir", str(tmp_path), *argv)
+    rc, out = run_cli(*args)
+    assert rc == 0
+    listing = sorted(os.listdir(tmp_path))
+    stamp = 10**18
+    os.utime(tmp_path, ns=(stamp, stamp))
+    rc, again = run_cli(*args)
+    assert (rc, again) == (0, out)
+    assert sorted(os.listdir(tmp_path)) == listing
+    assert tmp_path.stat().st_mtime_ns == stamp
 
 
 def test_mertens_checkpoints_old_format_rewritten(tmp_path):

@@ -15,20 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrl import moebius
-from mrl.errors import (
-    DomainError,
-    MultipleZeroFlag,
-    OutOfRange,
-    QuadratureDiverged,
-)
+from mrl.errors import DomainError, MultipleZeroFlag, OutOfRange
 from mrl.explicit import (
-    PERRON_FITTED_CONSTANT,
     RESIDUE_MAX_L,
     compare_direct_explicit,
     error_estimate,
     explicit_M_tau,
-    perron_kernel_check,
-    perron_kernel_report,
     residue_series,
     residue_term,
     s0_residue,
@@ -36,6 +28,12 @@ from mrl.explicit import (
 )
 from mrl.moebius import CheckpointCache, RieszQuery, riesz_mean_direct
 from mrl.zeros import ZeroRecord, ZeroTable
+from oracles import (
+    PERRON_FITTED_CONSTANT,
+    QuadratureDiverged,
+    perron_kernel_check,
+    perron_kernel_report,
+)
 
 # Contour-integral oracle: (l, x, tau) -> residue at s = -l.
 CONTOUR_RESIDUES = {

@@ -27,12 +27,12 @@ from mrl.moebius import (
     integral_M,
     mertens,
     riesz_mean_direct,
-    riesz_recurrence_check,
     sieve_segment,
     tau_for,
     tau_regime_scan,
     weak_mertens_integral,
 )
+from oracles import riesz_recurrence_check
 
 # Classical spot values of the summatory Moebius function.
 MERTENS_TABLE = {
@@ -83,7 +83,7 @@ def mu_divide_per_prime(lo: int, hi: int) -> np.ndarray:
     mu = np.ones(hi - lo, dtype=np.int8)
     rem = np.arange(lo, hi, dtype=np.int64)
     root = math.isqrt(hi - 1)
-    for p in moebius._primes_for(hi - 1):
+    for p in moebius._primes_upto(moebius._table_limit(hi - 1)):
         p = int(p)
         if p > root:
             break
