@@ -11,7 +11,7 @@ outputs to name every invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 116 invocations take about 8 s on one core of a
+stderr is not hashed.  The 136 invocations take about 8 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -33,6 +33,8 @@ COMMANDS = [
     ["integral", "1e6", "--kappa", "0"],
     ["integral", "1e6", "--kappa", "1"],
     ["integral", "1e6", "--kappa", "1.5"],
+    ["riesz", "2500000.5", "--tau", "1.5"],  # streams past 2^20: three blocks
+    ["integral", "2500000.5", "--kappa", "1.5"],
     ["explicit", "1e4", "--tau", "1"],
     ["explicit", "1e4", "--tau", "1.5", "--compare"],
     ["explicit", "100.5", "--tau", "0", "--compare"],
@@ -42,6 +44,7 @@ COMMANDS = [
     ["identity", "a-const", "--kappa", "2"],
     ["identity", "zeta-real", "--kappa", "2"],
     ["identity", "swmh", "--x", "1e5"],
+    ["identity", "swmh", "--x", "2.5e6"],
     ["identity", "im-const", "--kappa", "1.5"],
     ["identity", "jsum", "--lambda", "0"],
     ["identity", "jsum", "--lambda", "0.5"],
@@ -49,6 +52,8 @@ COMMANDS = [
     ["scan", "density", "--X", "1e5"],
     ["scan", "divIM-sign", "--X", "1e5"],
     ["scan", "divIM-sign", "--X", "1e3", "--kappa", "1"],
+    ["scan", "density", "--X", "2.5e6"],
+    ["scan", "divIM-sign", "--X", "2.5e6"],
     ["scan", "tau-regime", "--x-stop", "1e5", "--points", "5"],
     ["scan", "tau-regime", "--x-stop", "1e5", "--points", "5",
      "--schedule", "inv-log", "--c", "9"],

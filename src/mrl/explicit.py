@@ -82,6 +82,20 @@ class ExplicitEvaluation:
         return self.zero_sum + self.s0_residue + self.residue_sum
 
 
+def _check_tau(tau) -> float:
+    """float(tau), refusing a negative, nan or infinite tau with DomainError."""
+    tau = float(tau)
+    if not tau >= 0:
+        raise DomainError(f"tau must be >= 0, got {tau}")
+    _check_finite(tau, "tau")
+    return tau
+
+
+def _check_L(L) -> None:
+    if not isinstance(L, int) or isinstance(L, bool) or L < 0:
+        raise DomainError(f"L must be an integer >= 0, got {L!r}")
+
+
 # ---------------------------------------------------------------------------
 # Zero side
 # ---------------------------------------------------------------------------
@@ -106,8 +120,8 @@ def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
     zero) gives 0.0; unusable records raise as described in zeros._zero_sum."""
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
+    _check_finite(x, "x")
+    tau = _check_tau(tau)
     return _zero_sum(table, T, _zero_term(x, tau), inclusive=False)[0]
 
 
@@ -119,9 +133,7 @@ def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
 def s0_residue(tau: float) -> float:
     """Residue at s = 0: with zeta(0) = -1/2 and Res Gamma = 1, equals
     -2/Gamma(1+tau)."""
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    return -2.0 / math.gamma(1.0 + tau)
+    return -2.0 / math.gamma(1.0 + _check_tau(tau))
 
 
 def _inv_zeta_at_neg_odd(n: int) -> float:
@@ -152,9 +164,8 @@ def residue_term(l: int, x: float, tau: float) -> float:
         raise OutOfRange(f"l = {l} exceeds supported maximum {RESIDUE_MAX_L}")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    tau = float(tau)
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
+    _check_finite(x, "x")
+    tau = _check_tau(tau)
     tau_int = tau.is_integer()
     ln_x = math.log(x)
     if l % 2 == 1:
@@ -202,10 +213,10 @@ def residue_term(l: int, x: float, tau: float) -> float:
 def residue_series(x: float, tau: float, L: int) -> float:
     """Total residue contribution: the s = 0 term plus poles s = -1 .. -L
     (L = 0 keeps just the s = 0 term)."""
-    if not isinstance(L, int) or isinstance(L, bool) or L < 0:
-        raise DomainError(f"L must be an integer >= 0, got {L!r}")
+    _check_L(L)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
+    _check_finite(x, "x")
     terms = [residue_term(l, x, tau) for l in range(1, L + 1)]
     return s0_residue(tau) + math.fsum(terms)
 
@@ -217,11 +228,12 @@ def residue_series(x: float, tau: float, L: int) -> float:
 
 def error_estimate(x: float, tau: float, T: float) -> float:
     """Truncation estimate x^2/(tau T^tau) + x^2 T^(0.01-1-tau)/log x for the
-    height-T zero-sum cutoff; infinite at tau = 0 (conditional convergence)."""
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
+    height-T zero-sum cutoff; infinite at tau = 0 (conditional convergence).
+    T = inf leaves no zero out, so the estimate is 0 there for tau > 0."""
+    tau = _check_tau(tau)
     if not x >= 1.0:
         raise DomainError(f"x must be >= 1, got {x}")
+    _check_finite(x, "x")
     if not T > 1.0:
         raise DomainError(f"T must exceed 1, got {T}")
     if tau == 0.0 or x == 1.0:
@@ -244,19 +256,17 @@ def explicit_M_tau(
     if not x >= 1.0:
         raise DomainError(f"x must be >= 1, got {x}")
     _check_finite(x, "x")
-    tau = float(tau)
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    _check_finite(tau, "tau")
+    tau = _check_tau(tau)
+    _check_L(L)
     if tau == 0.0:
         warnings.warn("Bartz mode: convergence not guaranteed", stacklevel=2)
     zs = zero_sum_term(x, tau, table, T)
-    res_terms = [residue_term(l, x, tau) for l in range(1, int(L) + 1)]
+    res_terms = [residue_term(l, x, tau) for l in range(1, L + 1)]
     return ExplicitEvaluation(
         x=float(x),
         tau=tau,
         T=float(T),
-        L=int(L),
+        L=L,
         zero_sum=zs,
         residue_sum=math.fsum(res_terms),
         s0_residue=s0_residue(tau),

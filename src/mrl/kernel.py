@@ -9,7 +9,7 @@ space, exact rational Bernoulli numbers, and closed-form data at the trivial
 zeros s = -2n.
 
 These algorithms run on hardware doubles only (complex/cmath, with numpy for
-the long Euler-Maclaurin main sums, which exact per-exponent summation rounds
+the long Euler-Maclaurin main sums, which error-free extraction rounds
 correctly: _exact_parts, which the integer side shares).  :class:`Precision`
 selects the final Newton step of zeros.refine_zero, which calls mpmath
 directly when it is wider than 53 bits.
@@ -78,12 +78,9 @@ _TOL = 2.0 ** -59
 # Stirling/digamma arguments are shifted right until |z| clears this.
 _SHIFT_RADIUS = 10.0
 
-# Shortest array _exact_parts splits into exponent buckets; below it the
-# Python floats themselves are the faster parts (see CHANGES.md).
+# Shortest array _exact_parts extracts in numpy; below it the Python floats
+# themselves are the faster parts (see CHANGES.md).
 _EXACT_PARTS_MIN = 640
-
-# Most terms one exponent-bucket pass of _exact_parts keeps exact.
-_EXACT_SLICE = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -189,40 +186,32 @@ def _digamma_coeffs() -> tuple[float, ...]:
 
 def _exact_parts(a: np.ndarray) -> list[float]:
     """A short list of floats whose exact sum is the exact sum of the float64
-    array a, so math.fsum of it is the correctly rounded sum of a (after
-    Demmel and Hida's exponent buckets).
+    array a, so math.fsum of it is the correctly rounded sum of a (Rump, Ogita
+    and Oishi's error-free extraction, SIAM J. Sci. Comput. 31, 2008).
 
-    Each term is mant * 2^e with 1/2 <= |mant| < 1, and mant * 2^27 splits
-    exactly into an integer of at most 27 bits and a fraction that is a
-    multiple of 2^-26.  Summed per exponent over at most 2^26 terms, neither
-    half needs more than 53 bits, so the bucket sums are exact; scaled back by
-    2^(e-27) they stay exact while -1021 <= e <= 970 (the smallest unit is
-    2^(e-53) >= 2^-1074, the largest part below 2^997).  Longer arrays are
-    taken in slices of 2^26 terms.  Short arrays, and slices with a subnormal
-    term, nan, inf or a term of 2^970 or more (these keep fsum's own rules),
-    are returned as Python floats.
+    With 2^e > max|p| and 2^k >= len(a) + 2, sigma = 2^(e+k) splits each term
+    exactly into q = (p + sigma) - sigma, a multiple of 2^(e+k-53) with
+    |q| <= 2^e, and p - q, at most 2^(e+k-53) in size.  Every partial sum of
+    the q is then a multiple of 2^(e+k-53) below 2^(e+k), so numpy sums them
+    exactly in any order.  Each pass keeps p - q, whose bound 2^e is at least
+    52 - k bits lower, until it is all zero; subnormal terms need no
+    exception, as the split is exact there too.  Short arrays, and arrays
+    with nan, inf or a term of 2^970 or more (these keep fsum's own rules,
+    and sigma stays finite), are returned as Python floats.
     """
     if len(a) < _EXACT_PARTS_MIN:
         return a.tolist()
+    top = np.abs(a).max(initial=0.0)
+    if not top < 2.0**970:
+        return a.tolist()
+    k = (len(a) + 1).bit_length()
     parts: list[float] = []
-    for lo in range(0, len(a), _EXACT_SLICE):
-        s = a[lo : lo + _EXACT_SLICE]
-        if not np.maximum(s.max(), -s.min()) < 2.0**970:
-            parts += s.tolist()
-            continue
-        mant, e = np.frexp(s)
-        emin = int(e.min())
-        if emin < -1021:
-            parts += s.tolist()
-            continue
-        e -= emin
-        mant *= 2.0**27
-        whole = np.floor(mant)
-        mant -= whole
-        wholes = np.bincount(e, weights=whole)
-        scale = np.arange(emin - 27, emin - 27 + len(wholes))
-        parts += np.ldexp(wholes, scale).tolist()
-        parts += np.ldexp(np.bincount(e, weights=mant), scale).tolist()
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
+        q = (a + sigma) - sigma
+        parts.append(float(q.sum()))
+        a = a - q
+        top = np.abs(a).max()
     return parts
 
 
@@ -419,14 +408,14 @@ def _zeta_em(s: complex, want_deriv: bool):
         k += 1
         term = c * poch * nfac
         total = total + term
-        if want_deriv:
-            dtotal = dtotal + c * (dpoch - poch * ln_cut) * nfac
         # The stop rule must weigh the derivative terms too: at special points
         # (e.g. s = 0) the value terms vanish identically while the derivative
         # series is still converging.
         mag = abs(term)
         if want_deriv:
-            mag = mag + abs(c * (dpoch - poch * ln_cut) * nfac)
+            dterm = c * (dpoch - poch * ln_cut) * nfac
+            dtotal = dtotal + dterm
+            mag = mag + abs(dterm)
         if mag < tol:
             return (total, dtotal) if want_deriv else total
         if mag > prev:

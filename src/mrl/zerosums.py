@@ -250,11 +250,8 @@ def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):
     if not cmath.isfinite(sc):
         raise DomainError(f"s must be finite, got {sc}")
     _require_identity_regular(sc, table)
-    triv = math.fsum(
-        (_trivial_coeff(l) / (2.0 * l + sc)).real for l in range(1, L + 1)
-    ) + 1j * math.fsum(
-        (_trivial_coeff(l) / (2.0 * l + sc)).imag for l in range(1, L + 1)
-    )
+    terms = [_trivial_coeff(l) / (2.0 * l + sc) for l in range(1, L + 1)]
+    triv = math.fsum(w.real for w in terms) + 1j * math.fsum(w.imag for w in terms)
 
     def f(rho: complex, zp: complex) -> complex:
         return 1.0 / (zp * rho * (rho + 1.0) * (rho - sc))

@@ -95,6 +95,9 @@ def test_residue_guards():
         residue_series(10.0, 1.0, -1)
     with pytest.raises(DomainError):
         s0_residue(-0.5)
+    for L in (-3, 2.7, True):  # as residue_series: a negative, real or bool L
+        with pytest.raises(DomainError):
+            explicit_M_tau(10.0, 1.0, ZeroTable([]), 100.0, L)
 
 
 def test_zero_sum_frozen_regression(table):
@@ -272,8 +275,10 @@ def test_residue_series_absolute_bound(tau):
     assert abs(v - s0_residue(tau)) < 10.0
 
 
-# NaN fails every argument guard of the spectral side, and the assembly
-# takes finite x and tau only.
+# NaN fails every argument guard of the spectral side, and every piece takes
+# finite x and tau only; T = inf stays allowed, as an infinite height leaves
+# no truncation error.
+INF = math.inf
 NAN = math.nan
 
 
@@ -294,6 +299,14 @@ NAN = math.nan
         pytest.param(lambda t: error_estimate(NAN, 1.0, 500.0), id="estimate-x"),
         pytest.param(lambda t: error_estimate(1e3, NAN, 500.0), id="estimate-tau"),
         pytest.param(lambda t: error_estimate(1e3, 1.0, NAN), id="estimate-T"),
+        pytest.param(lambda t: zero_sum_term(INF, 1.0, t, 500.0), id="zero-sum-x-inf"),
+        pytest.param(lambda t: zero_sum_term(1e3, INF, t, 500.0), id="zero-sum-tau-inf"),
+        pytest.param(lambda t: residue_term(2, INF, 1.5), id="residue-x-inf"),
+        pytest.param(lambda t: residue_term(2, 1e3, INF), id="residue-tau-inf"),
+        pytest.param(lambda t: residue_series(INF, 1.5, 4), id="series-x-inf"),
+        pytest.param(lambda t: s0_residue(INF), id="s0-tau-inf"),
+        pytest.param(lambda t: error_estimate(INF, 1.5, 500.0), id="estimate-x-inf"),
+        pytest.param(lambda t: error_estimate(1e3, INF, 500.0), id="estimate-tau-inf"),
         pytest.param(lambda t: perron_kernel_report(NAN, 1.0), id="perron-y"),
         pytest.param(lambda t: perron_kernel_report(3.0, NAN), id="perron-tau"),
         pytest.param(lambda t: compare_direct_explicit([1e3], NAN, t, 500.0, 10),

@@ -395,9 +395,8 @@ def test_log_gamma_extended_oracles(s):
     assert _rel_err_40(log_gamma(s), LOG_GAMMA_40[s]) <= 1e-15
 
 
-# Normal terms, which _exact_parts sums by exponent buckets, and any finite
-# float: zeros of either sign and subnormals, which send a slice to the
-# Python floats.
+# Normal terms across the whole exponent range, which _exact_parts extracts,
+# and any finite float: zeros of either sign and subnormals among them.
 _NORMAL_TERMS = st.builds(
     math.ldexp,
     st.floats(0.5, 1.0, exclude_max=True) | st.floats(-1.0, -0.5, exclude_min=True),
@@ -422,16 +421,37 @@ def test_exact_parts_sum_exactly(terms, cancel, min_len):
 
 
 def test_exact_parts_any_length(monkeypatch):
-    # slices of 7 terms stand in for slices of 2^26
     rng = np.random.default_rng(11)
     a = rng.standard_normal(5000) * np.exp2(rng.integers(-60, 60, 5000))
-    a[3000] = 5e-324  # the slice [2996, 3003) keeps its floats
+    a[3000] = 5e-324  # a subnormal is extracted like any other term
     monkeypatch.setattr(kernel, "_EXACT_PARTS_MIN", 0)
-    monkeypatch.setattr(kernel, "_EXACT_SLICE", 7)
     parts = kernel._exact_parts(a)
     assert sum(map(Fraction, parts)) == sum(map(Fraction, a.tolist()))
-    assert 5e-324 in parts and a[3002] in parts and a[2995] not in parts
+    assert len(parts) < 64
     assert kernel._exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+
+def test_exact_parts_widest_span():
+    # 2^14 terms from 2^-1074 to 2^969, the widest span the guard admits:
+    # each pass lowers the bound 2^e from 2^970 by at least 52 - 15 bits, and
+    # a nonzero remainder keeps e >= -1073
+    rng = np.random.default_rng(12)
+    e = rng.integers(-1074, 970, 1 << 14)
+    a = np.ldexp(rng.choice([-1.0, 1.0], e.size), e)
+    a[:2] = 5e-324, 2.0**969
+    parts = kernel._exact_parts(a)
+    assert len(parts) <= 1 + (970 + 1073) // (52 - 15)
+    assert sum(map(Fraction, parts)) == sum(map(Fraction, a.tolist()))
+    assert kernel._exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+
+def test_exact_parts_sigma_is_large_enough():
+    # 2^14 - 3 terms (2^k = 2^14 serves up to 2^14 - 2) of 1 - 2^-40: sigma =
+    # 2^14 rounds each to q = 1, while sigma = 2^12 would keep q = p, and no
+    # float near 2^14 holds an odd count of them
+    a = np.full((1 << 14) - 3, 1.0 - 2.0**-40)
+    parts = kernel._exact_parts(a)
+    assert sum(map(Fraction, parts)) == a.size * Fraction(a[0])
 
 
 @pytest.mark.parametrize("t", [200.0, 999.0, 1001.0, 5e3, 1e4, 4.9e4])
