@@ -2,7 +2,8 @@
 """Hash the stdout and exit code of a fixed set of ``mrl`` invocations.
 
 Runs ``mrl.cli.main`` in-process over every command, every ``identity`` and
-``scan`` kind and ``inv-zeta`` at a real s < -1/2, each in csv and json,
+``scan`` kind, ``inv-zeta`` at a real s < -1/2 and a few refused arguments
+(non-finite or overflowing kappa, lambda and tau), each in csv and json,
 first without and then with a temporary ``--cache-dir`` (shared by the
 cached pass, so its zero-table loads miss once and then hit).  Prints one
 line per invocation, the first 16 hex digits of the SHA-256 of its exit code
@@ -11,7 +12,7 @@ outputs to name every invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 136 invocations take about 8 s on one core of a
+stderr is not hashed.  The 152 invocations take about 8 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -60,6 +61,11 @@ COMMANDS = [
     ["scan", "tau-regime", "--x-stop", "1e5", "--points", "5",
      "--schedule", "iterated-log"],
     ["--T", "2000", "explicit", "1e3"],  # beyond the table: exit 3
+    # refusals, each exit 2
+    ["identity", "im-const", "--kappa=-inf"],
+    ["identity", "jsum", "--lambda", "inf"],
+    ["identity", "jsum", "--lambda", "1e300"],  # an overflow
+    ["explicit", "1e3", "--tau", "1e300"],  # an overflow in math.factorial
 ]
 
 

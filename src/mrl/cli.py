@@ -14,9 +14,10 @@ Global options fall back to environment variables with the ``MRL_`` prefix
 ``MRL_T``, ``MRL_L``) and then to built-in defaults.  ``--zeros`` accepts a
 plain-text ordinate file or the literal ``builtin`` for the packaged table.
 
-Exit codes: 0 success; 2 argument, domain, or computation error; 3 a zero
-table is required but missing (or does not reach the requested height);
-4 unsupported moment exponent.
+Exit codes: 0 success; 2 argument, domain, or computation error (an
+overflow or a division by zero included); 3 a zero table is required but
+missing (or does not reach the requested height); 4 unsupported moment
+exponent.
 
 Float formatting everywhere is the shortest round-trip representation, so
 identical inputs produce byte-identical output.  All computation is
@@ -38,14 +39,13 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import (
-    DomainError,
     MissingZeros,
     MrlError,
     ParseError,
     UnsupportedLambda,
 )
 from .explicit import compare_direct_explicit, explicit_M_tau
-from .kernel import DOUBLE, EXTENDED, Precision
+from .kernel import DOUBLE, EXTENDED, Precision, _check_count, _check_finite
 from .moebius import (
     CheckpointCache,
     RieszQuery,
@@ -104,8 +104,7 @@ class RunConfig:
             raise MrlError(f"unknown output format {self.output_format!r}")
         if not self.default_T > 0:
             raise MrlError(f"default_T must be positive, got {self.default_T}")
-        if self.default_L < 1:
-            raise MrlError(f"default_L must be >= 1, got {self.default_L}")
+        _check_count(self.default_L, "default_L", 1)
 
     @property
     def precision(self) -> Precision:
@@ -376,9 +375,8 @@ def _cmd_scan(args, cfg: RunConfig, out) -> int:
         ]
         columns = ("index", "x", "kappa")
     elif kind == "tau-regime":
-        for name, value in (("x-start", args.x_start), ("x-stop", args.x_stop)):
-            if not math.isfinite(value):
-                raise DomainError(f"--{name} must be finite, got {value}")
+        _check_finite(args.x_start, "--x-start")
+        _check_finite(args.x_stop, "--x-stop")
         if args.points < 1 or args.x_stop < args.x_start or args.x_start <= 0:
             raise MrlError(
                 f"empty or invalid range: start={args.x_start} "
@@ -506,7 +504,7 @@ def main(argv=None, out=None) -> int:
     except MissingZeros as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MrlError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (MrlError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

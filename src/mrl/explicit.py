@@ -34,16 +34,19 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, OutOfRange
+from .errors import DomainError
 from .kernel import (
     _EULER_GAMMA,
+    _check_count,
+    _check_finite,
+    _check_tau,
     _digamma,
     _harmonic,
     bernoulli,
     gamma_ratio,
     trivial_zero_data,
 )
-from .moebius import _check_finite, _riesz_means
+from .moebius import _riesz_means
 from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
@@ -82,18 +85,14 @@ class ExplicitEvaluation:
         return self.zero_sum + self.s0_residue + self.residue_sum
 
 
-def _check_tau(tau) -> float:
-    """float(tau), refusing a negative, nan or infinite tau with DomainError."""
-    tau = float(tau)
-    if not tau >= 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    _check_finite(tau, "tau")
-    return tau
-
-
-def _check_L(L) -> None:
-    if not isinstance(L, int) or isinstance(L, bool) or L < 0:
-        raise DomainError(f"L must be an integer >= 0, got {L!r}")
+def _check_positive_x(x: float, least: float = 0.0) -> float:
+    """x, refusing with DomainError a nan or infinite x, and one at or below 0
+    (least = 0, the pieces) or below least (least = 1, the assemblies)."""
+    if least and not x >= least:
+        raise DomainError(f"x must be >= {least:g}, got {x}")
+    if not x > 0.0:
+        raise DomainError(f"x must be positive, got {x}")
+    return _check_finite(x, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +117,7 @@ def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
     """Zero-side sum of the terms of _zero_term over 0 < gamma < T (strict),
     with compensated accumulation.  An empty table (or T below the first
     zero) gives 0.0; unusable records raise as described in zeros._zero_sum."""
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    _check_finite(x, "x")
+    _check_positive_x(x)
     tau = _check_tau(tau)
     return _zero_sum(table, T, _zero_term(x, tau), inclusive=False)[0]
 
@@ -158,13 +155,8 @@ def residue_term(l: int, x: float, tau: float) -> float:
     digamma values, and zeta''(-2n)/(2 zeta'(-2n)); for integer tau = k with
     2n > k the pole degenerates to simple order.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise DomainError(f"l must be an integer >= 1, got {l!r}")
-    if l > RESIDUE_MAX_L:
-        raise OutOfRange(f"l = {l} exceeds supported maximum {RESIDUE_MAX_L}")
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    _check_finite(x, "x")
+    _check_count(l, "l", 1, RESIDUE_MAX_L)
+    _check_positive_x(x)
     tau = _check_tau(tau)
     tau_int = tau.is_integer()
     ln_x = math.log(x)
@@ -213,10 +205,8 @@ def residue_term(l: int, x: float, tau: float) -> float:
 def residue_series(x: float, tau: float, L: int) -> float:
     """Total residue contribution: the s = 0 term plus poles s = -1 .. -L
     (L = 0 keeps just the s = 0 term)."""
-    _check_L(L)
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    _check_finite(x, "x")
+    _check_count(L, "L", 0, RESIDUE_MAX_L)
+    _check_positive_x(x)
     terms = [residue_term(l, x, tau) for l in range(1, L + 1)]
     return s0_residue(tau) + math.fsum(terms)
 
@@ -231,9 +221,7 @@ def error_estimate(x: float, tau: float, T: float) -> float:
     height-T zero-sum cutoff; infinite at tau = 0 (conditional convergence).
     T = inf leaves no zero out, so the estimate is 0 there for tau > 0."""
     tau = _check_tau(tau)
-    if not x >= 1.0:
-        raise DomainError(f"x must be >= 1, got {x}")
-    _check_finite(x, "x")
+    _check_positive_x(x, 1.0)
     if not T > 1.0:
         raise DomainError(f"T must exceed 1, got {T}")
     if tau == 0.0 or x == 1.0:
@@ -253,11 +241,9 @@ def explicit_M_tau(
     residue series to index L.  compare_direct_explicit adds the direct
     integer-side value.
     """
-    if not x >= 1.0:
-        raise DomainError(f"x must be >= 1, got {x}")
-    _check_finite(x, "x")
+    _check_positive_x(x, 1.0)
     tau = _check_tau(tau)
-    _check_L(L)
+    _check_count(L, "L", 0, RESIDUE_MAX_L)
     if tau == 0.0:
         warnings.warn("Bartz mode: convergence not guaranteed", stacklevel=2)
     zs = zero_sum_term(x, tau, table, T)

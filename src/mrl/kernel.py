@@ -13,6 +13,10 @@ the long Euler-Maclaurin main sums, which error-free extraction rounds
 correctly: _exact_parts, which the integer side shares).  :class:`Precision`
 selects the final Newton step of zeros.refine_zero, which calls mpmath
 directly when it is wider than 53 bits.
+
+Its "Shared guards" are the one definition of the argument rules all modules
+share, called by each public entry before any work: _check_finite, _check_tau
+(finite tau >= 0) and _check_count (an int, not a bool, >= a floor).
 """
 
 from __future__ import annotations
@@ -228,12 +232,29 @@ def _exact_sum(a: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _finite_arg(s, name: str = "s") -> complex:
-    """complex(s), refusing a nan or infinite part with DomainError."""
-    sc = complex(s)
-    if not cmath.isfinite(sc):
-        raise DomainError(f"{name} must be finite, got {sc}")
-    return sc
+def _check_finite(value, name: str):
+    """value, real or complex, refusing a nan or infinite part with DomainError."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_tau(tau) -> float:
+    """float(tau), refusing a negative, nan or infinite tau with DomainError."""
+    tau = float(tau)
+    if not 0.0 <= tau < math.inf:
+        raise DomainError(f"tau must be finite and >= 0, got {tau}")
+    return tau
+
+
+def _check_count(value, name: str, least: int, most: float = math.inf) -> int:
+    """value, refusing a bool, a non-int or a value below least with
+    DomainError, and one above most with OutOfRange."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > most:
+        raise OutOfRange(f"{name} = {value} exceeds supported maximum {most}")
+    return value
 
 
 def _require_finite(value, what: str):
@@ -468,7 +489,7 @@ def _zeta_fe(s: complex, want_deriv: bool):
 
 def _zeta(s, want_deriv: bool):
     """zeta(s), or (zeta(s), zeta'(s)) when want_deriv, after the range guards."""
-    sc = _finite_arg(s)
+    sc = _check_finite(complex(s), "s")
     if sc == 1:
         raise PoleAtOne("zeta has its pole at s = 1")
     if abs(sc.imag) > IM_MAX:
@@ -502,7 +523,7 @@ def log_gamma(s):
 
     On the negative real axis the value is log|Gamma(x)| + i*pi*[Gamma(x) < 0].
     """
-    sc = _finite_arg(s)
+    sc = _check_finite(complex(s), "s")
     if _is_nonpositive_integer(sc):
         raise PoleAtNonpositiveInteger(f"log_gamma pole at {sc.real}")
     return _require_finite(_log_gamma(sc), "log_gamma")
@@ -511,10 +532,8 @@ def log_gamma(s):
 def gamma_ratio(s, tau: float):
     """Gamma(s) / Gamma(1 + tau + s), tau >= 0, computed as exp of a log
     difference so large |s| cannot overflow intermediate Gamma values."""
-    tau = float(tau)
-    if not 0 <= tau < math.inf:
-        raise DomainError(f"tau must be finite and >= 0, got {tau}")
-    sc = _finite_arg(s)
+    tau = _check_tau(tau)
+    sc = _check_finite(complex(s), "s")
     if _is_nonpositive_integer(sc):
         raise PoleAtNonpositiveInteger(f"Gamma pole at s = {sc.real}")
     wc = complex(1 + tau) + sc

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRange, ParseError, ScheduleUndefined
-from .kernel import _exact_parts, zeta
+from .kernel import _check_finite, _check_tau, _exact_parts, zeta
 
 __all__ = [
     "SIEVE_MAX",
@@ -251,11 +251,6 @@ def _check_x(x: float, least: float = 1.0, name: str = "x") -> None:
         raise DomainError(f"{name} must be >= {least:g}, got {x}")
     if not x < SIEVE_MAX + 1:
         raise OutOfRange(f"{name} = {x} exceeds supported maximum {SIEVE_MAX}")
-
-
-def _check_finite(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +675,7 @@ def _riesz_means(
     blocks, each sum correctly rounded, as a stream of its own would.
     """
     for x, tau in points:
-        if not tau >= 0:
-            raise DomainError(f"tau must be >= 0, got {tau}")
-        _check_finite(tau, "tau")
+        _check_tau(tau)
         _check_x(x)
     exact = [(x, int(tau)) for x, tau in points if tau in _EXACT_DEGREES]
     tables = _power_sum_table(math.floor(max(x for x, _ in exact)),

@@ -181,9 +181,12 @@ class ZeroTable:
     def max_gamma(self) -> float:
         return float(self.gammas[-1]) if len(self) else 0.0
 
-    def count_up_to(self, T: float) -> int:
-        """Number of records with gamma <= T."""
-        return int(np.searchsorted(self.gammas, T, side="right"))
+    def count_up_to(self, T: float, inclusive: bool = True) -> int:
+        """Number of records with gamma <= T (< T when not inclusive); a nan
+        T, which would sort after every ordinate, raises DomainError."""
+        if math.isnan(T):
+            raise DomainError("T must be a number, got nan")
+        return int(np.searchsorted(self.gammas, T, side="right" if inclusive else "left"))
 
     def up_to(self, T: float) -> "ZeroTable":
         """Sub-table of the records with gamma <= T."""
@@ -244,6 +247,8 @@ def _zero_sum(
       identity behind inv_zeta_identity, a_constant_report and
       zeta_eq_real_report; integral_M_explicit, im_constants, j_lambda);
       inclusive=False stops strictly below T (zero_sum_term, swmh_report).
+    * Height: a nan T raises DomainError (ZeroTable.count_up_to); T = inf
+      sums the whole table, and T below the first zero gives an empty sum.
     * Unrefined: a record with no zeta' value (zeta' = 0 and
       refined_bits = 0) raises DomainError -- refine the table first.
     * Suspect: a record in the table's suspect mask raises MultipleZeroFlag
@@ -257,7 +262,7 @@ def _zero_sum(
     Returns (total, [(cutoff, partial sum over gamma <= cutoff), ...]).
     """
     gammas = table.gammas
-    n = int(np.searchsorted(gammas, T, side="right" if inclusive else "left"))
+    n = table.count_up_to(T, inclusive)
     zps = table.zeta_primes[:n]
     unrefined = (zps == 0) & (table.refined_bits[:n] == 0)
     bad = unrefined | table.suspect[:n] if suspect == "raise" else unrefined

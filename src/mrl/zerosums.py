@@ -48,7 +48,7 @@ from .errors import (
     SingularPoint,
     UnsupportedLambda,
 )
-from .kernel import _EULER_GAMMA, zeta
+from .kernel import _EULER_GAMMA, _check_count, _check_finite, zeta
 from .moebius import _check_x, _primes_upto, integral_M, weak_mertens_integral
 from .zeros import ZeroTable, _zero_sum
 
@@ -147,6 +147,14 @@ def _cutoff_list(T: float) -> tuple[float, ...]:
     return tuple(c for c in _TRACE_CUTOFFS if c < T) + (float(T),)
 
 
+def _check_lambda(lam) -> float:
+    """float(lam), refusing lambda <= -3/2, nan and inf with DomainError."""
+    lam = float(lam)
+    if not lam > -1.5:
+        raise DomainError(f"lambda must exceed -3/2, got {lam}")
+    return _check_finite(lam, "lambda")
+
+
 def _paired(f: Callable[[complex, complex], complex]):
     """The zero-sum term f(rho, zeta'(rho)) + f(conj(rho), conj(zeta'(rho)))
     of a conjugate pair."""
@@ -174,10 +182,8 @@ def j_lambda(
     law T (log T)^((lambda+1)^2), and -- for lambda = -1 -- the ratio to the
     sharp coefficient (3/pi^3) T.
     """
-    lam = float(lam)
+    lam = _check_lambda(lam)
     T = float(T)
-    if not lam > -1.5:
-        raise DomainError(f"lambda must exceed -3/2, got {lam}")
     cutoffs = _cutoff_list(T)
 
     if lam == 0.0:
@@ -241,14 +247,11 @@ def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):
     with the trivial-zero series truncated at l <= L and the zero sum
     (conjugate pairs, explicitly paired) at |gamma| <= T.  Returns the
     complex value, its partial values at the trace cutoffs, and the zero sum.
-    Raises DomainError for L < 1 or a non-finite s, and SingularPoint at
-    zeros of zeta.
+    Raises DomainError for an L that is not an integer >= 1 or a non-finite
+    s, and SingularPoint at zeros of zeta.
     """
-    T, L = float(T), int(L)
-    if L < 1:
-        raise DomainError(f"L must be >= 1, got {L}")
-    if not cmath.isfinite(sc):
-        raise DomainError(f"s must be finite, got {sc}")
+    _check_count(L, "L", 1)
+    _check_finite(sc, "s")
     _require_identity_regular(sc, table)
     terms = [_trivial_coeff(l) / (2.0 * l + sc) for l in range(1, L + 1)]
     triv = math.fsum(w.real for w in terms) + 1j * math.fsum(w.imag for w in terms)
@@ -290,7 +293,7 @@ def inv_zeta_identity(
         parameters={
             "s": coerce(sc),
             "T": float(T),
-            "L": int(L),
+            "L": L,
             "target": coerce(target),
             "imag_rel": abs(rhs.imag) / max(abs(rhs), 1e-300),
         },
@@ -320,7 +323,6 @@ def a_constant_report(
     first omitted trivial term as ``trivial_tail``.
     """
     kappa = float(kappa)
-    L = int(L)
     s = kappa - 1.0
     try:
         value, ztrace, zsum = _reciprocal_zeta(complex(s), table, T, L)
@@ -372,7 +374,7 @@ def zeta_eq_real_report(
             "identity": "1/zeta(kappa) = kappa*A(kappa+1)",
             "kappa": kappa,
             "T": float(T),
-            "L": int(L),
+            "L": L,
             "target": target,
             "imag_rel": abs(zsum.imag) / max(abs(zsum), 1e-300),
         },
@@ -452,6 +454,7 @@ def im_constants(
     T = float(T)
     if not kappa <= 1.5:
         raise DomainError(f"kappa must be <= 3/2, got {kappa}")
+    _check_finite(kappa, "kappa")
     cutoffs = _cutoff_list(T)
     const = 2.0 / _zeta_real(0.5) if kappa == 1.5 else 0.0
 
@@ -506,9 +509,9 @@ def integral_M_explicit(
     the direct value normalized by x^(3/2-kappa) (the boundedness check).
     """
     x = float(x)
-    kappa = float(kappa)
-    if not x >= 1.0:
-        raise DomainError(f"x must be >= 1, got {x}")
+    _check_x(x)
+    kappa = _check_finite(float(kappa), "kappa")
+    _check_count(L, "L", 1)
     ln_x = math.log(x)
 
     zsum, _ = _zero_sum(
@@ -528,7 +531,7 @@ def integral_M_explicit(
         "x": x,
         "kappa": kappa,
         "T": float(T),
-        "L": int(L),
+        "L": L,
         "direct": direct,
         "zero_term": zero_term,
         "constant_term": constant_term,
@@ -566,6 +569,7 @@ def log_barnes_g(z: float) -> float:
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"log_barnes_g requires z > 0, got {z}")
+    _check_finite(z, "z")
     acc = 0.0
     t = z - 1.0
     while t > 0.5:
@@ -614,19 +618,13 @@ def a_lambda(
     above -3/2 raise UnsupportedLambda (the coefficient interpretation is
     pinned only at those points), below raise DomainError.
     """
-    lam = float(lam)
-    if not lam > -1.5:
-        raise DomainError(f"lambda must exceed -3/2, got {lam}")
+    lam = _check_lambda(lam)
     if not (lam == -1.0 or lam == -0.5 or lam >= 0.0):
         raise UnsupportedLambda(
             f"lambda = {lam} is outside the supported set {{-1, -1/2}} u [0, inf)"
         )
-    prime_cutoff = int(prime_cutoff)
-    g_terms = int(g_terms)
-    if prime_cutoff < 2:
-        raise DomainError(f"prime_cutoff must be >= 2, got {prime_cutoff}")
-    if g_terms < 2:
-        raise DomainError(f"g_terms must be >= 2, got {g_terms}")
+    _check_count(prime_cutoff, "prime_cutoff", 2)
+    _check_count(g_terms, "g_terms", 2)
     lam2 = lam * lam
     logs: list[float] = []
     for p in _primes_upto(prime_cutoff).tolist():
@@ -675,8 +673,8 @@ def hko_report(
     params: dict = {
         "lambda": lam,
         "T": T,
-        "prime_cutoff": int(prime_cutoff),
-        "g_terms": int(g_terms),
+        "prime_cutoff": prime_cutoff,
+        "g_terms": g_terms,
         "a_lambda": arith,
         "barnes_factor": g_factor,
     }

@@ -196,6 +196,12 @@ def test_domain_errors_exit_2():
         "--points", "3"
     )
     assert rc == 2
+    # an overflow is a computation error too
+    for argv in (("identity", "jsum", "--lambda", "1e300"),
+                 ("identity", "hko", "--lambda", "1e300"),
+                 ("explicit", "1e3", "--tau", "1e300")):
+        rc, _ = run_cli("--zeros", "builtin", *argv)
+        assert rc == 2
 
 
 def test_argparse_rejections_exit_2():
@@ -493,6 +499,9 @@ def test_parser_lists_all_subcommands():
         ("--zeros", "builtin", "explicit", "inf"),
         ("--zeros", "builtin", "explicit", "1e3", "--tau", "nan"),
         ("--zeros", "builtin", "identity", "im-const", "--kappa", "nan"),
+        ("--zeros", "builtin", "identity", "im-const", "--kappa=-inf"),
+        ("--zeros", "builtin", "identity", "jsum", "--lambda", "inf"),
+        ("identity", "hko", "--lambda", "inf"),
     ],
 )
 def test_non_finite_arguments_exit_2(argv):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrl import moebius
+from mrl import explicit, moebius
 from mrl.errors import DomainError, MultipleZeroFlag, OutOfRange
 from mrl.explicit import (
     RESIDUE_MAX_L,
@@ -84,7 +84,7 @@ def test_residue_series_tail_is_tiny():
             assert d <= 1e-6 / x, (x, tau)
 
 
-def test_residue_guards():
+def test_residue_guards(monkeypatch):
     with pytest.raises(DomainError):
         residue_term(0, 10.0, 1.0)
     with pytest.raises(OutOfRange):
@@ -98,6 +98,12 @@ def test_residue_guards():
     for L in (-3, 2.7, True):  # as residue_series: a negative, real or bool L
         with pytest.raises(DomainError):
             explicit_M_tau(10.0, 1.0, ZeroTable([]), 100.0, L)
+    # an L past the residue ceiling is refused before the zero sum runs
+    monkeypatch.setattr(explicit, "zero_sum_term", lambda *a: pytest.fail("summed"))
+    with pytest.raises(OutOfRange):
+        explicit_M_tau(10.0, 1.0, ZeroTable([]), 100.0, RESIDUE_MAX_L + 1)
+    with pytest.raises(OutOfRange):
+        residue_series(10.0, 1.0, RESIDUE_MAX_L + 1)
 
 
 def test_zero_sum_frozen_regression(table):
@@ -275,9 +281,9 @@ def test_residue_series_absolute_bound(tau):
     assert abs(v - s0_residue(tau)) < 10.0
 
 
-# NaN fails every argument guard of the spectral side, and every piece takes
-# finite x and tau only; T = inf stays allowed, as an infinite height leaves
-# no truncation error.
+# NaN fails every argument guard of the spectral side, the zero sum's height T
+# included, and every piece takes finite x and tau only; T = inf stays
+# allowed, as an infinite height leaves no truncation error.
 INF = math.inf
 NAN = math.nan
 
@@ -311,6 +317,8 @@ NAN = math.nan
         pytest.param(lambda t: perron_kernel_report(3.0, NAN), id="perron-tau"),
         pytest.param(lambda t: compare_direct_explicit([1e3], NAN, t, 500.0, 10),
                      id="compare-tau"),
+        pytest.param(lambda t: zero_sum_term(1e3, 1.0, t, NAN), id="zero-sum-T"),
+        pytest.param(lambda t: explicit_M_tau(1e3, 1.0, t, NAN, 10), id="explicit-T"),
     ],
 )
 def test_non_finite_arguments_raise_domain_error(table, fn):

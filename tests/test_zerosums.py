@@ -476,8 +476,11 @@ def test_hko_report_with_measurement(table):
     assert "j_lambda" not in bare.parameters
 
 
-# NaN fails every argument guard of the zero-sum reports.
+# NaN fails every argument guard of the zero-sum reports, a nan height T
+# included (it would sort after every zero), and so do an infinite kappa,
+# lambda or z and an L that is not an integer >= 1.
 NAN = math.nan
+INF = math.inf
 
 
 @pytest.mark.parametrize(
@@ -492,6 +495,33 @@ NAN = math.nan
         pytest.param(lambda t: integral_M_explicit(NAN, 1.5, t), id="integral-explicit"),
         pytest.param(lambda t: swmh_report(NAN, t), id="swmh"),
         pytest.param(lambda t: log_barnes_g(NAN), id="barnes-g"),
+        pytest.param(lambda t: j_lambda(t, 1.0, NAN), id="j-lambda-T"),
+        pytest.param(lambda t: j_lambda(t, 0.0, NAN), id="j-lambda-count-T"),
+        pytest.param(lambda t: inv_zeta_identity(3.0, t, NAN), id="inv-zeta-T"),
+        pytest.param(lambda t: a_constant_report(3.0, t, NAN), id="a-const-T"),
+        pytest.param(lambda t: zeta_eq_real_report(2.0, t, NAN), id="zeta-real-T"),
+        pytest.param(lambda t: swmh_report(1e3, t, NAN), id="swmh-T"),
+        pytest.param(lambda t: im_constants(1.5, t, NAN), id="im-const-T"),
+        pytest.param(lambda t: integral_M_explicit(1e3, 0.5, t, NAN), id="integral-explicit-T"),
+        pytest.param(lambda t: inv_zeta_identity(3.0, t, L=2.7), id="inv-zeta-L-real"),
+        pytest.param(lambda t: inv_zeta_identity(3.0, t, L=True), id="inv-zeta-L-bool"),
+        pytest.param(lambda t: a_constant_report(3.0, t, L=2.7), id="a-const-L-real"),
+        pytest.param(lambda t: a_constant_report(3.0, t, L=True), id="a-const-L-bool"),
+        pytest.param(lambda t: zeta_eq_real_report(2.0, t, L=2.7), id="zeta-real-L-real"),
+        pytest.param(lambda t: zeta_eq_real_report(2.0, t, L=True), id="zeta-real-L-bool"),
+        pytest.param(lambda t: integral_M_explicit(1e3, 0.5, t, L=2.7),
+                     id="integral-explicit-L-real"),
+        pytest.param(lambda t: integral_M_explicit(1e3, 0.5, t, L=True),
+                     id="integral-explicit-L-bool"),
+        pytest.param(lambda t: integral_M_explicit(1e3, 0.5, t, L=-3),
+                     id="integral-explicit-L-negative"),
+        pytest.param(lambda t: a_lambda(1.0, prime_cutoff=2.7), id="a-lambda-cutoff-real"),
+        pytest.param(lambda t: a_lambda(1.0, g_terms=2.5), id="a-lambda-terms-real"),
+        pytest.param(lambda t: im_constants(-INF, t), id="im-const-kappa-inf"),
+        pytest.param(lambda t: j_lambda(t, INF), id="j-lambda-inf"),
+        pytest.param(lambda t: a_lambda(INF), id="a-lambda-inf"),
+        pytest.param(lambda t: hko_report(INF, 1000.0), id="hko-lambda-inf"),
+        pytest.param(lambda t: log_barnes_g(INF), id="barnes-g-inf"),
     ],
 )
 def test_nan_arguments_raise_domain_error(table, fn):
