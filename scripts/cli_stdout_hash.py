@@ -3,16 +3,18 @@
 
 Runs ``mrl.cli.main`` in-process over every command, every ``identity`` and
 ``scan`` kind, ``inv-zeta`` at a real s < -1/2 and a few refused arguments
-(non-finite or overflowing kappa, lambda and tau), each in csv and json,
-first without and then with a temporary ``--cache-dir`` (shared by the
-cached pass, so its zero-table loads miss once and then hit).  Prints one
-line per invocation, the first 16 hex digits of the SHA-256 of its exit code
-and stdout followed by its arguments, then the SHA-256 of all those lines.  Run it on two checkouts and ``diff`` the
-outputs to name every invocation whose output moved:
+(non-finite or overflowing kappa, lambda and tau, and an infinite ``--T`` for
+``hko``, run without ``--zeros`` so no table height refuses it first), each
+in csv and json, first without and then with a temporary ``--cache-dir``
+(shared by the cached pass, so its zero-table loads miss once and then hit).
+Prints one line per invocation, the first 16 hex digits of the SHA-256 of
+its exit code and stdout followed by its arguments, then the SHA-256 of all
+those lines.  Run it on two checkouts and ``diff`` the outputs to name every
+invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 152 invocations take about 8 s on one core of a
+stderr is not hashed.  The 156 invocations take about 8 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -68,13 +70,18 @@ COMMANDS = [
     ["explicit", "1e3", "--tau", "1e300"],  # an overflow in math.factorial
 ]
 
+# run without --zeros, each exit 2
+TABLELESS = [["--T", "inf", "identity", "hko", "--lambda", "1"]]
+
 
 def invocations(cache_dir: str):
     for cached in (False, True):
         for fmt in ("csv", "json"):
+            extra = ["--cache-dir", cache_dir] if cached else []
             for command in COMMANDS:
-                extra = ["--cache-dir", cache_dir] if cached else []
                 yield ["--zeros", "builtin", "--format", fmt, *extra, *command]
+            for command in TABLELESS:
+                yield ["--format", fmt, *extra, *command]
 
 
 def main_hash() -> int:

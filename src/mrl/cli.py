@@ -179,11 +179,7 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
         table = refine_table(import_zeros(src), precision=cfg.precision)
         if cached is not None:
             table.save(cached)
-    if cfg.default_T > table.max_gamma:
-        raise MissingZeros(
-            f"configured T = {cfg.default_T:g} exceeds the table height "
-            f"{table.max_gamma:.6f}"
-        )
+    table.require_height(cfg.default_T)
     return table
 
 
@@ -266,10 +262,6 @@ def report_from_json_dict(d: dict) -> ZeroSumReport:
     )
 
 
-def _emit_report(report: ZeroSumReport, out) -> None:
-    print(json.dumps(report_to_json_dict(report)), file=out)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -315,19 +307,7 @@ def _cmd_explicit(args, cfg: RunConfig, out) -> int:
     if args.compare:
         rows = compare_direct_explicit([float(args.x)], args.tau, table, T, L)
     else:
-        ev = explicit_M_tau(float(args.x), args.tau, table, T, L)
-        rows = [
-            {
-                "x": ev.x,
-                "tau": ev.tau,
-                "T": ev.T,
-                "L": ev.L,
-                "direct": None,
-                "explicit": ev.explicit_value,
-                "abs_diff": None,
-                "error_estimate": ev.error_estimate,
-            }
-        ]
+        rows = [explicit_M_tau(float(args.x), args.tau, table, T, L).row()]
     _emit_rows(rows, _EXPLICIT_COLUMNS, cfg, out)
     return 0
 
@@ -336,10 +316,7 @@ def _cmd_identity(args, cfg: RunConfig, out) -> int:
     kind = args.kind
     T, L = cfg.default_T, cfg.default_L
     if kind == "inv-zeta":
-        s = complex(args.s) if args.s is not None else 3.0
-        report = zs.inv_zeta_identity(
-            s.real if s.imag == 0 else s, _load_table(cfg), T, L
-        )
+        report = zs.inv_zeta_identity(complex(args.s), _load_table(cfg), T, L)
     elif kind == "a-const":
         report = zs.a_constant_report(args.kappa, _load_table(cfg), T, L)
     elif kind == "zeta-real":
@@ -357,7 +334,7 @@ def _cmd_identity(args, cfg: RunConfig, out) -> int:
         )
     else:  # pragma: no cover - argparse restricts choices
         raise MrlError(f"unknown identity kind {kind!r}")
-    _emit_report(report, out)
+    print(json.dumps(report_to_json_dict(report)), file=out)
     return 0
 
 
@@ -460,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         "kind",
         choices=("inv-zeta", "a-const", "zeta-real", "swmh", "im-const", "jsum", "hko"),
     )
-    p.add_argument("--s", help="evaluation point for inv-zeta (real or complex)")
+    p.add_argument("--s", default="3", help="evaluation point for inv-zeta (real or complex)")
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--x", type=float, default=1e6)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)

@@ -84,6 +84,25 @@ class ExplicitEvaluation:
     def explicit_value(self) -> float:
         return self.zero_sum + self.s0_residue + self.residue_sum
 
+    def row(self, direct: float | None = None) -> dict:
+        """The row of this evaluation.  Keys x, tau, T, L, direct, explicit,
+        abs_diff, error_estimate are the canonical columns, the only ones the
+        CLI prints (direct and abs_diff are None without a direct value).
+        Given one, the row also holds within_estimate and, at tau = 0 and
+        integer x, a note; these two are for API callers only."""
+        explicit = self.explicit_value
+        abs_diff = None if direct is None else abs(direct - explicit)
+        row = {"x": self.x, "tau": self.tau, "T": self.T, "L": self.L, "direct": direct,
+               "explicit": explicit, "abs_diff": abs_diff, "error_estimate": self.error_estimate}
+        if direct is not None:
+            row["within_estimate"] = bool(abs_diff <= self.error_estimate)
+            if self.tau == 0.0 and self.x.is_integer():
+                row["note"] = (
+                    "tau = 0 at integer x: the direct sum jumps here; the series "
+                    "converges to the midpoint of the jump"
+                )
+        return row
+
 
 def _check_positive_x(x: float, least: float = 0.0) -> float:
     """x, refusing with DomainError a nan or infinite x, and one at or below 0
@@ -238,7 +257,9 @@ def explicit_M_tau(
     L: int,
 ) -> ExplicitEvaluation:
     """Evaluate the spectral side of M_tau(x) with zero sum to height T and
-    residue series to index L.  compare_direct_explicit adds the direct
+    residue series to index L.  The error estimate is taken at the height
+    the zero sum reaches, min(T, table.max_gamma), so an empty table is
+    refused like any height <= 1.  compare_direct_explicit adds the direct
     integer-side value.
     """
     _check_positive_x(x, 1.0)
@@ -256,41 +277,18 @@ def explicit_M_tau(
         zero_sum=zs,
         residue_sum=math.fsum(res_terms),
         s0_residue=s0_residue(tau),
-        error_estimate=error_estimate(x, tau, T),
+        error_estimate=error_estimate(x, tau, min(T, table.max_gamma)),
     )
 
 
 def compare_direct_explicit(
     x_list, tau: float, table: ZeroTable, T: float, L: int
 ) -> list[dict]:
-    """Row-per-x comparison of the integer side and the spectral side.
-
-    Row keys x, tau, T, L, direct, explicit, abs_diff, error_estimate are the
-    canonical tabular columns; within_estimate and the occasional note field
-    are extra context for structured output only.  The direct values come
-    from moebius._riesz_means: one power-sum table at integer tau <= 3, else
-    one mu stream up to the largest x.
+    """Row-per-x comparison of the integer side and the spectral side, one
+    ExplicitEvaluation.row(direct) per x.  The direct values come from
+    moebius._riesz_means: one power-sum table at integer tau <= 3, else one
+    mu stream up to the largest x.
     """
     evs = [explicit_M_tau(float(x), tau, table, T, L) for x in x_list]
     directs = _riesz_means([(ev.x, ev.tau) for ev in evs])
-    rows: list[dict] = []
-    for ev, direct in zip(evs, directs):
-        abs_diff = abs(direct - ev.explicit_value)
-        row = {
-            "x": ev.x,
-            "tau": ev.tau,
-            "T": ev.T,
-            "L": ev.L,
-            "direct": direct,
-            "explicit": ev.explicit_value,
-            "abs_diff": abs_diff,
-            "error_estimate": ev.error_estimate,
-            "within_estimate": bool(abs_diff <= ev.error_estimate),
-        }
-        if ev.tau == 0.0 and ev.x.is_integer():
-            row["note"] = (
-                "tau = 0 at integer x: the direct sum jumps here; the series "
-                "converges to the midpoint of the jump"
-            )
-        rows.append(row)
-    return rows
+    return [ev.row(direct) for ev, direct in zip(evs, directs)]

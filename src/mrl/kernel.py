@@ -309,17 +309,11 @@ def _log_gamma(z: complex) -> complex:
 
 
 def _digamma(z: complex) -> complex:
-    """psi(z) by rightward shifting plus the asymptotic series."""
+    """psi(z) off the poles 0, -1, -2, ... by rightward shifting plus the
+    asymptotic series.  Its callers pass Re z > 0: _zeta_fe's w = 1 - s with
+    Re w > 3/2, and residue_term's real w > 0 (it reflects psi itself)."""
     if z.imag < 0:
         return _digamma(z.conjugate()).conjugate()
-    if z.imag == 0:
-        x = z.real
-        if _is_nonpositive_integer(z):
-            raise PoleAtNonpositiveInteger(f"digamma pole at {x}")
-        if x < 0:
-            # psi(x) = psi(1-x) - pi*cot(pi*x)
-            cot = cmath.cos(math.pi * x) / cmath.sin(math.pi * x)
-            return _digamma(1 - z) - math.pi * cot
     zs = z
     acc = 0
     while abs(zs) < _SHIFT_RADIUS or zs.real < 0:

@@ -139,7 +139,7 @@ class ZeroTable:
         self._set_columns(*([getattr(r, f.name) for r in recs] for f in fields(ZeroRecord)))
 
     def _set_columns(self, gammas, zeta_primes, refined_bits, flagged) -> "ZeroTable":
-        """The one constructor of the columns, fed by __init__, load and up_to:
+        """The one constructor of the columns, fed by __init__ and load:
         ascending check, suspect mask, read-only flags.  Returns self."""
         gammas = np.ascontiguousarray(gammas, dtype=np.float64)
         prev = np.concatenate(([0.0], gammas[:-1]))
@@ -188,14 +188,10 @@ class ZeroTable:
             raise DomainError("T must be a number, got nan")
         return int(np.searchsorted(self.gammas, T, side="right" if inclusive else "left"))
 
-    def up_to(self, T: float) -> "ZeroTable":
-        """Sub-table of the records with gamma <= T."""
-        n = self.count_up_to(T)
-        return ZeroTable.__new__(ZeroTable)._set_columns(*(column[:n] for column in self._columns))
-
     def require_height(self, T: float) -> None:
-        """Raise MissingZeros unless the table covers ordinates up to T."""
-        if not len(self) or self.max_gamma < T:
+        """Raise MissingZeros unless the table holds a zero at gamma >= T (so
+        an empty table never passes); a nan T raises DomainError."""
+        if self.count_up_to(T, inclusive=False) == len(self):
             raise MissingZeros(
                 f"zero table reaches gamma = {self.max_gamma:.3f}, "
                 f"but height T = {T} was requested"

@@ -35,7 +35,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -67,7 +66,6 @@ __all__ = [
     "im_constants",
     "integral_M_explicit",
     "log_barnes_g",
-    "barnes_g",
     "a_lambda",
     "hko_report",
 ]
@@ -153,12 +151,6 @@ def _check_lambda(lam) -> float:
     if not lam > -1.5:
         raise DomainError(f"lambda must exceed -3/2, got {lam}")
     return _check_finite(lam, "lambda")
-
-
-def _paired(f: Callable[[complex, complex], complex]):
-    """The zero-sum term f(rho, zeta'(rho)) + f(conj(rho), conj(zeta'(rho)))
-    of a conjugate pair."""
-    return lambda rho, zp: f(rho, zp) + f(rho.conjugate(), zp.conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +251,10 @@ def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):
     def f(rho: complex, zp: complex) -> complex:
         return 1.0 / (zp * rho * (rho + 1.0) * (rho - sc))
 
-    zsum, ztrace = _zero_sum(table, T, _paired(f), cutoffs=_cutoff_list(T))
+    def pair(rho: complex, zp: complex) -> complex:
+        return f(rho, zp) + f(rho.conjugate(), zp.conjugate())
+
+    zsum, ztrace = _zero_sum(table, T, pair, cutoffs=_cutoff_list(T))
     pref = sc * (sc + 1.0)
     head = 10.0 * sc - 2.0 + pref * triv
     return head - pref * zsum, tuple((c, head - pref * p) for c, p in ztrace), zsum
@@ -593,11 +588,6 @@ def log_barnes_g(z: float) -> float:
     return acc + series
 
 
-def barnes_g(z: float) -> float:
-    """The double-gamma function G(z) for real z > 0."""
-    return math.exp(log_barnes_g(z))
-
-
 def a_lambda(
     lam: float,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
@@ -657,16 +647,17 @@ def hko_report(
 
     Reduces to (T/2pi) log(T/2pi) at lambda = 0 and to (3/pi^3) T at
     lambda = -1 (up to the truncated Euler product).  T must exceed 2 pi so
-    the log factor is positive (OutOfRange).  The prediction is the report's
-    value; when a refined table is supplied, the measured moment
-    J_lambda(min(T, table height)) and its ratio to the prediction are
-    included, and the residual is their absolute difference.
+    the log factor is positive (OutOfRange) and be finite (DomainError).
+    The prediction is the report's value; when a refined table is supplied,
+    the measured moment J_lambda(min(T, table height)) and its ratio to the
+    prediction are included, and the residual is their absolute difference.
     """
     lam = float(lam)
     T = float(T)
     arith = a_lambda(lam, prime_cutoff, g_terms)
     if not T > _TWO_PI:
         raise OutOfRange(f"T must exceed 2*pi, got {T}")
+    _check_finite(T, "T")
     g_factor = math.exp(2.0 * log_barnes_g(lam + 2.0) - log_barnes_g(2.0 * lam + 3.0))
     u = T / _TWO_PI
     value = g_factor * arith * u * math.log(u) ** ((lam + 1.0) ** 2)

@@ -502,6 +502,7 @@ def test_parser_lists_all_subcommands():
         ("--zeros", "builtin", "identity", "im-const", "--kappa=-inf"),
         ("--zeros", "builtin", "identity", "jsum", "--lambda", "inf"),
         ("identity", "hko", "--lambda", "inf"),
+        ("--T", "inf", "identity", "hko", "--lambda", "1"),
     ],
 )
 def test_non_finite_arguments_exit_2(argv):

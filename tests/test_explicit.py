@@ -163,6 +163,22 @@ def test_explicit_assembly_regression(table):
     assert row["abs_diff"] <= row["error_estimate"]
 
 
+def test_error_estimate_is_taken_where_the_table_stops(table):
+    # The zero sum stops at the last zero (1099.36) whatever T asks for, so
+    # the estimate there is the one at the table's height: at T = inf it is
+    # not 0, and the row at x = 1e4 (|direct - explicit| about 8e-5) is
+    # within it.  At T below the table height nothing changes.
+    at_height = error_estimate(1e4, 1.0, table.max_gamma)
+    for T in (5000.0, math.inf):
+        assert explicit_M_tau(1e4, 1.0, table, T, 40).error_estimate == at_height
+    (row,) = compare_direct_explicit([1e4], 1.0, table, math.inf, 40)
+    assert row["error_estimate"] == at_height and row["within_estimate"]
+    ev = explicit_M_tau(1e4, 1.0, table, 1000.0, 40)
+    assert ev.error_estimate == error_estimate(1e4, 1.0, 1000.0)
+    with pytest.raises(DomainError):  # an empty table reaches no height
+        explicit_M_tau(1e4, 1.0, ZeroTable([]), 1000.0, 40)
+
+
 def test_explicit_matches_direct_at_several_points(table):
     rows = compare_direct_explicit([10.5, 50.5, 200.5], 1.5, table, 1000.0, 40)
     for row in rows:

@@ -30,7 +30,6 @@ from mrl.zerosums import (
     ZeroSumReport,
     a_constant_report,
     a_lambda,
-    barnes_g,
     hko_report,
     im_constants,
     integral_M_explicit,
@@ -420,16 +419,16 @@ def test_divim_reproducible():
 
 def test_barnes_g_small_integers():
     # G(1) = G(2) = G(3) = 1, G(4) = 2, G(5) = 12, G(6) = 288
-    assert barnes_g(4.0) == pytest.approx(2.0, rel=1e-14)
-    assert barnes_g(5.0) == pytest.approx(12.0, rel=1e-14)
-    assert barnes_g(6.0) == pytest.approx(288.0, rel=1e-14)
+    assert math.exp(log_barnes_g(4.0)) == pytest.approx(2.0, rel=1e-14)
+    assert math.exp(log_barnes_g(5.0)) == pytest.approx(12.0, rel=1e-14)
+    assert math.exp(log_barnes_g(6.0)) == pytest.approx(288.0, rel=1e-14)
 
 
 def test_barnes_g_against_mpmath():
     with mp.workdps(30):
         for z in (0.5, 1.5, 2.5, 3.7, 6.2, 9.9):
             want = float(mp.barnesg(z))
-            assert barnes_g(z) == pytest.approx(want, rel=2e-14), z
+            assert math.exp(log_barnes_g(z)) == pytest.approx(want, rel=2e-14), z
             assert log_barnes_g(z) == pytest.approx(
                 float(mp.log(mp.barnesg(z))), rel=1e-13, abs=1e-14
             )
@@ -521,6 +520,8 @@ INF = math.inf
         pytest.param(lambda t: j_lambda(t, INF), id="j-lambda-inf"),
         pytest.param(lambda t: a_lambda(INF), id="a-lambda-inf"),
         pytest.param(lambda t: hko_report(INF, 1000.0), id="hko-lambda-inf"),
+        pytest.param(lambda t: hko_report(1.0, INF), id="hko-T-inf"),
+        pytest.param(lambda t: t.require_height(NAN), id="require-height-T"),
         pytest.param(lambda t: log_barnes_g(INF), id="barnes-g-inf"),
     ],
 )
