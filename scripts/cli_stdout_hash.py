@@ -2,7 +2,8 @@
 """Hash the stdout and exit code of a fixed set of ``mrl`` invocations.
 
 Runs ``mrl.cli.main`` in-process over every command, every ``identity`` and
-``scan`` kind, ``inv-zeta`` at a real s < -1/2 and a few refused arguments
+``scan`` kind, ``explicit`` at small x (where the residue series dominates),
+``inv-zeta`` at a real s < -1/2 and a few refused arguments
 (non-finite or overflowing kappa, lambda and tau, and an infinite ``--T`` for
 ``hko``, run without ``--zeros`` so no table height refuses it first), each
 in csv and json, first without and then with a temporary ``--cache-dir``
@@ -14,7 +15,7 @@ invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 156 invocations take about 8 s on one core of a
+stderr is not hashed.  The 168 invocations take about 11 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -41,6 +42,10 @@ COMMANDS = [
     ["explicit", "1e4", "--tau", "1"],
     ["explicit", "1e4", "--tau", "1.5", "--compare"],
     ["explicit", "100.5", "--tau", "0", "--compare"],
+    # small x, where the residues at s = -1, -2, ... dominate the value
+    ["explicit", "2.5", "--tau", "7.25"],
+    ["explicit", "10.5", "--tau", "2"],
+    ["--L", "100", "explicit", "3.5", "--tau", "1.5"],
     ["identity", "inv-zeta"],
     ["identity", "inv-zeta", "--s", "2+5j"],
     ["identity", "inv-zeta", "--s", "-9.5"],

@@ -11,16 +11,14 @@ at s = 0 and s = -l, l = 1, 2, ...:
     2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))], accumulated in
     ascending gamma with compensated summation;
   * s = 0 contributes -2/Gamma(1+tau);
-  * odd s = -(2n-1) are simple poles of Gamma;
-  * even s = -2n are double poles (Gamma pole meets a trivial zeta zero),
-    except that for integer tau = k the factor 1/Gamma(1+k-2n) kills one
-    order once 2n > k, leaving a simple pole.
+  * s = -l is read by kernel._residue from the Laurent data of four factors:
+    x^s, the simple pole of Gamma, 1/zeta (the value -2n/B_2n at odd
+    l = 2n-1, a simple pole from trivial_zero_data at even l = 2n) and
+    1/Gamma(1+tau+s) (a value, or a simple zero where 1+tau-l <= 0 is an integer).
 
-All residue branches are closed forms in factorials, digamma values, and the
-trivial-zero data zeta'(-2n), zeta''(-2n)/zeta'(-2n); reflection identities
-keep every Gamma/digamma evaluation at positive arguments.  Everything here
-runs in double precision: truncation (T, L), not rounding, dominates the
-error.
+Reflection at tau keeps every Gamma/digamma evaluation at positive
+arguments.  Everything here runs in double precision: truncation (T, L),
+not rounding, dominates the error.
 
 The tau = 0 case is the unweighted summatory function, where the zero sum is
 only conditionally convergent; evaluating it emits the "Bartz mode:
@@ -33,6 +31,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 from .kernel import (
@@ -42,6 +41,8 @@ from .kernel import (
     _check_tau,
     _digamma,
     _harmonic,
+    _inv_zeta_at_trivial_zero,
+    _residue,
     bernoulli,
     gamma_ratio,
     trivial_zero_data,
@@ -152,73 +153,41 @@ def s0_residue(tau: float) -> float:
     return -2.0 / math.gamma(1.0 + _check_tau(tau))
 
 
-def _inv_zeta_at_neg_odd(n: int) -> float:
-    """1/zeta(1-2n) = -2n/B_{2n}, exact up to one float rounding."""
-    return float(-2 * n / bernoulli(2 * n))
+@lru_cache(maxsize=RESIDUE_MAX_L)
+def _factors_of_l(l: int) -> tuple:
+    """The Laurent data at s = -l that depend on l alone: the simple pole
+    (-1)^l/(l! (s + l)) of Gamma, with r = psi(l + 1), and at odd l the value
+    1/zeta(-l) = -(l+1)/B_(l+1), whose r no order there reads (None at even l)."""
+    gamma_pole = (1, (-1) ** l / math.factorial(l), _harmonic(l) - _EULER_GAMMA)
+    return gamma_pole, (0, float(-(l + 1) / bernoulli(l + 1)), None) if l % 2 else None
 
 
-def _inv_gamma(w: float) -> float:
-    """1/Gamma(w) where w = tau + (integer shift); for w <= 0 the reflection
-    sin(pi w) Gamma(1-w) / pi keeps the Gamma argument positive.  sin(pi w)
-    equals +/- sin(pi tau) exactly since the shift is an integer."""
-    if w > 0.0:
-        return 1.0 / math.gamma(w)
-    return math.sin(math.pi * w) * math.gamma(1.0 - w) / math.pi
+def _inv_gamma_factor(tau: float, l: int) -> tuple:
+    """Laurent data of 1/Gamma(1 + tau + s) at s = -l: a simple zero (-1)^m m! (s + l)
+    at w = 1 + tau - l = -m, m = 0, 1, ..., else the value 1/Gamma(w), r = -psi(w),
+    reflected at tau for w < 0: sin(pi w) Gamma(1 - w)/pi, psi(l - tau) - pi cot(pi tau)."""
+    w = 1.0 + tau - l
+    if w <= 0.0 and w.is_integer():  # the order stays at most 1, so r is never read
+        return -1, (-1) ** int(-w) * math.factorial(int(-w)), None
+    if w <= 0.0:
+        c = math.sin(math.pi * w) * math.gamma(1.0 - w) / math.pi
+        return 0, c, lambda: math.pi / math.tan(math.pi * tau) - _digamma(complex(l - tau)).real
+    return 0, 1.0 / math.gamma(w), lambda: -_digamma(complex(w)).real
 
 
 def residue_term(l: int, x: float, tau: float) -> float:
-    """Residue of x^s Gamma(s) / (zeta(s) Gamma(1+tau+s)) at s = -l, l >= 1.
-
-    Odd l = 2n-1: simple Gamma pole; vanishes for integer tau < l.
-    Even l = 2n: double pole in general; the bracket carries log x, the
-    digamma values, and zeta''(-2n)/(2 zeta'(-2n)); for integer tau = k with
-    2n > k the pole degenerates to simple order.
-    """
+    """Residue of g(s) at s = -l, l >= 1: kernel._residue over its four factors."""
     _check_count(l, "l", 1, RESIDUE_MAX_L)
     _check_positive_x(x)
     tau = _check_tau(tau)
-    tau_int = tau.is_integer()
     ln_x = math.log(x)
-    if l % 2 == 1:
-        n = (l + 1) // 2
-        if tau_int and l > int(tau):
-            return 0.0  # 1/Gamma(tau + 2 - 2n) = 0 at a nonpositive integer
-        inv_zeta = _inv_zeta_at_neg_odd(n)
-        rg = (
-            1.0 / math.factorial(int(tau) + 1 - 2 * n)
-            if tau_int
-            else _inv_gamma(tau + 2.0 - 2 * n)
-        )
-        x_pow = math.exp((1 - 2 * n) * ln_x)
-        return -x_pow * inv_zeta * rg / math.factorial(2 * n - 1)
-    n = l // 2
-    tz = trivial_zero_data(n)
-    zp = tz.zeta_prime
-    x_pow = math.exp(-2 * n * ln_x)
-    base = x_pow / (math.factorial(2 * n) * zp)
-    if tau_int and 2 * n > int(tau):
-        # simple pole: 1/Gamma(1+tau+s) vanishes to order m = 2n - tau - 1
-        # at -2n, cancelling that much of the double pole; residue
-        # x^(-2n) (-1)^m m! / ((2n)! zeta'(-2n))
-        m = 2 * n - int(tau) - 1
-        ratio = math.exp(math.lgamma(m + 1) - math.lgamma(2 * n + 1))
-        return x_pow * ((-1) ** (m % 2)) * ratio / zp
-    # double pole: bracket = ln x + psi(2n+1) - zeta''/(2 zeta') - psi(1+tau-2n)
-    psi_2n1 = _harmonic(2 * n) - _EULER_GAMMA
-    if tau_int:
-        k = int(tau)
-        rg = 1.0 / math.factorial(k - 2 * n)
-        psi_w = _harmonic(k - 2 * n) - _EULER_GAMMA
-    else:
-        w = 1.0 + tau - 2 * n
-        rg = _inv_gamma(w)
-        if w > 0.0:
-            psi_w = _digamma(complex(w)).real
-        else:
-            # psi(1 + tau - 2n) = psi(2n - tau) - pi cot(pi tau)
-            psi_w = _digamma(complex(2 * n - tau)).real - math.pi / math.tan(math.pi * tau)
-    bracket = ln_x + psi_2n1 - 0.5 * tz.log_ratio - psi_w
-    return base * rg * bracket
+    gamma_pole, inv_zeta = _factors_of_l(l)
+    return _residue(
+        (0, math.exp(-l * ln_x), ln_x),
+        gamma_pole,
+        inv_zeta or _inv_zeta_at_trivial_zero(trivial_zero_data(l // 2)),
+        _inv_gamma_factor(tau, l),
+    )
 
 
 def residue_series(x: float, tau: float, L: int) -> float:
@@ -258,13 +227,14 @@ def explicit_M_tau(
 ) -> ExplicitEvaluation:
     """Evaluate the spectral side of M_tau(x) with zero sum to height T and
     residue series to index L.  The error estimate is taken at the height
-    the zero sum reaches, min(T, table.max_gamma), so an empty table is
-    refused like any height <= 1.  compare_direct_explicit adds the direct
-    integer-side value.
+    the zero sum reaches, min(T, table.max_gamma); an empty table is
+    refused.  compare_direct_explicit adds the direct integer-side value.
     """
     _check_positive_x(x, 1.0)
     tau = _check_tau(tau)
     _check_count(L, "L", 0, RESIDUE_MAX_L)
+    if not len(table):
+        raise DomainError("the zero table is empty")
     if tau == 0.0:
         warnings.warn("Bartz mode: convergence not guaranteed", stacklevel=2)
     zs = zero_sum_term(x, tau, table, T)

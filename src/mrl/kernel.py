@@ -311,7 +311,7 @@ def _log_gamma(z: complex) -> complex:
 def _digamma(z: complex) -> complex:
     """psi(z) off the poles 0, -1, -2, ... by rightward shifting plus the
     asymptotic series.  Its callers pass Re z > 0: _zeta_fe's w = 1 - s with
-    Re w > 3/2, and residue_term's real w > 0 (it reflects psi itself)."""
+    Re w > 3/2, and explicit._inv_gamma_factor's real w > 0 (it reflects psi itself)."""
     if z.imag < 0:
         return _digamma(z.conjugate()).conjugate()
     zs = z
@@ -569,3 +569,22 @@ def trivial_zero_data(n: int) -> TrivialZeroData:
         math.log(2 * math.pi) - (_harmonic(two_n) - _EULER_GAMMA) - z_der.real / z_val.real
     )
     return TrivialZeroData(n=n, zeta_prime=zp, log_ratio=log_ratio)
+
+
+def _residue(*factors) -> float:
+    """Residue at s0 of a product of factors, each given by its Laurent data
+    (k, c, r) at s0, c (s - s0)^(-k) (1 + r (s - s0) + ...).  The pole's order
+    is the sum of the k: 0 below order 1, prod c at 1 and prod c * sum r at 2,
+    the highest the explicit formulas meet; a callable r is called only then."""
+    order = sum([k for k, _, _ in factors])
+    if order < 1:
+        return 0.0
+    value = math.prod([c for _, c, _ in factors])
+    if order == 1:
+        return value
+    return value * math.fsum([r() if callable(r) else r for _, _, r in factors])
+
+
+def _inv_zeta_at_trivial_zero(tz: TrivialZeroData) -> tuple:
+    """Laurent data of 1/zeta at s = -2n: 1/(zeta'(-2n) (s + 2n)), r = -zeta''/(2 zeta')."""
+    return 1, 1.0 / tz.zeta_prime, -0.5 * tz.log_ratio

@@ -10,7 +10,7 @@ as infinite sums over zeros:
 * ``zeta_eq_real_report`` -- the real-axis identity 1/zeta(kappa) = kappa*A(kappa+1).
 * ``swmh_report``         -- integral of (M(u)/u)^2 against its log x * zero-sum law.
 * ``im_constants``        -- limsup/liminf constants for the normalized Mertens integral.
-* ``integral_M_explicit`` -- zero-sum reconstruction of int_1^x M(u) u^-kappa du.
+* ``integral_M_explicit`` -- residue reconstruction of int_1^x M(u) u^-kappa du.
 * ``hko_report``          -- random-matrix moment prediction (Barnes G, Euler product).
 
 Each quantity has one function; its value is the report's ``value`` (or,
@@ -47,7 +47,8 @@ from .errors import (
     SingularPoint,
     UnsupportedLambda,
 )
-from .kernel import _EULER_GAMMA, _check_count, _check_finite, zeta
+from .kernel import TRIVIAL_ZERO_MAX_N, _EULER_GAMMA, _check_count, _check_finite, zeta
+from .kernel import _inv_zeta_at_trivial_zero, _residue, trivial_zero_data
 from .moebius import _check_x, _primes_upto, integral_M, weak_mertens_integral
 from .zeros import ZeroTable, _zero_sum
 
@@ -491,13 +492,16 @@ def im_constants(
 def integral_M_explicit(
     x: float, kappa: float, table: ZeroTable, T: float = DEFAULT_T, L: int = DEFAULT_L
 ) -> dict:
-    """Compare int_1^x M(u) u^-kappa du against its zero-sum main term
+    """Compare int_1^x M(u) u^-kappa du against the residues of
+    x^(s+1-kappa) / (s (s+1-kappa) zeta(s)) (kernel._residue): of the zeros,
 
         x^(3/2-kappa) * sum_rho x^(i gamma) / (zeta'(rho) rho (rho + 1 - kappa)),
 
-    paired over conjugate ordinates, plus the constant A(kappa) when
-    kappa > 1 (for kappa <= 1 the non-oscillating remainder grows like
-    x^(1-kappa) -- log x at kappa = 1 -- and is reported, not subtracted).
+    paired over conjugate ordinates; of s = kappa - 1 when kappa > 1, the
+    constant A(kappa) = 1/((kappa - 1) zeta(kappa - 1)), 0 at kappa = 2; and
+    of the trivial zeros s = -2n, n <= L (double poles at kappa = -1, -3, ...).
+    The residue at s = 0, 2 x^(1-kappa)/(kappa - 1), is reported, not
+    subtracted: remainder_scale is x^(1-kappa), log x at kappa = 1.
 
     Returns a row dict with the direct integral, the reconstruction, their
     absolute difference, the difference scaled by the remainder term, and
@@ -506,8 +510,13 @@ def integral_M_explicit(
     x = float(x)
     _check_x(x)
     kappa = _check_finite(float(kappa), "kappa")
-    _check_count(L, "L", 1)
+    _check_count(L, "L", 1, TRIVIAL_ZERO_MAX_N)
     ln_x = math.log(x)
+
+    def residue(s0: float, inv_zeta: tuple) -> float:  # 1/s, 1/(s+1-kappa): a value or a pole
+        d = s0 + 1.0 - kappa
+        inv_linear = [(1, 1.0, 0.0) if a == 0.0 else (0, 1.0 / a, -1.0 / a) for a in (s0, d)]
+        return _residue((0, x**d, ln_x), *inv_linear, inv_zeta)
 
     zsum, _ = _zero_sum(
         table,
@@ -516,9 +525,11 @@ def integral_M_explicit(
         * (cmath.exp(1j * (rho.imag * ln_x)) / (zp * rho * (rho + 1.0 - kappa))).real,
     )
     zero_term = x ** (1.5 - kappa) * zsum
-
-    constant_term = a_constant_report(kappa, table, T, L).value if kappa > 1.0 else 0.0
-    explicit = zero_term + constant_term
+    constant_term = 0.0 if kappa <= 1.0 else residue(  # 1/zeta: a simple zero at s = 1
+        kappa - 1.0, (-1, 1.0, None) if kappa == 2.0 else (0, 1.0 / _zeta_real(kappa - 1.0), None))
+    trivial = math.fsum(residue(-2.0 * tz.n, _inv_zeta_at_trivial_zero(tz))
+                        for tz in map(trivial_zero_data, range(1, L + 1)))
+    explicit = zero_term + constant_term + trivial
     direct = integral_M(x, kappa)
     residual = abs(direct - explicit)
     remainder_scale = ln_x if kappa == 1.0 else x ** (1.0 - kappa)
@@ -646,18 +657,18 @@ def hko_report(
             * (T / 2 pi) * (log(T / 2 pi))^((lambda+1)^2).
 
     Reduces to (T/2pi) log(T/2pi) at lambda = 0 and to (3/pi^3) T at
-    lambda = -1 (up to the truncated Euler product).  T must exceed 2 pi so
-    the log factor is positive (OutOfRange) and be finite (DomainError).
+    lambda = -1 (up to the truncated Euler product).  T, checked first, must
+    exceed 2 pi so the log factor is positive (OutOfRange) and be finite (DomainError).
     The prediction is the report's value; when a refined table is supplied,
     the measured moment J_lambda(min(T, table height)) and its ratio to the
     prediction are included, and the residual is their absolute difference.
     """
     lam = float(lam)
     T = float(T)
-    arith = a_lambda(lam, prime_cutoff, g_terms)
     if not T > _TWO_PI:
         raise OutOfRange(f"T must exceed 2*pi, got {T}")
     _check_finite(T, "T")
+    arith = a_lambda(lam, prime_cutoff, g_terms)
     g_factor = math.exp(2.0 * log_barnes_g(lam + 2.0) - log_barnes_g(2.0 * lam + 3.0))
     u = T / _TWO_PI
     value = g_factor * arith * u * math.log(u) ** ((lam + 1.0) ** 2)

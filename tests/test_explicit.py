@@ -45,6 +45,11 @@ CONTOUR_RESIDUES = {
     (6, 50.0, 3.0): -3.0133056867781187e-11,
     (1, 10.5, 3.0): 0.5714285714285714,
     (2, 10.5, 3.0): -0.26385020020128186,
+    (4, 10.5, 1.0): 0.0008587194223340963,  # even l, integer tau < l: simple pole
+    (6, 100.0, 2.0): 1.4124870406772432e-12,
+    (8, 10.5, 0.3): -7.344415999583483e-08,  # 1 + tau - l < 0: reflected at tau
+    (3, 10.5, 4.0): -0.01727675197062952,  # odd l, integer tau >= l
+    (5, 2.0, 7.0): 0.0328125,
 }
 
 
@@ -176,6 +181,12 @@ def test_error_estimate_is_taken_where_the_table_stops(table):
     ev = explicit_M_tau(1e4, 1.0, table, 1000.0, 40)
     assert ev.error_estimate == error_estimate(1e4, 1.0, 1000.0)
     with pytest.raises(DomainError):  # an empty table reaches no height
+        explicit_M_tau(1e4, 1.0, ZeroTable([]), 1000.0, 40)
+
+
+def test_explicit_refuses_an_empty_table():
+    # it names the table, not a height the caller did not ask for
+    with pytest.raises(DomainError, match="zero table is empty"):
         explicit_M_tau(1e4, 1.0, ZeroTable([]), 1000.0, 40)
 
 

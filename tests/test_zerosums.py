@@ -15,6 +15,7 @@ import math
 import mpmath as mp
 import pytest
 
+from mrl import zerosums
 from mrl.errors import (
     DomainError,
     NotAscending,
@@ -354,6 +355,42 @@ def test_integral_reconstruction_keys(table, shared_cache):
     )
 
 
+def _trivial_residues(x, kappa, L):
+    """Sum over n <= L of the residue of x^(s+1-kappa)/(s (s+1-kappa) zeta(s))
+    at s = -2n, in closed form at 30 digits; where s + 1 - kappa vanishes too,
+    the double pole's (log x + 1/(2n) - zeta''/(2 zeta')) / (-2n zeta')."""
+    with mp.workdps(30):
+        total = mp.mpf(0)
+        for n in range(1, L + 1):
+            s0 = -2 * n
+            d = s0 + 1 - mp.mpf(kappa)
+            z1 = mp.zeta(s0, derivative=1)
+            if d == 0:
+                z2 = mp.zeta(s0, derivative=2)
+                total += (mp.log(x) - mp.mpf(1) / s0 - z2 / (2 * z1)) / (s0 * z1)
+            else:
+                total += mp.power(x, d) / (s0 * d * z1)
+        return float(total)
+
+
+def test_integral_reconstruction_residues_match_closed_forms(table):
+    # s = kappa - 1: A(kappa) = 1/((kappa - 1) zeta(kappa - 1)) from the
+    # kernel's zeta, not from the zero-sum identity; 0 at kappa = 2, where
+    # 1/zeta vanishes
+    for k in (1.25, 1.5, 2.5, 3.0):
+        want = float(1 / ((k - 1) * mp.zeta(mp.mpf(k) - 1)))
+        got = integral_M_explicit(1000.5, k, table)["constant_term"]
+        assert got == pytest.approx(want, rel=1e-14), k
+    assert integral_M_explicit(1000.5, 2.0, table)["constant_term"] == 0.0
+    # s = -2n, n <= L, are the rest of the explicit value; at kappa = -1 the
+    # pole at s = -2 is double
+    x = 2.5
+    for k in (-1.0, 0.5, 1.5):
+        d = integral_M_explicit(x, k, table, L=30)
+        trivial = d["explicit"] - d["zero_term"] - d["constant_term"]
+        assert trivial == pytest.approx(_trivial_residues(x, k, 30), rel=1e-13), k
+
+
 # ---------------------------------------------------------------------------
 # Sign-change scan
 # ---------------------------------------------------------------------------
@@ -463,6 +500,16 @@ def test_hko_reductions():
         hko_report(0.0, 6.0)
     with pytest.raises(UnsupportedLambda):
         hko_report(-1.2, T)
+
+
+def test_hko_report_checks_the_height_before_the_euler_product(monkeypatch):
+    # a refused T costs no a_lambda (the 10,000-prime Euler product)
+    monkeypatch.setattr(zerosums, "a_lambda", lambda *a: pytest.fail("a_lambda ran"))
+    for T in (5.0, math.nan):
+        with pytest.raises(OutOfRange):
+            hko_report(1.0, T)
+    with pytest.raises(DomainError):
+        hko_report(1.0, math.inf)
 
 
 def test_hko_report_with_measurement(table):
