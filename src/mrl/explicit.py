@@ -156,18 +156,26 @@ def s0_residue(tau: float) -> float:
 @lru_cache(maxsize=RESIDUE_MAX_L)
 def _factors_of_l(l: int) -> tuple:
     """The Laurent data at s = -l that depend on l alone: the simple pole
-    (-1)^l/(l! (s + l)) of Gamma, with r = psi(l + 1), and at odd l the value
-    1/zeta(-l) = -(l+1)/B_(l+1), whose r no order there reads (None at even l)."""
-    gamma_pole = (1, (-1) ** l / math.factorial(l), _harmonic(l) - _EULER_GAMMA)
-    return gamma_pole, (0, float(-(l + 1) / bernoulli(l + 1)), None) if l % 2 else None
+    (-1)^l/(l! (s + l)) of Gamma, r = psi(l + 1), and at odd l the value
+    1/zeta(-l) = -(l+1)/B_(l+1).  There the pole stays simple, so that r is
+    never read.  At even l, 1/zeta is a pole, and the second item is None."""
+    psi = _harmonic(l) - _EULER_GAMMA
+    gamma_pole = (1, (-1) ** l / math.factorial(l), lambda: psi)
+    if l % 2 == 0:
+        return gamma_pole, None
+    return gamma_pole, (0, float(-(l + 1) / bernoulli(l + 1)), None)
 
 
 def _inv_gamma_factor(tau: float, l: int) -> tuple:
-    """Laurent data of 1/Gamma(1 + tau + s) at s = -l: a simple zero (-1)^m m! (s + l)
-    at w = 1 + tau - l = -m, m = 0, 1, ..., else the value 1/Gamma(w), r = -psi(w),
-    reflected at tau for w < 0: sin(pi w) Gamma(1 - w)/pi, psi(l - tau) - pi cot(pi tau)."""
+    """Laurent data of 1/Gamma(1 + tau + s) at s = -l.
+
+    At w = 1 + tau - l = -m, m = 0, 1, ..., it is the simple zero
+    (-1)^m m! (s + l), which keeps the order at most 1.  Elsewhere it is the
+    value 1/Gamma(w) with r = -psi(w); for w < 0 both are reflected at tau:
+    sin(pi w) Gamma(1 - w)/pi and psi(w) = psi(l - tau) - pi cot(pi tau).
+    """
     w = 1.0 + tau - l
-    if w <= 0.0 and w.is_integer():  # the order stays at most 1, so r is never read
+    if w <= 0.0 and w.is_integer():
         return -1, (-1) ** int(-w) * math.factorial(int(-w)), None
     if w <= 0.0:
         c = math.sin(math.pi * w) * math.gamma(1.0 - w) / math.pi
@@ -176,18 +184,18 @@ def _inv_gamma_factor(tau: float, l: int) -> tuple:
 
 
 def residue_term(l: int, x: float, tau: float) -> float:
-    """Residue of g(s) at s = -l, l >= 1: kernel._residue over its four factors."""
+    """Residue of g(s) at s = -l, l >= 1, read by kernel._residue from four
+    factors: x^s, the pole of Gamma, 1/zeta (a value at odd l, the pole at
+    the trivial zero at even l) and 1/Gamma(1 + tau + s)."""
     _check_count(l, "l", 1, RESIDUE_MAX_L)
     _check_positive_x(x)
     tau = _check_tau(tau)
     ln_x = math.log(x)
     gamma_pole, inv_zeta = _factors_of_l(l)
-    return _residue(
-        (0, math.exp(-l * ln_x), ln_x),
-        gamma_pole,
-        inv_zeta or _inv_zeta_at_trivial_zero(trivial_zero_data(l // 2)),
-        _inv_gamma_factor(tau, l),
-    )
+    if inv_zeta is None:
+        inv_zeta = _inv_zeta_at_trivial_zero(trivial_zero_data(l // 2))
+    x_pow = (0, math.exp(-l * ln_x), lambda: ln_x)
+    return _residue(x_pow, gamma_pole, inv_zeta, _inv_gamma_factor(tau, l))
 
 
 def residue_series(x: float, tau: float, L: int) -> float:

@@ -573,18 +573,20 @@ def trivial_zero_data(n: int) -> TrivialZeroData:
 
 def _residue(*factors) -> float:
     """Residue at s0 of a product of factors, each given by its Laurent data
-    (k, c, r) at s0, c (s - s0)^(-k) (1 + r (s - s0) + ...).  The pole's order
-    is the sum of the k: 0 below order 1, prod c at 1 and prod c * sum r at 2,
-    the highest the explicit formulas meet; a callable r is called only then."""
+    (k, c, r) at s0: c (s - s0)^(-k) (1 + r() (s - s0) + ...).  The pole's
+    order is the sum of the k.  Below order 1 the residue is 0, at order 1 it
+    is prod c, and at order 2, the highest the explicit formulas meet, it is
+    prod c * sum r().  So r, a function of no arguments, is called only at a
+    double pole; a factor that never meets one may give None."""
     order = sum([k for k, _, _ in factors])
     if order < 1:
         return 0.0
     value = math.prod([c for _, c, _ in factors])
     if order == 1:
         return value
-    return value * math.fsum([r() if callable(r) else r for _, _, r in factors])
+    return value * math.fsum([r() for _, _, r in factors])
 
 
 def _inv_zeta_at_trivial_zero(tz: TrivialZeroData) -> tuple:
     """Laurent data of 1/zeta at s = -2n: 1/(zeta'(-2n) (s + 2n)), r = -zeta''/(2 zeta')."""
-    return 1, 1.0 / tz.zeta_prime, -0.5 * tz.log_ratio
+    return 1, 1.0 / tz.zeta_prime, lambda: -0.5 * tz.log_ratio

@@ -47,8 +47,16 @@ from .errors import (
     SingularPoint,
     UnsupportedLambda,
 )
-from .kernel import TRIVIAL_ZERO_MAX_N, _EULER_GAMMA, _check_count, _check_finite, zeta
-from .kernel import _inv_zeta_at_trivial_zero, _residue, trivial_zero_data
+from .kernel import (
+    TRIVIAL_ZERO_MAX_N,
+    _EULER_GAMMA,
+    _check_count,
+    _check_finite,
+    _inv_zeta_at_trivial_zero,
+    _residue,
+    trivial_zero_data,
+    zeta,
+)
 from .moebius import _check_x, _primes_upto, integral_M, weak_mertens_integral
 from .zeros import ZeroTable, _zero_sum
 
@@ -493,15 +501,18 @@ def integral_M_explicit(
     x: float, kappa: float, table: ZeroTable, T: float = DEFAULT_T, L: int = DEFAULT_L
 ) -> dict:
     """Compare int_1^x M(u) u^-kappa du against the residues of
-    x^(s+1-kappa) / (s (s+1-kappa) zeta(s)) (kernel._residue): of the zeros,
+    x^(s+1-kappa) / (s (s+1-kappa) zeta(s)).  The zeros give
 
         x^(3/2-kappa) * sum_rho x^(i gamma) / (zeta'(rho) rho (rho + 1 - kappa)),
 
-    paired over conjugate ordinates; of s = kappa - 1 when kappa > 1, the
-    constant A(kappa) = 1/((kappa - 1) zeta(kappa - 1)), 0 at kappa = 2; and
-    of the trivial zeros s = -2n, n <= L (double poles at kappa = -1, -3, ...).
-    The residue at s = 0, 2 x^(1-kappa)/(kappa - 1), is reported, not
-    subtracted: remainder_scale is x^(1-kappa), log x at kappa = 1.
+    paired over conjugate ordinates.  For kappa > 1, kernel._residue adds
+    the constant A(kappa) = 1/((kappa - 1) zeta(kappa - 1)) at s = kappa - 1,
+    0 at kappa = 2, and the trivial zeros s = -2n, n <= L.  The residue at
+    s = 0, 2 x^(1-kappa)/(kappa - 1), is reported, not subtracted:
+    remainder_scale is x^(1-kappa), log x at kappa = 1.  For kappa <= 1 only
+    the zeros are subtracted, because the other poles pair up there: s = 0
+    with s = kappa - 1 as kappa -> 1, and s = kappa - 1 with s = -2n as
+    kappa -> 1 - 2n.
 
     Returns a row dict with the direct integral, the reconstruction, their
     absolute difference, the difference scaled by the remainder term, and
@@ -513,11 +524,6 @@ def integral_M_explicit(
     _check_count(L, "L", 1, TRIVIAL_ZERO_MAX_N)
     ln_x = math.log(x)
 
-    def residue(s0: float, inv_zeta: tuple) -> float:  # 1/s, 1/(s+1-kappa): a value or a pole
-        d = s0 + 1.0 - kappa
-        inv_linear = [(1, 1.0, 0.0) if a == 0.0 else (0, 1.0 / a, -1.0 / a) for a in (s0, d)]
-        return _residue((0, x**d, ln_x), *inv_linear, inv_zeta)
-
     zsum, _ = _zero_sum(
         table,
         T,
@@ -525,10 +531,22 @@ def integral_M_explicit(
         * (cmath.exp(1j * (rho.imag * ln_x)) / (zp * rho * (rho + 1.0 - kappa))).real,
     )
     zero_term = x ** (1.5 - kappa) * zsum
-    constant_term = 0.0 if kappa <= 1.0 else residue(  # 1/zeta: a simple zero at s = 1
-        kappa - 1.0, (-1, 1.0, None) if kappa == 2.0 else (0, 1.0 / _zeta_real(kappa - 1.0), None))
-    trivial = math.fsum(residue(-2.0 * tz.n, _inv_zeta_at_trivial_zero(tz))
-                        for tz in map(trivial_zero_data, range(1, L + 1)))
+    constant_term = trivial = 0.0
+    if kappa > 1.0:
+        # s = kappa - 1: the simple pole of 1/(s + 1 - kappa), times 1/s = 1/(kappa - 1)
+        # and 1/zeta, which has a simple zero at s = 1
+        if kappa == 2.0:
+            inv_zeta = (-1, 1.0, None)
+        else:
+            inv_zeta = (0, 1.0 / _zeta_real(kappa - 1.0), None)
+        constant_term = _residue((1, 1.0 / (kappa - 1.0), None), inv_zeta)
+        # s = -2n: the simple pole of 1/zeta, times x^d / (s d), d = s + 1 - kappa
+        residues = []
+        for n in range(1, L + 1):
+            d = 1.0 - 2.0 * n - kappa
+            inv_zeta = _inv_zeta_at_trivial_zero(trivial_zero_data(n))
+            residues.append(_residue((0, x**d / (-2.0 * n * d), None), inv_zeta))
+        trivial = math.fsum(residues)
     explicit = zero_term + constant_term + trivial
     direct = integral_M(x, kappa)
     residual = abs(direct - explicit)

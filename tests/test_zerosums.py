@@ -356,21 +356,22 @@ def test_integral_reconstruction_keys(table, shared_cache):
 
 
 def _trivial_residues(x, kappa, L):
-    """Sum over n <= L of the residue of x^(s+1-kappa)/(s (s+1-kappa) zeta(s))
-    at s = -2n, in closed form at 30 digits; where s + 1 - kappa vanishes too,
-    the double pole's (log x + 1/(2n) - zeta''/(2 zeta')) / (-2n zeta')."""
+    """Sum over n <= L of the residue x^(1-2n-kappa) / (-2n (1-2n-kappa) zeta'(-2n))
+    of x^(s+1-kappa)/(s (s+1-kappa) zeta(s)) at s = -2n, kappa > 1, at 30 digits."""
     with mp.workdps(30):
         total = mp.mpf(0)
         for n in range(1, L + 1):
-            s0 = -2 * n
-            d = s0 + 1 - mp.mpf(kappa)
-            z1 = mp.zeta(s0, derivative=1)
-            if d == 0:
-                z2 = mp.zeta(s0, derivative=2)
-                total += (mp.log(x) - mp.mpf(1) / s0 - z2 / (2 * z1)) / (s0 * z1)
-            else:
-                total += mp.power(x, d) / (s0 * d * z1)
+            d = 1 - 2 * n - mp.mpf(kappa)
+            total += mp.power(x, d) / (-2 * n * d * mp.zeta(-2 * n, derivative=1))
         return float(total)
+
+
+# (x, kappa, residue of x^(s+1-kappa)/(s (s+1-kappa) zeta(s)) at s = -2): 40-digit
+# mpmath contour integrals on |s + 2| = 1/2
+CONTOUR_TRIVIAL_RESIDUES = [
+    (2.5, 1.5, -0.664683172164179),
+    (2.5, 2.5, -0.18990947776119402),
+]
 
 
 def test_integral_reconstruction_residues_match_closed_forms(table):
@@ -382,13 +383,34 @@ def test_integral_reconstruction_residues_match_closed_forms(table):
         got = integral_M_explicit(1000.5, k, table)["constant_term"]
         assert got == pytest.approx(want, rel=1e-14), k
     assert integral_M_explicit(1000.5, 2.0, table)["constant_term"] == 0.0
-    # s = -2n, n <= L, are the rest of the explicit value; at kappa = -1 the
-    # pole at s = -2 is double
-    x = 2.5
-    for k in (-1.0, 0.5, 1.5):
-        d = integral_M_explicit(x, k, table, L=30)
+    # s = -2n, n <= L, are the rest of the explicit value
+    for x, k, want in CONTOUR_TRIVIAL_RESIDUES:
+        d = integral_M_explicit(x, k, table, L=1)
+        assert d["explicit"] - d["zero_term"] - d["constant_term"] == pytest.approx(
+            want, rel=1e-13
+        ), k
+    for k in (1.25, 1.5, 2.5):
+        d = integral_M_explicit(2.5, k, table, L=30)
         trivial = d["explicit"] - d["zero_term"] - d["constant_term"]
-        assert trivial == pytest.approx(_trivial_residues(x, k, 30), rel=1e-13), k
+        assert trivial == pytest.approx(_trivial_residues(2.5, k, 30), rel=1e-13), k
+    # with them, the s = 0 remainder 2 x^(1-kappa)/(kappa-1) is the whole
+    # residual even at small x
+    d = integral_M_explicit(2.5, 1.5, table)
+    assert d["residual_over_remainder"] == pytest.approx(4.0, rel=1e-5)
+
+
+def test_integral_reconstruction_subtracts_only_the_zeros_at_kappa_up_to_one(table):
+    # for kappa <= 1 the pole at s = kappa - 1 meets s = 0 (kappa = 1) or a
+    # trivial zero (kappa = -1, -3, ...), so no residue but the zeros' is
+    # subtracted there, and the row stays continuous through kappa = -1
+    at_minus_one = integral_M_explicit(10.5, -1.0, table)["explicit"]
+    for k in (-1.0 - 1e-6, -1.0, -1.0 + 1e-6, 0.5, 1.0):
+        d = integral_M_explicit(10.5, k, table)
+        assert d["constant_term"] == 0.0, k
+        assert d["explicit"] == d["zero_term"], k
+    for k in (-1.0 - 1e-6, -1.0 + 1e-6):
+        got = integral_M_explicit(10.5, k, table)["explicit"]
+        assert got == pytest.approx(at_minus_one, abs=1e-4), k
 
 
 # ---------------------------------------------------------------------------
