@@ -3,11 +3,12 @@
 
 Runs ``mrl.cli.main`` in-process over every command, every ``identity`` and
 ``scan`` kind, ``explicit`` at small x (where the residue series dominates),
-``inv-zeta`` at a real s < -1/2 and a few refused arguments
-(non-finite or overflowing kappa, lambda and tau, and an infinite ``--T`` for
-``hko``, run without ``--zeros`` so no table height refuses it first), each
-in csv and json, first without and then with a temporary ``--cache-dir``
-(shared by the cached pass, so its zero-table loads miss once and then hit).
+``inv-zeta`` at a real s < -1/2, the identity's largest L and a few refused
+arguments (non-finite or overflowing s, kappa, lambda and tau, an L past the
+identity's range, and an infinite ``--T`` for ``hko``, run without
+``--zeros`` so no table height refuses it first), each in csv and json,
+first without and then with a temporary ``--cache-dir`` (shared by the
+cached pass, so its zero-table loads miss once and then hit).
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
 its exit code and stdout followed by its arguments, then the SHA-256 of all
 those lines.  Run it on two checkouts and ``diff`` the outputs to name every
@@ -15,7 +16,7 @@ invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 168 invocations take about 11 s on one core of a
+stderr is not hashed.  The 188 invocations take about 12 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -73,6 +74,13 @@ COMMANDS = [
     ["identity", "jsum", "--lambda", "inf"],
     ["identity", "jsum", "--lambda", "1e300"],  # an overflow
     ["explicit", "1e3", "--tau", "1e300"],  # an overflow in math.factorial
+    # s(s+1) overflows the reciprocal-zeta identity: PrecisionLoss, exit 2
+    ["identity", "inv-zeta", "--s", "1e200"],
+    ["identity", "a-const", "--kappa", "1e308"],
+    ["identity", "zeta-real", "--kappa", "1e308"],
+    # the identity's L range ends at 119: the tail reads zeta'(-2(L + 1))
+    ["--L", "119", "identity", "a-const", "--kappa", "3"],
+    ["--L", "120", "identity", "inv-zeta"],  # exit 2
 ]
 
 # run without --zeros, each exit 2

@@ -8,8 +8,8 @@ nontrivial zeta zeros plus a residue series from the poles of
 at s = 0 and s = -l, l = 1, 2, ...:
 
   * each zero rho = 1/2 + i gamma contributes
-    2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))], accumulated in
-    ascending gamma with compensated summation;
+    2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))], summed in
+    ascending gamma and correctly rounded;
   * s = 0 contributes -2/Gamma(1+tau);
   * s = -l is read by kernel._residue from the Laurent data of four factors:
     x^s, the simple pole of Gamma, 1/zeta (the value -2n/B_2n at odd
@@ -121,22 +121,25 @@ def _check_positive_x(x: float, least: float = 0.0) -> float:
 
 
 def _zero_term(x: float, tau: float):
-    """The term 2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))] of one
-    zero paired with its conjugate, as a function of (rho, zeta'(rho)) for
-    zeros._zero_sum; x > 0 and tau >= 0 are the caller's to check."""
+    """The terms 2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))] of zeros
+    paired with their conjugates, as a function of the columns (rho,
+    zeta'(rho)) for zeros._zero_sum, evaluated one zero at a time because
+    gamma_ratio is scalar; x > 0 and tau >= 0 are the caller's to check."""
     sqrt_x, ln_x = math.sqrt(x), math.log(x)
 
-    def term(rho: complex, zp: complex) -> float:
-        x_rho = sqrt_x * cmath.exp(1j * (rho.imag * ln_x))
-        return 2.0 * (x_rho * gamma_ratio(rho, tau) / zp).real
+    def term(rhos, zps) -> list[float]:
+        return [
+            2.0 * (sqrt_x * cmath.exp(1j * (rho.imag * ln_x)) * gamma_ratio(rho, tau) / zp).real
+            for rho, zp in zip(rhos.tolist(), zps.tolist())
+        ]
 
     return term
 
 
 def zero_sum_term(x: float, tau: float, table: ZeroTable, T: float) -> float:
     """Zero-side sum of the terms of _zero_term over 0 < gamma < T (strict),
-    with compensated accumulation.  An empty table (or T below the first
-    zero) gives 0.0; unusable records raise as described in zeros._zero_sum."""
+    correctly rounded.  An empty table (or T below the first zero) gives
+    0.0; unusable records raise as described in zeros._zero_sum."""
     _check_positive_x(x)
     tau = _check_tau(tau)
     return _zero_sum(table, T, _zero_term(x, tau), inclusive=False)[0]

@@ -5,7 +5,8 @@ the ordinate gamma, the derivative zeta'(rho) needed by explicit-formula
 sums, the significand width at which the ordinate was last Newton-polished,
 and a suspect flag set when |zeta'(rho)| is so small that a multiple zero (or
 an unrefined record) must be assumed.  The table stores these as columns;
-every sum over zeros in the package goes through ``_zero_sum`` here.
+every sum over zeros in the package goes through ``_zero_sum`` here, which
+hands its term function whole columns and rounds each sum correctly.
 
 Zeros are located by sign changes of the real function
 
@@ -31,7 +32,6 @@ records in strictly ascending gamma.
 
 from __future__ import annotations
 
-import bisect
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -47,7 +47,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .kernel import DOUBLE, IM_MAX, Precision, log_gamma, zeta, zeta_and_deriv
+from .kernel import DOUBLE, IM_MAX, Precision, _exact_sum, log_gamma, zeta, zeta_and_deriv
 from .moebius import _write_atomic
 
 __all__ = [
@@ -233,8 +233,12 @@ def _zero_sum(
     cutoffs=(),
     suspect: str = "raise",
 ):
-    """Compensated sum of term(rho, zeta'(rho)) over the zeros of table in
-    ascending gamma, with partial sums at the ascending cutoffs.
+    """Correctly rounded sum of term(rho, zeta'(rho)) over the zeros of table
+    in ascending gamma, with partial sums at the ascending cutoffs.
+
+    term is called once, on the columns rho = 1/2 + i*gamma and zeta'(rho)
+    of the zeros summed, with numpy's float warnings off, and returns the
+    terms as an array or a list.
 
     Every sum over zeros in the package runs through here, so these rules
     hold for all of them:
@@ -254,7 +258,8 @@ def _zero_sum(
 
     The whole range is checked before any term is evaluated, and the first
     offending record in ascending gamma decides the error.  Real and
-    imaginary parts of complex terms are summed separately with math.fsum.
+    imaginary parts of complex terms are summed separately, each correctly
+    rounded (kernel._exact_sum, the same float as math.fsum).
     Returns (total, [(cutoff, partial sum over gamma <= cutoff), ...]).
     """
     gammas = table.gammas
@@ -273,22 +278,18 @@ def _zero_sum(
             f"zero at gamma = {gammas[i]} is suspect (|zeta'| = {abs(zps[i]):.3e}, "
             f"floor {SUSPECT_DERIV_FLOOR:g}); multiple zero suspected"
         )
-    gs = gammas[:n].tolist()
-    infinite = table.suspect[:n].tolist() if suspect == "inf" else [False] * n
-    terms = [
-        math.inf if inf else term(complex(0.5, g), zp)
-        for g, zp, inf in zip(gs, zps.tolist(), infinite)
-    ]
-    is_complex = any(isinstance(v, complex) for v in terms)
+    with np.errstate(all="ignore"):
+        terms = np.asarray(term(gammas[:n] * 1j + 0.5, zps))
+    if suspect == "inf":
+        terms = np.where(table.suspect[:n], math.inf, terms)
 
-    def fsum(k: int):
-        if is_complex:
-            return complex(
-                math.fsum(v.real for v in terms[:k]), math.fsum(v.imag for v in terms[:k])
-            )
-        return math.fsum(terms[:k])
+    def total(k: int):
+        part = terms[:k]
+        if np.iscomplexobj(part):
+            return complex(_exact_sum(part.real), _exact_sum(part.imag))
+        return _exact_sum(part)
 
-    return fsum(n), [(c, fsum(bisect.bisect_right(gs, c))) for c in cutoffs]
+    return total(n), [(c, total(min(n, table.count_up_to(c)))) for c in cutoffs]
 
 
 # ---------------------------------------------------------------------------

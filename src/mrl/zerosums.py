@@ -23,17 +23,18 @@ over conjugate pairs, and complex pairing is always explicit in the code.
 one identity, 1/zeta(s) = s A(s+1), so one private core (``_reciprocal_zeta``)
 computes its right side: ``inv_zeta_identity`` reads it at s,
 ``a_constant_report`` at s = kappa - 1 divided by kappa - 1, and
-``zeta_eq_real_report`` at s = kappa.
+``zeta_eq_real_report`` is ``inv_zeta_identity`` at s = kappa.
 Truncations default to the 649 zeros below height 1000 and 40 trivial-zero
-terms; partial sums at intermediate cutoffs are traced in the returned
-reports so convergence is visible to callers and tests.
+terms; the identity reports take 1 <= L <= 119, as each trivial term reads
+zeta'(-2l) from kernel.trivial_zero_data (l <= 120) and the tail l = L + 1.
+Partial sums at intermediate cutoffs are traced in the returned reports so
+convergence is visible to callers and tests.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,6 +54,7 @@ from .kernel import (
     _check_count,
     _check_finite,
     _inv_zeta_at_trivial_zero,
+    _require_finite,
     _residue,
     trivial_zero_data,
     zeta,
@@ -135,18 +137,6 @@ class ZeroSumReport:
 def _zeta_real(s: float) -> float:
     """zeta at a real point as a real number (kernel evaluation)."""
     return complex(zeta(float(s))).real
-
-
-@lru_cache(maxsize=None)
-def _trivial_coeff(l: int) -> float:
-    """Coefficient 2(-1)^l (2l-2)! (2 pi)^(2l) / ((2l)!)^2 / zeta(2l+1) of the
-    l-th trivial-zero term, computed in log space so factorials cannot
-    overflow."""
-    mag = math.exp(
-        math.lgamma(2 * l - 1) + 2 * l * _LOG_2PI - 2.0 * math.lgamma(2 * l + 1)
-    )
-    sign = 2.0 if l % 2 == 0 else -2.0
-    return sign * mag / _zeta_real(2 * l + 1)
 
 
 def _cutoff_list(T: float) -> tuple[float, ...]:
@@ -239,34 +229,46 @@ def _require_identity_regular(sc: complex, table: ZeroTable) -> None:
                     )
 
 
+def _trivial_term(l: int, sc: complex) -> complex:
+    """1/(zeta'(-2l) 2l (2l-1) (2l + s)), the identity's l-th trivial-zero
+    term: the residue of 1/zeta at s = -2l times a value, read by
+    kernel._residue with zeta'(-2l) from trivial_zero_data (l <= 120)."""
+    w = 2 * l
+    inv_zeta = _inv_zeta_at_trivial_zero(trivial_zero_data(l))
+    return _residue(inv_zeta, (0, 1.0 / (w * (w - 1) * (w + sc)), None))
+
+
 def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):
     """Right side of the zero-sum identity for the reciprocal zeta function,
 
-    1/zeta(s) = 10s - 2 + s(s+1) sum_l coeff_l / (2l + s)
+    1/zeta(s) = 10s - 2 + s(s+1) sum_l 1/(zeta'(-2l) 2l (2l-1) (2l + s))
                         - s(s+1) sum_rho 1/(zeta'(rho) rho (rho+1) (rho - s)),
 
     with the trivial-zero series truncated at l <= L and the zero sum
     (conjugate pairs, explicitly paired) at |gamma| <= T.  Returns the
     complex value, its partial values at the trace cutoffs, and the zero sum.
     Raises DomainError for an L that is not an integer >= 1 or a non-finite
-    s, and SingularPoint at zeros of zeta.
+    s, OutOfRange for L > 119 (a_constant_report's tail reads l = L + 1),
+    SingularPoint at zeros of zeta, and PrecisionLoss when the right side
+    overflows (s(s+1) does past |s| of about 1.3e154).
     """
-    _check_count(L, "L", 1)
+    _check_count(L, "L", 1, TRIVIAL_ZERO_MAX_N - 1)
     _check_finite(sc, "s")
     _require_identity_regular(sc, table)
-    terms = [_trivial_coeff(l) / (2.0 * l + sc) for l in range(1, L + 1)]
+    terms = [_trivial_term(l, sc) for l in range(1, L + 1)]
     triv = math.fsum(w.real for w in terms) + 1j * math.fsum(w.imag for w in terms)
 
-    def f(rho: complex, zp: complex) -> complex:
+    def f(rho, zp):
         return 1.0 / (zp * rho * (rho + 1.0) * (rho - sc))
 
-    def pair(rho: complex, zp: complex) -> complex:
+    def pair(rho, zp):
         return f(rho, zp) + f(rho.conjugate(), zp.conjugate())
 
     zsum, ztrace = _zero_sum(table, T, pair, cutoffs=_cutoff_list(T))
     pref = sc * (sc + 1.0)
     head = 10.0 * sc - 2.0 + pref * triv
-    return head - pref * zsum, tuple((c, head - pref * p) for c, p in ztrace), zsum
+    rhs = _require_finite(head - pref * zsum, "the reciprocal-zeta identity")
+    return rhs, tuple((c, head - pref * p) for c, p in ztrace), zsum
 
 
 def inv_zeta_identity(
@@ -340,9 +342,7 @@ def a_constant_report(
             "kappa": kappa,
             "T": float(T),
             "L": L,
-            "trivial_tail": abs(
-                kappa * _trivial_coeff(L + 1) / (2.0 * (L + 1) + kappa - 1.0)
-            ),
+            "trivial_tail": abs(kappa * _trivial_term(L + 1, complex(s))),
             "imag_rel": abs(zsum.imag) / max(abs(zsum), 1e-300),
         },
         value=value.real / s,
@@ -361,30 +361,17 @@ def zeta_eq_real_report(
     which is kappa*A(kappa+1) term by term, against the target 1/zeta(kappa)
     (limit value 0 at the pole kappa = 1), with its partial trace at the
     zero-sum cutoffs.  The residual |1/zeta(kappa) - kappa*A(kappa+1)| is the
-    identity's check.  Value, trace and residual are those of
-    inv_zeta_identity(kappa); the kind is A_kappa and imag_rel is that of the
-    zero sum, as in a_constant_report(kappa + 1)."""
+    identity's check.  Value, trace, target, residual and imag_rel are those
+    of inv_zeta_identity(kappa); the kind is A_kappa."""
     kappa = float(kappa)
     if not kappa > 0.5:
         raise DomainError(f"kappa must exceed 1/2, got {kappa}")
-    try:
-        target = 1.0 / _zeta_real(kappa)
-    except PoleAtOne:
-        target = 0.0
-    value, ztrace, zsum = _reciprocal_zeta(complex(kappa), table, T, L)
-    return ZeroSumReport(
+    report = inv_zeta_identity(kappa, table, T, L)
+    rest = {k: v for k, v in report.parameters.items() if k != "s"}
+    return replace(
+        report,
         kind="A_kappa",
-        parameters={
-            "identity": "1/zeta(kappa) = kappa*A(kappa+1)",
-            "kappa": kappa,
-            "T": float(T),
-            "L": L,
-            "target": target,
-            "imag_rel": abs(zsum.imag) / max(abs(zsum), 1e-300),
-        },
-        value=value.real,
-        partial_trace=tuple((c, p.real) for c, p in ztrace),
-        residual=abs(value - target),
+        parameters={"identity": "1/zeta(kappa) = kappa*A(kappa+1)", "kappa": kappa, **rest},
     )
 
 
@@ -528,7 +515,7 @@ def integral_M_explicit(
         table,
         T,
         lambda rho, zp: 2.0
-        * (cmath.exp(1j * (rho.imag * ln_x)) / (zp * rho * (rho + 1.0 - kappa))).real,
+        * (np.exp(1j * (rho.imag * ln_x)) / (zp * rho * (rho + 1.0 - kappa))).real,
     )
     zero_term = x ** (1.5 - kappa) * zsum
     constant_term = trivial = 0.0

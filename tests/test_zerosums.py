@@ -10,6 +10,7 @@ Oracles used here:
     reconstruction (from the constant term of the underlying formula).
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -21,12 +22,13 @@ from mrl.errors import (
     NotAscending,
     OutOfRange,
     PoleAtKappaOne,
+    PrecisionLoss,
     SingularPoint,
     UnsupportedLambda,
 )
 from mrl.kernel import zeta
 from mrl.moebius import divim_sign_changes, integral_M, weak_mertens_integral
-from mrl.zeros import ZeroRecord, ZeroTable
+from mrl.zeros import ZeroRecord, ZeroTable, _zero_sum
 from mrl.zerosums import (
     ZeroSumReport,
     a_constant_report,
@@ -229,6 +231,105 @@ def test_zeta_eq_real(table):
     assert rep.value == pytest.approx(1.0 / zeta(0.6).real, abs=1e-8)
     with pytest.raises(DomainError):
         zeta_eq_real_report(0.5, table)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        pytest.param(lambda t: inv_zeta_identity(1e200, t), id="inv-zeta"),
+        pytest.param(lambda t: a_constant_report(1e308, t), id="a-const"),
+        pytest.param(lambda t: zeta_eq_real_report(1e308, t), id="zeta-real"),
+    ],
+)
+def test_identity_overflow_raises_precision_loss(table, report):
+    # s(s+1) overflows past |s| of about 1.3e154, leaving an inf or nan right side
+    with pytest.raises(PrecisionLoss):
+        report(table)
+
+
+def test_identity_L_range(table, monkeypatch):
+    # a_constant_report's tail reads zeta'(-2(L + 1)), which trivial_zero_data
+    # gives up to L + 1 = 120; L = 120 is refused before any work
+    assert a_constant_report(3.0, table, L=119).parameters["trivial_tail"] > 0.0
+    monkeypatch.setattr(zerosums, "_zero_sum", lambda *a, **k: pytest.fail("summed"))
+    monkeypatch.setattr(zerosums, "trivial_zero_data", lambda n: pytest.fail("read"))
+    for report in (inv_zeta_identity, a_constant_report, zeta_eq_real_report):
+        with pytest.raises(OutOfRange, match="L = 120"):
+            report(3.0, table, L=120)
+    # the L error comes before that of an infinite kappa
+    with pytest.raises(OutOfRange, match="L = 120"):
+        zeta_eq_real_report(math.inf, table, L=120)
+
+
+# ---------------------------------------------------------------------------
+# The columnar zero sum against scalar terms
+# ---------------------------------------------------------------------------
+
+
+def _scalar_pair(s):
+    def f(rho, zp):
+        return 1.0 / (zp * rho * (rho + 1.0) * (rho - s))
+
+    return lambda rho, zp: f(rho, zp) + f(rho.conjugate(), zp.conjugate())
+
+
+_LN_X = math.log(1000.5)
+
+# a report, and the term of its first zero sum written for Python scalars
+SCALAR_TERMS = {
+    "j_lambda(-1)": (lambda t: j_lambda(t, -1.0), lambda rho, zp: abs(zp) ** -2.0),
+    "j_lambda(0.5)": (lambda t: j_lambda(t, 0.5), lambda rho, zp: abs(zp) ** 1.0),
+    "swmh": (lambda t: swmh_report(1e5, t), lambda rho, zp: 1.0 / abs(rho * zp) ** 2),
+    "im_constants(1.5)": (
+        lambda t: im_constants(1.5, t),
+        lambda rho, zp: 1.0 / abs(rho * (rho - 1.5 + 1.0) * zp),
+    ),
+    "pair(3)": (lambda t: inv_zeta_identity(3.0, t), _scalar_pair(3.0)),
+    "pair(2+5j)": (lambda t: inv_zeta_identity(2 + 5j, t), _scalar_pair(2 + 5j)),
+    "integral(1000.5, 1.5)": (
+        lambda t: integral_M_explicit(1000.5, 1.5, t),
+        lambda rho, zp: 2.0
+        * (cmath.exp(1j * (rho.imag * _LN_X)) / (zp * rho * (rho + 1.0 - 1.5))).real,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALAR_TERMS))
+def test_columnar_zero_sum_matches_scalar_terms(table, monkeypatch, name):
+    # The report's own term, on whole columns, against math.fsum of the
+    # same expression evaluated one zero at a time, at every trace cutoff.
+    report, scalar = SCALAR_TERMS[name]
+    terms = []
+
+    def recording(t, T, term, **kwargs):
+        terms.append(term)
+        return _zero_sum(t, T, term, **kwargs)
+
+    monkeypatch.setattr(zerosums, "_zero_sum", recording)
+    report(table)
+    total, partials = _zero_sum(table, 1000.0, terms[0], cutoffs=(100.0, 300.0, 600.0))
+    ref = [
+        scalar(complex(0.5, g), zp)
+        for g, zp in zip(table.gammas.tolist(), table.zeta_primes.tolist())
+    ]
+    for cutoff, got in [*partials, (1000.0, total)]:
+        n = table.count_up_to(cutoff)
+        want = complex(math.fsum(v.real for v in ref[:n]), math.fsum(v.imag for v in ref[:n]))
+        bound = 2 * n * math.ulp(math.fsum(abs(v) for v in ref[:n]))
+        assert abs(got.real - want.real) <= bound, cutoff
+        assert abs(got.imag - want.imag) <= bound, cutoff
+
+
+def test_zero_sum_calls_term_once_per_sum(table):
+    sizes = []
+
+    def counting(rho, zp):
+        sizes.append(len(rho))
+        return abs(zp)
+
+    for T, suspect in ((1000.0, "raise"), (math.inf, "inf"), (10.0, "keep")):
+        _zero_sum(table, T, counting, cutoffs=(100.0, 300.0, 600.0), suspect=suspect)
+    assert sizes == [649, 730, 0]
 
 
 # ---------------------------------------------------------------------------
