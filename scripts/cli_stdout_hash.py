@@ -16,7 +16,7 @@ invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 188 invocations take about 12 s on one core of a
+stderr is not hashed.  The 188 invocations take about 2.2 s on one core of a
 2-vCPU Xeon VM.
 """
 

@@ -57,7 +57,13 @@ from .moebius import (
     riesz_mean_direct,
     tau_regime_scan,
 )
-from .zeros import ZeroTable, builtin_zeros_path, import_zeros, refine_table
+from .zeros import (
+    ZeroTable,
+    _load_refined_builtin,
+    builtin_zeros_path,
+    import_zeros,
+    refine_table,
+)
 from . import zerosums as zs
 from .zerosums import ZeroSumReport
 
@@ -152,7 +158,10 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
 
     The refined binary is keyed by the content hash of the source ordinates
     plus the cache format version and precision mode, so an edited source
-    file can never be served stale.
+    file can never be served stale.  On a cache miss, ``builtin`` at double
+    precision is read from the packaged refined table (the same bytes as
+    refining the packaged ordinates); extended precision and user files are
+    refined.
     """
     if cfg.zeros_path is None:
         raise MissingZeros(
@@ -176,7 +185,10 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
         except ParseError:
             table = None
     if table is None:
-        table = refine_table(import_zeros(src), precision=cfg.precision)
+        if cfg.zeros_path == "builtin" and cfg.precision.is_double:
+            table = _load_refined_builtin()
+        else:
+            table = refine_table(import_zeros(src), precision=cfg.precision)
         if cached is not None:
             table.save(cached)
     table.require_height(cfg.default_T)

@@ -27,7 +27,8 @@ Newton step to the double result (refine_zero).
 
 Binary persistence: magic ZTBL0001, then a u64 record count, then
 little-endian (gamma: f64, Re zeta': f64, Im zeta': f64, refined_bits: i64)
-records in strictly ascending gamma.
+records in strictly ascending gamma.  The packaged ordinates also ship in
+this format, refined at double precision (_load_refined_builtin).
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ _TABLE_RECORD = np.dtype(
 )
 
 _BUILTIN_NAME = "zeros_t1100.txt"
+# refine_table(load_builtin()) as ZTBL0001 bytes, shipped beside the ordinates.
+_REFINED_BUILTIN_NAME = "zeros_t1100.ztbl"
 
 
 @dataclass(frozen=True)
@@ -379,6 +382,13 @@ def builtin_zeros_path():
 def load_builtin() -> ZeroTable:
     """The packaged table of zero ordinates below 1100, unrefined."""
     return import_zeros(builtin_zeros_path())
+
+
+def _load_refined_builtin() -> ZeroTable:
+    """refine_table(load_builtin()), read from its packaged ZTBL0001 file."""
+    from importlib.resources import files
+
+    return ZeroTable.load(files("mrl").joinpath("data").joinpath(_REFINED_BUILTIN_NAME))
 
 
 def _newton_polish(t0: float):

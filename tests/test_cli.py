@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import mrl
-from mrl import cli, explicit, moebius
+from mrl import cli, explicit, moebius, zeros
 from mrl import zerosums as zs
 from mrl.cli import (
     RunConfig,
@@ -27,6 +27,7 @@ from mrl.cli import (
     report_to_json_dict,
 )
 from mrl.errors import MrlError
+from mrl.kernel import DOUBLE, EXTENDED
 from mrl.moebius import CheckpointCache
 from mrl.zerosums import inv_zeta_identity
 import oracles
@@ -324,6 +325,41 @@ def test_zero_table_cache_rebuilt_when_corrupt(tmp_path):
     assert rc == 0
     assert out2 == out1
     assert cached.stat().st_size > 100  # rewritten with real content
+
+
+def test_builtin_at_double_precision_reads_the_packaged_refined_table(
+        tmp_path, monkeypatch, table):
+    def refuse(*args, **kwargs):
+        raise AssertionError("refine_table called for the packaged table at double precision")
+
+    monkeypatch.setattr(cli, "refine_table", refuse)
+    want = json.dumps(report_to_json_dict(zs.j_lambda(table, 0.0, 1000.0))) + "\n"
+    jsum = ("identity", "jsum", "--lambda", "0")
+    for extra in ((), ("--cache-dir", str(tmp_path))):
+        assert run_cli("--zeros", "builtin", *extra, *jsum) == (0, want)
+    cached = next(tmp_path.glob("zeros-*.ztbl"))
+    cached.write_bytes(b"garbage")
+    assert run_cli("--zeros", "builtin", "--cache-dir", str(tmp_path), *jsum) == (0, want)
+    packaged = zeros.builtin_zeros_path().with_name(zeros._REFINED_BUILTIN_NAME)
+    assert cached.read_bytes() == packaged.read_bytes()
+
+
+def test_user_tables_and_extended_precision_are_still_refined(
+        tmp_path, monkeypatch, table, raw_table):
+    calls = []
+
+    def counting(source, precision):
+        calls.append((source.gammas.tolist(), precision))
+        return table
+
+    monkeypatch.setattr(cli, "refine_table", counting)
+    user = tmp_path / "z.txt"
+    user.write_text("\n".join(map(repr, raw_table.gammas[:20].tolist())))
+    jsum = ("identity", "jsum", "--lambda", "0")
+    assert run_cli("--zeros", str(user), *jsum)[0] == 0
+    assert run_cli("--precision", "extended", "--zeros", "builtin", *jsum)[0] == 0
+    assert calls == [(raw_table.gammas[:20].tolist(), DOUBLE),
+                     (raw_table.gammas.tolist(), EXTENDED)]
 
 
 def test_mertens_checkpoints_persist(tmp_path):

@@ -4,9 +4,11 @@ Ordinate/derivative oracles are mpmath zetazero values at 30 digits, frozen
 as doubles.
 """
 
+import fnmatch
 import hashlib
 import math
 import struct
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -373,6 +375,26 @@ def test_refined_builtin_bytes_are_pinned(tmp_path, table):
     p = tmp_path / "t.ztbl"
     table.save(p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == REFINED_BUILTIN_SHA256
+
+
+def test_packaged_refined_table_is_the_refined_builtin(table):
+    # fails when zeros_t1100.txt is regenerated and the .ztbl beside it is not
+    packaged = zeros.builtin_zeros_path().with_name(zeros._REFINED_BUILTIN_NAME)
+    assert hashlib.sha256(packaged.read_bytes()).hexdigest() == REFINED_BUILTIN_SHA256
+    shipped = zeros._load_refined_builtin()
+    for name in ("gammas", "zeta_primes", "refined_bits", "suspect"):
+        assert np.array_equal(getattr(shipped, name), getattr(table, name)), name
+
+
+def test_every_data_file_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    data = Path(zeros.__file__).parent / "data"
+    pyproject = Path(zeros.__file__).parents[2] / "pyproject.toml"
+    globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]["mrl"]
+    shipped = [p.relative_to(data.parent).as_posix() for p in data.rglob("*") if p.is_file()]
+    assert shipped
+    for name in shipped:
+        assert any(fnmatch.fnmatchcase(name, g) for g in globs), name
 
 
 # refine_zero(seed, EXTENDED) from the packaged ordinates #29..#31.
