@@ -3,12 +3,14 @@
 
 Runs ``mrl.cli.main`` in-process over every command, every ``identity`` and
 ``scan`` kind, ``explicit`` at small x (where the residue series dominates),
-``inv-zeta`` at a real s < -1/2, the identity's largest L and a few refused
-arguments (non-finite or overflowing s, kappa, lambda and tau, an L past the
-identity's range, and an infinite ``--T`` for ``hko``, run without
-``--zeros`` so no table height refuses it first), each in csv and json,
-first without and then with a temporary ``--cache-dir`` (shared by the
-cached pass, so its zero-table loads miss once and then hit).
+``inv-zeta`` at a real s < -1/2, the identity's largest L, ``mertens`` at
+1 (the base value, never recorded) and 2 (the smallest recorded x), and a
+few refused arguments (x = 0 for ``mertens``, non-finite or overflowing s,
+kappa, lambda and tau, an L past the identity's range, and an infinite
+``--T`` for ``hko``, run without ``--zeros`` so no table height refuses it
+first), each in csv and json, first without and then with a temporary
+``--cache-dir`` (shared by the cached pass, so its zero-table loads miss
+once and then hit).
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
 its exit code and stdout followed by its arguments, then the SHA-256 of all
 those lines.  Run it on two checkouts and ``diff`` the outputs to name every
@@ -16,7 +18,7 @@ invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 188 invocations take about 2.2 s on one core of a
+stderr is not hashed.  The 200 invocations take about 2.4 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -31,6 +33,8 @@ from mrl.cli import main
 COMMANDS = [
     ["mertens", "1e7"],
     ["mertens", "1234567.9"],
+    ["mertens", "1"],  # M(1) = 1, the base value, which no cache records
+    ["mertens", "2"],  # the smallest x a cache records
     ["riesz", "1e6", "--tau", "0"],
     ["riesz", "1e6", "--tau", "1"],
     ["riesz", "1e6", "--tau", "1.5"],
@@ -70,6 +74,7 @@ COMMANDS = [
      "--schedule", "iterated-log"],
     ["--T", "2000", "explicit", "1e3"],  # beyond the table: exit 3
     # refusals, each exit 2
+    ["mertens", "0"],
     ["identity", "im-const", "--kappa=-inf"],
     ["identity", "jsum", "--lambda", "inf"],
     ["identity", "jsum", "--lambda", "1e300"],  # an overflow

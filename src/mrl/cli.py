@@ -280,9 +280,9 @@ def report_from_json_dict(d: dict) -> ZeroSumReport:
 
 
 def _cmd_mertens(args, cfg: RunConfig, out) -> int:
-    """M(x); with --cache-dir, the values computed before are read from, and
-    a new one is added to, the checkpoint file mertens-v1.chk, which no other
-    command opens.  A file that fails to load is replaced."""
+    """M(x); with --cache-dir, read from and, on a miss, added to the
+    checkpoint file mertens-v1.chk, which no other command opens; a hit, or
+    M(1), leaves it unwritten.  A file that fails to load is replaced."""
     root = _cache_dir_path(cfg)
     path = root / f"mertens-{_CACHE_VERSION}.chk" if root else None
     cache = CheckpointCache()
@@ -291,9 +291,9 @@ def _cmd_mertens(args, cfg: RunConfig, out) -> int:
             cache = CheckpointCache.load(path)
         except ParseError:
             pass
-    known = len(cache.checkpoints())
+    known = len(cache)
     value = mertens(math.floor(Fraction(args.x)), cache)
-    if path is not None and len(cache.checkpoints()) > known:
+    if path is not None and len(cache) > known:
         cache.save(path)
     _emit_scalar(value, cfg, out, command="mertens", x=float(args.x))
     return 0

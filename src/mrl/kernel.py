@@ -518,8 +518,6 @@ def log_gamma(s):
     On the negative real axis the value is log|Gamma(x)| + i*pi*[Gamma(x) < 0].
     """
     sc = _check_finite(complex(s), "s")
-    if _is_nonpositive_integer(sc):
-        raise PoleAtNonpositiveInteger(f"log_gamma pole at {sc.real}")
     return _require_finite(_log_gamma(sc), "log_gamma")
 
 

@@ -32,7 +32,6 @@ approximate quadrature.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import os
@@ -474,39 +473,36 @@ class CheckpointCache:
     """Known values (x, M(x)): those mertens computed and those a stream
     passed at a fixed stride, in a cache the caller passes and keeps.
 
-    The cache is purely an accelerator: M is an integer, so every public
-    operation produces identical values with or without it.  Persistence
-    format: the magic header MRTC0002 followed by little-endian (x: u64,
-    M: i64) records in ascending x.  A file in the older MRTC0001 format,
-    which also stored the integral of (M/u)^2, fails to load with ParseError.
+    One dict x -> M(x) keeps the first value recorded; mertens never records
+    M(1) = 1.  checkpoints() and anchor() (read by the benchmark's resume
+    metric) build MertensCheckpoint values on request.  M is an integer, so
+    every public operation gives identical values with or without the cache.
+    Format: MRTC0002, then little-endian (x: u64, M: i64) records in
+    ascending x; an older MRTC0001 file fails to load with ParseError.
     """
 
     def __init__(self, stride: int = CHECKPOINT_STRIDE) -> None:
         if stride < 2:
             raise OutOfRange(f"stride must be >= 2, got {stride}")
         self.stride = int(stride)
-        self._xs: list[int] = []
-        self._by_x: dict[int, MertensCheckpoint] = {}
+        self._m: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._m)
 
     def record(self, x: int, m: int) -> None:
-        if x in self._by_x:
-            return
-        bisect.insort(self._xs, x)
-        self._by_x[x] = MertensCheckpoint(x=x, M=m)
+        self._m.setdefault(x, m)
 
     def checkpoints(self) -> list[MertensCheckpoint]:
-        return [self._by_x[x] for x in self._xs]
+        return [MertensCheckpoint(x=x, M=m) for x, m in sorted(self._m.items())]
 
     def anchor(self, x: int) -> MertensCheckpoint:
         """Best stored state with anchor.x <= x (base state M(1)=1 when none)."""
-        best = MertensCheckpoint(x=1, M=1)
-        idx = bisect.bisect_right(self._xs, x) - 1
-        if idx >= 0 and self._xs[idx] > best.x:
-            best = self._by_x[self._xs[idx]]
-        return best
+        best = max((k for k in self._m if 1 < k <= x), default=1)
+        return MertensCheckpoint(x=best, M=self._m[best] if best > 1 else 1)
 
     def save(self, path) -> None:
-        records = (_CHECKPOINT_RECORD.pack(cp.x, cp.M) for cp in self.checkpoints())
+        records = itertools.starmap(_CHECKPOINT_RECORD.pack, sorted(self._m.items()))
         _write_atomic(path, itertools.chain([_CHECKPOINT_MAGIC], records))
 
     @classmethod
@@ -520,13 +516,12 @@ class CheckpointCache:
             raise ParseError(f"{path}: truncated checkpoint record")
         cache = cls(stride=stride)
         prev = 0
-        for off in range(0, len(body), _CHECKPOINT_RECORD.size):
-            x, m = _CHECKPOINT_RECORD.unpack_from(body, off)
+        for x, m in _CHECKPOINT_RECORD.iter_unpack(body):
             if x <= prev:
                 raise ParseError(f"{path}: checkpoint x values not ascending")
             if abs(m) > x:
                 raise ParseError(f"{path}: implausible checkpoint ({x}, {m})")
-            cache.record(int(x), int(m))
+            cache._m[x] = m
             prev = x
         return cache
 
@@ -635,14 +630,11 @@ def mertens(x: int, cache: CheckpointCache | None = None) -> int:
     x = int(x)
     if x < 1:
         raise OutOfRange(f"need 1 <= x <= {SIEVE_MAX}, got {x}")
-    if cache is None:
+    if cache is None or x == 1:  # M(1) = 1, the base state, is never recorded
         return _mu_power_sums(x, 0)[0]
-    anchor = cache.anchor(x)
-    if anchor.x == x:
-        return anchor.M
-    (m,) = _mu_power_sums(x, 0)
-    cache.record(x, m)
-    return m
+    if x not in cache._m:
+        cache.record(x, _mu_power_sums(x, 0)[0])
+    return cache._m[x]
 
 
 def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -> float:

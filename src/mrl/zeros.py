@@ -526,12 +526,12 @@ def count_main_term(T: float) -> float:
     return u * (math.log(u) - 1.0)
 
 
-def verify_count(table: ZeroTable, T: float, c_bound: float = 2.0) -> VerifyReport:
+def verify_count(table: ZeroTable, T: float) -> VerifyReport:
     """Compare the table's zero count up to T with the smooth main term.
 
     Returns a report (never raises on mismatch); the ok flag is
-    |observed - main| <= c_bound * log T.  Raises MissingZeros only when the
-    table does not extend to T, since the count would be meaningless.
+    |observed - main| <= 2 log T.  Raises MissingZeros only when the table
+    does not extend to T, since the count would be meaningless.
     """
     T = float(T)
     if not T > 2.0 * math.pi:
@@ -540,7 +540,7 @@ def verify_count(table: ZeroTable, T: float, c_bound: float = 2.0) -> VerifyRepo
     observed = table.count_up_to(T)
     main = count_main_term(T)
     diff = abs(observed - main)
-    bound = c_bound * math.log(T)
+    bound = 2.0 * math.log(T)
     return VerifyReport(
         T=T,
         observed=observed,

@@ -219,6 +219,25 @@ def test_non_finite_arguments_are_domain_errors(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "fn, arg, message",
+    [
+        pytest.param(kernel.Precision, 52, "must be >= 53", id="precision-52"),
+        pytest.param(bernoulli, 132, "exceeds supported maximum", id="bernoulli-132"),
+        pytest.param(trivial_zero_data, 121, "exceeds supported maximum", id="trivial-121"),
+    ],
+)
+def test_index_past_its_range_is_refused(fn, arg, message):
+    with pytest.raises(OutOfRange, match=message):
+        fn(arg)
+
+
+@pytest.mark.parametrize("s", [0.0, -3.0, complex(-2.0, -0.0)])
+def test_log_gamma_pole_names_the_argument(s):
+    with pytest.raises(PoleAtNonpositiveInteger, match=f"log_gamma pole at {complex(s).real}"):
+        log_gamma(s)
+
+
 def test_bernoulli_values():
     # Only even positive indices are exposed (odd ones vanish past B1).
     assert bernoulli(2) == Fraction(1, 6)
@@ -387,6 +406,18 @@ def test_zeta_and_deriv_extended_oracles(s):
     want_z, want_dz = ZETA_AND_DERIV_40[s]
     assert _rel_err_40(z, want_z) <= 1e-13
     assert _rel_err_40(dz, want_dz) <= 1e-13
+
+
+# Left of the critical strip and below Im s = -1, the functional equation
+# reads log sin on its lower half-plane branch (_log_sin by conjugation).
+@pytest.mark.parametrize("s", [complex(-3, -2), complex(-2.5, -5), complex(-7, -1.5)])
+def test_zeta_left_and_below_against_mpmath(s):
+    import mpmath as mp
+
+    # worst case 5.1e-15, at -7 - 1.5i
+    with mp.workdps(30):
+        want = mp.zeta(mp.mpc(s))
+        assert float(abs(mp.mpc(zeta(s)) - want) / abs(want)) <= 1e-14
 
 
 @pytest.mark.parametrize("s", list(LOG_GAMMA_40))

@@ -277,6 +277,66 @@ def test_checkpoint_corrupt_file(tmp_path):
         CheckpointCache.load(bad)
 
 
+def _checkpoint_body(*records) -> bytes:
+    return b"".join(struct.pack("<Qq", x, m) for x, m in records)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(_checkpoint_body((10, 1))[:-1], "truncated", id="length-not-16k"),
+        pytest.param(_checkpoint_body((10, 1), (10, 1)), "not ascending", id="equal-x"),
+        pytest.param(_checkpoint_body((0, 0)), "not ascending", id="first-x-zero"),
+        # a record is checked for order before plausibility, records in file order
+        pytest.param(_checkpoint_body((10, 1), (5, 9)), "not ascending", id="descending-first"),
+        pytest.param(_checkpoint_body((10, 11), (5, 0)), "implausible", id="implausible-first"),
+        pytest.param(_checkpoint_body((10, 11)), "implausible", id="m-above-x"),
+        pytest.param(_checkpoint_body((1, -(2**63))), "implausible", id="m-least-i64"),
+    ],
+)
+def test_checkpoint_load_refuses_a_bad_body(tmp_path, body, message):
+    path = tmp_path / "m.chk"
+    path.write_bytes(b"MRTC0002" + body)
+    with pytest.raises(ParseError, match=message):
+        CheckpointCache.load(path)
+
+
+def test_checkpoint_file_bytes_survive_load_and_save(tmp_path):
+    # the extremes of the record: x = 2^64 - 1 with M = 2^63 - 1 is accepted
+    blob = b"MRTC0002" + _checkpoint_body(
+        (1, -1), (2, 0), (10, -1), (1_000_000, 212), (2**64 - 1, 2**63 - 1)
+    )
+    src, dst = tmp_path / "src.chk", tmp_path / "dst.chk"
+    src.write_bytes(blob)
+    loaded = CheckpointCache.load(src)
+    assert loaded.checkpoints()[-1] == moebius.MertensCheckpoint(2**64 - 1, 2**63 - 1)
+    assert len(loaded) == len(loaded.checkpoints()) == 5
+    loaded.save(dst)
+    assert dst.read_bytes() == blob
+
+
+def test_checkpoint_cache_contract():
+    with pytest.raises(OutOfRange):
+        CheckpointCache(stride=1)
+    cache = CheckpointCache()
+    cache.record(10, -1)
+    cache.record(10, 5)  # the first recorded value wins
+    cache.record(1, -1)
+    cache.record(100, 1)
+    cp = moebius.MertensCheckpoint
+    assert cache.checkpoints() == [cp(1, -1), cp(10, -1), cp(100, 1)]
+    # anchor: the base state M(1) = 1 below 2 and over a record at x = 1,
+    # else the best recorded x <= the query
+    for x, want in ((0, cp(1, 1)), (1, cp(1, 1)), (9, cp(1, 1)), (10, cp(10, -1)),
+                    (99, cp(10, -1)), (100, cp(100, 1)), (10**9, cp(100, 1))):
+        assert cache.anchor(x) == want, x
+    # M(1) = 1 is the base value: served as such and never recorded
+    assert mertens(1, cache) == 1
+    empty = CheckpointCache()
+    assert mertens(1, empty) == 1
+    assert empty.checkpoints() == []
+
+
 # ---------------------------------------------------------------------------
 # The sublinear power sums S_0, ..., S_3 against the sieve
 # ---------------------------------------------------------------------------
@@ -905,6 +965,10 @@ def _scan(x, c):
         pytest.param(divim_sign_changes, (1e3, NAN), DomainError, id="divim-kappa-nan"),
         pytest.param(_scan, (1e3, NAN), DomainError, id="scan-c-nan"),
         pytest.param(_scan, (INF, 1.5), OutOfRange, id="scan-x-inf"),
+        pytest.param(mertens, (0,), OutOfRange, id="mertens-0"),
+        # log log 2 < 0, so the third log is undefined
+        pytest.param(tau_for, (TauSchedule("iterated-log"), 2.0), ScheduleUndefined,
+                     id="iterated-log-at-2"),
     ],
 )
 def test_non_finite_bounds_are_refused(fn, args, error):
@@ -919,6 +983,10 @@ def test_mertens_non_finite_is_refused(x, error):
     # refused before int(x), which raises OverflowError or ValueError
     with pytest.raises(error):
         mertens(x)
+
+
+def test_primes_upto_below_2_is_empty():
+    assert moebius._primes_upto(1).tolist() == []
 
 
 def test_sieve_max_guard_is_on_the_floor():

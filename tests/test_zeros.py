@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mrl import zeros
-from mrl.errors import MissingZeros, NoConvergence, NotAscending, ParseError
+from mrl.errors import MissingZeros, NoConvergence, NotAscending, OutOfRange, ParseError
 from mrl.kernel import EXTENDED, zeta
 from mrl.zeros import (
     SUSPECT_DERIV_FLOOR,
@@ -234,6 +234,27 @@ def test_count_main_term_and_verify(table):
         verify_count(table, 5000.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param((100.0, 100.0), "t_min < t_max", id="empty-window"),
+        pytest.param((100.0, 50.0), "t_min < t_max", id="reversed-window"),
+        pytest.param((0.0, zeros.IM_MAX + 1.0), "exceeds supported maximum", id="past-im-max"),
+        pytest.param((10.0, 20.0, 0.0), "grid_step", id="step-zero"),
+        pytest.param((10.0, 20.0, 0.6), "grid_step", id="step-above-half"),
+    ],
+)
+def test_find_zeros_refuses_a_bad_window(args, message):
+    with pytest.raises(OutOfRange, match=message):
+        find_zeros(*args)
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0 * math.pi])
+def test_verify_count_needs_t_above_2pi(table, T):
+    with pytest.raises(OutOfRange, match="exceed 2\\*pi"):
+        verify_count(table, T)
+
+
 def test_hardy_z_matches_zeta_modulus():
     # |Z(t)| = |zeta(1/2 + it)| and Z is real-valued.
     z = hardy_z(20.0)
@@ -313,6 +334,13 @@ def test_table_binary_rejects_corruption(tmp_path, table):
     truncated.write_bytes(p.read_bytes()[:-7])
     with pytest.raises(ParseError):
         ZeroTable.load(truncated)
+
+
+def test_table_load_refuses_a_cut_count_header(tmp_path):
+    p = tmp_path / "cut.ztbl"
+    p.write_bytes(b"ZTBL0001" + struct.pack("<Q", 2)[:5])
+    with pytest.raises(ParseError, match="missing record count"):
+        ZeroTable.load(p)
 
 
 def test_table_load_rejects_descending_ordinates(tmp_path):

@@ -594,6 +594,14 @@ def test_barnes_g_against_mpmath():
             )
 
 
+def test_barnes_g_below_one_half_against_mpmath():
+    # z in (0, 1/2) takes the downward recurrence log G(z) = log G(z+1) - log Gamma(z);
+    # worst case 4.6e-16, at z = 0.05
+    with mp.workdps(30):
+        for z in (0.05, 0.2, 0.3, 0.49):
+            assert log_barnes_g(z) == pytest.approx(float(mp.log(mp.barnesg(z))), rel=1e-15), z
+
+
 def test_a_lambda_values():
     assert a_lambda(0.0) == 1.0
     assert a_lambda(1.0) == pytest.approx(1.0, rel=1e-12)
