@@ -27,11 +27,12 @@ convergence not guaranteed" warning and the error estimate is infinite.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 from .kernel import (
@@ -123,15 +124,12 @@ def _check_positive_x(x: float, least: float = 0.0) -> float:
 def _zero_term(x: float, tau: float):
     """The terms 2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))] of zeros
     paired with their conjugates, as a function of the columns (rho,
-    zeta'(rho)) for zeros._zero_sum, evaluated one zero at a time because
-    gamma_ratio is scalar; x > 0 and tau >= 0 are the caller's to check."""
+    zeta'(rho)) for zeros._zero_sum, one gamma_ratio call per column; x > 0
+    and tau >= 0 are the caller's to check."""
     sqrt_x, ln_x = math.sqrt(x), math.log(x)
 
-    def term(rhos, zps) -> list[float]:
-        return [
-            2.0 * (sqrt_x * cmath.exp(1j * (rho.imag * ln_x)) * gamma_ratio(rho, tau) / zp).real
-            for rho, zp in zip(rhos.tolist(), zps.tolist())
-        ]
+    def term(rhos, zps):
+        return 2.0 * (sqrt_x * np.exp(1j * (rhos.imag * ln_x)) * gamma_ratio(rhos, tau) / zps).real
 
     return term
 
@@ -186,14 +184,11 @@ def _inv_gamma_factor(tau: float, l: int) -> tuple:
     return 0, 1.0 / math.gamma(w), lambda: -_digamma(complex(w)).real
 
 
-def residue_term(l: int, x: float, tau: float) -> float:
-    """Residue of g(s) at s = -l, l >= 1, read by kernel._residue from four
-    factors: x^s, the pole of Gamma, 1/zeta (a value at odd l, the pole at
-    the trivial zero at even l) and 1/Gamma(1 + tau + s)."""
-    _check_count(l, "l", 1, RESIDUE_MAX_L)
-    _check_positive_x(x)
-    tau = _check_tau(tau)
-    ln_x = math.log(x)
+def _residue_at(l: int, ln_x: float, tau: float) -> float:
+    """Residue of g(s) at s = -l, read by kernel._residue from four factors:
+    x^s, the pole of Gamma, 1/zeta (a value at odd l, the pole at the trivial
+    zero at even l) and 1/Gamma(1 + tau + s); the arguments are the caller's
+    to check."""
     gamma_pole, inv_zeta = _factors_of_l(l)
     if inv_zeta is None:
         inv_zeta = _inv_zeta_at_trivial_zero(trivial_zero_data(l // 2))
@@ -201,13 +196,28 @@ def residue_term(l: int, x: float, tau: float) -> float:
     return _residue(x_pow, gamma_pole, inv_zeta, _inv_gamma_factor(tau, l))
 
 
+def _residues(x: float, tau: float, L: int) -> list[float]:
+    """The residues of g(s) at s = -1 .. -L, after one check of L, x > 0 and tau."""
+    _check_count(L, "L", 0, RESIDUE_MAX_L)
+    _check_positive_x(x)
+    tau = _check_tau(tau)
+    ln_x = math.log(x)
+    return [_residue_at(l, ln_x, tau) for l in range(1, L + 1)]
+
+
+def residue_term(l: int, x: float, tau: float) -> float:
+    """Residue of g(s) at s = -l, l >= 1, from the Laurent data of its four
+    factors (_residue_at)."""
+    _check_count(l, "l", 1, RESIDUE_MAX_L)
+    _check_positive_x(x)
+    return _residue_at(l, math.log(x), _check_tau(tau))
+
+
 def residue_series(x: float, tau: float, L: int) -> float:
     """Total residue contribution: the s = 0 term plus poles s = -1 .. -L
     (L = 0 keeps just the s = 0 term)."""
-    _check_count(L, "L", 0, RESIDUE_MAX_L)
-    _check_positive_x(x)
-    terms = [residue_term(l, x, tau) for l in range(1, L + 1)]
-    return s0_residue(tau) + math.fsum(terms)
+    residues = _residues(x, tau, L)
+    return s0_residue(tau) + math.fsum(residues)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +253,19 @@ def explicit_M_tau(
     """
     _check_positive_x(x, 1.0)
     tau = _check_tau(tau)
-    _check_count(L, "L", 0, RESIDUE_MAX_L)
+    residues = _residues(x, tau, L)
     if not len(table):
         raise DomainError("the zero table is empty")
     if tau == 0.0:
         warnings.warn("Bartz mode: convergence not guaranteed", stacklevel=2)
     zs = zero_sum_term(x, tau, table, T)
-    res_terms = [residue_term(l, x, tau) for l in range(1, L + 1)]
     return ExplicitEvaluation(
         x=float(x),
         tau=tau,
         T=float(T),
         L=L,
         zero_sum=zs,
-        residue_sum=math.fsum(res_terms),
+        residue_sum=math.fsum(residues),
         s0_residue=s0_residue(tau),
         error_estimate=error_estimate(x, tau, min(T, table.max_gamma)),
     )

@@ -4,13 +4,13 @@ Provides the analytic building blocks used everywhere else in the package:
 the Riemann zeta function and its derivative (Euler-Maclaurin summation on
 the right half-plane, functional equation on the far left), the
 principal-branch log-gamma function (argument shifting plus the Stirling
-series), the kernel ratio Gamma(s)/Gamma(1+tau+s) evaluated safely in log
-space, exact rational Bernoulli numbers, and closed-form data at the trivial
-zeros s = -2n.
+series), the kernel ratio Gamma(s)/Gamma(1+tau+s) on a scalar or a whole
+array of s as a difference of Stirling series, exact rational Bernoulli
+numbers, and closed-form data at the trivial zeros s = -2n.
 
 These algorithms run on hardware doubles only (complex/cmath, with numpy for
-the long Euler-Maclaurin main sums, which error-free extraction rounds
-correctly: _exact_parts, which the integer side shares).  :class:`Precision`
+the Gamma ratio and the long Euler-Maclaurin main sums, which error-free
+extraction rounds correctly: _exact_parts, which the integer side shares).  :class:`Precision`
 selects the final Newton step of zeros.refine_zero, which calls mpmath
 directly when it is wider than 53 bits.
 
@@ -81,6 +81,11 @@ _TOL = 2.0 ** -59
 
 # Stirling/digamma arguments are shifted right until |z| clears this.
 _SHIFT_RADIUS = 10.0
+
+# Stirling terms gamma_ratio sums.  For |z| >= _SHIFT_RADIUS and Re z >= 0
+# the first term left out, B_20/(20*19) ((z + a)^-19 - z^-19), is at most
+# 2.8e-19, below 2^-59 of |D|, which is about a log|z| >= log 10.
+_STIRLING_DIFF_TERMS = 9
 
 # Shortest array _exact_parts extracts in numpy; below it the Python floats
 # themselves are the faster parts (see CHANGES.md).
@@ -258,8 +263,9 @@ def _check_count(value, name: str, least: int, most: float = math.inf) -> int:
 
 
 def _require_finite(value, what: str):
-    parts = value if isinstance(value, tuple) else (value,)
-    if not all(cmath.isfinite(v) for v in parts):
+    """value, a number, a tuple or an array, refusing a nan or infinite part
+    with PrecisionLoss."""
+    if not np.isfinite(value).all():
         raise PrecisionLoss(f"{what} overflowed or lost all significance")
     return value
 
@@ -522,18 +528,61 @@ def log_gamma(s):
 
 
 def gamma_ratio(s, tau: float):
-    """Gamma(s) / Gamma(1 + tau + s), tau >= 0, computed as exp of a log
-    difference so large |s| cannot overflow intermediate Gamma values."""
+    """Gamma(s) / Gamma(1 + tau + s), tau >= 0: a complex for a scalar s, an
+    array of the shape of s for an array.
+
+    exp(-D), D = log Gamma(z + a) - log Gamma(z), a = 1 + tau, as the
+    difference of two Stirling series in which no log of size |z| cancels:
+
+        D = (z - 1/2) log1p(a/z) + a log(z + a) - a
+            + sum_k B_2k/(2k(2k-1)) ((z + a)^(1-2k) - z^(1-2k)).
+
+    Points with |z| < _SHIFT_RADIUS or Re z < 0 first move right by
+    Gamma(z)/Gamma(z + a) = (z + a)/z * Gamma(z + 1)/Gamma(z + 1 + a).  A
+    point's value depends on it alone, so an array call equals the scalar
+    calls bit for bit; the checks name the first point that fails: a
+    non-finite s (DomainError), a pole of either Gamma
+    (PoleAtNonpositiveInteger), an overflow (PrecisionLoss).
+    """
     tau = _check_tau(tau)
-    sc = _check_finite(complex(s), "s")
-    if _is_nonpositive_integer(sc):
-        raise PoleAtNonpositiveInteger(f"Gamma pole at s = {sc.real}")
-    wc = complex(1 + tau) + sc
-    if _is_nonpositive_integer(wc):
-        raise PoleAtNonpositiveInteger(f"Gamma pole at 1 + tau + s = {wc.real}")
-    return _require_finite(
-        cmath.exp(_log_gamma(sc) - _log_gamma(sc + (1 + tau))), "gamma_ratio"
-    )
+    z = np.array(s, dtype=complex).reshape(-1)
+    finite = np.isfinite(z)
+    if not finite.all():
+        _check_finite(complex(z[np.argmin(finite)]), "s")
+    a = 1.0 + tau
+    axis = z.imag == 0
+    if axis.any():  # the poles lie on the real axis
+        for v, what in ((z.real, "s"), (z.real + a, "1 + tau + s")):
+            pole = axis & (v <= 0) & (v == np.floor(v))
+            if pole.any():
+                raise PoleAtNonpositiveInteger(f"Gamma pole at {what} = {v[np.argmax(pole)]}")
+    with np.errstate(all="ignore"):
+        scale = 1.0
+        shift = (z.real < 0) | (np.abs(z) < _SHIFT_RADIUS)
+        while shift.any():
+            scale = np.where(shift, scale * ((z + a) / z), scale)
+            z = np.where(shift, z + 1.0, z)
+            shift = (z.real < 0) | (np.abs(z) < _SHIFT_RADIUS)
+        w = z + a
+        # log1p(q), q = a/z, from the real log1p of |1 + q|^2 - 1, which
+        # cannot cancel as Re q >= 0, and the arctan2 of its phase
+        q = a / z
+        log1p_q = 0.5 * np.log1p(q.real * (2.0 + q.real) + q.imag * q.imag)
+        d = (z - 0.5) * (log1p_q + 1j * np.arctan2(q.imag, 1.0 + q.real))
+        d += a * (np.log(w) - 1.0)
+        # The Stirling sums at z and w side by side, by Horner's rule in the
+        # inverse square; each is at most 1/(12 |z|), so their difference
+        # keeps the absolute accuracy D needs.
+        inv = 1.0 / np.concatenate((z, w))
+        inv_sq = inv * inv
+        coeffs = _stirling_coeffs()[_STIRLING_DIFF_TERMS - 1 :: -1]
+        acc = coeffs[0]
+        for coeff in coeffs[1:]:
+            acc = acc * inv_sq + coeff
+        sums = acc * inv
+        d += sums[len(z) :] - sums[: len(z)]
+        ratio = _require_finite(np.exp(-d) * scale, "gamma_ratio")
+    return complex(ratio[0]) if np.ndim(s) == 0 else ratio.reshape(np.shape(s))
 
 
 @lru_cache(maxsize=TRIVIAL_ZERO_MAX_N, typed=True)

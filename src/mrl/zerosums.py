@@ -53,6 +53,7 @@ from .kernel import (
     _EULER_GAMMA,
     _check_count,
     _check_finite,
+    _exact_sum,
     _inv_zeta_at_trivial_zero,
     _require_finite,
     _residue,
@@ -639,22 +640,31 @@ def a_lambda(
         )
     _check_count(prime_cutoff, "prime_cutoff", 2)
     _check_count(g_terms, "g_terms", 2)
-    lam2 = lam * lam
-    logs: list[float] = []
-    for p in _primes_upto(prime_cutoff).tolist():
-        pinv = 1.0 / p
-        c = 1.0
-        pm = 1.0
-        inner = 0.0
+    # The m-series of every prime at once: a prime leaves the arrays once
+    # its own term falls below 1e-20 of its sum (m > 1), and its sum is kept.
+    pinv = 1.0 / _primes_upto(prime_cutoff)
+    inners = np.empty_like(pinv)
+    left = np.arange(len(pinv))
+    p_left, pm, inner = pinv, np.ones_like(pinv), np.zeros_like(pinv)
+    c = 1.0
+    with np.errstate(all="ignore"):
         for m in range(g_terms + 1):
             term = c * pm
-            inner += term
-            if term < 1e-20 * inner and m > 1:
-                break
+            inner = inner + term
+            done = term < 1e-20 * inner
+            if m > 1 and done.any():
+                inners[left[done]] = inner[done]
+                keep = ~done
+                left, p_left, pm, inner = left[keep], p_left[keep], pm[keep], inner[keep]
+                if not len(left):
+                    break
             c *= ((lam + m) / (m + 1.0)) ** 2
-            pm *= pinv
-        logs.append(lam2 * math.log1p(-pinv) + math.log(inner))
-    return math.exp(math.fsum(logs))
+            pm = pm * p_left
+    inners[left] = inner
+    # math's logs, not numpy's, which differ in the last bit at some lambda
+    logs = lam * lam * np.array(list(map(math.log1p, (-pinv).tolist())))
+    logs += np.array(list(map(math.log, inners.tolist())))
+    return math.exp(_exact_sum(logs))
 
 
 def hko_report(

@@ -9,6 +9,10 @@ compare it with its limit.  riesz_recurrence_check tests
 integral_1^x u^(tau-1) M_{tau-1}(u) du = x^tau M_tau(x); for tau >= 2 it
 uses 5-point Gauss-Legendre nodes per unit interval, exact for tau <= 10
 since the integrand is a piecewise polynomial of degree tau - 1.
+
+zero_terms_by_loop and a_lambda_by_loop are the loops that array code
+replaced, kept as its references: the explicit formula's zero term one
+zero at a time, and zerosums.a_lambda's Euler product one prime at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ import numpy as np
 
 from mrl.errors import DomainError, MrlError, OutOfRange
 from mrl.kernel import gamma_ratio
-from mrl.moebius import RieszQuery, _check_x, _segment_mu, integral_M, riesz_mean_direct
+from mrl.moebius import (
+    RieszQuery,
+    _check_x,
+    _primes_upto,
+    _segment_mu,
+    integral_M,
+    riesz_mean_direct,
+)
+from mrl.zerosums import DEFAULT_G_TERMS, DEFAULT_PRIME_CUTOFF
 
 
 class QuadratureDiverged(MrlError):
@@ -84,14 +96,13 @@ def perron_kernel_report(
         n += 1
     h = T / n
     y_s0 = y**sigma0
+    t = np.arange(n + 1) * h
+    t[-1] = T
+    f = (y_s0 * np.exp(1j * (t * ln_y)) * gamma_ratio(t * 1j + sigma0, tau)).real.tolist()
 
-    def f(t: float) -> float:
-        s = complex(sigma0, t)
-        return (y_s0 * cmath.exp(1j * (t * ln_y)) * gamma_ratio(s, tau)).real
-
-    acc = f(0.0) + f(T)
-    acc += 4.0 * math.fsum(f((2 * j - 1) * h) for j in range(1, n // 2 + 1))
-    acc += 2.0 * math.fsum(f(2 * j * h) for j in range(1, n // 2))
+    acc = f[0] + f[-1]
+    acc += 4.0 * math.fsum(f[1:-1:2])
+    acc += 2.0 * math.fsum(f[2:-1:2])
     quad = (h / 3.0) * acc / math.pi
 
     target = (1.0 - 1.0 / y) ** tau / math.gamma(1.0 + tau) if y > 1.0 else 0.0
@@ -115,6 +126,41 @@ def perron_kernel_report(
         bound=bound,
         constant=err / bound,
     )
+
+
+def zero_terms_by_loop(x: float, tau: float, rhos, zps) -> list[float]:
+    """The terms 2 Re[x^rho Gamma(rho)/(Gamma(1+tau+rho) zeta'(rho))] one zero
+    at a time, with scalar gamma_ratio calls and cmath: the loop that
+    explicit._zero_term's columnar expression replaced, kept as its
+    reference."""
+    sqrt_x, ln_x = math.sqrt(x), math.log(x)
+    return [
+        2.0 * (sqrt_x * cmath.exp(1j * (rho.imag * ln_x)) * gamma_ratio(rho, tau) / zp).real
+        for rho, zp in zip(rhos.tolist(), zps.tolist())
+    ]
+
+
+def a_lambda_by_loop(
+    lam: float, prime_cutoff: int = DEFAULT_PRIME_CUTOFF, g_terms: int = DEFAULT_G_TERMS
+) -> float:
+    """zerosums.a_lambda one prime at a time: the per-prime loop its array
+    code replaced, kept as its reference.  The arguments are not checked."""
+    lam2 = lam * lam
+    logs: list[float] = []
+    for p in _primes_upto(prime_cutoff).tolist():
+        pinv = 1.0 / p
+        c = 1.0
+        pm = 1.0
+        inner = 0.0
+        for m in range(g_terms + 1):
+            term = c * pm
+            inner += term
+            if term < 1e-20 * inner and m > 1:
+                break
+            c *= ((lam + m) / (m + 1.0)) ** 2
+            pm *= pinv
+        logs.append(lam2 * math.log1p(-pinv) + math.log(inner))
+    return math.exp(math.fsum(logs))
 
 
 # Residual ceiling for perron_kernel_check, as a multiple of the case bound.

@@ -10,6 +10,8 @@ closed-form branch logic under test.
 import math
 import warnings
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from mrl.explicit import (
     s0_residue,
     zero_sum_term,
 )
+from mrl.kernel import gamma_ratio
 from mrl.moebius import CheckpointCache, RieszQuery, riesz_mean_direct
 from mrl.zeros import ZeroRecord, ZeroTable
 from oracles import (
@@ -33,6 +36,7 @@ from oracles import (
     QuadratureDiverged,
     perron_kernel_check,
     perron_kernel_report,
+    zero_terms_by_loop,
 )
 
 # Contour-integral oracle: (l, x, tau) -> residue at s = -l.
@@ -112,9 +116,32 @@ def test_residue_guards(monkeypatch):
 
 
 def test_zero_sum_frozen_regression(table):
-    # First 10 zeros at x = 1, tau = 1 (pinned from this implementation,
-    # cross-checked against a 30-digit mpmath evaluation of the same sum).
-    assert zero_sum_term(1.0, 1.0, table, 50.0) == -0.023893248480777885
+    # First 10 zeros at x = 1, tau = 1, pinned to the 40-digit mpmath sum of
+    # the same terms over the same refined zeros, correctly rounded.
+    pin = -0.02389324848077778
+    n = table.count_up_to(50.0, inclusive=False)
+    assert n == 10
+    with mp.workdps(40):
+        want = mp.fsum(
+            2 * mp.re(mp.gamma(mp.mpc(0.5, g)) / (mp.gamma(mp.mpc(2.5, g)) * mp.mpc(zp)))
+            for g, zp in zip(table.gammas[:n].tolist(), table.zeta_primes[:n].tolist())
+        )
+        assert pin == float(want)
+    assert zero_sum_term(1.0, 1.0, table, 50.0) == pin
+
+
+def test_columnar_zero_term_matches_the_loop(table):
+    # One gamma_ratio call per column against the per-zero loop it replaced.
+    # gamma_ratio's values are the same bits either way; numpy and Python
+    # may round the complex exp and division differently, by at most a few
+    # units of 2^-52 of each term's size.
+    rhos, zps = table.gammas * 1j + 0.5, table.zeta_primes
+    for x in (1.0, 10.5, 1e6):
+        for tau in (0.0, 1.5, 3.0):
+            got = explicit._zero_term(x, tau)(rhos, zps)
+            want = np.array(zero_terms_by_loop(x, tau, rhos, zps))
+            size = 2.0 * math.sqrt(x) * np.abs(gamma_ratio(rhos, tau) / zps)
+            assert (np.abs(got - want) <= 4 * np.finfo(float).eps * size).all(), (x, tau)
 
 
 def test_zero_sum_boundary_is_strict(table):

@@ -272,7 +272,13 @@ def test_bernoulli_table_equals_the_recurrence_at_every_index():
         assert bernoulli(k) == want[k], k
 
 
-def test_gamma_ratio_integer_cases():
+# Points off the zero table: on the real axis, left of it, and inside the
+# shift radius, where the recurrence moves them right before the series.
+GAMMA_RATIO_POINTS = [3.0, 2.5, 1e-3, -7.25, complex(0.5, 1.0), complex(-3.3, 2.0),
+                      complex(0.2, -5.0), complex(5.0, 9.0), complex(-40.5, 0.1)]
+
+
+def test_gamma_ratio_integer_cases(table):
     # Gamma(3)/Gamma(6) = 2/120
     assert gamma_ratio(3.0, 2.0) == pytest.approx(complex(1.0 / 60.0), rel=1e-14)
     # tau = 1: Gamma(s)/Gamma(s+2) = 1/(s(s+1))
@@ -280,6 +286,58 @@ def test_gamma_ratio_integer_cases():
         sc = complex(s)
         want = 1.0 / (sc * (sc + 1.0))
         assert abs(gamma_ratio(s, 1.0) - want) <= 1e-13 * abs(want)
+    # integer tau: 1/(s (s + 1) ... (s + tau)), over the table and off it
+    points = np.concatenate([table.gammas * 1j + 0.5, np.array(GAMMA_RATIO_POINTS, complex)])
+    for tau in (0, 1, 2, 3):
+        want = 1.0 / np.prod([points + k for k in range(tau + 1)], axis=0)
+        got = gamma_ratio(points, float(tau))
+        assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all(), tau
+
+
+def test_gamma_ratio_matches_mpmath_over_the_table(table):
+    # Every 24th zero and every tau, within 1e-14 relative of 40-digit mpmath.
+    import mpmath as mp
+
+    rhos = table.gammas[::24] * 1j + 0.5
+    with mp.workdps(40):
+        for tau in (0.0, 0.5, 1.0, 1.5, 2.5, 3.0):
+            for rho, got in zip(rhos.tolist(), gamma_ratio(rhos, tau).tolist()):
+                z = mp.mpc(rho.real, rho.imag)
+                want = mp.gamma(z) / mp.gamma(1 + tau + z)
+                assert abs(got - want) <= 1e-14 * abs(want), (rho, tau)
+
+
+def test_gamma_ratio_array_call_equals_scalar_calls(table):
+    points = np.concatenate([table.gammas * 1j + 0.5, np.array(GAMMA_RATIO_POINTS, complex)])
+    for tau in (0.0, 1.5, 3.7):
+        got = gamma_ratio(points, tau)
+        assert got.shape == points.shape
+        assert got.tolist() == [gamma_ratio(s, tau) for s in points.tolist()], tau
+    assert type(gamma_ratio(2.5, 1.0)) is complex
+    assert gamma_ratio(np.empty(0), 1.0).shape == (0,)
+    grid = np.array(GAMMA_RATIO_POINTS[:8], complex).reshape(2, 4)
+    assert gamma_ratio(grid, 1.5).tolist() == [[gamma_ratio(s, 1.5) for s in row]
+                                               for row in grid.tolist()]
+
+
+@pytest.mark.parametrize(
+    "bad, tau, error",
+    [
+        pytest.param(complex(NAN, 14.0), 1.0, DomainError, id="nan"),
+        pytest.param(complex(0.5, INF), 1.0, DomainError, id="inf"),
+        pytest.param(-2.0, 1.0, PoleAtNonpositiveInteger, id="pole-s"),
+        pytest.param(-4.5, 1.5, PoleAtNonpositiveInteger, id="pole-1-tau-s"),
+        pytest.param(2.0, -0.5, DomainError, id="negative-tau"),
+    ],
+)
+def test_gamma_ratio_array_refuses_as_the_scalar_call(table, bad, tau, error):
+    # One bad point among good ones raises what the scalar call raises.
+    points = np.concatenate([table.gammas[:5] * 1j + 0.5, [bad], [2.5]])
+    with pytest.raises(error) as scalar:
+        gamma_ratio(bad, tau)
+    with pytest.raises(error) as array:
+        gamma_ratio(points, tau)
+    assert str(array.value) == str(scalar.value)
 
 
 @given(

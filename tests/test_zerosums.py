@@ -42,6 +42,7 @@ from mrl.zerosums import (
     swmh_report,
     zeta_eq_real_report,
 )
+from oracles import a_lambda_by_loop
 
 INV_ZETA_HALF = 2.0 / -1.4603545088095868  # 2/zeta(1/2), mpmath 50 digits
 ZETA3 = 1.2020569031595942
@@ -609,6 +610,15 @@ def test_a_lambda_values():
     assert a_lambda(-1.0) == pytest.approx(6.0 / math.pi**2, rel=2e-5)
     assert a_lambda(2.0) == pytest.approx(6.0 / math.pi**2, rel=2e-5)
     assert a_lambda(-0.5) > 0.0
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.7])
+def test_a_lambda_equals_the_per_prime_loop(lam):
+    # The arrays add the same terms in the same order and take math's logs,
+    # so the value is the loop's to the bit; with g_terms = 2 no prime
+    # leaves the arrays before the last term.
+    for kwargs in ({}, {"prime_cutoff": 30}, {"g_terms": 2}):
+        assert a_lambda(lam, **kwargs) == a_lambda_by_loop(lam, **kwargs), kwargs
 
 
 def test_a_lambda_support():
