@@ -463,10 +463,22 @@ def test_mertens_published_powers_of_ten():
 
 
 def test_streamed_mertens_at_1e8_is_published():
-    for n0, _, m_vals in moebius._stream(10**8, None):
-        pass
+    # The same pass sums mu(n) n^j, j <= 3, exactly, as the oracle of the
+    # sublinear power sums: a chunk's n are n0 + i with i < 2^14, so
+    # sum mu(n) n^j = sum_k C(j, k) n0^(j-k) sum mu(n0 + i) i^k, and the
+    # inner sums stay below 2^56 in int64.
+    exact = [0] * 4
+    powers = None
+    for n0, mu, m_vals in moebius._stream(10**8, None):
+        if powers is None:
+            powers = [np.arange(len(mu), dtype=np.int64) ** k for k in range(4)]
+        m = mu.astype(np.int64)
+        inner = [int(m @ pw[: len(m)]) for pw in powers]
+        for j in range(4):
+            exact[j] += sum(math.comb(j, k) * n0 ** (j - k) * inner[k] for k in range(j + 1))
     assert n0 + len(m_vals) - 1 == 10**8
-    assert int(m_vals[-1]) == PUBLISHED_M_POWERS_OF_10[8] == 1928
+    assert int(m_vals[-1]) == exact[0] == PUBLISHED_M_POWERS_OF_10[8] == 1928
+    assert moebius._mu_power_sums(10**8, 3) == tuple(exact)
 
 
 def _affine_points() -> list[float]:
