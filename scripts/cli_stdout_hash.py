@@ -5,7 +5,10 @@ Runs ``mrl.cli.main`` in-process over every command, every ``identity`` and
 ``scan`` kind, ``explicit`` at small x (where the residue series dominates)
 and at x = 1e6 (where the phase rounding of gamma * log x does),
 ``inv-zeta`` at a real s < -1/2, the identity's largest L, ``mertens`` at
-1 (the base value, never recorded) and 2 (the smallest recorded x), and a
+1 (the base value, never recorded) and 2 (the smallest recorded x), the
+power sums past their sieve (``mertens`` at 1e8 and near 1e9, ``riesz`` at
+tau = 2, an ``integral`` at kappa = -2 and a nine-point tau = 1 scan, all to
+1e7 or more), a long streamed Riesz mean (4.2e6 at tau = 0.5), and a
 few refused arguments (x = 0 for ``mertens``, non-finite or overflowing s,
 kappa, lambda and tau, an L past the identity's range, and an infinite
 ``--T`` for ``hko``, run without ``--zeros`` so no table height refuses it
@@ -19,7 +22,7 @@ invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 208 invocations take about 1.9 s on one core of a
+stderr is not hashed.  The 232 invocations take about 2.7 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -76,6 +79,15 @@ COMMANDS = [
      "--schedule", "inv-log", "--c", "9"],
     ["scan", "tau-regime", "--x-stop", "1e5", "--points", "5",
      "--schedule", "iterated-log"],
+    # the power sums past the sieve: S_0 at 1e8 and at a prime near 1e9,
+    # S_0..S_2 at 3e7, S_0..S_3 at 2e7, and S_0, S_1 at nine points sharing
+    # one sieve; then a stream of 4.2e6 that weights only the n with mu != 0
+    ["mertens", "1e8"],
+    ["mertens", "999999937"],
+    ["riesz", "3e7", "--tau", "2"],
+    ["integral", "2e7", "--kappa", "-2"],
+    ["scan", "tau-regime", "--x-stop", "1e7", "--points", "9"],
+    ["riesz", "4.2e6", "--tau", "0.5"],
     ["--T", "2000", "explicit", "1e3"],  # beyond the table: exit 3
     # refusals, each exit 2
     ["mertens", "0"],

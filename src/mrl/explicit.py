@@ -276,7 +276,7 @@ def compare_direct_explicit(
 ) -> list[dict]:
     """Row-per-x comparison of the integer side and the spectral side, one
     ExplicitEvaluation.row(direct) per x.  The direct values come from
-    moebius._riesz_means: one power-sum table at integer tau <= 3, else one
+    moebius._riesz_means: one power-sum sieve at integer tau <= 3, else one
     mu stream up to the largest x.
     """
     evs = [explicit_M_tau(float(x), tau, table, T, L) for x in x_list]

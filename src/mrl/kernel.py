@@ -210,17 +210,19 @@ def _exact_parts(a: np.ndarray) -> list[float]:
     """
     if len(a) < _EXACT_PARTS_MIN:
         return a.tolist()
-    top = np.abs(a).max(initial=0.0)
+    top = max(a.max(initial=0.0), -a.min(initial=0.0))  # nan when a holds one
     if not top < 2.0**970:
         return a.tolist()
     k = (len(a) + 1).bit_length()
     parts: list[float] = []
+    rest, q = np.empty((2, len(a)))  # one work buffer for every pass
     while top:
         sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
-        q = (a + sigma) - sigma
+        np.add(a, sigma, out=q)
+        q -= sigma
         parts.append(float(q.sum()))
-        a = a - q
-        top = np.abs(a).max()
+        a = np.subtract(a, q, out=rest)
+        top = max(a.max(), -a.min())
     return parts
 
 
@@ -527,6 +529,25 @@ def log_gamma(s):
     return _require_finite(_log_gamma(sc), "log_gamma")
 
 
+def _sin_ratio(z: np.ndarray, a: float) -> np.ndarray:
+    """sin(pi (z + a))/sin(pi z) for an array z off the real integers.
+
+    With z = n + f + iy, n = rint(Re z), and f + a = m + g, m = rint(f + a),
+    both f and g are exact and at most 1/2 in size, and the ratio is
+    (-1)^m sin(pi (g + iy))/sin(pi (f + iy)).  Each sine is taken over
+    cosh(pi y), as sin(pi f) + i cos(pi f) tanh(pi y), so it stays finite at
+    any height.
+    """
+    f = z.real - np.rint(z.real)
+    g = f + a
+    m = np.rint(g)
+    g -= m
+    t = np.tanh(np.pi * z.imag)
+    num = np.sin(np.pi * g) + 1j * (np.cos(np.pi * g) * t)
+    den = np.sin(np.pi * f) + 1j * (np.cos(np.pi * f) * t)
+    return (1.0 - 2.0 * (m % 2.0)) * num / den
+
+
 def gamma_ratio(s, tau: float):
     """Gamma(s) / Gamma(1 + tau + s), tau >= 0: a complex for a scalar s, an
     array of the shape of s for an array.
@@ -537,8 +558,11 @@ def gamma_ratio(s, tau: float):
         D = (z - 1/2) log1p(a/z) + a log(z + a) - a
             + sum_k B_2k/(2k(2k-1)) ((z + a)^(1-2k) - z^(1-2k)).
 
-    Points with |z| < _SHIFT_RADIUS or Re z < 0 first move right by
-    Gamma(z)/Gamma(z + a) = (z + a)/z * Gamma(z + 1)/Gamma(z + 1 + a).  A
+    A point with Re z < -tau is first reflected to w = 1 - z - a, Re w > 0,
+    at the cost of the sine ratio of _sin_ratio; then points with
+    |z| < _SHIFT_RADIUS or Re z < 0 move right by
+    Gamma(z)/Gamma(z + a) = (z + a)/z * Gamma(z + 1)/Gamma(z + 1 + a), one
+    step per unit (at most tau + _SHIFT_RADIUS + 1 steps).  A
     point's value depends on it alone, so an array call equals the scalar
     calls bit for bit; the checks name the first point that fails: a
     non-finite s (DomainError), a pole of either Gamma
@@ -557,6 +581,14 @@ def gamma_ratio(s, tau: float):
             if pole.any():
                 raise PoleAtNonpositiveInteger(f"Gamma pole at {what} = {v[np.argmax(pole)]}")
     with np.errstate(all="ignore"):
+        # Points with Re z < -tau take their whole right shift at once: by
+        # reflection, Gamma(z)/Gamma(z + a) =
+        # sin(pi (z + a))/sin(pi z) * Gamma(w)/Gamma(w + a), w = 1 - z - a
+        left = z.real < min(0.0, 1.0 - a)
+        reflect = left.any()
+        if reflect:
+            sines = _sin_ratio(z, a)
+            z = np.where(left, (1.0 - a) - z, z)
         scale = 1.0
         shift = (z.real < 0) | (np.abs(z) < _SHIFT_RADIUS)
         while shift.any():
@@ -581,7 +613,10 @@ def gamma_ratio(s, tau: float):
             acc = acc * inv_sq + coeff
         sums = acc * inv
         d += sums[len(z) :] - sums[: len(z)]
-        ratio = _require_finite(np.exp(-d) * scale, "gamma_ratio")
+        ratio = np.exp(-d) * scale
+        if reflect:  # whole-array products, whose bits do not depend on the length
+            ratio = np.where(left, ratio * sines, ratio)
+        _require_finite(ratio, "gamma_ratio")
     return complex(ratio[0]) if np.ndim(s) == 0 else ratio.reshape(np.shape(s))
 
 

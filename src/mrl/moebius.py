@@ -7,18 +7,21 @@ density of {t : |M(t)| <= sqrt(t)}, and tau scans.
 
 Two routes serve them.  Quantities whose weight is a polynomial of degree
 <= 3 in n need only the exact sums S_j(x) = sum_{n<=x} mu(n) n^j, j <= 3,
-which _mu_power_sums finds in time about x^(2/3) from a sieved table and the
-Deleglise-Rivat identity, as residues joined by the CRT: M(x) = S_0, the
+which _mu_power_sums finds in time about x^(2/3) from a sieve of [1, L],
+summed only at the about 2 sqrt(x) values the Deleglise-Rivat identity
+reads, as residues joined by the CRT: M(x) = S_0, the
 Riesz means at tau = 0, 1, 2, 3 (M_1 = S_0 - S_1/x, and so on) and the
 integrals of M(u) u^(-kappa) over [1, x] at kappa = 0, -1, -2
 ((x^a S_0 - S_a)/a, a = 1 - kappa).
-Everything else needs M pointwise and streams mu from n = 1 (_stream), sieved
-in blocks and consumed in cache-sized chunks.  sieve_segment, mertens,
-riesz_mean_direct, integral_M, density_S and tau_regime_scan take an optional
-CheckpointCache, in which the stream records (x, M(x)) at the cache's stride;
-no M value is kept between calls otherwise.  The other integrals of
-M(u) u^(-kappa), that of (M(u)/u)^2 and the sign-change scan read one
-stream of closed-form unit-interval pieces (_integral_pieces).
+Everything else streams mu from n = 1 (_stream), sieved in blocks and
+consumed in cache-sized chunks, with M(n) summed per chunk for the
+consumers that read it; the other Riesz means read mu alone.
+sieve_segment, mertens, riesz_mean_direct, integral_M, density_S and
+tau_regime_scan take an optional CheckpointCache, in which the stream
+records (x, M(x)) at the cache's stride; no M value is kept between calls
+otherwise.  The other integrals of M(u) u^(-kappa), that of (M(u)/u)^2 and
+the sign-change scan read one stream of closed-form unit-interval pieces
+(_integral_pieces).
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
@@ -348,15 +351,18 @@ def _crt(residues: list[int]) -> int:
 
 
 def _power_sum_limit(x: int) -> int:
-    """Top L of the sieved table that serves _mu_power_sums(x):
+    """Top L of the sieve that serves _mu_power_sums(x):
     min(x, max(x^(2/3), 64 sqrt x)), below 2^21 for x <= SIEVE_MAX."""
     return min(x, max(int(x ** (2.0 / 3.0)), 64 * math.isqrt(x)))
 
 
 def _mu_times_power(mu: np.ndarray, j: int, out: np.ndarray) -> None:
-    """Write mu(n) n^j for n = 1..len(mu) into the int64 array out, exactly
-    (n < 2^21, so n^3 < 2^63).  n is written as the outer sum of two short
-    ranges, so nothing as long as mu is allocated."""
+    """Write mu(n) n^j for n = 1..len(mu) into the integer array out (int64
+    for j > 0), exactly (n < 2^21, so n^3 < 2^63).  n is written as the
+    outer sum of two short ranges, so nothing as long as mu is allocated."""
+    if j == 0:
+        np.copyto(out, mu)
+        return
     width = 1 << 10
     whole = len(out) - len(out) % width
     np.add.outer(np.arange(0, whole, width), np.arange(1, width + 1),
@@ -367,101 +373,172 @@ def _mu_times_power(mu: np.ndarray, j: int, out: np.ndarray) -> None:
     out *= mu
 
 
-def _power_sum_table(x_floor: int, degree: int) -> list[np.ndarray]:
-    """S_j(v) mod p for 0 <= v <= _power_sum_limit(x_floor), one array per
-    (p, j) of _residue_rows(degree), from one sieve of [1, L].  Each row is
-    built in place (terms, reduction mod p, running sum), so a table
-    allocates its rows and the sieve and nothing else as long."""
-    limit = _power_sum_limit(x_floor)
-    mu = _segment_mu(1, limit + 1)
-    tables = []
-    for p, j in _residue_rows(degree):
-        table = np.empty(limit + 1, dtype=np.int64)
-        table[0] = 0
-        terms = table[1:]
-        if j == 0:  # mod 2^64 only; |S_0(v)| <= L
-            np.copyto(terms, mu)
-        else:
-            _mu_times_power(mu, j, terms)
-        if p == _WRAP:
-            np.cumsum(terms.view(np.uint64), out=terms.view(np.uint64))
-            tables.append(table.view(np.uint64))
-        else:
-            # the L terms sum to at most W_j(L) in magnitude; past 2^63
-            # they are reduced below 2^31 first, so the sum cannot overflow
-            if _faulhaber(limit, j) >= 1 << 63:
-                np.remainder(terms, p, out=terms)
-            np.cumsum(terms, out=terms)
-            tables.append(np.remainder(table, p, out=table))
-    return tables
+def _sum_ends(x_floor: int, limit: int) -> np.ndarray:
+    """The v, ascending, at which _mu_power_sums_at reads S_j(v) from the
+    sieve of [1, limit] for x = x_floor: x itself when x <= limit, else every
+    v <= r = isqrt(x), then x//m for m from x//(r+1) down to x//(limit+1) + 1,
+    which are distinct and lie in (r, limit]."""
+    if x_floor <= limit:
+        return np.array([x_floor], dtype=np.int64)
+    r = math.isqrt(x_floor)
+    m = np.arange(x_floor // (r + 1), x_floor // (limit + 1), -1, dtype=np.int64)
+    return np.concatenate((np.arange(1, r + 1, dtype=np.int64), x_floor // m))
 
 
-def _mu_power_sums(
-    x_floor: int, degree: int, tables: list[np.ndarray] | None = None
-) -> tuple[int, ...]:
+def _sums_at_ends(
+    terms: np.ndarray, starts: np.ndarray, p: int | None = None
+) -> np.ndarray:
+    """The running sums of terms at the ends of the segments that begin at
+    starts (the last one ends with terms): segment sums by np.add.reduceat,
+    then a running sum over the segments.
+
+    With p = None the terms sum to less than the top of their integer type
+    in magnitude and the sums are exact.  At p = 2^64 they are taken as
+    uint64, which wraps.  At a prime p the terms are already reduced mod p,
+    and each segment sum (below 2^52) is reduced again before the running
+    sum (below 2^47 over at most 2 sqrt(SIEVE_MAX) + 1 segments).
+    """
+    if p == _WRAP:
+        terms = terms.view(np.uint64)
+    # the dtype keeps numpy from widening an int32 array in a copy
+    sums = np.add.reduceat(terms, starts, dtype=terms.dtype)
+    if p is None or p == _WRAP:
+        return np.cumsum(sums, out=sums)
+    np.remainder(sums, p, out=sums)
+    return np.remainder(np.cumsum(sums, out=sums), p, out=sums)
+
+
+def _mu_power_sums(x_floor: int, degree: int) -> tuple[int, ...]:
     """Exact (S_0(x), ..., S_degree(x)) for integer 1 <= x <= SIEVE_MAX and
-    degree <= 3, in time about x^(2/3), without streaming mu from n = 1.
+    degree <= 3, in time about x^(2/3), without streaming mu from n = 1
+    (_mu_power_sums_at has the method).  On a 2-vCPU VM M(1e8) takes about
+    5 ms with a peak of about 3 MB, M(1e9) 20 ms and 11 MB, and S_0..S_3
+    80 ms and 6 MB at 1e8, 0.25 s and 21 MB at 1e9."""
+    return _mu_power_sums_at([(x_floor, degree)])[0]
 
-    n^j is completely multiplicative, so sum_{d <= v} d^j S_j(floor(v/d)) = 1
-    (Deleglise-Rivat).  With r = isqrt(v), the terms d <= r are read one by
-    one; the terms d > r fall into groups with one quotient q <= v//(r+1) <= r
-    each, weighted by W_j(v//q) - W_j(v//(q+1)), W_j(N) = sum_{d <= N} d^j
-    (_faulhaber_factors).  Values up to L come from tables (see
-    _power_sum_table; any tables with L >= _power_sum_limit(x) and a degree
-    >= degree will do).  Every larger value needed is S_j(x//k) with
-    k <= K = x//(L+1) < sqrt(x), and is computed in ascending order of x//k,
-    each from its own array of d and of q; since x//k//d = x//(kd), it reads
-    the larger values it needs from the ones already found.
 
-    Every sum is taken mod each modulus of _residue_rows(degree), so an
+def _mu_power_sums_at(points: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Exact (S_0(x), ..., S_k(x)) for each (x, k) of points, integer
+    1 <= x <= SIEVE_MAX and k <= 3, from one sieve of [1, L],
+    L = _power_sum_limit(max x), and the Deleglise-Rivat identity.
+
+    n^j is completely multiplicative, so sum_{d <= v} d^j S_j(floor(v/d)) = 1.
+    With r_v = isqrt(v), the terms d <= r_v are read one by one; the terms
+    d > r_v fall into groups with one quotient q <= v//(r_v+1) <= r_v each,
+    weighted by W_j(v//q) - W_j(v//(q+1)), W_j(N) = sum_{d <= N} d^j
+    (_faulhaber_factors).  For x > L, with r = isqrt(x), n_big = x//(L+1)
+    and m_top = x//(r+1), the identity at v = x//k, k <= n_big, reads S_j
+    only at v <= r and at x//m, m <= m_top (since x//k//d = x//(kd)).  So
+    each point keeps two short tables per residue row:
+
+    - small[v] = S_j(v) for v <= r, and large[m] = S_j(x//m) for
+      n_big < m <= m_top, both summed from the sieve (_sum_ends,
+      _sums_at_ends);
+    - large[k] for k <= n_big from the identity, in descending k.  Every d
+      with kd <= m_top reads the strided slice large[2k : k d_top + 1 : k];
+      only d > m_top/k read small[v//d].
+
+    A point with x <= L reads its sums directly from the sieve.  The terms
+    mu(n) n^j are formed in one integer array of length L, once per j
+    (twice for j = 3 when they are reduced mod two primes), and read by
+    every point before the next j overwrites them (_sieved_sums); no running
+    sum as long as the sieve is kept.
+
+    Every sum is taken mod each modulus of _residue_rows(k), so an
     intermediate value may wrap; only the final S_j is bounded, by
     |S_j(x)| <= W_j(x), and the moduli it was found for multiply to more
     than 2 W_j(SIEVE_MAX) (_RESIDUES): 2^64 alone for j <= 1, with
     2^31 - 1 for j = 2 and with 2^31 - 19 as well for j = 3.  _crt takes
     the residues back to S_j.
     """
-    rows = _residue_rows(degree)
-    if tables is None:
-        tables = _power_sum_table(x_floor, degree)
-    tables = tables[: len(rows)]  # a table for a larger degree starts with these
-    if x_floor < len(tables[0]):
-        found = [int(table[x_floor]) for table in tables]
-    else:
-        found = _identity_sums(x_floor, rows, tables)
-    residues: list[list[int]] = [[] for _ in range(degree + 1)]
-    for (_, j), value in zip(rows, found):
-        residues[j].append(value)
-    return tuple(_crt(r) for r in residues)
+    limit = _power_sum_limit(max(x for x, _ in points))
+    found = []
+    for (x, k), values in zip(points, _sieved_sums(points, limit)):
+        rows = _residue_rows(k)
+        if x <= limit:
+            sums = [int(row[-1]) for row in values]
+        else:
+            sums = _identity_sums(x, limit, rows, values)
+        residues: list[list[int]] = [[] for _ in range(k + 1)]
+        for (_, j), value in zip(rows, sums):
+            residues[j].append(value)
+        found.append(tuple(_crt(r) for r in residues))
+    return found
+
+
+def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndarray]]:
+    """For each (x, k) of points, one array per row (p, j) of
+    _residue_rows(k): S_j(v) mod p at the v of _sum_ends(x, limit), all from
+    one sieve of [1, limit] and one array of terms mu(n) n^j, int64, or
+    int32 when S_0 alone is asked for (|S_0(v)| <= v < 2^31)."""
+    mu = _segment_mu(1, limit + 1)
+    ends = [_sum_ends(x, limit) for x, _ in points]
+    starts = [np.concatenate(([0], e[:-1])) for e in ends]
+    values: list[list[np.ndarray]] = [[] for _ in points]
+    degree = max(k for _, k in points)
+    terms = np.empty(limit, dtype=np.int64 if degree else np.int32)
+    for j in range(degree + 1):
+        need = [i for i, (_, k) in enumerate(points) if k >= j]
+        moduli = _MODULI[: _RESIDUES[j]]
+        _mu_times_power(mu, j, terms)
+        if _faulhaber(limit, j) < 1 << 63:  # exact in int64: reduce the sums
+            for i in need:
+                sums = _sums_at_ends(terms[: ends[i][-1]], starts[i])
+                sums = sums.astype(np.int64, copy=False)
+                values[i] += [sums.view(np.uint64) if p == _WRAP else sums % p for p in moduli]
+            continue
+        for n, p in enumerate(moduli):  # j = 3 past L of about 78,000
+            if n > 1:  # the previous prime reduced them in place
+                _mu_times_power(mu, j, terms)
+            if p != _WRAP:
+                np.remainder(terms, p, out=terms)
+            for i in need:
+                values[i].append(_sums_at_ends(terms[: ends[i][-1]], starts[i], p))
+    return values
 
 
 def _identity_sums(
-    x_floor: int, rows: list[tuple[int, int]], tables: list[np.ndarray]
+    x_floor: int, limit: int, rows: list[tuple[int, int]], values: list[np.ndarray]
 ) -> list[int]:
-    """The residues of S_j(x) for x past the tables, row by row, from the
-    identity as _mu_power_sums sets it out."""
-    limit = len(tables[0]) - 1
-    n_big = x_floor // (limit + 1)  # x//k > limit exactly for k <= n_big
-    bigs = [np.zeros(n_big + 1, dtype=table.dtype) for table in tables]
-    d_all = np.arange(2, math.isqrt(x_floor) + 1, dtype=np.int64)
+    """The residues of S_j(x) for x past the sieve, row by row, from the
+    identity as _mu_power_sums_at sets it out; values holds each row's sums
+    at _sum_ends(x_floor, limit)."""
+    r = math.isqrt(x_floor)
+    n_big, m_top = x_floor // (limit + 1), x_floor // (r + 1)
+    smalls, larges = [], []
+    for row in values:
+        small = np.zeros(r + 1, dtype=row.dtype)
+        small[1:] = row[:r]
+        large = np.zeros(m_top + 1, dtype=row.dtype)
+        large[n_big + 1 :] = row[r:][::-1]
+        smalls.append(small)
+        larges.append(large)
+    d_all = np.arange(2, r + 1, dtype=np.int64)
     d_powers = [_residues(d_all**j, p) for p, j in rows]
+    # 1..r+1 as floats: v/d rounds to within half an ulp, which for v < 2^52
+    # is less than the distance from v/d up to the next integer, so the
+    # float quotients truncate to v//d exactly
+    d_float = np.arange(1, r + 2, dtype=np.float64)
     for k in range(n_big, 0, -1):
         v = x_floor // k
-        r = math.isqrt(v)
-        n_read = max(0, min(r, n_big // k) - 1)  # d with k d <= n_big
-        kd, q = k * d_all[:n_read], v // d_all[n_read : r - 1]
-        # ends in r; unsigned, as the residues mod 2^64 take them
-        bounds = v // np.arange(1, v // (r + 1) + 2, dtype=np.uint64)
-        groups = len(bounds) - 1
+        r_v = math.isqrt(v)
+        quotients = (v / d_float[: r_v + 1]).astype(np.int64)  # v//d, d <= r_v + 1
+        d_top = min(r_v, m_top // k)  # d <= d_top read large[k d]
+        q = quotients[d_top:r_v]
+        # v//1, ..., v//(g+1) = r_v, g = v//(r_v+1); unsigned, as the
+        # residues mod 2^64 take them
+        groups = v // (r_v + 1)
+        bounds = quotients[: groups + 1].view(np.uint64)
         factors = _faulhaber_factors(bounds, rows[-1][1])
-        for (p, j), table, big, d_pow in zip(rows, tables, bigs, d_powers):
-            # the terms d = 2..r, the first n_read from big, then the groups
+        for (p, j), small, large, d_pow in zip(rows, smalls, larges, d_powers):
+            # the terms d = 2..r_v, the first d_top - 1 from large, then the
+            # groups
             w = _product(factors[j], p)
-            terms = (_dot(d_pow[n_read : r - 1], table.take(q), p)
-                     + _dot(w[:-1] - w[1:], table[1 : groups + 1], p))
-            if n_read:  # none for k > n_big/2
-                terms += _dot(d_pow[:n_read], big.take(kd), p)
-            big[k] = (1 - terms) % p
-    return [int(big[1]) for big in bigs]
+            terms = (_dot(d_pow[: d_top - 1], large[2 * k : k * d_top + 1 : k], p)
+                     + _dot(d_pow[d_top - 1 : r_v - 1], small.take(q), p)
+                     + _dot(w[:-1] - w[1:], small[1 : groups + 1], p))
+            large[k] = (1 - terms) % p
+    return [int(large[1]) for large in larges]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +617,7 @@ def _write_atomic(path, chunks) -> None:
             os.unlink(tmp)
 
 
-def _stream(x_floor: int, cache: CheckpointCache | None):
+def _stream(x_floor: int, cache: CheckpointCache | None, prefix: bool = True):
     """Stream mu for n in [1, x_floor].
 
     Yields (n0, mu, m_vals) for every chunk of consecutive integers n in
@@ -549,9 +626,10 @@ def _stream(x_floor: int, cache: CheckpointCache | None):
     chunks (views) of min(_CHUNK, _BLOCK) integers, so each block is a run of
     whole chunks (_opens_block tells where one starts), and a consumer that
     cuts the chunks at its own floor(x) sums over the same blocks as a stream
-    that ends there.  m_vals is summed per chunk.  With a cache, the values
-    at multiples of its stride are recorded on the way, and mertens serves
-    those x from it; without one, nothing is recorded.
+    that ends there.  m_vals is summed per chunk; without prefix it is None,
+    for consumers that read mu alone, and M is carried by chunk sums.  With
+    a cache, the values at multiples of its stride are recorded on the way,
+    and mertens serves those x from it; without one, nothing is recorded.
     """
     m_prev = 0
     chunk = min(_CHUNK, _BLOCK)
@@ -559,15 +637,21 @@ def _stream(x_floor: int, cache: CheckpointCache | None):
         mu_block = _segment_mu(n_next, min(n_next + _BLOCK, x_floor + 1))
         for n0 in range(n_next, n_next + len(mu_block), chunk):
             mu = mu_block[n0 - n_next : n0 - n_next + chunk]
-            # a block-long M array, freed at every block, can hand its pages
-            # back to the system, to be faulted in again at the next block
-            m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
-            m_vals[0] += m_prev
-            m_prev = int(np.cumsum(m_vals, out=m_vals)[-1])
+            m_lo = m_prev
+            if prefix:
+                # a block-long M array, freed at every block, can hand its
+                # pages back to the system, to be faulted in again at the
+                # next block
+                m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
+                m_vals[0] += m_prev
+                m_prev = int(np.cumsum(m_vals, out=m_vals)[-1])
+            else:
+                m_vals = None
+                m_prev += int(mu.sum())
             if cache is not None:
                 stride = cache.stride
                 for cp in range(-(-n0 // stride) * stride, n0 + len(mu), stride):
-                    cache.record(cp, int(m_vals[cp - n0]))
+                    cache.record(cp, m_lo + int(mu[: cp - n0 + 1].sum()))
             yield n0, mu, m_vals
 
 
@@ -660,23 +744,25 @@ def _riesz_means(
     """M_tau(x) for each (x, tau) in points.
 
     Points with integer tau = k <= 3 take S_0, ..., S_k from
-    _mu_power_sums, all from one table sized for the largest such x and the
-    largest such k, and are exact until one final rounding.  The others
-    share one stream from n = 1 up to their largest floor(x); each chunk is
-    cut at each point's floor(x), so a point sums over the same rounding
-    blocks, each sum correctly rounded, as a stream of its own would.
+    _mu_power_sums_at, all from one sieve sized for the largest such x and
+    one set of term arrays for the largest such k, and are exact until one
+    final rounding.  The others share one stream of mu from n = 1 up to
+    their largest floor(x), which weights only the n with mu(n) != 0; each
+    chunk is cut at each point's floor(x), so a point sums over the same
+    rounding blocks, each sum correctly rounded, as a stream of its own
+    would.
     """
     for x, tau in points:
         _check_tau(tau)
         _check_x(x)
     exact = [(x, int(tau)) for x, tau in points if tau in _EXACT_DEGREES]
-    tables = _power_sum_table(math.floor(max(x for x, _ in exact)),
-                              max(k for _, k in exact)) if exact else None
+    power_sums = iter(_mu_power_sums_at([(math.floor(x), k) for x, k in exact])
+                      if exact else [])
 
     def exact_mean(x: float, k: int) -> float:
         # k! M_k(x) = sum_i C(k, i) (-1/x)^i S_i(x), over the denominator
         # k! a^k for x = a/b; int / int is correctly rounded
-        s = _mu_power_sums(math.floor(x), k, tables)
+        s = next(power_sums)
         a, b = x.as_integer_ratio()
         return (sum(math.comb(k, i) * (-b) ** i * a ** (k - i) * s[i] for i in range(k + 1))
                 / (math.factorial(k) * a**k))
@@ -684,16 +770,25 @@ def _riesz_means(
     weighted = [(x, tau, math.lgamma(1.0 + tau), _BlockSums()) for x, tau in points
                 if tau not in _EXACT_DEGREES]
     if weighted:
-        for n0, mu, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache):
+        # the terms mu(n) exp(tau log1p(-n/x) - log_norm), only where
+        # mu(n) != 0, formed in place in one buffer that every chunk reuses
+        # (chunk-sized temporaries of varying length fragment the heap)
+        buffer = np.empty(min(_CHUNK, _BLOCK))
+        for n0, mu, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache,
+                                 prefix=False):
             for x, tau, log_norm, sums in weighted:
                 if n0 > x:
                     continue
-                mu_x = mu[: math.floor(x) + 1 - n0]
-                ns = np.arange(n0, n0 + len(mu_x), dtype=np.float64)
+                nz = np.flatnonzero(mu[: math.floor(x) + 1 - n0] != 0)  # faster on bool
+                terms = np.add(nz, n0, dtype=np.float64, out=buffer[: len(nz)])
+                terms /= -x
                 with np.errstate(divide="ignore"):
-                    w = np.exp(tau * np.log1p(-ns / x) - log_norm)
-                nz = mu_x != 0
-                sums.add(n0, mu_x[nz].astype(np.float64) * w[nz])
+                    np.log1p(terms, out=terms)
+                terms *= tau
+                terms -= log_norm
+                np.exp(terms, out=terms)
+                terms *= mu[nz]
+                sums.add(n0, terms)
     totals = iter([sums.total() for *_, sums in weighted])
     return [exact_mean(x, int(tau)) if tau in _EXACT_DEGREES else next(totals)
             for x, tau in points]
@@ -888,7 +983,7 @@ def tau_regime_scan(
     M_tau * tau^(3/2) / sqrt(x), plus the growth-factor helper column
     (tau/e)^(-tau-1).  Rows where the schedule is undefined carry
     status="undefined" instead of raising.  The rows share one power-sum
-    table (integer tau <= 3) or one mu stream up to the largest x (see
+    sieve (integer tau <= 3) or one mu stream up to the largest x (see
     _riesz_means).
     """
     rows: list[dict] = []

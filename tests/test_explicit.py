@@ -231,7 +231,7 @@ def test_compare_direct_explicit_streams_once(table, sieved_lengths, tau):
         warnings.simplefilter("ignore")  # Bartz mode at tau = 0
         rows = compare_direct_explicit(xs, tau, table, 100.0, 10)
         # max x, not the 360000 of one stream per row; tau = 0 reads S_0
-        # from one power-sum table sized for max x
+        # from one power-sum sieve sized for max x
         if tau == 0.0:
             assert sieved_lengths == [moebius._power_sum_limit(200_000)]
         else:

@@ -8,6 +8,7 @@ Euler-Maclaurin accumulation error.
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -305,6 +306,26 @@ def test_gamma_ratio_matches_mpmath_over_the_table(table):
                 z = mp.mpc(rho.real, rho.imag)
                 want = mp.gamma(z) / mp.gamma(1 + tau + z)
                 assert abs(got - want) <= 1e-14 * abs(want), (rho, tau)
+
+
+def test_gamma_ratio_far_left_of_zero():
+    # Re s < -tau takes its whole right shift from the reflection formula at
+    # once: a point 10^4 left of 0 costs what one near 0 does (a step per
+    # unit took 0.12 s), and stays within 1e-14 of 40-digit mpmath, finite
+    # at |Im s| = 2000 too
+    import mpmath as mp
+
+    points = np.array([-9999.5, complex(-1e4, 1.0), complex(-1e4, -50.0),
+                       complex(-3e3, 2e3), -1000.3, complex(-40.5, 0.1)])
+    with mp.workdps(40):
+        for tau in (0.0, 0.25, 1.0, 2.0, 3.7):
+            start = time.perf_counter()
+            got = gamma_ratio(points, tau)
+            assert time.perf_counter() - start < 0.05, tau
+            for s, value in zip(points.tolist(), got.tolist()):
+                z = mp.mpc(s.real, s.imag)
+                want = mp.gamma(z) / mp.gamma(mp.mpf(1.0 + tau) + z)
+                assert abs(value - want) <= 1e-14 * abs(want), (s, tau)
 
 
 def test_gamma_ratio_array_call_equals_scalar_calls(table):

@@ -367,59 +367,77 @@ def test_power_sums_match_sieve_below_3000(prefix_sums):
 
 
 def test_power_sums_match_sieve_to_3e6(prefix_sums):
-    shared = moebius._power_sum_table(3_000_000, 3)
     assert max(abs(s) for s in prefix_sums[3]) > 2**63  # the CRT of three moduli runs
-    for x in _seeded_xs():
+    xs = _seeded_xs()
+    # one call shares its sieve and term arrays among points of degree 3
+    # and degree 1, and points at and below the sieve's top read it directly
+    top = moebius._power_sum_limit(max(xs))
+    points = [(x, 3) for x in xs] + [(x, 1) for x in xs] + [(top, 2), (top // 3, 3)]
+    shared = moebius._mu_power_sums_at(points)
+    for (x, degree), got in zip(points, shared):
+        want = tuple(s[x] for s in prefix_sums[: degree + 1])
+        assert got == want, (x, degree)
+    for x in xs:
         want = tuple(s[x] for s in prefix_sums)
-        assert moebius._power_sum_limit(x) < x  # the recursion, not the table
+        assert moebius._power_sum_limit(x) < x  # the identity, not the sieve
         assert moebius._mu_power_sums(x, 3) == want, x
-        assert moebius._mu_power_sums(x, 3, shared) == want, x
-        # a table for a larger degree serves a smaller one
-        assert moebius._mu_power_sums(x, 1, shared) == want[:2], x
 
 
-def test_power_sum_table_terms_are_exact_at_its_top():
-    # past n = 2^(53/3) a term mu(n) n^3 leaves the doubles, so a table whose
-    # top is that far up shows any product taken in float64
+def _sieved_rows(x: int, degree: int):
+    """The power sum rows of _sieved_sums for x alone, with their ends."""
+    limit = moebius._power_sum_limit(x)
+    (rows,) = moebius._sieved_sums([(x, degree)], limit)
+    return limit, moebius._sum_ends(x, limit), rows
+
+
+def test_power_sum_terms_are_exact_at_the_sieve_top():
+    # past n = 2^(53/3) a term mu(n) n^3 leaves the doubles, so sums that
+    # end that far up show any product taken in float64
     x = 2 * 10**7
-    tables = moebius._power_sum_table(x, 3)
-    top = len(tables[0]) - 1
-    assert top**3 > 2**53
-    lo = top - 2000
-    mu = moebius._segment_mu(lo, top + 1).tolist()
-    for (p, j), table in zip(moebius._residue_rows(3), tables):
-        steps = [(int(table[v]) - int(table[v - 1])) % p for v in range(lo, top + 1)]
-        assert steps == [m * v**j % p for m, v in zip(mu, range(lo, top + 1))], (p, j)
+    limit, ends, rows = _sieved_rows(x, 3)
+    assert limit**3 > 2**53 and ends[-1] <= limit
+    lo = int(ends[-3])  # the last two segments, about 8000 integers
+    mu = moebius._segment_mu(lo + 1, int(ends[-1]) + 1).tolist()
+    n = range(lo + 1, int(ends[-1]) + 1)
+    for (p, j), row in zip(moebius._residue_rows(3), rows):
+        steps = [(int(row[i]) - int(row[i - 1])) % p for i in (-2, -1)]
+        cut = int(ends[-2]) - lo
+        want = [sum(m * v**j for m, v in zip(mu[:cut], n[:cut])) % p,
+                sum(m * v**j for m, v in zip(mu[cut:], n[cut:])) % p]
+        assert steps == want, (p, j)
 
 
 def test_power_sum_rows_hold_sums_past_2_63():
-    # at x = 2^28 the table runs to 2^20, where |S_3(v)| passes 2^63, so the
+    # at x = 2^28 the sieve runs to 2^20, where |S_3(v)| passes 2^63, so the
     # rows mod a prime must reduce their terms before summing them
-    tables = moebius._power_sum_table(1 << 28, 3)
-    top = len(tables[0]) - 1
-    mu = moebius._segment_mu(1, top + 1)
+    limit, ends, rows = _sieved_rows(1 << 28, 3)
+    mu = moebius._segment_mu(1, limit + 1)
     n = np.flatnonzero(mu) + 1
     s3 = np.cumsum(mu[n - 1].astype(object) * n.astype(object) ** 3)
-    far = int(np.argmax([abs(v) for v in s3]))
-    assert top == 1 << 20 and abs(s3[far]) > 2**63
-    for (p, j), table in zip(moebius._residue_rows(3), tables):
+    at_ends = s3[np.searchsorted(n, ends, side="right") - 1].tolist()
+    assert limit == 1 << 20 and max(abs(v) for v in at_ends) > 2**63
+    for (p, j), row in zip(moebius._residue_rows(3), rows):
         if j == 3:
-            assert [int(table[n[i]]) for i in (far, -1)] == [s3[i] % p for i in (far, -1)], p
+            assert row.tolist() == [v % p for v in at_ends], p
 
 
-def test_power_sum_table_allocates_only_its_rows_and_the_sieve():
-    # the terms, their reduction mod p and the running sums are formed in
-    # the rows; a temporary as long as a row would show in the peak
+def test_power_sums_allocate_the_sieve_one_term_array_and_short_tables():
+    # the terms mu(n) n^j of every row are formed in one int64 array as long
+    # as the sieve (L bytes), and summed at the ends only.  Past these 9 L
+    # bytes the short tables (about 2 sqrt(x) = L/32 sums per row, 7 rows)
+    # take about 2.6 L; one more int64 temporary as long as the sieve would
+    # add 8 L
     x = 2 * 10**7
-    moebius._power_sum_table(x, 3)  # the prime tables are cached after this
+    limit = moebius._power_sum_limit(x)
+    assert limit == 64 * math.isqrt(x)
+    moebius._mu_power_sums(x, 3)  # the prime tables are cached after this
     tracemalloc.start()
     try:
-        tables = moebius._power_sum_table(x, 3)
+        moebius._mu_power_sums(x, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row = tables[0].nbytes
-    assert len(tables) == 7 and peak - 7 * row < row // 2
+    assert peak - 9 * limit < 4 * limit
 
 
 def test_residue_count_follows_from_the_bound():
@@ -905,7 +923,7 @@ def test_tau_regime_scan_sieves_max_x_once(sieved_lengths):
 
 @pytest.mark.parametrize("tau", [1.0, 2.0, 3.0])
 def test_tau_regime_scan_at_integer_tau_sieves_one_table(sieved_lengths, tau):
-    # integer tau <= 3 reads S_0, ..., S_tau: one table sized for the largest
+    # integer tau <= 3 reads S_0, ..., S_tau: one sieve sized for the largest
     # x serves every row, and nothing streams
     xs = [float(x) for x in np.geomspace(10.0, 2e5, 9)]
     tau_regime_scan(xs, TauSchedule("constant", tau), CheckpointCache())
