@@ -8,7 +8,8 @@ and at x = 1e6 (where the phase rounding of gamma * log x does),
 1 (the base value, never recorded) and 2 (the smallest recorded x), the
 power sums past their sieve (``mertens`` at 1e8 and near 1e9, ``riesz`` at
 tau = 2, an ``integral`` at kappa = -2 and a nine-point tau = 1 scan, all to
-1e7 or more), a long streamed Riesz mean (4.2e6 at tau = 0.5), and a
+1e7 or more, and ``riesz`` at tau = 1 and an ``integral`` at kappa = -2 near
+1e9, whose sieve takes two blocks), a long streamed Riesz mean (4.2e6 at tau = 0.5), and a
 few refused arguments (x = 0 for ``mertens``, non-finite or overflowing s,
 kappa, lambda and tau, an L past the identity's range, and an infinite
 ``--T`` for ``hko``, run without ``--zeros`` so no table height refuses it
@@ -22,7 +23,7 @@ invocation whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 232 invocations take about 2.7 s on one core of a
+stderr is not hashed.  The 240 invocations take about 3.6 s on one core of a
 2-vCPU Xeon VM.
 """
 
@@ -87,6 +88,10 @@ COMMANDS = [
     ["riesz", "3e7", "--tau", "2"],
     ["integral", "2e7", "--kappa", "-2"],
     ["scan", "tau-regime", "--x-stop", "1e7", "--points", "9"],
+    # a sieve of two blocks: S_0, S_1 and S_0..S_3 (with the rows mod each
+    # prime) at a prime near 1e9
+    ["riesz", "999999937", "--tau", "1"],
+    ["integral", "999999937", "--kappa", "-2"],
     ["riesz", "4.2e6", "--tau", "0.5"],
     ["--T", "2000", "explicit", "1e3"],  # beyond the table: exit 3
     # refusals, each exit 2

@@ -82,6 +82,12 @@ CHECKPOINT_STRIDE = 10**6
 _BLOCK = 1 << 20
 _CHUNK = 1 << 14
 
+# The power sums read their sieve in pieces whose arrays of terms take
+# _PIECE bytes each: 2^15 int64 terms mu(n) n^j, or 2^16 int32 values of mu
+# when S_0 alone is asked for.  Larger pieces cost more in page faults on
+# their fresh buffers than they save in per-piece overhead.
+_PIECE = 1 << 18
+
 _CHECKPOINT_MAGIC = b"MRTC0002"
 _CHECKPOINT_RECORD = struct.Struct("<Qq")
 
@@ -171,37 +177,55 @@ def _root_floor(w: int) -> int:
     return math.isqrt((1 << (w + 1)) - 1) + 1
 
 
-# The costs of 2, 3, 5, 7 repeat with period 210; the wheel tiles them in a
-# multiple of it, 4 * 9 * 25 * 49, so a 2^20 block takes 24 copies.
-_WHEEL = 44100
+# The costs of the wheel's primes repeat with their product as the period,
+# 30030, so a 2^20 block takes 35 copies.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)
 
 # _segment_mu takes n < _SEGMENT_MAX: there the costs of n's primes sum to
 # at most 4 log2 n + omega(n) <= 160 + 11 < 2^8, and the prime table stops
 # at 2^20.
 _SEGMENT_MAX = 1 << 40
 
+# _segment_mu turns the sums of at most _RUN integers at a time into mu, with
+# one bool buffer of this length for the sign flips, so a run stays in cache.
+_RUN = 1 << 16
+
 
 @lru_cache(maxsize=1)
 def _wheel() -> np.ndarray:
-    """At residue r in [0, _WHEEL): the sum of c_p over the primes p among
-    2, 3, 5, 7 that divide r."""
+    """At residue r in [0, _WHEEL): the sum of c_p over the primes p of
+    _WHEEL_PRIMES that divide r."""
     costs = np.zeros(_WHEEL, dtype=np.uint8)
-    for p in (2, 3, 5, 7):
+    for p in _WHEEL_PRIMES:
         costs[::p] += 2 * (p * p).bit_length() - 1
     return costs
 
 
-def _segment_mu(lo: int, hi: int) -> np.ndarray:
+def _tile_wheel(s: np.ndarray, lo: int) -> None:
+    """Write the wheel's costs of n = lo, lo + 1, ... into s: its tail from
+    lo mod _WHEEL, then whole copies by one broadcast assignment, then a
+    head."""
+    wheel = _wheel()
+    head = min(len(s), _WHEEL - lo % _WHEEL)
+    s[:head] = wheel[lo % _WHEEL : lo % _WHEEL + head]
+    rest = s[head:]
+    whole = len(rest) - len(rest) % _WHEEL
+    rest[:whole].reshape(-1, _WHEEL)[...] = wheel
+    rest[whole:] = wheel[: len(rest) - whole]
+
+
+def _segment_mu(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """Exact mu(n) for n in [lo, hi) from a log-sum sieve in one uint8 array.
 
-    Every prime p <= R = max(isqrt(hi - 1), R_w), and 2, 3, 5, 7 tiled from
-    the wheel, adds its odd cost c_p = 2 floor(2 log2 p) + 1 at its
-    multiples, so s[i] sums c_p over the sieved primes that divide n = lo + i
-    and its low bit is the parity of their number.  Then the multiples of
-    each p^2 are zeroed.  A squarefree n < (R + 1)^2 has at most one prime
-    factor above R, and s tells whether it has one.  Let 2^k <= n < 2^(k+1),
-    let w >= 1 bound omega(n) on [lo, hi) (_omega_bound), and note that
-    4 log2 p - 1 < c_p <= 4 log2 p + 1:
+    Every prime p <= R = max(isqrt(hi - 1), R_w), and those of the wheel
+    (2 to 13, tiled from _wheel), adds its odd cost c_p = 2 floor(2 log2 p)
+    + 1 at its multiples, so s[i] sums c_p over the sieved primes that
+    divide n = lo + i and its low bit is the parity of their number.  Then
+    the multiples of each p^2 are zeroed.  A squarefree n < (R + 1)^2 has at
+    most one prime factor above R, and s tells whether it has one that is
+    not sieved.  Let 2^k <= n < 2^(k+1), let w >= 1 bound omega(n) on
+    [lo, hi) (_omega_bound), and note that 4 log2 p - 1 < c_p <= 4 log2 p + 1:
 
     - with none, s > 4 log2 n - omega(n) >= 4k - w, so s >= T_k = 4k - w + 1
       (n = 1, which has no prime factor, sums to 0 = T_0);
@@ -211,7 +235,12 @@ def _segment_mu(lo: int, hi: int) -> np.ndarray:
 
     T_k is clamped at 0, which only the first case reaches.  So mu(n) is
     (-1)^s on a squarefree n, flipped where s < T_k.  With n < _SEGMENT_MAX,
-    s and T_k fit in a byte.
+    s and T_k fit in a byte.  The flips are decided run by run (_RUN), so
+    nothing as long as the segment is allocated besides s itself.
+
+    With out, an int8 array of at least hi - lo entries, s is out[:hi - lo]
+    and that view is returned: a caller that sieves block after block into
+    one buffer allocates no block of its own.
     """
     n_max = hi - 1
     if n_max >= _SEGMENT_MAX:
@@ -221,22 +250,28 @@ def _segment_mu(lo: int, hi: int) -> np.ndarray:
     limit = _table_limit(root * root)
     primes, costs = _primes_upto(limit), _prime_costs(limit)
     stop = int(np.searchsorted(primes, root, side="right"))
-    # primes[:4] are the wheel's 2, 3, 5, 7
-    primes, costs = primes[4:stop], costs[4:stop]
-    s = np.resize(np.roll(_wheel(), -(lo % _WHEEL)), hi - lo)
+    # the wheel's primes come first
+    wheel = len(_WHEEL_PRIMES)
+    primes, costs = primes[wheel:stop], costs[wheel:stop]
+    mu = np.empty(hi - lo, dtype=np.int8) if out is None else out[: hi - lo]
+    s = mu.view(np.uint8)
+    _tile_wheel(s, lo)
     for p, c in zip(primes.tolist(), costs.tolist()):
         s[-lo % p :: p] += c
-    big = np.empty(hi - lo, dtype=bool)
-    for k in range(int(lo).bit_length() - 1, int(n_max).bit_length()):
-        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
-        np.less(s[a:b], max(0, 4 * k - w + 1), out=big[a:b])
-    s &= 1
-    s ^= big.view(np.uint8)
-    mu = s.view(np.int8)
-    mu *= -2
-    mu += 1
+    flip = np.empty(min(hi - lo, _RUN), dtype=bool)
+    for a in range(lo, hi, _RUN):
+        b = min(a + _RUN, hi)
+        for k in range(a.bit_length() - 1, int(b - 1).bit_length()):
+            c, d = max(a, 1 << k), min(b, 2 << k)
+            np.less(s[c - lo : d - lo], max(0, 4 * k - w + 1), out=flip[c - a : d - a])
+        run = s[a - lo : b - lo]
+        run &= 1
+        run ^= flip[: b - a].view(np.uint8)
+        run = run.view(np.int8)
+        run *= -2
+        run += 1
     # a square above hi - lo has at most one multiple here: one assignment
-    squares = np.concatenate(([4, 9, 25, 49], primes * primes))
+    squares = np.concatenate(([p * p for p in _WHEEL_PRIMES], primes * primes))
     few = int(np.searchsorted(squares, hi - lo, side="right"))
     for q in squares[:few].tolist():
         mu[-lo % q :: q] = 0
@@ -306,10 +341,21 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return _reduce(a, p).astype(np.int64, copy=False)
 
 
+def _split(a: np.ndarray) -> np.ndarray:
+    """Residues a mod a prime (below 2^31) as the rows of their high and low
+    16 bits, a = 2^16 hi + lo, in one (2, len(a)) int64 array."""
+    return np.stack((a >> 16, a & 0xFFFF))
+
+
 def _dot(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    """The dot product of two residue arrays, mod p up to a multiple of p.
-    Mod a prime each product, below 2^62 in magnitude, is reduced first."""
-    return int(a @ b) if p == _WRAP else int(_reduce(a * b, p).sum())
+    """The dot product of a residue array b with a, mod p up to a multiple
+    of p.  At p = 2^64, a is a residue array too; at a prime, a is the
+    _split of one, so with |b| < 2^31 and at most isqrt(SIEVE_MAX) < 2^15
+    terms each half's dot product stays below 2^62 and none needs reducing."""
+    if p == _WRAP:
+        return int(a @ b)
+    hi, lo = (a @ b).tolist()
+    return (hi << 16) + lo
 
 
 def _faulhaber_factors(n: np.ndarray, degree: int) -> list[tuple[np.ndarray, ...]]:
@@ -318,26 +364,29 @@ def _faulhaber_factors(n: np.ndarray, degree: int) -> list[tuple[np.ndarray, ...
 
     Nothing divides mod p, so the factors 2 and 3 of Faulhaber's forms are
     divided out here, exactly: n (n + 1) < 2^63 gives t = n (n + 1)/2, and 3
-    divides t or else 2n + 1.
+    divides t or else 2n + 1 (tested by floor division, which is faster
+    than remainder).  W_3 = t^2 repeats its factor.
     """
     factors: list[tuple[np.ndarray, ...]] = [(n,)]
     if degree >= 1:
         t = n * (n + 1) >> 1
         factors.append((t,))
     if degree >= 2:
-        third, s = t % 3 == 0, 2 * n + 1
-        factors.append((np.where(third, t // 3, t), np.where(third, s, s // 3)))
+        t_3, s = t // 3, 2 * n + 1
+        third = t_3 * 3 == t
+        factors.append((np.where(third, t_3, t), np.where(third, s, s // 3)))
     if degree >= 3:
         factors.append((t, t))
     return factors
 
 
 def _product(factors: tuple[np.ndarray, ...], p: int) -> np.ndarray:
-    """The product of integer arrays below 2^63, mod p."""
+    """The product of one or two integer arrays below 2^63, mod p; a
+    repeated factor is reduced once and squared."""
     w = _residues(factors[0], p)
-    for f in factors[1:]:
-        w = _reduce(w * _residues(f, p), p)
-    return w
+    if len(factors) == 1:
+        return w
+    return _reduce(w * (w if factors[1] is factors[0] else _residues(factors[1], p)), p)
 
 
 def _crt(residues: list[int]) -> int:
@@ -356,23 +405,6 @@ def _power_sum_limit(x: int) -> int:
     return min(x, max(int(x ** (2.0 / 3.0)), 64 * math.isqrt(x)))
 
 
-def _mu_times_power(mu: np.ndarray, j: int, out: np.ndarray) -> None:
-    """Write mu(n) n^j for n = 1..len(mu) into the integer array out (int64
-    for j > 0), exactly (n < 2^21, so n^3 < 2^63).  n is written as the
-    outer sum of two short ranges, so nothing as long as mu is allocated."""
-    if j == 0:
-        np.copyto(out, mu)
-        return
-    width = 1 << 10
-    whole = len(out) - len(out) % width
-    np.add.outer(np.arange(0, whole, width), np.arange(1, width + 1),
-                 out=out[:whole].reshape(-1, width))
-    out[whole:] = np.arange(whole + 1, len(out) + 1)
-    if j > 1:
-        np.power(out, j, out=out)
-    out *= mu
-
-
 def _sum_ends(x_floor: int, limit: int) -> np.ndarray:
     """The v, ascending, at which _mu_power_sums_at reads S_j(v) from the
     sieve of [1, limit] for x = x_floor: x itself when x <= limit, else every
@@ -385,35 +417,12 @@ def _sum_ends(x_floor: int, limit: int) -> np.ndarray:
     return np.concatenate((np.arange(1, r + 1, dtype=np.int64), x_floor // m))
 
 
-def _sums_at_ends(
-    terms: np.ndarray, starts: np.ndarray, p: int | None = None
-) -> np.ndarray:
-    """The running sums of terms at the ends of the segments that begin at
-    starts (the last one ends with terms): segment sums by np.add.reduceat,
-    then a running sum over the segments.
-
-    With p = None the terms sum to less than the top of their integer type
-    in magnitude and the sums are exact.  At p = 2^64 they are taken as
-    uint64, which wraps.  At a prime p the terms are already reduced mod p,
-    and each segment sum (below 2^52) is reduced again before the running
-    sum (below 2^47 over at most 2 sqrt(SIEVE_MAX) + 1 segments).
-    """
-    if p == _WRAP:
-        terms = terms.view(np.uint64)
-    # the dtype keeps numpy from widening an int32 array in a copy
-    sums = np.add.reduceat(terms, starts, dtype=terms.dtype)
-    if p is None or p == _WRAP:
-        return np.cumsum(sums, out=sums)
-    np.remainder(sums, p, out=sums)
-    return np.remainder(np.cumsum(sums, out=sums), p, out=sums)
-
-
 def _mu_power_sums(x_floor: int, degree: int) -> tuple[int, ...]:
     """Exact (S_0(x), ..., S_degree(x)) for integer 1 <= x <= SIEVE_MAX and
     degree <= 3, in time about x^(2/3), without streaming mu from n = 1
     (_mu_power_sums_at has the method).  On a 2-vCPU VM M(1e8) takes about
-    5 ms with a peak of about 3 MB, M(1e9) 20 ms and 11 MB, and S_0..S_3
-    80 ms and 6 MB at 1e8, 0.25 s and 21 MB at 1e9."""
+    5 ms with a peak of about 1 MB, M(1e9) 20-25 ms and 2.5 MB, and
+    S_0..S_3 35 ms and 4 MB at 1e8, 0.2 s and 14 MB at 1e9."""
     return _mu_power_sums_at([(x_floor, degree)])[0]
 
 
@@ -433,16 +442,15 @@ def _mu_power_sums_at(points: list[tuple[int, int]]) -> list[tuple[int, ...]]:
 
     - small[v] = S_j(v) for v <= r, and large[m] = S_j(x//m) for
       n_big < m <= m_top, both summed from the sieve (_sum_ends,
-      _sums_at_ends);
+      _sieved_sums);
     - large[k] for k <= n_big from the identity, in descending k.  Every d
       with kd <= m_top reads the strided slice large[2k : k d_top + 1 : k];
       only d > m_top/k read small[v//d].
 
-    A point with x <= L reads its sums directly from the sieve.  The terms
-    mu(n) n^j are formed in one integer array of length L, once per j
-    (twice for j = 3 when they are reduced mod two primes), and read by
-    every point before the next j overwrites them (_sieved_sums); no running
-    sum as long as the sieve is kept.
+    A point with x <= L reads its sums directly from the sieve.  The sieve
+    is taken block by block, and the terms mu(n) n^j a piece at a time, once
+    per piece and j for all points, which sum them at their ends as the
+    piece passes (_sieved_sums); nothing as long as the sieve is kept.
 
     Every sum is taken mod each modulus of _residue_rows(k), so an
     intermediate value may wrap; only the final S_j is bounded, by
@@ -468,32 +476,97 @@ def _mu_power_sums_at(points: list[tuple[int, int]]) -> list[tuple[int, ...]]:
 
 def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndarray]]:
     """For each (x, k) of points, one array per row (p, j) of
-    _residue_rows(k): S_j(v) mod p at the v of _sum_ends(x, limit), all from
-    one sieve of [1, limit] and one array of terms mu(n) n^j, int64, or
-    int32 when S_0 alone is asked for (|S_0(v)| <= v < 2^31)."""
-    mu = _segment_mu(1, limit + 1)
+    _residue_rows(k): S_j(v) mod p at the v of _sum_ends(x, limit).
+
+    [1, limit] is sieved block by block into one buffer (_BLOCK) and read in
+    pieces of at most 2^16 integers (_PIECE).  A piece forms its terms mu(n) n^j
+    once per j, and sums them at once for all points: at the ends of every
+    point that fall in it (np.add.reduceat, then a running sum over those
+    segments), plus the carry, S_j at the piece's left edge; the last
+    segment runs to the piece's end and makes the next carry.  A sum is
+    exact in int64 while W_j(limit) < 2^63 (int32 when S_0 alone is asked
+    for: |S_0(v)| <= v < 2^31) and reduced mod each modulus at the end; past
+    that (j = 3 past L of about 78,000) it is kept mod each modulus, as
+    uint64, which wraps, at 2^64, and from the terms reduced mod p at a prime
+    p (each piece's sum below 2^16 p < 2^47).  Nothing as long as the sieve
+    is allocated.
+    """
     ends = [_sum_ends(x, limit) for x, _ in points]
-    starts = [np.concatenate(([0], e[:-1])) for e in ends]
-    values: list[list[np.ndarray]] = [[] for _ in points]
     degree = max(k for _, k in points)
-    terms = np.empty(limit, dtype=np.int64 if degree else np.int32)
-    for j in range(degree + 1):
-        need = [i for i, (_, k) in enumerate(points) if k >= j]
-        moduli = _MODULI[: _RESIDUES[j]]
-        _mu_times_power(mu, j, terms)
-        if _faulhaber(limit, j) < 1 << 63:  # exact in int64: reduce the sums
-            for i in need:
-                sums = _sums_at_ends(terms[: ends[i][-1]], starts[i])
-                sums = sums.astype(np.int64, copy=False)
-                values[i] += [sums.view(np.uint64) if p == _WRAP else sums % p for p in moduli]
-            continue
-        for n, p in enumerate(moduli):  # j = 3 past L of about 78,000
-            if n > 1:  # the previous prime reduced them in place
-                _mu_times_power(mu, j, terms)
-            if p != _WRAP:
-                np.remainder(terms, p, out=terms)
-            for i in need:
-                values[i].append(_sums_at_ends(terms[: ends[i][-1]], starts[i], p))
+    every = ends[0]
+    if len(ends) > 1:  # the call's ends, ascending and distinct
+        every = np.sort(np.concatenate(ends))
+        every = every[np.concatenate(([True], every[1:] != every[:-1]))]
+    # a track is one sum, of S_j exactly (p = None) or mod p; sums[t] holds
+    # track t at every end of the call
+    tracks = [(j, p) for j in range(degree + 1)
+              for p in ([None] if _faulhaber(limit, j) < 1 << 63 else _MODULI[: _RESIDUES[j]])]
+    sums = [np.empty(len(every), dtype=np.uint64 if p == _WRAP else np.int64) for _, p in tracks]
+    carries = [0] * len(tracks)
+    top = int(every[-1])
+    dtype = np.dtype(np.int64 if degree else np.int32)
+    piece = min(_PIECE // dtype.itemsize, _BLOCK, limit)
+    work = np.empty(piece, dtype=dtype)
+    # the pieces are consecutive, so n moves on by a piece at every piece
+    n = np.arange(1 - piece, 1, dtype=np.int64) if degree else None
+    terms = np.empty(piece if degree else 0, dtype=np.int64)
+    block = np.empty(min(_BLOCK, limit), dtype=np.int8)
+    # the segments of a piece start at 0 and after each end in it
+    starts = np.zeros(min(piece, len(every)) + 1, dtype=np.intp)
+    first = 0  # the ends below the piece
+    for lo in range(1, top + 1, _BLOCK):
+        mu_block = _segment_mu(lo, min(lo + _BLOCK, limit + 1), block)
+        for a in range(lo, min(lo + len(mu_block), top + 1), piece):
+            mu = mu_block[a - lo : a - lo + piece]
+            size = len(mu)
+            last = first + int(np.searchsorted(every[first:], a + size))
+            np.subtract(every[first:last], a - 1, out=starts[1 : last - first + 1])
+            # the last segment runs to the piece's end, or ends there
+            cut = last - first + (last == first or int(every[last - 1]) < a + size - 1)
+            if degree:
+                n += piece
+            for t, (j, p) in enumerate(tracks):
+                if j == 0:
+                    source = work[:size]
+                    np.copyto(source, mu)
+                else:
+                    source = terms[:size]
+                    if tracks[t - 1][0] != j:  # once per j, for all its tracks
+                        # mu n^(j-1) times n, mu from track 0's copy at j = 1;
+                        # n^3 < 2^63 for n < 2^21
+                        np.multiply(work[:size] if j == 1 else source, n[:size], out=source)
+                if p == _WRAP:
+                    source = source.view(np.uint64)
+                elif p is not None:  # source mod p, by floor division
+                    reduced = work[:size]  # mu's copy is read only at j = 1
+                    np.floor_divide(source, p, out=reduced)
+                    reduced *= -p
+                    reduced += source
+                    source = reduced
+                segments = np.add.reduceat(source, starts[:cut], dtype=source.dtype)
+                np.cumsum(segments, out=segments)
+                at = sums[t][first:last]
+                np.add(segments[: last - first], carries[t], out=at)
+                carry = carries[t] + int(segments[-1])
+                if p is not None:
+                    if p != _WRAP:
+                        np.remainder(at, p, out=at)
+                    carry %= p
+                carries[t] = carry
+            first = last
+    values: list[list[np.ndarray]] = []
+    for e, (_, k) in zip(ends, points):
+        where = None if e is every else np.searchsorted(every, e)
+        values.append([])
+        for (j, p), row in zip(tracks, sums):
+            if j > k:
+                break
+            row = row if where is None else row[where]
+            if p is not None:
+                values[-1].append(row)
+                continue
+            for q in _MODULI[: _RESIDUES[j]]:
+                values[-1].append(row.view(np.uint64) if q == _WRAP else row % q)
     return values
 
 
@@ -505,16 +578,21 @@ def _identity_sums(
     at _sum_ends(x_floor, limit)."""
     r = math.isqrt(x_floor)
     n_big, m_top = x_floor // (limit + 1), x_floor // (r + 1)
-    smalls, larges = [], []
-    for row in values:
+    # per row: small, large, and the operands that the dot products keep
+    # fixed, d^j and small, split in halves at a prime (_dot)
+    tables = []
+    d_all = np.arange(2, r + 1, dtype=np.int64)
+    for (p, j), row in zip(rows, values):
         small = np.zeros(r + 1, dtype=row.dtype)
         small[1:] = row[:r]
         large = np.zeros(m_top + 1, dtype=row.dtype)
         large[n_big + 1 :] = row[r:][::-1]
-        smalls.append(small)
-        larges.append(large)
-    d_all = np.arange(2, r + 1, dtype=np.int64)
-    d_powers = [_residues(d_all**j, p) for p, j in rows]
+        d_pow = _residues(d_all**j, p)
+        if p != _WRAP:
+            d_pow, small_dot = _split(d_pow), _split(small)
+        else:
+            small_dot = small
+        tables.append((p, j, small, large, d_pow, small_dot))
     # 1..r+1 as floats: v/d rounds to within half an ulp, which for v < 2^52
     # is less than the distance from v/d up to the next integer, so the
     # float quotients truncate to v//d exactly
@@ -530,15 +608,15 @@ def _identity_sums(
         groups = v // (r_v + 1)
         bounds = quotients[: groups + 1].view(np.uint64)
         factors = _faulhaber_factors(bounds, rows[-1][1])
-        for (p, j), small, large, d_pow in zip(rows, smalls, larges, d_powers):
+        for p, j, small, large, d_pow, small_dot in tables:
             # the terms d = 2..r_v, the first d_top - 1 from large, then the
             # groups
             w = _product(factors[j], p)
-            terms = (_dot(d_pow[: d_top - 1], large[2 * k : k * d_top + 1 : k], p)
-                     + _dot(d_pow[d_top - 1 : r_v - 1], small.take(q), p)
-                     + _dot(w[:-1] - w[1:], small[1 : groups + 1], p))
+            terms = (_dot(d_pow[..., : d_top - 1], large[2 * k : k * d_top + 1 : k], p)
+                     + _dot(d_pow[..., d_top - 1 : r_v - 1], small.take(q), p)
+                     + _dot(small_dot[..., 1 : groups + 1], w[:-1] - w[1:], p))
             large[k] = (1 - terms) % p
-    return [int(large[1]) for large in larges]
+    return [int(large[1]) for _, _, _, large, _, _ in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +708,16 @@ def _stream(x_floor: int, cache: CheckpointCache | None, prefix: bool = True):
     for consumers that read mu alone, and M is carried by chunk sums.  With
     a cache, the values at multiples of its stride are recorded on the way,
     and mertens serves those x from it; without one, nothing is recorded.
+
+    Every block is sieved into one buffer that the stream owns, so mu is a
+    view that the next block overwrites: a consumer reads each chunk only
+    within its own iteration, and keeps nothing of it but what it copies.
     """
     m_prev = 0
     chunk = min(_CHUNK, _BLOCK)
+    buffer = np.empty(min(_BLOCK, x_floor), dtype=np.int8)
     for n_next in range(1, x_floor + 1, _BLOCK):
-        mu_block = _segment_mu(n_next, min(n_next + _BLOCK, x_floor + 1))
+        mu_block = _segment_mu(n_next, min(n_next + _BLOCK, x_floor + 1), buffer)
         for n0 in range(n_next, n_next + len(mu_block), chunk):
             mu = mu_block[n0 - n_next : n0 - n_next + chunk]
             m_lo = m_prev

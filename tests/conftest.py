@@ -46,9 +46,9 @@ def sieved_lengths(monkeypatch):
     lengths: list[int] = []
     segment_mu = moebius._segment_mu
 
-    def counting(lo: int, hi: int) -> np.ndarray:
+    def counting(lo: int, hi: int, *out: np.ndarray) -> np.ndarray:
         lengths.append(hi - lo)
-        return segment_mu(lo, hi)
+        return segment_mu(lo, hi, *out)
 
     monkeypatch.setattr(moebius, "_segment_mu", counting)
     return lengths

@@ -213,6 +213,19 @@ def test_sieve_bounds_hold_up_to_the_largest_n():
         moebius._segment_mu(top - 5, top + 2)
 
 
+def test_segment_mu_into_a_reused_buffer_matches_a_fresh_block():
+    # each block overwrites what the one before left in the buffer; the last
+    # one is a tail shorter than the buffer
+    block = 1 << 20
+    buffer = np.empty(block, dtype=np.int8)
+    for lo, hi in [(1, 1 + block), (block + 1, 2 * block + 1), (10**9 - block, 10**9),
+                   (moebius._SEGMENT_MAX - block, moebius._SEGMENT_MAX),
+                   (3 * block + 1, 3 * block + 12_345)]:
+        mu = moebius._segment_mu(lo, hi, buffer)
+        assert np.shares_memory(mu, buffer) and len(mu) == hi - lo
+        assert np.array_equal(mu, moebius._segment_mu(lo, hi)), lo
+
+
 def test_segment_stitching(shared_cache):
     whole = sieve_segment(1, 5000, shared_cache)
     part = sieve_segment(1234, 5000, shared_cache)
@@ -438,6 +451,45 @@ def test_power_sums_allocate_the_sieve_one_term_array_and_short_tables():
     finally:
         tracemalloc.stop()
     assert peak - 9 * limit < 4 * limit
+
+
+def test_power_sums_past_one_block_keep_one_block_of_sieve():
+    # [1, L] is sieved block by block into one buffer and summed a piece at
+    # a time, so the peak is the block, the piece buffers (three arrays of
+    # _PIECE bytes and the segment starts, no more) and the short tables:
+    # the ends, one running sum per row and the segment sums of a piece,
+    # within 40 bytes per end.  The sieve of [1, L] whole would add a second
+    # block; one int64 array as long as the sieve, 8 L bytes
+    x = 10**9
+    limit = moebius._power_sum_limit(x)
+    ends = len(moebius._sum_ends(x, limit))
+    assert limit > moebius._BLOCK  # two blocks
+    moebius._mu_power_sums(x, 1)  # the prime tables are cached after this
+    tracemalloc.start()
+    try:
+        moebius._mu_power_sums(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < moebius._BLOCK + 4 * moebius._PIECE + 40 * ends
+
+
+def test_streamed_op_keeps_one_block_of_mu():
+    # the stream sieves every block into one buffer; a consumer adds its
+    # chunk temporaries (density: M as int32, then M and n as int64 where it
+    # checks n by n, under 40 bytes per chunk integer).  A second block kept
+    # alive while the next is sieved, or a block-long flag array, passes
+    # the bound
+    x = 3e6
+    assert x > 2 * moebius._BLOCK  # three blocks
+    density_S(x)
+    tracemalloc.start()
+    try:
+        density_S(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < moebius._BLOCK + 40 * moebius._CHUNK
 
 
 def test_residue_count_follows_from_the_bound():
