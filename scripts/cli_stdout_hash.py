@@ -9,13 +9,13 @@ and at x = 1e6 (where the phase rounding of gamma * log x does),
 power sums past their sieve (``mertens`` at 1e8 and near 1e9, ``riesz`` at
 tau = 2, an ``integral`` at kappa = -2 and a nine-point tau = 1 scan, all to
 1e7 or more, and ``riesz`` at tau = 1 and an ``integral`` at kappa = -2 near
-1e9, whose sieve takes two blocks), a long streamed Riesz mean (4.2e6 at tau = 0.5), and a
-few refused arguments (x = 0 for ``mertens``, non-finite or overflowing s,
-kappa, lambda and tau, an L past the identity's range, and an infinite
-``--T`` for ``hko``, run without ``--zeros`` so no table height refuses it
-first), each in csv and json, first without and then with a temporary
-``--cache-dir`` (shared by the cached pass, so its zero-table loads miss
-once and then hit).
+1e9, whose sieve takes two blocks), a long streamed Riesz mean (4.2e6 at
+tau = 0.5), and a few refused arguments (x = 0 for ``mertens``, non-finite
+or overflowing s, kappa, lambda and tau, an L past the identity's range,
+and an infinite ``--T`` for ``hko``, run without ``--zeros`` so no table
+height refuses it first), each in csv and json, first without and then
+with a temporary ``--cache-dir`` (shared by the cached pass, so its
+zero-table loads miss once and then hit).
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
 its exit code and stdout followed by its arguments, then the SHA-256 of all
 those lines.  Run it on two checkouts and ``diff`` the outputs to name every

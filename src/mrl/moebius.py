@@ -421,8 +421,8 @@ def _mu_power_sums(x_floor: int, degree: int) -> tuple[int, ...]:
     """Exact (S_0(x), ..., S_degree(x)) for integer 1 <= x <= SIEVE_MAX and
     degree <= 3, in time about x^(2/3), without streaming mu from n = 1
     (_mu_power_sums_at has the method).  On a 2-vCPU VM M(1e8) takes about
-    5 ms with a peak of about 1 MB, M(1e9) 20-25 ms and 2.5 MB, and
-    S_0..S_3 35 ms and 4 MB at 1e8, 0.2 s and 14 MB at 1e9."""
+    5 ms with a peak of about 0.6 MB, M(1e9) 20 ms and 2.4 MB, and S_0..S_3
+    35 ms and 4 MB at 1e8, 0.23 s and 14.5 MB at 1e9."""
     return _mu_power_sums_at([(x_floor, degree)])[0]
 
 
