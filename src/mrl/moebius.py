@@ -507,8 +507,8 @@ def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndar
     dtype = np.dtype(np.int64 if degree else np.int32)
     piece = min(_PIECE // dtype.itemsize, _BLOCK, limit)
     work = np.empty(piece, dtype=dtype)
-    # the pieces are consecutive, so n moves on by a piece at every piece
-    n = np.arange(1 - piece, 1, dtype=np.int64) if degree else None
+    # n[i] = a + i for the piece that starts at a, moved on in place
+    n = np.arange(piece, dtype=np.int64) if degree else None
     terms = np.empty(piece if degree else 0, dtype=np.int64)
     block = np.empty(min(_BLOCK, limit), dtype=np.int8)
     # the segments of a piece start at 0 and after each end in it
@@ -524,7 +524,7 @@ def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndar
             # the last segment runs to the piece's end, or ends there
             cut = last - first + (last == first or int(every[last - 1]) < a + size - 1)
             if degree:
-                n += piece
+                n += a - int(n[0])
             for t, (j, p) in enumerate(tracks):
                 if j == 0:
                     source = work[:size]
