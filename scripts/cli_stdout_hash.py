@@ -1,30 +1,25 @@
 #!/usr/bin/env python3
-"""Hash the stdout and exit code of a fixed set of ``mrl`` invocations.
+"""Hash the output of a fixed set of ``mrl`` invocations and spectral API calls.
 
-Runs ``mrl.cli.main`` in-process over every command, every ``identity`` and
-``scan`` kind, ``explicit`` at small x (where the residue series dominates)
-and at x = 1e6 (where the phase rounding of gamma * log x does),
-``inv-zeta`` at a real s < -1/2, the identity's largest L, ``mertens`` at
-1 (the base value, never recorded) and 2 (the smallest recorded x), the
-power sums past their sieve (``mertens`` at 1e8 and near 1e9, ``riesz`` at
-tau = 2, an ``integral`` at kappa = -2 and a nine-point tau = 1 scan, all to
-1e7 or more, and ``riesz`` at tau = 1 and an ``integral`` at kappa = -2 near
-1e9, whose sieve takes two blocks), a long streamed Riesz mean (4.2e6 at
-tau = 0.5), and a few refused arguments (x = 0 for ``mertens``, non-finite
-or overflowing s, kappa, lambda and tau, an L past the identity's range,
-and an infinite ``--T`` for ``hko``, run without ``--zeros`` so no table
-height refuses it first), each in csv and json, first without and then
-with a temporary ``--cache-dir`` (shared by the cached pass, so its
-zero-table loads miss once and then hit).
+Runs ``mrl.cli.main`` in-process on every argument list of ``COMMANDS`` and
+``TABLELESS`` (their comments say what each one covers), each in csv and
+json, first without and then with a temporary ``--cache-dir`` (shared by the
+cached pass, so its zero-table loads miss once and then hit).  Then it calls
+the spectral functions that no CLI command reaches, on the packaged refined
+zero table the CLI reads: ``integral_M_explicit`` and the residues of the
+explicit formula for M_tau, at the points of the ``INTEGRAL_*`` and
+``RESIDUE_*`` lists.
+
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
-its exit code and stdout followed by its arguments, then the SHA-256 of all
-those lines.  Run it on two checkouts and ``diff`` the outputs to name every
-invocation whose output moved:
+its exit code and stdout followed by its arguments, then ``total``, the
+SHA-256 of those lines.  Then one line per API row, the hash of the
+``float.hex`` of every value it returns, and ``api total``.  Run it on two checkouts and ``diff`` the outputs to name
+every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 240 invocations take about 3.6 s on one core of a
-2-vCPU Xeon VM.
+stderr is not hashed.  The 240 invocations take about 2.6 s and the 108 API
+rows 0.4 s on one core of a 2-vCPU Xeon VM.
 """
 
 import contextlib
@@ -34,6 +29,9 @@ import sys
 import tempfile
 
 from mrl.cli import main
+from mrl.explicit import RESIDUE_MAX_L, residue_series, residue_term
+from mrl.zeros import _load_refined_builtin
+from mrl.zerosums import integral_M_explicit
 
 COMMANDS = [
     ["mertens", "1e7"],
@@ -61,7 +59,7 @@ COMMANDS = [
     ["--L", "100", "explicit", "3.5", "--tau", "1.5"],
     ["identity", "inv-zeta"],
     ["identity", "inv-zeta", "--s", "2+5j"],
-    ["identity", "inv-zeta", "--s", "-9.5"],
+    ["identity", "inv-zeta", "--s", "-9.5"],  # real s < -1/2
     ["identity", "a-const", "--kappa", "2"],
     ["identity", "zeta-real", "--kappa", "2"],
     ["identity", "swmh", "--x", "1e5"],
@@ -109,8 +107,23 @@ COMMANDS = [
     ["--L", "120", "identity", "inv-zeta"],  # exit 2
 ]
 
-# run without --zeros, each exit 2
+# run without --zeros, so that no table height refuses them first; each exit 2
 TABLELESS = [["--T", "inf", "identity", "hko", "--lambda", "1"]]
+
+
+# integral_M_explicit: kappa <= 1 (zeros alone, -1 where s = kappa - 1 meets
+# the trivial zero -2), 1 < kappa < 2, the simple zero of 1/zeta at kappa = 2
+# and kappa > 2; x from the residues' range to the stream's; one and 40
+# trivial zeros
+INTEGRAL_KAPPAS = (-1.5, -1.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
+INTEGRAL_XS = (2.5, 10.5, 1000.5, 1e5 + 0.5)
+INTEGRAL_LS = (1, 40)
+
+# residue_term at l = 1 .. RESIDUE_MAX_L and residue_series at L = 0 ..
+# RESIDUE_MAX_L: tau = 0 and integer tau, where 1/Gamma(1 + tau + s) has
+# zeros, and tau past which it is reflected (1 + tau - l < 0)
+RESIDUE_TAUS = (0.0, 0.5, 1.5, 2.0, 3.0, 7.25, 12.5)
+RESIDUE_XS = (2.5, 10.5)
 
 
 def invocations(cache_dir: str):
@@ -123,19 +136,63 @@ def invocations(cache_dir: str):
                 yield ["--format", fmt, *extra, *command]
 
 
-def main_hash() -> int:
+def api_rows():
+    """(name, function of no arguments) for each API row."""
+    table = _load_refined_builtin()
+    for kappa in INTEGRAL_KAPPAS:
+        for x in INTEGRAL_XS:
+            for L in INTEGRAL_LS:
+                yield (f"integral_M_explicit x={x!r} kappa={kappa!r} L={L}",
+                       lambda x=x, kappa=kappa, L=L: integral_M_explicit(x, kappa, table, L=L))
+    ls = range(1, RESIDUE_MAX_L + 1)
+    for tau in RESIDUE_TAUS:
+        for x in RESIDUE_XS:
+            yield (f"residue_term x={x!r} tau={tau!r} l=1..{RESIDUE_MAX_L}",
+                   lambda x=x, tau=tau: [residue_term(l, x, tau) for l in ls])
+            yield (f"residue_series x={x!r} tau={tau!r} L=0..{RESIDUE_MAX_L}",
+                   lambda x=x, tau=tau: [residue_series(x, tau, L) for L in range(len(ls) + 1)])
+
+
+def _hexed(value) -> str:
+    """float.hex of every float in value (a float, list or dict), repr of the rest."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_hexed(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_hexed, value)) + "]"
+    return repr(value)
+
+
+def _hash_lines(lines) -> str:
+    """Print the hash of each (text, name) pair's text, then its name; return
+    the SHA-256 of the printed lines."""
     total = hashlib.sha256()
+    for text, name in lines:
+        line = f"{hashlib.sha256(text.encode()).hexdigest()[:16]} {name}"
+        total.update(line.encode() + b"\n")
+        print(line)
+    return total.hexdigest()
+
+
+def cli_lines():
     with tempfile.TemporaryDirectory() as cache_dir:
         for argv in invocations(cache_dir):
             out = io.StringIO()
             with contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv, out)
-            digest = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
             shown = " ".join("CACHE" if a == cache_dir else a for a in argv)
-            line = f"{digest[:16]} {shown}"
-            total.update(line.encode() + b"\n")
-            print(line)
-    print(f"total {total.hexdigest()}")
+            yield f"{code}\n{out.getvalue()}", shown
+
+
+def api_lines():
+    for name, call in api_rows():
+        yield _hexed(call()), name
+
+
+def main_hash() -> int:
+    print(f"total {_hash_lines(cli_lines())}")
+    print(f"api total {_hash_lines(api_lines())}")
     return 0
 
 

@@ -12,13 +12,12 @@ at s = 0 and s = -l, l = 1, 2, ...:
     ascending gamma and correctly rounded;
   * s = 0 contributes -2/Gamma(1+tau);
   * s = -l is read by kernel._residue from the Laurent data of four factors:
-    x^s, the simple pole of Gamma, 1/zeta (the value -2n/B_2n at odd
-    l = 2n-1, a simple pole from trivial_zero_data at even l = 2n) and
-    1/Gamma(1+tau+s) (a value, or a simple zero where 1+tau-l <= 0 is an integer).
+    x^s and the kernel's data at s = -l of Gamma (_gamma_pole), 1/zeta
+    (_inv_zeta_at: a value at odd l, a pole at even l) and 1/Gamma(1+tau+s)
+    (_inv_gamma_at: a value, or a simple zero at integer 1+tau-l <= 0).
 
-Reflection at tau keeps every Gamma/digamma evaluation at positive
-arguments.  Everything here runs in double precision: truncation (T, L),
-not rounding, dominates the error.
+Everything here runs in double precision: truncation (T, L), not rounding,
+dominates the error.
 
 The tau = 0 case is the unweighted summatory function, where the zero sum is
 only conditionally convergent; evaluating it emits the "Bartz mode:
@@ -30,23 +29,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 from .kernel import (
-    _EULER_GAMMA,
     _check_count,
     _check_finite,
     _check_tau,
-    _digamma,
-    _harmonic,
-    _inv_zeta_at_trivial_zero,
+    _gamma_pole,
+    _inv_gamma_at,
+    _inv_zeta_at,
     _residue,
-    bernoulli,
     gamma_ratio,
-    trivial_zero_data,
+    trivial_zero_data,  # unused here; perfbench/spans.py binds mrl.explicit.trivial_zero_data
 )
 from .moebius import _riesz_means
 from .zeros import ZeroTable, _zero_sum
@@ -154,46 +150,12 @@ def s0_residue(tau: float) -> float:
     return -2.0 / math.gamma(1.0 + _check_tau(tau))
 
 
-@lru_cache(maxsize=RESIDUE_MAX_L)
-def _factors_of_l(l: int) -> tuple:
-    """The Laurent data at s = -l that depend on l alone: the simple pole
-    (-1)^l/(l! (s + l)) of Gamma, r = psi(l + 1), and at odd l the value
-    1/zeta(-l) = -(l+1)/B_(l+1).  There the pole stays simple, so that r is
-    never read.  At even l, 1/zeta is a pole, and the second item is None."""
-    psi = _harmonic(l) - _EULER_GAMMA
-    gamma_pole = (1, (-1) ** l / math.factorial(l), lambda: psi)
-    if l % 2 == 0:
-        return gamma_pole, None
-    return gamma_pole, (0, float(-(l + 1) / bernoulli(l + 1)), None)
-
-
-def _inv_gamma_factor(tau: float, l: int) -> tuple:
-    """Laurent data of 1/Gamma(1 + tau + s) at s = -l.
-
-    At w = 1 + tau - l = -m, m = 0, 1, ..., it is the simple zero
-    (-1)^m m! (s + l), which keeps the order at most 1.  Elsewhere it is the
-    value 1/Gamma(w) with r = -psi(w); for w < 0 both are reflected at tau:
-    sin(pi w) Gamma(1 - w)/pi and psi(w) = psi(l - tau) - pi cot(pi tau).
-    """
-    w = 1.0 + tau - l
-    if w <= 0.0 and w.is_integer():
-        return -1, (-1) ** int(-w) * math.factorial(int(-w)), None
-    if w <= 0.0:
-        c = math.sin(math.pi * w) * math.gamma(1.0 - w) / math.pi
-        return 0, c, lambda: math.pi / math.tan(math.pi * tau) - _digamma(complex(l - tau)).real
-    return 0, 1.0 / math.gamma(w), lambda: -_digamma(complex(w)).real
-
-
 def _residue_at(l: int, ln_x: float, tau: float) -> float:
     """Residue of g(s) at s = -l, read by kernel._residue from four factors:
-    x^s, the pole of Gamma, 1/zeta (a value at odd l, the pole at the trivial
-    zero at even l) and 1/Gamma(1 + tau + s); the arguments are the caller's
-    to check."""
-    gamma_pole, inv_zeta = _factors_of_l(l)
-    if inv_zeta is None:
-        inv_zeta = _inv_zeta_at_trivial_zero(trivial_zero_data(l // 2))
+    x^s and the kernel's data at s = -l of Gamma, 1/zeta and
+    1/Gamma(1 + tau + s); the arguments are the caller's to check."""
     x_pow = (0, math.exp(-l * ln_x), lambda: ln_x)
-    return _residue(x_pow, gamma_pole, inv_zeta, _inv_gamma_factor(tau, l))
+    return _residue(x_pow, _gamma_pole(l), _inv_zeta_at(-l), _inv_gamma_at(tau, l))
 
 
 def _residues(x: float, tau: float, L: int) -> list[float]:

@@ -6,7 +6,8 @@ the right half-plane, functional equation on the far left), the
 principal-branch log-gamma function (argument shifting plus the Stirling
 series), the kernel ratio Gamma(s)/Gamma(1+tau+s) on a scalar or a whole
 array of s as a difference of Stirling series, exact rational Bernoulli
-numbers, and closed-form data at the trivial zeros s = -2n.
+numbers, closed-form data at the trivial zeros s = -2n, and the Laurent data
+at real points of 1/zeta, Gamma and 1/Gamma(1+tau+s) that _residue reads.
 
 These algorithms run on hardware doubles only (complex/cmath, with numpy for
 the Gamma ratio and the long Euler-Maclaurin main sums, which error-free
@@ -322,7 +323,7 @@ def _log_gamma(z: complex) -> complex:
 def _digamma(z: complex) -> complex:
     """psi(z) off the poles 0, -1, -2, ... by rightward shifting plus the
     asymptotic series.  Its callers pass Re z > 0: _zeta_fe's w = 1 - s with
-    Re w > 3/2, and explicit._inv_gamma_factor's real w > 0 (it reflects psi itself)."""
+    Re w > 3/2, and _inv_gamma_at's real w > 0 (it reflects psi itself)."""
     if z.imag < 0:
         return _digamma(z.conjugate()).conjugate()
     zs = z
@@ -672,6 +673,44 @@ def _residue(*factors) -> float:
     return value * math.fsum([r() for _, _, r in factors])
 
 
-def _inv_zeta_at_trivial_zero(tz: TrivialZeroData) -> tuple:
-    """Laurent data of 1/zeta at s = -2n: 1/(zeta'(-2n) (s + 2n)), r = -zeta''/(2 zeta')."""
-    return 1, 1.0 / tz.zeta_prime, lambda: -0.5 * tz.log_ratio
+@lru_cache(maxsize=512)
+def _inv_zeta_at(s0: float) -> tuple:
+    """Laurent data of 1/zeta at the real point s0: the simple zero s - 1 at
+    s0 = 1; at a trivial zero -2n the simple pole 1/(zeta'(-2n) (s + 2n)) with
+    r = -zeta''(-2n)/(2 zeta'(-2n)) from trivial_zero_data; at odd s0 = -m the
+    value -(m+1)/B_(m+1); elsewhere the value 1/zeta(s0).  Only the pole
+    meets a double pole in the explicit formulas, so only it carries r."""
+    if s0 == 1.0:
+        return -1, 1.0, None
+    if s0 < 0.0 and s0 == math.floor(s0):
+        m = int(-s0)
+        if m % 2:
+            return 0, float(-(m + 1) / bernoulli(m + 1)), None
+        tz = trivial_zero_data(m // 2)
+        return 1, 1.0 / tz.zeta_prime, lambda: -0.5 * tz.log_ratio
+    return 0, 1.0 / zeta(s0).real, None
+
+
+@lru_cache(maxsize=128)
+def _gamma_pole(l: int) -> tuple:
+    """Laurent data of Gamma at its pole s = -l: (-1)^l/(l! (s + l)), r = psi(l + 1)."""
+    psi = _harmonic(l) - _EULER_GAMMA
+    return 1, (-1) ** l / math.factorial(l), lambda: psi
+
+
+def _inv_gamma_at(tau: float, l: int) -> tuple:
+    """Laurent data of 1/Gamma(1 + tau + s) at s = -l, tau >= 0 as in gamma_ratio.
+
+    At w = 1 + tau - l = -m, m = 0, 1, ..., it is the simple zero
+    (-1)^m m! (s + l).  Elsewhere it is the value 1/Gamma(w) with
+    r = -psi(w); for w < 0 both are reflected at tau, which keeps every
+    Gamma and digamma argument positive: sin(pi w) Gamma(1 - w)/pi and
+    psi(w) = psi(l - tau) - pi cot(pi tau).
+    """
+    w = 1.0 + tau - l
+    if w <= 0.0 and w.is_integer():
+        return -1, (-1) ** int(-w) * math.factorial(int(-w)), None
+    if w <= 0.0:
+        c = math.sin(math.pi * w) * math.gamma(1.0 - w) / math.pi
+        return 0, c, lambda: math.pi / math.tan(math.pi * tau) - _digamma(complex(l - tau)).real
+    return 0, 1.0 / math.gamma(w), lambda: -_digamma(complex(w)).real

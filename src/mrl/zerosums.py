@@ -25,8 +25,8 @@ computes its right side: ``inv_zeta_identity`` reads it at s,
 ``a_constant_report`` at s = kappa - 1 divided by kappa - 1, and
 ``zeta_eq_real_report`` is ``inv_zeta_identity`` at s = kappa.
 Truncations default to the 649 zeros below height 1000 and 40 trivial-zero
-terms; the identity reports take 1 <= L <= 119, as each trivial term reads
-zeta'(-2l) from kernel.trivial_zero_data (l <= 120) and the tail l = L + 1.
+terms; the identity reports take 1 <= L <= 119: each trivial term reads the
+pole of 1/zeta at s = -2l (kernel._inv_zeta_at, l <= 120), the tail l = L + 1.
 Partial sums at intermediate cutoffs are traced in the returned reports so
 convergence is visible to callers and tests.
 """
@@ -54,10 +54,10 @@ from .kernel import (
     _check_count,
     _check_finite,
     _exact_sum,
-    _inv_zeta_at_trivial_zero,
+    _inv_zeta_at,
     _require_finite,
     _residue,
-    trivial_zero_data,
+    trivial_zero_data,  # unused here; tests/test_zerosums.py patches the name
     zeta,
 )
 from .moebius import _check_x, _primes_upto, integral_M, weak_mertens_integral
@@ -232,11 +232,10 @@ def _require_identity_regular(sc: complex, table: ZeroTable) -> None:
 
 def _trivial_term(l: int, sc: complex) -> complex:
     """1/(zeta'(-2l) 2l (2l-1) (2l + s)), the identity's l-th trivial-zero
-    term: the residue of 1/zeta at s = -2l times a value, read by
-    kernel._residue with zeta'(-2l) from trivial_zero_data (l <= 120)."""
+    term: the residue of 1/zeta at s = -2l (kernel._inv_zeta_at, l <= 120)
+    times a value, read by kernel._residue."""
     w = 2 * l
-    inv_zeta = _inv_zeta_at_trivial_zero(trivial_zero_data(l))
-    return _residue(inv_zeta, (0, 1.0 / (w * (w - 1) * (w + sc)), None))
+    return _residue(_inv_zeta_at(-w), (0, 1.0 / (w * (w - 1) * (w + sc)), None))
 
 
 def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):
@@ -530,18 +529,13 @@ def integral_M_explicit(
     constant_term = trivial = 0.0
     if kappa > 1.0:
         # s = kappa - 1: the simple pole of 1/(s + 1 - kappa), times 1/s = 1/(kappa - 1)
-        # and 1/zeta, which has a simple zero at s = 1
-        if kappa == 2.0:
-            inv_zeta = (-1, 1.0, None)
-        else:
-            inv_zeta = (0, 1.0 / _zeta_real(kappa - 1.0), None)
-        constant_term = _residue((1, 1.0 / (kappa - 1.0), None), inv_zeta)
+        # and 1/zeta (0 at kappa = 2, where 1/zeta has its simple zero s = 1)
+        constant_term = _residue((1, 1.0 / (kappa - 1.0), None), _inv_zeta_at(kappa - 1.0))
         # s = -2n: the simple pole of 1/zeta, times x^d / (s d), d = s + 1 - kappa
         residues = []
         for n in range(1, L + 1):
             d = 1.0 - 2.0 * n - kappa
-            inv_zeta = _inv_zeta_at_trivial_zero(trivial_zero_data(n))
-            residues.append(_residue((0, x**d / (-2.0 * n * d), None), inv_zeta))
+            residues.append(_residue((0, x**d / (-2.0 * n * d), None), _inv_zeta_at(-2 * n)))
         trivial = math.fsum(residues)
     explicit = zero_term + constant_term + trivial
     direct = integral_M(x, kappa)

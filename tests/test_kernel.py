@@ -154,6 +154,77 @@ def test_trivial_zero_data_guards():
         trivial_zero_data(True)
 
 
+# ---------------------------------------------------------------------------
+# Laurent data (k, c, r) read by _residue, against 30-digit mpmath
+# ---------------------------------------------------------------------------
+
+
+def _close(got: float, want, tol: float) -> bool:
+    """|got - want| <= tol max(|want|, 1): r is summed with terms of size 1."""
+    return abs(got - float(want)) <= tol * max(abs(float(want)), 1.0)
+
+
+def test_inv_zeta_laurent_data_matches_mpmath():
+    import mpmath as mp
+
+    with mp.workdps(30):
+        for m in range(1, 82):
+            k, c, r = kernel._inv_zeta_at(-m)
+            if m % 2:  # the value -(m+1)/B_(m+1), its rounding alone
+                assert (k, r) == (0, None)
+                assert c == pytest.approx(float(1 / mp.zeta(-m)), rel=2.0**-52), m
+                continue
+            # the simple pole 1/(zeta'(-2n) (s + 2n)) (1 - zeta''/(2 zeta') (s + 2n) + ...)
+            d1, d2 = mp.zeta(-m, 1, 1), mp.zeta(-m, 1, 2)
+            assert k == 1
+            assert c == pytest.approx(float(1 / d1), rel=1e-13), m
+            assert _close(r(), -d2 / (2 * d1), 4e-15), m
+        for s0 in (0.25, 0.5, 1.5, 2.5):
+            k, c, r = kernel._inv_zeta_at(s0)
+            assert (k, r) == (0, None)
+            assert c == pytest.approx(float(1 / mp.zeta(s0)), rel=1e-14), s0
+    # the simple zero at s = 1: 1/zeta(1 + h) = h (1 + O(h))
+    assert kernel._inv_zeta_at(1.0) == (-1, 1.0, None)
+    with mp.workdps(50):
+        h = mp.mpf(10) ** -25
+        assert float(1 / (mp.zeta(1 + h) * h)) == 1.0
+
+
+def test_gamma_pole_laurent_data_matches_mpmath():
+    import mpmath as mp
+
+    with mp.workdps(30):
+        for l in range(1, 101):
+            k, c, r = kernel._gamma_pole(l)
+            assert k == 1
+            assert c == pytest.approx(float((-1) ** l / mp.factorial(l)), rel=2.0**-52), l
+            assert _close(r(), mp.digamma(l + 1), 4e-15), l
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 8.25])
+def test_inv_gamma_laurent_data_matches_mpmath(a):
+    # 1/Gamma(a + s) at s = -l, a = 1 + tau: a value at w = a - l > 0, a
+    # reflected value at w < 0 and the simple zero at w = 0, -1, ...
+    import mpmath as mp
+
+    seen = set()
+    with mp.workdps(30):
+        for l in range(1, 101):
+            k, c, r = kernel._inv_gamma_at(a - 1.0, l)
+            w = mp.mpf(a) - l
+            if w <= 0 and w == int(w):  # (-1)^m m! (s + l), the derivative there
+                seen.add("zero")
+                assert (k, r) == (-1, None)
+                assert c == pytest.approx(float(mp.diff(mp.rgamma, w)), rel=2.0**-52), l
+                continue
+            seen.add("reflected" if w < 0 else "value")
+            assert k == 0
+            # sin(pi w) carries the rounding of pi w, about |w| ulps
+            assert c == pytest.approx(float(mp.rgamma(w)), rel=1e-15 * (1 + abs(float(w)))), l
+            assert _close(r(), -mp.digamma(w), 4e-15), l
+    assert seen == ({"value", "zero"} if a.is_integer() else {"value", "reflected"})
+
+
 # The first zero's ordinate, mpmath.zetazero(1) at 40 digits.
 GAMMA_1_40 = "14.13472514173469379045725198356247027078"
 
