@@ -82,6 +82,10 @@ CHECKPOINT_STRIDE = 10**6
 _BLOCK = 1 << 20
 _CHUNK = 1 << 14
 
+# density_S bounds |M| over a chunk from the sums of runs of this many
+# integers, which divides the chunk.
+_DENSITY_RUN = 256
+
 # The power sums read their sieve in pieces whose arrays of terms take
 # _PIECE bytes each: 2^15 int64 terms mu(n) n^j, or 2^16 int32 values of mu
 # when S_0 alone is asked for.  Larger pieces cost more in page faults on
@@ -998,8 +1002,11 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     and an interval loses [n, min(n+1, X, M(n)^2)) exactly when M(n)^2 > n,
     which is decided in int64 arithmetic; a chunk of the stream whose
     largest M^2 is at most its first n holds no such n and is skipped
-    whole.  No such n exists up to 10^7, so
-    the value is log(X/2)/log X there, within about half an ulp at the X
+    whole.  The stream hands out mu alone, and a chunk forms M(n) only when
+    a bound on its largest |M| from the sums of its runs of _DENSITY_RUN
+    integers does not clear it: from M_a to M_b over such a run, |M| stays
+    at most (|M_a| + |M_b| + _DENSITY_RUN)/2.  No such n exists up to 10^7,
+    so the value is log(X/2)/log X there, within about half an ulp at the X
     tested, and no logarithm is taken per integer.
 
     The normalizer is log X, matching the density definition's denominator;
@@ -1009,7 +1016,20 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     X = float(X)
     _check_x(X, 4.0, "X")
     lost = []
-    for n0, _, m_vals in _stream(int(math.floor(X)), cache):
+    m_prev = 0  # M(n0 - 1)
+    for n0, mu, _ in _stream(int(math.floor(X)), cache, prefix=False):
+        if len(mu) % _DENSITY_RUN == 0:
+            runs = np.add.reduce(mu.reshape(-1, _DENSITY_RUN), axis=1, dtype=np.int16)
+            ends = np.cumsum(runs, dtype=np.int64)
+            ends += m_prev  # M at the end of each run
+            m_next = int(ends[-1])
+            ends = np.abs(np.concatenate(([m_prev], ends)))
+            if (int((ends[1:] + ends[:-1]).max()) + _DENSITY_RUN) ** 2 <= 4 * n0:
+                m_prev = m_next
+                continue
+        m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
+        m_vals[0] += m_prev
+        m_prev = int(np.cumsum(m_vals, out=m_vals)[-1])
         m_abs = max(int(m_vals.max()), -int(m_vals.min()))
         if m_abs * m_abs <= n0:  # no n >= n0 of the chunk can qualify
             continue

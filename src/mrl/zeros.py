@@ -13,13 +13,15 @@ Zeros are located by sign changes of the real function
     Z(t) = exp(i theta(t)) zeta(1/2 + i t),
     theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi
 
-on a uniform grid, then polished in doubles from the regula-falsi point of
-each bracket by the Newton step t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.
-From t = 200 on, the grid signs come from the Riemann-Siegel formula with its
-C0 term (_riemann_siegel_z), whose error Gabcke's bound 0.127 t^(-3/4) makes
-certain; hardy_z (Euler-Maclaurin zeta) serves the points below t = 200, the
-points whose Riemann-Siegel value is inside the bound, and both ends of each
-bracket, so the regula-falsi seeds are hardy_z values.
+on a uniform grid, then polished in doubles by the Newton step
+t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.  From t = 200 on, the grid
+signs come from the Riemann-Siegel formula with Gabcke's C0..C4 terms
+(_riemann_siegel_z), whose error bound 0.017 t^(-11/4) makes them certain,
+and from t = 5040 on a bracket between two certain signs seeds Newton at the
+zero of that formula (_riemann_siegel_roots), a few ulps from the ordinate.
+hardy_z (Euler-Maclaurin zeta) serves the points below t = 200 and the
+points whose Riemann-Siegel value is inside the bound; any other bracket is
+seeded at the regula-falsi point of hardy_z at both ends.
 The Newton basin is about +/- one grid step around each ordinate; seeds
 farther out may converge to a neighbor (refuse via NoConvergence when the
 polished value leaves the bracket).  Extended precision adds one mpmath
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,13 +81,29 @@ NEWTON_TOL = 1e-12
 
 _NEWTON_MAX_ITER = 50
 
-# Gabcke (1979): from t = 200 on, the Riemann-Siegel formula with its C0
-# term is within 0.127 t^(-3/4) of Z(t).
+# Gabcke (1979): from t = 200 on, the Riemann-Siegel formula with its C0..C4
+# terms is within 0.017 t^(-11/4) of Z(t).
 _RS_MIN_T = 200.0
-_RS_C0_ERROR = 0.127
+_RS_C4_ERROR = 0.017
+# From about t = 5040 on, twice that is below the Newton step floor 2^-51 t,
+# so a zero of the formula seeds Newton one step from the ordinate.
+_RS_SEED_MIN_T = (2.0 * _RS_C4_ERROR * 2.0**51) ** (1.0 / 3.75)
+# Gabcke's C1..C4 as sums of c Psi^(j) / pi^e over (j, c, e), C0 = Psi.
+_RS_TERMS = (
+    ((0, 1.0, 0),),
+    ((3, -1 / 96, 2),),
+    ((2, 1 / 64, 2), (6, 1 / 18432, 4)),
+    ((1, -1 / 64, 2), (5, -1 / 3840, 4), (9, -1 / 5308416, 6)),
+    ((0, 1 / 128, 2), (4, 19 / 24576, 4), (8, 11 / 5898240, 6), (12, 1 / 2038431744, 8)),
+)
+# Degree in u = p - 1/2 of the C_k polynomials: the Taylor terms past it
+# move no C_k by more than 1e-16 on |u| <= 1/2.
+_RS_DEGREE = 44
 # Grid points per Riemann-Siegel evaluation: its (points x N) arrays stay
 # below a megabyte each up to t = IM_MAX (N = 89).
 _RS_CHUNK = 1024
+# Regula-falsi steps per Riemann-Siegel seed; about 5 are taken.
+_RS_SEED_STEPS = 40
 
 # Bits beyond the requested significand width for the extended Newton step.
 _GUARD_BITS = 10
@@ -314,21 +333,47 @@ def hardy_z(t: float) -> float:
     return float((complex(math.cos(theta), math.sin(theta)) * z).real)
 
 
+@lru_cache(maxsize=1)
+def _rs_corrections() -> np.ndarray:
+    """Gabcke's C0..C4 as the rows of a (5, _RS_DEGREE + 1) array of
+    polynomial coefficients in u = p - 1/2, lowest degree first.
+
+    Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p = -cos(2pi u^2 - 5pi/8) /
+    cos 2pi u is entire (the numerator vanishes wherever cos 2pi u does), so
+    its Taylor coefficients at u = 0 are the discrete Fourier transform of
+    its values at 128 points of |u| = 1, where no cos 2pi u vanishes and
+    |Psi| < 11; the aliased terms are below 1e-40.  Each C_k folds its
+    derivatives of Psi into one polynomial, within 1e-15 of 50-digit mpmath
+    on |u| <= 1/2.  Built on the first Riemann-Siegel evaluation.
+    """
+    size = 128
+    angles = 2.0 * math.pi / size * np.arange(size)
+    circle = np.exp(1j * angles)
+    psi = -np.cos(2.0 * math.pi * circle**2 - 0.625 * math.pi) / np.cos(2.0 * math.pi * circle)
+    taylor = (np.exp(-1j * np.outer(np.arange(_RS_DEGREE + 13), angles)) @ psi).real / size
+    rows = np.zeros((len(_RS_TERMS), _RS_DEGREE + 1))
+    for row, terms in zip(rows, _RS_TERMS):
+        for j, c, e in terms:
+            # Psi^(j) = sum over m of (m + j)!/m! a_(m + j) u^m
+            falling = [float(math.perm(m + j, j)) for m in range(_RS_DEGREE + 1)]
+            row += c / math.pi**e * np.multiply(falling, taylor[j : j + _RS_DEGREE + 1])
+    return rows
+
+
 def _riemann_siegel_z(ts: np.ndarray):
-    """Z(t) at each height by the Riemann-Siegel formula with its first
-    correction term, and a bound on the distance to the true Z(t):
+    """Z(t) at each height by the Riemann-Siegel formula with Gabcke's
+    correction terms C0..C4, and a bound on the distance to the true Z(t):
 
         Z(t) ~ 2 sum_{n <= N} n^(-1/2) cos(theta(t) - t log n)
-               + (-1)^(N-1) (2 pi/t)^(1/4) C0(p),
+               + (-1)^(N-1) (2 pi/t)^(1/4) sum_{k <= 4} C_k(p) (2 pi/t)^(k/2),
         N = floor(sqrt(t/2pi)),  p = sqrt(t/2pi) - N,
-        C0(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p.
 
-    For t >= 200 Gabcke (1979) bounds the formula's error by 0.127 t^(-3/4);
-    the bound returned is twice that plus 2^-40 t log t sqrt(N), which
-    covers the rounding of the phases (a few ulps of t log t each, times the
-    amplitude sum 4 sqrt(N)) and of C0 where |cos 2pi p| >= 2^-10.  The value
-    is nan below t = 200 and where |cos 2pi p| < 2^-10, so a sign decided by
-    |value| > bound is certain.
+    with theta from its asymptotic series and the C_k from _rs_corrections,
+    which have no singular point.  For t >= 200 Gabcke (1979) bounds the
+    formula's error by 0.017 t^(-11/4); the bound returned is twice that plus
+    2^-40 t log t sqrt(N), which covers the rounding of the phases (a few
+    ulps of t log t each, times the amplitude sum 4 sqrt(N)).  The value is
+    nan below t = 200, so a sign decided by |value| > bound is certain.
     """
     ts = np.asarray(ts, dtype=np.float64)
     z = np.full(ts.shape, np.nan)
@@ -337,17 +382,55 @@ def _riemann_siegel_z(ts: np.ndarray):
     t = ts[high]
     root = np.sqrt(t / (2.0 * math.pi))
     n_cut = np.floor(root)
-    p = root - n_cut
-    theta = np.array([riemann_siegel_theta(v) for v in t.tolist()])
+    inv = 1.0 / t
+    # theta(t) = t log(root) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3) + ...;
+    # the first term left out is below 1e-20 from t = 200 on
+    inv_sq = inv * inv
+    theta = (t * np.log(root) - 0.5 * t - 0.125 * math.pi
+             + inv * (1 / 48 + inv_sq * (7 / 5760 + inv_sq * (31 / 80640 + inv_sq * 127 / 430080))))
     ns = np.arange(1.0, n_cut.max(initial=1.0) + 1.0)
     terms = np.cos(theta[:, None] - t[:, None] * np.log(ns)) / np.sqrt(ns)
     main = 2.0 * np.sum(terms, axis=1, where=ns <= n_cut[:, None])
-    num, den = np.cos(2.0 * math.pi * (p * p - p - 0.0625)), np.cos(2.0 * math.pi * p)
-    c0 = np.divide(num, den, out=np.full(t.shape, np.nan), where=np.abs(den) >= 2.0**-10)
+    w = 1.0 / root  # (2 pi/t)^(1/2)
+    weights = np.vander(w, len(_RS_TERMS), increasing=True) @ _rs_corrections()
+    powers = np.vander(root - n_cut - 0.5, _RS_DEGREE + 1, increasing=True)
     sign = 1.0 - 2.0 * ((n_cut - 1.0) % 2.0)  # (-1)^(N-1)
-    z[high] = main + sign * (2.0 * math.pi / t) ** 0.25 * c0
-    bound[high] = 2.0 * _RS_C0_ERROR * t**-0.75 + 2.0**-40 * t * np.log(t) * np.sqrt(n_cut)
+    z[high] = main + sign * np.sqrt(w) * np.einsum("ij,ij->i", weights, powers)
+    bound[high] = 2.0 * _RS_C4_ERROR * t**-2.75 + 2.0**-40 * t * np.log(t) * np.sqrt(n_cut)
     return z, bound
+
+
+def _riemann_siegel_roots(a, b, za, zb) -> list[float]:
+    """The zero of the Riemann-Siegel formula in each bracket between a and b,
+    where za and zb, its values there, have opposite signs.
+
+    Regula falsi with the Anderson-Bjorck weight (BIT 13, 1973), an Illinois
+    method, runs on all brackets at once, one _riemann_siegel_z call per
+    step, and every point stays between the bracket's ends.  A bracket stops
+    when a step moves less than the Newton step floor 2^-51 t, or lands on a
+    zero of the formula, and after _RS_SEED_STEPS steps in any case; its
+    last point is the seed.
+    """
+    a, b, za, zb = (np.array(v, dtype=np.float64) for v in (a, b, za, zb))
+    seeds = np.empty(len(b))
+    live = np.arange(len(b))
+    for _ in range(_RS_SEED_STEPS):
+        c = np.clip(b - zb * ((b - a) / (zb - za)), np.minimum(a, b), np.maximum(a, b))
+        zc = _riemann_siegel_z(c)[0]
+        # c replaces b; a stays, its value weighted down, unless zc changed sign
+        flip = zc * zb < 0.0
+        weight = 1.0 - zc / zb
+        a = np.where(flip, b, a)
+        za = np.where(flip, zb, np.where(weight > 0.0, weight, 0.5) * za)
+        done = (np.abs(c - b) < 2.0**-51 * c) | (zc == 0.0)
+        b, zb = c, zc
+        seeds[live[done]] = c[done]
+        keep = ~done
+        live, a, b, za, zb = live[keep], a[keep], b[keep], za[keep], zb[keep]
+        if not len(live):
+            break
+    seeds[live] = b
+    return seeds.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +482,27 @@ def _newton_polish(t0: float):
     -- when the Newton step falls below a few ulps of t, at which point the
     ordinate itself is converged, or when |zeta| is inside that floor and the
     step stopped shrinking (the steps chase noise; the last one is taken and
-    zeta' evaluated once more).
+    zeta' evaluated once more).  The noise can also exceed that floor and
+    send the steps round a cycle of ordinates a few ulps apart, none of
+    which any rule stops at; once (t, last step) repeats, the ordinate tried
+    with the least |zeta| is taken, with its own zeta'.
+
+    On the step rule, zeta' is the one evaluated at the ordinate before the
+    step, up to step_floor = 2^-51 t away, so it is good to about
+    |zeta''/zeta'| step_floor only: a few 1e-11 relative near t = 1e4.
     """
     step_floor = 2.0 ** -51 * max(1.0, abs(t0))
     noise = 0.5 * step_floor * math.log(max(math.e, abs(t0)))
     t, last_step = t0, math.inf
+    tried = {}  # (t, last step) -> (|zeta|, zeta') at t
     for _ in range(_NEWTON_MAX_ITER):
+        if (t, last_step) in tried:  # the steps go round a cycle
+            (t, _), (_, dz) = min(tried.items(), key=lambda item: item[1][0])
+            return t, dz
         z, dz = zeta_and_deriv(0.5 + 1j * t)
         if abs(z) < NEWTON_TOL:
             return t, dz
+        tried[t, last_step] = (abs(z), dz)
         step = (z / (1j * dz)).real
         t = t - step
         if abs(step) < step_floor:
@@ -460,16 +555,18 @@ def refine_table(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:
 
 def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> ZeroTable:
     """All critical-line zeros with t_min < gamma <= t_max, by sign changes
-    of Z(t) on a grid of the given step; the double Newton polish starts from
-    the regula-falsi point of each bracket, or from an exact grid zero.
-    Extended records: refine_table(find_zeros(a, b), EXTENDED).
+    of Z(t) on a grid of the given step, each polished in doubles by
+    refine_zero.  Extended records: refine_table(find_zeros(a, b), EXTENDED).
 
     A grid sign is the Riemann-Siegel value's where Gabcke's bound makes it
-    certain (t >= 200), else hardy_z's.  The seed of a bracket takes hardy_z
-    at both ends, and only hardy_z can read an exact grid zero, so the result
-    is the same, float for float, as a scan with hardy_z at every point.
-    Above t = 200 that takes one Euler-Maclaurin evaluation per uncertain
-    grid point and per bracket end, each point evaluated at most once.
+    certain (t >= 200), else hardy_z's, each point evaluated at most once.
+    From t = _RS_SEED_MIN_T (about 5040) on, a bracket whose two ends are
+    certain seeds Newton at the zero of the Riemann-Siegel formula inside it
+    (_riemann_siegel_roots), a few ulps from the ordinate, so one
+    Euler-Maclaurin evaluation usually certifies the zero.  Any other
+    bracket takes hardy_z at both ends and seeds Newton at their
+    regula-falsi point, and an exact hardy_z zero at a grid point is its own
+    seed; below t = 5040 every bracket is of this kind.
 
     The step must be below the local zero spacing (0.05 is safe far beyond
     t = 1100).  Two zeros inside one step leave no sign change and go unseen;
@@ -495,16 +592,21 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
         part = ts[i : i + _RS_CHUNK]
         rs, bound = _riemann_siegel_z(np.array(part))
         zs += [z if abs(z) > e else exact_z(t) for t, z, e in zip(part, rs.tolist(), bound.tolist())]
-    records = []
+    brackets = []  # (a, b, seed), seed None for a Riemann-Siegel seed
+    certain = []  # (a, b, Z(a), Z(b)) of the brackets with certain ends
     for (a, za), (b, zb) in zip(zip(ts, zs), zip(ts[1:], zs[1:])):
         if za == 0.0 and a > 0:  # only hardy_z can give an exact zero
-            seed = a
-        elif za * zb < 0.0:
+            brackets.append((a, b, a))
+        elif za * zb < 0.0 and (a < _RS_SEED_MIN_T or a in exact or b in exact):
             za, zb = exact_z(a), exact_z(b)
-            seed = a - za * (b - a) / (zb - za)  # regula falsi: inside the basin
-        else:
-            continue
-        rec = refine_zero(seed)
+            brackets.append((a, b, a - za * (b - a) / (zb - za)))  # regula falsi: in the basin
+        elif za * zb < 0.0:
+            brackets.append((a, b, None))
+            certain.append((a, b, za, zb))
+    rs_seeds = iter(_riemann_siegel_roots(*zip(*certain)) if certain else ())
+    records = []
+    for a, b, seed in brackets:
+        rec = refine_zero(next(rs_seeds) if seed is None else seed)
         if not (a - grid_step <= rec.gamma <= b + grid_step):
             raise NoConvergence(
                 f"refined ordinate {rec.gamma:.6f} escaped bracket [{a:.6f}, {b:.6f}]"

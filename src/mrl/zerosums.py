@@ -57,7 +57,6 @@ from .kernel import (
     _inv_zeta_at,
     _require_finite,
     _residue,
-    trivial_zero_data,  # unused here; tests/test_zerosums.py patches the name
     zeta,
 )
 from .moebius import _check_x, _primes_upto, integral_M, weak_mertens_integral

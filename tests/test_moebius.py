@@ -767,24 +767,30 @@ def test_density_within_an_ulp_of_mpmath(X):
 
 
 def test_density_counts_every_short_interval(monkeypatch):
-    # No n up to 10^7 has M(n)^2 > n, so a made-up M (m[n - 1] = M(n))
-    # makes some: the chunks where max M^2 <= n0 are skipped, the others
-    # checked n by n
+    # No n up to 10^7 has M(n)^2 > n, so a made-up walk of steps in {-1, 0, 1}
+    # (m[n - 1] = M(n)) makes some: the chunks where max M^2 <= n0 are
+    # skipped, the others checked n by n
     chunk = 1 << 10
     m = np.zeros(8 * chunk, dtype=np.int32)
-    m[chunk] = -40  # 1600 > 1025, the first n of its chunk, but < 2048, its last
-    m[3 * chunk + 5] = 4000  # n = 3078 alone in its chunk
-    m[5 * chunk : 5 * chunk + 3] = [-80, 100, 72]  # 6400 > 5121, 10000, 5184 > 5123
-    m[7 * chunk - 1] = 85  # 7225 > 7168, the last n of its chunk
+    n = np.arange(1, len(m) + 1)
+    for peak, height, flat in ((chunk + 76, -34, 0), (3 * chunk + 6, 56, 0),
+                               (5 * chunk + 1, 72, 2), (7 * chunk, 85, 0)):
+        # a tent of the given height, flat over [peak, peak + flat]
+        m += np.sign(height) * np.maximum(
+            0, abs(height) - np.maximum(peak - n, 0) - np.maximum(n - peak - flat, 0))
+    mu = np.diff(m, prepend=0).astype(np.int8)
+    assert set(mu.tolist()) == {-1, 0, 1}
     X = len(m) + 0.5
 
-    def stream(x_floor, cache):
+    def stream(x_floor, cache, prefix=True):
         for n0 in range(1, x_floor + 1, chunk):
-            yield n0, None, m[n0 - 1 : n0 - 1 + chunk]
+            yield n0, mu[n0 - 1 : n0 - 1 + chunk], None
 
     monkeypatch.setattr(moebius, "_stream", stream)
     short = [n for n in range(2, len(m) + 1) if int(m[n - 1]) ** 2 > n]
-    assert short == [chunk + 1, 3 * chunk + 6, 5 * chunk + 1, 5 * chunk + 2, 5 * chunk + 3, 7 * chunk]
+    # 1156 > 1100, in a chunk with 1024 < 34^2 < 2048; n = 3078 alone in its
+    # chunk; three n at the first of theirs; the last n of its chunk
+    assert short == [chunk + 76, 3 * chunk + 6, 5 * chunk + 1, 5 * chunk + 2, 5 * chunk + 3, 7 * chunk]
     with mp.workdps(40):
         top = mp.mpf(X)
         lost = mp.fsum(mp.log(min(n + 1, top, int(m[n - 1]) ** 2) / mp.mpf(n)) for n in short)

@@ -16,8 +16,9 @@ import pytest
 
 from mrl import zeros
 from mrl.errors import MissingZeros, NoConvergence, NotAscending, OutOfRange, ParseError
-from mrl.kernel import EXTENDED, zeta
+from mrl.kernel import EXTENDED, zeta, zeta_and_deriv
 from mrl.zeros import (
+    GRID_STEP,
     SUSPECT_DERIV_FLOOR,
     ZeroRecord,
     ZeroTable,
@@ -127,19 +128,30 @@ def _hex(table):
 
 
 def test_riemann_siegel_z_within_gabcke_bound():
-    # Gabcke: |Z - Z_RS| <= 0.127 t^(-3/4) for t >= 200, with C0 alone; the
-    # returned bound is twice that plus rounding, and no value below t = 200.
+    # Gabcke: |Z - Z_RS| <= 0.127 t^(-3/4) for t >= 200 with C0 alone, and
+    # <= 0.017 t^(-11/4) with C0..C4; the returned bound is twice the latter
+    # plus rounding, and no value below t = 200.
     rng = np.random.default_rng(14)
     ts = np.concatenate([rng.uniform(200.0, 5e4, 24), [200.0, 1e3, 1e4, 4.99e4]])
     rs, bound = zeros._riemann_siegel_z(ts)
     gabcke = 0.127 * ts**-0.75
-    assert np.all(np.isfinite(rs)) and np.all(bound >= 2.0 * gabcke)
+    assert np.all(np.isfinite(rs)) and np.all(bound >= 2.0 * 0.017 * ts**-2.75)
     for t, z, e in zip(ts.tolist(), rs.tolist(), gabcke.tolist()):
         assert abs(z - hardy_z(t)) <= e, f"t = {t}"
     for t, z, e in list(zip(ts.tolist(), rs.tolist(), gabcke.tolist()))[:4]:
         assert abs(z - float(mp.siegelz(t))) <= e, f"t = {t}"
     low, _ = zeros._riemann_siegel_z(np.array([14.0, 199.99]))
     assert np.all(np.isnan(low))
+    # C0..C4 against 30-digit mpmath, seeded and at t = 2pi (N + 1/4)^2,
+    # where cos 2pi p = 0: within the bound, and within Gabcke's term plus
+    # 2^-50 t log t, which C0 alone (off by up to 1e-4) or a wrong C_k misses
+    quarters = [2.0 * math.pi * (n + 0.25) ** 2 for n in (6, 20, 40, 88)]
+    ts = np.concatenate([np.random.default_rng(38).uniform(200.0, 5e4, 8), quarters])
+    rs, bound = zeros._riemann_siegel_z(ts)
+    with mp.workdps(30):
+        for t, z, e in zip(ts.tolist(), rs.tolist(), bound.tolist()):
+            err = abs(z - float(mp.siegelz(t)))
+            assert err <= e and err <= 2.0 * 0.017 * t**-2.75 + 2.0**-50 * t * math.log(t), f"t = {t}"
 
 
 # 24 windows, 4 of them across t = 200, where the scan starts to use
@@ -148,16 +160,41 @@ _SCAN_WINDOWS = [(190.0, 210.0), (199.9, 200.1), (150.0, 201.0), (199.99, 236.53
     (t, t + 1.5) for t in np.random.default_rng(1400).uniform(200.0, 3e4, 20).tolist()
 ]
 
-
-def test_find_zeros_equals_an_euler_maclaurin_scan(monkeypatch):
-    # The seeds come from hardy_z at both bracket ends, so every ordinate and
-    # zeta' is the same float as a scan that calls hardy_z everywhere.
-    fast = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
-    _forced_euler_maclaurin_scan(monkeypatch)
-    slow = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
-    assert sum(len(t) for t in slow) >= 30
-    for (a, b), f, s in zip(_SCAN_WINDOWS, fast, slow):
-        assert _hex(f) == _hex(s), f"[{a}, {b}]"
+# mpmath.findroot(mpmath.siegelz) at 30 digits for the 62 zeros above t = 200
+# in _SCAN_WINDOWS, in window order.
+_SCAN_ORDINATES = (
+    "201.264751943703788733016133428", "202.493594514140534277686660638",
+    "204.189671803104554330716438386", "205.394697202163286025212379391",
+    "207.906258887806209861501967908", "209.57650971685625985283564429",
+    "201.264751943703788733016133428", "202.493594514140534277686660638",
+    "204.189671803104554330716438386", "205.394697202163286025212379391",
+    "207.906258887806209861501967908", "209.57650971685625985283564429",
+    "211.690862595365307563907486731", "213.347919359712666190639122021",
+    "214.547044783491423222944201073", "216.169538508263700265869563354",
+    "219.06759634902137898567725659", "220.714918839314003369115592634",
+    "221.430705554693338732097475119", "224.007000254604335211728875529",
+    "224.983324669582287503782523681", "227.421444279679291310461436161",
+    "229.337413305525348107760083306", "231.25018870049916477380618677",
+    "231.987235253180248603771668539", "233.693404178908300640704494733",
+    "236.524229665816205802475507956", "10904.3085725386399866065363042",
+    "29929.4731205066516699885911415", "29930.2130153406203987188492687",
+    "402.861917763886114176315443096", "29973.414498594495687434118677",
+    "5834.9352420186212442812173565", "21507.421563838937000184422187",
+    "21508.5105762254753026942092927", "8082.0958483689999016923409296",
+    "6487.44521526241574344840592744", "6487.83021681324221451002603989",
+    "17334.7541155217011857084362257", "17335.2821182678975338033360971",
+    "10393.9371827661245634666674714", "10394.9040746875805490835487486",
+    "10395.3081097754498781254703809", "28615.3661973494795473222991664",
+    "28616.3662950184160802315080063", "28267.3860280564860360271445743",
+    "28267.6720371651751570177287812", "12688.3744509051032689538960975",
+    "12688.9800580151085436320003519", "28460.0407999366528540730426932",
+    "28460.5994397387969220913710322", "16070.634777563010280355550028",
+    "26291.8881727727150017481590968", "26292.7783242784416735541000086",
+    "28667.2253877502108499106829862", "28667.8718928563193037859072949",
+    "6695.93898183628882168068759204", "6696.27231064692002917174694564",
+    "3329.46558394840962562582322633", "18392.9653078375901683310511408",
+    "18393.381763507754171343782222", "18394.3200271547395474540670069",
+)
 
 
 def _hardy_z_args(monkeypatch):
@@ -171,37 +208,146 @@ def _hardy_z_args(monkeypatch):
     return calls
 
 
-def test_find_zeros_falls_back_on_a_zero_and_where_cos_2pi_p_vanishes(table, monkeypatch):
-    # A grid point on a zero has |Z| inside the bound; at t = 2pi (N + 1/4)^2
-    # cos 2pi p = 0 and C0 is not evaluated.  Both call hardy_z there.
+def _ulps_within_the_stop_rule(records, ordinates):
+    """Each ordinate's distance to its 30-digit value in ulps, after checking
+    it against the noise of the Newton stop rule: |zeta| is decided to
+    NEWTON_TOL, or to about 2^-52 t log t where the rounding of the phases
+    is larger, so the ordinate is good to that over |zeta'| and one rounding."""
+    ulps = []
+    for rec, ref in zip(records, ordinates, strict=True):
+        g = rec.gamma
+        with mp.workdps(30):
+            err = abs(float(mp.mpf(ref) - g))
+        bound = max(zeros.NEWTON_TOL, 2.0**-50 * g * math.log(g)) / abs(rec.zeta_prime)
+        assert err <= bound + math.ulp(g), g
+        ulps.append(err / math.ulp(g))
+    return ulps
+
+
+def test_find_zeros_is_as_close_to_mpmath_as_an_euler_maclaurin_scan(monkeypatch):
+    # Below t = 5040 the seed is the regula-falsi point of hardy_z at both
+    # bracket ends, as in a scan that calls hardy_z everywhere, so the zero
+    # is the same float.  A Riemann-Siegel seed lands within the noise of the
+    # Newton stop rule instead, which moves the ordinate by a few ulps either
+    # way: each is within the rule's noise of mpmath, the worst is the scan's
+    # worst plus one ulp at most, and the mean is no worse than the scan's.
+    fast = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
+    _forced_euler_maclaurin_scan(monkeypatch)
+    slow = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
+    assert sum(len(t) for t in slow) >= 90
+    for (a, b), f, s in zip(_SCAN_WINDOWS, fast, slow):
+        assert len(f) == len(s), f"[{a}, {b}]"
+        below = f.count_up_to(zeros._RS_SEED_MIN_T, inclusive=False)
+        assert _hex(ZeroTable(f[:below])) == _hex(ZeroTable(s[:below])), f"[{a}, {b}]"
+    fast_ulps, slow_ulps = (
+        _ulps_within_the_stop_rule(
+            [r for t in tables for r in t if r.gamma >= 200.0], _SCAN_ORDINATES
+        )
+        for tables in (fast, slow)
+    )
+    assert max(fast_ulps) <= max(slow_ulps) + 1.0
+    assert sum(fast_ulps) <= sum(slow_ulps)
+
+
+def test_find_zeros_falls_back_on_a_zero_and_not_where_cos_2pi_p_vanishes(table, monkeypatch):
+    # A grid point on a zero has |Z| inside the bound and calls hardy_z; at
+    # t = 2pi (N + 1/4)^2, where cos 2pi p = 0, the C_k polynomials have no
+    # singular point, so the sign is certain there and hardy_z is not called.
     on_zero = table.gammas[100].item()
-    quarter = 2.0 * math.pi * 20.25**2
+    quarter = 2.0 * math.pi * 40.25**2
     rs, bound = zeros._riemann_siegel_z(np.array([on_zero, quarter]))
-    assert abs(rs[0]) <= bound[0] and math.isnan(rs[1])
-    windows = [(on_zero, on_zero + 1.0), (quarter, quarter + 1.0)]
+    assert abs(rs[0]) <= bound[0] and abs(rs[1]) > bound[1]
+    windows = [(on_zero, on_zero + 1.0), (quarter, quarter + 2.0)]
     calls = _hardy_z_args(monkeypatch)
     fast = [find_zeros(a, b) for a, b in windows]
-    assert on_zero in calls and quarter in calls
+    assert on_zero in calls and quarter not in calls
     _forced_euler_maclaurin_scan(monkeypatch)
-    for (a, b), f in zip(windows, fast):
-        assert _hex(f) == _hex(find_zeros(a, b)), f"[{a}, {b}]"
+    slow = [find_zeros(a, b) for a, b in windows]
+    with mp.workdps(30):
+        refs = [mp.findroot(mp.siegelz, r.gamma) for t in slow for r in t]
+    fast_ulps, slow_ulps = (
+        _ulps_within_the_stop_rule([r for t in tables for r in t], refs) for tables in (fast, slow)
+    )
+    assert len(refs) >= 2
+    assert all(f <= s + 1.0 for f, s in zip(fast_ulps, slow_ulps))
 
 
-def test_find_zeros_calls_hardy_z_twice_per_bracket(monkeypatch):
-    calls = _hardy_z_args(monkeypatch)
-    found = find_zeros(9565.22, 9568.36)
-    assert len(found) == 4 and len(calls) == 8
+def _euler_maclaurin_args(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return zeta_and_deriv(s)
+
+    monkeypatch.setattr(zeros, "zeta_and_deriv", counted)
+    return calls
+
+
+# The benchmark's cold window for seed 431, about 3e4/t wide near t = 1e4.
+_COLD_WINDOW = (9799.603309001137, 9802.664657410256)
+
+# zeta'(rho) at its zeros, from mpmath at 30 digits.
+_COLD_ZETA_PRIMES = [
+    complex(-0.3504234743282343660812222, -5.290611580225617168748229),
+    complex(3.383635338096501405137065, -0.9412065635516995521672924),
+    complex(4.292312762836000337587505, 1.386577053396130791300825),
+    complex(5.424473421500525977340112, 5.681796592946537018650849),
+]
+
+
+def test_find_zeros_takes_one_euler_maclaurin_step_per_zero_near_1e4(monkeypatch):
+    # Near t = 1e4 every grid sign is certain, so no point takes hardy_z, and
+    # each Riemann-Siegel seed is a few ulps from the ordinate: the Newton
+    # polish mostly stops after its first zeta_and_deriv.  Where |zeta'| is
+    # small its steps chase the rounding noise for a few more.
+    windows = [(t, t + 3.0) for t in np.random.default_rng(38).uniform(9.5e3, 1.05e4, 20)]
+    calls, steps = _hardy_z_args(monkeypatch), _euler_maclaurin_args(monkeypatch)
+    found = sum(len(find_zeros(a, b)) for a, b in windows)
+    assert found >= 60 and not calls and len(steps) <= 1.5 * found
+
+
+def test_find_zeros_derivatives_in_the_cold_window():
+    # zeta'(rho) comes from the last Newton evaluation, up to the step floor
+    # 2^-51 t from the returned ordinate, so it is good to a few 1e-11 only
+    # (3.5e-11 relative at worst here, with regula-falsi and with
+    # Riemann-Siegel seeds alike)
+    found = find_zeros(*_COLD_WINDOW)
+    assert len(found) == len(_COLD_ZETA_PRIMES)
+    for got, want in zip(found.zeta_primes.tolist(), _COLD_ZETA_PRIMES):
+        assert abs(got - want) <= 5e-11 * abs(want), want
 
 
 def test_find_zeros_takes_hardy_z_once_per_point(monkeypatch):
-    # Near t = 9927.8 cos 2pi p is small, so four grid points fall back to
-    # hardy_z, and the one bracket lies between two of them: its ends reuse
-    # the fallback values.
+    # Below t = 200 every grid point takes hardy_z once, and the brackets
+    # there reuse those values at their ends; above, the brackets take it at
+    # their ends, each once.  Near t = 1e4 the signs are certain, and no
+    # point takes hardy_z, not even where cos 2pi p is small (near t =
+    # 9927.8, where C0 alone left four points to hardy_z).
     calls = _hardy_z_args(monkeypatch)
-    fast = find_zeros(9927.5, 9928.2)
-    assert len(fast) == 1 and len(calls) == 4 and len(set(calls)) == 4
+    fast = find_zeros(190.0, 210.0)
+    grid = [min(190.0 + i * GRID_STEP, 210.0) for i in range(401)]
+    assert calls[:200] == grid[:200] and grid[199] < 200.0 <= grid[200]
+    assert len(set(calls)) == len(calls) == 200 + 2 * len(fast.gammas[fast.gammas > 200.0])
+    del calls[:]
+    assert len(find_zeros(9927.5, 9928.2)) == 1 and not calls
     _forced_euler_maclaurin_scan(monkeypatch)
-    assert _hex(fast) == _hex(find_zeros(9927.5, 9928.2))
+    slow = find_zeros(190.0, 200.0)
+    assert len(slow) == 5 and _hex(ZeroTable(fast[:5])) == _hex(slow)
+
+
+def test_newton_polish_stops_on_a_cycle_of_noisy_steps(monkeypatch):
+    # From this seed the Newton steps alternate between two ordinates 3 ulps
+    # apart, each with |zeta| above the noise floor that the stop rule
+    # assumes; the polish takes the one with the least |zeta| instead of
+    # raising NoConvergence after _NEWTON_MAX_ITER steps
+    seed = float.fromhex("0x1.167016606d101p+15")
+    with mp.workdps(30):
+        ref = mp.findroot(mp.siegelz, seed)
+    _ulps_within_the_stop_rule([refine_zero(seed)], [ref])
+    # a regula-falsi seed in this window runs into such a cycle too; the
+    # count is mpmath.nzeros(b) - mpmath.nzeros(a)
+    _forced_euler_maclaurin_scan(monkeypatch)
+    assert len(find_zeros(22004.789712653037, 22006.789712653037)) == 2
 
 
 def test_refine_zero_off_basin_returns_a_zero_or_raises(raw_table):

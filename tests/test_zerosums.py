@@ -249,11 +249,11 @@ def test_identity_overflow_raises_precision_loss(table, report):
 
 
 def test_identity_L_range(table, monkeypatch):
-    # a_constant_report's tail reads zeta'(-2(L + 1)), which trivial_zero_data
+    # a_constant_report's tail reads zeta'(-2(L + 1)), which _inv_zeta_at
     # gives up to L + 1 = 120; L = 120 is refused before any work
     assert a_constant_report(3.0, table, L=119).parameters["trivial_tail"] > 0.0
     monkeypatch.setattr(zerosums, "_zero_sum", lambda *a, **k: pytest.fail("summed"))
-    monkeypatch.setattr(zerosums, "trivial_zero_data", lambda n: pytest.fail("read"))
+    monkeypatch.setattr(zerosums, "_inv_zeta_at", lambda *a, **k: pytest.fail("read"))
     for report in (inv_zeta_identity, a_constant_report, zeta_eq_real_report):
         with pytest.raises(OutOfRange, match="L = 120"):
             report(3.0, table, L=120)
