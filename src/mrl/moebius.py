@@ -729,9 +729,7 @@ def _stream(x_floor: int, cache: CheckpointCache | None, prefix: bool = True):
                 # a block-long M array, freed at every block, can hand its
                 # pages back to the system, to be faulted in again at the
                 # next block
-                m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
-                m_vals[0] += m_prev
-                m_prev = int(np.cumsum(m_vals, out=m_vals)[-1])
+                m_vals, m_prev = _prefix(mu, m_prev)
             else:
                 m_vals = None
                 m_prev += int(mu.sum())
@@ -740,6 +738,14 @@ def _stream(x_floor: int, cache: CheckpointCache | None, prefix: bool = True):
                 for cp in range(-(-n0 // stride) * stride, n0 + len(mu), stride):
                     cache.record(cp, m_lo + int(mu[: cp - n0 + 1].sum()))
             yield n0, mu, m_vals
+
+
+def _prefix(mu: np.ndarray, m_prev: int):
+    """(M(n0 + i) for each i, M at the chunk's end) from a chunk mu of
+    integers from n0 on and m_prev = M(n0 - 1)."""
+    m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
+    m_vals[0] += m_prev
+    return m_vals, int(np.cumsum(m_vals, out=m_vals)[-1])
 
 
 def _opens_block(n0: int) -> bool:
@@ -1027,9 +1033,7 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
             if (int((ends[1:] + ends[:-1]).max()) + _DENSITY_RUN) ** 2 <= 4 * n0:
                 m_prev = m_next
                 continue
-        m_vals = mu.astype(np.int32)  # |M(n)| <= n <= SIEVE_MAX < 2^31
-        m_vals[0] += m_prev
-        m_prev = int(np.cumsum(m_vals, out=m_vals)[-1])
+        m_vals, m_prev = _prefix(mu, m_prev)
         m_abs = max(int(m_vals.max()), -int(m_vals.min()))
         if m_abs * m_abs <= n0:  # no n >= n0 of the chunk can qualify
             continue

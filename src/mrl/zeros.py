@@ -18,10 +18,12 @@ t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.  From t = 200 on, the grid
 signs come from the Riemann-Siegel formula with Gabcke's C0..C4 terms
 (_riemann_siegel_z), whose error bound 0.017 t^(-11/4) makes them certain,
 and from t = 5040 on a bracket between two certain signs seeds Newton at the
-zero of that formula (_riemann_siegel_roots), a few ulps from the ordinate.
-hardy_z (Euler-Maclaurin zeta) serves the points below t = 200 and the
-points whose Riemann-Siegel value is inside the bound; any other bracket is
-seeded at the regula-falsi point of hardy_z at both ends.
+zero of that formula (_riemann_siegel_roots), a few ulps from the ordinate,
+and the polished ordinate takes one last step on the formula with its phases
+reduced in decimal arithmetic (_riemann_siegel_step), which lands within an
+ulp of the zero.  hardy_z (Euler-Maclaurin zeta) serves the points below
+t = 200 and the points whose Riemann-Siegel value is inside the bound; any
+other bracket is seeded at the regula-falsi point of hardy_z at both ends.
 The Newton basin is about +/- one grid step around each ordinate; seeds
 farther out may converge to a neighbor (refuse via NoConvergence when the
 polished value leaves the bracket).  Extended precision adds one mpmath
@@ -35,9 +37,10 @@ this format, refined at double precision (_load_refined_builtin).
 
 from __future__ import annotations
 
+import decimal
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -85,9 +88,14 @@ _NEWTON_MAX_ITER = 50
 # terms is within 0.017 t^(-11/4) of Z(t).
 _RS_MIN_T = 200.0
 _RS_C4_ERROR = 0.017
-# From about t = 5040 on, twice that is below the Newton step floor 2^-51 t,
-# so a zero of the formula seeds Newton one step from the ordinate.
-_RS_SEED_MIN_T = (2.0 * _RS_C4_ERROR * 2.0**51) ** (1.0 / 3.75)
+# From about t = 5040 on, that bound is below 2^-52 t, so where |Z'| >= 1 the
+# zero of the formula is within an ulp of the ordinate: find_zeros seeds
+# Newton there and takes its last step on the formula (_riemann_siegel_step).
+# The seeds alone would save Euler-Maclaurin evaluations from t = 200 on
+# (about 2 per zero against 5), but perfbench/test_smoke.py asserts that the
+# benchmark's cold window near t = 1050 calls hardy_z; the seeds should start
+# at _RS_MIN_T once that assertion is relaxed (ROADMAP item 1).
+_RS_SEED_MIN_T = (_RS_C4_ERROR * 2.0**52) ** (1.0 / 3.75)
 # Gabcke's C1..C4 as sums of c Psi^(j) / pi^e over (j, c, e), C0 = Psi.
 _RS_TERMS = (
     ((0, 1.0, 0),),
@@ -104,6 +112,10 @@ _RS_DEGREE = 44
 _RS_CHUNK = 1024
 # Regula-falsi steps per Riemann-Siegel seed; about 5 are taken.
 _RS_SEED_STEPS = 40
+# Decimal arithmetic for the phases of _riemann_siegel_step: 25 digits keep
+# t log n, below 3e5 up to IM_MAX, to about 1e-20 before its reduction.
+_RS_DECIMAL = decimal.Context(prec=25)
+_RS_TWO_PI = decimal.Decimal("6.283185307179586476925286767")
 
 # Bits beyond the requested significand width for the extended Newton step.
 _GUARD_BITS = 10
@@ -360,6 +372,25 @@ def _rs_corrections() -> np.ndarray:
     return rows
 
 
+def _rs_theta_tail(t):
+    """theta(t) - (t log sqrt(t/2pi) - t/2 - pi/8), from its asymptotic
+    series 1/(48t) + 7/(5760t^3) + ...; the first term left out is below
+    1e-20 from t = 200 on."""
+    inv = 1.0 / t
+    inv_sq = inv * inv
+    return inv * (1 / 48 + inv_sq * (7 / 5760 + inv_sq * (31 / 80640 + inv_sq * 127 / 430080)))
+
+
+def _rs_remainder(root: np.ndarray, n_cut: np.ndarray) -> np.ndarray:
+    """The correction (-1)^(N-1) (2 pi/t)^(1/4) sum_{k <= 4} C_k(p) (2 pi/t)^(k/2)
+    of the Riemann-Siegel formula, at root = sqrt(t/2pi) and N = n_cut."""
+    w = 1.0 / root  # (2 pi/t)^(1/2)
+    weights = np.vander(w, len(_RS_TERMS), increasing=True) @ _rs_corrections()
+    powers = np.vander(root - n_cut - 0.5, _RS_DEGREE + 1, increasing=True)
+    sign = 1.0 - 2.0 * ((n_cut - 1.0) % 2.0)  # (-1)^(N-1)
+    return sign * np.sqrt(w) * np.einsum("ij,ij->i", weights, powers)
+
+
 def _riemann_siegel_z(ts: np.ndarray):
     """Z(t) at each height by the Riemann-Siegel formula with Gabcke's
     correction terms C0..C4, and a bound on the distance to the true Z(t):
@@ -382,22 +413,59 @@ def _riemann_siegel_z(ts: np.ndarray):
     t = ts[high]
     root = np.sqrt(t / (2.0 * math.pi))
     n_cut = np.floor(root)
-    inv = 1.0 / t
-    # theta(t) = t log(root) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3) + ...;
-    # the first term left out is below 1e-20 from t = 200 on
-    inv_sq = inv * inv
-    theta = (t * np.log(root) - 0.5 * t - 0.125 * math.pi
-             + inv * (1 / 48 + inv_sq * (7 / 5760 + inv_sq * (31 / 80640 + inv_sq * 127 / 430080))))
+    theta = t * np.log(root) - 0.5 * t - 0.125 * math.pi + _rs_theta_tail(t)
     ns = np.arange(1.0, n_cut.max(initial=1.0) + 1.0)
     terms = np.cos(theta[:, None] - t[:, None] * np.log(ns)) / np.sqrt(ns)
     main = 2.0 * np.sum(terms, axis=1, where=ns <= n_cut[:, None])
-    w = 1.0 / root  # (2 pi/t)^(1/2)
-    weights = np.vander(w, len(_RS_TERMS), increasing=True) @ _rs_corrections()
-    powers = np.vander(root - n_cut - 0.5, _RS_DEGREE + 1, increasing=True)
-    sign = 1.0 - 2.0 * ((n_cut - 1.0) % 2.0)  # (-1)^(N-1)
-    z[high] = main + sign * np.sqrt(w) * np.einsum("ij,ij->i", weights, powers)
+    z[high] = main + _rs_remainder(root, n_cut)
     bound[high] = 2.0 * _RS_C4_ERROR * t**-2.75 + 2.0**-40 * t * np.log(t) * np.sqrt(n_cut)
     return z, bound
+
+
+@lru_cache(maxsize=1)
+def _rs_logs() -> tuple:
+    """log n to 25 digits for n = 1 .. floor(sqrt(IM_MAX/2pi)), the largest N
+    of the Riemann-Siegel formula: Decimal.ln at each prime, sums of the
+    logarithms of two factors elsewhere.  Built on the first
+    _riemann_siegel_step."""
+    logs = [decimal.Decimal(0)] * (math.isqrt(int(IM_MAX / (2.0 * math.pi))) + 1)
+    for n in range(2, len(logs)):
+        d = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        logs[n] = _RS_DECIMAL.ln(n) if d == n else _RS_DECIMAL.add(logs[d], logs[n // d])
+    return tuple(logs[1:])
+
+
+def _riemann_siegel_step(t: float, zeta_prime: complex) -> float:
+    """t - Z(t)/Z'(t), one Newton step on the Riemann-Siegel formula with
+    C0..C4 from an ordinate t of a zero, given zeta' there.
+
+    Its phases theta(t) - t log n are formed in _RS_DECIMAL arithmetic and
+    reduced mod 2pi before they are rounded to doubles, so each is good to
+    about 1e-16 instead of a few ulps of t log t (about 1e-11 near t = 1e4,
+    which moves a zero of the double formula, or of zeta_and_deriv, by a few
+    ulps of t).  The step then lands within Gabcke's bound 0.017 t^(-11/4)
+    over |Z'| of the zero, plus one rounding: from t = _RS_SEED_MIN_T on,
+    about half an ulp where |Z'| >= 2.  Z' = Re[i exp(i theta) zeta'] at a
+    zero needs few digits, as the step is a few ulps.
+    """
+    root = math.sqrt(t / (2.0 * math.pi))
+    n_cut = math.floor(root)
+    dec, big_t = _RS_DECIMAL, decimal.Decimal(t)  # exact
+    half = dec.multiply(big_t, decimal.Decimal("0.5"))
+    # theta(t) less _rs_theta_tail(t): (t/2) log(t/2pi) - t/2 - pi/8
+    theta = dec.subtract(dec.multiply(half, dec.ln(dec.divide(big_t, _RS_TWO_PI))),
+                         dec.add(half, dec.divide(_RS_TWO_PI, 16)))
+    phases = [
+        float(dec.remainder_near(dec.subtract(theta, dec.multiply(big_t, log)), _RS_TWO_PI))
+        for log in _rs_logs()[:n_cut]
+    ]
+    tail = _rs_theta_tail(t)
+    ns = np.arange(1.0, n_cut + 1.0)
+    main = 2.0 * np.sum(np.cos(np.array(phases) + tail) / np.sqrt(ns))
+    z = main + _rs_remainder(np.array([root]), np.array([float(n_cut)]))[0]
+    phase = float(dec.remainder_near(theta, _RS_TWO_PI)) + tail
+    z_prime = -(math.sin(phase) * zeta_prime.real + math.cos(phase) * zeta_prime.imag)
+    return t - z / z_prime
 
 
 def _riemann_siegel_roots(a, b, za, zb) -> list[float]:
@@ -563,10 +631,14 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
     From t = _RS_SEED_MIN_T (about 5040) on, a bracket whose two ends are
     certain seeds Newton at the zero of the Riemann-Siegel formula inside it
     (_riemann_siegel_roots), a few ulps from the ordinate, so one
-    Euler-Maclaurin evaluation usually certifies the zero.  Any other
-    bracket takes hardy_z at both ends and seeds Newton at their
+    Euler-Maclaurin evaluation usually certifies the zero; the ordinate then
+    takes one step on the formula in decimal phases (_riemann_siegel_step),
+    which moves it from anywhere in the noise of the Newton stop rule (a few
+    ulps) to within an ulp of the zero, and keeps the polish's zeta'.  Any
+    other bracket takes hardy_z at both ends and seeds Newton at their
     regula-falsi point, and an exact hardy_z zero at a grid point is its own
-    seed; below t = 5040 every bracket is of this kind.
+    seed; below t = 5040 every bracket is of this kind, and the result is
+    the same, float for float, as a scan with hardy_z at every point.
 
     The step must be below the local zero spacing (0.05 is safe far beyond
     t = 1100).  Two zeros inside one step leave no sign change and go unseen;
@@ -606,7 +678,11 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
     rs_seeds = iter(_riemann_siegel_roots(*zip(*certain)) if certain else ())
     records = []
     for a, b, seed in brackets:
-        rec = refine_zero(next(rs_seeds) if seed is None else seed)
+        if seed is None:
+            rec = refine_zero(next(rs_seeds))
+            rec = replace(rec, gamma=_riemann_siegel_step(rec.gamma, rec.zeta_prime))
+        else:
+            rec = refine_zero(seed)
         if not (a - grid_step <= rec.gamma <= b + grid_step):
             raise NoConvergence(
                 f"refined ordinate {rec.gamma:.6f} escaped bracket [{a:.6f}, {b:.6f}]"

@@ -769,12 +769,18 @@ def test_density_within_an_ulp_of_mpmath(X):
 def test_density_counts_every_short_interval(monkeypatch):
     # No n up to 10^7 has M(n)^2 > n, so a made-up walk of steps in {-1, 0, 1}
     # (m[n - 1] = M(n)) makes some: the chunks where max M^2 <= n0 are
-    # skipped, the others checked n by n
+    # skipped, the others checked n by n.  From n0 = 2^14 on, the bound from
+    # runs of _DENSITY_RUN integers can clear a chunk; in the chunk from
+    # 19457 the first run goes from M = 12 up to 140 and back, so the bound
+    # (12 + 12 + 256)^2 = 78400 just fails to clear 4 n0 = 77828 and 140^2
+    # exceeds n = 19584 at the peak
     chunk = 1 << 10
-    m = np.zeros(8 * chunk, dtype=np.int32)
+    assert moebius._DENSITY_RUN == 256
+    m = np.zeros(20 * chunk, dtype=np.int32)
     n = np.arange(1, len(m) + 1)
     for peak, height, flat in ((chunk + 76, -34, 0), (3 * chunk + 6, 56, 0),
-                               (5 * chunk + 1, 72, 2), (7 * chunk, 85, 0)):
+                               (5 * chunk + 1, 72, 2), (7 * chunk, 85, 0),
+                               (19 * chunk + 128, 140, 0)):
         # a tent of the given height, flat over [peak, peak + flat]
         m += np.sign(height) * np.maximum(
             0, abs(height) - np.maximum(peak - n, 0) - np.maximum(n - peak - flat, 0))
@@ -789,8 +795,11 @@ def test_density_counts_every_short_interval(monkeypatch):
     monkeypatch.setattr(moebius, "_stream", stream)
     short = [n for n in range(2, len(m) + 1) if int(m[n - 1]) ** 2 > n]
     # 1156 > 1100, in a chunk with 1024 < 34^2 < 2048; n = 3078 alone in its
-    # chunk; three n at the first of theirs; the last n of its chunk
-    assert short == [chunk + 76, 3 * chunk + 6, 5 * chunk + 1, 5 * chunk + 2, 5 * chunk + 3, 7 * chunk]
+    # chunk; three n at the first of theirs; the last n of its chunk; the
+    # peak of the run that the bound must not clear
+    assert short == [chunk + 76, 3 * chunk + 6, 5 * chunk + 1, 5 * chunk + 2, 5 * chunk + 3,
+                     7 * chunk, 19 * chunk + 128]
+    assert m[19 * chunk - 1] == m[19 * chunk + 255] == 12
     with mp.workdps(40):
         top = mp.mpf(X)
         lost = mp.fsum(mp.log(min(n + 1, top, int(m[n - 1]) ** 2) / mp.mpf(n)) for n in short)
