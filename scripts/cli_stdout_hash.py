@@ -8,7 +8,11 @@ cached pass, so its zero-table loads miss once and then hit).  Then it calls
 the spectral functions that no CLI command reaches, on the packaged refined
 zero table the CLI reads: ``integral_M_explicit`` and the residues of the
 explicit formula for M_tau, at the points of the ``INTEGRAL_*`` and
-``RESIDUE_*`` lists.
+``RESIDUE_*`` lists.  Last come the zero search and the extended refine,
+which no command reaches except through the packaged table: ``find_zeros``
+on the windows of ``FIND_WINDOWS`` and ``refine_zero`` at ``EXTENDED`` from
+the packaged ordinates of ``REFINE_INDICES``, each record as the
+``float.hex`` of its ordinate and zeta'.
 
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
 its exit code and stdout followed by its arguments, then ``total``, the
@@ -18,8 +22,9 @@ every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 240 invocations take about 2.6 s and the 108 API
-rows 0.4 s on one core of a 2-vCPU Xeon VM.
+stderr is not hashed.  The 240 invocations take about 2.6 s and the 114 API
+rows 0.8 s on one core of a 2-vCPU Xeon VM (the six zero rows about 0.4 s,
+the mpmath import included).
 """
 
 import contextlib
@@ -30,7 +35,8 @@ import tempfile
 
 from mrl.cli import main
 from mrl.explicit import RESIDUE_MAX_L, residue_series, residue_term
-from mrl.zeros import _load_refined_builtin
+from mrl.kernel import EXTENDED
+from mrl.zeros import _load_refined_builtin, find_zeros, load_builtin, refine_zero
 from mrl.zerosums import integral_M_explicit
 
 COMMANDS = [
@@ -125,6 +131,12 @@ INTEGRAL_LS = (1, 40)
 RESIDUE_TAUS = (0.0, 0.5, 1.5, 2.0, 3.0, 7.25, 12.5)
 RESIDUE_XS = (2.5, 10.5)
 
+# find_zeros: hardy_z seeds near t = 1000; Riemann-Siegel seeds and the
+# decimal step on the formula near 9800 and 49000
+FIND_WINDOWS = ((1000.0, 1003.0), (9800.0, 9803.0), (49000.0, 49001.0))
+# refine_zero at EXTENDED from the 1st, 30th and 601st packaged ordinates
+REFINE_INDICES = (0, 29, 600)
+
 
 def invocations(cache_dir: str):
     for cached in (False, True):
@@ -151,6 +163,17 @@ def api_rows():
                    lambda x=x, tau=tau: [residue_term(l, x, tau) for l in ls])
             yield (f"residue_series x={x!r} tau={tau!r} L=0..{RESIDUE_MAX_L}",
                    lambda x=x, tau=tau: [residue_series(x, tau, L) for L in range(len(ls) + 1)])
+    for a, b in FIND_WINDOWS:
+        yield f"find_zeros t={a!r}..{b!r}", lambda a=a, b=b: _records(find_zeros(a, b))
+    gammas = load_builtin().gammas
+    for i in REFINE_INDICES:
+        yield (f"refine_zero #{i + 1} EXTENDED",
+               lambda g=float(gammas[i]): _records([refine_zero(g, EXTENDED)]))
+
+
+def _records(records) -> list:
+    """The ordinate and the real and imaginary parts of zeta' of each record."""
+    return [[r.gamma, r.zeta_prime.real, r.zeta_prime.imag] for r in records]
 
 
 def _hexed(value) -> str:

@@ -41,6 +41,7 @@ from pathlib import Path
 from .errors import (
     MissingZeros,
     MrlError,
+    NotAscending,
     ParseError,
     UnsupportedLambda,
 )
@@ -161,7 +162,8 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
     file can never be served stale.  On a cache miss, ``builtin`` at double
     precision is read from the packaged refined table (the same bytes as
     refining the packaged ordinates); extended precision and user files are
-    refined.
+    refined.  A cached file that does not load (malformed, or with ordinates
+    out of order) is a miss too, and is overwritten.
     """
     if cfg.zeros_path is None:
         raise MissingZeros(
@@ -182,7 +184,7 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
     if cached is not None and cached.exists():
         try:
             table = ZeroTable.load(cached)
-        except ParseError:
+        except (ParseError, NotAscending):
             table = None
     if table is None:
         if cfg.zeros_path == "builtin" and cfg.precision.is_double:

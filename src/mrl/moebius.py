@@ -13,15 +13,16 @@ reads, as residues joined by the CRT: M(x) = S_0, the
 Riesz means at tau = 0, 1, 2, 3 (M_1 = S_0 - S_1/x, and so on) and the
 integrals of M(u) u^(-kappa) over [1, x] at kappa = 0, -1, -2
 ((x^a S_0 - S_a)/a, a = 1 - kappa).
-Everything else streams mu from n = 1 (_stream), sieved in blocks and
-consumed in cache-sized chunks, with M(n) summed per chunk for the
-consumers that read it; the other Riesz means read mu alone.
-sieve_segment, mertens, riesz_mean_direct, integral_M, density_S and
-tau_regime_scan take an optional CheckpointCache, in which the stream
-records (x, M(x)) at the cache's stride; no M value is kept between calls
-otherwise.  The other integrals of M(u) u^(-kappa), that of (M(u)/u)^2 and
-the sign-change scan read one stream of closed-form unit-interval pieces
-(_integral_pieces).
+Everything else streams mu from n = 1.  One generator, _stream, walks the
+sieve blocks from n = 1 for both routes: it hands out mu in cache-sized
+chunks, to the power sums for [1, L] and to the streamed operations for
+[1, x].  A consumer that reads M(n) sums it per chunk (_prefix); the other
+Riesz means read mu alone.  sieve_segment, mertens, riesz_mean_direct,
+integral_M, density_S and tau_regime_scan take an optional
+CheckpointCache, in which the stream records (x, M(x)) at the cache's
+stride; no M value is kept between calls otherwise.  The other integrals
+of M(u) u^(-kappa), that of (M(u)/u)^2 and the sign-change scan read one
+stream of closed-form unit-interval pieces (_integral_pieces).
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
@@ -85,12 +86,6 @@ _CHUNK = 1 << 14
 # density_S bounds |M| over a chunk from the sums of runs of this many
 # integers, which divides the chunk.
 _DENSITY_RUN = 256
-
-# The power sums read their sieve in pieces whose arrays of terms take
-# _PIECE bytes each: 2^15 int64 terms mu(n) n^j, or 2^16 int32 values of mu
-# when S_0 alone is asked for.  Larger pieces cost more in page faults on
-# their fresh buffers than they save in per-piece overhead.
-_PIECE = 1 << 18
 
 _CHECKPOINT_MAGIC = b"MRTC0002"
 _CHECKPOINT_RECORD = struct.Struct("<Qq")
@@ -452,9 +447,10 @@ def _mu_power_sums_at(points: list[tuple[int, int]]) -> list[tuple[int, ...]]:
       only d > m_top/k read small[v//d].
 
     A point with x <= L reads its sums directly from the sieve.  The sieve
-    is taken block by block, and the terms mu(n) n^j a piece at a time, once
-    per piece and j for all points, which sum them at their ends as the
-    piece passes (_sieved_sums); nothing as long as the sieve is kept.
+    is read from the stream of mu (_stream), and the terms mu(n) n^j are
+    formed a chunk at a time, once per chunk and j for all points, which
+    sum them at their ends as the chunk passes (_sieved_sums); nothing as
+    long as the sieve is kept.
 
     Every sum is taken mod each modulus of _residue_rows(k), so an
     intermediate value may wrap; only the final S_j is bounded, by
@@ -482,18 +478,17 @@ def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndar
     """For each (x, k) of points, one array per row (p, j) of
     _residue_rows(k): S_j(v) mod p at the v of _sum_ends(x, limit).
 
-    [1, limit] is sieved block by block into one buffer (_BLOCK) and read in
-    pieces of at most 2^16 integers (_PIECE).  A piece forms its terms mu(n) n^j
-    once per j, and sums them at once for all points: at the ends of every
-    point that fall in it (np.add.reduceat, then a running sum over those
-    segments), plus the carry, S_j at the piece's left edge; the last
-    segment runs to the piece's end and makes the next carry.  A sum is
-    exact in int64 while W_j(limit) < 2^63 (int32 when S_0 alone is asked
-    for: |S_0(v)| <= v < 2^31) and reduced mod each modulus at the end; past
-    that (j = 3 past L of about 78,000) it is kept mod each modulus, as
-    uint64, which wraps, at 2^64, and from the terms reduced mod p at a prime
-    p (each piece's sum below 2^16 p < 2^47).  Nothing as long as the sieve
-    is allocated.
+    The chunks of _stream(limit, None) cover [1, limit], the sieve; each
+    chunk forms its terms mu(n) n^j once per j, and sums them at once for
+    all points: at the ends of every point that fall in it (np.add.reduceat,
+    then a running sum over those segments), plus the carry, S_j at the
+    chunk's left edge; the last segment runs to the chunk's end and makes
+    the next carry.  A sum is exact in int64 while W_j(limit) < 2^63 (int32
+    when S_0 alone is asked for: |S_0(v)| <= v < 2^31) and reduced mod each
+    modulus at the end; past that (j = 3 past L of about 78,000) it is kept
+    mod each modulus, as uint64, which wraps, at 2^64, and from the terms
+    reduced mod p at a prime p (each chunk's sum below 2^14 p < 2^45).
+    Nothing as long as the sieve is allocated.
     """
     ends = [_sum_ends(x, limit) for x, _ in points]
     degree = max(k for _, k in points)
@@ -507,57 +502,51 @@ def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndar
               for p in ([None] if _faulhaber(limit, j) < 1 << 63 else _MODULI[: _RESIDUES[j]])]
     sums = [np.empty(len(every), dtype=np.uint64 if p == _WRAP else np.int64) for _, p in tracks]
     carries = [0] * len(tracks)
-    top = int(every[-1])
-    dtype = np.dtype(np.int64 if degree else np.int32)
-    piece = min(_PIECE // dtype.itemsize, _BLOCK, limit)
-    work = np.empty(piece, dtype=dtype)
-    # n[i] = a + i for the piece that starts at a, moved on in place
-    n = np.arange(piece, dtype=np.int64) if degree else None
-    terms = np.empty(piece if degree else 0, dtype=np.int64)
-    block = np.empty(min(_BLOCK, limit), dtype=np.int8)
-    # the segments of a piece start at 0 and after each end in it
-    starts = np.zeros(min(piece, len(every)) + 1, dtype=np.intp)
-    first = 0  # the ends below the piece
-    for lo in range(1, top + 1, _BLOCK):
-        mu_block = _segment_mu(lo, min(lo + _BLOCK, limit + 1), block)
-        for a in range(lo, min(lo + len(mu_block), top + 1), piece):
-            mu = mu_block[a - lo : a - lo + piece]
-            size = len(mu)
-            last = first + int(np.searchsorted(every[first:], a + size))
-            np.subtract(every[first:last], a - 1, out=starts[1 : last - first + 1])
-            # the last segment runs to the piece's end, or ends there
-            cut = last - first + (last == first or int(every[last - 1]) < a + size - 1)
-            if degree:
-                n += a - int(n[0])
-            for t, (j, p) in enumerate(tracks):
-                if j == 0:
-                    source = work[:size]
-                    np.copyto(source, mu)
-                else:
-                    source = terms[:size]
-                    if tracks[t - 1][0] != j:  # once per j, for all its tracks
-                        # mu n^(j-1) times n, mu from track 0's copy at j = 1;
-                        # n^3 < 2^63 for n < 2^21
-                        np.multiply(work[:size] if j == 1 else source, n[:size], out=source)
-                if p == _WRAP:
-                    source = source.view(np.uint64)
-                elif p is not None:  # source mod p, by floor division
-                    reduced = work[:size]  # mu's copy is read only at j = 1
-                    np.floor_divide(source, p, out=reduced)
-                    reduced *= -p
-                    reduced += source
-                    source = reduced
-                segments = np.add.reduceat(source, starts[:cut], dtype=source.dtype)
-                np.cumsum(segments, out=segments)
-                at = sums[t][first:last]
-                np.add(segments[: last - first], carries[t], out=at)
-                carry = carries[t] + int(segments[-1])
-                if p is not None:
-                    if p != _WRAP:
-                        np.remainder(at, p, out=at)
-                    carry %= p
-                carries[t] = carry
-            first = last
+    chunk = min(_CHUNK, _BLOCK, limit)
+    work = np.empty(chunk, dtype=np.int64 if degree else np.int32)
+    # n[i] = a + i for the chunk that starts at a, moved on in place
+    n = np.arange(chunk, dtype=np.int64) if degree else None
+    terms = np.empty(chunk if degree else 0, dtype=np.int64)
+    # the segments of a chunk start at 0 and after each end in it
+    starts = np.zeros(min(chunk, len(every)) + 1, dtype=np.intp)
+    first = 0  # the ends below the chunk
+    for a, mu in _stream(limit, None):
+        size = len(mu)
+        last = first + int(np.searchsorted(every[first:], a + size))
+        np.subtract(every[first:last], a - 1, out=starts[1 : last - first + 1])
+        # the last segment runs to the chunk's end, or ends there
+        cut = last - first + (last == first or int(every[last - 1]) < a + size - 1)
+        if degree:
+            n += a - int(n[0])
+        for t, (j, p) in enumerate(tracks):
+            if j == 0:
+                source = work[:size]
+                np.copyto(source, mu)
+            else:
+                source = terms[:size]
+                if tracks[t - 1][0] != j:  # once per j, for all its tracks
+                    # mu n^(j-1) times n, mu from track 0's copy at j = 1;
+                    # n^3 < 2^63 for n < 2^21
+                    np.multiply(work[:size] if j == 1 else source, n[:size], out=source)
+            if p == _WRAP:
+                source = source.view(np.uint64)
+            elif p is not None:  # source mod p, by floor division
+                reduced = work[:size]  # mu's copy is read only at j = 1
+                np.floor_divide(source, p, out=reduced)
+                reduced *= -p
+                reduced += source
+                source = reduced
+            segments = np.add.reduceat(source, starts[:cut], dtype=source.dtype)
+            np.cumsum(segments, out=segments)
+            at = sums[t][first:last]
+            np.add(segments[: last - first], carries[t], out=at)
+            carry = carries[t] + int(segments[-1])
+            if p is not None:
+                if p != _WRAP:
+                    np.remainder(at, p, out=at)
+                carry %= p
+            carries[t] = carry
+        first = last
     values: list[list[np.ndarray]] = []
     for e, (_, k) in zip(ends, points):
         where = None if e is every else np.searchsorted(every, e)
@@ -699,45 +688,38 @@ def _write_atomic(path, chunks) -> None:
             os.unlink(tmp)
 
 
-def _stream(x_floor: int, cache: CheckpointCache | None, prefix: bool = True):
-    """Stream mu for n in [1, x_floor].
+def _stream(x_floor: int, cache: CheckpointCache | None):
+    """Stream mu for n in [1, x_floor]: the one walk over sieve blocks from
+    n = 1, read by the streamed operations and by the power sums' sieve.
 
-    Yields (n0, mu, m_vals) for every chunk of consecutive integers n in
-    [n0, n0 + len(mu)), with m_vals[i] = M(n0 + i).  mu is sieved in
-    rounding blocks of _BLOCK integers counted from n = 1 and handed out in
-    chunks (views) of min(_CHUNK, _BLOCK) integers, so each block is a run of
-    whole chunks (_opens_block tells where one starts), and a consumer that
-    cuts the chunks at its own floor(x) sums over the same blocks as a stream
-    that ends there.  m_vals is summed per chunk; without prefix it is None,
-    for consumers that read mu alone, and M is carried by chunk sums.  With
-    a cache, the values at multiples of its stride are recorded on the way,
-    and mertens serves those x from it; without one, nothing is recorded.
+    Yields (n0, mu) for every chunk of consecutive integers n in
+    [n0, n0 + len(mu)).  mu is sieved in rounding blocks of _BLOCK integers
+    counted from n = 1 and handed out in chunks (views) of
+    min(_CHUNK, _BLOCK) integers, so each block is a run of whole chunks
+    (_opens_block tells where one starts), and a consumer that cuts the
+    chunks at its own floor(x) sums over the same blocks as a stream that
+    ends there.  A consumer that reads M sums it itself (_prefix).  With a
+    cache, the stream carries M by chunk sums and records the values at
+    multiples of the cache's stride on the way, and mertens serves those x
+    from it; without one, it sums nothing.
 
     Every block is sieved into one buffer that the stream owns, so mu is a
     view that the next block overwrites: a consumer reads each chunk only
     within its own iteration, and keeps nothing of it but what it copies.
     """
-    m_prev = 0
+    m_prev = 0  # M(n0 - 1), carried only for the cache
     chunk = min(_CHUNK, _BLOCK)
     buffer = np.empty(min(_BLOCK, x_floor), dtype=np.int8)
     for n_next in range(1, x_floor + 1, _BLOCK):
         mu_block = _segment_mu(n_next, min(n_next + _BLOCK, x_floor + 1), buffer)
         for n0 in range(n_next, n_next + len(mu_block), chunk):
             mu = mu_block[n0 - n_next : n0 - n_next + chunk]
-            m_lo = m_prev
-            if prefix:
-                # a block-long M array, freed at every block, can hand its
-                # pages back to the system, to be faulted in again at the
-                # next block
-                m_vals, m_prev = _prefix(mu, m_prev)
-            else:
-                m_vals = None
-                m_prev += int(mu.sum())
             if cache is not None:
                 stride = cache.stride
                 for cp in range(-(-n0 // stride) * stride, n0 + len(mu), stride):
-                    cache.record(cp, m_lo + int(mu[: cp - n0 + 1].sum()))
-            yield n0, mu, m_vals
+                    cache.record(cp, m_prev + int(mu[: cp - n0 + 1].sum()))
+                m_prev += int(mu.sum())
+            yield n0, mu
 
 
 def _prefix(mu: np.ndarray, m_prev: int):
@@ -867,8 +849,7 @@ def _riesz_means(
         # mu(n) != 0, formed in place in one buffer that every chunk reuses
         # (chunk-sized temporaries of varying length fragment the heap)
         buffer = np.empty(min(_CHUNK, _BLOCK))
-        for n0, mu, _ in _stream(math.floor(max(x for x, *_ in weighted)), cache,
-                                 prefix=False):
+        for n0, mu in _stream(math.floor(max(x for x, *_ in weighted)), cache):
             for x, tau, log_norm, sums in weighted:
                 if n0 > x:
                     continue
@@ -894,11 +875,14 @@ def _integral_pieces(
 
     M is constant on [n, n+1), so with P(u) = log u at kappa = 1, else
     u^(1-kappa)/(1-kappa), [n, min(n+1, x)) holds M(n)^power (P(min(n+1, x))
-    - P(n)).  Yields (n0, m_vals, ends, pieces) per chunk of _stream: ends[i]
+    - P(n)).  Yields (n0, m_vals, ends, pieces) per chunk of _stream, with
+    m_vals[i] = M(n0 + i) summed from the chunk (_prefix): ends[i]
     = P(min(n0 + i, x)) for i <= len(m_vals), so P is taken once per interval
     end, and pieces[i] is the piece of n = n0 + i; all are new arrays.
     """
-    for n0, _, m_vals in _stream(math.floor(x), cache):
+    m_prev = 0  # M(n0 - 1)
+    for n0, mu in _stream(math.floor(x), cache):
+        m_vals, m_prev = _prefix(mu, m_prev)
         ends = np.arange(n0, n0 + len(m_vals) + 1, dtype=np.float64)
         ends[-1] = min(ends[-1], x)  # the chunk's other ends are <= floor(x)
         # in place, so a chunk allocates only ends, pieces and M^2
@@ -1023,7 +1007,7 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     _check_x(X, 4.0, "X")
     lost = []
     m_prev = 0  # M(n0 - 1)
-    for n0, mu, _ in _stream(int(math.floor(X)), cache, prefix=False):
+    for n0, mu in _stream(int(math.floor(X)), cache):
         if len(mu) % _DENSITY_RUN == 0:
             runs = np.add.reduce(mu.reshape(-1, _DENSITY_RUN), axis=1, dtype=np.int16)
             ends = np.cumsum(runs, dtype=np.int64)

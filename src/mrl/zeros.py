@@ -232,7 +232,13 @@ class ZeroTable:
             )
 
     def save(self, path) -> None:
-        """Write the ZTBL0001 file, atomically replacing any previous one."""
+        """Write the ZTBL0001 file, atomically replacing any previous one.  It
+        has no suspect column, and load flags only |zeta'| below the floor, so
+        a record flagged above it raises DomainError instead of losing it."""
+        lost = self.suspect & ~(np.abs(self.zeta_primes) < SUSPECT_DERIV_FLOOR)
+        if lost.any():
+            raise DomainError(f"ZTBL0001 keeps no suspect flag at |zeta'| >= "
+                              f"{SUSPECT_DERIV_FLOOR:g}: {self[int(np.argmax(lost))]}")
         rows = np.empty(len(self), dtype=_TABLE_RECORD)
         rows["gamma"] = self.gammas
         rows["zeta_prime"] = self.zeta_primes

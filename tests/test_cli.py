@@ -320,11 +320,17 @@ def test_zero_table_cache_rebuilt_when_corrupt(tmp_path):
             "identity", "jsum", "--lambda", "0")
     rc, out1 = run_cli(*args)
     cached = next(tmp_path.glob("zeros-*.ztbl"))
-    cached.write_bytes(b"garbage")
-    rc, out2 = run_cli(*args)
-    assert rc == 0
-    assert out2 == out1
-    assert cached.stat().st_size > 100  # rewritten with real content
+    # a malformed file (ParseError), then a well-formed ZTBL0001 file of two
+    # records whose ordinates descend (NotAscending)
+    descending = (b"ZTBL0001" + struct.pack("<Q", 2)
+                  + struct.pack("<dddq", 21.0, 0.8, -0.1, 53)
+                  + struct.pack("<dddq", 14.0, 0.7, 0.3, 53))
+    for corrupt in (b"garbage", descending):
+        cached.write_bytes(corrupt)
+        rc, out2 = run_cli(*args)
+        assert rc == 0
+        assert out2 == out1
+        assert cached.stat().st_size > 100  # rewritten with real content
 
 
 def test_builtin_at_double_precision_reads_the_packaged_refined_table(

@@ -454,11 +454,11 @@ def test_power_sums_allocate_the_sieve_one_term_array_and_short_tables():
 
 
 def test_power_sums_past_one_block_keep_one_block_of_sieve():
-    # [1, L] is sieved block by block into one buffer and summed a piece at
-    # a time, so the peak is the block, the piece buffers (three arrays of
-    # _PIECE bytes and the segment starts, no more) and the short tables:
-    # the ends, one running sum per row and the segment sums of a piece,
-    # within 40 bytes per end.  The sieve of [1, L] whole would add a second
+    # [1, L] is sieved block by block into one buffer and summed a chunk at
+    # a time, so the peak is the block, the chunk buffers (within 1 MB: three
+    # arrays and the segment starts, no more) and the short tables: the
+    # ends, one running sum per row and the segment sums of a chunk, within
+    # 40 bytes per end.  The sieve of [1, L] whole would add a second
     # block; one int64 array as long as the sieve, 8 L bytes
     x = 10**9
     limit = moebius._power_sum_limit(x)
@@ -471,7 +471,7 @@ def test_power_sums_past_one_block_keep_one_block_of_sieve():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < moebius._BLOCK + 4 * moebius._PIECE + 40 * ends
+    assert peak < moebius._BLOCK + (1 << 20) + 40 * ends
 
 
 def test_streamed_op_keeps_one_block_of_mu():
@@ -539,15 +539,17 @@ def test_streamed_mertens_at_1e8_is_published():
     # inner sums stay below 2^56 in int64.
     exact = [0] * 4
     powers = None
-    for n0, mu, m_vals in moebius._stream(10**8, None):
+    m = 0
+    for n0, mu in moebius._stream(10**8, None):
+        _, m = moebius._prefix(mu, m)
         if powers is None:
             powers = [np.arange(len(mu), dtype=np.int64) ** k for k in range(4)]
-        m = mu.astype(np.int64)
-        inner = [int(m @ pw[: len(m)]) for pw in powers]
+        terms = mu.astype(np.int64)
+        inner = [int(terms @ pw[: len(terms)]) for pw in powers]
         for j in range(4):
             exact[j] += sum(math.comb(j, k) * n0 ** (j - k) * inner[k] for k in range(j + 1))
-    assert n0 + len(m_vals) - 1 == 10**8
-    assert int(m_vals[-1]) == exact[0] == PUBLISHED_M_POWERS_OF_10[8] == 1928
+    assert n0 + len(mu) - 1 == 10**8
+    assert m == exact[0] == PUBLISHED_M_POWERS_OF_10[8] == 1928
     assert moebius._mu_power_sums(10**8, 3) == tuple(exact)
 
 
@@ -788,9 +790,9 @@ def test_density_counts_every_short_interval(monkeypatch):
     assert set(mu.tolist()) == {-1, 0, 1}
     X = len(m) + 0.5
 
-    def stream(x_floor, cache, prefix=True):
+    def stream(x_floor, cache):
         for n0 in range(1, x_floor + 1, chunk):
-            yield n0, mu[n0 - 1 : n0 - 1 + chunk], None
+            yield n0, mu[n0 - 1 : n0 - 1 + chunk]
 
     monkeypatch.setattr(moebius, "_stream", stream)
     short = [n for n in range(2, len(m) + 1) if int(m[n - 1]) ** 2 > n]
@@ -906,7 +908,7 @@ def _chunked_quantities(x: float) -> list:
 
 
 def _chunk_lengths(x: float) -> set[int]:
-    return {len(mu) for _, mu, _ in moebius._stream(int(x), CheckpointCache())}
+    return {len(mu) for _, mu in moebius._stream(int(x), CheckpointCache())}
 
 
 @pytest.mark.parametrize("block, x", [(2**20, 1_050_000.5), (2**14, 70_000.5)])
@@ -920,6 +922,23 @@ def test_stream_chunk_size_leaves_values_bit_identical(monkeypatch, block, x):
     assert max(_chunk_lengths(x)) == 2**10
     assert _chunked_quantities(x) == default
     assert len(default[-1][0]) >= 2  # D crosses zero at 64099.4 and 66737.9
+
+
+def test_stream_checkpoints_are_mertens(monkeypatch):
+    # every (x, M) a consumer's stream records equals M(x) from a fresh
+    # mertens, with no cache: each consumer that takes a cache records 30 at
+    # stride 1000; then, with blocks of 2^14, runs to 70,000.5 record across
+    # four rounding-block edges
+    def recorded(quantities):
+        return [(cp.x, cp.M) for _, cps in quantities for cp in cps]
+
+    default = recorded(_streamed_quantities())
+    assert len(default) == 3 * 30
+    monkeypatch.setattr(moebius, "_BLOCK", 2**14)
+    crossing = recorded(_chunked_quantities(70_000.5))
+    assert len(crossing) == 5 * 70
+    for x, m in default + crossing:
+        assert m == mertens(x), x
 
 
 def test_streamed_sum_is_rounded_once_per_block(monkeypatch):

@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from mrl import zeros
-from mrl.errors import MissingZeros, NoConvergence, NotAscending, OutOfRange, ParseError
+from mrl.errors import (
+    DomainError,
+    MissingZeros,
+    MultipleZeroFlag,
+    NoConvergence,
+    NotAscending,
+    OutOfRange,
+    ParseError,
+)
 from mrl.kernel import EXTENDED, zeta, zeta_and_deriv
 from mrl.zeros import (
     GRID_STEP,
@@ -522,6 +530,28 @@ def test_loaded_columns_are_read_only_bit_identical_and_floored(tmp_path, table)
     assert loaded.suspect.tolist() == [False, False, False, True]
     with pytest.raises(ValueError):
         loaded.gammas[0] = 1.0
+
+
+def test_table_save_refuses_a_flag_it_cannot_keep(tmp_path, table):
+    # ZTBL0001 has no suspect column: load flags |zeta'| below the floor
+    # alone, so a producer's flag above it would be dropped, and a sum that
+    # raises MultipleZeroFlag before the save would take the record after it
+    p = tmp_path / "t.ztbl"
+    flagged = ZeroTable([*table[:3], ZeroRecord(gamma=40.0, zeta_prime=0.8 + 0.1j,
+                                                refined_bits=53, suspect=True)])
+    with pytest.raises(MultipleZeroFlag):
+        zeros._zero_sum(flagged, 50.0, lambda rho, zp: np.abs(zp))
+    with pytest.raises(DomainError, match="gamma=40.0"):
+        flagged.save(p)
+    assert not p.exists()
+    # a record flagged at |zeta'| = 1e-9, below the floor, saves and reloads
+    # flagged
+    floored = ZeroTable([*table[:3], ZeroRecord(gamma=40.0, zeta_prime=1e-9 + 0j,
+                                                refined_bits=53, suspect=True)])
+    floored.save(p)
+    loaded = ZeroTable.load(p)
+    assert loaded.suspect.tolist() == floored.suspect.tolist() == [False, False, False, True]
+    assert loaded[3] == floored[3]
 
 
 def test_table_indexing_reads_the_columns(table):
