@@ -10,8 +10,9 @@ zero table the CLI reads: ``integral_M_explicit`` and the residues of the
 explicit formula for M_tau, at the points of the ``INTEGRAL_*`` and
 ``RESIDUE_*`` lists.  Last come the zero search and the extended refine,
 which no command reaches except through the packaged table: ``find_zeros``
-on the windows of ``FIND_WINDOWS`` and ``refine_zero`` at ``EXTENDED`` from
-the packaged ordinates of ``REFINE_INDICES``, each record as the
+on the windows of ``FIND_WINDOWS``, and ``refine_zero`` at ``EXTENDED`` from
+the packaged ordinates of ``REFINE_INDICES`` and from each ordinate that
+``find_zeros`` gives on the windows of ``REFINE_WINDOWS``, each record as the
 ``float.hex`` of its ordinate and zeta'.
 
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
@@ -22,9 +23,9 @@ every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 240 invocations take about 2.6 s and the 114 API
-rows 0.8 s on one core of a 2-vCPU Xeon VM (the six zero rows about 0.4 s,
-the mpmath import included).
+stderr is not hashed.  The 240 invocations take about 2.6 s and the 120 API
+rows about 4.5 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
+about 4 s, most of it the two extended refines near 49000).
 """
 
 import contextlib
@@ -134,8 +135,11 @@ RESIDUE_XS = (2.5, 10.5)
 # find_zeros: hardy_z seeds near t = 1000; Riemann-Siegel seeds and the
 # decimal step on the formula near 9800 and 49000
 FIND_WINDOWS = ((1000.0, 1003.0), (9800.0, 9803.0), (49000.0, 49001.0))
-# refine_zero at EXTENDED from the 1st, 30th and 601st packaged ordinates
+# refine_zero at EXTENDED from the 1st, 30th and 601st packaged ordinates,
+# and from the ordinates find_zeros gives near 9800 and 49000, where the zeta'
+# that the extended step derives from its two zeta values has the least margin
 REFINE_INDICES = (0, 29, 600)
+REFINE_WINDOWS = FIND_WINDOWS[1:]
 
 
 def invocations(cache_dir: str):
@@ -169,6 +173,9 @@ def api_rows():
     for i in REFINE_INDICES:
         yield (f"refine_zero #{i + 1} EXTENDED",
                lambda g=float(gammas[i]): _records([refine_zero(g, EXTENDED)]))
+    for a, b in REFINE_WINDOWS:
+        for g in find_zeros(a, b).gammas.tolist():
+            yield f"refine_zero t={g!r} EXTENDED", lambda g=g: _records([refine_zero(g, EXTENDED)])
 
 
 def _records(records) -> list:

@@ -162,8 +162,9 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
     file can never be served stale.  On a cache miss, ``builtin`` at double
     precision is read from the packaged refined table (the same bytes as
     refining the packaged ordinates); extended precision and user files are
-    refined.  A cached file that does not load (malformed, or with ordinates
-    out of order) is a miss too, and is overwritten.
+    refined.  A cached file that does not load (malformed, with a value that
+    is not finite, or with ordinates out of order) is a miss too, and is
+    overwritten.
     """
     if cfg.zeros_path is None:
         raise MissingZeros(

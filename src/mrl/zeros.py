@@ -26,8 +26,11 @@ t = 200 and the points whose Riemann-Siegel value is inside the bound; any
 other bracket is seeded at the regula-falsi point of hardy_z at both ends.
 The Newton basin is about +/- one grid step around each ordinate; seeds
 farther out may converge to a neighbor (refuse via NoConvergence when the
-polished value leaves the bracket).  Extended precision adds one mpmath
-Newton step to the double result (refine_zero).
+polished value leaves the bracket).  Extended precision adds one Newton
+step on mpmath's zeta to the double result and evaluates zeta once more
+there; zeta' comes from those two values, with zeta'' from differences of
+the double kernel, or from mpmath where that misses its error budget
+(refine_zero).
 
 Binary persistence: magic ZTBL0001, then a u64 record count, then
 little-endian (gamma: f64, Re zeta': f64, Im zeta': f64, refined_bits: i64)
@@ -119,6 +122,11 @@ _RS_TWO_PI = decimal.Decimal("6.283185307179586476925286767")
 
 # Bits beyond the requested significand width for the extended Newton step.
 _GUARD_BITS = 10
+# The extended step's spacing for differences of the kernel's zeta', a power
+# of two so that the points are exact, and its error budget for the zeta' it
+# derives, relative to |zeta'|: 1/128 of an ulp (refine_zero).
+_DIFF_STEP = 2.0**-10
+_DERIV_BUDGET = 2.0**-60
 
 # |zeta'(rho)| below this marks the record suspect (possible multiple zero or
 # unrefined placeholder); explicit-formula consumers refuse such records.
@@ -174,8 +182,17 @@ class ZeroTable:
 
     def _set_columns(self, gammas, zeta_primes, refined_bits, flagged) -> "ZeroTable":
         """The one constructor of the columns, fed by __init__ and load:
-        ascending check, suspect mask, read-only flags.  Returns self."""
+        finite check, ascending check, suspect mask, read-only flags.
+        Returns self."""
         gammas = np.ascontiguousarray(gammas, dtype=np.float64)
+        zeta_primes = np.ascontiguousarray(zeta_primes, dtype=np.complex128)
+        # a nan zeta' would pass the suspect floor below, and an infinite one
+        # would drop its zero from a sum of 1/zeta' without a word
+        not_finite = ~(np.isfinite(gammas) & np.isfinite(zeta_primes))
+        if not_finite.any():
+            i = int(np.argmax(not_finite))
+            raise DomainError(f"zero record {i} is not finite: gamma = {gammas[i]}, "
+                              f"zeta' = {complex(zeta_primes[i])}")
         prev = np.concatenate(([0.0], gammas[:-1]))
         out_of_order = ~(gammas > prev)
         if out_of_order.any():
@@ -185,7 +202,7 @@ class ZeroTable:
                 f"got {gammas[i]} after {prev[i]}"
             )
         self.gammas = gammas
-        self.zeta_primes = zeta_primes = np.ascontiguousarray(zeta_primes, dtype=np.complex128)
+        self.zeta_primes = zeta_primes
         self.refined_bits = np.ascontiguousarray(refined_bits, dtype=np.int64)
         # The one place suspect status is decided: flagged by the producer,
         # or a derivative too small for a simple zero (or never computed).
@@ -247,6 +264,9 @@ class ZeroTable:
 
     @classmethod
     def load(cls, path) -> "ZeroTable":
+        """Read a ZTBL0001 file; ParseError when it is malformed or holds a
+        value that is not finite, NotAscending when its ordinates are out of
+        order."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[: len(_TABLE_MAGIC)] != _TABLE_MAGIC:
@@ -261,7 +281,10 @@ class ZeroTable:
                 f"{path}: expected {count} records, file length mismatch"
             )
         rows = np.frombuffer(blob, dtype=_TABLE_RECORD, count=count, offset=off)
-        return cls.__new__(cls)._set_columns(*(rows[name] for name in _TABLE_RECORD.names), False)
+        try:
+            return cls.__new__(cls)._set_columns(*(rows[name] for name in _TABLE_RECORD.names), False)
+        except DomainError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def _zero_sum(
@@ -595,13 +618,41 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
 
     The seed must lie within about GRID_STEP of the true ordinate (the Newton
     basin); seeds farther away may converge to a neighboring zero.  Above 53
-    bits one Newton step with mpmath's zeta, at that width plus _GUARD_BITS,
-    squares the double result's error (about 1e-13).  That step evaluates
-    zeta alone and divides by the double polish's zeta': the step is about
-    1e-13, so a zeta' good to double moves t by about 1e-29 only.  One more
-    evaluation gives zeta', and its next step |zeta/zeta'| must be below
-    2^-64 max(1, |t|), so that float(t) is correctly rounded, or
+    bits one Newton step with mpmath's zeta, at wp = that width plus
+    _GUARD_BITS, goes from the double polish's ordinate t0 to t1.  It
+    evaluates zeta(s0) alone and divides by the polish's zeta', which is good
+    to about 1e-10 only (_newton_polish), so t1 is within about
+    1e-10 |t0 - gamma| of the zero (2.9e-21 at t = 49000.37).  One more
+    evaluation gives zeta(s1), and the next step |zeta(s1)/zeta'(s1)| must be
+    below 2^-64 max(1, |t1|), so that float(t1) is correctly rounded, or
     NoConvergence is raised.
+
+    zeta'(s1) comes from those two values.  With u = s0 - s1 = i(t0 - t1),
+    exact, Taylor's theorem gives
+
+        zeta'(s1) = (zeta(s0) - zeta(s1))/u - zeta''(s1) u/2 - zeta'''(s1) u^2/6
+
+    up to zeta'''' u^3/24, where |u| is about |t0 - gamma|, a few ulps of t0
+    (3e-11 near 5e4) or more where the polish stopped on NEWTON_TOL (172
+    ulps at t = 14).  zeta'' and zeta''' are central differences of the
+    double kernel's zeta' at float(t1) +/- h and +/- 2h, h = _DIFF_STEP (four
+    zeta_and_deriv calls), zeta'' with one Richardson step.  The error of the
+    result, relative to |zeta'|, is estimated as
+
+        2^(1 - wp)/(|u| |zeta'|)  +  eps |zeta''| |u| / (2 |zeta'|),
+
+    the first term for the two mpmath values, each within 2^-wp of zeta
+    (1e-47 measured at wp = 138, from t = 14 to 49000), the second for
+    zeta'', whose relative error eps = 2^-52 t log t / h is the kernel's
+    phase rounding over h (measured: 2.4e-12 at t = 14, 1.1e-10 at 1099 and
+    1.5e-8 at 49000.9, against eps = 8e-12, 1.7e-9 and 1.2e-7).  The
+    zeta''' and u^3 terms are below 1e-24.  Where the estimate exceeds
+    _DERIV_BUDGET = 2^-60, zeta'(s1) is mpmath's (zeta(s, derivative=1),
+    Euler-Maclaurin, several times the cost of zeta): before the kernel
+    calls when |u| |zeta'| <= 2^(1 - wp)/_DERIV_BUDGET, which is 2^-77 at
+    EXTENDED and covers u = 0, and after them when the zeta'' term is too
+    large, which the noise of the double polish makes usual near 5e4.  The
+    polish's zeta' stands for |zeta'| in the estimate.
     """
     t, dz = _newton_polish(float(gamma_seed))
     if not precision.is_double:
@@ -609,16 +660,39 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
 
         if dz == 0:
             raise NoConvergence(f"double polish from seed {gamma_seed:.6f} leaves zeta' = 0")
-        with mp.workprec(int(precision.significand_bits) + _GUARD_BITS):
-            t = t - (mp.zeta(mp.mpc(0.5, t)) / (1j * dz)).real
+        wp = int(precision.significand_bits) + _GUARD_BITS
+        with mp.workprec(wp):
+            z0 = mp.zeta(mp.mpc(0.5, t))
+            t0, t = t, t - (z0 / (1j * dz)).real
             s = mp.mpc(0.5, t)
-            z, dz = mp.zeta(s), mp.zeta(s, derivative=1)
+            z = mp.zeta(s)
+            dz = _zeta_prime_from_values(t0, t, z0, z, abs(dz), wp)
+            if dz is None:
+                dz = mp.zeta(s, derivative=1)
             if not abs(z / dz) < mp.ldexp(max(1.0, abs(t)), -64):
                 raise NoConvergence(
                     f"extended Newton step from seed {gamma_seed:.6f} leaves "
                     f"|zeta/zeta'| = {float(abs(z / dz)):.3e}"
                 )
     return ZeroRecord(float(t), complex(dz), int(precision.significand_bits))
+
+
+def _zeta_prime_from_values(t0, t1, z0, z1, deriv_size: float, wp: int):
+    """zeta'(1/2 + i t1) from the mpmath values z0 = zeta(1/2 + i t0) and
+    z1 = zeta(1/2 + i t1) at wp bits, given |zeta'| about deriv_size, or None
+    where its error estimate exceeds _DERIV_BUDGET (refine_zero says how)."""
+    u = 1j * (t0 - t1)  # an mpc, exact
+    du, t = float(abs(u)), float(t1)
+    if not du * deriv_size > 2.0 ** (1 - wp) / _DERIV_BUDGET:
+        return None
+    # d/dt zeta'(1/2 + i t) = i zeta'' and d^2/dt^2 zeta' = -zeta'''
+    m2, m1, p1, p2 = (zeta_and_deriv(complex(0.5, t + k * _DIFF_STEP))[1] for k in (-2, -1, 1, 2))
+    zeta2 = -1j * (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * _DIFF_STEP)
+    zeta3 = (m1 + p1 - m2 - p2) / (3.0 * _DIFF_STEP**2)
+    eps = 2.0**-52 * max(1.0, abs(t)) * math.log(max(math.e, abs(t))) / _DIFF_STEP
+    if (2.0 ** (1 - wp) / du + eps * abs(zeta2) * du / 2.0) / deriv_size > _DERIV_BUDGET:
+        return None
+    return (z0 - z1) / u - zeta2 * u / 2 - zeta3 * u**2 / 6
 
 
 def refine_table(table: ZeroTable, precision: Precision = DOUBLE) -> ZeroTable:

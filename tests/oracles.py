@@ -13,6 +13,8 @@ since the integrand is a piecewise polynomial of degree tau - 1.
 zero_terms_by_loop and a_lambda_by_loop are the loops that array code
 replaced, kept as its references: the explicit formula's zero term one
 zero at a time, and zerosums.a_lambda's Euler product one prime at a time.
+refine_zero_by_three_evaluations is the extended refine that took zeta'
+from mpmath, kept as the reference of the one that derives it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from mrl.moebius import (
     integral_M,
     riesz_mean_direct,
 )
+from mrl.zeros import _GUARD_BITS, ZeroRecord, _newton_polish
 from mrl.zerosums import DEFAULT_G_TERMS, DEFAULT_PRIME_CUTOFF
 
 
@@ -138,6 +141,21 @@ def zero_terms_by_loop(x: float, tau: float, rhos, zps) -> list[float]:
         2.0 * (sqrt_x * cmath.exp(1j * (rho.imag * ln_x)) * gamma_ratio(rho, tau) / zp).real
         for rho, zp in zip(rhos.tolist(), zps.tolist())
     ]
+
+
+def refine_zero_by_three_evaluations(gamma_seed: float, precision) -> ZeroRecord:
+    """zeros.refine_zero above 53 bits with zeta' from mpmath: the double
+    polish, one Newton step on mpmath's zeta with the polish's zeta', then
+    mpmath.zeta(s, derivative=1) at the stepped ordinate, at the requested
+    width plus zeros._GUARD_BITS; refine_zero's convergence check is left
+    out."""
+    import mpmath as mp
+
+    t, dz = _newton_polish(float(gamma_seed))
+    with mp.workprec(int(precision.significand_bits) + _GUARD_BITS):
+        t = t - (mp.zeta(mp.mpc(0.5, t)) / (1j * dz)).real
+        dz = mp.zeta(mp.mpc(0.5, t), derivative=1)
+    return ZeroRecord(float(t), complex(dz), int(precision.significand_bits))
 
 
 def a_lambda_by_loop(

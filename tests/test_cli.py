@@ -333,6 +333,24 @@ def test_zero_table_cache_rebuilt_when_corrupt(tmp_path):
         assert cached.stat().st_size > 100  # rewritten with real content
 
 
+def test_zero_table_cache_with_a_value_that_is_not_finite_is_rebuilt(tmp_path):
+    # the 6th record's Re zeta' set to nan (the sum read nan) or its Im zeta'
+    # to inf (its zero dropped), or the last ordinate to inf (kept in the
+    # cache): each file is a miss and is rewritten
+    args = ("--zeros", "builtin", "--cache-dir", str(tmp_path), "explicit", "1e4", "--tau", "1")
+    rc, want = run_cli(*args)
+    assert rc == 0
+    cached = next(tmp_path.glob("zeros-*.ztbl"))
+    good = cached.read_bytes()
+    sixth = 16 + 5 * 32  # after the magic and the count, 32 bytes a record
+    for offset, value in ((sixth + 8, math.nan), (sixth + 16, math.inf), (len(good) - 32, math.inf)):
+        blob = bytearray(good)
+        struct.pack_into("<d", blob, offset, value)
+        cached.write_bytes(bytes(blob))
+        assert run_cli(*args) == (0, want)
+        assert cached.read_bytes() == good
+
+
 def test_builtin_at_double_precision_reads_the_packaged_refined_table(
         tmp_path, monkeypatch, table):
     def refuse(*args, **kwargs):

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
 from mrl import zeros
 from mrl.errors import (
     DomainError,
@@ -554,6 +555,34 @@ def test_table_save_refuses_a_flag_it_cannot_keep(tmp_path, table):
     assert loaded[3] == floored[3]
 
 
+@pytest.mark.parametrize("bad", [
+    ZeroRecord(gamma=40.0, zeta_prime=complex(math.nan, 0.1), refined_bits=53),
+    ZeroRecord(gamma=40.0, zeta_prime=complex(0.8, -math.inf), refined_bits=53),
+    ZeroRecord(gamma=math.inf, zeta_prime=0.8 + 0.1j, refined_bits=53),
+    ZeroRecord(gamma=math.nan, zeta_prime=0.8 + 0.1j, refined_bits=53),
+])
+def test_table_constructor_refuses_a_value_that_is_not_finite(table, bad):
+    # a nan zeta' escapes the suspect floor and makes every sum nan; an
+    # infinite one adds 1/zeta' = 0 in place of its zero
+    with pytest.raises(DomainError, match=f"zero record 3 is not finite: gamma = {bad.gamma}"):
+        ZeroTable([*table[:3], bad])
+
+
+@pytest.mark.parametrize("row", [
+    (21.0, math.nan, -0.1, 53),
+    (21.0, 0.8, math.inf, 53),
+    (math.inf, 0.8, -0.1, 53),
+    (math.nan, 0.8, -0.1, 53),
+])
+def test_table_load_refuses_a_value_that_is_not_finite(tmp_path, row):
+    p = tmp_path / "bad.ztbl"
+    rows = [(14.0, 0.7, 0.3, 53), row]
+    p.write_bytes(b"ZTBL0001" + struct.pack("<Q", len(rows))
+                  + b"".join(struct.pack("<dddq", *r) for r in rows))
+    with pytest.raises(ParseError, match="zero record 1 is not finite"):
+        ZeroTable.load(p)
+
+
 def test_table_indexing_reads_the_columns(table):
     assert table[0] == next(iter(table))
     assert table[-1] == tuple(table)[-1]
@@ -637,6 +666,50 @@ def test_refine_zero_extended_matches_zetazero(raw_table, n):
         want_dz = mp.zeta(rho, derivative=1)
         assert rec.gamma == float(rho.imag)
         assert abs(rec.zeta_prime - want_dz) <= 2.0**-52 * abs(want_dz)
+
+
+def _hexed(rec):
+    return [rec.gamma.hex(), rec.zeta_prime.real.hex(), rec.zeta_prime.imag.hex()]
+
+
+def _refine_extended_spied(monkeypatch, seed):
+    """refine_zero(seed, EXTENDED), what each _zeta_prime_from_values call
+    returned, and the number of kernel calls inside the last one."""
+    calls, derived = [], []
+    kernel, derive = zeros.zeta_and_deriv, zeros._zeta_prime_from_values
+
+    def spying(*args):
+        calls.clear()
+        derived.append(derive(*args))
+        return derived[-1]
+
+    monkeypatch.setattr(zeros, "zeta_and_deriv", lambda s: calls.append(s) or kernel(s))
+    monkeypatch.setattr(zeros, "_zeta_prime_from_values", spying)
+    return refine_zero(seed, EXTENDED), derived, len(calls)
+
+
+@pytest.mark.parametrize("i", [0, 30, 300, 729])
+def test_refine_zero_extended_derives_mpmaths_zeta_prime(monkeypatch, raw_table, i):
+    # zeta' from the step's two zeta values and the kernel's differences is
+    # the record mpmath's zeta' at the stepped ordinate gives, bit for bit
+    seed = float(raw_table.gammas[i])
+    got, derived, kernel_calls = _refine_extended_spied(monkeypatch, seed)
+    assert len(derived) == 1 and derived[0] is not None and kernel_calls == 4
+    assert _hexed(got) == _hexed(oracles.refine_zero_by_three_evaluations(seed, EXTENDED))
+
+
+@pytest.mark.parametrize("budget, kernel_calls", [(2.0**-200, 0), (2.0**-80, 4)],
+                         ids=["small-u", "zeta2-term"])
+def test_refine_zero_extended_falls_back_to_mpmaths_zeta_prime(
+        monkeypatch, raw_table, budget, kernel_calls):
+    # At a budget of 2^-200 every |u| is below the small-|u| bound, so mpmath's
+    # zeta' serves before the kernel's differences; at 2^-80 zero #301's
+    # zeta'' term (about 2^-73) exceeds it after them.  The record is the same.
+    monkeypatch.setattr(zeros, "_DERIV_BUDGET", budget)
+    seed = float(raw_table.gammas[300])
+    got, derived, calls = _refine_extended_spied(monkeypatch, seed)
+    assert derived == [None] and calls == kernel_calls
+    assert _hexed(got) == _hexed(oracles.refine_zero_by_three_evaluations(seed, EXTENDED))
 
 
 def test_refine_zero_extended_refuses_a_far_double_result(monkeypatch):
