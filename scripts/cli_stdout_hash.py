@@ -23,9 +23,9 @@ every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 240 invocations take about 2.6 s and the 120 API
-rows about 4.5 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
-about 4 s, most of it the two extended refines near 49000).
+stderr is not hashed.  The 240 invocations take about 1.8 s and the 120 API
+rows about 2.4 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
+about 2 s, half of it the two extended refines near 49000).
 """
 
 import contextlib
@@ -132,8 +132,8 @@ INTEGRAL_LS = (1, 40)
 RESIDUE_TAUS = (0.0, 0.5, 1.5, 2.0, 3.0, 7.25, 12.5)
 RESIDUE_XS = (2.5, 10.5)
 
-# find_zeros: hardy_z seeds near t = 1000; Riemann-Siegel seeds and the
-# decimal step on the formula near 9800 and 49000
+# find_zeros: hardy_z seeds near t = 1000; Riemann-Siegel seeds near 9800
+# and 49000
 FIND_WINDOWS = ((1000.0, 1003.0), (9800.0, 9803.0), (49000.0, 49001.0))
 # refine_zero at EXTENDED from the 1st, 30th and 601st packaged ordinates,
 # and from the ordinates find_zeros gives near 9800 and 49000, where the zeta'

@@ -3,13 +3,16 @@
 
 Locates every zero with 0 < gamma <= t_max by sign changes of Z(t) plus
 Newton polishing, checks the count against the smooth counting main term,
-optionally cross-checks each ordinate against mpmath.zetazero, and writes
-one ordinate per line (12 decimals).
+optionally checks each line against mpmath.zetazero at 30 digits (within
+5e-13, the rounding to 12 decimals, plus an ulp, and reports the worst
+ordinate's distance in ulps), and writes one ordinate per line (12
+decimals).
 
     python3 scripts/find_zeros.py --t-max 1100 --out src/mrl/data/zeros_t1100.txt --verify-mpmath
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -57,19 +60,22 @@ def main(argv=None) -> int:
     if args.verify_mpmath:
         import mpmath
 
-        mpmath.mp.dps = 20
         t0 = time.time()
         worst = 0.0
-        for k, rec in enumerate(table, 1):
-            ref = float(mpmath.zetazero(k).imag)
-            err = abs(rec.gamma - ref)
-            worst = max(worst, err)
-            if err > 1e-9:
-                print(f"MISMATCH at k={k}: {rec.gamma} vs {ref}", file=sys.stderr)
-                return 1
+        with mpmath.workdps(30):
+            for k, rec in enumerate(table, 1):
+                ref = mpmath.zetazero(k).imag
+                ulp = math.ulp(rec.gamma)
+                line = abs(mpmath.mpf(f"{rec.gamma:.12f}") - ref)
+                if line > 5e-13 + ulp:
+                    print(f"MISMATCH at k={k}: line {rec.gamma:.12f} is {float(line):.3e} "
+                          f"from {ref}", file=sys.stderr)
+                    return 1
+                worst = max(worst, float(abs(rec.gamma - ref)) / ulp)
         print(
-            f"mpmath cross-check of {len(table)} ordinates: worst |diff| = "
-            f"{worst:.3e} ({time.time() - t0:.1f}s)",
+            f"mpmath cross-check of {len(table)} ordinates at 30 digits: every line "
+            f"within 5e-13 + 1 ulp, worst ordinate {worst:.2f} ulps "
+            f"({time.time() - t0:.1f}s)",
             file=sys.stderr,
         )
 

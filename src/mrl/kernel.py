@@ -11,9 +11,10 @@ at real points of 1/zeta, Gamma and 1/Gamma(1+tau+s) that _residue reads.
 
 These algorithms run on hardware doubles only (complex/cmath, with numpy for
 the Gamma ratio and the long Euler-Maclaurin main sums, which error-free
-extraction rounds correctly: _exact_parts, which the integer side shares).  :class:`Precision`
-selects the final Newton step of zeros.refine_zero, which calls mpmath
-directly when it is wider than 53 bits.
+extraction rounds correctly: _exact_parts, which the integer side shares).
+The phases t log n of those sums are reduced mod 2 pi from an exact product
+(_phases).  :class:`Precision` selects the final Newton step of
+zeros.refine_zero, which calls mpmath directly when it is wider than 53 bits.
 
 Its "Shared guards" are the one definition of the argument rules all modules
 share, called by each public entry before any work: _check_finite, _check_tau
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -91,6 +93,17 @@ _STIRLING_DIFF_TERMS = 9
 # Shortest array _exact_parts extracts in numpy; below it the Python floats
 # themselves are the faster parts (see CHANGES.md).
 _EXACT_PARTS_MIN = 640
+
+# The log table of _phases, empty until the first zeta call off the real
+# axis, and the fixed-point bits of its exact logs.
+_LOG_TABLE: tuple = (np.empty(0),)
+_LOG_BITS = 128
+# Veltkamp's splitting constant 2^27 + 1, and 2 pi = C1 + C2 + C3 with C1 and
+# C2 of at most 36 bits (Cody and Waite), to 2^-125.
+_SPLIT = 134217729.0
+_TWO_PI_1 = float.fromhex("0x1.921fb54440000p+2")
+_TWO_PI_2 = float.fromhex("0x1.68c234c500000p-37")
+_TWO_PI_3 = float.fromhex("-0x1.cceba3f91f197p-72")
 
 
 @dataclass(frozen=True)
@@ -374,6 +387,72 @@ def _log_sin(z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# Phases t log n mod 2 pi
+# ---------------------------------------------------------------------------
+
+
+def _log_table(count: int) -> tuple:
+    """(np.log(n), its leading 26 bits, log n less those bits) as arrays for
+    n = 1 .. at least count, built on first use and rebuilt at the next power
+    of two (at most the N of |Im s| = IM_MAX) when a larger count is asked.
+
+    log n is first a multiple of 2^-_LOG_BITS, exact to 1e-31: at a prime,
+    log(n - 1) + 2 atanh(1/(2n - 1)) by its series in integers, elsewhere the
+    sum for the smallest prime factor and the cofactor.
+    """
+    global _LOG_TABLE
+    if len(_LOG_TABLE[0]) >= count:
+        return _LOG_TABLE
+    size = min(int(IM_MAX) + 1, 1 << (count - 1).bit_length())
+    spf = np.zeros(size + 1, dtype=np.int64)  # smallest prime factor, 0 at primes
+    for p in range(2, math.isqrt(size) + 1):
+        if not spf[p]:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    exact = [0, 0]  # 2^_LOG_BITS log n, from n = 0
+    for n, p in enumerate(spf[2:].tolist(), 2):
+        if p:
+            exact.append(exact[p] + exact[n // p])
+            continue
+        q, k, acc = 2 * n - 1, 1, 0
+        term = (2 << _LOG_BITS) // q
+        while term:
+            acc += term // k
+            term //= q * q
+            k += 2
+        exact.append(exact[n - 1] + acc)
+    logs = np.log(np.arange(1.0, size + 1.0))
+    head = logs * _SPLIT
+    head -= head - logs  # Veltkamp's split
+    # read into the array one by one, so the exact logs alone set the peak memory
+    scale = 2.0**_LOG_BITS
+    pairs = zip(islice(exact, 1, None), head)
+    rest = np.fromiter((e - int(h * scale) for e, h in pairs), float, size)
+    _LOG_TABLE = (logs, head, rest / scale)
+    return _LOG_TABLE
+
+
+def _phases(t: float, count: int) -> np.ndarray:
+    """t log n - 2 pi k for n = 1 .. count, k the integer nearest t log n /
+    2 pi, each within about 2^-52 of the exact value for |t| <= IM_MAX.
+
+    With t = t_head + t_tail (Veltkamp, t_head of 26 bits) and log n from
+    _log_table, the product t_head * head is exact (Dekker, Numer. Math. 18,
+    1971), and so is its reduction by k C1 (Cody and Waite): k < 2^17 up to
+    IM_MAX, C1 has 35 bits, and the two agree to a factor of 2.  The other
+    products are below 1e-2 and k C2 below 1e-6, so each adds at most 1e-18;
+    t_tail (log n - np.log(n)), below 5e-19, is left out.  Only the last
+    sum is rounded at the size of the phase.
+    """
+    logs, head, rest = (column[:count] for column in _log_table(count))
+    t_head = _SPLIT * t - (_SPLIT * t - t)
+    product = t_head * head
+    k = np.rint(product * (0.5 / math.pi))
+    small = t_head * rest + (t - t_head) * logs - k * _TWO_PI_2 - k * _TWO_PI_3
+    return (product - k * _TWO_PI_1) + small
+
+
+# ---------------------------------------------------------------------------
 # Riemann zeta via Euler-Maclaurin, functional equation on the far left
 # ---------------------------------------------------------------------------
 
@@ -384,8 +463,9 @@ def _zeta_em(s: complex, want_deriv: bool):
     Valid for Re s >= -1/2: the truncated formula analytically continues
     there.  Cutoff N ~ max(10, |Im s|) with a floor set by the double
     round-off; Bernoulli corrections are added until they fall below it.
-    Past 32 terms the main sums are numpy arrays, each correctly rounded
-    (_exact_sum, the same float as math.fsum).
+    Off the real axis the main sums are numpy arrays, each correctly rounded
+    (_exact_sum, the same float as math.fsum), and the phases of n^(-s) and
+    N^(1-s) come from _phases, which keeps zeta within 1e-15 at any height.
     """
     t = abs(s.imag)
     # The Bernoulli corrections bottom out near exp(-(2 pi N - |s|)), so N
@@ -397,10 +477,13 @@ def _zeta_em(s: complex, want_deriv: bool):
         int(math.ceil((0.6931472 * (53 + 6) + t) / (2.0 * math.pi))) + 4,
     )
     dmain = 0
-    if n_cut > 32:
-        ns = np.arange(1, n_cut, dtype=np.float64)
-        logs = np.log(ns)
-        powers = np.exp(logs * (-s))
+    ln_cut = cmath.log(n_cut)
+    if s.imag:
+        logs = _log_table(n_cut)[0][:n_cut]
+        powers = np.exp(logs * -s.real - 1j * _phases(s.imag, n_cut))  # n^(-s), n = 1 .. N
+        pow_ms = complex(powers[-1])  # N^(-s)
+        pow_1ms = pow_ms * n_cut  # N^(1-s)
+        powers, logs = powers[:-1], logs[:-1]
         main = complex(_exact_sum(powers.real), _exact_sum(powers.imag))
         if want_deriv:
             dpowers = powers * (-logs)
@@ -413,9 +496,8 @@ def _zeta_em(s: complex, want_deriv: bool):
             main = main + p
             if want_deriv:
                 dmain = dmain - p * ln_n
-    ln_cut = cmath.log(n_cut)
-    pow_1ms = cmath.exp(ln_cut * (1 - s))  # N^(1-s)
-    pow_ms = pow_1ms / n_cut  # N^(-s)
+        pow_1ms = cmath.exp(ln_cut * (1 - s))  # N^(1-s)
+        pow_ms = pow_1ms / n_cut  # N^(-s)
     tail0 = pow_1ms / (s - 1)
     tail1 = pow_ms / 2
     total = main + tail0 + tail1

@@ -18,19 +18,18 @@ t <- t - Re[zeta / (i zeta')] at s = 1/2 + i t.  From t = 200 on, the grid
 signs come from the Riemann-Siegel formula with Gabcke's C0..C4 terms
 (_riemann_siegel_z), whose error bound 0.017 t^(-11/4) makes them certain,
 and from t = 5040 on a bracket between two certain signs seeds Newton at the
-zero of that formula (_riemann_siegel_roots), a few ulps from the ordinate,
-and the polished ordinate takes one last step on the formula with its phases
-reduced in decimal arithmetic (_riemann_siegel_step), which lands within an
-ulp of the zero.  hardy_z (Euler-Maclaurin zeta) serves the points below
-t = 200 and the points whose Riemann-Siegel value is inside the bound; any
-other bracket is seeded at the regula-falsi point of hardy_z at both ends.
-The Newton basin is about +/- one grid step around each ordinate; seeds
-farther out may converge to a neighbor (refuse via NoConvergence when the
-polished value leaves the bracket).  Extended precision adds one Newton
-step on mpmath's zeta to the double result and evaluates zeta once more
-there; zeta' comes from those two values, with zeta'' from differences of
-the double kernel, or from mpmath where that misses its error budget
-(refine_zero).
+zero of that formula (_riemann_siegel_roots), a few ulps from the ordinate.
+hardy_z (Euler-Maclaurin zeta) serves the points below t = 200 and the
+points whose Riemann-Siegel value is inside the bound; any other bracket is
+seeded at the regula-falsi point of hardy_z at both ends.  The kernel's zeta
+is good to about 1e-15 at every height, so the polish lands within an ulp of
+the zero (_newton_polish).  The Newton basin is about +/- one grid step
+around each ordinate; seeds farther out may converge to a neighbor (refuse
+via NoConvergence when the polished value leaves the bracket).  Extended
+precision adds one Newton step on mpmath's zeta to the double result and
+evaluates zeta once more there; zeta' comes from those two values, with
+zeta'' from differences of the double kernel, or from mpmath where that
+misses its error budget (refine_zero).
 
 Binary persistence: magic ZTBL0001, then a u64 record count, then
 little-endian (gamma: f64, Re zeta': f64, Im zeta': f64, refined_bits: i64)
@@ -40,10 +39,9 @@ this format, refined at double precision (_load_refined_builtin).
 
 from __future__ import annotations
 
-import decimal
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -62,7 +60,6 @@ from .moebius import _write_atomic
 
 __all__ = [
     "GRID_STEP",
-    "NEWTON_TOL",
     "SUSPECT_DERIV_FLOOR",
     "ZeroRecord",
     "ZeroTable",
@@ -82,9 +79,6 @@ __all__ = [
 # Default grid spacing for sign-change scans; also the documented Newton basin.
 GRID_STEP = 0.05
 
-# Newton stops once |zeta(1/2 + i t)| falls below this (double precision).
-NEWTON_TOL = 1e-12
-
 _NEWTON_MAX_ITER = 50
 
 # Gabcke (1979): from t = 200 on, the Riemann-Siegel formula with its C0..C4
@@ -93,11 +87,11 @@ _RS_MIN_T = 200.0
 _RS_C4_ERROR = 0.017
 # From about t = 5040 on, that bound is below 2^-52 t, so where |Z'| >= 1 the
 # zero of the formula is within an ulp of the ordinate: find_zeros seeds
-# Newton there and takes its last step on the formula (_riemann_siegel_step).
-# The seeds alone would save Euler-Maclaurin evaluations from t = 200 on
-# (about 2 per zero against 5), but perfbench/test_smoke.py asserts that the
-# benchmark's cold window near t = 1050 calls hardy_z; the seeds should start
-# at _RS_MIN_T once that assertion is relaxed (ROADMAP item 1).
+# Newton there, and one evaluation usually ends the polish.  The seeds would
+# save Euler-Maclaurin evaluations from t = 200 on (about 2 per zero against
+# 5), but perfbench/test_smoke.py asserts that the benchmark's cold window
+# near t = 1050 calls hardy_z; the seeds should start at _RS_MIN_T once that
+# assertion is relaxed (ROADMAP item 1).
 _RS_SEED_MIN_T = (_RS_C4_ERROR * 2.0**52) ** (1.0 / 3.75)
 # Gabcke's C1..C4 as sums of c Psi^(j) / pi^e over (j, c, e), C0 = Psi.
 _RS_TERMS = (
@@ -115,10 +109,6 @@ _RS_DEGREE = 44
 _RS_CHUNK = 1024
 # Regula-falsi steps per Riemann-Siegel seed; about 5 are taken.
 _RS_SEED_STEPS = 40
-# Decimal arithmetic for the phases of _riemann_siegel_step: 25 digits keep
-# t log n, below 3e5 up to IM_MAX, to about 1e-20 before its reduction.
-_RS_DECIMAL = decimal.Context(prec=25)
-_RS_TWO_PI = decimal.Decimal("6.283185307179586476925286767")
 
 # Bits beyond the requested significand width for the extended Newton step.
 _GUARD_BITS = 10
@@ -451,52 +441,6 @@ def _riemann_siegel_z(ts: np.ndarray):
     return z, bound
 
 
-@lru_cache(maxsize=1)
-def _rs_logs() -> tuple:
-    """log n to 25 digits for n = 1 .. floor(sqrt(IM_MAX/2pi)), the largest N
-    of the Riemann-Siegel formula: Decimal.ln at each prime, sums of the
-    logarithms of two factors elsewhere.  Built on the first
-    _riemann_siegel_step."""
-    logs = [decimal.Decimal(0)] * (math.isqrt(int(IM_MAX / (2.0 * math.pi))) + 1)
-    for n in range(2, len(logs)):
-        d = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-        logs[n] = _RS_DECIMAL.ln(n) if d == n else _RS_DECIMAL.add(logs[d], logs[n // d])
-    return tuple(logs[1:])
-
-
-def _riemann_siegel_step(t: float, zeta_prime: complex) -> float:
-    """t - Z(t)/Z'(t), one Newton step on the Riemann-Siegel formula with
-    C0..C4 from an ordinate t of a zero, given zeta' there.
-
-    Its phases theta(t) - t log n are formed in _RS_DECIMAL arithmetic and
-    reduced mod 2pi before they are rounded to doubles, so each is good to
-    about 1e-16 instead of a few ulps of t log t (about 1e-11 near t = 1e4,
-    which moves a zero of the double formula, or of zeta_and_deriv, by a few
-    ulps of t).  The step then lands within Gabcke's bound 0.017 t^(-11/4)
-    over |Z'| of the zero, plus one rounding: from t = _RS_SEED_MIN_T on,
-    about half an ulp where |Z'| >= 2.  Z' = Re[i exp(i theta) zeta'] at a
-    zero needs few digits, as the step is a few ulps.
-    """
-    root = math.sqrt(t / (2.0 * math.pi))
-    n_cut = math.floor(root)
-    dec, big_t = _RS_DECIMAL, decimal.Decimal(t)  # exact
-    half = dec.multiply(big_t, decimal.Decimal("0.5"))
-    # theta(t) less _rs_theta_tail(t): (t/2) log(t/2pi) - t/2 - pi/8
-    theta = dec.subtract(dec.multiply(half, dec.ln(dec.divide(big_t, _RS_TWO_PI))),
-                         dec.add(half, dec.divide(_RS_TWO_PI, 16)))
-    phases = [
-        float(dec.remainder_near(dec.subtract(theta, dec.multiply(big_t, log)), _RS_TWO_PI))
-        for log in _rs_logs()[:n_cut]
-    ]
-    tail = _rs_theta_tail(t)
-    ns = np.arange(1.0, n_cut + 1.0)
-    main = 2.0 * np.sum(np.cos(np.array(phases) + tail) / np.sqrt(ns))
-    z = main + _rs_remainder(np.array([root]), np.array([float(n_cut)]))[0]
-    phase = float(dec.remainder_near(theta, _RS_TWO_PI)) + tail
-    z_prime = -(math.sin(phase) * zeta_prime.real + math.cos(phase) * zeta_prime.imag)
-    return t - z / z_prime
-
-
 def _riemann_siegel_roots(a, b, za, zb) -> list[float]:
     """The zero of the Riemann-Siegel formula in each bracket between a and b,
     where za and zb, its values there, have opposite signs.
@@ -574,42 +518,23 @@ def _load_refined_builtin() -> ZeroTable:
 def _newton_polish(t0: float):
     """Newton-polish an ordinate seed in doubles; returns (t, zeta_prime_at_zero).
 
-    Stops when |zeta| clears NEWTON_TOL, or -- since the evaluated |zeta| has
-    a noise floor of roughly |t| log|t| ulps from the phases in the main sum
-    -- when the Newton step falls below a few ulps of t, at which point the
-    ordinate itself is converged, or when |zeta| is inside that floor and the
-    step stopped shrinking (the steps chase noise; the last one is taken and
-    zeta' evaluated once more).  The noise can also exceed that floor and
-    send the steps round a cycle of ordinates a few ulps apart, none of
-    which any rule stops at; once (t, last step) repeats, the ordinate tried
-    with the least |zeta| is taken, with its own zeta'.
-
-    On the step rule, zeta' is the one evaluated at the ordinate before the
-    step, up to step_floor = 2^-51 t away, so it is good to about
+    Stops once a step is below step_floor = 2^-51 max(1, |t0|), at least two
+    ulps of t.  The kernel's zeta is good to about 1e-15 at any height, so
+    that step lands within about half an ulp of the zero.  zeta' is the one
+    evaluated before it, up to step_floor away, so it is good to about
     |zeta''/zeta'| step_floor only: a few 1e-11 relative near t = 1e4.
     """
     step_floor = 2.0 ** -51 * max(1.0, abs(t0))
-    noise = 0.5 * step_floor * math.log(max(math.e, abs(t0)))
-    t, last_step = t0, math.inf
-    tried = {}  # (t, last step) -> (|zeta|, zeta') at t
+    t = t0
     for _ in range(_NEWTON_MAX_ITER):
-        if (t, last_step) in tried:  # the steps go round a cycle
-            (t, _), (_, dz) = min(tried.items(), key=lambda item: item[1][0])
-            return t, dz
         z, dz = zeta_and_deriv(0.5 + 1j * t)
-        if abs(z) < NEWTON_TOL:
-            return t, dz
-        tried[t, last_step] = (abs(z), dz)
         step = (z / (1j * dz)).real
         t = t - step
         if abs(step) < step_floor:
             return t, dz
-        if abs(z) < noise and abs(step) >= last_step:
-            return t, zeta_and_deriv(0.5 + 1j * t)[1]
-        last_step = abs(step)
     raise NoConvergence(
-        f"Newton refinement from seed {t0:.6f} did not reach "
-        f"|zeta| < {NEWTON_TOL:g} in {_NEWTON_MAX_ITER} iterations"
+        f"Newton refinement from seed {t0:.6f} did not take a step below "
+        f"{step_floor:.3g} in {_NEWTON_MAX_ITER} iterations"
     )
 
 
@@ -617,41 +542,39 @@ def refine_zero(gamma_seed: float, precision: Precision = DOUBLE) -> ZeroRecord:
     """Polish one ordinate seed to a ZeroRecord with zeta'(rho).
 
     The seed must lie within about GRID_STEP of the true ordinate (the Newton
-    basin); seeds farther away may converge to a neighboring zero.  Above 53
-    bits one Newton step with mpmath's zeta, at wp = that width plus
-    _GUARD_BITS, goes from the double polish's ordinate t0 to t1.  It
+    basin); seeds farther away may converge to a neighboring zero.  The
+    double polish lands within about half an ulp of the zero
+    (_newton_polish).  Above 53 bits one Newton step with mpmath's zeta, at
+    wp = that width plus _GUARD_BITS, goes from its ordinate t0 to t1.  It
     evaluates zeta(s0) alone and divides by the polish's zeta', which is good
-    to about 1e-10 only (_newton_polish), so t1 is within about
-    1e-10 |t0 - gamma| of the zero (2.9e-21 at t = 49000.37).  One more
-    evaluation gives zeta(s1), and the next step |zeta(s1)/zeta'(s1)| must be
-    below 2^-64 max(1, |t1|), so that float(t1) is correctly rounded, or
-    NoConvergence is raised.
+    to about 1e-10 only, so t1 is within about 1e-10 |t0 - gamma| of the
+    zero.  One more evaluation gives zeta(s1), and the next step
+    |zeta(s1)/zeta'(s1)| must be below 2^-64 max(1, |t1|), so that float(t1)
+    is correctly rounded, or NoConvergence is raised.
 
     zeta'(s1) comes from those two values.  With u = s0 - s1 = i(t0 - t1),
     exact, Taylor's theorem gives
 
         zeta'(s1) = (zeta(s0) - zeta(s1))/u - zeta''(s1) u/2 - zeta'''(s1) u^2/6
 
-    up to zeta'''' u^3/24, where |u| is about |t0 - gamma|, a few ulps of t0
-    (3e-11 near 5e4) or more where the polish stopped on NEWTON_TOL (172
-    ulps at t = 14).  zeta'' and zeta''' are central differences of the
-    double kernel's zeta' at float(t1) +/- h and +/- 2h, h = _DIFF_STEP (four
+    up to zeta'''' u^3/24, where |u| is about |t0 - gamma|, half an ulp of
+    t0 or less.  zeta'' and zeta''' are central differences of the double
+    kernel's zeta' at float(t1) +/- h and +/- 2h, h = _DIFF_STEP (four
     zeta_and_deriv calls), zeta'' with one Richardson step.  The error of the
     result, relative to |zeta'|, is estimated as
 
-        2^(1 - wp)/(|u| |zeta'|)  +  eps |zeta''| |u| / (2 |zeta'|),
+        2^(1 - wp)/(|u| |zeta'|)  +  h^4 log(t)^6 |u| / (60 |zeta'|),
 
     the first term for the two mpmath values, each within 2^-wp of zeta
-    (1e-47 measured at wp = 138, from t = 14 to 49000), the second for
-    zeta'', whose relative error eps = 2^-52 t log t / h is the kernel's
-    phase rounding over h (measured: 2.4e-12 at t = 14, 1.1e-10 at 1099 and
-    1.5e-8 at 49000.9, against eps = 8e-12, 1.7e-9 and 1.2e-7).  The
-    zeta''' and u^3 terms are below 1e-24.  Where the estimate exceeds
-    _DERIV_BUDGET = 2^-60, zeta'(s1) is mpmath's (zeta(s, derivative=1),
-    Euler-Maclaurin, several times the cost of zeta): before the kernel
-    calls when |u| |zeta'| <= 2^(1 - wp)/_DERIV_BUDGET, which is 2^-77 at
-    EXTENDED and covers u = 0, and after them when the zeta'' term is too
-    large, which the noise of the double polish makes usual near 5e4.  The
+    (1e-47 measured at wp = 138, from t = 14 to 49000), the second for the
+    truncation h^4 |zeta^(6)|/30 of zeta'' (measured at 19 zeros from t = 14
+    to 49001: at most a third of h^4 log(t)^6/30, and 1.0e-8 at 49000.9);
+    the kernel's own error, 1e-15, adds about 1e-12 over h.  The zeta''' and
+    u^3 terms are below 1e-24.  Where the estimate exceeds _DERIV_BUDGET =
+    2^-60, zeta'(s1) is mpmath's (zeta(s, derivative=1), Euler-Maclaurin,
+    several times the cost of zeta): before the kernel calls when
+    |u| |zeta'| <= 2^(1 - wp)/_DERIV_BUDGET, which is 2^-77 at EXTENDED and
+    covers u = 0, and after them when the zeta'' term is too large.  The
     polish's zeta' stands for |zeta'| in the estimate.
     """
     t, dz = _newton_polish(float(gamma_seed))
@@ -689,8 +612,8 @@ def _zeta_prime_from_values(t0, t1, z0, z1, deriv_size: float, wp: int):
     m2, m1, p1, p2 = (zeta_and_deriv(complex(0.5, t + k * _DIFF_STEP))[1] for k in (-2, -1, 1, 2))
     zeta2 = -1j * (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * _DIFF_STEP)
     zeta3 = (m1 + p1 - m2 - p2) / (3.0 * _DIFF_STEP**2)
-    eps = 2.0**-52 * max(1.0, abs(t)) * math.log(max(math.e, abs(t))) / _DIFF_STEP
-    if (2.0 ** (1 - wp) / du + eps * abs(zeta2) * du / 2.0) / deriv_size > _DERIV_BUDGET:
+    zeta2_error = _DIFF_STEP**4 * math.log(max(math.e, abs(t))) ** 6 / 30.0
+    if (2.0 ** (1 - wp) / du + zeta2_error * du / 2.0) / deriv_size > _DERIV_BUDGET:
         return None
     return (z0 - z1) / u - zeta2 * u / 2 - zeta3 * u**2 / 6
 
@@ -711,14 +634,11 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
     From t = _RS_SEED_MIN_T (about 5040) on, a bracket whose two ends are
     certain seeds Newton at the zero of the Riemann-Siegel formula inside it
     (_riemann_siegel_roots), a few ulps from the ordinate, so one
-    Euler-Maclaurin evaluation usually certifies the zero; the ordinate then
-    takes one step on the formula in decimal phases (_riemann_siegel_step),
-    which moves it from anywhere in the noise of the Newton stop rule (a few
-    ulps) to within an ulp of the zero, and keeps the polish's zeta'.  Any
-    other bracket takes hardy_z at both ends and seeds Newton at their
-    regula-falsi point, and an exact hardy_z zero at a grid point is its own
-    seed; below t = 5040 every bracket is of this kind, and the result is
-    the same, float for float, as a scan with hardy_z at every point.
+    Euler-Maclaurin evaluation usually ends the polish, within an ulp of the
+    zero.  Any other bracket takes hardy_z at both ends and seeds Newton at
+    their regula-falsi point, and an exact hardy_z zero at a grid point is
+    its own seed; below t = 5040 every bracket is of this kind, and the
+    result is the same, float for float, as a scan with hardy_z everywhere.
 
     The step must be below the local zero spacing (0.05 is safe far beyond
     t = 1100).  Two zeros inside one step leave no sign change and go unseen;
@@ -758,11 +678,7 @@ def find_zeros(t_min: float, t_max: float, grid_step: float = GRID_STEP) -> Zero
     rs_seeds = iter(_riemann_siegel_roots(*zip(*certain)) if certain else ())
     records = []
     for a, b, seed in brackets:
-        if seed is None:
-            rec = refine_zero(next(rs_seeds))
-            rec = replace(rec, gamma=_riemann_siegel_step(rec.gamma, rec.zeta_prime))
-        else:
-            rec = refine_zero(seed)
+        rec = refine_zero(next(rs_seeds) if seed is None else seed)
         if not (a - grid_step <= rec.gamma <= b + grid_step):
             raise NoConvergence(
                 f"refined ordinate {rec.gamma:.6f} escaped bracket [{a:.6f}, {b:.6f}]"

@@ -97,16 +97,17 @@ def test_refine_zero_single():
     assert abs(rec.zeta_prime - KNOWN_ZETA_PRIMES[1]) < 1e-10
 
 
-def test_find_zeros_reproduces_packaged_ordinates_below_100(raw_table):
+def test_find_zeros_reproduces_packaged_ordinates_below_100(raw_table, table):
     found = find_zeros(0.0, 100.0)
     want = raw_table.gammas[: raw_table.count_up_to(100.0)]
     assert len(found) == len(want) == 29
     assert np.max(np.abs(found.gammas - want)) <= 1e-11
+    # the refined ordinates, each within an ulp of its zero, float for float
+    assert found.gammas.tolist() == table.gammas[:29].tolist()
 
 
-# Zero counts frozen from mpmath.nzeros(b) - mpmath.nzeros(a).  Above t = 5e3
-# the evaluated |zeta| at a zero can stay above NEWTON_TOL; the polish of one
-# zero in the last window ends on the noise-floor stop.
+# Zero counts frozen from mpmath.nzeros(b) - mpmath.nzeros(a), in windows
+# above t = 5e3 with Riemann-Siegel seeds.
 @pytest.mark.parametrize(
     "a, b, count",
     [
@@ -219,16 +220,14 @@ def _hardy_z_args(monkeypatch):
 
 def _ulps_within_the_stop_rule(records, ordinates):
     """Each ordinate's distance to its 30-digit value in ulps, after checking
-    it against the noise of the Newton stop rule: |zeta| is decided to
-    NEWTON_TOL, or to about 2^-52 t log t where the rounding of the phases
-    is larger, so the ordinate is good to that over |zeta'| and one rounding."""
+    that it is within one ulp: the Newton polish stops on a step below
+    2^-51 t, taken from a zeta good to about 1e-15."""
     ulps = []
     for rec, ref in zip(records, ordinates, strict=True):
         g = rec.gamma
         with mp.workdps(30):
             err = abs(float(mp.mpf(ref) - g))
-        bound = max(zeros.NEWTON_TOL, 2.0**-50 * g * math.log(g)) / abs(rec.zeta_prime)
-        assert err <= bound + math.ulp(g), g
+        assert err <= math.ulp(g), g
         ulps.append(err / math.ulp(g))
     return ulps
 
@@ -236,11 +235,9 @@ def _ulps_within_the_stop_rule(records, ordinates):
 def test_find_zeros_is_as_close_to_mpmath_as_an_euler_maclaurin_scan(monkeypatch):
     # Below t = 5040 the seed is the regula-falsi point of hardy_z at both
     # bracket ends, as in a scan that calls hardy_z everywhere, so the zero
-    # is the same float.  Above, the last step is taken on the Riemann-Siegel
-    # formula with decimal phases, which lands within an ulp of mpmath, while
-    # the scan's ordinates lie anywhere within the noise of the Newton stop
-    # rule: no ordinate is more than one ulp farther from mpmath than the
-    # scan's.
+    # is the same float.  Above, the seed is the zero of the Riemann-Siegel
+    # formula; both polishes land within an ulp of mpmath, so no ordinate is
+    # more than one ulp farther from mpmath than the scan's.
     fast = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
     _forced_euler_maclaurin_scan(monkeypatch)
     slow = [find_zeros(a, b) for a, b in _SCAN_WINDOWS]
@@ -258,14 +255,13 @@ def test_find_zeros_is_as_close_to_mpmath_as_an_euler_maclaurin_scan(monkeypatch
 
 @pytest.mark.parametrize("ref", [g for g in _SCAN_ORDINATES if float(g) > 5040.0][::5])
 def test_riemann_siegel_step_lands_on_the_zero_from_either_side(ref):
-    # From ordinates up to 6 ulps off either way, with zeta' read there, the
-    # step lands within an ulp of the 30-digit zero: the result depends on
-    # the zero, not on where the Newton polish stopped.
+    # A Riemann-Siegel seed is a few ulps from the zero.  From ordinates up to
+    # 6 ulps off either way, the Newton polish lands within an ulp of the
+    # 30-digit zero: the result depends on the zero, not on the seed.
     with mp.workdps(30):
         want = mp.mpf(ref)
         for k in (-6, -1, 0, 1, 6):
-            t = float(want) + k * math.ulp(float(want))
-            got = zeros._riemann_siegel_step(t, zeta_and_deriv(0.5 + 1j * t)[1])
+            got = zeros._newton_polish(float(want) + k * math.ulp(float(want)))[0]
             assert abs(float(want - got)) <= math.ulp(got), (ref, k)
 
 
@@ -273,11 +269,12 @@ def test_find_zeros_falls_back_on_a_zero_and_not_where_cos_2pi_p_vanishes(table,
     # A grid point on a zero has |Z| inside the bound and calls hardy_z; at
     # t = 2pi (N + 1/4)^2, where cos 2pi p = 0, the C_k polynomials have no
     # singular point, so the sign is certain there and hardy_z is not called.
+    # The zero on the first window's left end is outside it; the next is in.
     on_zero = table.gammas[100].item()
     quarter = 2.0 * math.pi * 40.25**2
     rs, bound = zeros._riemann_siegel_z(np.array([on_zero, quarter]))
     assert abs(rs[0]) <= bound[0] and abs(rs[1]) > bound[1]
-    windows = [(on_zero, on_zero + 1.0), (quarter, quarter + 2.0)]
+    windows = [(on_zero, on_zero + 2.0), (quarter, quarter + 2.0)]
     calls = _hardy_z_args(monkeypatch)
     fast = [find_zeros(a, b) for a, b in windows]
     assert on_zero in calls and quarter not in calls
@@ -611,7 +608,7 @@ def test_load_builtin_is_cached_and_consistent(raw_table):
 # sha256 of the ZTBL0001 bytes of refine_table(load_builtin()): pins every
 # bit of the double-precision ordinates and zeta' values.
 REFINED_BUILTIN_SHA256 = (
-    "b14a1bfc03381631db7e28365ce7d257611af4487f084b1d1b064bb1f36a025b"
+    "a9b73b4774525501e36146655f3c1180fb602cbdf561dd89ceca035247e03be2"
 )
 
 
@@ -628,6 +625,32 @@ def test_packaged_refined_table_is_the_refined_builtin(table):
     shipped = zeros._load_refined_builtin()
     for name in ("gammas", "zeta_primes", "refined_bits", "suspect"):
         assert np.array_equal(getattr(shipped, name), getattr(table, name)), name
+
+
+def test_packaged_lines_are_the_refined_ordinates():
+    # zeros_t1100.txt is the refined table's ordinates to 12 decimals, so no
+    # line is more than 5e-13 plus the ordinate's own error from its zero
+    lines = zeros.builtin_zeros_path().read_text().split()
+    assert lines == [f"{g:.12f}" for g in zeros._load_refined_builtin().gammas.tolist()]
+
+
+# mpmath.zetazero(n) at 30 digits.
+ZETAZERO_30 = {
+    1: "14.1347251417346937904572519836",
+    2: "21.0220396387715549926284795939",
+    100: "236.524229665816205802475507956",
+    301: "544.323890101005262903121308756",
+    606: "946.765842204727851156732167218",
+    730: "1099.3606671785717955946165118",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ZETAZERO_30))
+def test_packaged_refined_ordinates_are_within_an_ulp(n):
+    # all 730 are within 0.53 ulp, the worst being #1
+    g = zeros._load_refined_builtin().gammas[n - 1].item()
+    with mp.workdps(30):
+        assert abs(mp.mpf(ZETAZERO_30[n]) - g) <= math.ulp(g)
 
 
 def test_every_data_file_is_package_data():
@@ -704,7 +727,7 @@ def test_refine_zero_extended_falls_back_to_mpmaths_zeta_prime(
         monkeypatch, raw_table, budget, kernel_calls):
     # At a budget of 2^-200 every |u| is below the small-|u| bound, so mpmath's
     # zeta' serves before the kernel's differences; at 2^-80 zero #301's
-    # zeta'' term (about 2^-73) exceeds it after them.  The record is the same.
+    # zeta'' term (about 2^-77) exceeds it after them.  The record is the same.
     monkeypatch.setattr(zeros, "_DERIV_BUDGET", budget)
     seed = float(raw_table.gammas[300])
     got, derived, calls = _refine_extended_spied(monkeypatch, seed)
