@@ -638,8 +638,12 @@ def gamma_ratio(s, tau: float):
     """Gamma(s) / Gamma(1 + tau + s), tau >= 0: a complex for a scalar s, an
     array of the shape of s for an array.
 
-    exp(-D), D = log Gamma(z + a) - log Gamma(z), a = 1 + tau, as the
-    difference of two Stirling series in which no log of size |z| cancels:
+    At an integer tau up to 10 it is 1/(s (s + 1) ... (s + tau)), within 2.8
+    units of 2^-52 relative over the packaged zeros, and 0 where the product
+    leaves the float range.  Any other tau takes exp(-D),
+    whose rounding grows with |D| (11.7 units at tau = 1, 104 at tau = 10),
+    D = log Gamma(z + a) - log Gamma(z), a = 1 + tau, as the difference of
+    two Stirling series in which no log of size |z| cancels:
 
         D = (z - 1/2) log1p(a/z) + a log(z + a) - a
             + sum_k B_2k/(2k(2k-1)) ((z + a)^(1-2k) - z^(1-2k)).
@@ -667,41 +671,47 @@ def gamma_ratio(s, tau: float):
             if pole.any():
                 raise PoleAtNonpositiveInteger(f"Gamma pole at {what} = {v[np.argmax(pole)]}")
     with np.errstate(all="ignore"):
-        # Points with Re z < -tau take their whole right shift at once: by
-        # reflection, Gamma(z)/Gamma(z + a) =
-        # sin(pi (z + a))/sin(pi z) * Gamma(w)/Gamma(w + a), w = 1 - z - a
-        left = z.real < min(0.0, 1.0 - a)
-        reflect = left.any()
-        if reflect:
-            sines = _sin_ratio(z, a)
-            z = np.where(left, (1.0 - a) - z, z)
-        scale = 1.0
-        shift = (z.real < 0) | (np.abs(z) < _SHIFT_RADIUS)
-        while shift.any():
-            scale = np.where(shift, scale * ((z + a) / z), scale)
-            z = np.where(shift, z + 1.0, z)
+        if tau <= 10 and tau.is_integer():
+            # with at most 11 factors, a partial product overflows only if
+            # the whole does, and then the ratio is below 2^-1024
+            product = np.prod([z + k for k in range(int(tau) + 1)], axis=0)
+            ratio = np.where(np.isfinite(product), 1.0 / product, 0.0)
+        else:
+            # Points with Re z < -tau take their whole right shift at once: by
+            # reflection, Gamma(z)/Gamma(z + a) =
+            # sin(pi (z + a))/sin(pi z) * Gamma(w)/Gamma(w + a), w = 1 - z - a
+            left = z.real < min(0.0, 1.0 - a)
+            reflect = left.any()
+            if reflect:
+                sines = _sin_ratio(z, a)
+                z = np.where(left, (1.0 - a) - z, z)
+            scale = 1.0
             shift = (z.real < 0) | (np.abs(z) < _SHIFT_RADIUS)
-        w = z + a
-        # log1p(q), q = a/z, from the real log1p of |1 + q|^2 - 1, which
-        # cannot cancel as Re q >= 0, and the arctan2 of its phase
-        q = a / z
-        log1p_q = 0.5 * np.log1p(q.real * (2.0 + q.real) + q.imag * q.imag)
-        d = (z - 0.5) * (log1p_q + 1j * np.arctan2(q.imag, 1.0 + q.real))
-        d += a * (np.log(w) - 1.0)
-        # The Stirling sums at z and w side by side, by Horner's rule in the
-        # inverse square; each is at most 1/(12 |z|), so their difference
-        # keeps the absolute accuracy D needs.
-        inv = 1.0 / np.concatenate((z, w))
-        inv_sq = inv * inv
-        coeffs = _stirling_coeffs()[_STIRLING_DIFF_TERMS - 1 :: -1]
-        acc = coeffs[0]
-        for coeff in coeffs[1:]:
-            acc = acc * inv_sq + coeff
-        sums = acc * inv
-        d += sums[len(z) :] - sums[: len(z)]
-        ratio = np.exp(-d) * scale
-        if reflect:  # whole-array products, whose bits do not depend on the length
-            ratio = np.where(left, ratio * sines, ratio)
+            while shift.any():
+                scale = np.where(shift, scale * ((z + a) / z), scale)
+                z = np.where(shift, z + 1.0, z)
+                shift = (z.real < 0) | (np.abs(z) < _SHIFT_RADIUS)
+            w = z + a
+            # log1p(q), q = a/z, from the real log1p of |1 + q|^2 - 1, which
+            # cannot cancel as Re q >= 0, and the arctan2 of its phase
+            q = a / z
+            log1p_q = 0.5 * np.log1p(q.real * (2.0 + q.real) + q.imag * q.imag)
+            d = (z - 0.5) * (log1p_q + 1j * np.arctan2(q.imag, 1.0 + q.real))
+            d += a * (np.log(w) - 1.0)
+            # The Stirling sums at z and w side by side, by Horner's rule in the
+            # inverse square; each is at most 1/(12 |z|), so their difference
+            # keeps the absolute accuracy D needs.
+            inv = 1.0 / np.concatenate((z, w))
+            inv_sq = inv * inv
+            coeffs = _stirling_coeffs()[_STIRLING_DIFF_TERMS - 1 :: -1]
+            acc = coeffs[0]
+            for coeff in coeffs[1:]:
+                acc = acc * inv_sq + coeff
+            sums = acc * inv
+            d += sums[len(z) :] - sums[: len(z)]
+            ratio = np.exp(-d) * scale
+            if reflect:  # whole-array products, whose bits do not depend on the length
+                ratio = np.where(left, ratio * sines, ratio)
         _require_finite(ratio, "gamma_ratio")
     return complex(ratio[0]) if np.ndim(s) == 0 else ratio.reshape(np.shape(s))
 

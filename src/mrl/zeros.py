@@ -391,25 +391,6 @@ def _rs_corrections() -> np.ndarray:
     return rows
 
 
-def _rs_theta_tail(t):
-    """theta(t) - (t log sqrt(t/2pi) - t/2 - pi/8), from its asymptotic
-    series 1/(48t) + 7/(5760t^3) + ...; the first term left out is below
-    1e-20 from t = 200 on."""
-    inv = 1.0 / t
-    inv_sq = inv * inv
-    return inv * (1 / 48 + inv_sq * (7 / 5760 + inv_sq * (31 / 80640 + inv_sq * 127 / 430080)))
-
-
-def _rs_remainder(root: np.ndarray, n_cut: np.ndarray) -> np.ndarray:
-    """The correction (-1)^(N-1) (2 pi/t)^(1/4) sum_{k <= 4} C_k(p) (2 pi/t)^(k/2)
-    of the Riemann-Siegel formula, at root = sqrt(t/2pi) and N = n_cut."""
-    w = 1.0 / root  # (2 pi/t)^(1/2)
-    weights = np.vander(w, len(_RS_TERMS), increasing=True) @ _rs_corrections()
-    powers = np.vander(root - n_cut - 0.5, _RS_DEGREE + 1, increasing=True)
-    sign = 1.0 - 2.0 * ((n_cut - 1.0) % 2.0)  # (-1)^(N-1)
-    return sign * np.sqrt(w) * np.einsum("ij,ij->i", weights, powers)
-
-
 def _riemann_siegel_z(ts: np.ndarray):
     """Z(t) at each height by the Riemann-Siegel formula with Gabcke's
     correction terms C0..C4, and a bound on the distance to the true Z(t):
@@ -432,11 +413,20 @@ def _riemann_siegel_z(ts: np.ndarray):
     t = ts[high]
     root = np.sqrt(t / (2.0 * math.pi))
     n_cut = np.floor(root)
-    theta = t * np.log(root) - 0.5 * t - 0.125 * math.pi + _rs_theta_tail(t)
+    inv = 1.0 / t
+    # theta(t) = t log(root) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3) + ...;
+    # the first term left out is below 1e-20 from t = 200 on
+    inv_sq = inv * inv
+    theta = (t * np.log(root) - 0.5 * t - 0.125 * math.pi
+             + inv * (1 / 48 + inv_sq * (7 / 5760 + inv_sq * (31 / 80640 + inv_sq * 127 / 430080))))
     ns = np.arange(1.0, n_cut.max(initial=1.0) + 1.0)
     terms = np.cos(theta[:, None] - t[:, None] * np.log(ns)) / np.sqrt(ns)
     main = 2.0 * np.sum(terms, axis=1, where=ns <= n_cut[:, None])
-    z[high] = main + _rs_remainder(root, n_cut)
+    w = 1.0 / root  # (2 pi/t)^(1/2)
+    weights = np.vander(w, len(_RS_TERMS), increasing=True) @ _rs_corrections()
+    powers = np.vander(root - n_cut - 0.5, _RS_DEGREE + 1, increasing=True)
+    sign = 1.0 - 2.0 * ((n_cut - 1.0) % 2.0)  # (-1)^(N-1)
+    z[high] = main + sign * np.sqrt(w) * np.einsum("ij,ij->i", weights, powers)
     bound[high] = 2.0 * _RS_C4_ERROR * t**-2.75 + 2.0**-40 * t * np.log(t) * np.sqrt(n_cut)
     return z, bound
 

@@ -116,11 +116,9 @@ def test_residue_guards(monkeypatch):
 
 
 def test_zero_sum_frozen_regression(table):
-    # First 10 zeros at x = 1, tau = 1, pinned to the code's sum, which is
-    # checked against the 40-digit mpmath sum of the same terms over the same
-    # refined zeros: 1.4 ulps off, as the first computed term, from
-    # gamma_ratio, is 2.2 ulps of the sum (4.4 of its own) off.
-    pin = -0.02389324848078023
+    # First 10 zeros at x = 1, tau = 1, pinned to the 40-digit mpmath sum of
+    # the same terms over the same refined zeros, correctly rounded.
+    pin = -0.023893248480780234
     n = table.count_up_to(50.0, inclusive=False)
     assert n == 10
     with mp.workdps(40):
@@ -128,7 +126,7 @@ def test_zero_sum_frozen_regression(table):
             2 * mp.re(mp.gamma(mp.mpc(0.5, g)) / (mp.gamma(mp.mpc(2.5, g)) * mp.mpc(zp)))
             for g, zp in zip(table.gammas[:n].tolist(), table.zeta_primes[:n].tolist())
         )
-        assert abs(pin - want) <= 2.0 * math.ulp(pin)
+        assert pin == float(want)
     assert zero_sum_term(1.0, 1.0, table, 50.0) == pin
 
 

@@ -270,6 +270,7 @@ def test_find_zeros_falls_back_on_a_zero_and_not_where_cos_2pi_p_vanishes(table,
     # t = 2pi (N + 1/4)^2, where cos 2pi p = 0, the C_k polynomials have no
     # singular point, so the sign is certain there and hardy_z is not called.
     # The zero on the first window's left end is outside it; the next is in.
+    # The polish from the grid hit stays on it.
     on_zero = table.gammas[100].item()
     quarter = 2.0 * math.pi * 40.25**2
     rs, bound = zeros._riemann_siegel_z(np.array([on_zero, quarter]))
@@ -278,6 +279,7 @@ def test_find_zeros_falls_back_on_a_zero_and_not_where_cos_2pi_p_vanishes(table,
     calls = _hardy_z_args(monkeypatch)
     fast = [find_zeros(a, b) for a, b in windows]
     assert on_zero in calls and quarter not in calls
+    assert refine_zero(on_zero).gamma == on_zero
     _forced_euler_maclaurin_scan(monkeypatch)
     slow = [find_zeros(a, b) for a, b in windows]
     with mp.workdps(30):
