@@ -23,8 +23,8 @@ every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 240 invocations take about 1.8 s and the 120 API
-rows about 2.4 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
+stderr is not hashed.  The 244 invocations take about 2.7 s and the 120 API
+rows about 2.9 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
 about 2 s, half of it the two extended refines near 49000).
 """
 
@@ -98,6 +98,8 @@ COMMANDS = [
     ["riesz", "999999937", "--tau", "1"],
     ["integral", "999999937", "--kappa", "-2"],
     ["riesz", "4.2e6", "--tau", "0.5"],
+    # a cancelling stream over seven blocks, 95 ulps off under per-block rounding
+    ["riesz", "7.3e6", "--tau", "2.5"],
     ["--T", "2000", "explicit", "1e3"],  # beyond the table: exit 3
     # refusals, each exit 2
     ["mertens", "0"],

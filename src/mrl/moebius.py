@@ -26,12 +26,12 @@ stream of closed-form unit-interval pieces (_integral_pieces).
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
-is correctly rounded once per rounding block of _BLOCK = 2^20 integers
-counted from n = 1, whatever the chunk size, and the block sums are added
-with fsum (_BlockSums); the density instead subtracts its few short
-intervals from a closed form (density_S).  Integrands are constant (or polynomial) on unit
-intervals, so integrals are evaluated in closed form per interval, never by
-approximate quadrature.
+is correctly rounded once over all its terms (_ExactSum), so it depends on
+its terms alone, not on the block or chunk size, the cache or earlier calls;
+the density instead subtracts its few short intervals from a closed form
+(density_S).  Integrands are constant (or polynomial) on unit intervals, so
+integrals are evaluated in closed form per interval, never by approximate
+quadrature.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRange, ParseError, ScheduleUndefined
-from .kernel import _check_finite, _check_tau, _exact_parts, zeta
+from .kernel import _EXACT_PARTS_MIN, _check_finite, _check_tau, _exact_parts, zeta
 
 __all__ = [
     "SIEVE_MAX",
@@ -76,10 +76,11 @@ SIEVE_MAX = 10**9
 CHECKPOINT_STRIDE = 10**6
 
 # The stream sieves blocks of _BLOCK integers counted from n = 1 (one prime
-# loop per block), and its sums are rounded once per block.  Consumers take
-# a block in chunks of min(_CHUNK, _BLOCK) integers, so their float
-# temporaries stay in a core's L2 cache (CHANGES.md has the table).  Both
-# are powers of two, so a block is a run of whole chunks.
+# loop per block), and divim_sign_changes restarts its running integral at
+# each block's edge.  Consumers take a block in chunks of min(_CHUNK,
+# _BLOCK) integers, so their float temporaries stay in a core's L2 cache
+# (CHANGES.md has the table).  Both are powers of two, so a block is a run
+# of whole chunks.
 _BLOCK = 1 << 20
 _CHUNK = 1 << 14
 
@@ -693,15 +694,13 @@ def _stream(x_floor: int, cache: CheckpointCache | None):
     n = 1, read by the streamed operations and by the power sums' sieve.
 
     Yields (n0, mu) for every chunk of consecutive integers n in
-    [n0, n0 + len(mu)).  mu is sieved in rounding blocks of _BLOCK integers
-    counted from n = 1 and handed out in chunks (views) of
-    min(_CHUNK, _BLOCK) integers, so each block is a run of whole chunks
-    (_opens_block tells where one starts), and a consumer that cuts the
-    chunks at its own floor(x) sums over the same blocks as a stream that
-    ends there.  A consumer that reads M sums it itself (_prefix).  With a
-    cache, the stream carries M by chunk sums and records the values at
-    multiples of the cache's stride on the way, and mertens serves those x
-    from it; without one, it sums nothing.
+    [n0, n0 + len(mu)).  mu is sieved in blocks of _BLOCK integers counted
+    from n = 1 and handed out in chunks (views) of min(_CHUNK, _BLOCK)
+    integers, so each block is a run of whole chunks.  A consumer that
+    reads M sums it itself (_prefix).  With a cache, the stream carries M by
+    chunk sums and records the values at multiples of the cache's stride on
+    the way, and mertens serves those x from it; without one, it sums
+    nothing.
 
     Every block is sieved into one buffer that the stream owns, so mu is a
     view that the next block overwrites: a consumer reads each chunk only
@@ -730,34 +729,31 @@ def _prefix(mu: np.ndarray, m_prev: int):
     return m_vals, int(np.cumsum(m_vals, out=m_vals)[-1])
 
 
-def _opens_block(n0: int) -> bool:
-    """Whether the chunk of _stream that starts at n0 starts a rounding block."""
-    return (n0 - 1) % _BLOCK == 0
+class _ExactSum:
+    """A sum of terms taken from _stream's chunks, correctly rounded once over
+    all of them: the same float as math.fsum over every term.
 
-
-class _BlockSums:
-    """A sum of terms taken from _stream's chunks, correctly rounded once per
-    rounding block and then added across blocks with fsum.
-
-    The chunks of a block hand in the exact parts of their terms
-    (_exact_parts), so the value does not depend on the chunk size, and the
-    blocks count from n = 1, so it does not depend on the cache or on earlier
-    calls either.
+    Each chunk hands in the exact parts of its terms (_exact_parts), and the
+    list is compressed to its own exact parts when it reaches
+    _EXACT_PARTS_MIN, so it stays below twice that length.  Parts merge in
+    any order, so the value depends only on the terms: not on _BLOCK,
+    _CHUNK, the cache or earlier calls.
     """
 
     def __init__(self) -> None:
         self._parts: list[float] = []
-        self._blocks: list[float] = []
 
-    def add(self, n0: int, terms: np.ndarray) -> None:
-        """Add the terms of the chunk that starts at n0."""
-        if _opens_block(n0) and self._parts:
-            self._blocks.append(math.fsum(self._parts))
-            self._parts = []
+    def add(self, terms: np.ndarray) -> None:
         self._parts += _exact_parts(terms)
+        if len(self._parts) >= _EXACT_PARTS_MIN:
+            self._parts = _exact_parts(np.array(self._parts))
+            if len(self._parts) >= _EXACT_PARTS_MIN:
+                # a nan, an inf or a part of 2^970 or more, which
+                # _exact_parts hands back whole: fsum folds them instead
+                self._parts = [math.fsum(self._parts)]
 
     def total(self) -> float:
-        return math.fsum(self._blocks + [math.fsum(self._parts)])
+        return math.fsum(self._parts)
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +802,8 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
     the plain summatory function M.  At integer tau = k <= 3 the weight is a
     polynomial in n, so k! M_k(x) = sum_i C(k, i) (-1/x)^i S_i(x) comes
     exactly from the power sums of _mu_power_sums and is correctly rounded.
-    Other tau stream mu from n = 1: summation is correctly rounded per block,
-    then fsum across blocks (_BlockSums).
+    Other tau stream mu from n = 1, and the sum is correctly rounded once
+    over all its terms (_ExactSum).
     """
     (value,) = _riesz_means([(float(query.x), float(query.tau))], cache)
     return value
@@ -823,9 +819,8 @@ def _riesz_means(
     one set of term arrays for the largest such k, and are exact until one
     final rounding.  The others share one stream of mu from n = 1 up to
     their largest floor(x), which weights only the n with mu(n) != 0; each
-    chunk is cut at each point's floor(x), so a point sums over the same
-    rounding blocks, each sum correctly rounded, as a stream of its own
-    would.
+    chunk is cut at each point's floor(x), so a point sums the same terms,
+    correctly rounded once, as a stream of its own would.
     """
     for x, tau in points:
         _check_tau(tau)
@@ -842,7 +837,7 @@ def _riesz_means(
         return (sum(math.comb(k, i) * (-b) ** i * a ** (k - i) * s[i] for i in range(k + 1))
                 / (math.factorial(k) * a**k))
 
-    weighted = [(x, tau, math.lgamma(1.0 + tau), _BlockSums()) for x, tau in points
+    weighted = [(x, tau, math.lgamma(1.0 + tau), _ExactSum()) for x, tau in points
                 if tau not in _EXACT_DEGREES]
     if weighted:
         # the terms mu(n) exp(tau log1p(-n/x) - log_norm), only where
@@ -862,7 +857,7 @@ def _riesz_means(
                 terms -= log_norm
                 np.exp(terms, out=terms)
                 terms *= mu[nz]
-                sums.add(n0, terms)
+                sums.add(terms)
     totals = iter([sums.total() for *_, sums in weighted])
     return [exact_mean(x, int(tau)) if tau in _EXACT_DEGREES else next(totals)
             for x, tau in points]
@@ -905,8 +900,8 @@ def integral_M(
     the integral is sum_{n <= x} mu(n) (x^a - n^a)/a = (x^a S_0 - S_a)/a,
     taken exactly from the power sums and correctly rounded.  Other kappa
     stream mu from n = 1 and sum the closed-form pieces of _integral_pieces
-    (the logarithm at kappa = 1), correctly rounded per block, then fsum
-    across blocks.
+    (the logarithm at kappa = 1), correctly rounded once over all of them
+    (_ExactSum).
     """
     x = float(x)
     _check_x(x)
@@ -917,9 +912,9 @@ def integral_M(
         s = _mu_power_sums(math.floor(x), a)
         n, d = x.as_integer_ratio()  # int / int is correctly rounded
         return (n**a * s[0] - d**a * s[a]) / (a * d**a)
-    sums = _BlockSums()
-    for n0, _, _, pieces in _integral_pieces(x, kappa, cache):
-        sums.add(n0, pieces)
+    sums = _ExactSum()
+    for *_, pieces in _integral_pieces(x, kappa, cache):
+        sums.add(pieces)
     return sums.total()
 
 
@@ -927,14 +922,14 @@ def weak_mertens_integral(x: float) -> float:
     """Piecewise-exact integral of (M(u)/u)^2 over [1, x].
 
     The interval [n, min(n+1, x)) contributes M(n)^2 (1/n - 1/min(n+1, x)),
-    the pieces of _integral_pieces at kappa = 2 and power 2; summed like
-    integral_M, the value does not depend on earlier calls.
+    the pieces of _integral_pieces at kappa = 2 and power 2, summed like
+    integral_M: correctly rounded once over all of them.
     """
     x = float(x)
     _check_x(x)
-    sums = _BlockSums()
-    for n0, _, _, pieces in _integral_pieces(x, 2.0, power=2):
-        sums.add(n0, pieces)
+    sums = _ExactSum()
+    for *_, pieces in _integral_pieces(x, 2.0, power=2):
+        sums.add(pieces)
     return sums.total()
 
 
@@ -956,12 +951,12 @@ def divim_sign_changes(x_max: float, kappa: float = 1.5) -> list[float]:
     c = 2.0 / zeta(0.5).real if kappa == 1.5 else 0.0
 
     crossings: list[float] = []
-    # I at the end of an interval is I at the left edge of its rounding block
+    # I at the end of an interval is I at the left edge of its sieve block
     # plus the sequential partial sum of the block's pieces, carried across
     # the block's chunks, so the values do not depend on the chunk size.
     i_lo, i_end, run, f_prev = 0.0, 0.0, 0.0, 0.0 - c
     for n0, m_vals, ends, pieces in _integral_pieces(x_max, kappa):
-        if _opens_block(n0):
+        if (n0 - 1) % _BLOCK == 0:  # the chunk opens a block
             i_lo = i_end
         else:
             pieces[0] += run

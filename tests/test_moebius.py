@@ -881,9 +881,13 @@ def test_stream_block_size_invariance(monkeypatch, sieved_lengths):
     sieved_lengths.clear()
     small = _streamed_quantities()
     assert max(sieved_lengths) == 2**10  # the stream reads _BLOCK when called
-    for (value, cps), (value_small, cps_small) in zip(default, small):
-        assert value_small == pytest.approx(value, rel=1e-12)
+    # the sums are correctly rounded over all their terms, so they do not
+    # move; divim's running integral restarts at each block's edge
+    for (value, cps), (value_small, cps_small) in zip(default[:-1], small[:-1]):
+        assert value_small == value
         assert cps_small == cps
+    assert small[-1][0] == pytest.approx(default[-1][0], rel=1e-12)
+    assert small[-1][1] == default[-1][1]
     assert len(default[-1][0]) == 2  # D crosses zero at 64099.4 and 66737.9
 
 
@@ -913,7 +917,7 @@ def _chunk_lengths(x: float) -> set[int]:
 
 @pytest.mark.parametrize("block, x", [(2**20, 1_050_000.5), (2**14, 70_000.5)])
 def test_stream_chunk_size_leaves_values_bit_identical(monkeypatch, block, x):
-    # x lies past the first rounding block, so sums and divim's running
+    # x lies past the first sieve block, so sums and divim's running
     # integral carry across a block edge as well as across chunk edges
     monkeypatch.setattr(moebius, "_BLOCK", block)
     default = _chunked_quantities(x)
@@ -928,7 +932,7 @@ def test_stream_checkpoints_are_mertens(monkeypatch):
     # every (x, M) a consumer's stream records equals M(x) from a fresh
     # mertens, with no cache: each consumer that takes a cache records 30 at
     # stride 1000; then, with blocks of 2^14, runs to 70,000.5 record across
-    # four rounding-block edges
+    # four sieve-block edges
     def recorded(quantities):
         return [(cp.x, cp.M) for _, cps in quantities for cp in cps]
 
@@ -941,14 +945,36 @@ def test_stream_checkpoints_are_mertens(monkeypatch):
         assert m == mertens(x), x
 
 
-def test_streamed_sum_is_rounded_once_per_block(monkeypatch):
+@pytest.mark.parametrize("chunk", [2**14, 2**10])
+def test_streamed_sum_is_correctly_rounded(monkeypatch, chunk):
+    # over five sieve blocks; chunks of 2^10 hand in fewer Riesz terms than
+    # _exact_parts splits, so the accumulator compresses its list of parts
     monkeypatch.setattr(moebius, "_BLOCK", 2**14)
+    monkeypatch.setattr(moebius, "_CHUNK", chunk)
     x = 70_000.5
+    mu = moebius._segment_mu(1, 70_001)
     ns = np.arange(1, 70_001, dtype=np.float64)
-    m = np.cumsum(moebius._segment_mu(1, 70_001), dtype=np.int64).astype(np.float64)
-    terms = m * (np.minimum(ns + 1.0, x) ** -0.5 / -0.5 - ns**-0.5 / -0.5)
-    blocks = [math.fsum(terms[a : a + 2**14].tolist()) for a in range(0, len(terms), 2**14)]
-    assert integral_M(x, 1.5, CheckpointCache()).hex() == math.fsum(blocks).hex()
+    m = np.cumsum(mu, dtype=np.int64).astype(np.float64)
+    pieces = m * (np.minimum(ns + 1.0, x) ** -0.5 / -0.5 - ns**-0.5 / -0.5)
+    assert integral_M(x, 1.5, CheckpointCache()).hex() == math.fsum(pieces.tolist()).hex()
+    nz = np.flatnonzero(mu)
+    terms = mu[nz] * np.exp(2.5 * np.log1p(ns[nz] / -x) - math.lgamma(3.5))
+    riesz = riesz_mean_direct(RieszQuery(x, 2.5), CheckpointCache())
+    assert riesz.hex() == math.fsum(terms.tolist()).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0**1000])
+def test_exact_sum_folds_terms_that_have_no_exact_parts(bad):
+    # _exact_parts hands such terms back whole (integral_M at kappa = -60
+    # overflows to nan past n of about 1e5); the accumulator folds them with
+    # fsum, so its list stays short instead of growing by a chunk per add
+    terms = np.ones(1000)
+    terms[500] = bad
+    sums = moebius._ExactSum()
+    for _ in range(50):
+        sums.add(terms)
+        assert len(sums._parts) < 2 * kernel._EXACT_PARTS_MIN
+    assert repr(sums.total()) == repr(math.fsum(terms.tolist() * 50))
 
 
 def test_tau_for_schedules():

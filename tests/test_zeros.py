@@ -254,7 +254,7 @@ def test_find_zeros_is_as_close_to_mpmath_as_an_euler_maclaurin_scan(monkeypatch
 
 
 @pytest.mark.parametrize("ref", [g for g in _SCAN_ORDINATES if float(g) > 5040.0][::5])
-def test_riemann_siegel_step_lands_on_the_zero_from_either_side(ref):
+def test_newton_polish_lands_on_the_zero_from_either_side(ref):
     # A Riemann-Siegel seed is a few ulps from the zero.  From ordinates up to
     # 6 ulps off either way, the Newton polish lands within an ulp of the
     # 30-digit zero: the result depends on the zero, not on the seed.
@@ -355,15 +355,15 @@ def test_find_zeros_takes_hardy_z_once_per_point(monkeypatch):
 
 
 def test_newton_polish_stops_on_a_cycle_of_noisy_steps(monkeypatch):
-    # From this seed the Newton steps alternate between two ordinates 3 ulps
-    # apart, each with |zeta| above the noise floor that the stop rule
-    # assumes; the polish takes the one with the least |zeta| instead of
-    # raising NoConvergence after _NEWTON_MAX_ITER steps
+    # From this seed, Newton on a zeta whose phases were rounded doubles
+    # alternated between two ordinates 3 ulps apart and never took a step
+    # below the stop rule; with the double-double phases the polish lands
+    # within an ulp of the 30-digit zero instead of raising NoConvergence
     seed = float.fromhex("0x1.167016606d101p+15")
     with mp.workdps(30):
         ref = mp.findroot(mp.siegelz, seed)
     _ulps_within_the_stop_rule([refine_zero(seed)], [ref])
-    # a regula-falsi seed in this window runs into such a cycle too; the
+    # a regula-falsi seed in this window ran into such a cycle too; the
     # count is mpmath.nzeros(b) - mpmath.nzeros(a)
     _forced_euler_maclaurin_scan(monkeypatch)
     assert len(find_zeros(22004.789712653037, 22006.789712653037)) == 2
