@@ -23,8 +23,8 @@ every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 244 invocations take about 2.7 s and the 120 API
-rows about 2.9 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
+stderr is not hashed.  The 256 invocations take about 2.3 s and the 120 API
+rows about 2.8 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
 about 2 s, half of it the two extended refines near 49000).
 """
 
@@ -100,6 +100,11 @@ COMMANDS = [
     ["riesz", "4.2e6", "--tau", "0.5"],
     # a cancelling stream over seven blocks, 95 ulps off under per-block rounding
     ["riesz", "7.3e6", "--tau", "2.5"],
+    # streamed integrals whose last bit the summation rule decides: a
+    # cancelling one, one at kappa > 2 and one at kappa = 1/3
+    ["integral", "85223.875", "--kappa", "-0.5"],
+    ["integral", "4474.2", "--kappa", "2.5"],
+    ["integral", "118234.775", "--kappa", "0.3333333333333333"],
     ["--T", "2000", "explicit", "1e3"],  # beyond the table: exit 3
     # refusals, each exit 2
     ["mertens", "0"],

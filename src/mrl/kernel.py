@@ -803,6 +803,9 @@ def _inv_gamma_at(tau: float, l: int) -> tuple:
     if w <= 0.0 and w.is_integer():
         return -1, (-1) ** int(-w) * math.factorial(int(-w)), None
     if w <= 0.0:
-        c = math.sin(math.pi * w) * math.gamma(1.0 - w) / math.pi
-        return 0, c, lambda: math.pi / math.tan(math.pi * tau) - _digamma(complex(l - tau)).real
+        # sin and tan reduced first, exactly: sin(pi w) = sin(pi (w - 2j))
+        # and tan(pi tau) = tan(pi (tau - j)) for integer j
+        c = math.sin(math.pi * (w - 2 * round(w / 2))) * math.gamma(1.0 - w) / math.pi
+        return 0, c, lambda: (math.pi / math.tan(math.pi * (tau - round(tau)))
+                              - _digamma(complex(l - tau)).real)
     return 0, 1.0 / math.gamma(w), lambda: -_digamma(complex(w)).real

@@ -16,13 +16,16 @@ integrals of M(u) u^(-kappa) over [1, x] at kappa = 0, -1, -2
 Everything else streams mu from n = 1.  One generator, _stream, walks the
 sieve blocks from n = 1 for both routes: it hands out mu in cache-sized
 chunks, to the power sums for [1, L] and to the streamed operations for
-[1, x].  A consumer that reads M(n) sums it per chunk (_prefix); the other
-Riesz means read mu alone.  sieve_segment, mertens, riesz_mean_direct,
-integral_M, density_S and tau_regime_scan take an optional
-CheckpointCache, in which the stream records (x, M(x)) at the cache's
-stride; no M value is kept between calls otherwise.  The other integrals
-of M(u) u^(-kappa), that of (M(u)/u)^2 and the sign-change scan read one
-stream of closed-form unit-interval pieces (_integral_pieces).
+[1, x].  The other Riesz means, and the other integrals of M(u) u^(-kappa)
+by parts, P(x) M(x) - sum_{n <= x} mu(n) P(n), weight only the squarefree
+n (_squarefree_sums), which also sums mu per chunk for M(x).  The integral
+of (M(u)/u)^2 and the sign-change scan read M(n) at every n, summed per
+chunk (_prefix), in closed-form unit-interval pieces (_integral_pieces);
+density_S forms M(n) only in the chunks that it cannot skip.
+sieve_segment, mertens, riesz_mean_direct, integral_M, density_S and
+tau_regime_scan take an optional CheckpointCache, in which the stream
+records (x, M(x)) at the cache's stride; no M value is kept between calls
+otherwise.
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
@@ -41,8 +44,9 @@ import math
 import os
 import struct
 import uuid
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -817,10 +821,8 @@ def _riesz_means(
     Points with integer tau = k <= 3 take S_0, ..., S_k from
     _mu_power_sums_at, all from one sieve sized for the largest such x and
     one set of term arrays for the largest such k, and are exact until one
-    final rounding.  The others share one stream of mu from n = 1 up to
-    their largest floor(x), which weights only the n with mu(n) != 0; each
-    chunk is cut at each point's floor(x), so a point sums the same terms,
-    correctly rounded once, as a stream of its own would.
+    final rounding.  The others share one stream of mu from n = 1
+    (_squarefree_sums), each correctly rounded once over its terms.
     """
     for x, tau in points:
         _check_tau(tau)
@@ -837,58 +839,95 @@ def _riesz_means(
         return (sum(math.comb(k, i) * (-b) ** i * a ** (k - i) * s[i] for i in range(k + 1))
                 / (math.factorial(k) * a**k))
 
-    weighted = [(x, tau, math.lgamma(1.0 + tau), _ExactSum()) for x, tau in points
-                if tau not in _EXACT_DEGREES]
-    if weighted:
-        # the terms mu(n) exp(tau log1p(-n/x) - log_norm), only where
-        # mu(n) != 0, formed in place in one buffer that every chunk reuses
-        # (chunk-sized temporaries of varying length fragment the heap)
-        buffer = np.empty(min(_CHUNK, _BLOCK))
-        for n0, mu in _stream(math.floor(max(x for x, *_ in weighted)), cache):
-            for x, tau, log_norm, sums in weighted:
-                if n0 > x:
-                    continue
-                nz = np.flatnonzero(mu[: math.floor(x) + 1 - n0] != 0)  # faster on bool
-                terms = np.add(nz, n0, dtype=np.float64, out=buffer[: len(nz)])
-                terms /= -x
-                with np.errstate(divide="ignore"):
-                    np.log1p(terms, out=terms)
-                terms *= tau
-                terms -= log_norm
-                np.exp(terms, out=terms)
-                terms *= mu[nz]
-                sums.add(terms)
-    totals = iter([sums.total() for *_, sums in weighted])
+    weighted = [(x, partial(_riesz_weight, x, tau, math.lgamma(1.0 + tau)))
+                for x, tau in points if tau not in _EXACT_DEGREES]
+    totals = iter([s.total() for s, _ in _squarefree_sums(weighted, cache)])
     return [exact_mean(x, int(tau)) if tau in _EXACT_DEGREES else next(totals)
             for x, tau in points]
 
 
-def _integral_pieces(
-    x: float, kappa: float, cache: CheckpointCache | None = None, power: int = 1
-):
+def _riesz_weight(x: float, tau: float, log_norm: float, n: np.ndarray) -> np.ndarray:
+    """exp(tau log1p(-n/x) - log_norm) = (1 - n/x)^tau / Gamma(1 + tau), in
+    place."""
+    n /= -x
+    with np.errstate(divide="ignore"):
+        np.log1p(n, out=n)
+    n *= tau
+    n -= log_norm
+    return np.exp(n, out=n)
+
+
+def _antiderivative(u: np.ndarray, kappa: float) -> np.ndarray:
+    """P(u) in place: log u at kappa = 1, else u^(1-kappa)/(1-kappa)."""
+    if kappa == 1.0:
+        return np.log(u, out=u)
+    u **= 1.0 - kappa
+    u /= 1.0 - kappa
+    return u
+
+
+def _squarefree_sums(
+    points: list[tuple[float, Callable[[np.ndarray], np.ndarray]]],
+    cache: CheckpointCache | None,
+    count: bool = False,
+) -> list[tuple[_ExactSum, int]]:
+    """For each (x, weight) of points, the sum of mu(n) weight(n) over n <= x,
+    as an _ExactSum, and with count M(floor(x)), else 0.
+
+    One stream of mu from n = 1 up to the largest floor(x) serves every
+    point.  Only the n with mu(n) != 0 are weighted: weight turns a float64
+    array of them into its values in place, in one buffer that every chunk
+    reuses (chunk-sized temporaries of varying length fragment the heap).
+    Each chunk is cut at each point's floor(x), so a point sums the same
+    terms as a stream of its own would.
+    """
+    sums = [_ExactSum() for _ in points]
+    m = [0] * len(points)
+    buffer = np.empty(min(_CHUNK, _BLOCK))
+    for n0, mu in _stream(math.floor(max((x for x, _ in points), default=0)), cache):
+        for i, (x, weight) in enumerate(points):
+            if n0 > x:
+                continue
+            mu_x = mu[: math.floor(x) + 1 - n0]
+            nz = np.flatnonzero(mu_x != 0)  # faster on bool
+            terms = weight(np.add(nz, n0, dtype=np.float64, out=buffer[: len(nz)]))
+            signs = mu_x[nz]
+            terms *= signs
+            sums[i].add(terms)
+            if count:
+                m[i] += int(np.add.reduce(signs, dtype=np.int32))
+    return list(zip(sums, m))
+
+
+def _integral_pieces(x: float, kappa: float, power: int = 1):
     """The integral of M(u)^power u^(-kappa) over [1, x], piece by piece.
 
-    M is constant on [n, n+1), so with P(u) = log u at kappa = 1, else
-    u^(1-kappa)/(1-kappa), [n, min(n+1, x)) holds M(n)^power (P(min(n+1, x))
-    - P(n)).  Yields (n0, m_vals, ends, pieces) per chunk of _stream, with
-    m_vals[i] = M(n0 + i) summed from the chunk (_prefix): ends[i]
-    = P(min(n0 + i, x)) for i <= len(m_vals), so P is taken once per interval
-    end, and pieces[i] is the piece of n = n0 + i; all are new arrays.
+    M is constant on [n, n+1), so with P = _antiderivative, [n, min(n+1, x))
+    holds M(n)^power (P(min(n+1, x)) - P(n)).  Yields (n0, m_vals, ends,
+    pieces) per chunk of _stream, with m_vals[i] = M(n0 + i) summed from the
+    chunk (_prefix): ends[i] = P(min(n0 + i, x)) for i <= len(m_vals), so P
+    is taken once per interval end, and pieces[i] is the piece of n = n0 +
+    i; all are new arrays.  weak_mertens_integral and divim_sign_changes
+    read them, and integral_M where P(x) is near overflow.
     """
     m_prev = 0  # M(n0 - 1)
-    for n0, mu in _stream(math.floor(x), cache):
+    for n0, mu in _stream(math.floor(x), None):
         m_vals, m_prev = _prefix(mu, m_prev)
         ends = np.arange(n0, n0 + len(m_vals) + 1, dtype=np.float64)
         ends[-1] = min(ends[-1], x)  # the chunk's other ends are <= floor(x)
         # in place, so a chunk allocates only ends, pieces and M^2
-        if kappa == 1.0:
-            np.log(ends, out=ends)
-        else:
-            ends **= 1.0 - kappa
-            ends /= 1.0 - kappa
+        _antiderivative(ends, kappa)
         pieces = ends[1:] - ends[:-1]
         pieces *= m_vals if power == 1 else np.square(m_vals, dtype=np.float64)
         yield n0, m_vals, ends, pieces
+
+
+def _piece_sum(x: float, kappa: float, power: int = 1) -> float:
+    """The pieces of _integral_pieces, correctly rounded once over all of them."""
+    sums = _ExactSum()
+    for *_, pieces in _integral_pieces(x, kappa, power):
+        sums.add(pieces)
+    return sums.total()
 
 
 def integral_M(
@@ -896,12 +935,17 @@ def integral_M(
 ) -> float:
     """Piecewise-exact integral of M(u) u^(-kappa) over [1, x].
 
-    At kappa = 0, -1 and -2, a = 1 - kappa is a degree of _mu_power_sums and
-    the integral is sum_{n <= x} mu(n) (x^a - n^a)/a = (x^a S_0 - S_a)/a,
-    taken exactly from the power sums and correctly rounded.  Other kappa
-    stream mu from n = 1 and sum the closed-form pieces of _integral_pieces
-    (the logarithm at kappa = 1), correctly rounded once over all of them
-    (_ExactSum).
+    M is constant on [n, n+1), so with P(u) = log u at kappa = 1, else
+    u^a/a, a = 1 - kappa, the integral is sum_{n <= x} M(n) (P(min(n+1, x))
+    - P(n)), and by parts P(x) M(x) - sum_{n <= x} mu(n) P(n).  At kappa =
+    0, -1 and -2, a is a degree of _mu_power_sums and that is (x^a S_0 -
+    S_a)/a, taken exactly from the power sums and correctly rounded.  Other
+    kappa stream mu from n = 1 (_squarefree_sums): P is taken in doubles at
+    the squarefree n and at x, and the product M(x) P(x) enters the sum
+    exactly, so the value is the sum over those doubles correctly rounded
+    once.  Where 4 x P(x) overflows, the terms of that sum could too; there
+    the pieces, which are differences of P, are summed instead, without the
+    cache (_integral_pieces): nan or an infinity once P overflows.
     """
     x = float(x)
     _check_x(x)
@@ -912,10 +956,16 @@ def integral_M(
         s = _mu_power_sums(math.floor(x), a)
         n, d = x.as_integer_ratio()  # int / int is correctly rounded
         return (n**a * s[0] - d**a * s[a]) / (a * d**a)
-    sums = _ExactSum()
-    for *_, pieces in _integral_pieces(x, kappa, cache):
-        sums.add(pieces)
-    return sums.total()
+    p_x = float(_antiderivative(np.array([x]), kappa)[0])
+    if not math.isfinite(4.0 * x * p_x):
+        return _piece_sum(x, kappa)
+    ((sums, m),) = _squarefree_sums([(x, partial(_antiderivative, kappa=kappa))], cache, True)
+    # M(x) P(x) = h + l exactly, with h its rounding: for P(x) = a/b and
+    # h = c/d, l = (m a d - c b)/(b d) is a double, and int / int rounds to it
+    h = m * p_x
+    (a, b), (c, d) = p_x.as_integer_ratio(), h.as_integer_ratio()
+    sums.add(np.array([-h, (c * b - m * a * d) / (b * d)]))
+    return 0.0 - sums.total()  # +0.0, not -0.0, where the sum vanishes
 
 
 def weak_mertens_integral(x: float) -> float:
@@ -927,10 +977,7 @@ def weak_mertens_integral(x: float) -> float:
     """
     x = float(x)
     _check_x(x)
-    sums = _ExactSum()
-    for *_, pieces in _integral_pieces(x, 2.0, power=2):
-        sums.add(pieces)
-    return sums.total()
+    return _piece_sum(x, 2.0, 2)
 
 
 def divim_sign_changes(x_max: float, kappa: float = 1.5) -> list[float]:

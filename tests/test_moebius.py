@@ -700,6 +700,45 @@ def test_integral_matches_high_precision_pieces(kappa, shared_cache):
     assert integral_M(x, kappa, shared_cache) == pytest.approx(float(want), rel=1e-14)
 
 
+def _exact_piece_sum(x: float, kappa: float) -> Fraction:
+    """The exact sum of M(n) (P(min(n+1, x)) - P(n)) over n <= x, taken over
+    P in doubles as numpy rounds it: log u at kappa = 1, else
+    fl(fl(u^(1-kappa))/(1-kappa))."""
+    n = math.floor(x)
+    m = np.cumsum(moebius._segment_mu(1, n + 1), dtype=np.int64).tolist()
+    ends = np.arange(1, n + 2, dtype=np.float64)
+    ends[-1] = x  # min(n + 1, x) of the last interval
+    p = np.log(ends) if kappa == 1.0 else ends ** (1.0 - kappa) / (1.0 - kappa)
+    mant, e = np.frexp(p)
+    mant = np.ldexp(mant, 53).astype(np.int64).tolist()
+    e = (e - 53).tolist()
+    low = min(e)
+    # every P as an integer multiple of 2^low
+    scaled = [v << (k - low) for v, k in zip(mant, e)]
+    total = sum(mi * (b - a) for mi, a, b in zip(m, scaled, scaled[1:]))
+    return Fraction(total) * Fraction(2) ** low
+
+
+@pytest.mark.parametrize("x", [10.5, 4474.2, 70_000.5, 100_000.0])
+@pytest.mark.parametrize("kappa", [-0.5, 1.0 / 3.0, 0.5, 1.0, 1.2, 1.5, 2.5])
+def test_integral_is_the_correctly_rounded_sum_of_its_pieces(x, kappa):
+    # the definition, summed exactly over the same doubles P(n) and P(x);
+    # 70,000.5 and 100,000 cross chunks, and 100,000 is an integer x, where
+    # the last interval is empty
+    want = float(_exact_piece_sum(x, kappa))
+    assert integral_M(x, kappa, CheckpointCache()).hex() == want.hex()
+
+
+def test_integral_where_p_overflows():
+    # P(n) = n^61/61 overflows past n of about 113,000: the pieces meet
+    # inf - inf, and the value is nan, as summing them has always given
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(integral_M(2e5, -60.0))
+    value = integral_M(1000.5, -60.0)
+    assert math.isfinite(value)
+    assert value.hex() == float(_exact_piece_sum(1000.5, -60.0)).hex()
+
+
 def test_integral_matches_riemann_sum(shared_cache):
     # Midpoint Riemann sum over unit intervals is exact for kappa = 0.
     x, kappa = 500.0, 0.0
