@@ -8,12 +8,15 @@ cached pass, so its zero-table loads miss once and then hit).  Then it calls
 the spectral functions that no CLI command reaches, on the packaged refined
 zero table the CLI reads: ``integral_M_explicit`` and the residues of the
 explicit formula for M_tau, at the points of the ``INTEGRAL_*`` and
-``RESIDUE_*`` lists.  Last come the zero search and the extended refine,
-which no command reaches except through the packaged table: ``find_zeros``
-on the windows of ``FIND_WINDOWS``, and ``refine_zero`` at ``EXTENDED`` from
-the packaged ordinates of ``REFINE_INDICES`` and from each ordinate that
-``find_zeros`` gives on the windows of ``REFINE_WINDOWS``, each record as the
-``float.hex`` of its ordinate and zeta'.
+``RESIDUE_*`` lists; the kernel ratio ``gamma_ratio`` on the packaged column
+at the tau of ``GAMMA_RATIO_TAUS``, as one array call and as scalar calls;
+and ``trivial_zero_data(n).zeta_prime`` for every n.  Last come the zero
+search and the extended refine, which no command reaches except through the
+packaged table: ``find_zeros`` on the windows of ``FIND_WINDOWS``, and
+``refine_zero`` at ``EXTENDED`` from the packaged ordinates of
+``REFINE_INDICES`` and from each ordinate that ``find_zeros`` gives on the
+windows of ``REFINE_WINDOWS``, each record as the ``float.hex`` of its
+ordinate and zeta'.
 
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
 its exit code and stdout followed by its arguments, then ``total``, the
@@ -23,9 +26,10 @@ every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 256 invocations take about 2.3 s and the 120 API
-rows about 2.8 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
-about 2 s, half of it the two extended refines near 49000).
+stderr is not hashed.  The 256 invocations take about 2.3 s and the 135 API
+rows about 3.0 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
+about 2 s, half of it the two extended refines near 49000; the fifteen
+gamma_ratio and trivial_zero_data rows 0.25 s).
 """
 
 import contextlib
@@ -36,7 +40,7 @@ import tempfile
 
 from mrl.cli import main
 from mrl.explicit import RESIDUE_MAX_L, residue_series, residue_term
-from mrl.kernel import EXTENDED
+from mrl.kernel import EXTENDED, TRIVIAL_ZERO_MAX_N, gamma_ratio, trivial_zero_data
 from mrl.zeros import _load_refined_builtin, find_zeros, load_builtin, refine_zero
 from mrl.zerosums import integral_M_explicit
 
@@ -139,6 +143,12 @@ INTEGRAL_LS = (1, 40)
 RESIDUE_TAUS = (0.0, 0.5, 1.5, 2.0, 3.0, 7.25, 12.5)
 RESIDUE_XS = (2.5, 10.5)
 
+# gamma_ratio on the packaged column 1/2 + i gamma, as one array call and as
+# scalar calls, which give the same bits: the product alone (integer tau), the
+# product and the Stirling factor (tau < 11), and the Stirling factor with
+# a = tau - 10 > 1 (tau = 12.5)
+GAMMA_RATIO_TAUS = (1.5, 2.0, 3.0, 7.25, 10.0, 10.5, 12.5)
+
 # find_zeros: hardy_z seeds near t = 1000; Riemann-Siegel seeds near 9800
 # and 49000
 FIND_WINDOWS = ((1000.0, 1003.0), (9800.0, 9803.0), (49000.0, 49001.0))
@@ -174,6 +184,14 @@ def api_rows():
                    lambda x=x, tau=tau: [residue_term(l, x, tau) for l in ls])
             yield (f"residue_series x={x!r} tau={tau!r} L=0..{RESIDUE_MAX_L}",
                    lambda x=x, tau=tau: [residue_series(x, tau, L) for L in range(len(ls) + 1)])
+    rhos = table.gammas * 1j + 0.5
+    for tau in GAMMA_RATIO_TAUS:
+        yield (f"gamma_ratio tau={tau!r} array",
+               lambda tau=tau: gamma_ratio(rhos, tau).tolist())
+        yield (f"gamma_ratio tau={tau!r} scalar",
+               lambda tau=tau: [gamma_ratio(s, tau) for s in rhos.tolist()])
+    yield (f"trivial_zero_data zeta_prime n=1..{TRIVIAL_ZERO_MAX_N}",
+           lambda: [trivial_zero_data(n).zeta_prime for n in range(1, TRIVIAL_ZERO_MAX_N + 1)])
     for a, b in FIND_WINDOWS:
         yield f"find_zeros t={a!r}..{b!r}", lambda a=a, b=b: _records(find_zeros(a, b))
     gammas = load_builtin().gammas
@@ -191,9 +209,12 @@ def _records(records) -> list:
 
 
 def _hexed(value) -> str:
-    """float.hex of every float in value (a float, list or dict), repr of the rest."""
+    """float.hex of every float in value (a float, complex, list or dict), repr
+    of the rest."""
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, complex):
+        return f"({value.real.hex()}, {value.imag.hex()})"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_hexed(v)}" for k, v in value.items()) + "}"
     if isinstance(value, list):

@@ -150,11 +150,11 @@ def s0_residue(tau: float) -> float:
     return -2.0 / math.gamma(1.0 + _check_tau(tau))
 
 
-def _residue_at(l: int, ln_x: float, tau: float) -> float:
+def _residue_at(l: int, x: float, tau: float) -> float:
     """Residue of g(s) at s = -l, read by kernel._residue from four factors:
     x^s and the kernel's data at s = -l of Gamma, 1/zeta and
     1/Gamma(1 + tau + s); the arguments are the caller's to check."""
-    x_pow = (0, math.exp(-l * ln_x), lambda: ln_x)
+    x_pow = (0, math.pow(x, -l), lambda: math.log(x))
     return _residue(x_pow, _gamma_pole(l), _inv_zeta_at(-l), _inv_gamma_at(tau, l))
 
 
@@ -163,8 +163,7 @@ def _residues(x: float, tau: float, L: int) -> list[float]:
     _check_count(L, "L", 0, RESIDUE_MAX_L)
     _check_positive_x(x)
     tau = _check_tau(tau)
-    ln_x = math.log(x)
-    return [_residue_at(l, ln_x, tau) for l in range(1, L + 1)]
+    return [_residue_at(l, x, tau) for l in range(1, L + 1)]
 
 
 def residue_term(l: int, x: float, tau: float) -> float:
@@ -172,7 +171,7 @@ def residue_term(l: int, x: float, tau: float) -> float:
     factors (_residue_at)."""
     _check_count(l, "l", 1, RESIDUE_MAX_L)
     _check_positive_x(x)
-    return _residue_at(l, math.log(x), _check_tau(tau))
+    return _residue_at(l, x, _check_tau(tau))
 
 
 def residue_series(x: float, tau: float, L: int) -> float:

@@ -137,7 +137,8 @@ def test_log_gamma_oracles():
 def test_trivial_zero_data_oracles():
     for n, (zp, ratio) in TRIVIAL_DATA.items():
         data = trivial_zero_data(n)
-        assert data.zeta_prime == pytest.approx(zp, rel=1e-13)
+        # rounded once from the double zeta(2n+1): 1.96 units of 2^-52 at n = 2
+        assert abs(data.zeta_prime - zp) <= 2.5 * 2.0**-52 * abs(zp), n
         assert data.log_ratio == pytest.approx(ratio, rel=1e-12)
         # zeta really does vanish there
         assert abs(zeta(-2.0 * n)) < 1e-15
@@ -369,16 +370,17 @@ def test_gamma_ratio_integer_cases(table):
 
 
 def test_gamma_ratio_matches_mpmath_over_the_table(table):
-    # Every 24th zero and every tau, within 1e-14 relative of 40-digit mpmath.
+    # Every 24th zero and every tau, within 3 units of 2^-52 relative of
+    # 40-digit mpmath (2.77 at tau = 7.25 at worst)
     import mpmath as mp
 
     rhos = table.gammas[::24] * 1j + 0.5
     with mp.workdps(40):
-        for tau in (0.0, 0.5, 1.0, 1.5, 2.5, 3.0):
+        for tau in (0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 7.25, 10.5):
             for rho, got in zip(rhos.tolist(), gamma_ratio(rhos, tau).tolist()):
                 z = mp.mpc(rho.real, rho.imag)
                 want = mp.gamma(z) / mp.gamma(1 + tau + z)
-                assert abs(got - want) <= 1e-14 * abs(want), (rho, tau)
+                assert abs(got - want) <= 3 * 2.0**-52 * abs(want), (rho, tau)
 
 
 def test_gamma_ratio_far_left_of_zero():
@@ -402,7 +404,7 @@ def test_gamma_ratio_far_left_of_zero():
 
 def test_gamma_ratio_array_call_equals_scalar_calls(table):
     points = np.concatenate([table.gammas * 1j + 0.5, np.array(GAMMA_RATIO_POINTS, complex)])
-    for tau in (0.0, 1.5, 3.7):
+    for tau in (0.0, 1.5, 2.0, 3.0, 3.7, 10.0):
         got = gamma_ratio(points, tau)
         assert got.shape == points.shape
         assert got.tolist() == [gamma_ratio(s, tau) for s in points.tolist()], tau
