@@ -10,13 +10,16 @@ zero table the CLI reads: ``integral_M_explicit`` and the residues of the
 explicit formula for M_tau, at the points of the ``INTEGRAL_*`` and
 ``RESIDUE_*`` lists; the kernel ratio ``gamma_ratio`` on the packaged column
 at the tau of ``GAMMA_RATIO_TAUS``, as one array call and as scalar calls;
-and ``trivial_zero_data(n).zeta_prime`` for every n.  Last come the zero
-search and the extended refine, which no command reaches except through the
-packaged table: ``find_zeros`` on the windows of ``FIND_WINDOWS``, and
-``refine_zero`` at ``EXTENDED`` from the packaged ordinates of
-``REFINE_INDICES`` and from each ordinate that ``find_zeros`` gives on the
-windows of ``REFINE_WINDOWS``, each record as the ``float.hex`` of its
-ordinate and zeta'.
+``trivial_zero_data(n).zeta_prime`` for every n; ``log_gamma`` at 1/4 +
+i gamma/2 over the packaged ordinates (Hardy's theta reads it there); and
+``zeta_and_deriv`` left of Re s = -1/2, at the points of ``FAR_LEFT`` and
+of ``FAR_LEFT_HIGH``, each value or the class of the error it raises.  Last
+come the zero search and the extended refine, which no command reaches
+except through the packaged table: ``find_zeros`` on the windows of
+``FIND_WINDOWS``, and ``refine_zero`` at ``EXTENDED`` from the packaged
+ordinates of ``REFINE_INDICES`` and from each ordinate that ``find_zeros``
+gives on the windows of ``REFINE_WINDOWS``, each record as the
+``float.hex`` of its ordinate and zeta'.
 
 Prints one line per invocation, the first 16 hex digits of the SHA-256 of
 its exit code and stdout followed by its arguments, then ``total``, the
@@ -26,10 +29,11 @@ every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
 
-stderr is not hashed.  The 256 invocations take about 2.3 s and the 135 API
+stderr is not hashed.  The 256 invocations take about 2.3 s and the 138 API
 rows about 3.0 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
 about 2 s, half of it the two extended refines near 49000; the fifteen
-gamma_ratio and trivial_zero_data rows 0.25 s).
+gamma_ratio and trivial_zero_data rows 0.25 s; the three log_gamma and
+far-left zeta rows 0.01 s).
 """
 
 import contextlib
@@ -39,8 +43,16 @@ import sys
 import tempfile
 
 from mrl.cli import main
+from mrl.errors import MrlError
 from mrl.explicit import RESIDUE_MAX_L, residue_series, residue_term
-from mrl.kernel import EXTENDED, TRIVIAL_ZERO_MAX_N, gamma_ratio, trivial_zero_data
+from mrl.kernel import (
+    EXTENDED,
+    TRIVIAL_ZERO_MAX_N,
+    gamma_ratio,
+    log_gamma,
+    trivial_zero_data,
+    zeta_and_deriv,
+)
 from mrl.zeros import _load_refined_builtin, find_zeros, load_builtin, refine_zero
 from mrl.zerosums import integral_M_explicit
 
@@ -149,6 +161,15 @@ RESIDUE_XS = (2.5, 10.5)
 # a = tau - 10 > 1 (tau = 12.5)
 GAMMA_RATIO_TAUS = (1.5, 2.0, 3.0, 7.25, 10.0, 10.5, 12.5)
 
+# zeta_and_deriv by the functional equation: real s, a trivial zero, a point
+# near one, and |Im s| up to 400 on both sides of the axis; then heights
+# above 400, where zeta' was refused with PrecisionLoss before it was formed
+# as zeta times the log-derivative of the functional equation
+FAR_LEFT = (-0.75, -9.5, -4.0, complex(-2.0, 1e-9), complex(-1.5, 8.0), complex(-5.5, 10.0),
+            complex(-20.25, -3.0), complex(-40.0, 0.5), complex(-3.0, 399.0),
+            complex(-0.6, -250.0), complex(-12.5, 120.0))
+FAR_LEFT_HIGH = (complex(-3.0, 1000.0), complex(-1.0, 2e4), complex(-0.75, -4.9e4))
+
 # find_zeros: hardy_z seeds near t = 1000; Riemann-Siegel seeds near 9800
 # and 49000
 FIND_WINDOWS = ((1000.0, 1003.0), (9800.0, 9803.0), (49000.0, 49001.0))
@@ -192,6 +213,11 @@ def api_rows():
                lambda tau=tau: [gamma_ratio(s, tau) for s in rhos.tolist()])
     yield (f"trivial_zero_data zeta_prime n=1..{TRIVIAL_ZERO_MAX_N}",
            lambda: [trivial_zero_data(n).zeta_prime for n in range(1, TRIVIAL_ZERO_MAX_N + 1)])
+    yield ("log_gamma 1/4 + i gamma/2",
+           lambda: [log_gamma(complex(0.25, g / 2)) for g in table.gammas.tolist()])
+    for name, points in (("FAR_LEFT", FAR_LEFT), ("FAR_LEFT_HIGH", FAR_LEFT_HIGH)):
+        yield (f"zeta_and_deriv {name}",
+               lambda points=points: [_value_or_error(zeta_and_deriv, s) for s in points])
     for a, b in FIND_WINDOWS:
         yield f"find_zeros t={a!r}..{b!r}", lambda a=a, b=b: _records(find_zeros(a, b))
     gammas = load_builtin().gammas
@@ -201,6 +227,14 @@ def api_rows():
     for a, b in REFINE_WINDOWS:
         for g in find_zeros(a, b).gammas.tolist():
             yield f"refine_zero t={g!r} EXTENDED", lambda g=g: _records([refine_zero(g, EXTENDED)])
+
+
+def _value_or_error(call, *args):
+    """call(*args) as a list, or the name of the MrlError it raises."""
+    try:
+        return list(call(*args))
+    except MrlError as error:
+        return type(error).__name__
 
 
 def _records(records) -> list:

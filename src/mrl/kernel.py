@@ -2,10 +2,10 @@
 
 Provides the analytic building blocks used everywhere else in the package:
 the Riemann zeta function and its derivative (Euler-Maclaurin summation on
-the right half-plane, functional equation on the far left), the
-principal-branch log-gamma function (argument shifting plus the Stirling
-series), the kernel ratio Gamma(s)/Gamma(1+tau+s) on a scalar or a whole
-array of s (a product times a Stirling difference), exact rational Bernoulli
+the right half-plane, the functional equation and its log-derivative on the
+far left), log-gamma and digamma (argument shifting plus one Stirling sum,
+_horner), the kernel ratio Gamma(s)/Gamma(1+tau+s) on a scalar or an array
+of s (a product times a Stirling difference), exact rational Bernoulli
 numbers, closed-form data at the trivial zeros s = -2n, and the Laurent data
 at real points of 1/zeta, Gamma and 1/Gamma(1+tau+s) that _residue reads.
 
@@ -65,12 +65,6 @@ BERNOULLI_MAX_INDEX = 130
 # that the rest of the package consumes.
 IM_MAX = 5.0e4
 
-# |Im s| guard for the derivative on the far left half-plane, where the
-# functional-equation derivative mixes sin/cos factors that overflow doubles
-# near |Im s| ~ 450.  The left-half-plane derivative is only ever needed at
-# small |Im s| (trivial-zero neighborhoods).
-_FE_DERIV_IM_MAX = 400.0
-
 # Largest index accepted by trivial_zero_data; keeps zeta'(-2n) inside the
 # double exponent range.
 TRIVIAL_ZERO_MAX_N = 120
@@ -85,10 +79,12 @@ _TOL = 2.0 ** -59
 # Stirling/digamma arguments are shifted right until |z| clears this.
 _SHIFT_RADIUS = 10.0
 
-# Stirling terms gamma_ratio sums.  For |z| >= _SHIFT_RADIUS, Re z >= 0 and
-# a <= 1 the first term left out, B_20/(20*19) ((z + a)^-19 - z^-19), is at
-# most 2.8e-19 < 2^-61 in D, and so relative in the ratio exp(-D).
-_STIRLING_DIFF_TERMS = 9
+# Terms of the Stirling and digamma series (_horner) that log Gamma, psi and
+# gamma_ratio's difference D sum.  For |z| >= _SHIFT_RADIUS and Re z >= 0 the
+# first term left out, B_20/(20*19) z^-19, B_20/20 z^-20 and B_20/(20*19)
+# ((z + a)^-19 - z^-19) at a <= 1, is at most 1.4e-19, 2.6e-19 and 2.8e-19,
+# each below 2^-61.
+_STIRLING_TERMS = 9
 
 # Shortest array _exact_parts extracts in numpy; below it the Python floats
 # themselves are the faster parts (see CHANGES.md).
@@ -329,8 +325,10 @@ def _log_gamma(z: complex) -> complex:
     while abs(zs) < _SHIFT_RADIUS or zs.real < 0:
         acc = acc + cmath.log(zs)
         zs = zs + 1
-    head = (zs - 0.5) * cmath.log(zs) - zs + _LN2PI / 2
-    return _asymptotic(head, _stirling_coeffs(), 1 / zs, 1 / (zs * zs), "Stirling") - acc
+    # (z - 1/2) log z - z + log(2 pi)/2 with no product larger than the sum
+    head = (zs - 0.5) * (cmath.log(zs) - 1) + (_LN2PI / 2 - 0.5)
+    inv = 1 / zs
+    return head + inv * _horner(inv * inv, _stirling_coeffs()) - acc
 
 
 def _digamma(z: complex) -> complex:
@@ -346,7 +344,7 @@ def _digamma(z: complex) -> complex:
         zs = zs + 1
     inv = 1 / zs
     inv2 = inv * inv
-    return _asymptotic(cmath.log(zs) - inv / 2, _digamma_coeffs(), inv2, inv2, "digamma") - acc
+    return (cmath.log(zs) - acc) + (inv2 * _horner(inv2, _digamma_coeffs()) - inv / 2)
 
 
 def _harmonic(m: int) -> float:
@@ -354,21 +352,14 @@ def _harmonic(m: int) -> float:
     return math.fsum(1.0 / j for j in range(1, m + 1))
 
 
-def _asymptotic(result: complex, coeffs, v: complex, ratio: complex, what: str):
-    """result + sum_k coeffs[k] * v * ratio^k, stopped once a term falls below
-    the double round-off floor of the running value."""
-    prev = math.inf
-    for coeff in coeffs:
-        term = coeff * v
-        result = result + term
-        mag = abs(term)
-        if mag < _TOL * (1 + abs(result)):
-            return result
-        if mag > prev:
-            raise PrecisionLoss(f"{what} series diverged before reaching tolerance")
-        prev = mag
-        v = v * ratio
-    raise PrecisionLoss(f"{what} series exhausted its coefficient budget")
+def _horner(x, coeffs):
+    """sum of coeffs[k] x^k over k < _STIRLING_TERMS by Horner's rule, for a
+    complex or an array x."""
+    top = coeffs[_STIRLING_TERMS - 1 :: -1]
+    acc = top[0]
+    for coeff in top[1:]:
+        acc = acc * x + coeff
+    return acc
 
 
 def _log_sin(z: complex) -> complex:
@@ -546,8 +537,9 @@ def _zeta_fe(s: complex, want_deriv: bool):
     The prefactor chi(s) = 2 (2 pi)^(s-1) Gamma(1-s) sin(pi s / 2) is
     assembled in log space so the value cannot overflow, and the value is
     that one float whether or not the derivative is asked for.  The
-    derivative additionally needs sin/cos directly and is therefore
-    restricted to moderate |Im s| by the caller.
+    derivative is zeta(s) (log 2 pi - psi(w) + (pi/2) cot(pi s / 2) -
+    zeta'(w)/zeta(w)), w = 1 - s, finite at any height; at a trivial zero,
+    where zeta(s) = 0, it is chi(s)/sin(pi s / 2) (pi/2) cos(pi s / 2) zeta(w).
     """
     w = 1 - s
     zw, dzw = _zeta_em(w, True) if want_deriv else (_zeta_em(w, False), 0)
@@ -560,19 +552,12 @@ def _zeta_fe(s: complex, want_deriv: bool):
         value = complex(value.real)
     if not want_deriv:
         return value
-    pref = cmath.exp(log_pref)
     if neg_even:
-        n_half = int(round(s.real)) // (-2)
-        sin_v = 0 * pref
-        cos_v = (-1) ** (n_half % 2) + 0 * pref
-    else:
-        sin_v = cmath.sin(math.pi * s / 2)
-        cos_v = cmath.cos(math.pi * s / 2)
-    psi_w = _digamma(w)
-    deriv = pref * (
-        (_LN2PI - psi_w) * sin_v * zw + (math.pi / 2) * cos_v * zw - sin_v * dzw
-    )
-    return value, deriv
+        cos_v = (-1) ** (int(round(s.real)) // (-2) % 2)
+        return value, cmath.exp(log_pref) * ((math.pi / 2) * cos_v * zw)
+    # cot(pi s / 2) as 1/tan, which stays finite at any height
+    log_deriv = _LN2PI - _digamma(w) + (math.pi / 2) / cmath.tan(math.pi * s / 2) - dzw / zw
+    return value, value * log_deriv
 
 
 def _zeta(s, want_deriv: bool):
@@ -582,11 +567,6 @@ def _zeta(s, want_deriv: bool):
         raise PoleAtOne("zeta has its pole at s = 1")
     if abs(sc.imag) > IM_MAX:
         raise OutOfRange(f"|Im s| = {abs(sc.imag)} exceeds supported maximum {IM_MAX}")
-    if want_deriv and sc.real < -0.5 and abs(sc.imag) > _FE_DERIV_IM_MAX:
-        raise PrecisionLoss(
-            "zeta derivative on Re s < -1/2 is limited to |Im s| <= "
-            f"{_FE_DERIV_IM_MAX}"
-        )
     value = _zeta_em(sc, want_deriv) if sc.real >= -0.5 else _zeta_fe(sc, want_deriv)
     return _require_finite(value, "zeta")
 
@@ -702,12 +682,7 @@ def gamma_ratio(s, tau: float):
             # inverse square; each is at most 1/(12 |z|), so their difference
             # keeps the absolute accuracy D needs.
             inv = 1.0 / np.concatenate((z, w))
-            inv_sq = inv * inv
-            coeffs = _stirling_coeffs()[_STIRLING_DIFF_TERMS - 1 :: -1]
-            acc = coeffs[0]
-            for coeff in coeffs[1:]:
-                acc = acc * inv_sq + coeff
-            sums = acc * inv
+            sums = _horner(inv * inv, _stirling_coeffs()) * inv
             d += sums[len(z) :] - sums[: len(z)]
             ratio = np.exp(-d) * np.hypot(w.real, w.imag) ** -a * scale
             if reflect:  # whole-array products, whose bits do not depend on the length

@@ -80,11 +80,10 @@ SIEVE_MAX = 10**9
 CHECKPOINT_STRIDE = 10**6
 
 # The stream sieves blocks of _BLOCK integers counted from n = 1 (one prime
-# loop per block), and divim_sign_changes restarts its running integral at
-# each block's edge.  Consumers take a block in chunks of min(_CHUNK,
-# _BLOCK) integers, so their float temporaries stay in a core's L2 cache
-# (CHANGES.md has the table).  Both are powers of two, so a block is a run
-# of whole chunks.
+# loop per block).  Consumers take a block in chunks of min(_CHUNK, _BLOCK)
+# integers, so their float temporaries stay in a core's L2 cache (CHANGES.md
+# has the table).  Both are powers of two, so a block is a run of whole
+# chunks.
 _BLOCK = 1 << 20
 _CHUNK = 1 << 14
 
@@ -903,12 +902,12 @@ def _integral_pieces(x: float, kappa: float, power: int = 1):
     """The integral of M(u)^power u^(-kappa) over [1, x], piece by piece.
 
     M is constant on [n, n+1), so with P = _antiderivative, [n, min(n+1, x))
-    holds M(n)^power (P(min(n+1, x)) - P(n)).  Yields (n0, m_vals, ends,
-    pieces) per chunk of _stream, with m_vals[i] = M(n0 + i) summed from the
-    chunk (_prefix): ends[i] = P(min(n0 + i, x)) for i <= len(m_vals), so P
-    is taken once per interval end, and pieces[i] is the piece of n = n0 +
-    i; all are new arrays.  weak_mertens_integral and divim_sign_changes
-    read them, and integral_M where P(x) is near overflow.
+    holds M(n)^power (P(min(n+1, x)) - P(n)).  Yields (m_vals, ends, pieces)
+    per chunk of _stream, whose first n is n0, with m_vals[i] = M(n0 + i)
+    summed from the chunk (_prefix): ends[i] = P(min(n0 + i, x)) for
+    i <= len(m_vals), so P is taken once per interval end, and pieces[i] is
+    the piece of n = n0 + i; all are new arrays.  weak_mertens_integral and
+    divim_sign_changes read them, and integral_M where P(x) is near overflow.
     """
     m_prev = 0  # M(n0 - 1)
     for n0, mu in _stream(math.floor(x), None):
@@ -919,7 +918,7 @@ def _integral_pieces(x: float, kappa: float, power: int = 1):
         _antiderivative(ends, kappa)
         pieces = ends[1:] - ends[:-1]
         pieces *= m_vals if power == 1 else np.square(m_vals, dtype=np.float64)
-        yield n0, m_vals, ends, pieces
+        yield m_vals, ends, pieces
 
 
 def _piece_sum(x: float, kappa: float, power: int = 1) -> float:
@@ -998,17 +997,13 @@ def divim_sign_changes(x_max: float, kappa: float = 1.5) -> list[float]:
     c = 2.0 / zeta(0.5).real if kappa == 1.5 else 0.0
 
     crossings: list[float] = []
-    # I at the end of an interval is I at the left edge of its sieve block
-    # plus the sequential partial sum of the block's pieces, carried across
-    # the block's chunks, so the values do not depend on the chunk size.
-    i_lo, i_end, run, f_prev = 0.0, 0.0, 0.0, 0.0 - c
-    for n0, m_vals, ends, pieces in _integral_pieces(x_max, kappa):
-        if (n0 - 1) % _BLOCK == 0:  # the chunk opens a block
-            i_lo = i_end
-        else:
-            pieces[0] += run
-        runs = np.cumsum(pieces)
-        i_ends = i_lo + runs
+    # I at the end of an interval is the sequential partial sum of every
+    # piece before it, carried across chunks, so the values depend on
+    # neither the chunk nor the block size.
+    i_end, f_prev = 0.0, 0.0 - c
+    for m_vals, ends, pieces in _integral_pieces(x_max, kappa):
+        pieces[0] += i_end
+        i_ends = np.cumsum(pieces)
         f_ends = i_ends - c
         f_starts = np.concatenate(([f_prev], f_ends[:-1]))
         for j in np.flatnonzero((f_starts < 0.0) != (f_ends < 0.0)).tolist():
@@ -1017,7 +1012,7 @@ def divim_sign_changes(x_max: float, kappa: float = 1.5) -> list[float]:
             v = float(ends[j]) + (c - float(f_starts[j] + c)) / float(m_vals[j])
             crossings.append(math.exp(v) if kappa == 1.0
                              else float(((1.0 - kappa) * v) ** (1.0 / (1.0 - kappa))))
-        run, i_end, f_prev = float(runs[-1]), float(i_ends[-1]), float(f_ends[-1])
+        i_end, f_prev = float(i_ends[-1]), float(f_ends[-1])
     return crossings
 
 

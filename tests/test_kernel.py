@@ -22,7 +22,6 @@ from mrl.errors import (
     OutOfRange,
     PoleAtNonpositiveInteger,
     PoleAtOne,
-    PrecisionLoss,
 )
 from mrl.kernel import (
     DOUBLE,
@@ -122,9 +121,10 @@ def test_zeta_and_deriv_matches_separate_calls():
         v, d = zeta_and_deriv(s)
         assert abs(v - zeta(s)) <= 1e-14 * abs(v)
     # On Re s < -1/2 the functional equation forms the value once, in log
-    # space, whether or not the derivative is asked for.
+    # space, whether or not the derivative is asked for, at any height.
     for s in (-0.75, -9.5, complex(-5.5, 10.0), complex(-20.25, 3.0),
-              complex(-3.0, 399.0), -4.0, complex(-40.0, 0.5)):
+              complex(-3.0, 399.0), -4.0, complex(-40.0, 0.5),
+              complex(-3.0, 1000.0), complex(-1.0, 2.0e4), complex(-0.75, -4.9e4)):
         assert zeta_and_deriv(s)[0] == zeta(s), s
 
 
@@ -228,6 +228,39 @@ def test_inv_gamma_laurent_data_matches_mpmath(a):
     assert seen == ({"value", "zero"} if a.is_integer() else {"value", "reflected"})
 
 
+def test_digamma_matches_mpmath_where_inv_gamma_reads_it():
+    # psi(w) at w = 1 + tau - l > 0 and psi(l - tau) where w < 0 is not an
+    # integer: 2.48 units of 2^-52 max(1, |psi|) at worst, at psi(1)
+    import mpmath as mp
+
+    points = set()
+    for tau in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 7.25, 10.5, 12.5):
+        for l in range(1, 101):
+            w = 1.0 + tau - l
+            if w > 0.0:
+                points.add(w)
+            elif not w.is_integer():
+                points.add(l - tau)
+    with mp.workdps(30):
+        for w in sorted(points):
+            assert _close(kernel._digamma(complex(w)).real, mp.digamma(w), 2.5 * 2.0**-52), w
+
+
+def test_log_gamma_matches_mpmath_at_theta_and_left_points(table):
+    # log Gamma(1/4 + i gamma/2), which Hardy's theta reads, and log Gamma(1 - s)
+    # for s left of -1/2, which the functional equation reads: 1.53 units of
+    # 2^-52 relative at worst, at gamma = 837.35
+    import mpmath as mp
+
+    points = [complex(0.25, g / 2) for g in table.gammas.tolist()]
+    points += [1 - complex(a, b) for a in (-0.75, -2.5, -10.25, -33.5)
+               for b in (3.0, -50.0, 120.5, 399.5)]
+    with mp.workdps(30):
+        for z in points:
+            want = mp.loggamma(mp.mpc(z.real, z.imag))
+            assert abs(mp.mpc(log_gamma(z)) - want) <= 1.55 * 2.0**-52 * abs(want), z
+
+
 # The first zero's ordinate, mpmath.zetazero(1) at 40 digits.
 GAMMA_1_40 = "14.13472514173469379045725198356247027078"
 
@@ -247,6 +280,13 @@ def test_extended_precision_beats_double():
         assert abs(extended - want) <= abs(double - want)
 
 
+# (zeta, zeta') at -1 + 2e4 i from mpmath at 30 digits.
+FAR_LEFT_HIGH_30 = (
+    ("-136609.908073370440603235063399", "-118274.51691087799830828257302"),
+    ("1098783.01808005298951358460628", "931745.577879256844004131212426"),
+)
+
+
 def test_pole_and_range_guards():
     with pytest.raises(PoleAtOne):
         zeta(1.0)
@@ -254,8 +294,11 @@ def test_pole_and_range_guards():
         zeta(complex(1.0, 0.0))
     with pytest.raises(OutOfRange):
         zeta(complex(0.5, IM_MAX * 2.0))
-    with pytest.raises(PrecisionLoss):
-        zeta_and_deriv(complex(-1.0, 2.0e4))
+    # far left and high, zeta' is zeta times the functional equation's
+    # log-derivative, with the error zeta has there: both are 9.14e-12 off
+    z, dz = zeta_and_deriv(complex(-1.0, 2.0e4))
+    assert _rel_err_40(z, FAR_LEFT_HIGH_30[0]) <= 1e-11
+    assert _rel_err_40(dz, FAR_LEFT_HIGH_30[1]) <= 1e-11
     with pytest.raises(PoleAtNonpositiveInteger):
         log_gamma(0.0)
     with pytest.raises(PoleAtNonpositiveInteger):
@@ -610,7 +653,8 @@ def test_zeta_left_and_below_against_mpmath(s):
 
 @pytest.mark.parametrize("s", list(LOG_GAMMA_40))
 def test_log_gamma_extended_oracles(s):
-    # worst case 5.5e-16, at -1.5
+    # worst case 9.2e-16, at 3.7 - 2i, where the shift to |z| >= 10 leaves a
+    # sum of size 15 for a value of size 2.6
     assert _rel_err_40(log_gamma(s), LOG_GAMMA_40[s]) <= 1e-15
 
 
