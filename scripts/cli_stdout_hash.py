@@ -21,13 +21,19 @@ ordinates of ``REFINE_INDICES`` and from each ordinate that ``find_zeros``
 gives on the windows of ``REFINE_WINDOWS``, each record as the
 ``float.hex`` of its ordinate and zeta'.
 
-Prints one line per invocation, the first 16 hex digits of the SHA-256 of
-its exit code and stdout followed by its arguments, then ``total``, the
-SHA-256 of those lines.  Then one line per API row, the hash of the
-``float.hex`` of every value it returns, and ``api total``.  Run it on two checkouts and ``diff`` the outputs to name
-every invocation or row whose output moved:
+Prints first the versions of Python, numpy and mpmath it runs with.  Then
+one line per invocation, the first 16 hex digits of the SHA-256 of its exit
+code and stdout followed by its arguments, then ``total``, the SHA-256 of
+those lines.  Then one line per API row, the hash of the ``float.hex`` of
+every value it returns, and ``api total``.  Run it on two checkouts and
+``diff`` the outputs to name every invocation or row whose output moved:
 
     PYTHONPATH=src python3 scripts/cli_stdout_hash.py > after.txt
+
+Its output on the committed tree is ``tests/cli_stdout_manifest.txt``, which
+``tests/test_stdout_manifest.py`` recomputes.  A change that moves any row
+writes the output there instead of to after.txt, so the file's diff names
+the rows that moved.
 
 stderr is not hashed.  The 256 invocations take about 2.3 s and the 138 API
 rows about 3.0 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
@@ -39,8 +45,12 @@ far-left zeta rows 0.01 s).
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 import tempfile
+
+import mpmath
+import numpy as np
 
 from mrl.cli import main
 from mrl.errors import MrlError
@@ -282,7 +292,14 @@ def api_lines():
         yield _hexed(call()), name
 
 
+def versions() -> str:
+    """The first line of the output: what the values may depend on."""
+    return (f"versions python {platform.python_version()} numpy {np.__version__}"
+            f" mpmath {mpmath.__version__}")
+
+
 def main_hash() -> int:
+    print(versions())
     print(f"total {_hash_lines(cli_lines())}")
     print(f"api total {_hash_lines(api_lines())}")
     return 0

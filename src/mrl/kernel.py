@@ -334,9 +334,13 @@ def _log_gamma(z: complex) -> complex:
 def _digamma(z: complex) -> complex:
     """psi(z) off the poles 0, -1, -2, ... by rightward shifting plus the
     asymptotic series.  Its callers pass Re z > 0: _zeta_fe's w = 1 - s with
-    Re w > 3/2, and _inv_gamma_at's real w > 0 (it reflects psi itself)."""
+    Re w > 3/2, and _inv_gamma_at's real w > 0 (it reflects psi itself).
+    At a real integer 1 <= z < _SHIFT_RADIUS it is H_(z-1) - euler_gamma,
+    as _gamma_pole takes it: the shift would leave log 11 - H_10 there."""
     if z.imag < 0:
         return _digamma(z.conjugate()).conjugate()
+    if z.imag == 0 and z.real.is_integer() and 1 <= z.real < _SHIFT_RADIUS:
+        return complex(_harmonic(int(z.real) - 1) - _EULER_GAMMA)
     zs = z
     acc = 0
     while abs(zs) < _SHIFT_RADIUS or zs.real < 0:
@@ -543,20 +547,24 @@ def _zeta_fe(s: complex, want_deriv: bool):
     """
     w = 1 - s
     zw, dzw = _zeta_em(w, True) if want_deriv else (_zeta_em(w, False), 0)
+    # s = 2k + r, |Re r| <= 1, exactly, so sin(pi s / 2) = (-1)^k sin(pi r / 2)
+    # and cot(pi s / 2) = cot(pi r / 2) lose nothing to the rounding of pi s
+    k = round(s.real / 2)
+    r = s - 2 * k
+    sign = 1 - 2 * (k % 2)
     # sin(pi s / 2) vanishes identically at the trivial zeros; keep the exact
     # zero instead of the rounded sin() value so they come out exact.
-    neg_even = _is_nonpositive_integer(s) and int(round(s.real)) % 2 == 0
+    neg_even = r == 0
     log_pref = _LN2 + (s - 1) * _LN2PI + _log_gamma(w)
-    value = 0 * zw if neg_even else cmath.exp(log_pref + _log_sin(math.pi * s / 2)) * zw
+    value = 0 * zw if neg_even else sign * cmath.exp(log_pref + _log_sin(math.pi * r / 2)) * zw
     if s.imag == 0:  # real s: drop the residue of exp(i pi) with pi rounded
         value = complex(value.real)
     if not want_deriv:
         return value
-    if neg_even:
-        cos_v = (-1) ** (int(round(s.real)) // (-2) % 2)
-        return value, cmath.exp(log_pref) * ((math.pi / 2) * cos_v * zw)
+    if neg_even:  # cos(pi s / 2) = (-1)^k
+        return value, cmath.exp(log_pref) * ((math.pi / 2) * sign * zw)
     # cot(pi s / 2) as 1/tan, which stays finite at any height
-    log_deriv = _LN2PI - _digamma(w) + (math.pi / 2) / cmath.tan(math.pi * s / 2) - dzw / zw
+    log_deriv = _LN2PI - _digamma(w) + (math.pi / 2) / cmath.tan(math.pi * r / 2) - dzw / zw
     return value, value * log_deriv
 
 
@@ -726,18 +734,26 @@ def trivial_zero_data(n: int) -> TrivialZeroData:
 
 def _residue(*factors) -> float:
     """Residue at s0 of a product of factors, each given by its Laurent data
-    (k, c, r) at s0: c (s - s0)^(-k) (1 + r() (s - s0) + ...).  The pole's
-    order is the sum of the k.  Below order 1 the residue is 0, at order 1 it
-    is prod c, and at order 2, the highest the explicit formulas meet, it is
-    prod c * sum r().  So r, a function of no arguments, is called only at a
-    double pole; a factor that never meets one may give None."""
-    order = sum([k for k, _, _ in factors])
+    (k, c, r) at s0, c real: c (s - s0)^(-k) (1 + r() (s - s0) + ...).  The
+    pole's order is the sum of the k.  Below order 1 the residue is 0, at
+    order 1 it is prod c, and at order 2, the highest the explicit formulas
+    meet, it is prod c * sum r().  So r, a function of no arguments, is
+    called only at a double pole; a factor that never meets one may give
+    None.  Each c is split as m 2^e, 1/2 <= |m| < 1 (math.frexp), and the m
+    are multiplied while the e are summed apart, so no partial product
+    leaves the normal range; where none would have, the value is the plain
+    product's, bit for bit."""
+    order, value, exponent = 0, 1.0, 0
+    for k, c, _ in factors:
+        m, e = math.frexp(c)
+        order += k
+        value *= m
+        exponent += e
     if order < 1:
         return 0.0
-    value = math.prod([c for _, c, _ in factors])
-    if order == 1:
-        return value
-    return value * math.fsum([r() for _, _, r in factors])
+    if order > 1:
+        value *= math.fsum([r() for _, _, r in factors])
+    return math.ldexp(value, exponent)
 
 
 @lru_cache(maxsize=512)

@@ -22,15 +22,15 @@ n (_squarefree_sums), which also sums mu per chunk for M(x).  The integral
 of (M(u)/u)^2 and the sign-change scan read M(n) at every n, summed per
 chunk (_prefix), in closed-form unit-interval pieces (_integral_pieces);
 density_S forms M(n) only in the chunks that it cannot skip.
-sieve_segment, mertens, riesz_mean_direct, integral_M, density_S and
-tau_regime_scan take an optional CheckpointCache, in which the stream
-records (x, M(x)) at the cache's stride; no M value is kept between calls
-otherwise.
+sieve_segment and mertens take an optional CheckpointCache, which keeps
+the M(x) that mertens computed.  riesz_mean_direct, integral_M, density_S
+and tau_regime_scan accept one and record nothing in it: the benchmark
+passes it, and ROADMAP item 1 deletes the parameter with those calls.
 
 Everything here is integer-exact where the mathematics is (mu, M) and
 rounding-exact where only the final weighting is real-valued.  A streamed sum
 is correctly rounded once over all its terms (_ExactSum), so it depends on
-its terms alone, not on the block or chunk size, the cache or earlier calls;
+its terms alone, not on the block or chunk size or earlier calls;
 the density instead subtracts its few short intervals from a closed form
 (density_S).  Integrands are constant (or polynomial) on unit intervals, so
 integrals are evaluated in closed form per interval, never by approximate
@@ -76,7 +76,8 @@ __all__ = [
 # bound from which _RESIDUES takes how many moduli each exact S_j needs.
 SIEVE_MAX = 10**9
 
-# Default spacing between persisted Mertens checkpoints.
+# Nothing here reads it: the benchmark lays out its M(x) lookups in blocks
+# of this length.
 CHECKPOINT_STRIDE = 10**6
 
 # The stream sieves blocks of _BLOCK integers counted from n = 1 (one prime
@@ -482,7 +483,7 @@ def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndar
     """For each (x, k) of points, one array per row (p, j) of
     _residue_rows(k): S_j(v) mod p at the v of _sum_ends(x, limit).
 
-    The chunks of _stream(limit, None) cover [1, limit], the sieve; each
+    The chunks of _stream(limit) cover [1, limit], the sieve; each
     chunk forms its terms mu(n) n^j once per j, and sums them at once for
     all points: at the ends of every point that fall in it (np.add.reduceat,
     then a running sum over those segments), plus the carry, S_j at the
@@ -514,7 +515,7 @@ def _sieved_sums(points: list[tuple[int, int]], limit: int) -> list[list[np.ndar
     # the segments of a chunk start at 0 and after each end in it
     starts = np.zeros(min(chunk, len(every)) + 1, dtype=np.intp)
     first = 0  # the ends below the chunk
-    for a, mu in _stream(limit, None):
+    for a, mu in _stream(limit):
         size = len(mu)
         last = first + int(np.searchsorted(every[first:], a + size))
         np.subtract(every[first:last], a - 1, out=starts[1 : last - first + 1])
@@ -617,13 +618,13 @@ def _identity_sums(
 
 
 # ---------------------------------------------------------------------------
-# Checkpointed streaming
+# Mertens checkpoints and the mu stream
 # ---------------------------------------------------------------------------
 
 
 class CheckpointCache:
-    """Known values (x, M(x)): those mertens computed and those a stream
-    passed at a fixed stride, in a cache the caller passes and keeps.
+    """The values (x, M(x)) that mertens computed, in a cache the caller
+    passes and keeps.
 
     One dict x -> M(x) keeps the first value recorded; mertens never records
     M(1) = 1.  checkpoints() and anchor() (read by the benchmark's resume
@@ -633,10 +634,7 @@ class CheckpointCache:
     ascending x; an older MRTC0001 file fails to load with ParseError.
     """
 
-    def __init__(self, stride: int = CHECKPOINT_STRIDE) -> None:
-        if stride < 2:
-            raise OutOfRange(f"stride must be >= 2, got {stride}")
-        self.stride = int(stride)
+    def __init__(self) -> None:
         self._m: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -658,7 +656,7 @@ class CheckpointCache:
         _write_atomic(path, itertools.chain([_CHECKPOINT_MAGIC], records))
 
     @classmethod
-    def load(cls, path, stride: int = CHECKPOINT_STRIDE) -> "CheckpointCache":
+    def load(cls, path) -> "CheckpointCache":
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
@@ -666,7 +664,7 @@ class CheckpointCache:
         body = blob[len(_CHECKPOINT_MAGIC) :]
         if len(body) % _CHECKPOINT_RECORD.size != 0:
             raise ParseError(f"{path}: truncated checkpoint record")
-        cache = cls(stride=stride)
+        cache = cls()
         prev = 0
         for x, m in _CHECKPOINT_RECORD.iter_unpack(body):
             if x <= prev:
@@ -692,36 +690,26 @@ def _write_atomic(path, chunks) -> None:
             os.unlink(tmp)
 
 
-def _stream(x_floor: int, cache: CheckpointCache | None):
+def _stream(x_floor: int):
     """Stream mu for n in [1, x_floor]: the one walk over sieve blocks from
     n = 1, read by the streamed operations and by the power sums' sieve.
 
     Yields (n0, mu) for every chunk of consecutive integers n in
     [n0, n0 + len(mu)).  mu is sieved in blocks of _BLOCK integers counted
     from n = 1 and handed out in chunks (views) of min(_CHUNK, _BLOCK)
-    integers, so each block is a run of whole chunks.  A consumer that
-    reads M sums it itself (_prefix).  With a cache, the stream carries M by
-    chunk sums and records the values at multiples of the cache's stride on
-    the way, and mertens serves those x from it; without one, it sums
-    nothing.
+    integers, so each block is a run of whole chunks.  The stream sums
+    nothing: a consumer that reads M sums it itself (_prefix).
 
     Every block is sieved into one buffer that the stream owns, so mu is a
     view that the next block overwrites: a consumer reads each chunk only
     within its own iteration, and keeps nothing of it but what it copies.
     """
-    m_prev = 0  # M(n0 - 1), carried only for the cache
     chunk = min(_CHUNK, _BLOCK)
     buffer = np.empty(min(_BLOCK, x_floor), dtype=np.int8)
     for n_next in range(1, x_floor + 1, _BLOCK):
         mu_block = _segment_mu(n_next, min(n_next + _BLOCK, x_floor + 1), buffer)
         for n0 in range(n_next, n_next + len(mu_block), chunk):
-            mu = mu_block[n0 - n_next : n0 - n_next + chunk]
-            if cache is not None:
-                stride = cache.stride
-                for cp in range(-(-n0 // stride) * stride, n0 + len(mu), stride):
-                    cache.record(cp, m_prev + int(mu[: cp - n0 + 1].sum()))
-                m_prev += int(mu.sum())
-            yield n0, mu
+            yield n0, mu_block[n0 - n_next : n0 - n_next + chunk]
 
 
 def _prefix(mu: np.ndarray, m_prev: int):
@@ -740,7 +728,7 @@ class _ExactSum:
     list is compressed to its own exact parts when it reaches
     _EXACT_PARTS_MIN, so it stays below twice that length.  Parts merge in
     any order, so the value depends only on the terms: not on _BLOCK,
-    _CHUNK, the cache or earlier calls.
+    _CHUNK or earlier calls.
     """
 
     def __init__(self) -> None:
@@ -808,13 +796,11 @@ def riesz_mean_direct(query: RieszQuery, cache: CheckpointCache | None = None) -
     Other tau stream mu from n = 1, and the sum is correctly rounded once
     over all its terms (_ExactSum).
     """
-    (value,) = _riesz_means([(float(query.x), float(query.tau))], cache)
+    (value,) = _riesz_means([(float(query.x), float(query.tau))])
     return value
 
 
-def _riesz_means(
-    points: list[tuple[float, float]], cache: CheckpointCache | None = None
-) -> list[float]:
+def _riesz_means(points: list[tuple[float, float]]) -> list[float]:
     """M_tau(x) for each (x, tau) in points.
 
     Points with integer tau = k <= 3 take S_0, ..., S_k from
@@ -840,7 +826,7 @@ def _riesz_means(
 
     weighted = [(x, partial(_riesz_weight, x, tau, math.lgamma(1.0 + tau)))
                 for x, tau in points if tau not in _EXACT_DEGREES]
-    totals = iter([s.total() for s, _ in _squarefree_sums(weighted, cache)])
+    totals = iter([s.total() for s, _ in _squarefree_sums(weighted)])
     return [exact_mean(x, int(tau)) if tau in _EXACT_DEGREES else next(totals)
             for x, tau in points]
 
@@ -866,9 +852,7 @@ def _antiderivative(u: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def _squarefree_sums(
-    points: list[tuple[float, Callable[[np.ndarray], np.ndarray]]],
-    cache: CheckpointCache | None,
-    count: bool = False,
+    points: list[tuple[float, Callable[[np.ndarray], np.ndarray]]], count: bool = False
 ) -> list[tuple[_ExactSum, int]]:
     """For each (x, weight) of points, the sum of mu(n) weight(n) over n <= x,
     as an _ExactSum, and with count M(floor(x)), else 0.
@@ -883,7 +867,7 @@ def _squarefree_sums(
     sums = [_ExactSum() for _ in points]
     m = [0] * len(points)
     buffer = np.empty(min(_CHUNK, _BLOCK))
-    for n0, mu in _stream(math.floor(max((x for x, _ in points), default=0)), cache):
+    for n0, mu in _stream(math.floor(max((x for x, _ in points), default=0))):
         for i, (x, weight) in enumerate(points):
             if n0 > x:
                 continue
@@ -910,7 +894,7 @@ def _integral_pieces(x: float, kappa: float, power: int = 1):
     divim_sign_changes read them, and integral_M where P(x) is near overflow.
     """
     m_prev = 0  # M(n0 - 1)
-    for n0, mu in _stream(math.floor(x), None):
+    for n0, mu in _stream(math.floor(x)):
         m_vals, m_prev = _prefix(mu, m_prev)
         ends = np.arange(n0, n0 + len(m_vals) + 1, dtype=np.float64)
         ends[-1] = min(ends[-1], x)  # the chunk's other ends are <= floor(x)
@@ -943,8 +927,8 @@ def integral_M(
     the squarefree n and at x, and the product M(x) P(x) enters the sum
     exactly, so the value is the sum over those doubles correctly rounded
     once.  Where 4 x P(x) overflows, the terms of that sum could too; there
-    the pieces, which are differences of P, are summed instead, without the
-    cache (_integral_pieces): nan or an infinity once P overflows.
+    the pieces, which are differences of P, are summed instead
+    (_integral_pieces): nan or an infinity once P overflows.
     """
     x = float(x)
     _check_x(x)
@@ -958,7 +942,7 @@ def integral_M(
     p_x = float(_antiderivative(np.array([x]), kappa)[0])
     if not math.isfinite(4.0 * x * p_x):
         return _piece_sum(x, kappa)
-    ((sums, m),) = _squarefree_sums([(x, partial(_antiderivative, kappa=kappa))], cache, True)
+    ((sums, m),) = _squarefree_sums([(x, partial(_antiderivative, kappa=kappa))], True)
     # M(x) P(x) = h + l exactly, with h its rounding: for P(x) = a/b and
     # h = c/d, l = (m a d - c b)/(b d) is a double, and int / int rounds to it
     h = m * p_x
@@ -1044,7 +1028,7 @@ def density_S(X: float, cache: CheckpointCache | None = None) -> float:
     _check_x(X, 4.0, "X")
     lost = []
     m_prev = 0  # M(n0 - 1)
-    for n0, mu in _stream(int(math.floor(X)), cache):
+    for n0, mu in _stream(int(math.floor(X))):
         if len(mu) % _DENSITY_RUN == 0:
             runs = np.add.reduce(mu.reshape(-1, _DENSITY_RUN), axis=1, dtype=np.int16)
             ends = np.cumsum(runs, dtype=np.int64)
@@ -1130,7 +1114,7 @@ def tau_regime_scan(
             )
             continue
         defined.append(row)
-    for row, (x, tau), m_tau in zip(defined, points, _riesz_means(points, cache)):
+    for row, (x, tau), m_tau in zip(defined, points, _riesz_means(points)):
         sqrt_x = math.sqrt(x)
         row.update(
             {

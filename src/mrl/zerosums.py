@@ -231,10 +231,10 @@ def _require_identity_regular(sc: complex, table: ZeroTable) -> None:
 
 def _trivial_term(l: int, sc: complex) -> complex:
     """1/(zeta'(-2l) 2l (2l-1) (2l + s)), the identity's l-th trivial-zero
-    term: the residue of 1/zeta at s = -2l (kernel._inv_zeta_at, l <= 120)
-    times a value, read by kernel._residue."""
+    term: the residue of 1/zeta at s = -2l (kernel._inv_zeta_at, l <= 120,
+    read by kernel._residue) times the complex value at s = -2l of the rest."""
     w = 2 * l
-    return _residue(_inv_zeta_at(-w), (0, 1.0 / (w * (w - 1) * (w + sc)), None))
+    return _residue(_inv_zeta_at(-w)) * (1.0 / (w * (w - 1) * (w + sc)))
 
 
 def _reciprocal_zeta(sc: complex, table: ZeroTable, T: float, L: int):

@@ -413,7 +413,7 @@ def test_explicit_without_compare_leaves_checkpoints_untouched(tmp_path):
 
 
 # Only `mrl mertens` opens the checkpoint file.  These commands, some of
-# them streaming mu past the 10^6 stride, leave it as it was.
+# them streaming mu past n = 2 * 10^6, leave it as it was.
 @pytest.mark.parametrize(
     "argv",
     [

@@ -63,6 +63,30 @@ def test_residue_terms_match_contour_oracle():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-22), (l, x, tau)
 
 
+# The same oracle at x = 10.5, tau = 7.25 and l = 94..100, where x^-l / l!
+# alone lies below the normal range: 96 nodes on |s + l| = 1/3 at 45 digits,
+# kept to 25 digits (64 nodes agree to 2e-27).
+DEEP_CONTOUR_RESIDUES = {
+    94: "-2.733691384370863378259132e-183",
+    95: "2.977580415979763790866607e-186",
+    96: "8.979439406815729266269758e-188",
+    97: "-9.575780671257672937267407e-191",
+    98: "-2.840592682937587888311602e-192",
+    99: "2.966974946910951570899742e-195",
+    100: "8.660127994133535964978778e-197",
+}
+
+
+def test_residue_terms_below_the_normal_range_match_contour_oracle():
+    # the Laurent coefficients are multiplied as mantissas, their exponents
+    # summed apart: 1.72 units of 2^-52 relative at worst, at l = 98
+    with mp.workdps(30):
+        for l, want in DEEP_CONTOUR_RESIDUES.items():
+            want = mp.mpf(want)
+            got = residue_term(l, 10.5, 7.25)
+            assert abs(got - want) <= 1.75 * 2.0**-52 * abs(want), l
+
+
 def test_residue_term_degenerate_integer_tau_zeros():
     # Odd l with integer tau < l: the denominator Gamma kills the residue.
     assert residue_term(1, 10.5, 0.0) == 0.0

@@ -230,7 +230,9 @@ def test_inv_gamma_laurent_data_matches_mpmath(a):
 
 def test_digamma_matches_mpmath_where_inv_gamma_reads_it():
     # psi(w) at w = 1 + tau - l > 0 and psi(l - tau) where w < 0 is not an
-    # integer: 2.48 units of 2^-52 max(1, |psi|) at worst, at psi(1)
+    # integer: 2.46 units of 2^-52 max(1, |psi|) at worst, at psi(2.75).  At
+    # the integers below 10, H_(m-1) - euler_gamma: 0.76 units of 2^-52 |psi|
+    # at worst, at psi(5)
     import mpmath as mp
 
     points = set()
@@ -243,7 +245,11 @@ def test_digamma_matches_mpmath_where_inv_gamma_reads_it():
                 points.add(l - tau)
     with mp.workdps(30):
         for w in sorted(points):
-            assert _close(kernel._digamma(complex(w)).real, mp.digamma(w), 2.5 * 2.0**-52), w
+            got, want = kernel._digamma(complex(w)).real, mp.digamma(w)
+            assert abs(got - want) <= 2.47 * 2.0**-52 * max(abs(want), 1), w
+        for m in range(1, 10):
+            got, want = kernel._digamma(complex(m)).real, mp.digamma(m)
+            assert abs(got - want) <= 0.8 * 2.0**-52 * abs(want), m
 
 
 def test_log_gamma_matches_mpmath_at_theta_and_left_points(table):
@@ -602,6 +608,45 @@ def test_zeta_and_deriv_extended_oracles(s):
     want_z, want_dz = ZETA_AND_DERIV_40[s]
     assert _rel_err_40(z, want_z) <= 1e-13
     assert _rel_err_40(dz, want_dz) <= 1e-13
+
+
+# (zeta, zeta') near trivial zeros, at the double s, from mpmath at 45 digits.
+NEAR_TRIVIAL_ZERO_40 = {
+    complex(-2.0, 1e-9): (
+        ("3.288175809371260188672977255435210943175e-20",
+         "-3.044845705839327266276115347185242775532e-11"),
+        ("-0.03044845705839327073864531038143840779764",
+         "-6.576351618742519966940147997129190073908e-11"),
+    ),
+    -3.9999999: (
+        ("7.98381172407326054604149705014218556654e-10", "0"),
+        ("0.007983812024010154072207797921756521050343", "0"),
+    ),
+    -2.0000001: (
+        ("3.044845372038630933950493722000469228072e-9", "0"),
+        ("-0.03044845048204207886263322041834727481682", "0"),
+    ),
+    -10.0000001: (
+        ("1.892992719520401792541369954035526845777e-9", "0"),
+        ("-0.01892992828235978518580632434047208196649", "0"),
+    ),
+    -39.999999999999: (
+        ("4833.143107431739264538823628700563101854", "0"),
+        ("4824144835464810.625788709587440102701419", "0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("s", list(NEAR_TRIVIAL_ZERO_40))
+def test_zeta_and_deriv_near_trivial_zeros(s):
+    # sin(pi s / 2) is taken at s less an even integer, exactly, so zeta
+    # keeps its relative accuracy beside the zero: 6.5e-15 at worst, for
+    # zeta and zeta' at -10.0000001 (zeta read 7.8e-8 at -2 + 1e-9 i and
+    # 6.2e-4 at -39.999999999999 while pi s / 2 was rounded first)
+    z, dz = zeta_and_deriv(s)
+    want_z, want_dz = NEAR_TRIVIAL_ZERO_40[s]
+    assert _rel_err_40(z, want_z) <= 7e-15
+    assert _rel_err_40(dz, want_dz) <= 7e-15
 
 
 # (zeta, zeta') at 1/2 + i t from mpmath at 30 digits.

@@ -253,7 +253,8 @@ def test_mertens_fresh_vs_checkpointed(cache, shared_cache):
 
 
 def test_checkpoint_roundtrip(tmp_path, cache):
-    integral_M(2_000_001.0, 0.5, cache)  # a stream across two checkpoint strides
+    for x in (1_000_000, 2_000_000):
+        mertens(x, cache)
     assert len(cache.checkpoints()) == 2
     path = tmp_path / "m.chk"
     cache.save(path)
@@ -329,8 +330,6 @@ def test_checkpoint_file_bytes_survive_load_and_save(tmp_path):
 
 
 def test_checkpoint_cache_contract():
-    with pytest.raises(OutOfRange):
-        CheckpointCache(stride=1)
     cache = CheckpointCache()
     cache.record(10, -1)
     cache.record(10, 5)  # the first recorded value wins
@@ -348,6 +347,23 @@ def test_checkpoint_cache_contract():
     empty = CheckpointCache()
     assert mertens(1, empty) == 1
     assert empty.checkpoints() == []
+
+
+def test_streamed_ops_record_nothing_in_a_cache():
+    # the streams cross two multiples of 10^6 and one sieve-block edge; a
+    # cache they are passed stays empty, and every value is the one without it
+    x = 2_000_001.5
+    runs = [
+        lambda c=None: [riesz_mean_direct(RieszQuery(x, 1.5), c)],
+        lambda c=None: [integral_M(x, 0.5, c)],
+        lambda c=None: [density_S(x, cache=c)],
+        lambda c=None: [row["m_tau"] for row in tau_regime_scan(
+            [x, 1_000_000.5], TauSchedule("constant", 0.5), c)],
+    ]
+    cache = CheckpointCache()
+    for run in runs:
+        assert [v.hex() for v in run(cache)] == [v.hex() for v in run()]
+    assert cache.checkpoints() == []
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +556,7 @@ def test_streamed_mertens_at_1e8_is_published():
     exact = [0] * 4
     powers = None
     m = 0
-    for n0, mu in moebius._stream(10**8, None):
+    for n0, mu in moebius._stream(10**8):
         _, m = moebius._prefix(mu, m)
         if powers is None:
             powers = [np.arange(len(mu), dtype=np.int64) ** k for k in range(4)]
@@ -829,7 +845,7 @@ def test_density_counts_every_short_interval(monkeypatch):
     assert set(mu.tolist()) == {-1, 0, 1}
     X = len(m) + 0.5
 
-    def stream(x_floor, cache):
+    def stream(x_floor):
         for n0 in range(1, x_floor + 1, chunk):
             yield n0, mu[n0 - 1 : n0 - 1 + chunk]
 
@@ -897,8 +913,8 @@ def test_exact_sum_full_block():
 
 
 def _streamed_quantities() -> list:
-    """Every consumer of the mu stream, each on its own small-stride cache,
-    with the checkpoints that cache recorded."""
+    """Every consumer of the mu stream, each passed a fresh cache where it
+    takes one."""
     runs = [
         lambda c: riesz_mean_direct(RieszQuery(x=30_000.5, tau=1.5), c),
         lambda c: integral_M(30_000.5, 0.5, c),
@@ -906,11 +922,7 @@ def _streamed_quantities() -> list:
         lambda c: weak_mertens_integral(30_000.5),
         lambda c: divim_sign_changes(70_000.5),
     ]
-    out = []
-    for run in runs:
-        cache = CheckpointCache(stride=1000)
-        out.append((run(cache), cache.checkpoints()))
-    return out
+    return [run(CheckpointCache()) for run in runs]
 
 
 def test_stream_block_size_invariance(monkeypatch, sieved_lengths):
@@ -922,15 +934,14 @@ def test_stream_block_size_invariance(monkeypatch, sieved_lengths):
     assert max(sieved_lengths) == 2**10  # the stream reads _BLOCK when called
     # the sums are correctly rounded over all their terms, and divim's
     # running integral is one sequential sum over every piece, so none moves
-    for (value, cps), (value_small, cps_small) in zip(default, small):
+    for value, value_small in zip(default, small):
         assert value_small == value
-        assert cps_small == cps
-    assert len(default[-1][0]) == 2  # D crosses zero at 64099.4 and 66737.9
+    assert len(default[-1]) == 2  # D crosses zero at 64099.4 and 66737.9
 
 
 def _chunked_quantities(x: float) -> list:
-    """Every consumer of the mu stream, as float.hex, each on its own
-    small-stride cache, with the checkpoints that cache recorded."""
+    """Every consumer of the mu stream, as float.hex, each passed a fresh
+    cache where it takes one."""
     runs = [
         lambda c: [riesz_mean_direct(RieszQuery(x=x, tau=1.5), c)],
         lambda c: [row["m_tau"] for row in tau_regime_scan(
@@ -941,15 +952,11 @@ def _chunked_quantities(x: float) -> list:
         lambda c: [weak_mertens_integral(x)],
         lambda c: divim_sign_changes(x),
     ]
-    out = []
-    for run in runs:
-        cache = CheckpointCache(stride=1000)
-        out.append(([v.hex() for v in run(cache)], cache.checkpoints()))
-    return out
+    return [[v.hex() for v in run(CheckpointCache())] for run in runs]
 
 
 def _chunk_lengths(x: float) -> set[int]:
-    return {len(mu) for _, mu in moebius._stream(int(x), CheckpointCache())}
+    return {len(mu) for _, mu in moebius._stream(int(x))}
 
 
 @pytest.mark.parametrize("block, x", [(2**20, 1_050_000.5), (2**14, 70_000.5)])
@@ -962,24 +969,7 @@ def test_stream_chunk_size_leaves_values_bit_identical(monkeypatch, block, x):
     monkeypatch.setattr(moebius, "_CHUNK", 2**10)
     assert max(_chunk_lengths(x)) == 2**10
     assert _chunked_quantities(x) == default
-    assert len(default[-1][0]) >= 2  # D crosses zero at 64099.4 and 66737.9
-
-
-def test_stream_checkpoints_are_mertens(monkeypatch):
-    # every (x, M) a consumer's stream records equals M(x) from a fresh
-    # mertens, with no cache: each consumer that takes a cache records 30 at
-    # stride 1000; then, with blocks of 2^14, runs to 70,000.5 record across
-    # four sieve-block edges
-    def recorded(quantities):
-        return [(cp.x, cp.M) for _, cps in quantities for cp in cps]
-
-    default = recorded(_streamed_quantities())
-    assert len(default) == 3 * 30
-    monkeypatch.setattr(moebius, "_BLOCK", 2**14)
-    crossing = recorded(_chunked_quantities(70_000.5))
-    assert len(crossing) == 5 * 70
-    for x, m in default + crossing:
-        assert m == mertens(x), x
+    assert len(default[-1]) >= 2  # D crosses zero at 64099.4 and 66737.9
 
 
 @pytest.mark.parametrize("chunk", [2**14, 2**10])
@@ -1052,7 +1042,7 @@ def test_tau_regime_scan_rows(shared_cache):
 def test_tau_regime_scan_matches_riesz_per_point(schedule):
     # unsorted; x = 1 is undefined for inv-log; the last x lies past the first block
     xs = [150_000.0, 1.0, 57.5, 3000.0, 2500.25, 1_048_577.5]
-    rows = tau_regime_scan(xs, schedule, CheckpointCache(stride=997))
+    rows = tau_regime_scan(xs, schedule, CheckpointCache())
     assert [r["x"] for r in rows] == xs
     for r in rows:
         if r["status"] == "undefined":
