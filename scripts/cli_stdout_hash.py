@@ -4,7 +4,8 @@
 Runs ``mrl.cli.main`` in-process on every argument list of ``COMMANDS`` and
 ``TABLELESS`` (their comments say what each one covers), each in csv and
 json, first without and then with a temporary ``--cache-dir`` (shared by the
-cached pass, so its zero-table loads miss once and then hit).  Then it calls
+cached pass, so its M(x) lookups miss once and then hit; ``builtin`` is read
+from the package, never from the cache dir).  Then it calls
 the spectral functions that no CLI command reaches, on the packaged refined
 zero table the CLI reads: ``integral_M_explicit`` and the residues of the
 explicit formula for M_tau, at the points of the ``INTEGRAL_*`` and
@@ -12,14 +13,14 @@ explicit formula for M_tau, at the points of the ``INTEGRAL_*`` and
 at the tau of ``GAMMA_RATIO_TAUS``, as one array call and as scalar calls;
 ``trivial_zero_data(n).zeta_prime`` for every n; ``log_gamma`` at 1/4 +
 i gamma/2 over the packaged ordinates (Hardy's theta reads it there); and
-``zeta_and_deriv`` left of Re s = -1/2, at the points of ``FAR_LEFT`` and
-of ``FAR_LEFT_HIGH``, each value or the class of the error it raises.  Last
-come the zero search and the extended refine, which no command reaches
-except through the packaged table: ``find_zeros`` on the windows of
-``FIND_WINDOWS``, and ``refine_zero`` at ``EXTENDED`` from the packaged
-ordinates of ``REFINE_INDICES`` and from each ordinate that ``find_zeros``
-gives on the windows of ``REFINE_WINDOWS``, each record as the
-``float.hex`` of its ordinate and zeta'.
+``zeta_and_deriv`` left of Re s = -1/2, at the points of ``FAR_LEFT``,
+``FAR_LEFT_HIGH`` and ``FAR_LEFT_OVERFLOW``, each value or the class of the
+error it raises.  Last come the zero search and the extended refine, which
+no command reaches except through the packaged table: ``find_zeros`` on the
+windows of ``FIND_WINDOWS``, and ``refine_zero`` at ``EXTENDED`` from the
+packaged ordinates of ``REFINE_INDICES`` and from each ordinate that
+``find_zeros`` gives on the windows of ``REFINE_WINDOWS``, each record as
+the ``float.hex`` of its ordinate and zeta'.
 
 Prints first the versions of Python, numpy and mpmath it runs with.  Then
 one line per invocation, the first 16 hex digits of the SHA-256 of its exit
@@ -35,10 +36,10 @@ Its output on the committed tree is ``tests/cli_stdout_manifest.txt``, which
 writes the output there instead of to after.txt, so the file's diff names
 the rows that moved.
 
-stderr is not hashed.  The 256 invocations take about 2.3 s and the 138 API
+stderr is not hashed.  The 256 invocations take about 2.3 s and the 143 API
 rows about 3.0 s on one core of a 2-vCPU Xeon VM (the twelve zero rows
 about 2 s, half of it the two extended refines near 49000; the fifteen
-gamma_ratio and trivial_zero_data rows 0.25 s; the three log_gamma and
+gamma_ratio and trivial_zero_data rows 0.25 s; the four log_gamma and
 far-left zeta rows 0.01 s).
 """
 
@@ -161,8 +162,9 @@ INTEGRAL_LS = (1, 40)
 
 # residue_term at l = 1 .. RESIDUE_MAX_L and residue_series at L = 0 ..
 # RESIDUE_MAX_L: tau = 0 and integer tau, where 1/Gamma(1 + tau + s) has
-# zeros, and tau past which it is reflected (1 + tau - l < 0)
-RESIDUE_TAUS = (0.0, 0.5, 1.5, 2.0, 3.0, 7.25, 12.5)
+# zeros, tau past which it is reflected (1 + tau - l < 0), and tau = 3.7,
+# where 1 + tau - l is not a double
+RESIDUE_TAUS = (0.0, 0.5, 1.5, 2.0, 3.0, 3.7, 7.25, 12.5)
 RESIDUE_XS = (2.5, 10.5)
 
 # gamma_ratio on the packaged column 1/2 + i gamma, as one array call and as
@@ -179,6 +181,8 @@ FAR_LEFT = (-0.75, -9.5, -4.0, complex(-2.0, 1e-9), complex(-1.5, 8.0), complex(
             complex(-20.25, -3.0), complex(-40.0, 0.5), complex(-3.0, 399.0),
             complex(-0.6, -250.0), complex(-12.5, 120.0))
 FAR_LEFT_HIGH = (complex(-3.0, 1000.0), complex(-1.0, 2e4), complex(-0.75, -4.9e4))
+# and where |zeta| leaves the double range: PrecisionLoss
+FAR_LEFT_OVERFLOW = (-281.5, -301.0, complex(-150.0, 3e4))
 
 # find_zeros: hardy_z seeds near t = 1000; Riemann-Siegel seeds near 9800
 # and 49000
@@ -225,7 +229,8 @@ def api_rows():
            lambda: [trivial_zero_data(n).zeta_prime for n in range(1, TRIVIAL_ZERO_MAX_N + 1)])
     yield ("log_gamma 1/4 + i gamma/2",
            lambda: [log_gamma(complex(0.25, g / 2)) for g in table.gammas.tolist()])
-    for name, points in (("FAR_LEFT", FAR_LEFT), ("FAR_LEFT_HIGH", FAR_LEFT_HIGH)):
+    for name, points in (("FAR_LEFT", FAR_LEFT), ("FAR_LEFT_HIGH", FAR_LEFT_HIGH),
+                         ("FAR_LEFT_OVERFLOW", FAR_LEFT_OVERFLOW)):
         yield (f"zeta_and_deriv {name}",
                lambda points=points: [_value_or_error(zeta_and_deriv, s) for s in points])
     for a, b in FIND_WINDOWS:

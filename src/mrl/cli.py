@@ -45,9 +45,10 @@ from .errors import (
     ParseError,
     UnsupportedLambda,
 )
-from .explicit import compare_direct_explicit, explicit_M_tau
+from .explicit import EXPLICIT_COLUMNS, compare_direct_explicit, explicit_M_tau
 from .kernel import DOUBLE, EXTENDED, Precision, _check_count, _check_finite
 from .moebius import (
+    TAU_REGIME_COLUMNS,
     CheckpointCache,
     RieszQuery,
     TauSchedule,
@@ -80,17 +81,6 @@ __all__ = [
 _CACHE_VERSION = "v1"
 
 _ENV_PREFIX = "MRL_"
-
-_EXPLICIT_COLUMNS = (
-    "x",
-    "tau",
-    "T",
-    "L",
-    "direct",
-    "explicit",
-    "abs_diff",
-    "error_estimate",
-)
 
 
 @dataclass(frozen=True)
@@ -155,22 +145,32 @@ def _cache_dir_path(cfg: RunConfig) -> Path | None:
 
 
 def _load_table(cfg: RunConfig) -> ZeroTable:
-    """Load, refine, and (when a cache dir is set) persist the zero table.
+    """Load the refined zero table.
 
-    The refined binary is keyed by the content hash of the source ordinates
-    plus the cache format version and precision mode, so an edited source
-    file can never be served stale.  On a cache miss, ``builtin`` at double
-    precision is read from the packaged refined table (the same bytes as
-    refining the packaged ordinates); extended precision and user files are
-    refined.  A cached file that does not load (malformed, with a value that
-    is not finite, or with ordinates out of order) is a miss too, and is
-    overwritten.
+    ``builtin`` at double precision is the packaged refined table, read where
+    it is installed and never copied into a cache dir.  Any other table (a
+    user file, or extended precision) is refined and, when a cache dir is
+    set, persisted there under the content hash of the source ordinates plus
+    the cache format version and precision mode, so an edited source file can
+    never be served stale.  A cached file that does not load (malformed, with
+    a value that is not finite, or with ordinates out of order) is a miss
+    too, and is overwritten.
     """
     if cfg.zeros_path is None:
         raise MissingZeros(
             "a zero table is required: pass --zeros PATH or --zeros builtin "
             "(or set MRL_ZEROS)"
         )
+    if cfg.zeros_path == "builtin" and cfg.precision.is_double:
+        table = _load_refined_builtin()
+    else:
+        table = _load_cached_refine(cfg)
+    table.require_height(cfg.default_T)
+    return table
+
+
+def _load_cached_refine(cfg: RunConfig) -> ZeroTable:
+    """refine_table of the source ordinates, through the cache dir if set."""
     src = builtin_zeros_path() if cfg.zeros_path == "builtin" else Path(cfg.zeros_path)
     try:
         blob = src.read_bytes()
@@ -181,20 +181,14 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
     ).hexdigest()[:16]
     cache_root = _cache_dir_path(cfg)
     cached = cache_root / f"zeros-{digest}.ztbl" if cache_root else None
-    table: ZeroTable | None = None
     if cached is not None and cached.exists():
         try:
-            table = ZeroTable.load(cached)
+            return ZeroTable.load(cached)
         except (ParseError, NotAscending):
-            table = None
-    if table is None:
-        if cfg.zeros_path == "builtin" and cfg.precision.is_double:
-            table = _load_refined_builtin()
-        else:
-            table = refine_table(import_zeros(src), precision=cfg.precision)
-        if cached is not None:
-            table.save(cached)
-    table.require_height(cfg.default_T)
+            pass
+    table = refine_table(import_zeros(src), precision=cfg.precision)
+    if cached is not None:
+        table.save(cached)
     return table
 
 
@@ -206,8 +200,6 @@ def _load_table(cfg: RunConfig) -> ZeroTable:
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -323,7 +315,7 @@ def _cmd_explicit(args, cfg: RunConfig, out) -> int:
         rows = compare_direct_explicit([float(args.x)], args.tau, table, T, L)
     else:
         rows = [explicit_M_tau(float(args.x), args.tau, table, T, L).row()]
-    _emit_rows(rows, _EXPLICIT_COLUMNS, cfg, out)
+    _emit_rows(rows, EXPLICIT_COLUMNS, cfg, out)
     return 0
 
 
@@ -384,17 +376,7 @@ def _cmd_scan(args, cfg: RunConfig, out) -> int:
             ]
         schedule = TauSchedule(kind=args.schedule, c=args.c)
         rows = tau_regime_scan(grid, schedule)
-        columns = (
-            "x",
-            "schedule",
-            "c",
-            "status",
-            "tau",
-            "m_tau",
-            "m_over_sqrt",
-            "m_tau32_over_sqrt",
-            "growth_factor",
-        )
+        columns = TAU_REGIME_COLUMNS
     else:  # pragma: no cover - argparse restricts choices
         raise MrlError(f"unknown scan kind {kind!r}")
     _emit_rows(rows, columns, cfg, out)

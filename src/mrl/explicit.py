@@ -49,6 +49,7 @@ from .zeros import ZeroTable, _zero_sum
 
 __all__ = [
     "RESIDUE_MAX_L",
+    "EXPLICIT_COLUMNS",
     "ExplicitEvaluation",
     "zero_sum_term",
     "s0_residue",
@@ -62,6 +63,9 @@ __all__ = [
 # Residue index ceiling: keeps every factorial/Gamma intermediate inside
 # double range (the terms themselves decay superexponentially in l).
 RESIDUE_MAX_L = 100
+
+# The canonical columns of ExplicitEvaluation.row, in the order the CLI prints them.
+EXPLICIT_COLUMNS = ("x", "tau", "T", "L", "direct", "explicit", "abs_diff", "error_estimate")
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,14 @@ class ExplicitEvaluation:
         return self.zero_sum + self.s0_residue + self.residue_sum
 
     def row(self, direct: float | None = None) -> dict:
-        """The row of this evaluation.  Keys x, tau, T, L, direct, explicit,
-        abs_diff, error_estimate are the canonical columns, the only ones the
-        CLI prints (direct and abs_diff are None without a direct value).
+        """The row of this evaluation.  Its EXPLICIT_COLUMNS are the only keys
+        the CLI prints (direct and abs_diff are None without a direct value).
         Given one, the row also holds within_estimate and, at tau = 0 and
         integer x, a note; these two are for API callers only."""
         explicit = self.explicit_value
         abs_diff = None if direct is None else abs(direct - explicit)
-        row = {"x": self.x, "tau": self.tau, "T": self.T, "L": self.L, "direct": direct,
-               "explicit": explicit, "abs_diff": abs_diff, "error_estimate": self.error_estimate}
+        row = dict(zip(EXPLICIT_COLUMNS, (self.x, self.tau, self.T, self.L, direct,
+                                          explicit, abs_diff, self.error_estimate)))
         if direct is not None:
             row["within_estimate"] = bool(abs_diff <= self.error_estimate)
             if self.tau == 0.0 and self.x.is_integer():

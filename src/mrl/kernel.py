@@ -59,10 +59,10 @@ __all__ = [
 # asymptotic correction terms available to the internal series.
 BERNOULLI_MAX_INDEX = 130
 
-# Supported |Im s| for zeta/zeta_and_deriv.  The Euler-Maclaurin cutoff grows
-# linearly with |Im s|, so this is a cost guard, not an accuracy cliff;
-# double-precision accuracy is maintained well past the zeros near t = 1100
-# that the rest of the package consumes.
+# Supported |Im s| for zeta/zeta_and_deriv, and so the height find_zeros
+# reaches.  The Euler-Maclaurin cutoff grows linearly with |Im s|, so this is
+# a cost guard, not an accuracy cliff: right of Re s = -1/2 zeta stays within
+# about 1e-15 up to it.
 IM_MAX = 5.0e4
 
 # Largest index accepted by trivial_zero_data; keeps zeta'(-2n) inside the
@@ -575,12 +575,16 @@ def _zeta(s, want_deriv: bool):
         raise PoleAtOne("zeta has its pole at s = 1")
     if abs(sc.imag) > IM_MAX:
         raise OutOfRange(f"|Im s| = {abs(sc.imag)} exceeds supported maximum {IM_MAX}")
-    value = _zeta_em(sc, want_deriv) if sc.real >= -0.5 else _zeta_fe(sc, want_deriv)
+    try:
+        value = _zeta_em(sc, want_deriv) if sc.real >= -0.5 else _zeta_fe(sc, want_deriv)
+    except OverflowError as exc:  # far left, where |zeta| leaves the double range
+        raise PrecisionLoss(f"zeta overflowed at s = {sc}") from exc
     return _require_finite(value, "zeta")
 
 
 def zeta(s):
-    """Riemann zeta(s).  Raises PoleAtOne at s = 1."""
+    """Riemann zeta(s).  Raises PoleAtOne at s = 1, and PrecisionLoss where
+    the value leaves the double range."""
     return _zeta(s, want_deriv=False)
 
 
@@ -789,14 +793,27 @@ def _inv_gamma_at(tau: float, l: int) -> tuple:
     r = -psi(w); for w < 0 both are reflected at tau, which keeps every
     Gamma and digamma argument positive: sin(pi w) Gamma(1 - w)/pi and
     psi(w) = psi(l - tau) - pi cot(pi tau).
+
+    w is the double nearest (1 - l) + tau.  Where w >= 0 it is exact: a
+    multiple of the last bit of tau, and no larger than tau.  Where w < 0
+    its rounding error is e = tau - (w - (1 - l)) exactly (Dekker's
+    Fast2Sum, as |1 - l| > tau), and the value is taken at the exact w as
+    c (1 + r e); r is formed only where e != 0, which a tau of few bits
+    never meets.
     """
-    w = 1.0 + tau - l
+    a = 1.0 - l
+    w = a + tau
     if w <= 0.0 and w.is_integer():
         return -1, (-1) ** int(-w) * math.factorial(int(-w)), None
-    if w <= 0.0:
-        # sin and tan reduced first, exactly: sin(pi w) = sin(pi (w - 2j))
-        # and tan(pi tau) = tan(pi (tau - j)) for integer j
-        c = math.sin(math.pi * (w - 2 * round(w / 2))) * math.gamma(1.0 - w) / math.pi
-        return 0, c, lambda: (math.pi / math.tan(math.pi * (tau - round(tau)))
-                              - _digamma(complex(l - tau)).real)
-    return 0, 1.0 / math.gamma(w), lambda: -_digamma(complex(w)).real
+    if w > 0.0:
+        return 0, 1.0 / math.gamma(w), lambda: -_digamma(complex(w)).real
+    # sin and tan reduced first, exactly: sin(pi w) = sin(pi (w - 2j)) and
+    # tan(pi tau) = tan(pi (tau - j)) for integer j
+    c = math.sin(math.pi * (w - 2 * round(w / 2))) * math.gamma(1.0 - w) / math.pi
+    r = lambda: (math.pi / math.tan(math.pi * (tau - round(tau)))
+                 - _digamma(complex(l - tau)).real)
+    e = tau - (w - a)
+    if e:
+        r_w = r()
+        return 0, c + c * r_w * e, lambda: r_w
+    return 0, c, r

@@ -70,6 +70,7 @@ __all__ = [
     "density_S",
     "tau_regime_scan",
     "tau_for",
+    "TAU_REGIME_COLUMNS",
 ]
 
 # Hard ceiling for x: a cost guard for the streams, which are linear, and the
@@ -1084,6 +1085,11 @@ def _growth_factor(tau: float) -> float:
     return math.inf
 
 
+# The columns of a tau_regime_scan row, in the order the CLI prints them.
+TAU_REGIME_COLUMNS = ("x", "schedule", "c", "status", "tau", "m_tau", "m_over_sqrt",
+                      "m_tau32_over_sqrt", "growth_factor")
+
+
 def tau_regime_scan(
     x_list: list[float],
     schedule: TauSchedule,
@@ -1091,39 +1097,28 @@ def tau_regime_scan(
 ) -> list[dict]:
     """Evaluate M_tau(x) along a tau schedule.
 
-    Emits one row per x with the normalized columns M_tau/sqrt(x) and
-    M_tau * tau^(3/2) / sqrt(x), plus the growth-factor helper column
-    (tau/e)^(-tau-1).  Rows where the schedule is undefined carry
-    status="undefined" instead of raising.  The rows share one power-sum
-    sieve (integer tau <= 3) or one mu stream up to the largest x (see
-    _riesz_means).
+    Emits one row per x, keyed by TAU_REGIME_COLUMNS: the normalized
+    columns M_tau/sqrt(x) and M_tau * tau^(3/2) / sqrt(x), plus the
+    growth-factor helper column (tau/e)^(-tau-1).  Rows where the schedule
+    is undefined carry status="undefined" instead of raising.  The rows
+    share one power-sum sieve (integer tau <= 3) or one mu stream up to the
+    largest x (see _riesz_means).
     """
     rows: list[dict] = []
     defined: list[dict] = []
     points: list[tuple[float, float]] = []
     for x in x_list:
         x = float(x)
-        row: dict = {"x": x, "schedule": schedule.kind, "c": schedule.c}
+        row = dict(zip(TAU_REGIME_COLUMNS, (x, schedule.kind, schedule.c)))
         rows.append(row)
         try:
             points.append((x, tau_for(schedule, x)))
         except ScheduleUndefined:
-            row.update(
-                {"status": "undefined", "tau": None, "m_tau": None,
-                 "m_over_sqrt": None, "m_tau32_over_sqrt": None, "growth_factor": None}
-            )
+            row.update(dict.fromkeys(TAU_REGIME_COLUMNS[3:]), status="undefined")
             continue
         defined.append(row)
     for row, (x, tau), m_tau in zip(defined, points, _riesz_means(points)):
         sqrt_x = math.sqrt(x)
-        row.update(
-            {
-                "status": "ok",
-                "tau": tau,
-                "m_tau": m_tau,
-                "m_over_sqrt": m_tau / sqrt_x,
-                "m_tau32_over_sqrt": m_tau * tau**1.5 / sqrt_x,
-                "growth_factor": _growth_factor(tau),
-            }
-        )
+        row.update(zip(TAU_REGIME_COLUMNS[3:], ("ok", tau, m_tau, m_tau / sqrt_x,
+                                                m_tau * tau**1.5 / sqrt_x, _growth_factor(tau))))
     return rows

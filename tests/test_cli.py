@@ -5,6 +5,7 @@ Everything drives main(argv, out=...) in-process; argparse-level rejections
 surface as SystemExit(2), mapped errors as return codes.
 """
 
+import hashlib
 import inspect
 import io
 import json
@@ -29,6 +30,7 @@ from mrl.cli import (
 from mrl.errors import MrlError
 from mrl.kernel import DOUBLE, EXTENDED
 from mrl.moebius import CheckpointCache
+from mrl.zeros import ZeroTable
 from mrl.zerosums import inv_zeta_identity
 import oracles
 
@@ -141,6 +143,22 @@ def test_identity_report_schema_roundtrip(table):
     assert rep.residual == want.residual
     assert rep.partial_trace == want.partial_trace
     assert report_to_json_dict(rep) == payload
+
+
+def test_report_json_round_trip_keeps_lists_and_infinities():
+    report = zs.ZeroSumReport(kind="J_lambda", parameters={"grid": [1.0, math.inf], "s": 2 + 1j},
+                              value=-math.inf, partial_trace=((10.0, math.inf),))
+    payload = json.loads(json.dumps(report_to_json_dict(report)))
+    assert payload["params"]["grid"] == [1.0, "inf"]
+    assert report_from_json_dict(payload) == report
+
+
+def test_json_spells_a_value_that_is_not_finite():
+    # JSON has no number for the infinite error estimate at tau = 0
+    with pytest.warns(UserWarning, match="Bartz mode"):
+        rc, out = run_cli("--zeros", "builtin", "--format", "json", "explicit", "100.5", "--tau", "0")
+    assert rc == 0
+    assert json.loads(out)[0]["error_estimate"] == "inf"
 
 
 def test_identity_complex_value_json():
@@ -265,6 +283,14 @@ def test_scan_tau_regime_csv():
     assert all(",inv-log,1.0,ok," in ln for ln in lines[1:])
 
 
+def test_scan_tau_regime_of_one_point_is_at_x_start():
+    rc, out = run_cli("scan", "tau-regime", "--x-start", "100", "--points", "1")
+    assert rc == 0
+    header, row = out.strip().split("\n")
+    assert header == ",".join(moebius.TAU_REGIME_COLUMNS)
+    assert row.startswith("100.0,constant,1.0,ok,1.0,")
+
+
 def test_scan_undefined_schedule_rows():
     rc, out = run_cli(
         "scan", "tau-regime", "--x-start", "100", "--x-stop", "1000",
@@ -301,8 +327,17 @@ def test_env_variable_fallbacks(monkeypatch):
     assert out.startswith("x,tau,")
 
 
-def test_zero_table_content_hash_cache(tmp_path):
-    args = ("--zeros", "builtin", "--cache-dir", str(tmp_path),
+def _user_zeros(tmp_path, raw_table) -> tuple:
+    """--zeros of a user ordinate file, the first 40 packaged ordinates (to
+    t = 122.9), and --T 100: unlike builtin at double precision, that table
+    is refined and cached."""
+    path = tmp_path / "z.txt"
+    path.write_text("\n".join(map(repr, raw_table.gammas[:40].tolist())))
+    return "--zeros", str(path), "--T", "100"
+
+
+def test_zero_table_content_hash_cache(tmp_path, raw_table):
+    args = (*_user_zeros(tmp_path, raw_table), "--cache-dir", str(tmp_path),
             "identity", "jsum", "--lambda", "0")
     rc, out1 = run_cli(*args)
     assert rc == 0
@@ -315,8 +350,8 @@ def test_zero_table_content_hash_cache(tmp_path):
     assert cached[0].stat().st_mtime_ns == stamp  # reused, not rewritten
 
 
-def test_zero_table_cache_rebuilt_when_corrupt(tmp_path):
-    args = ("--zeros", "builtin", "--cache-dir", str(tmp_path),
+def test_zero_table_cache_rebuilt_when_corrupt(tmp_path, raw_table):
+    args = (*_user_zeros(tmp_path, raw_table), "--cache-dir", str(tmp_path),
             "identity", "jsum", "--lambda", "0")
     rc, out1 = run_cli(*args)
     cached = next(tmp_path.glob("zeros-*.ztbl"))
@@ -333,11 +368,12 @@ def test_zero_table_cache_rebuilt_when_corrupt(tmp_path):
         assert cached.stat().st_size > 100  # rewritten with real content
 
 
-def test_zero_table_cache_with_a_value_that_is_not_finite_is_rebuilt(tmp_path):
+def test_zero_table_cache_with_a_value_that_is_not_finite_is_rebuilt(tmp_path, raw_table):
     # the 6th record's Re zeta' set to nan (the sum read nan) or its Im zeta'
     # to inf (its zero dropped), or the last ordinate to inf (kept in the
     # cache): each file is a miss and is rewritten
-    args = ("--zeros", "builtin", "--cache-dir", str(tmp_path), "explicit", "1e4", "--tau", "1")
+    args = (*_user_zeros(tmp_path, raw_table), "--cache-dir", str(tmp_path),
+            "explicit", "1e4", "--tau", "1")
     rc, want = run_cli(*args)
     assert rc == 0
     cached = next(tmp_path.glob("zeros-*.ztbl"))
@@ -357,15 +393,24 @@ def test_builtin_at_double_precision_reads_the_packaged_refined_table(
         raise AssertionError("refine_table called for the packaged table at double precision")
 
     monkeypatch.setattr(cli, "refine_table", refuse)
-    want = json.dumps(report_to_json_dict(zs.j_lambda(table, 0.0, 1000.0))) + "\n"
-    jsum = ("identity", "jsum", "--lambda", "0")
+    want = json.dumps(report_to_json_dict(zs.j_lambda(table, 1.0, 1000.0))) + "\n"
+    jsum = ("identity", "jsum", "--lambda", "1")
     for extra in ((), ("--cache-dir", str(tmp_path))):
         assert run_cli("--zeros", "builtin", *extra, *jsum) == (0, want)
-    cached = next(tmp_path.glob("zeros-*.ztbl"))
-    cached.write_bytes(b"garbage")
-    assert run_cli("--zeros", "builtin", "--cache-dir", str(tmp_path), *jsum) == (0, want)
+    assert not list(tmp_path.glob("zeros-*.ztbl"))  # no copy of it in the cache dir
+    # a valid table that gives another sum, planted under the key the cache
+    # once kept a copy at, is never read
+    old_key = hashlib.sha256(
+        zeros.builtin_zeros_path().read_bytes() + b"|v1|double").hexdigest()[:16]
+    planted = tmp_path / f"zeros-{old_key}.ztbl"
     packaged = zeros.builtin_zeros_path().with_name(zeros._REFINED_BUILTIN_NAME)
-    assert cached.read_bytes() == packaged.read_bytes()
+    blob = bytearray(packaged.read_bytes())
+    struct.pack_into("<d", blob, 16 + 8, 2 * struct.unpack_from("<d", blob, 16 + 8)[0])
+    planted.write_bytes(bytes(blob))
+    other = json.dumps(report_to_json_dict(zs.j_lambda(ZeroTable.load(planted), 1.0, 1000.0)))
+    assert other + "\n" != want
+    assert run_cli("--zeros", "builtin", "--cache-dir", str(tmp_path), *jsum) == (0, want)
+    assert planted.read_bytes() == bytes(blob)
 
 
 def test_user_tables_and_extended_precision_are_still_refined(

@@ -87,6 +87,24 @@ def test_residue_terms_below_the_normal_range_match_contour_oracle():
             assert abs(got - want) <= 1.75 * 2.0**-52 * abs(want), l
 
 
+@pytest.mark.parametrize("tau", [3.7, 5.9, 9.9])
+def test_residue_terms_read_tau_exactly(tau):
+    # At odd l the residue is x^-l (-1)^l / (l! zeta(-l) Gamma(1 + tau - l)),
+    # here at 50 digits from the exact double tau.  1 + tau - l in doubles
+    # drops tau's low bits, which put the terms up to 341 units of 2^-52
+    # relative off; corrected by 1/Gamma's log-derivative they are within
+    # 3.61 units (x = 10.5, tau = 3.7, l = 45).  Residues below the normal
+    # range are left out.
+    with mp.workdps(50):
+        for x in (2.5, 10.5, 1e4 + 0.5):
+            for l in range(1, RESIDUE_MAX_L, 2):
+                want = (mp.mpf(x) ** -l * (-1) ** l / mp.factorial(l) / mp.zeta(-l)
+                        * mp.rgamma(1 + mp.mpf(tau) - l))
+                if abs(want) >= 2.0**-1022:
+                    got = residue_term(l, x, tau)
+                    assert abs(got - want) <= 4 * 2.0**-52 * abs(want), (x, l)
+
+
 def test_residue_term_degenerate_integer_tau_zeros():
     # Odd l with integer tau < l: the denominator Gamma kills the residue.
     assert residue_term(1, 10.5, 0.0) == 0.0

@@ -22,6 +22,7 @@ from mrl.errors import (
     OutOfRange,
     PoleAtNonpositiveInteger,
     PoleAtOne,
+    PrecisionLoss,
 )
 from mrl.kernel import (
     DOUBLE,
@@ -341,6 +342,27 @@ NAN, INF = math.nan, math.inf
 def test_non_finite_arguments_are_domain_errors(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+# Far left |zeta| leaves the double range (from |Re s| near 81 at large
+# |Im s|): PrecisionLoss, an MrlError, and not the OverflowError of cmath.exp
+@pytest.mark.parametrize("fn", [zeta, zeta_and_deriv])
+@pytest.mark.parametrize("s", [-281.5, -301.0, complex(-150.0, 3e4), complex(-90.0, -4.9e4)])
+def test_zeta_past_the_double_range_is_precision_loss(fn, s):
+    with pytest.raises(PrecisionLoss, match="overflowed"):
+        fn(s)
+
+
+def test_euler_maclaurin_refuses_corrections_that_grow_or_run_out(monkeypatch):
+    # Never met with the true coefficients (each correction the package's
+    # calls added was at least 9.5 times below the one before, and at most 14
+    # of the 65 were used), so a fault in them stands in
+    monkeypatch.setattr(kernel, "_em_coeffs", lambda: (1e-3, 1e3))
+    with pytest.raises(PrecisionLoss, match="diverged"):
+        zeta(2.0)
+    monkeypatch.setattr(kernel, "_em_coeffs", lambda: ())
+    with pytest.raises(PrecisionLoss, match="exhausted"):
+        zeta(2.0)
 
 
 @pytest.mark.parametrize(

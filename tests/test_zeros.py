@@ -369,6 +369,30 @@ def test_newton_polish_stops_on_a_cycle_of_noisy_steps(monkeypatch):
     assert len(find_zeros(22004.789712653037, 22006.789712653037)) == 2
 
 
+def test_newton_polish_refuses_when_no_step_is_small(monkeypatch):
+    # a zeta whose Newton step is always 1
+    monkeypatch.setattr(zeros, "zeta_and_deriv", lambda s: (1.0 + 0j, -1j))
+    with pytest.raises(NoConvergence, match="did not take a step below"):
+        refine_zero(14.13)
+
+
+def test_find_zeros_seeds_newton_at_an_exact_grid_zero(monkeypatch):
+    # Z(t) = 0 exactly at the grid point 14.15: that point is the seed, and
+    # no sign change brackets it from either side
+    exact = 14.0 + 3 * GRID_STEP
+    monkeypatch.setattr(zeros, "hardy_z", lambda t, z=hardy_z: 0.0 if t == exact else z(t))
+    seeds = []
+    monkeypatch.setattr(zeros, "refine_zero", lambda seed: seeds.append(seed) or refine_zero(seed))
+    assert find_zeros(14.0, 14.5).gammas.tolist() == pytest.approx([KNOWN_GAMMAS[1]], abs=1e-12)
+    assert seeds == [exact]
+
+
+def test_find_zeros_refuses_an_ordinate_that_escapes_its_bracket(monkeypatch):
+    monkeypatch.setattr(zeros, "refine_zero", lambda seed: ZeroRecord(gamma=seed + 1.0))
+    with pytest.raises(NoConvergence, match="escaped bracket"):
+        find_zeros(14.0, 14.5)
+
+
 def test_refine_zero_off_basin_returns_a_zero_or_raises(raw_table):
     # Midpoints between neighbouring zeros lie outside the Newton basin: the
     # polish may reach either neighbour or refuse, but never stop elsewhere.
